@@ -618,12 +618,13 @@ def run_entity_pipeline(
     target_identities = [e for e in entities if e.kind is EntityKind.IDENTITY]
 
     relations: list[StixRelation] = []
+    relation_ids: set[str] = set()
 
     def add_relation(kind: RelationKind, source: StixEntity, target: StixEntity) -> None:
-        rel = StixRelation(kind, source.id, target.id)
-        rel.id = relation_id(kind, source.id, target.id, seed)
-        if all(r.id != rel.id for r in relations):
-            relations.append(rel)
+        rel_id = relation_id(kind, source.id, target.id, seed)
+        if rel_id not in relation_ids:
+            relation_ids.add(rel_id)
+            relations.append(StixRelation(kind, source.id, target.id, id=rel_id))
 
     # the target question already asserts the Targets relation; attach it
     # from every principal without a second query

@@ -34,13 +34,15 @@ logger = logging.getLogger(__name__)
 _PRINCIPAL_KINDS = (EntityKind.MALWARE, EntityKind.THREAT_ACTOR)
 
 
-def _add_entity(bundle: StixBundle, entity: StixEntity) -> None:
-    if all(e.id != entity.id for e in bundle.entities):
+def _add_entity(bundle: StixBundle, ids: set[str], entity: StixEntity) -> None:
+    if entity.id not in ids:
+        ids.add(entity.id)
         bundle.entities.append(entity)
 
 
-def _add_relation(bundle: StixBundle, relation: StixRelation) -> None:
-    if all(r.id != relation.id for r in bundle.relations):
+def _add_relation(bundle: StixBundle, ids: set[str], relation: StixRelation) -> None:
+    if relation.id not in ids:
+        ids.add(relation.id)
         bundle.relations.append(relation)
 
 
@@ -70,15 +72,19 @@ def assemble_bundle(
         relations=list(entity_bundle.relations),
         extra=dict(entity_bundle.extra),
     )
+    # duplicates already in the input are kept; only new objects are deduped
+    entity_ids = {e.id for e in bundle.entities}
+    relation_ids = {r.id for r in bundle.relations}
 
     if ap_result is not None:
         principals = [e for e in bundle.entities if e.kind in _PRINCIPAL_KINDS]
         for match in ap_result.matches:
             ap = technique_entity(match.technique_id, match.name, namespace_seed)
-            _add_entity(bundle, ap)
+            _add_entity(bundle, entity_ids, ap)
             for principal in principals:
                 _add_relation(
                     bundle,
+                    relation_ids,
                     StixRelation(
                         kind=RelationKind.USES,
                         source_ref=principal.id,
@@ -102,6 +108,7 @@ def assemble_bundle(
         for mal in malware:
             _add_relation(
                 bundle,
+                relation_ids,
                 StixRelation(
                     kind=RelationKind.INDICATES,
                     source_ref=indicator.id,

@@ -182,19 +182,25 @@ class _Element:
     def classes(self) -> set[str]:
         return set((self.attrs.get("class") or "").split())
 
+    # traversals use explicit stacks (children pushed in reverse to keep
+    # document order) so arbitrarily deep markup cannot hit the recursion limit
+
     def walk(self) -> Iterable["_Element"]:
-        yield self
-        for child in self.children:
-            if isinstance(child, _Element):
-                yield from child.walk()
+        stack: list[_Element] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(c for c in reversed(node.children) if isinstance(c, _Element))
 
     def text(self) -> str:
         parts: list[str] = []
-        for child in self.children:
-            if isinstance(child, str):
-                parts.append(child)
+        stack: list[Union[_Element, str]] = list(reversed(self.children))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
             else:
-                parts.append(child.text())
+                stack.extend(reversed(node.children))
         return "".join(parts)
 
 
@@ -285,21 +291,17 @@ def _blocks_under(element: _Element) -> list[str]:
     order, skipping script/style/nav subtrees.  A matched block is emitted
     whole; nested block tags inside it are not emitted again."""
     blocks: list[str] = []
-
-    def visit(node: _Element) -> None:
-        for child in node.children:
-            if not isinstance(child, _Element):
-                continue
-            if child.tag in _SKIP_TAGS:
-                continue
-            if child.tag in _BLOCK_TAGS:
-                text = _collapse(child.text())
-                if text:
-                    blocks.append(text)
-                continue
-            visit(child)
-
-    visit(element)
+    stack: list[Union[_Element, str]] = list(reversed(element.children))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, _Element) or node.tag in _SKIP_TAGS:
+            continue
+        if node.tag in _BLOCK_TAGS:
+            text = _collapse(node.text())
+            if text:
+                blocks.append(text)
+            continue
+        stack.extend(reversed(node.children))
     return blocks
 
 

@@ -105,7 +105,7 @@ def find_iocs(text: str) -> list[IocMatch]:
     """All indicator matches in first-occurrence order, deduplicated by
     (type, normalized value); matches nested inside an earlier match of a
     higher-priority pattern are suppressed."""
-    taken: list[tuple[int, int]] = []
+    taken = bytearray(len(text))  # 1 where an earlier match occupies the character
     found: list[IocMatch] = []
     seen: set[tuple[str, str]] = set()
     for ioc_type, pattern in _IOC_PATTERNS:
@@ -116,12 +116,12 @@ def find_iocs(text: str) -> list[IocMatch]:
                 trimmed = original.rstrip(_URL_TRAILING_JUNK)
                 end -= len(original) - len(trimmed)
                 original = trimmed
-            if any(start < t_end and end > t_start for t_start, t_end in taken):
+            if taken.find(1, start, end) != -1:
                 continue
             value = _normalize(ioc_type, original)
             if ioc_type == "domain" and value.rsplit(".", 1)[-1] in _FILE_EXT_TLDS:
                 continue
-            taken.append((start, end))
+            taken[start:end] = b"\x01" * (end - start)
             key = (ioc_type, value)
             if key in seen:
                 continue

@@ -151,20 +151,36 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._completions: dict[str, str] = {}
         self._embeddings: dict[str, list[float]] = {}
+        self._torn_at: int | None = None  # byte offset of an unparseable last line
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        with self.path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
+        """Read every record.  An unparseable *last* line is what a crash in
+        the middle of an append leaves behind: it is skipped with a warning and
+        cut off before the next append.  A corrupt line followed by more
+        records is real damage and raises."""
+        offset = 0
+        torn: ValueError | None = None
+        with self.path.open("rb") as fh:
+            for raw in fh:
+                line_start, offset = offset, offset + len(raw)
+                line = raw.strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                if torn is not None:
+                    raise torn
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    torn, self._torn_at = exc, line_start
+                    continue
                 if record.get("kind") == "completion":
                     self._completions[record["key"]] = record["response"]
                 elif record.get("kind") == "embedding":
                     self._embeddings[record["key"]] = record["vector"]
+        if torn is not None:
+            logger.warning("%s: skipping unparseable last line (%s)", self.path, torn)
 
     def get_completion(self, key: str) -> str | None:
         return self._completions.get(key)
@@ -190,6 +206,10 @@ class ResponseCache:
 
     def _append(self, record: dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self._torn_at is not None:
+            with self.path.open("r+b") as fh:
+                fh.truncate(self._torn_at)
+            self._torn_at = None
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
@@ -224,6 +244,8 @@ class HttpProvider:
         self._sleep = sleep
         self._semaphore = threading.Semaphore(config.max_concurrent)
         self._cache = ResponseCache(config.cache_path) if config.cache_path else None
+        # the semaphore admits max_concurrent holders, so counters need a lock
+        self._counter_lock = threading.Lock()
         self.retries_total = 0
         self.calls_total = 0
 
@@ -243,11 +265,13 @@ class HttpProvider:
         for attempt in range(attempts):
             if attempt:
                 wait = min(self.config.retry_backoff * (2 ** (attempt - 1)), 60.0)
-                self.retries_total += 1
+                with self._counter_lock:
+                    self.retries_total += 1
                 logger.warning("retrying %s after %s (wait %.1fs)", path, last_error, wait)
                 self._sleep(wait)
             with self._semaphore:
-                self.calls_total += 1
+                with self._counter_lock:
+                    self.calls_total += 1
                 try:
                     status, body = self._transport(url, payload, headers, self.config.timeout)
                 except (requests.ConnectionError, requests.Timeout, OSError) as exc:

@@ -14,6 +14,7 @@ produces byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -134,6 +135,7 @@ def normalize_name(name: str) -> str:
     return out.casefold()
 
 
+@functools.cache
 def _namespace(seed: str) -> uuid.UUID:
     return uuid.uuid5(uuid.NAMESPACE_DNS, seed)
 

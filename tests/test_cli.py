@@ -108,6 +108,24 @@ class TestExtract:
         assert (out_dir / "report-a.bundle.json").exists()
         assert (out_dir / "report-b.bundle.json").exists()
 
+    def test_deeply_nested_html_does_not_sink_parallel_batch(
+        self, tmp_path, script_path, catalog_path, report_path
+    ):
+        deep = tmp_path / "deep.html"
+        deep.write_text(
+            "<html><body>" + "<div>" * 5000 + f"<p>{HELLOXD_TEXT}</p>"
+            + "</div>" * 5000 + "</body></html>",
+            encoding="utf-8",
+        )
+        code, out_dir = run_extract(
+            tmp_path, script_path, catalog_path, [deep, report_path], "--jobs", "2"
+        )
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["failed"] == {}
+        assert (out_dir / "deep.bundle.json").exists()
+        assert (out_dir / "helloxd-2022.bundle.json").exists()
+
     def test_repeat_runs_are_byte_identical(self, tmp_path, script_path, catalog_path,
                                             report_path):
         _, first_dir = run_extract(tmp_path / "1", script_path, catalog_path,

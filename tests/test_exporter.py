@@ -152,3 +152,34 @@ class TestAssembly:
         bundle = assemble_bundle(base, FakeResult())
         assert len(bundle.relations) == 1
         assert len(bundle.entities) == 2
+
+    def test_duplicate_input_relations_kept_as_they_are(self):
+        base = new_bundle("r")
+        mal = StixEntity(kind=EntityKind.MALWARE, name="GrimVault")
+        ind = StixEntity(kind=EntityKind.INDICATOR, name="bad.example.org")
+        actor = StixEntity(kind=EntityKind.THREAT_ACTOR, name="x4k")
+        base.entities += [mal, ind, actor]
+        indicates = StixRelation(
+            kind=RelationKind.INDICATES, source_ref=ind.id, target_ref=mal.id
+        )
+        uses = StixRelation(kind=RelationKind.USES, source_ref=actor.id, target_ref=mal.id)
+        base.relations += [indicates, uses, indicates]
+
+        bundle = assemble_bundle(base)
+        assert [r.id for r in bundle.relations] == [indicates.id, uses.id, indicates.id]
+
+    def test_idempotent_at_ioc_scale(self):
+        base = new_bundle("r")
+        malware = [StixEntity(kind=EntityKind.MALWARE, name=f"family-{i}") for i in range(3)]
+        indicators = [
+            StixEntity(kind=EntityKind.INDICATOR, name=f"host-{i}.example.org")
+            for i in range(500)
+        ]
+        base.entities += malware + indicators
+        once = assemble_bundle(base)
+        assert len(once.relations) == 500 * 3
+        assert [(r.source_ref, r.target_ref) for r in once.relations] == [
+            (ind.id, mal.id) for ind in indicators for mal in malware
+        ]
+        assert assemble_bundle(once) == once
+        assert save_bundle(assemble_bundle(once)) == save_bundle(once)

@@ -219,6 +219,24 @@ def test_selector_subset():
         select(root, "p > b")
 
 
+def deeply_nested_html(depth: int, inner: str) -> str:
+    return (
+        "<html><head><title>Deep</title></head><body>"
+        + "<div>" * depth + f"<p>{inner}</p>" + "</div>" * depth
+        + "</body></html>"
+    )
+
+
+def test_deep_nesting_does_not_recurse():
+    html = deeply_nested_html(5000, "The <b>inner</b> paragraph.")
+    title, body = extract_article(html)
+    assert title == "Deep"
+    assert body == "The inner paragraph."
+    root = parse_html(html)
+    assert len(select(root, "div p")) == 1
+    assert root.text() == "DeepThe inner paragraph."
+
+
 def test_load_plugins_yaml(tmp_path):
     path = tmp_path / "plugins.yaml"
     path.write_text(

@@ -1,7 +1,10 @@
 """IoC extractor tests: defanging, hash classing, overlap and dedup rules."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cti2stix import iocs
 from cti2stix.iocs import IocMatch, find_iocs, ioc_entities, refang
 from cti2stix.stix import EntityKind
 
@@ -150,3 +153,81 @@ def test_entity_ids_deterministic_across_calls():
 
 def test_no_iocs_in_clean_prose():
     assert ioc_entities("The actor moved laterally and staged archives for exfiltration.") == []
+
+
+# ---------------------------------------------------------------------------
+# oracle: the occupancy-map overlap test against a pairwise scan
+
+
+def reference_find_iocs(text):
+    """find_iocs with the pairwise overlap scan: every match is tested
+    against every span taken before it."""
+    taken = []
+    found = []
+    seen = set()
+    for ioc_type, pattern in iocs._IOC_PATTERNS:
+        for m in pattern.finditer(text):
+            start, end = m.span()
+            original = m.group()
+            if ioc_type == "url":
+                trimmed = original.rstrip(iocs._URL_TRAILING_JUNK)
+                end -= len(original) - len(trimmed)
+                original = trimmed
+            if any(start < t_end and end > t_start for t_start, t_end in taken):
+                continue
+            value = iocs._normalize(ioc_type, original)
+            if ioc_type == "domain" and value.rsplit(".", 1)[-1] in iocs._FILE_EXT_TLDS:
+                continue
+            taken.append((start, end))
+            key = (ioc_type, value)
+            if key in seen:
+                continue
+            seen.add(key)
+            found.append(IocMatch(ioc_type, value, original, start, end))
+    found.sort(key=lambda x: (x.start, x.end))
+    return found
+
+
+_dots = st.sampled_from([".", "[.]", "(.)"])
+_octets = st.one_of(st.integers(0, 9), st.integers(0, 300)).map(str)
+_ips = st.builds(
+    lambda parts, dots: "".join(p + d for p, d in zip(parts, dots)) + parts[-1],
+    st.lists(_octets, min_size=4, max_size=4),
+    st.lists(_dots, min_size=3, max_size=3),
+)
+_labels = st.sampled_from(["evil", "cdn-7", "a", "update", "x1", "invoice", "c2"])
+_tlds = st.sampled_from(["com", "net", "ru", "exe", "dll", "sh", "io"])
+_domains = st.builds(
+    lambda labels, dot, tld: dot.join(labels) + dot + tld,
+    st.lists(_labels, min_size=1, max_size=3), _dots, _tlds,
+)
+_urls = st.builds(
+    lambda scheme, sep, host, path, junk: f"{scheme}:{sep}{host}/{path}{junk}",
+    st.sampled_from(["http", "https", "hxxp", "hXXps", "ftp"]),
+    st.sampled_from(["//", "[://]", "[//]"]),
+    st.one_of(_domains, _ips),
+    st.sampled_from(["", "gate.php", "a/b?id=1", "x.exe"]),
+    st.sampled_from(["", ".", ")", "],", "'"]),
+)
+_hashes = st.builds(
+    lambda n, digits: (digits * 65)[:n],
+    st.sampled_from([n + d for n in (32, 40, 64) for d in (-3, -2, -1, 0, 1)]),
+    st.text("0123456789abcdefABCDEF", min_size=1, max_size=8),
+)
+# an IP run on into hex: the hash regexes may then claim a span that shares
+# only the IP's last digit, the narrowest overlap there is
+_run_ons = st.builds(lambda ip, digits: ip + digits, _ips, _hashes)
+_cves = st.builds(lambda y, n: f"CVE-{y}-{n}", st.integers(1999, 2030), st.integers(1000, 9999999))
+_filler = st.sampled_from(["the", "C2", "at", "dropped", "10.0", "v1.2.3.4.5", "and", "(", ")"])
+_tokens = st.one_of(_ips, _domains, _urls, _hashes, _run_ons, _cves, _filler)
+_joiners = st.sampled_from([" ", "", "", ".", "/", ", ", "\n", "[.]"])
+_texts = st.lists(st.tuples(_tokens, _joiners), max_size=30).map(
+    lambda pairs: "".join(token + joiner for token, joiner in pairs)
+)
+
+
+@given(_texts)
+@example("C2 10.0.0.4" + "b" * 63 + " and 10.0.0.1" + "a" * 31)  # one shared character
+@settings(max_examples=300, deadline=None)
+def test_find_iocs_matches_pairwise_reference(text):
+    assert find_iocs(text) == reference_find_iocs(text)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import threading
 import time
 
@@ -213,6 +214,48 @@ def test_concurrency_never_exceeds_bound(monkeypatch):
     assert provider.calls_total == 16
 
 
+@pytest.mark.parametrize("fail_first", [False, True])
+def test_counters_exact_under_threads(monkeypatch, fail_first):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    n_threads, n_calls = 8, 50
+    lock = threading.Lock()
+    seen = set()
+
+    def transport(url, payload, headers, timeout):
+        prompt = payload["messages"][0]["content"]
+        with lock:
+            first = prompt not in seen
+            seen.add(prompt)
+        if fail_first and first:
+            return 429, {"error": {"message": "slow down"}}
+        return _ok_completion()
+
+    provider = HttpProvider(
+        ProviderConfig(max_concurrent=n_threads, retry_backoff=0.0),
+        transport=transport,
+        sleep=lambda s: None,
+    )
+
+    def worker(t):
+        for i in range(n_calls):
+            provider.complete(CompletionRequest(f"q{t}-{i}"))
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so lost updates would show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    requests_made = n_threads * n_calls
+    assert provider.retries_total == (requests_made if fail_first else 0)
+    assert provider.calls_total == requests_made + provider.retries_total
+
+
 def test_embeddings_restore_request_order(monkeypatch):
     monkeypatch.setenv("OPENAI_API_KEY", "k")
 
@@ -283,6 +326,56 @@ def test_cache_survives_reload(tmp_path):
     again = ResponseCache(path)
     assert again.get_completion("k1") == "r"
     assert again.get_embedding("k2") == [1.0, 2.0]
+
+
+def _torn_cache(path):
+    cache = ResponseCache(path)
+    cache.put_completion("k1", "m", "p", "r1")
+    cache.put_completion("k2", "m", "p", "r2")
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(whole) - 12])  # crash in the middle of the second append
+    return whole
+
+
+def test_cache_skips_torn_last_line(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    _torn_cache(path)
+    with caplog.at_level("WARNING", logger="cti2stix.llm"):
+        cache = ResponseCache(path)
+    assert cache.get_completion("k1") == "r1"
+    assert cache.get_completion("k2") is None
+    assert any("unparseable last line" in r.getMessage() for r in caplog.records)
+
+
+def test_cache_corrupt_middle_line_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    whole = _torn_cache(path)
+    lines = whole.decode("utf-8").splitlines(keepends=True)
+    path.write_text(lines[0][:-12] + "\n" + lines[1], encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        ResponseCache(path)
+
+
+def test_replay_after_torn_tail(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    path = tmp_path / "cache.jsonl"
+    live = HttpProvider(
+        ProviderConfig(cache_path=str(path)), transport=lambda *a: _ok_completion("answer")
+    )
+    live.complete(CompletionRequest("what is this"))
+    path.write_bytes(path.read_bytes() + b'{"kind": "completion", "key": "tr')
+    replay = ReplayProvider(path)
+    assert replay.complete(CompletionRequest("what is this")) == "answer"
+
+
+def test_cache_append_after_torn_tail_stays_loadable(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _torn_cache(path)
+    cache = ResponseCache(path)
+    cache.put_completion("k2", "m", "p", "r2 again")
+    cache.put_completion("k3", "m", "p", "r3")
+    again = ResponseCache(path)
+    assert [again.get_completion(k) for k in ("k1", "k2", "k3")] == ["r1", "r2 again", "r3"]
 
 
 # ---------------------------------------------------------------------------
