@@ -28,7 +28,7 @@ import numpy as np
 
 from .catalog import TECHNIQUE_ID_RE, TechniqueCatalog, parent_technique
 from .entity_pipeline import AuditTrail, chunk_text
-from .ingest import Report, segment_sentences
+from .ingest import Report, collapse_whitespace, segment_sentences
 from .llm import CompletionRequest, estimate_tokens
 
 logger = logging.getLogger(__name__)
@@ -52,7 +52,6 @@ _NEGATIVE_RESPONSES = frozenset(
      "no relevant text found", "no relevant text found.", "there is no relevant text."}
 )
 _STEP_PREFIX_RE = re.compile(r"^\s*(?:\d+[.):]\s*|[-*•]\s+|step\s+\d+\s*[:.]\s*)", re.IGNORECASE)
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass
@@ -94,10 +93,6 @@ class AttackPatternResult:
         return [m.technique_id for m in self.matches]
 
 
-def _squash_ws(text: str) -> str:
-    return _WS_RE.sub(" ", text).strip()
-
-
 def _strategy_chunks(report: Report, config: AttackPatternConfig, provider: Any,
                      prompt_template: str) -> list[str]:
     overhead = estimate_tokens(prompt_template.format(text=""))
@@ -123,12 +118,12 @@ def strategy_vte(report: Report, provider: Any, config: AttackPatternConfig,
         audit.record("attack-pattern", "response", strategy="vte", chunk=i, text=response)
         if response.strip().casefold() in _NEGATIVE_RESPONSES:
             continue
-        squashed_chunk = _squash_ws(chunk).casefold()
+        squashed_chunk = collapse_whitespace(chunk).casefold()
         for para in re.split(r"\n\s*\n", response):
             para = para.strip()
             if not para or para.casefold() in _NEGATIVE_RESPONSES:
                 continue
-            if _squash_ws(para).casefold() in squashed_chunk:
+            if collapse_whitespace(para).casefold() in squashed_chunk:
                 candidates.append(Candidate(text=para, origin="vte", source_id=f"chunk-{i}"))
             else:
                 warnings.append({
@@ -172,12 +167,30 @@ def strategy_ot(report: Report) -> list[Candidate]:
     return out
 
 
+# below this norm the squared components are subnormal or zero, so the norm
+# has lost precision
+_TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _peak_scaled(v: np.ndarray) -> np.ndarray:
+    peak = float(np.abs(v).max(initial=0.0))
+    return v / peak if peak else v
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors; 0.0 when either has zero norm."""
+    """Cosine of the angle between two vectors; 0.0 when either has zero norm.
+
+    Vectors too small for an exact norm are first divided by their largest
+    magnitude, which keeps their direction.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
+    if na < _TINY_NORM or nb < _TINY_NORM:
+        a, b = _peak_scaled(a), _peak_scaled(b)
+        na = float(np.linalg.norm(a))
+        nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))

@@ -48,8 +48,7 @@ logger = logging.getLogger(__name__)
 
 OK, PARTIAL, USAGE = 0, 1, 2
 
-_REPORT_ERRORS = (FetchError, PipelineError, CondensationError, ProviderError,
-                  OSError, ValueError)
+_URL_PREFIXES = ("http://", "https://")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -158,7 +157,7 @@ def _config_from_args(args: argparse.Namespace) -> AppConfig:
 
 
 def _load_report(source: str, plugins: Sequence) -> Any:
-    if source.startswith(("http://", "https://")):
+    if source.startswith(_URL_PREFIXES):
         return report_from_url(source, plugins=plugins)
     path = Path(source)
     if not path.exists():
@@ -226,19 +225,30 @@ def cmd_extract(args: argparse.Namespace) -> int:
     results: dict[str, dict[str, Any]] = {}
     failures: dict[str, str] = {}
 
+    # a local file's stem is its report id, and so names its output files
+    inputs: list[str] = []
+    stem_owners: dict[str, str] = {}
+    for source in dict.fromkeys(args.inputs):
+        if not source.startswith(_URL_PREFIXES):
+            owner = stem_owners.setdefault(Path(source).stem, source)
+            if owner != source:
+                failures[source] = f"report id collision with {owner}"
+                continue
+        inputs.append(source)
+
     def run(source: str) -> None:
         try:
             results[source] = _extract_one(source, config, provider, catalog,
                                            plugins, out_dir)
-        except _REPORT_ERRORS as exc:
-            logger.error("extraction failed for %s: %s", source, exc)
+        except Exception as exc:  # one bad report must not sink the batch
+            logger.exception("extraction failed for %s: %s", source, exc)
             failures[source] = f"{type(exc).__name__}: {exc}"
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run, args.inputs))
+            list(pool.map(run, inputs))
     else:
-        for source in args.inputs:
+        for source in inputs:
             run(source)
 
     summary = {

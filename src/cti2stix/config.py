@@ -35,8 +35,6 @@ class ConfigError(ValueError):
 class EvalConfig:
     kinds: tuple[str, ...] = EVAL_KINDS
     subset_rule: bool = True
-    benchmark_seed: str = "cti2stix"
-    negatives: Optional[int] = None
 
 
 @dataclass
@@ -44,7 +42,6 @@ class PathsConfig:
     catalog: Optional[str] = None
     script: Optional[str] = None
     plugins: Optional[str] = None
-    out_dir: str = "out"
 
 
 @dataclass

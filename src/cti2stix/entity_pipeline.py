@@ -18,8 +18,9 @@ The flow for one report:
    Identity entities and receive a Targets edge from each principal Malware
    and ThreatActor; that edge is implied by the target question itself, so it
    is attached without an extra query.
-5. **IoCs** — regex indicators and CVEs from the raw text, with Indicates
-   edges from each indicator to the principal malware.
+5. **IoCs** — regex indicators and CVEs from the raw text.  Their Indicates
+   edges to each malware are structural, so assembly derives them
+   (:mod:`cti2stix.exporter`).
 
 Every prompt, response, and decision is recorded on an audit trail so runs
 can be replayed and inspected.
@@ -33,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .ingest import Report, segment_sentences
+from .ingest import Report, collapse_whitespace, segment_sentences
 from .iocs import ioc_entities
 from .llm import CompletionRequest, ProviderConfig, estimate_tokens
 from .stix import (
@@ -386,7 +387,7 @@ def parse_name_lines(response: str) -> list[str]:
         line = line.strip("\"'“”‘’ ").strip()
         if not line or line.casefold().rstrip(".") in _NEGATIVE_ANSWERS:
             continue
-        key = " ".join(line.split()).casefold()
+        key = collapse_whitespace(line).casefold()
         if key in seen:
             continue
         seen.add(key)
@@ -415,10 +416,6 @@ def extract_entities(
     return names
 
 
-def _squash(text: str) -> str:
-    return " ".join(text.split()).casefold()
-
-
 def verify_entity(
     name: str,
     report: Report,
@@ -431,7 +428,8 @@ def verify_entity(
     Returns (verified, method) where method is "literal" for a substring hit
     or "llm" when a per-chunk yes/no question confirmed a reworded mention.
     """
-    if _squash(name) and _squash(name) in _squash(report.text):
+    squashed = collapse_whitespace(name).casefold()
+    if squashed and squashed in collapse_whitespace(report.text).casefold():
         audit.record("verify", "decision", name=name, outcome="literal")
         return True, "literal"
 
@@ -476,7 +474,8 @@ def _parse_relation_answer(response: str, options: dict[str, RelationKind]) -> t
         if m:
             hits.append((m.start(), kind))
     if not hits:
-        if re.search(r"\bnone\b", lowered) or _squash(response).rstrip(".") in _NEGATIVE_ANSWERS:
+        bare = collapse_whitespace(response).casefold().rstrip(".")
+        if re.search(r"\bnone\b", lowered) or bare in _NEGATIVE_ANSWERS:
             return None, ""
         return None, f"unparseable relation answer: {response[:80]!r}"
     distinct = {kind for _, kind in hits}
@@ -562,7 +561,7 @@ def run_entity_pipeline(
     config: EntityPipelineConfig | None = None,
 ) -> EntityPipelineResult:
     """Run the complete entity flow for one report and assemble the partial
-    bundle (entities, Targets/Uses-style relations, IoCs with Indicates)."""
+    bundle (entities, Targets and LLM-answered relations, IoCs)."""
     config = config or EntityPipelineConfig()
     audit = AuditTrail(report.id)
     warnings: list[dict[str, str]] = []
@@ -588,12 +587,11 @@ def run_entity_pipeline(
     extracted: list[ExtractedEntity] = []
     verified_by_query: dict[str, list[StixEntity]] = {q.name: [] for q in config.queries}
     for query in config.queries:
-        candidates: list[str] = []
+        candidates: dict[str, str] = {}  # squashed name -> first spelling seen
         for context, context_id in zip(contexts, context_ids):
             for name in extract_entities(context, query, provider, config, audit, context_id):
-                if _squash(name) not in {_squash(c) for c in candidates}:
-                    candidates.append(name)
-        for name in candidates:
+                candidates.setdefault(collapse_whitespace(name).casefold(), name)
+        for name in candidates.values():
             ok, method = verify_entity(name, report, provider, config, audit)
             extracted.append(
                 ExtractedEntity(
@@ -609,22 +607,19 @@ def run_entity_pipeline(
                     }
                 )
                 continue
-            ent = StixEntity(query.entity_kind, name)
-            ent.id = entity_id(query.entity_kind, name, seed)
-            verified_by_query[query.name].append(ent)
+            verified_by_query[query.name].append(
+                StixEntity(query.entity_kind, name, id=entity_id(query.entity_kind, name, seed))
+            )
 
     entities = _unique_entities(e for q in config.queries for e in verified_by_query[q.name])
     principals = [e for e in entities if e.kind in (EntityKind.MALWARE, EntityKind.THREAT_ACTOR)]
     target_identities = [e for e in entities if e.kind is EntityKind.IDENTITY]
 
     relations: list[StixRelation] = []
-    relation_ids: set[str] = set()
 
     def add_relation(kind: RelationKind, source: StixEntity, target: StixEntity) -> None:
         rel_id = relation_id(kind, source.id, target.id, seed)
-        if rel_id not in relation_ids:
-            relation_ids.add(rel_id)
-            relations.append(StixRelation(kind, source.id, target.id, id=rel_id))
+        relations.append(StixRelation(kind, source.id, target.id, id=rel_id))
 
     # the target question already asserts the Targets relation; attach it
     # from every principal without a second query
@@ -645,16 +640,11 @@ def run_entity_pipeline(
         if answer.kind is not None:
             add_relation(answer.kind, answer.source, answer.target)
 
-    # IoCs from the raw text; indicators point at each verified malware
+    # IoCs from the raw text; assembly draws their indicates edges
     iocs = ioc_entities(report.text, seed)
     existing_ids = {e.id for e in entities}
     iocs = [e for e in iocs if e.id not in existing_ids]
     audit.record("iocs", "decision", count=len(iocs))
-    malware_entities = [e for e in entities if e.kind is EntityKind.MALWARE]
-    for ioc in iocs:
-        if ioc.kind is EntityKind.INDICATOR:
-            for mal in malware_entities:
-                add_relation(RelationKind.INDICATES, ioc, mal)
 
     bundle = new_bundle(report.id, seed)
     bundle.entities = entities + iocs

@@ -92,6 +92,15 @@ class Scores:
     precision: float
     f1: float
 
+    @classmethod
+    def from_counts(cls, tp: int, fp: int, fn: int) -> Scores:
+        """Recall and precision are 1.0 when their denominator is empty; F1
+        is 0.0 when both are zero."""
+        recall = tp / (tp + fn) if tp + fn else 1.0
+        precision = tp / (tp + fp) if tp + fp else 1.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        return cls(recall=recall, precision=precision, f1=f1)
+
 
 def match_entities(
     extracted: Iterable[str], truth: Iterable[GroundTruthEntity]
@@ -119,22 +128,7 @@ def match_entities(
 
 
 def score_matches(match: MatchSets) -> Scores:
-    tp, fp, fn = len(match.tp), len(match.fp), len(match.fn)
-    recall = tp / (tp + fn) if tp + fn else 1.0
-    precision = tp / (tp + fp) if tp + fp else 1.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return Scores(recall=recall, precision=precision, f1=f1)
-
-
-def micro_score(matches: Sequence[MatchSets]) -> Scores:
-    """Pooled counts across reports, for a corpus-level view."""
-    tp = sum(len(m.tp) for m in matches)
-    fp = sum(len(m.fp) for m in matches)
-    fn = sum(len(m.fn) for m in matches)
-    recall = tp / (tp + fn) if tp + fn else 1.0
-    precision = tp / (tp + fp) if tp + fp else 1.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return Scores(recall=recall, precision=precision, f1=f1)
+    return Scores.from_counts(len(match.tp), len(match.fp), len(match.fn))
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -217,25 +211,6 @@ def score_bundle(
         match = match_entities(extracted_names(bundle, kind), truth_for_kind(gt, kind))
         out[kind] = (match, score_matches(match))
     return out
-
-
-def count_stats(
-    extracted: Mapping[str, Sequence[str]],
-    truth: Mapping[str, Sequence[str]],
-) -> dict[str, Any]:
-    """Per-report item counts on both sides, plus distribution stats.
-
-    Takes report-id -> names mappings (e.g. technique ids per report) and
-    returns, for each side, the raw per-report counts and the summary stats
-    over those counts.  Useful for sanity-checking how verbose the extraction
-    is relative to the ground truth.
-    """
-
-    def side(names_by_report: Mapping[str, Sequence[str]]) -> dict[str, Any]:
-        counts = {rid: len(names) for rid, names in names_by_report.items()}
-        return {"per_report": counts, "stats": summarize([float(n) for n in counts.values()])}
-
-    return {"extracted": side(extracted), "truth": side(truth)}
 
 
 # --- ground-truth loading ---------------------------------------------------
@@ -417,14 +392,11 @@ def run_relation_benchmark(
         elif predicted is not None:
             fp += 1
 
-    recall = tp / (tp + fn) if tp + fn else 1.0
-    precision = tp / (tp + fp) if tp + fp else 1.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return RelationBenchmarkResult(
         report_id=gt.report_id,
         examples=examples,
         predictions=predictions,
-        scores=Scores(recall=recall, precision=precision, f1=f1),
+        scores=Scores.from_counts(tp, fp, fn),
         tp=tp, fp=fp, fn=fn,
     )
 

@@ -2,12 +2,13 @@
 techniques and wire up the edges that follow from structure alone.
 
 The entity pipeline produces malware / threat-actor / target / indicator
-entities with their relations; the attack-pattern pipeline produces technique
-matches but no graph.  Assembly turns each matched technique into an
-attack-pattern entity, draws a ``uses`` edge from every principal (malware or
-threat actor) to it, and re-ensures ``indicates`` edges from every indicator
-to every malware.  All ids are content-derived, so assembly is idempotent:
-running it twice, or re-running it on its own output, changes nothing.
+entities with their targets and model-answered relations; the attack-pattern
+pipeline produces technique matches but no graph.  Assembly derives
+``indicates`` edges from every indicator to every malware, turns each matched
+technique into an attack-pattern entity and draws a ``uses`` edge from every
+principal (malware or threat actor) to it.  All ids are content-derived, so
+assembly is idempotent: running it twice, or re-running it on its own output,
+changes nothing.
 """
 
 from __future__ import annotations
@@ -76,25 +77,6 @@ def assemble_bundle(
     entity_ids = {e.id for e in bundle.entities}
     relation_ids = {r.id for r in bundle.relations}
 
-    if ap_result is not None:
-        principals = [e for e in bundle.entities if e.kind in _PRINCIPAL_KINDS]
-        for match in ap_result.matches:
-            ap = technique_entity(match.technique_id, match.name, namespace_seed)
-            _add_entity(bundle, entity_ids, ap)
-            for principal in principals:
-                _add_relation(
-                    bundle,
-                    relation_ids,
-                    StixRelation(
-                        kind=RelationKind.USES,
-                        source_ref=principal.id,
-                        target_ref=ap.id,
-                        id=relation_id(
-                            RelationKind.USES, principal.id, ap.id, namespace_seed
-                        ),
-                    ),
-                )
-
     # structural edge: every indicator indicates every malware in the bundle
     indicators = bundle.entities_of_kind(EntityKind.INDICATOR)
     malware = bundle.entities_of_kind(EntityKind.MALWARE)
@@ -118,6 +100,25 @@ def assemble_bundle(
                     ),
                 ),
             )
+
+    if ap_result is not None:
+        principals = [e for e in bundle.entities if e.kind in _PRINCIPAL_KINDS]
+        for match in ap_result.matches:
+            ap = technique_entity(match.technique_id, match.name, namespace_seed)
+            _add_entity(bundle, entity_ids, ap)
+            for principal in principals:
+                _add_relation(
+                    bundle,
+                    relation_ids,
+                    StixRelation(
+                        kind=RelationKind.USES,
+                        source_ref=principal.id,
+                        target_ref=ap.id,
+                        id=relation_id(
+                            RelationKind.USES, principal.id, ap.id, namespace_seed
+                        ),
+                    ),
+                )
 
     return bundle
 

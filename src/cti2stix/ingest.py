@@ -30,8 +30,6 @@ import yaml
 
 logger = logging.getLogger(__name__)
 
-_WS_RE = re.compile(r"\s+")
-
 _SENTENCE_PUNCT = ".!?"
 _CLOSER_CHARS = "\"')]”’»"
 _OPENER_CHARS = "\"'“‘([«"
@@ -282,8 +280,9 @@ def select(root: _Element, selector: str) -> list[_Element]:
     return out
 
 
-def _collapse(text: str) -> str:
-    return _WS_RE.sub(" ", text).strip()
+def collapse_whitespace(text: str) -> str:
+    """*text* with each whitespace run turned into one space, ends trimmed."""
+    return " ".join(text.split())
 
 
 def _blocks_under(element: _Element) -> list[str]:
@@ -297,7 +296,7 @@ def _blocks_under(element: _Element) -> list[str]:
         if not isinstance(node, _Element) or node.tag in _SKIP_TAGS:
             continue
         if node.tag in _BLOCK_TAGS:
-            text = _collapse(node.text())
+            text = collapse_whitespace(node.text())
             if text:
                 blocks.append(text)
             continue
@@ -321,12 +320,12 @@ def extract_article(
 
     title = ""
     for node in select(root, "title"):
-        title = _collapse(node.text())
+        title = collapse_whitespace(node.text())
         if title:
             break
     if not title:
         for node in select(root, "h1"):
-            title = _collapse(node.text())
+            title = collapse_whitespace(node.text())
             if title:
                 break
 
@@ -343,12 +342,12 @@ def extract_article(
                 if region_blocks:
                     blocks.extend(region_blocks)
                 else:
-                    text = _collapse(region.text())
+                    text = collapse_whitespace(region.text())
                     if text:
                         blocks.append(text)
         if plugin.title_selector:
             for node in select(root, plugin.title_selector):
-                text = _collapse(node.text())
+                text = collapse_whitespace(node.text())
                 if text:
                     title = text
                     break

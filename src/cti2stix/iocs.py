@@ -142,8 +142,10 @@ def ioc_entities(text: str, namespace_seed: str = DEFAULT_NAMESPACE_SEED) -> lis
     entities = []
     for match in find_iocs(text):
         if match.ioc_type == "cve":
-            ent = StixEntity(EntityKind.VULNERABILITY, match.value)
-            ent.id = entity_id(EntityKind.VULNERABILITY, match.value, namespace_seed)
+            ent = StixEntity(
+                EntityKind.VULNERABILITY, match.value,
+                id=entity_id(EntityKind.VULNERABILITY, match.value, namespace_seed),
+            )
         else:
             extra = {
                 "indicator_type": match.ioc_type,
@@ -152,7 +154,9 @@ def ioc_entities(text: str, namespace_seed: str = DEFAULT_NAMESPACE_SEED) -> lis
             }
             if match.original != match.value:
                 extra["original"] = match.original
-            ent = StixEntity(EntityKind.INDICATOR, match.value, extra=extra)
-            ent.id = entity_id(EntityKind.INDICATOR, match.value, namespace_seed)
+            ent = StixEntity(
+                EntityKind.INDICATOR, match.value, extra=extra,
+                id=entity_id(EntityKind.INDICATOR, match.value, namespace_seed),
+            )
         entities.append(ent)
     return entities

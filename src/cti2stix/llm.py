@@ -121,22 +121,10 @@ def check_budget(request: CompletionRequest, config: ProviderConfig) -> int:
     return estimate
 
 
-def _completion_key(model: str, prompt: str) -> str:
-    h = hashlib.sha256()
-    h.update(b"completion\x00")
-    h.update(model.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(prompt.encode("utf-8"))
-    return h.hexdigest()
-
-
-def _embedding_key(model: str, text: str) -> str:
-    h = hashlib.sha256()
-    h.update(b"embedding\x00")
-    h.update(model.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(text.encode("utf-8"))
-    return h.hexdigest()
+def _cache_key(kind: str, model: str, text: str) -> str:
+    """Response-cache key of one prompt (*kind* "completion") or one
+    embedded text (*kind* "embedding")."""
+    return hashlib.sha256(f"{kind}\x00{model}\x00{text}".encode("utf-8")).hexdigest()
 
 
 class ResponseCache:
@@ -287,7 +275,7 @@ class HttpProvider:
     def complete(self, request: CompletionRequest) -> str:
         check_budget(request, self.config)
         model = request.model or self.config.completion_model
-        key = _completion_key(model, request.prompt)
+        key = _cache_key("completion", model, request.prompt)
         if self._cache is not None:
             hit = self._cache.get_completion(key)
             if hit is not None:
@@ -315,7 +303,7 @@ class HttpProvider:
         pending: list[int] = []
         for i, text in enumerate(texts):
             if self._cache is not None:
-                hit = self._cache.get_embedding(_embedding_key(model, text))
+                hit = self._cache.get_embedding(_cache_key("embedding", model, text))
                 if hit is not None:
                     out[i] = np.asarray(hit, dtype=np.float64)
                     continue
@@ -337,7 +325,8 @@ class HttpProvider:
             for i, vec in zip(idxs, vectors):
                 out[i] = vec
                 if self._cache is not None:
-                    self._cache.put_embedding(_embedding_key(model, texts[i]), model, texts[i], vec)
+                    key = _cache_key("embedding", model, texts[i])
+                    self._cache.put_embedding(key, model, texts[i], vec)
         return [v for v in out if v is not None]
 
 
@@ -351,7 +340,7 @@ class ReplayProvider:
     def complete(self, request: CompletionRequest) -> str:
         check_budget(request, self.config)
         model = request.model or self.config.completion_model
-        hit = self._cache.get_completion(_completion_key(model, request.prompt))
+        hit = self._cache.get_completion(_cache_key("completion", model, request.prompt))
         if hit is None:
             raise ReplayMissError(
                 f"no cached completion for model {model!r}, prompt starting "
@@ -363,7 +352,7 @@ class ReplayProvider:
         model = self.config.embedding_model
         out = []
         for text in texts:
-            hit = self._cache.get_embedding(_embedding_key(model, text))
+            hit = self._cache.get_embedding(_cache_key("embedding", model, text))
             if hit is None:
                 raise ReplayMissError(f"no cached embedding for text starting {text[:80]!r}")
             out.append(np.asarray(hit, dtype=np.float64))

@@ -262,10 +262,8 @@ def _entity_from_obj(obj: dict[str, Any]) -> StixEntity:
         ):
             data.pop("external_references")
 
-    ent = StixEntity(kind=kind, name=name, aliases=aliases, technique_id=technique_id, extra=data)
-    if ident:
-        ent.id = ident
-    return ent
+    return StixEntity(kind=kind, name=name, id=ident, aliases=aliases,
+                      technique_id=technique_id, extra=data)
 
 
 def _relation_from_obj(obj: dict[str, Any]) -> StixRelation | None:
@@ -279,10 +277,8 @@ def _relation_from_obj(obj: dict[str, Any]) -> StixRelation | None:
     source_ref = data.pop("source_ref", "") or ""
     target_ref = data.pop("target_ref", "") or ""
     data.pop("spec_version", None)
-    rel = StixRelation(kind=kind, source_ref=source_ref, target_ref=target_ref, extra=data)
-    if ident:
-        rel.id = ident
-    return rel
+    return StixRelation(kind=kind, source_ref=source_ref, target_ref=target_ref, id=ident,
+                        extra=data)
 
 
 def load_bundle(source: Union[str, Path, dict]) -> StixBundle:

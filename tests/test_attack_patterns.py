@@ -153,6 +153,16 @@ class TestCosine:
     def test_zero_vector_scores_zero(self):
         assert cosine_similarity(np.zeros(4), np.ones(4)) == 0.0
 
+    def test_tiny_vector_keeps_its_direction(self):
+        # squared, these components underflow to subnormals or to zero
+        a = np.array([0.0, 8.426796176162971e-160, 0.0])
+        b = np.array([0.0, 1.0, 0.0])
+        assert cosine_similarity(a, b) == 1.0
+        assert cosine_similarity(a * 0.125, b) == 1.0
+        assert cosine_similarity(np.array([1e-170, 1e-170]), np.array([1.0, 0.0])) == (
+            pytest.approx(np.sqrt(0.5))
+        )
+
     @given(
         st.lists(st.floats(-10, 10), min_size=3, max_size=3),
         st.lists(st.floats(-10, 10), min_size=3, max_size=3),

@@ -126,6 +126,45 @@ class TestExtract:
         assert (out_dir / "deep.bundle.json").exists()
         assert (out_dir / "helloxd-2022.bundle.json").exists()
 
+    def test_unexpected_exception_fails_one_report(self, tmp_path, script_path, catalog_path,
+                                                   monkeypatch):
+        import cti2stix.cli as cli
+
+        a = tmp_path / "report-a.txt"
+        b = tmp_path / "report-b.txt"
+        a.write_text(HELLOXD_TEXT, encoding="utf-8")
+        b.write_text(HELLOXD_TEXT, encoding="utf-8")
+        real = cli.run_entity_pipeline
+
+        def flaky(report, *args, **kwargs):
+            if report.id == "report-a":
+                raise KeyError("boom")
+            return real(report, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_entity_pipeline", flaky)
+        code, out_dir = run_extract(
+            tmp_path, script_path, catalog_path, [a, b], "--jobs", "2"
+        )
+        assert code == 1
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["ok"] == [str(b)]
+        assert summary["failed"] == {str(a): "KeyError: 'boom'"}
+
+    def test_report_id_collision_fails(self, tmp_path, script_path, catalog_path):
+        first = tmp_path / "a" / "r.txt"
+        second = tmp_path / "b" / "r.txt"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_text(HELLOXD_TEXT, encoding="utf-8")
+        code, out_dir = run_extract(
+            tmp_path, script_path, catalog_path, [first, second, first]
+        )
+        assert code == 1
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["ok"] == [str(first)]
+        assert summary["failed"] == {str(second): f"report id collision with {first}"}
+        assert sorted(p.name for p in out_dir.glob("*.bundle.json")) == ["r.bundle.json"]
+
     def test_repeat_runs_are_byte_identical(self, tmp_path, script_path, catalog_path,
                                             report_path):
         _, first_dir = run_extract(tmp_path / "1", script_path, catalog_path,

@@ -44,7 +44,7 @@ attack_patterns:
 eval:
   kinds: [malware]
 paths:
-  out_dir: runs/latest
+  plugins: sources.yaml
 """,
         )
         config = load_config(path)
@@ -56,7 +56,7 @@ paths:
         assert config.attack_patterns.strategies == ("vte", "ot")
         assert config.attack_patterns.threshold == 0.9
         assert config.eval.kinds == ("malware",)
-        assert config.paths.out_dir == "runs/latest"
+        assert config.paths.plugins == "sources.yaml"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_yaml(tmp_path, "provider:\n  contxt_window: 8192\n")

@@ -27,6 +27,7 @@ from cti2stix.entity_pipeline import (
     run_entity_pipeline,
     verify_entity,
 )
+from cti2stix.exporter import assemble_bundle
 from cti2stix.ingest import make_report, segment_sentences
 from cti2stix.llm import ProviderConfig, ScriptedProvider, estimate_tokens
 from cti2stix.stix import EntityKind, RelationKind, StixEntity, save_bundle, validate_bundle
@@ -309,7 +310,7 @@ def test_fabricated_entity_dropped_with_single_warning(helloxd_report, golden_sc
     assert "SpectralKit" in inconsistencies[0]["detail"]
 
 
-def test_pipeline_attaches_indicates_edges():
+def test_indicates_edges_come_from_assembly():
     text = (
         "GrimVault malware beacons to 92.118.188[.]78 for tasking. "
         "The implant encrypts payloads before staging."
@@ -323,10 +324,42 @@ def test_pipeline_attaches_indicates_edges():
     result = run_entity_pipeline(report, scripted(script), EntityPipelineConfig())
     indicators = result.bundle.entities_of_kind(EntityKind.INDICATOR)
     assert [e.name for e in indicators] == ["92.118.188.78"]
-    indicates = [r for r in result.bundle.relations if r.kind is RelationKind.INDICATES]
-    assert len(indicates) == 1
-    assert indicates[0].source_ref == indicators[0].id
-    assert validate_bundle(result.bundle) == []
+    assert result.bundle.relations == []
+
+    assembled = assemble_bundle(result.bundle)
+    (malware,) = assembled.entities_of_kind(EntityKind.MALWARE)
+    indicates = [r for r in assembled.relations if r.kind is RelationKind.INDICATES]
+    assert [(r.source_ref, r.target_ref) for r in indicates] == [(indicators[0].id, malware.id)]
+    assert validate_bundle(assembled) == []
+
+
+def test_same_malware_from_two_contexts_is_one_entity():
+    first = "GrimVault malware beacons to 92.118.188[.]78 for tasking. "
+    filler = "The implant encrypts payloads before staging them for exfiltration. " * 30
+    second = "Later builds of GrimVault add a wiper module."
+    report = make_report(first + filler + second, report_id="r-twice")
+
+    def malware_answer(prompt):
+        # the second context quotes the name as code, which only id
+        # normalization sees through
+        return "GrimVault" if "92.118.188[.]78" in prompt else "`GrimVault`"
+
+    script = [
+        ("Question: Who/which is the malware", malware_answer),
+        ("Question: Who/which is the threat actor", "none"),
+        ("Question: Who/which is the target", "none"),
+        ("mentioned in the text above", "yes"),
+    ]
+    provider = scripted(script, window=900)
+    result = run_entity_pipeline(report, provider, EntityPipelineConfig(preprocessing=False))
+    malware_prompts = [p for p in provider.prompts if "Who/which is the malware" in p]
+    assert len(malware_prompts) == 2
+
+    assert [e.name for e in result.bundle.entities_of_kind(EntityKind.MALWARE)] == ["GrimVault"]
+    assembled = assemble_bundle(result.bundle)
+    assert len(assembled.relations) == 1
+    codes = [v.code for v in validate_bundle(assembled)]
+    assert "duplicate-id" not in codes
 
 
 def test_pipeline_without_preprocessing_unions_chunks(helloxd_report, golden_script):

@@ -13,13 +13,11 @@ from cti2stix.evaluation import (
     MatchSets,
     Scores,
     build_relation_examples,
-    count_stats,
     extracted_names,
     filter_without_explicit_ids,
     load_ground_truth_dir,
     load_ground_truth_file,
     match_entities,
-    micro_score,
     percentile,
     run_relation_benchmark,
     score_bundle,
@@ -143,15 +141,6 @@ class TestScores:
         s = score_matches(MatchSets(frozenset(), frozenset(), frozenset({"x"})))
         assert (s.recall, s.precision, s.f1) == (0.0, 1.0, 0.0)
 
-    def test_micro_pools_counts(self):
-        matches = [
-            MatchSets(frozenset({"a"}), frozenset(), frozenset({"b"})),
-            MatchSets(frozenset({"c", "d"}), frozenset({"e"}), frozenset()),
-        ]
-        s = micro_score(matches)
-        assert s.recall == pytest.approx(3 / 4)
-        assert s.precision == pytest.approx(3 / 4)
-
     @given(
         tp=st.integers(min_value=0, max_value=20),
         fp=st.integers(min_value=0, max_value=20),
@@ -174,24 +163,6 @@ class TestSummaries:
         stats = summarize([21, 22, 23, 21, 22])
         assert stats["mean"] == pytest.approx(21.8)
         assert stats["n"] == 5
-
-    def test_count_stats(self):
-        # five reports whose ground truth carries 21/22/23/21/22 techniques
-        truth = {
-            f"r{i}": [f"T1{j:03d}" for j in range(n)]
-            for i, n in enumerate([21, 22, 23, 21, 22])
-        }
-        extracted = {rid: names[:3] for rid, names in truth.items()}
-        stats = count_stats(extracted, truth)
-        assert stats["truth"]["stats"]["mean"] == pytest.approx(21.8)
-        assert stats["truth"]["per_report"]["r2"] == 23
-        assert stats["extracted"]["stats"]["mean"] == pytest.approx(3.0)
-        assert stats["extracted"]["per_report"] == {f"r{i}": 3 for i in range(5)}
-
-    def test_count_stats_empty_side(self):
-        stats = count_stats({}, {"r0": ["T1001"]})
-        assert stats["extracted"]["stats"] == {"n": 0}
-        assert stats["truth"]["stats"]["n"] == 1
 
     @pytest.mark.parametrize(
         "q,expected", [(0.25, 21), (0.5, 22), (0.75, 22), (1.0, 23), (0.01, 21)]

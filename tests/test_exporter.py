@@ -3,6 +3,7 @@ import pytest
 from cti2stix.attack_patterns import run_attack_pattern_pipeline
 from cti2stix.entity_pipeline import run_entity_pipeline
 from cti2stix.exporter import assemble_and_validate, assemble_bundle, technique_entity
+from cti2stix.ingest import make_report
 from cti2stix.llm import ScriptedProvider
 from cti2stix.stix import (
     EntityKind,
@@ -92,6 +93,26 @@ class TestAssembly:
             )
         )
         assert first == second
+
+    def test_edge_order(self, helloxd_report, golden_script, mini_catalog):
+        report = make_report(
+            helloxd_report.text + "\n\nThe HelloXD samples beacon to 92.118.188[.]78.",
+            report_id="helloxd-ioc",
+        )
+        entity_bundle = run_entity_pipeline(report, ScriptedProvider(script=golden_script)).bundle
+        ap = run_attack_pattern_pipeline(report, mini_catalog,
+                                         ScriptedProvider(script=golden_script))
+        bundle = assemble_bundle(entity_bundle, ap)
+        # targets, then model-answered relations, then indicates, then
+        # technique uses; the ids predate assembly owning indicates edges
+        assert [(r.kind.value, r.id) for r in bundle.relations] == [
+            ("targets", "relationship--309706bd-2477-5582-bbcd-84e095722279"),
+            ("targets", "relationship--6c67a991-cd62-53f3-a203-e613ffca6fb6"),
+            ("uses", "relationship--35bff0d1-3701-51f0-b59a-afe15132df2a"),
+            ("indicates", "relationship--8ba29e57-b7ef-5c9a-91b0-5e1f6a9a7386"),
+            ("uses", "relationship--3325a0fb-d938-552e-a980-f6b8a52a4b50"),
+            ("uses", "relationship--a777e802-a386-5af4-8b1d-c94c79538e03"),
+        ]
 
     def test_no_principals_still_adds_technique(self, helloxd_report, golden_script,
                                                 mini_catalog):

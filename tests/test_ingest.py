@@ -1,5 +1,7 @@
 """Ingestion tests: segmentation oracle, span tiling, HTML extraction, plugins."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from cti2stix.ingest import (
     FetchError,
     Report,
     SourcePlugin,
+    collapse_whitespace,
     content_hash_id,
     extract_article,
     fetch,
@@ -235,6 +238,17 @@ def test_deep_nesting_does_not_recurse():
     root = parse_html(html)
     assert len(select(root, "div p")) == 1
     assert root.text() == "DeepThe inner paragraph."
+
+
+_WHITESPACE_HEAVY = st.text(
+    st.characters()
+    | st.sampled_from(list(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u200b\u2028\u3000\ufeff"))
+)
+
+
+@given(_WHITESPACE_HEAVY)
+def test_collapse_whitespace_matches_regex(text):
+    assert collapse_whitespace(text) == re.sub(r"\s+", " ", text).strip()
 
 
 def test_load_plugins_yaml(tmp_path):

@@ -24,6 +24,7 @@ from cti2stix.llm import (
     ScriptedMissError,
     ScriptedProvider,
     TransportError,
+    _cache_key,
     check_budget,
     estimate_tokens,
     load_script,
@@ -376,6 +377,18 @@ def test_cache_append_after_torn_tail_stays_loadable(tmp_path):
     cache.put_completion("k3", "m", "p", "r3")
     again = ResponseCache(path)
     assert [again.get_completion(k) for k in ("k1", "k2", "k3")] == ["r1", "r2 again", "r3"]
+
+
+def test_cache_keys_are_stable():
+    # existing response caches replay only while these digests hold
+    prompt = "Write a concise summary of the following:\nHelloXD\nCONCISE SUMMARY:"
+    assert _cache_key("completion", "gpt-3.5-turbo", prompt) == (
+        "f4b67ecf59ecf3bdecee7d878dc9783dd4a7909711988dbe29b282c95942e21e"
+    )
+    text = "The encryptor derives file keys locally."
+    assert _cache_key("embedding", "text-embedding-ada-002", text) == (
+        "8f33b5c6a92a4c68dfc82222c4b22f859dfa46ac48edf4ac92349492a85cc3dc"
+    )
 
 
 # ---------------------------------------------------------------------------
