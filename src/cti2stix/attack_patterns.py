@@ -11,9 +11,10 @@ Three candidate-generation strategies feed one embedding classifier:
   candidate.  Steps are model prose, not quotes, so no verbatim guard.
 * ``ot`` — no model at all: every sentence of the report is a candidate.
 
-Each unique candidate text is embedded once and compared (cosine) against
-every catalog example; a technique matches when its best example scores at or
-above the threshold.  Explicit technique ids written in the report (T1059,
+Each unique candidate text is embedded once, and all of a report's candidate
+vectors are compared (cosine) against every catalog example in one matrix
+product; a technique matches when its best example scores at or above the
+threshold.  Explicit technique ids written in the report (T1059,
 T1027.002, ...) are unioned in regardless of scores.
 """
 
@@ -26,7 +27,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .catalog import TECHNIQUE_ID_RE, TechniqueCatalog, parent_technique
+from .catalog import TECHNIQUE_ID_RE, TechniqueCatalog, parent_technique, row_norms
 from .entity_pipeline import AuditTrail, chunk_text
 from .ingest import Report, collapse_whitespace, segment_sentences
 from .llm import CompletionRequest, estimate_tokens
@@ -172,50 +173,84 @@ def strategy_ot(report: Report) -> list[Candidate]:
 _TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
-def _peak_scaled(v: np.ndarray) -> np.ndarray:
-    peak = float(np.abs(v).max(initial=0.0))
-    return v / peak if peak else v
+# queries scored per matrix product: bounds the (queries, catalog rows) score
+# arrays of a report with thousands of candidates to a fraction of the catalog
+_QUERY_BLOCK = 128
+
+
+def _peak_scaled(rows: np.ndarray) -> np.ndarray:
+    peak = np.abs(rows).max(axis=1, keepdims=True, initial=0.0)
+    return rows / np.where(peak > 0.0, peak, 1.0)
+
+
+def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Cosine of each query with each row, as a ``(len(queries), len(rows))``
+    array; 0.0 where either has zero norm.
+
+    ``norms`` are the rows' norms from :func:`row_norms`, computed once per
+    catalog.  A query or row too small for an exact norm is first divided by
+    its largest magnitude, which keeps its direction.
+    """
+    q = np.asarray(queries, dtype=np.float64)
+    q_norms = row_norms(q)
+    tiny_q = q_norms < _TINY_NORM
+    if tiny_q.any():
+        q = np.where(tiny_q[:, np.newaxis], _peak_scaled(q), q)
+        q_norms = row_norms(q)
+    dots = q @ rows.T
+    denominators = np.multiply.outer(q_norms, norms)
+    tiny = np.flatnonzero(norms < _TINY_NORM)
+    if tiny.size:
+        scaled = _peak_scaled(rows[tiny])  # copies only the tiny rows
+        dots[:, tiny] = q @ scaled.T
+        denominators[:, tiny] = np.multiply.outer(q_norms, row_norms(scaled))
+    return np.divide(dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors; 0.0 when either has zero norm.
+    """Cosine of the angle between two vectors: the one-by-one case of
+    :func:`cosine_scores`."""
+    rows = np.asarray(b, dtype=np.float64)[np.newaxis]
+    return float(cosine_scores(np.asarray(a, dtype=np.float64)[np.newaxis], rows,
+                               row_norms(rows))[0, 0])
 
-    Vectors too small for an exact norm are first divided by their largest
-    magnitude, which keeps their direction.
+
+def classify_vectors(
+    vectors: np.ndarray, catalog: TechniqueCatalog, threshold: float
+) -> list[list[tuple[str, float, str]]]:
+    """For each row of ``vectors``, all techniques whose best catalog example
+    scores >= threshold.
+
+    Each row's hits are ``(technique_id, best_score, best_example_id)`` tuples
+    sorted by technique id; the best example is the first of a technique's
+    top scorers in catalog order.  Multi-label on purpose: one sentence can
+    exhibit several techniques.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < _TINY_NORM or nb < _TINY_NORM:
-        a, b = _peak_scaled(a), _peak_scaled(b)
-        na = float(np.linalg.norm(a))
-        nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    queries = np.asarray(vectors, dtype=np.float64)
+    if not catalog.entries:
+        return [[] for _ in range(len(queries))]
+    ends = np.append(catalog.starts[1:], len(catalog.order))
+    out: list[list[tuple[str, float, str]]] = []
+    for lo in range(0, len(queries), _QUERY_BLOCK):
+        block = queries[lo:lo + _QUERY_BLOCK]
+        scores = cosine_scores(block, catalog.vectors, catalog.norms)[:, catalog.order]
+        best = np.maximum.reduceat(scores, catalog.starts, axis=1)
+        for row_scores, row_best in zip(scores, best):
+            hits = []
+            for s in np.flatnonzero(row_best >= threshold):
+                j = catalog.starts[s] + int(np.argmax(row_scores[catalog.starts[s]:ends[s]]))
+                entry = catalog.entries[catalog.order[j]]
+                hits.append((entry.technique_id, float(row_scores[j]), entry.example_id))
+            out.append(hits)
+    return out
 
 
 def classify_vector(
     vector: np.ndarray, catalog: TechniqueCatalog, threshold: float
 ) -> list[tuple[str, float, str]]:
-    """All techniques whose best catalog example scores >= threshold.
-
-    Returns ``(technique_id, best_score, best_example_id)`` tuples sorted by
-    technique id.  Multi-label on purpose: one sentence can exhibit several
-    techniques.
-    """
-    best: dict[str, tuple[float, str]] = {}
-    for entry in catalog.entries:
-        score = cosine_similarity(vector, entry.vector)
-        prev = best.get(entry.technique_id)
-        if prev is None or score > prev[0]:
-            best[entry.technique_id] = (score, entry.example_id)
-    return sorted(
-        (tid, score, example_id)
-        for tid, (score, example_id) in best.items()
-        if score >= threshold
-    )
+    """The one-vector case of :func:`classify_vectors`."""
+    return classify_vectors(np.asarray(vector, dtype=np.float64)[np.newaxis], catalog,
+                            threshold)[0]
 
 
 def detect_explicit_techniques(text: str) -> list[str]:
@@ -260,14 +295,16 @@ def run_attack_pattern_pipeline(
         if c.text not in seen_texts:
             seen_texts.add(c.text)
             unique_texts.append(c.text)
-    vectors = provider.embed(unique_texts) if unique_texts else []
-    by_text = {text: np.asarray(vec, dtype=np.float64) for text, vec in zip(unique_texts, vectors)}
+    hits_by_text: dict[str, list[tuple[str, float, str]]] = {}
+    if unique_texts:
+        vectors = np.asarray(provider.embed(unique_texts), dtype=np.float64)
+        hits_by_text = dict(zip(unique_texts,
+                                classify_vectors(vectors, catalog, config.threshold)))
 
     names = catalog.technique_names()
     matches: dict[str, TechniqueMatch] = {}
     for candidate in candidates:
-        for tid, score, example_id in classify_vector(by_text[candidate.text], catalog,
-                                                      config.threshold):
+        for tid, score, example_id in hits_by_text[candidate.text]:
             current = matches.get(tid)
             if current is None:
                 matches[tid] = TechniqueMatch(

@@ -7,10 +7,16 @@ procedure-example texts.  Sub-techniques are collapsed into their parent —
 T1027.002's description and examples all land under T1027 — because the
 pipeline classifies at technique granularity.
 
+The embeddings form one float64 matrix, row i embedding ``entries[i].text``;
+it is held, saved and loaded whole.  Scoring takes its row norms and its
+technique segments (entries grouped by technique id), so the catalog works
+them out once, when it is built or loaded.
+
 Embedding a full catalog costs real API calls, so the result is cached on
-disk (vectors in an ``.npz`` with a JSON metadata blob) keyed by the content
-hash of the parsed catalog plus the embedding model id; a stale or
-foreign-model cache is rebuilt, never trusted.
+disk (the matrix in an uncompressed ``.npz`` with a JSON metadata blob) keyed
+by the content hash of the parsed catalog plus the embedding model id; a
+stale or foreign-model cache is rebuilt, never trusted.  Compressed files
+written by earlier versions still load.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Union
 
@@ -31,38 +38,65 @@ TECHNIQUE_ID_RE = re.compile(r"\bT\d{4}(?:\.\d{3})?\b")
 _MITRE_SOURCE = "mitre-attack"
 
 
+class CatalogError(ValueError):
+    """A catalog file that cannot be read, or whose matrix disagrees with its
+    metadata."""
+
+
 @dataclass
 class CatalogEntry:
     technique_id: str
     name: str
     example_id: str  # "description" or "procedure-N"
     text: str
-    vector: np.ndarray
 
-    def __eq__(self, other: object) -> bool:  # vectors need array comparison
-        if not isinstance(other, CatalogEntry):
-            return NotImplemented
-        return (
-            self.technique_id == other.technique_id
-            and self.name == other.name
-            and self.example_id == other.example_id
-            and self.text == other.text
-            and np.array_equal(self.vector, other.vector)
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array."""
+    # einsum allocates only the result; np.linalg.norm(rows, axis=1) would
+    # first square the whole matrix into a copy
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+@dataclass(eq=False)
+class TechniqueCatalog:
+    """Catalog entries and their embedding matrix.
+
+    ``norms`` holds the row norms.  ``order`` lists the row indices stably
+    sorted by technique id, so each technique's rows form one segment in
+    catalog order; ``starts`` gives where each segment begins in ``order``.
+    """
+
+    model: str
+    content_hash: str
+    entries: list[CatalogEntry]
+    vectors: np.ndarray  # float64 (len(entries), dim); row i embeds entries[i].text
+    norms: np.ndarray = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        if self.vectors.ndim != 2 or len(self.vectors) != len(self.entries):
+            raise CatalogError(
+                f"vectors have shape {self.vectors.shape}, "
+                f"need one row per entry ({len(self.entries)})"
+            )
+        self.norms = row_norms(self.vectors)
+        ids = [e.technique_id for e in self.entries]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.order = np.array(order, dtype=np.intp)
+        self.starts = np.array(
+            [k for k, i in enumerate(order) if k == 0 or ids[i] != ids[order[k - 1]]],
+            dtype=np.intp,
         )
 
-
-@dataclass
-class TechniqueCatalog:
-    model: str
-    dim: int
-    content_hash: str
-    entries: list[CatalogEntry] = field(default_factory=list)
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     def technique_names(self) -> dict[str, str]:
         return {e.technique_id: e.name for e in self.entries if e.example_id == "description"}
-
-    def entries_for(self, technique_id: str) -> list[CatalogEntry]:
-        return [e for e in self.entries if e.technique_id == technique_id]
 
 
 def parent_technique(technique_id: str) -> str:
@@ -181,13 +215,11 @@ def build_catalog(
             texts.append(example)
             meta.append((tid, entry["name"], f"procedure-{n}"))
 
-    vectors = provider.embed(texts) if texts else []
-    dim = len(vectors[0]) if vectors else 0
-    entries = [
-        CatalogEntry(tid, name, example_id, text, np.asarray(vec, dtype=np.float64))
-        for (tid, name, example_id), text, vec in zip(meta, texts, vectors)
-    ]
-    catalog = TechniqueCatalog(model=model, dim=dim, content_hash=content_hash, entries=entries)
+    vectors = np.asarray(provider.embed(texts), dtype=np.float64) if texts else np.zeros((0, 0))
+    entries = [CatalogEntry(tid, name, example_id, text)
+               for (tid, name, example_id), text in zip(meta, texts)]
+    catalog = TechniqueCatalog(model=model, content_hash=content_hash, entries=entries,
+                               vectors=vectors)
     if cache_path is not None:
         save_catalog(catalog, cache_path)
     return catalog
@@ -200,36 +232,32 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
         "model": catalog.model,
         "dim": catalog.dim,
         "content_hash": catalog.content_hash,
-        "entries": [
-            {
-                "technique_id": e.technique_id,
-                "name": e.name,
-                "example_id": e.example_id,
-                "text": e.text,
-            }
-            for e in catalog.entries
-        ],
+        "entries": [asdict(e) for e in catalog.entries],
     }
-    vectors = (
-        np.stack([e.vector for e in catalog.entries])
-        if catalog.entries
-        else np.zeros((0, catalog.dim))
-    )
+    # uncompressed: embeddings barely compress, and inflating them dominated loads
     with path.open("wb") as fh:
-        np.savez_compressed(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=vectors)
+        np.savez(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=catalog.vectors)
 
 
 def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
-    with np.load(Path(path), allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        vectors = data["vectors"]
-    entries = [
-        CatalogEntry(
-            item["technique_id"], item["name"], item["example_id"], item["text"],
-            np.asarray(vectors[i], dtype=np.float64),
+    """Read a catalog written by :func:`save_catalog`, or a compressed one from
+    earlier versions.
+
+    Raises :class:`CatalogError` when the file is not a catalog, or when its
+    matrix is not ``(len(entries), dim)`` as its metadata says.
+    """
+    try:
+        # our own handle: np.load leaves the file it opened open when the zip is bad
+        with Path(path).open("rb") as fh, np.load(fh, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            vectors = np.asarray(data["vectors"], dtype=np.float64)
+        entries = [CatalogEntry(**item) for item in meta["entries"]]
+        expected = (len(entries), meta["dim"])
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
+    if vectors.shape != expected:
+        raise CatalogError(
+            f"catalog {path}: vectors have shape {vectors.shape}, its metadata says {expected}"
         )
-        for i, item in enumerate(meta["entries"])
-    ]
-    return TechniqueCatalog(
-        model=meta["model"], dim=meta["dim"], content_hash=meta["content_hash"], entries=entries
-    )
+    return TechniqueCatalog(model=meta["model"], content_hash=meta["content_hash"],
+                            entries=entries, vectors=vectors)

@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 everything worked, 1 the run finished but some reports failed
 (or produced validation violations), 2 the invocation itself was wrong —
-bad flags, bad config, missing files.
+bad flags, bad config, missing files, an unreadable or malformed catalog.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .attack_patterns import AttackPatternConfig, run_attack_pattern_pipeline
-from .catalog import TechniqueCatalog, build_catalog, load_catalog, parse_attack_export
+from .catalog import CatalogError, TechniqueCatalog, build_catalog, load_catalog
 from .config import AppConfig, ConfigError, dump_config, load_config, make_provider
 from .entity_pipeline import CondensationError, PipelineError, run_entity_pipeline
 from .evaluation import (
@@ -447,7 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_config_show(args)
         parser.error(f"unhandled command {args.command!r}")
         return USAGE
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, CatalogError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except (ProviderError, FetchError, PipelineError, CondensationError, OSError) as exc:

@@ -145,9 +145,6 @@ class EntityPipelineConfig:
     relation_prompt_slack: int = 160
     namespace_seed: str = DEFAULT_NAMESPACE_SEED
 
-    def query_names(self) -> list[str]:
-        return [q.name for q in self.queries]
-
 
 @dataclass
 class CondensedReport:

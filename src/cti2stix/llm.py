@@ -310,24 +310,33 @@ class HttpProvider:
             pending.append(i)
 
         batch = max(1, self.config.embed_batch_size)
+        dims: set[int] = set()
         for start in range(0, len(pending), batch):
             idxs = pending[start : start + batch]
             body = self._post("/embeddings", {"model": model, "input": [texts[i] for i in idxs]})
             try:
                 rows = sorted(body["data"], key=lambda r: r["index"])
                 vectors = [np.asarray(r["embedding"], dtype=np.float64) for r in rows]
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise TransportError(f"malformed embedding response: {exc}") from exc
             if len(vectors) != len(idxs):
                 raise TransportError(
                     f"embedding response returned {len(vectors)} vectors for {len(idxs)} inputs"
+                )
+            # callers stack the rows into one matrix
+            if any(vec.ndim != 1 for vec in vectors):
+                raise TransportError("malformed embedding response: a row is not a 1-D array")
+            dims.update(len(vec) for vec in vectors)
+            if len(dims) > 1:
+                raise TransportError(
+                    f"malformed embedding response: rows of lengths {sorted(dims)} in one call"
                 )
             for i, vec in zip(idxs, vectors):
                 out[i] = vec
                 if self._cache is not None:
                     key = _cache_key("embedding", model, texts[i])
                     self._cache.put_embedding(key, model, texts[i], vec)
-        return [v for v in out if v is not None]
+        return out  # every slot is filled, or a call above raised
 
 
 class ReplayProvider:

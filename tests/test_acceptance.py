@@ -124,18 +124,18 @@ def test_c3_classification_oracle():
     dim = 8
     for _ in range(500):
         n_entries = rng.randint(1, 50)
-        entries = [
-            CatalogEntry(
+        entries = []
+        vectors = []
+        for j in range(n_entries):
+            entries.append(CatalogEntry(
                 technique_id=f"T1{rng.randint(0, 9):03d}",
                 name="stub",
                 example_id=f"e{j}",
                 text=f"t{j}",
-                vector=np.array([rng.gauss(0, 1) for _ in range(dim)]),
-            )
-            for j in range(n_entries)
-        ]
-        catalog = TechniqueCatalog(model="stub", dim=dim, content_hash="s",
-                                   entries=entries)
+            ))
+            vectors.append([rng.gauss(0, 1) for _ in range(dim)])
+        catalog = TechniqueCatalog(model="stub", content_hash="s", entries=entries,
+                                   vectors=np.array(vectors))
         candidate = np.array([rng.gauss(0, 1) for _ in range(dim)])
         threshold = rng.uniform(0.1, 0.9)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cti2stix.attack_patterns import (
     AttackPatternConfig,
     Candidate,
     classify_vector,
+    classify_vectors,
     cosine_similarity,
     detect_explicit_techniques,
     run_attack_pattern_pipeline,
@@ -21,7 +23,7 @@ from cti2stix.attack_patterns import (
 from cti2stix.catalog import CatalogEntry, TechniqueCatalog
 from cti2stix.entity_pipeline import AuditTrail
 from cti2stix.ingest import make_report
-from cti2stix.llm import ScriptedProvider
+from cti2stix.llm import HashEmbedder, ScriptedProvider
 
 from conftest import SBSA_RESPONSE, VTE_CANDIDATE
 
@@ -179,27 +181,27 @@ class TestCosine:
 def geometry_catalog():
     return TechniqueCatalog(
         model="stub",
-        dim=2,
         content_hash="stub",
         entries=[
-            CatalogEntry("T1001", "Alpha", "description", "a", np.array([1.0, 0.0])),
-            CatalogEntry("T1001", "Alpha", "procedure-0", "a2", np.array([0.6, 0.8])),
-            CatalogEntry("T1002", "Bravo", "description", "b", np.array([1.0, 1.0])),
-            CatalogEntry("T1003", "Charlie", "description", "c", np.array([0.0, 1.0])),
+            CatalogEntry("T1001", "Alpha", "description", "a"),
+            CatalogEntry("T1001", "Alpha", "procedure-0", "a2"),
+            CatalogEntry("T1002", "Bravo", "description", "b"),
+            CatalogEntry("T1003", "Charlie", "description", "c"),
         ],
+        vectors=np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0], [0.0, 1.0]]),
     )
 
 
 def brute_force_classify(vector, catalog, threshold):
     """Reference classifier: pure-python cosines, no numpy reductions."""
     best = {}
-    for entry in catalog.entries:
+    for entry, row in zip(catalog.entries, catalog.vectors):
         na = math.sqrt(sum(x * x for x in vector))
-        nb = math.sqrt(sum(float(x) * float(x) for x in entry.vector))
+        nb = math.sqrt(sum(float(x) * float(x) for x in row))
         if na == 0.0 or nb == 0.0:
             score = 0.0
         else:
-            score = sum(float(x) * float(y) for x, y in zip(vector, entry.vector)) / (na * nb)
+            score = sum(float(x) * float(y) for x, y in zip(vector, row)) / (na * nb)
         prev = best.get(entry.technique_id)
         if prev is None or score > prev[0]:
             best[entry.technique_id] = (score, entry.example_id)
@@ -245,16 +247,132 @@ class TestClassify:
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, entry_vecs, candidate, threshold):
         entries = [
-            CatalogEntry(f"T10{i:02d}", f"N{i}", "description", f"t{i}",
-                         np.array(vec, dtype=np.float64))
-            for i, vec in enumerate(entry_vecs)
+            CatalogEntry(f"T10{i:02d}", f"N{i}", "description", f"t{i}")
+            for i in range(len(entry_vecs))
         ]
-        catalog = TechniqueCatalog(model="stub", dim=4, content_hash="s", entries=entries)
+        catalog = TechniqueCatalog(model="stub", content_hash="s", entries=entries,
+                                   vectors=np.array(entry_vecs, dtype=np.float64))
         vec = np.array(candidate, dtype=np.float64)
         fast = classify_vector(vec, catalog, threshold)
         slow = brute_force_classify(vec, catalog, threshold)
         assert [(t, e) for t, _, e in fast] == [(t, e) for t, _, e in slow]
         assert [s for _, s, _ in fast] == pytest.approx([s for _, s, _ in slow])
+
+
+# smallest norm whose square is still a normal float
+_TINY = math.sqrt(sys.float_info.min)
+
+
+def reference_cosine(a, b):
+    """Pure-python cosine with the tiny-vector rule: when either norm is below
+    ``_TINY``, both vectors are first divided by their largest magnitude."""
+    a = [float(x) for x in a]
+    b = [float(y) for y in b]
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(y * y for y in b))
+    if na < _TINY or nb < _TINY:
+        pa = max((abs(x) for x in a), default=0.0) or 1.0
+        pb = max((abs(y) for y in b), default=0.0) or 1.0
+        a = [x / pa for x in a]
+        b = [y / pb for y in b]
+        na = math.sqrt(sum(x * x for x in a))
+        nb = math.sqrt(sum(y * y for y in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return sum(x * y for x, y in zip(a, b)) / (na * nb)
+
+
+def assert_matches_reference(hits, vector, catalog, threshold, tol=1e-9):
+    """``hits`` agree with per-entry reference cosines: every technique whose
+    best score clears (misses) the threshold by more than ``tol`` is in (out of)
+    ``hits``, and each hit carries its best score and a best example, the
+    reference's own choice whenever that best is unique by more than ``tol``."""
+    scores = {}
+    for entry, row in zip(catalog.entries, catalog.vectors):
+        scores.setdefault(entry.technique_id, []).append(
+            (reference_cosine(vector, row), entry.example_id))
+    got = {tid: (score, example_id) for tid, score, example_id in hits}
+    assert [tid for tid, _, _ in hits] == sorted(got)
+    for tid, examples in scores.items():
+        best = max(score for score, _ in examples)
+        if best >= threshold + tol:
+            assert tid in got
+        elif best < threshold - tol:
+            assert tid not in got
+        if tid in got:
+            score, example_id = got[tid]
+            assert math.isclose(score, best, rel_tol=0, abs_tol=tol)
+            assert dict((e, s) for s, e in examples)[example_id] >= best - tol
+
+
+def _row(kind, values):
+    if kind == "zero":
+        return [0.0] * len(values)
+    if kind == "tiny":  # squared components underflow
+        return [v * 1e-160 for v in values]
+    return values
+
+
+_rows = st.tuples(
+    st.sampled_from(["normal", "normal", "zero", "tiny"]),
+    st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+).map(lambda kv: _row(*kv))
+
+
+class TestClassifyVectors:
+    @given(
+        st.lists(st.tuples(st.sampled_from(["T1001", "T1002", "T1003"]), _rows),
+                 min_size=1, max_size=12),
+        st.lists(_rows, min_size=1, max_size=4),
+        st.floats(-0.5, 0.95),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_row_by_row(self, catalog_rows, queries, threshold):
+        catalog = TechniqueCatalog(
+            model="stub", content_hash="s",
+            entries=[CatalogEntry(tid, tid, f"e{i}", f"t{i}")
+                     for i, (tid, _) in enumerate(catalog_rows)],
+            vectors=np.array([row for _, row in catalog_rows]),
+        )
+        results = classify_vectors(np.array(queries), catalog, threshold)
+        assert len(results) == len(queries)
+        for hits, query in zip(results, queries):
+            assert_matches_reference(hits, query, catalog, threshold)
+
+    def test_empty_catalog(self):
+        empty = TechniqueCatalog(model="stub", content_hash="s", entries=[],
+                                 vectors=np.zeros((0, 0)))
+        assert classify_vectors(np.ones((3, 4)), empty, 0.5) == [[], [], []]
+        assert classify_vector(np.ones(4), empty, 0.5) == []
+
+    def test_tie_goes_to_first_example_in_catalog_order(self):
+        catalog = TechniqueCatalog(
+            model="stub", content_hash="s",
+            entries=[CatalogEntry("T1002", "B", "description", "b"),
+                     CatalogEntry("T1001", "A", "procedure-0", "a0"),
+                     CatalogEntry("T1002", "B", "procedure-0", "b0"),
+                     CatalogEntry("T1001", "A", "procedure-1", "a1")],
+            vectors=np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 2.0], [1.0, 1.0]]),
+        )
+        [hits] = classify_vectors(np.array([[1.0, 1.0]]), catalog, 0.5)
+        assert [(t, e) for t, _, e in hits] == [("T1001", "procedure-0"),
+                                                ("T1002", "description")]
+        [hits] = classify_vectors(np.array([[0.0, 3.0]]), catalog, 0.5)
+        assert [(t, e) for t, _, e in hits] == [("T1001", "procedure-0"),
+                                                ("T1002", "description")]
+
+    def test_rows_beyond_one_product_block(self):
+        rng = np.random.default_rng(5)
+        catalog = TechniqueCatalog(
+            model="stub", content_hash="s",
+            entries=[CatalogEntry(f"T10{i % 7:02d}", "n", f"e{i}", "t") for i in range(40)],
+            vectors=rng.standard_normal((40, 6)),
+        )
+        queries = rng.standard_normal((300, 6))
+        results = classify_vectors(queries, catalog, 0.3)
+        assert len(results) == len(queries)
+        for hits, query in zip(results, queries):
+            assert_matches_reference(hits, query, catalog, 0.3)
 
 
 class TestExplicitIds:
@@ -356,6 +474,59 @@ class TestPipeline:
         assert any(e.event == "prompt" and e.data.get("strategy") == "sbsa" for e in events)
         assert any(e.event == "decision" and e.data.get("rule") == "candidates"
                    for e in events)
+
+    def test_duplicate_candidates_match_per_candidate_reference(self):
+        s1, s2, s3 = ("The loader decrypts its configuration.",
+                      "Traffic is tunneled over DNS.",
+                      "Operators clear the event logs.")
+        report = make_report(f"{s1} {s2} {s1} {s3}", report_id="dups")
+        script = [("Return any relevant text verbatim", s2),
+                  ("Describe step by step", f"1. {s1}\n2. {s3}")]
+        embed = HashEmbedder().embed_one
+        e1, e2, e3 = embed(s1), embed(s2), embed(s3)
+        catalog = TechniqueCatalog(
+            model="stub", content_hash="s",
+            entries=[CatalogEntry("T1001", "A", "description", "a"),
+                     CatalogEntry("T1002", "B", "description", "b"),
+                     CatalogEntry("T1001", "A", "procedure-0", "a0"),
+                     CatalogEntry("T1003", "C", "description", "c"),
+                     CatalogEntry("T1002", "B", "procedure-0", "b0")],
+            vectors=np.array([0.9 * e1 + 0.3 * e2, e2, e1, 0.8 * e3 + 0.5 * e1,
+                              0.7 * e2 + 0.7 * e3]),
+        )
+        config = AttackPatternConfig(threshold=0.5, include_explicit=False)
+        result = run_attack_pattern_pipeline(report, catalog, ScriptedProvider(script), config)
+
+        # reference: classify each candidate on its own, merge as the pipeline does
+        provider = ScriptedProvider(script)
+        candidates = (run_vte(report, provider)[0] + strategy_sbsa(
+            report, provider, config, AuditTrail("r")) + strategy_ot(report))
+        assert len({c.text for c in candidates}) < len(candidates)
+        expected = {}
+        for c in candidates:
+            best = {}
+            for entry, row in zip(catalog.entries, catalog.vectors):
+                score = reference_cosine(embed(c.text), row)
+                if entry.technique_id not in best or score > best[entry.technique_id][0]:
+                    best[entry.technique_id] = (score, entry.example_id)
+            for tid, (score, example_id) in sorted(best.items()):
+                if score < config.threshold:
+                    continue
+                if tid not in expected:
+                    expected[tid] = [score, example_id, c, [c.text]]
+                    continue
+                if c.text not in expected[tid][3]:
+                    expected[tid][3].append(c.text)
+                if score > expected[tid][0]:
+                    expected[tid][:3] = [score, example_id, c]
+
+        assert result.technique_ids() == sorted(expected) == ["T1001", "T1002", "T1003"]
+        for m in result.matches:
+            score, example_id, candidate, supporting = expected[m.technique_id]
+            assert m.score == pytest.approx(score, abs=1e-9)
+            assert (m.example_id, m.candidate, m.supporting) == (
+                example_id, candidate, supporting)
+        assert [m.candidate.origin for m in result.matches] == ["sbsa", "vte", "sbsa"]
 
     def test_higher_threshold_prunes(self, helloxd_report, golden_script, mini_catalog):
         loose = run_attack_pattern_pipeline(

@@ -1,11 +1,13 @@
 import json
 import logging
+import zipfile
 
 import numpy as np
 import pytest
 
 from cti2stix.catalog import (
     CatalogEntry,
+    CatalogError,
     TechniqueCatalog,
     build_catalog,
     catalog_content_hash,
@@ -101,9 +103,9 @@ class TestParse:
 class TestBuild:
     def test_entries_have_vectors(self, mini_catalog):
         assert mini_catalog.dim == 32
-        for entry in mini_catalog.entries:
-            assert entry.vector.shape == (32,)
-            assert np.isfinite(entry.vector).all()
+        assert mini_catalog.vectors.shape == (len(mini_catalog.entries), 32)
+        assert mini_catalog.vectors.dtype == np.float64
+        assert np.isfinite(mini_catalog.vectors).all()
 
     def test_description_entries_present(self, mini_catalog):
         names = mini_catalog.technique_names()
@@ -113,7 +115,7 @@ class TestBuild:
         }
 
     def test_t1573_example_is_fixture_sentence(self, mini_catalog):
-        texts = [e.text for e in mini_catalog.entries_for("T1573")]
+        texts = [e.text for e in mini_catalog.entries if e.technique_id == "T1573"]
         assert VTE_CANDIDATE in texts
 
     def test_deterministic_order(self):
@@ -121,6 +123,7 @@ class TestBuild:
         b = build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[]))
         assert [e.technique_id for e in a.entries] == [e.technique_id for e in b.entries]
         assert a.entries == b.entries
+        np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_content_hash_changes_with_content(self):
         parsed = parse_attack_export(MITRE_SAMPLE)
@@ -138,6 +141,32 @@ class TestCache:
         assert loaded.dim == mini_catalog.dim
         assert loaded.content_hash == mini_catalog.content_hash
         assert loaded.entries == mini_catalog.entries
+        np.testing.assert_array_equal(loaded.vectors, mini_catalog.vectors)
+
+    def test_compressed_catalog_still_loads(self, mini_catalog, tmp_path):
+        # earlier versions wrote the same arrays with savez_compressed
+        path = tmp_path / "compressed.npz"
+        meta = {
+            "model": mini_catalog.model,
+            "dim": mini_catalog.dim,
+            "content_hash": mini_catalog.content_hash,
+            "entries": [
+                {"technique_id": e.technique_id, "name": e.name,
+                 "example_id": e.example_id, "text": e.text}
+                for e in mini_catalog.entries
+            ],
+        }
+        with path.open("wb") as fh:
+            np.savez_compressed(fh, meta=json.dumps(meta), vectors=mini_catalog.vectors)
+        loaded = load_catalog(path)
+        assert loaded.entries == mini_catalog.entries
+        np.testing.assert_array_equal(loaded.vectors, mini_catalog.vectors)
+
+    def test_saved_uncompressed(self, mini_catalog, tmp_path):
+        path = tmp_path / "catalog.npz"
+        save_catalog(mini_catalog, path)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
 
     def test_second_build_uses_cache(self, tmp_path):
         path = tmp_path / "catalog.npz"
@@ -175,16 +204,54 @@ class TestCache:
         assert load_catalog(path).model == "hash-32"
 
     def test_empty_catalog_round_trips(self, tmp_path):
-        empty = TechniqueCatalog(model="hash-32", dim=0, content_hash="x", entries=[])
+        empty = TechniqueCatalog(model="hash-32", content_hash="x", entries=[],
+                                 vectors=np.zeros((0, 0)))
         path = tmp_path / "empty.npz"
         save_catalog(empty, path)
         assert load_catalog(path).entries == []
 
 
-def test_entry_equality_compares_vectors():
-    v = np.ones(3)
-    a = CatalogEntry("T1573", "Encrypted Channel", "description", "t", v)
-    b = CatalogEntry("T1573", "Encrypted Channel", "description", "t", v.copy())
-    c = CatalogEntry("T1573", "Encrypted Channel", "description", "t", v * 2)
-    assert a == b
-    assert a != c
+def write_catalog_file(path, entries, dim, vectors):
+    meta = {"model": "stub", "dim": dim, "content_hash": "x",
+            "entries": [{"technique_id": tid, "name": "n", "example_id": "description",
+                         "text": tid} for tid in entries]}
+    with path.open("wb") as fh:
+        np.savez(fh, meta=json.dumps(meta), vectors=vectors)
+
+
+class TestMalformedFile:
+    def test_fewer_rows_than_entries(self, tmp_path):
+        path = tmp_path / "short.npz"
+        write_catalog_file(path, ["T1001", "T1002", "T1003"], 3, np.ones((2, 3)))
+        with pytest.raises(CatalogError, match=r"shape \(2, 3\).*\(3, 3\)"):
+            load_catalog(path)
+
+    def test_rows_wider_than_metadata_dim(self, tmp_path):
+        path = tmp_path / "wide.npz"
+        write_catalog_file(path, ["T1001", "T1002"], 3, np.ones((2, 5)))
+        with pytest.raises(CatalogError, match=r"shape \(2, 5\).*\(2, 3\)"):
+            load_catalog(path)
+
+    def test_not_a_catalog(self, tmp_path):
+        path = tmp_path / "garbage.npz"
+        path.write_bytes(b"not a zip archive")
+        with pytest.raises(CatalogError, match="cannot read catalog"):
+            load_catalog(path)
+
+
+class TestSegments:
+    def test_interleaved_ids_group_stably(self):
+        ids = ["T1002", "T1001", "T1002", "T1003", "T1001"]
+        catalog = TechniqueCatalog(
+            model="stub", content_hash="x",
+            entries=[CatalogEntry(tid, "n", f"e{i}", "t") for i, tid in enumerate(ids)],
+            vectors=np.eye(5),
+        )
+        assert catalog.order.tolist() == [1, 4, 0, 2, 3]
+        assert catalog.starts.tolist() == [0, 2, 4]
+
+    def test_row_count_must_match_entries(self):
+        with pytest.raises(CatalogError):
+            TechniqueCatalog(model="stub", content_hash="x",
+                             entries=[CatalogEntry("T1001", "n", "description", "t")],
+                             vectors=np.ones((2, 3)))

@@ -479,10 +479,10 @@ class TestCalibrate:
         assert abs(cosine_similarity(e1, h[1])) < 0.65
         assert abs(cosine_similarity(e2, h[0])) < 0.65
 
-        catalog = TechniqueCatalog(model="hash-32", dim=32, content_hash="fixture", entries=[
-            CatalogEntry("T1001", "Alpha", "description", "alpha", e1),
-            CatalogEntry("T1002", "Beta", "description", "beta", e2),
-        ])
+        catalog = TechniqueCatalog(model="hash-32", content_hash="fixture", entries=[
+            CatalogEntry("T1001", "Alpha", "description", "alpha"),
+            CatalogEntry("T1002", "Beta", "description", "beta"),
+        ], vectors=np.array([e1, e2]))
         catalog_file = tmp_path / "argmax-catalog.npz"
         save_catalog(catalog, catalog_file)
 
@@ -523,6 +523,59 @@ class TestCalibrate:
             "--set", "attack_patterns.strategies=ot",
         ])
         assert code == 2  # nothing left to calibrate on
+
+
+class TestMalformedCatalog:
+    """A catalog whose matrix has fewer rows than entries is a usage error for
+    every command that reads one, reported without a traceback."""
+
+    @pytest.fixture
+    def short_catalog(self, tmp_path, mini_catalog):
+        import numpy as np
+
+        from cti2stix.catalog import save_catalog
+
+        path = tmp_path / "short.npz"
+        save_catalog(mini_catalog, path)
+        with np.load(path) as data:
+            meta = str(data["meta"])
+            vectors = data["vectors"]
+        with path.open("wb") as fh:
+            np.savez(fh, meta=meta, vectors=vectors[:-1])
+        return path
+
+    def assert_usage_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: catalog" in err and "shape" in err
+        assert "Traceback" not in err
+
+    def test_extract(self, tmp_path, script_path, short_catalog, report_path, capsys):
+        code, _ = run_extract(tmp_path, script_path, short_catalog, [report_path])
+        self.assert_usage_error(code, capsys)
+
+    def test_calibrate(self, tmp_path, short_catalog, capsys):
+        script = tmp_path / "empty.json"
+        script.write_text("[]", encoding="utf-8")
+        gt_dir = tmp_path / "gt"
+        write_ground_truth(gt_dir, "helloxd-2022", HELLOXD_TEXT)
+        code = main([
+            "calibrate", "--gt", str(gt_dir), "--catalog", str(short_catalog),
+            "--out-dir", str(tmp_path / "cal"),
+            "--provider", "scripted", "--script", str(script),
+        ])
+        self.assert_usage_error(code, capsys)
+
+    def test_catalog_build_over_malformed_cache(self, tmp_path, mitre_sample_path,
+                                                short_catalog, capsys):
+        script = tmp_path / "empty.json"
+        script.write_text("[]", encoding="utf-8")
+        code = main([
+            "catalog", "build", "--attack-json", str(mitre_sample_path),
+            "--out", str(short_catalog),
+            "--provider", "scripted", "--script", str(script),
+        ])
+        self.assert_usage_error(code, capsys)
 
 
 class TestConfigShow:

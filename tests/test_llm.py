@@ -272,6 +272,33 @@ def test_embeddings_restore_request_order(monkeypatch):
     assert [v[0] for v in vectors] == [0.0, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("embedding", [None, [[1.0, 2.0]], ["x", "y"]])
+def test_embedding_row_not_a_numeric_vector_rejected(monkeypatch, embedding):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+
+    def transport(url, payload, headers, timeout):
+        return 200, {"data": [{"index": 0, "embedding": embedding}]}
+
+    provider = HttpProvider(ProviderConfig(), transport=transport)
+    with pytest.raises(TransportError, match="malformed embedding response"):
+        provider.embed(["a"])
+
+
+@pytest.mark.parametrize("batch_size", [2, 1])
+def test_embedding_rows_of_different_lengths_rejected(monkeypatch, batch_size):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    lengths = iter([1, 3])
+
+    def transport(url, payload, headers, timeout):
+        data = [{"index": i, "embedding": [1.0] * next(lengths)}
+                for i in range(len(payload["input"]))]
+        return 200, {"data": data}
+
+    provider = HttpProvider(ProviderConfig(embed_batch_size=batch_size), transport=transport)
+    with pytest.raises(TransportError, match=r"lengths \[1, 3\]"):
+        provider.embed(["a", "b"])
+
+
 def test_embeddings_batched(monkeypatch):
     monkeypatch.setenv("OPENAI_API_KEY", "k")
     batches = []
