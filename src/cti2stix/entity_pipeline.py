@@ -426,7 +426,7 @@ def verify_entity(
     or "llm" when a per-chunk yes/no question confirmed a reworded mention.
     """
     squashed = collapse_whitespace(name).casefold()
-    if squashed and squashed in collapse_whitespace(report.text).casefold():
+    if squashed and squashed in report.folded_text:
         audit.record("verify", "decision", name=name, outcome="literal")
         return True, "literal"
 

@@ -15,6 +15,7 @@ reproduces the input byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import re
@@ -71,6 +72,12 @@ class Report:
     title: str = ""
     url: str = ""
     sentences: list[Sentence] = field(default_factory=list)
+
+    @functools.cached_property
+    def folded_text(self) -> str:
+        """``text`` whitespace-squashed and casefolded, worked out once per
+        report for case- and spacing-insensitive substring checks."""
+        return collapse_whitespace(self.text).casefold()
 
 
 @dataclass

@@ -37,6 +37,8 @@ SHA1_RE = re.compile(r"\b[a-f0-9]{40}\b", re.IGNORECASE)
 MD5_RE = re.compile(r"\b[a-f0-9]{32}\b", re.IGNORECASE)
 CVE_RE = re.compile(r"\bCVE-\d{4}-\d{4,7}\b", re.IGNORECASE)
 
+_HXXP_RE = re.compile(r"hxxp", re.IGNORECASE)
+
 # Domain-looking tokens whose "TLD" is really a file extension are noise in
 # CTI prose ("dropped invoice.exe"), so they are filtered out.  Deliberately
 # short: real two-letter TLDs that double as extensions (sh, py) stay in.
@@ -85,8 +87,8 @@ def refang(value: str) -> str:
     """Undo common defanging: bracketed dots/colons and hxxp schemes."""
     out = value.replace("[.]", ".").replace("(.)", ".")
     out = out.replace("[:]", ":").replace("[://]", "://").replace("[//]", "//")
-    out = re.sub(r"^h(?:xx|XX|Xx|xX)(ps?)", r"htt\1", out, flags=re.IGNORECASE)
-    out = re.sub(r"^hxxp", "http", out, flags=re.IGNORECASE)
+    if out.startswith(("h", "H")) and _HXXP_RE.match(out):
+        out = "htt" + out[3:]
     return out
 
 

@@ -15,12 +15,14 @@ produces byte-identical output.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import logging
 import re
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 from typing import Any, Iterable, Union
 
@@ -140,9 +142,20 @@ def _namespace(seed: str) -> uuid.UUID:
     return uuid.uuid5(uuid.NAMESPACE_DNS, seed)
 
 
+# hex digit of the UUID variant nibble (bits 10xx) for each digit of the digest
+_VARIANT_DIGIT = {d: "89ab"[int(d, 16) & 3] for d in "0123456789abcdef"}
+
+
+def _uuid5(seed: str, name: str) -> str:
+    """``str(uuid.uuid5(_namespace(seed), name))`` from one SHA-1 digest,
+    formatted directly instead of through a ``UUID`` object."""
+    h = hashlib.sha1(_namespace(seed).bytes + name.encode("utf-8")).hexdigest()
+    return f"{h[:8]}-{h[8:12]}-5{h[13:16]}-{_VARIANT_DIGIT[h[16]]}{h[17:20]}-{h[20:32]}"
+
+
 def entity_id(kind: EntityKind, name: str, namespace_seed: str = DEFAULT_NAMESPACE_SEED) -> str:
     """Deterministic STIX id for an entity: stable across runs and processes."""
-    u = uuid.uuid5(_namespace(namespace_seed), f"entity|{kind.value}|{normalize_name(name)}")
+    u = _uuid5(namespace_seed, f"entity|{kind.value}|{normalize_name(name)}")
     return f"{kind.value}--{u}"
 
 
@@ -152,12 +165,12 @@ def relation_id(
     target_ref: str,
     namespace_seed: str = DEFAULT_NAMESPACE_SEED,
 ) -> str:
-    u = uuid.uuid5(_namespace(namespace_seed), f"relation|{kind.value}|{source_ref}|{target_ref}")
+    u = _uuid5(namespace_seed, f"relation|{kind.value}|{source_ref}|{target_ref}")
     return f"relationship--{u}"
 
 
 def bundle_id(report_id: str, namespace_seed: str = DEFAULT_NAMESPACE_SEED) -> str:
-    u = uuid.uuid5(_namespace(namespace_seed), f"bundle|{report_id}")
+    u = _uuid5(namespace_seed, f"bundle|{report_id}")
     return f"bundle--{u}"
 
 
@@ -206,12 +219,6 @@ class StixBundle:
     relations: list[StixRelation] = field(default_factory=list)
     extra: dict[str, Any] = field(default_factory=dict)
     skipped: list[dict[str, Any]] = field(default_factory=list, compare=False)
-
-    def entity_by_id(self, ref: str) -> StixEntity | None:
-        for ent in self.entities:
-            if ent.id == ref:
-                return ent
-        return None
 
     def entities_of_kind(self, kind: EntityKind) -> list[StixEntity]:
         return [e for e in self.entities if e.kind == kind]
@@ -301,7 +308,7 @@ def load_bundle(source: Union[str, Path, dict]) -> StixBundle:
     data = dict(raw)
     objects = data.pop("objects", []) or []
     data.pop("type", None)
-    ident = data.pop("id", "") or f"bundle--{uuid.uuid5(_namespace(DEFAULT_NAMESPACE_SEED), 'bundle|')}"
+    ident = data.pop("id", "") or bundle_id("")
     bundle = StixBundle(id=ident, extra=data)
 
     for obj in objects:
@@ -358,16 +365,46 @@ def _relation_to_obj(rel: StixRelation) -> dict[str, Any]:
     return obj
 
 
+def _member_lines(obj: dict[str, Any], indent: str) -> list[str]:
+    """The ``"key": value`` lines of *obj*'s members, each starting at
+    *indent*, as ``json.dumps(..., indent=2, ensure_ascii=False)`` writes
+    them.  String members go straight through the C string encoder."""
+    return [
+        f"{indent}{_encode_str(key)}: {_encode_str(value)}"
+        if type(key) is str and type(value) is str
+        else _nested_member(key, value, indent)
+        for key, value in obj.items()
+    ]
+
+
+def _nested_member(key: Any, value: Any, indent: str) -> str:
+    # json.dumps writes the member two spaces deep between "{\n" and "\n}";
+    # every line of it moves right by what *indent* adds to those two spaces
+    text = json.dumps({key: value}, indent=2, ensure_ascii=False)[2:-2]
+    shift = indent[2:]
+    return shift + text.replace("\n", "\n" + shift)
+
+
 def save_bundle(bundle: StixBundle, path: Union[str, Path, None] = None) -> str:
     """Serialize to deterministic JSON: stable key order, stable object order
-    (entities first, then relations, each in list order), 2-space indent."""
+    (entities first, then relations, each in list order), 2-space indent.
+
+    The text equals ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the
+    bundle document plus a final newline.  It is written one member at a
+    time because any ``indent`` puts ``json.dumps`` on its pure-Python
+    encoder."""
     doc: dict[str, Any] = {"type": "bundle", "id": bundle.id}
     for key in sorted(bundle.extra):
         doc[key] = bundle.extra[key]
-    doc["objects"] = [_entity_to_obj(e) for e in bundle.entities] + [
+    doc["objects"] = []  # written as "[]"; a non-empty array replaces its line
+    members = _member_lines(doc, "  ")
+    objects = [_entity_to_obj(e) for e in bundle.entities] + [
         _relation_to_obj(r) for r in bundle.relations
     ]
-    text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    if objects:
+        body = "\n    },\n    {\n".join([",\n".join(_member_lines(obj, "      ")) for obj in objects])
+        members[list(doc).index("objects")] = f'  "objects": [\n    {{\n{body}\n    }}\n  ]'
+    text = "{\n" + ",\n".join(members) + "\n}\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cti2stix.attack_patterns import (
@@ -196,12 +196,7 @@ def brute_force_classify(vector, catalog, threshold):
     """Reference classifier: pure-python cosines, no numpy reductions."""
     best = {}
     for entry, row in zip(catalog.entries, catalog.vectors):
-        na = math.sqrt(sum(x * x for x in vector))
-        nb = math.sqrt(sum(float(x) * float(x) for x in row))
-        if na == 0.0 or nb == 0.0:
-            score = 0.0
-        else:
-            score = sum(float(x) * float(y) for x, y in zip(vector, row)) / (na * nb)
+        score = reference_cosine(vector, row)
         prev = best.get(entry.technique_id)
         if prev is None or score > prev[0]:
             best[entry.technique_id] = (score, entry.example_id)
@@ -245,6 +240,10 @@ class TestClassify:
         st.floats(0.1, 0.95),
     )
     @settings(max_examples=60, deadline=None)
+    @example(entry_vecs=[[0.0, 0.0, 0.0, -1.0]], candidate=[0.0, 0.0, 0.0, -7.45e-206],
+             threshold=0.5)
+    @example(entry_vecs=[[0.0, 0.0, 0.0, 1.9e-226]], candidate=[0.0, 0.0, 0.0, 1.0],
+             threshold=0.5)
     def test_matches_brute_force(self, entry_vecs, candidate, threshold):
         entries = [
             CatalogEntry(f"T10{i:02d}", f"N{i}", "description", f"t{i}")

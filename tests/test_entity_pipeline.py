@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cti2stix import ingest
 from cti2stix.entity_pipeline import (
     DEFAULT_QUERIES,
     AuditTrail,
@@ -198,6 +199,22 @@ def test_verify_literal_is_case_and_whitespace_insensitive(helloxd_report):
     ok, method = verify_entity("WINDOWS AND  LINUX SYSTEMS", helloxd_report, provider, EntityPipelineConfig(), audit())
     assert ok and method == "literal"
     assert provider.prompts == []
+
+
+def test_report_text_is_folded_once_for_all_names(helloxd_report, golden_script, monkeypatch):
+    folds = []
+    squash = ingest.collapse_whitespace
+
+    def counting(text):
+        if text == helloxd_report.text:
+            folds.append(text)
+        return squash(text)
+
+    monkeypatch.setattr(ingest, "collapse_whitespace", counting)
+    result = run_entity_pipeline(helloxd_report, scripted(golden_script), EntityPipelineConfig())
+    verified = [e for e in result.extracted if e.verified]
+    assert len(verified) >= 3
+    assert len(folds) == 1
 
 
 def test_verify_falls_back_to_llm_confirmation(helloxd_report):

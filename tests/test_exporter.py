@@ -59,7 +59,8 @@ class TestAssembly:
             r for r in bundle.relations
             if r.kind == RelationKind.USES and r.target_ref == aps[0].id
         ]
-        sources = {bundle.entity_by_id(r.source_ref).kind for r in uses_to_ap}
+        by_id = {e.id: e for e in bundle.entities}
+        sources = {by_id[r.source_ref].kind for r in uses_to_ap}
         assert sources == {EntityKind.MALWARE, EntityKind.THREAT_ACTOR}
 
     def test_inputs_not_mutated(self, helloxd_report, golden_script, mini_catalog):

@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cti2stix.ingest as ingest
@@ -238,6 +238,41 @@ def test_deep_nesting_does_not_recurse():
     root = parse_html(html)
     assert len(select(root, "div p")) == 1
     assert root.text() == "DeepThe inner paragraph."
+
+
+_SOUP_TAGS = ["p", "div", "h1", "h2", "li", "ul", "td", "tr", "table", "span", "b", "title",
+              "article", "script", "style", "nav"]
+_SOUP_LEAVES = st.one_of(
+    st.sampled_from(_SOUP_TAGS).map(lambda t: f"</{t}>"),  # stray end tags
+    st.sampled_from(["<br>", "<br/>", "<img src=x>", "<hr />", "<input value='a>b'>",
+                     "<meta charset=utf-8>"]),
+    st.sampled_from(["&amp;", "&lt;p&gt;", "&#65;", "&#x41;", "&nbsp;", "&bogus;", "&#0;",
+                     "&#xD800;", "&#1114112;", "&", "&#", "<!-- c -->", "<!doctype html>",
+                     "<![CDATA[x]]>", "<?pi?>", "<", ">", "</", "<p", "=\"", " "]),
+    st.text(st.characters() | st.sampled_from(list(" \t\n\r\xa0\u2028")), max_size=6),
+    st.integers(1, 300).map(lambda depth: "<div>" * depth),
+)
+# elements nest the leaves; an element's end tag is sometimes left out
+_SOUP = st.recursive(
+    _SOUP_LEAVES,
+    lambda inner: st.builds(
+        lambda tag, children, closed: f"<{tag}>" + "".join(children) + (f"</{tag}>" if closed else ""),
+        st.sampled_from(_SOUP_TAGS), st.lists(inner, max_size=4), st.booleans(),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SOUP, max_size=6).map("".join))
+@example("<title> T </title><p></p><li> a \n b</li><script>x</script><nav>y</nav><td>&amp;</td>")
+def test_extract_article_survives_tag_soup(markup):
+    title, body = extract_article(markup)
+    assert isinstance(title, str) and isinstance(body, str)
+    assert extract_article(markup) == (title, body)
+    assert title == collapse_whitespace(title)
+    for block in body.split("\n\n") if body else []:
+        assert block and block == collapse_whitespace(block)
 
 
 _WHITESPACE_HEAVY = st.text(

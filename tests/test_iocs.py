@@ -1,5 +1,7 @@
 """IoC extractor tests: defanging, hash classing, overlap and dedup rules."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -112,6 +114,29 @@ def test_matches_ordered_by_position():
 def test_refang_helper():
     assert refang("hxxps://a[.]b") == "https://a.b"
     assert refang("10(.)0(.)0(.)1") == "10.0.0.1"
+
+
+def reference_refang(value):
+    """refang's former body: both scheme patterns looked up on every call."""
+    out = value.replace("[.]", ".").replace("(.)", ".")
+    out = out.replace("[:]", ":").replace("[://]", "://").replace("[//]", "//")
+    out = re.sub(r"^h(?:xx|XX|Xx|xX)(ps?)", r"htt\1", out, flags=re.IGNORECASE)
+    out = re.sub(r"^hxxp", "http", out, flags=re.IGNORECASE)
+    return out
+
+
+_defang_pieces = st.sampled_from(
+    ["h", "H", "x", "X", "xx", "xX", "p", "P", "s", "S", "\u017f", "hxxp", "hXXps", "HxXpS",
+     "http", "ftp", "[.]", "(.)", "[:]", "[://]", "[//]", "[", "]", "(", ")", ".", ":", "/", " "]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_defang_pieces | st.text(max_size=2), max_size=8).map("".join))
+@example("hXXps://evil(.)example[.]com/x")
+@example("[.]hxxp")
+def test_refang_matches_reference(value):
+    assert refang(value) == reference_refang(value)
 
 
 # ---------------------------------------------------------------------------

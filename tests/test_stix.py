@@ -1,11 +1,13 @@
 """Model-layer tests: admissibility table, ids, load/save round-trips, validation."""
 
 import json
+import uuid
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cti2stix import stix
 from cti2stix.stix import (
     ADMISSIBLE_TRIPLES,
     EntityKind,
@@ -121,6 +123,41 @@ def test_namespace_seed_changes_ids():
     assert entity_id(K.MALWARE, "HelloXD", "seed-a") != entity_id(K.MALWARE, "HelloXD", "seed-b")
     assert bundle_id("r1", "seed-a") != bundle_id("r1", "seed-b")
     assert relation_id(R.USES, "a", "b", "seed-a") != relation_id(R.USES, "a", "b", "seed-b")
+
+
+def reference_uuid5(seed: str, name: str) -> str:
+    return str(uuid.uuid5(uuid.uuid5(uuid.NAMESPACE_DNS, seed), name))
+
+
+@given(st.text(max_size=12), st.text())
+@example("cti2stix", "entity|malware|\U0001f600 \U00010348 \u00e9")
+@example("", "")
+def test_uuid5_matches_uuid_module(seed, name):
+    assert stix._uuid5(seed, name) == reference_uuid5(seed, name)
+
+
+@given(st.sampled_from(list(K)), st.text(), st.sampled_from(list(R)), st.text(), st.text(),
+       st.sampled_from(["cti2stix", "ns-\U0001f600"]))
+def test_ids_match_uuid_module(kind, name, rel_kind, source, target, seed):
+    assert entity_id(kind, name, seed) == (
+        f"{kind.value}--{reference_uuid5(seed, f'entity|{kind.value}|{normalize_name(name)}')}")
+    assert relation_id(rel_kind, source, target, seed) == (
+        f"relationship--{reference_uuid5(seed, f'relation|{rel_kind.value}|{source}|{target}')}")
+    assert bundle_id(name, seed) == f"bundle--{reference_uuid5(seed, f'bundle|{name}')}"
+
+
+def test_bundle_without_id_loads_with_the_empty_report_id():
+    assert load_bundle({"type": "bundle", "objects": []}).id == (
+        f"bundle--{reference_uuid5('cti2stix', 'bundle|')}")
+
+
+@pytest.mark.parametrize("name", ["\ud800", "entity|malware|a\udfffb"])
+def test_uuid5_lone_surrogate_raises_like_uuid_module(name):
+    with pytest.raises(Exception) as expected:
+        reference_uuid5("cti2stix", name)
+    with pytest.raises(Exception) as got:
+        stix._uuid5("cti2stix", name)
+    assert got.type is expected.type
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +362,71 @@ def test_round_trip_property(bundle):
     assert loaded == bundle
     assert save_bundle(loaded) == text
     assert validate_bundle(loaded) == []
+
+
+# ---------------------------------------------------------------------------
+# property: the member-by-member writer equals one json.dumps of the document
+
+
+def reference_save(bundle: StixBundle) -> str:
+    """The writer's former body: the whole document through ``json.dumps``."""
+    doc = {"type": "bundle", "id": bundle.id}
+    for key in sorted(bundle.extra):
+        doc[key] = bundle.extra[key]
+    doc["objects"] = [stix._entity_to_obj(e) for e in bundle.entities] + [
+        stix._relation_to_obj(r) for r in bundle.relations
+    ]
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+_json_text = st.text(
+    st.characters() | st.sampled_from(list('\x00\x07\n\t\x1f\x7f"\\/\u2028\U0001f600')),
+    max_size=8,
+)
+# member names the writer itself emits, so extras can shadow them
+_keys = _json_text | st.sampled_from(
+    ["type", "id", "name", "aliases", "spec_version", "external_references", "objects"])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _json_text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_keys | st.integers(), inner, max_size=3),
+    max_leaves=10,
+)
+_extras = st.dictionaries(_keys, _json_values, max_size=3)
+
+_writer_entities = st.builds(
+    StixEntity,
+    kind=st.sampled_from(list(K)),
+    name=_json_text,
+    id=_json_text,
+    aliases=st.lists(_json_text, max_size=3),
+    technique_id=st.none() | st.sampled_from(["T1573", "T1059.001"]) | _json_text,
+    extra=_extras,
+)
+_writer_relations = st.builds(
+    StixRelation,
+    kind=st.sampled_from(list(R)),
+    source_ref=_json_text,
+    target_ref=_json_text,
+    id=_json_text,
+    extra=_extras,
+)
+_writer_bundles = st.builds(
+    StixBundle,
+    id=_json_text,
+    entities=st.lists(_writer_entities, max_size=3),
+    relations=st.lists(_writer_relations, max_size=3),
+    extra=_extras,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_writer_bundles)
+@example(StixBundle(id="bundle--empty"))
+@example(_sample_bundle())
+@example(StixBundle(id="b", entities=_sample_bundle().entities,
+                    extra={"objects": "shadowed", "x_after": [{"k": [1, None, "\u00e9\U0001f600"]}],
+                           "a": {}}))
+def test_save_matches_json_dumps_of_the_document(bundle):
+    assert save_bundle(bundle) == reference_save(bundle)
