@@ -13,19 +13,33 @@ technique segments (entries grouped by technique id), so the catalog works
 them out once, when it is built or loaded.
 
 Embedding a full catalog costs real API calls, so the result is cached on
-disk (the matrix in an uncompressed ``.npz`` with a JSON metadata blob) keyed
-by the content hash of the parsed catalog plus the embedding model id; a
-stale or foreign-model cache is rebuilt, never trusted.  Compressed files
-written by earlier versions still load.
+disk, keyed by the content hash of the parsed catalog plus the embedding model
+id; a stale, foreign-model or unreadable cache is rebuilt, never trusted.  The
+file is a plain ``.npz`` (``np.load`` reads it): a JSON metadata blob and the
+matrix, both stored uncompressed, with the matrix data at a multiple of 64
+bytes into the file.  Loading maps the file read-only and uses the matrix in
+place, so concurrent processes share one copy in the page cache; every
+member's CRC-32 is still checked before a catalog is returned.  Because the
+matrix is the file, a catalog file is replaced (written beside it, then
+renamed), never rewritten in place: truncating a mapped file would crash the
+processes reading it.  Files written by earlier versions (``np.savez``,
+compressed or not) still load, with one copy of the matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
+import math
+import mmap
+import os
 import re
+import struct
 import zipfile
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Union
@@ -36,6 +50,18 @@ logger = logging.getLogger(__name__)
 
 TECHNIQUE_ID_RE = re.compile(r"\bT\d{4}(?:\.\d{3})?\b")
 _MITRE_SOURCE = "mitre-attack"
+
+_ALIGN = 64  # file offset alignment of each saved .npy member, hence of the matrix
+_PAD_ID = 0xD935  # extra-field id of Android zipalign's alignment padding
+_PAD_BLOCK = struct.Struct("<HHH")  # id, data size, alignment; zero bytes follow
+_LOCAL_HEADER = struct.Struct("<4s22xHH")  # signature, ..., name length, extra length
+_ZIP64_EXTRA_SIZE = 20  # size block zipfile appends to a local header under force_zip64
+# magic, version and length field, then the longest header np.load reads by default
+_NPY_HEADER_MAX = 12 + 10_000
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
 class CatalogError(ValueError):
@@ -189,20 +215,24 @@ def build_catalog(
     """Parse, embed, and return the catalog, reusing a valid cache if given.
 
     The cache is valid only when both the embedding model id and the content
-    hash of the parsed export match.
+    hash of the parsed export match; an unreadable cache is rebuilt too.
     """
     techniques = parse_attack_export(source)
     content_hash = catalog_content_hash(techniques)
     model = provider.config.embedding_model if hasattr(provider, "config") else "stub"
 
     if cache_path is not None and Path(cache_path).exists():
-        cached = load_catalog(cache_path)
-        if cached.content_hash == content_hash and cached.model == model:
-            logger.info("catalog cache hit (%d entries)", len(cached.entries))
-            return cached
-        logger.info(
-            "catalog cache stale (model %s vs %s); rebuilding", cached.model, model
-        )
+        try:
+            cached = load_catalog(cache_path)
+        except CatalogError as exc:
+            logger.warning("%s; rebuilding", exc)
+        else:
+            if cached.content_hash == content_hash and cached.model == model:
+                logger.info("catalog cache hit (%d entries)", len(cached.entries))
+                return cached
+            logger.info(
+                "catalog cache stale (model %s vs %s); rebuilding", cached.model, model
+            )
 
     texts: list[str] = []
     meta: list[tuple[str, str, str]] = []  # (tid, name, example_id)
@@ -226,6 +256,13 @@ def build_catalog(
 
 
 def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
+    """Write *catalog* to *path* as an uncompressed ``.npz`` whose matrix data
+    starts at a multiple of 64 bytes into the file.
+
+    The file is written beside *path* and then renamed over it, so *path*
+    never holds a torn catalog, and processes that have the old file mapped
+    keep reading it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -234,30 +271,132 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
         "content_hash": catalog.content_hash,
         "entries": [asdict(e) for e in catalog.entries],
     }
-    # uncompressed: embeddings barely compress, and inflating them dominated loads
-    with path.open("wb") as fh:
-        np.savez(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=catalog.vectors)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            # uncompressed: embeddings barely compress, and a stored member maps
+            with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+                _write_npy_member(zf, fh, "meta.npy",
+                                  np.asarray(json.dumps(meta, ensure_ascii=False)))
+                _write_npy_member(zf, fh, "vectors.npy", catalog.vectors)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_npy_member(zf: zipfile.ZipFile, fh: Any, name: str, array: np.ndarray) -> None:
+    """Add *array* to *zf* as the stored member *name*, its ``.npy`` bytes
+    starting at a multiple of ``_ALIGN`` into the file.
+
+    The ``.npy`` header pads itself to a multiple of 64 bytes, so the array
+    data is aligned too.  The gap is closed the way Android's zipalign does
+    it: a padding block in the local header's extra field, which readers skip.
+    """
+    info = zipfile.ZipInfo(name)
+    # where the .npy bytes would start without padding: after the next local
+    # header's fixed part, the name and the size block force_zip64 appends
+    npy_start = fh.tell() + _LOCAL_HEADER.size + len(name.encode()) + _ZIP64_EXTRA_SIZE
+    pad = -npy_start % _ALIGN
+    if pad:
+        pad += _ALIGN if pad < _PAD_BLOCK.size else 0
+        info.extra = _PAD_BLOCK.pack(_PAD_ID, pad - 4, _ALIGN) + bytes(pad - _PAD_BLOCK.size)
+    # force_zip64 as np.savez does: the header length must not depend on size
+    with zf.open(info, "w", force_zip64=True) as out:
+        np.lib.format.write_array(out, array, allow_pickle=False)
 
 
 def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
-    """Read a catalog written by :func:`save_catalog`, or a compressed one from
-    earlier versions.
+    """Read a catalog written by :func:`save_catalog`, or by earlier versions
+    (``np.savez``, compressed or not).
 
-    Raises :class:`CatalogError` when the file is not a catalog, or when its
-    matrix is not ``(len(entries), dim)`` as its metadata says.
+    The file is mapped read-only and the matrix is a view of the mapping, not
+    a copy; a matrix that is compressed, or not aligned for float64, is copied
+    once.  Every member's CRC-32 is checked against the zip directory on a
+    helper thread while the entries, norms and segments are built, and the
+    catalog is returned only once that check has passed.
+
+    Raises :class:`CatalogError` when the file is not a catalog, fails its
+    CRC-32 check, holds an object array, or when its matrix is not
+    ``(len(entries), dim)`` as its metadata says.
     """
     try:
-        # our own handle: np.load leaves the file it opened open when the zip is bad
-        with Path(path).open("rb") as fh, np.load(fh, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            vectors = np.asarray(data["vectors"], dtype=np.float64)
-        entries = [CatalogEntry(**item) for item in meta["entries"]]
-        expected = (len(entries), meta["dim"])
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        members = _read_members(path)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            crc_check = pool.submit(_check_crcs, members, path)
+            try:
+                catalog = _catalog_from(members, path)
+            finally:
+                # a CRC failure is the root cause of any parse error it comes with
+                crc_check.result()
+        return catalog
+    except CatalogError:
+        raise
+    except (ValueError, KeyError, TypeError, EOFError, struct.error, zlib.error,
+            zipfile.BadZipFile) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
+
+
+def _read_members(path: Union[str, Path]) -> dict[str, tuple[int, Any]]:
+    """Each member's name -> (CRC-32 from the zip directory, uncompressed
+    bytes).  The bytes of a stored member are a view of a read-only mapping
+    of the file, which stays mapped while any view of it is alive; a
+    deflated member is inflated into a copy."""
+    with open(path, "rb") as fh:
+        with zipfile.ZipFile(fh) as zf:
+            infos = zf.infolist()
+        view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+    members = {}
+    for info in infos:
+        signature, name_len, extra_len = _LOCAL_HEADER.unpack_from(view, info.header_offset)
+        if signature != b"PK\x03\x04":
+            raise ValueError(f"member {info.filename} has no local header")
+        start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+        data = view[start:start + info.compress_size]
+        if info.compress_type == zipfile.ZIP_DEFLATED:
+            data = zlib.decompress(data, -15)
+        elif info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(f"member {info.filename} uses compression {info.compress_type}")
+        if len(data) != info.file_size:
+            raise ValueError(f"member {info.filename} is truncated")
+        members[info.filename] = (info.CRC, data)
+    return members
+
+
+def _check_crcs(members: dict[str, tuple[int, Any]], path: Union[str, Path]) -> None:
+    for name, (crc, data) in members.items():
+        if zlib.crc32(data) != crc:
+            raise CatalogError(f"catalog {path}: member {name} fails its CRC-32 check")
+
+
+def _catalog_from(members: dict[str, tuple[int, Any]],
+                  path: Union[str, Path]) -> TechniqueCatalog:
+    meta = json.loads(_npy_array(members["meta.npy"][1]).item())
+    entries = [CatalogEntry(**item) for item in meta["entries"]]
+    expected = (len(entries), meta["dim"])
+    vectors = _npy_array(members["vectors.npy"][1])
     if vectors.shape != expected:
         raise CatalogError(
             f"catalog {path}: vectors have shape {vectors.shape}, its metadata says {expected}"
         )
+    if not (vectors.dtype == np.float64 and vectors.flags.c_contiguous
+            and vectors.flags.aligned):
+        vectors = np.array(vectors, dtype=np.float64, order="C")
     return TechniqueCatalog(model=meta["model"], content_hash=meta["content_hash"],
                             entries=entries, vectors=vectors)
+
+
+def _npy_array(data: Any) -> np.ndarray:
+    """The array a ``.npy`` file's bytes hold, as a read-only view of *data*.
+    Object arrays are refused, as ``np.load(..., allow_pickle=False)`` does."""
+    header = io.BytesIO(data[:_NPY_HEADER_MAX])  # copies the header, not the data
+    version = np.lib.format.read_magic(header)
+    if version not in _NPY_HEADER_READERS:
+        raise ValueError(f"unsupported .npy version {version}")
+    shape, fortran_order, dtype = _NPY_HEADER_READERS[version](header)
+    if dtype.hasobject:
+        raise ValueError("object arrays are refused")
+    array = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=header.tell())
+    return array.reshape(shape, order="F" if fortran_order else "C")

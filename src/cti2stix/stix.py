@@ -346,8 +346,9 @@ def _entity_to_obj(ent: StixEntity) -> dict[str, Any]:
         obj["aliases"] = list(ent.aliases)
     if ent.technique_id is not None and "external_references" not in ent.extra:
         obj["external_references"] = [_minimal_technique_ref(ent.technique_id)]
-    for key in sorted(ent.extra):
-        obj[key] = ent.extra[key]
+    if ent.extra:  # usually empty; skip the sort
+        for key in sorted(ent.extra):
+            obj[key] = ent.extra[key]
     return obj
 
 
@@ -360,8 +361,9 @@ def _relation_to_obj(rel: StixRelation) -> dict[str, Any]:
         "source_ref": rel.source_ref,
         "target_ref": rel.target_ref,
     }
-    for key in sorted(rel.extra):
-        obj[key] = rel.extra[key]
+    if rel.extra:
+        for key in sorted(rel.extra):
+            obj[key] = rel.extra[key]
     return obj
 
 

@@ -1,9 +1,15 @@
 import json
 import logging
+import struct
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cti2stix.catalog import (
     CatalogEntry,
@@ -203,6 +209,47 @@ class TestCache:
         # cache now carries the new model id
         assert load_catalog(path).model == "hash-32"
 
+    def test_failed_save_keeps_previous_file(self, mini_catalog, tmp_path, monkeypatch):
+        path = tmp_path / "catalog.npz"
+        save_catalog(mini_catalog, path)
+        before = path.read_bytes()
+
+        def write_part_then_fail(fp, array, *args, **kwargs):
+            fp.write(b"\x93NUMPY" + bytes(100))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np.lib.format, "write_array", write_part_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_catalog(mini_catalog, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_catalog(path).entries == mini_catalog.entries
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.npz"]
+
+    def test_loaded_catalog_survives_resave(self, mini_catalog, tmp_path):
+        path = tmp_path / "catalog.npz"
+        save_catalog(mini_catalog, path)
+        loaded = load_catalog(path)
+        old_rows = mini_catalog.vectors.copy()
+        replacement = TechniqueCatalog(model="other", content_hash="y",
+                                       entries=mini_catalog.entries,
+                                       vectors=-2 * mini_catalog.vectors)
+        save_catalog(replacement, path)
+        np.testing.assert_array_equal(loaded.vectors, old_rows)
+        np.testing.assert_array_equal(load_catalog(path).vectors, replacement.vectors)
+
+    def test_unreadable_cache_rebuilds(self, tmp_path, caplog):
+        path = tmp_path / "catalog.npz"
+        build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[]), cache_path=path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+        provider = ScriptedProvider(script=[])
+        with caplog.at_level(logging.WARNING, logger="cti2stix.catalog"):
+            catalog = build_catalog(MITRE_SAMPLE, provider, cache_path=path)
+        assert provider.embedded != []
+        assert any("rebuilding" in r.message for r in caplog.records)
+        assert load_catalog(path).entries == catalog.entries
+
     def test_empty_catalog_round_trips(self, tmp_path):
         empty = TechniqueCatalog(model="hash-32", content_hash="x", entries=[],
                                  vectors=np.zeros((0, 0)))
@@ -237,6 +284,109 @@ class TestMalformedFile:
         path.write_bytes(b"not a zip archive")
         with pytest.raises(CatalogError, match="cannot read catalog"):
             load_catalog(path)
+
+
+def npy_data_offset(path, member):
+    """File offset of the array data of a ``.npy`` member, read with plain
+    file I/O: the zip directory, the local header and the ``.npy`` header."""
+    with zipfile.ZipFile(path) as zf:
+        header_offset = zf.getinfo(member).header_offset
+    with open(path, "rb") as fh:
+        fh.seek(header_offset)
+        name_len, extra_len = struct.unpack("<26xHH", fh.read(30))
+        fh.seek(name_len + extra_len, 1)
+        version = np.lib.format.read_magic(fh)
+        {(1, 0): np.lib.format.read_array_header_1_0,
+         (2, 0): np.lib.format.read_array_header_2_0}[version](fh)
+        return fh.tell()
+
+
+def make_catalog(vectors):
+    entries = [CatalogEntry(f"T{1000 + i}", "n", "description", f"text {i}")
+               for i in range(len(vectors))]
+    return TechniqueCatalog(model="stub", content_hash="x", entries=entries, vectors=vectors)
+
+
+def write_legacy(path, catalog, writer=np.savez):
+    """A catalog as earlier versions wrote it."""
+    meta = {"model": catalog.model, "dim": catalog.dim, "content_hash": catalog.content_hash,
+            "entries": [{"technique_id": e.technique_id, "name": e.name,
+                         "example_id": e.example_id, "text": e.text} for e in catalog.entries]}
+    with path.open("wb") as fh:
+        writer(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=catalog.vectors)
+
+
+class TestMappedFile:
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 7)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.zeros((0, 0)))
+    @example(np.array([[-0.0, 5e-324, -2.2250738585072014e-308, 1.5]]))
+    def test_round_trip_is_an_aligned_read_only_view(self, vectors):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "catalog.npz"
+            save_catalog(make_catalog(vectors), path)
+            loaded = load_catalog(path)
+            with np.load(path, allow_pickle=False) as data:
+                reference = data["vectors"]
+            assert npy_data_offset(path, "vectors.npy") % 64 == 0
+        assert loaded.vectors.shape == vectors.shape == reference.shape
+        assert loaded.vectors.tobytes() == vectors.tobytes() == reference.tobytes()
+        flags = loaded.vectors.flags
+        assert flags.aligned and flags.c_contiguous
+        assert not flags.writeable and not flags.owndata
+
+    @pytest.mark.parametrize("member", ["meta.npy", "vectors.npy"])
+    @pytest.mark.parametrize("where", ["header", "data"])
+    def test_flipped_byte_fails_crc(self, mini_catalog, tmp_path, member, where):
+        path = tmp_path / "catalog.npz"
+        save_catalog(mini_catalog, path)
+        offset = npy_data_offset(path, member)
+        raw = bytearray(path.read_bytes())
+        raw[offset - 60 if where == "header" else offset + 3] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CatalogError, match=f"{member} fails its CRC-32 check"):
+            load_catalog(path)
+
+    def test_truncated_inside_vectors(self, mini_catalog, tmp_path):
+        path = tmp_path / "catalog.npz"
+        save_catalog(mini_catalog, path)
+        keep = npy_data_offset(path, "vectors.npy") + 100
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(CatalogError, match="cannot read catalog"):
+            load_catalog(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        path.write_bytes(b"")
+        with pytest.raises(CatalogError, match="cannot read catalog"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("member", ["meta", "vectors"])
+    def test_object_array_refused(self, tmp_path, member):
+        path = tmp_path / "pickled.npz"
+        members = {"meta": json.dumps({"model": "stub", "dim": 1, "content_hash": "x",
+                                       "entries": []}),
+                   "vectors": np.zeros((0, 1))}
+        members[member] = np.asarray(members[member], dtype=object)
+        with path.open("wb") as fh:
+            np.savez(fh, **members)  # pickles the object array
+        with pytest.raises(CatalogError, match="object arrays are refused"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("text_len", range(0, 64, 9))
+    def test_savez_catalog_loads_equal(self, tmp_path, text_len):
+        # metadata of varying length puts the matrix at varying offsets
+        catalog = make_catalog(np.arange(12.0).reshape(3, 4) / 7)
+        catalog.entries[0].text = "x" * text_len
+        path = tmp_path / "legacy.npz"
+        write_legacy(path, catalog)
+        loaded = load_catalog(path)
+        assert loaded.entries == catalog.entries
+        assert loaded.vectors.tobytes() == catalog.vectors.tobytes()
+        assert loaded.vectors.flags.aligned
+        if npy_data_offset(path, "vectors.npy") % 8:
+            assert loaded.vectors.flags.owndata  # the one copy
 
 
 class TestSegments:

@@ -526,8 +526,9 @@ class TestCalibrate:
 
 
 class TestMalformedCatalog:
-    """A catalog whose matrix has fewer rows than entries is a usage error for
-    every command that reads one, reported without a traceback."""
+    """A catalog whose matrix has fewer rows than entries, or a torn file, is a
+    usage error for every command that reads one, reported without a
+    traceback; ``catalog build`` rebuilds it."""
 
     @pytest.fixture
     def short_catalog(self, tmp_path, mini_catalog):
@@ -566,16 +567,34 @@ class TestMalformedCatalog:
         ])
         self.assert_usage_error(code, capsys)
 
-    def test_catalog_build_over_malformed_cache(self, tmp_path, mitre_sample_path,
-                                                short_catalog, capsys):
+    def test_extract_truncated(self, tmp_path, script_path, short_catalog, report_path,
+                               capsys):
+        short_catalog.write_bytes(short_catalog.read_bytes()[:1000])
+        code, _ = run_extract(tmp_path, script_path, short_catalog, [report_path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: cannot read catalog" in err and "Traceback" not in err
+
+    def assert_rebuilds(self, tmp_path, mitre_sample_path, cache):
+        # the output is a cache: an unreadable one is rebuilt, not an error
         script = tmp_path / "empty.json"
         script.write_text("[]", encoding="utf-8")
         code = main([
             "catalog", "build", "--attack-json", str(mitre_sample_path),
-            "--out", str(short_catalog),
+            "--out", str(cache),
             "--provider", "scripted", "--script", str(script),
         ])
-        self.assert_usage_error(code, capsys)
+        assert code == 0
+        assert sorted(load_catalog(cache).technique_names()) == ["T1027", "T1573"]
+
+    def test_catalog_build_rebuilds_malformed_cache(self, tmp_path, mitre_sample_path,
+                                                    short_catalog):
+        self.assert_rebuilds(tmp_path, mitre_sample_path, short_catalog)
+
+    def test_catalog_build_rebuilds_truncated_cache(self, tmp_path, mitre_sample_path,
+                                                    short_catalog):
+        short_catalog.write_bytes(short_catalog.read_bytes()[:1000])
+        self.assert_rebuilds(tmp_path, mitre_sample_path, short_catalog)
 
 
 class TestConfigShow:
