@@ -28,9 +28,10 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .catalog import TECHNIQUE_ID_RE, TechniqueCatalog, parent_technique, row_norms
-from .entity_pipeline import AuditTrail, chunk_text
+from .audit import AuditTrail, ask
+from .entity_pipeline import chunk_text
 from .ingest import Report, collapse_whitespace, segment_sentences
-from .llm import CompletionRequest, estimate_tokens
+from .llm import context_budget
 
 logger = logging.getLogger(__name__)
 
@@ -96,12 +97,9 @@ class AttackPatternResult:
 
 def _strategy_chunks(report: Report, config: AttackPatternConfig, provider: Any,
                      prompt_template: str) -> list[str]:
-    overhead = estimate_tokens(prompt_template.format(text=""))
-    usable = provider.config.usable_window() if hasattr(provider, "config") else None
-    budget = config.chunk_tokens
-    if usable is not None:
-        budget = min(budget, usable - config.strategy_output_tokens - overhead)
-    return chunk_text(report.text, budget)
+    budget = context_budget(provider.config, prompt_template.format(text=""),
+                            config.strategy_output_tokens)
+    return chunk_text(report.text, min(config.chunk_tokens, budget))
 
 
 def strategy_vte(report: Report, provider: Any, config: AttackPatternConfig,
@@ -110,13 +108,8 @@ def strategy_vte(report: Report, provider: Any, config: AttackPatternConfig,
     quoted paragraph, with a whitespace-insensitive substring guard."""
     candidates: list[Candidate] = []
     for i, chunk in enumerate(_strategy_chunks(report, config, provider, VTE_PROMPT)):
-        prompt = VTE_PROMPT.format(text=chunk)
-        audit.record("attack-pattern", "prompt", strategy="vte", chunk=i, text=prompt,
-                     reserved_output=config.strategy_output_tokens)
-        response = provider.complete(
-            CompletionRequest(prompt=prompt, max_output_tokens=config.strategy_output_tokens)
-        )
-        audit.record("attack-pattern", "response", strategy="vte", chunk=i, text=response)
+        response = ask(provider, audit, "attack-pattern", VTE_PROMPT.format(text=chunk),
+                       config.strategy_output_tokens, strategy="vte", chunk=i)
         if response.strip().casefold() in _NEGATIVE_RESPONSES:
             continue
         squashed_chunk = collapse_whitespace(chunk).casefold()
@@ -142,13 +135,8 @@ def strategy_sbsa(report: Report, provider: Any, config: AttackPatternConfig,
     """Step-by-step abstraction: each step line of the response is a candidate."""
     candidates: list[Candidate] = []
     for i, chunk in enumerate(_strategy_chunks(report, config, provider, SBSA_PROMPT)):
-        prompt = SBSA_PROMPT.format(text=chunk)
-        audit.record("attack-pattern", "prompt", strategy="sbsa", chunk=i, text=prompt,
-                     reserved_output=config.strategy_output_tokens)
-        response = provider.complete(
-            CompletionRequest(prompt=prompt, max_output_tokens=config.strategy_output_tokens)
-        )
-        audit.record("attack-pattern", "response", strategy="sbsa", chunk=i, text=response)
+        response = ask(provider, audit, "attack-pattern", SBSA_PROMPT.format(text=chunk),
+                       config.strategy_output_tokens, strategy="sbsa", chunk=i)
         for n, line in enumerate(response.splitlines()):
             step = _STEP_PREFIX_RE.sub("", line).strip()
             if not step or step.casefold() in _NEGATIVE_RESPONSES:

@@ -219,7 +219,7 @@ def build_catalog(
     """
     techniques = parse_attack_export(source)
     content_hash = catalog_content_hash(techniques)
-    model = provider.config.embedding_model if hasattr(provider, "config") else "stub"
+    model = provider.config.embedding_model
 
     if cache_path is not None and Path(cache_path).exists():
         try:
@@ -229,6 +229,10 @@ def build_catalog(
         else:
             if cached.content_hash == content_hash and cached.model == model:
                 logger.info("catalog cache hit (%d entries)", len(cached.entries))
+                if cached.vectors.flags.owndata:
+                    # an older file the matrix could not be mapped from:
+                    # rewrite it so that later loads map it
+                    save_catalog(cached, cache_path)
                 return cached
             logger.info(
                 "catalog cache stale (model %s vs %s); rebuilding", cached.model, model

@@ -16,6 +16,7 @@ bad flags, bad config, missing files, an unreadable or malformed catalog.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -23,10 +24,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .attack_patterns import AttackPatternConfig, run_attack_pattern_pipeline
+from .attack_patterns import run_attack_pattern_pipeline
 from .catalog import CatalogError, TechniqueCatalog, build_catalog, load_catalog
 from .config import AppConfig, ConfigError, dump_config, load_config, make_provider
-from .entity_pipeline import CondensationError, PipelineError, run_entity_pipeline
+from .entity_pipeline import CondensationError, run_entity_pipeline
 from .evaluation import (
     GroundTruth,
     filter_without_explicit_ids,
@@ -40,7 +41,7 @@ from .evaluation import (
     write_scores,
 )
 from .exporter import assemble_and_validate
-from .ingest import FetchError, load_plugins, report_from_path, report_from_url
+from .ingest import FetchError, load_plugins, make_report, report_from_path, report_from_url
 from .llm import ProviderError
 from .stix import load_bundle, save_bundle
 
@@ -370,15 +371,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError("no ground-truth reports with text and technique labels")
 
     # score candidates once per report at threshold 0; re-threshold in memory
-    from .ingest import make_report
-
-    zero = AttackPatternConfig(
-        strategies=config.attack_patterns.strategies,
-        threshold=0.0,
-        chunk_tokens=config.attack_patterns.chunk_tokens,
-        strategy_output_tokens=config.attack_patterns.strategy_output_tokens,
-        include_explicit=False,
-    )
+    zero = dataclasses.replace(config.attack_patterns, threshold=0.0, include_explicit=False)
     best_scores: dict[str, dict[str, float]] = {}
     for report_id in sorted(eligible):
         report = make_report(eligible[report_id].text, report_id=report_id)
@@ -450,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, CatalogError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (ProviderError, FetchError, PipelineError, CondensationError, OSError) as exc:
+    except (ProviderError, FetchError, CondensationError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return PARTIAL
 

@@ -23,20 +23,21 @@ The flow for one report:
    (:mod:`cti2stix.exporter`).
 
 Every prompt, response, and decision is recorded on an audit trail so runs
-can be replayed and inspected.
+can be replayed and inspected; every question to the model goes through
+:func:`cti2stix.audit.ask`, which records it and its answer.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from .audit import AuditTrail, ask
 from .ingest import Report, collapse_whitespace, segment_sentences
 from .iocs import ioc_entities
-from .llm import CompletionRequest, ProviderConfig, estimate_tokens
+from .llm import ProviderConfig, context_budget, estimate_tokens
 from .stix import (
     DEFAULT_NAMESPACE_SEED,
     EntityKind,
@@ -80,11 +81,7 @@ _BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d{1,2}[.)])\s+")
 _ANSWER_PREFIX_RE = re.compile(r"^\s*answer\s*:\s*", re.IGNORECASE)
 
 
-class PipelineError(Exception):
-    """Base class for pipeline failures."""
-
-
-class CondensationError(PipelineError):
+class CondensationError(Exception):
     """Iterative summarization could not reach the token budget."""
 
 
@@ -168,41 +165,6 @@ class ExtractedEntity:
 
 
 @dataclass
-class AuditEvent:
-    seq: int
-    stage: str
-    event: str
-    data: dict[str, Any]
-
-
-class AuditTrail:
-    """Ordered record of everything a pipeline run did, JSONL-serializable."""
-
-    def __init__(self, report_id: str):
-        self.report_id = report_id
-        self.events: list[AuditEvent] = []
-
-    def record(self, stage: str, event: str, **data: Any) -> None:
-        self.events.append(AuditEvent(len(self.events), stage, event, data))
-
-    def prompts(self) -> list[tuple[str, int]]:
-        """(prompt text, reserved output tokens) for every issued prompt."""
-        return [
-            (e.data["text"], e.data["reserved_output"])
-            for e in self.events
-            if e.event == "prompt"
-        ]
-
-    def to_jsonl(self) -> str:
-        lines = []
-        for e in self.events:
-            record = {"seq": e.seq, "report": self.report_id, "stage": e.stage, "event": e.event}
-            record.update(e.data)
-            lines.append(json.dumps(record, ensure_ascii=False))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-@dataclass
 class EntityPipelineResult:
     report_id: str
     bundle: StixBundle
@@ -276,38 +238,16 @@ def chunk_text(text: str, budget: int) -> list[str]:
 # prompt budgets
 
 
-def _prompt_overhead(template_rendered_empty: str) -> int:
-    return estimate_tokens(template_rendered_empty)
-
-
 def extraction_budget(provider_config: ProviderConfig, config: EntityPipelineConfig) -> int:
     """Largest context (in estimated tokens) that still leaves room for the
     biggest extraction prompt plus the reserved answer inside the margined
-    window."""
-    overhead = max(
-        _prompt_overhead(ENTITY_PROMPT.format(context="", definition=q.definition, question=q.question))
+    window, less the slack relation prompts need for their longer wording."""
+    reserved = config.answer_output_tokens + config.relation_prompt_slack
+    return min(
+        context_budget(provider_config, ENTITY_PROMPT.format(
+            context="", definition=q.definition, question=q.question), reserved)
         for q in config.queries
     )
-    budget = (
-        provider_config.usable_window()
-        - config.answer_output_tokens
-        - overhead
-        - config.relation_prompt_slack
-    )
-    if budget <= 0:
-        raise PipelineError(
-            f"context window {provider_config.context_window} is too small for the "
-            f"configured prompts (overhead {overhead})"
-        )
-    return budget
-
-
-def _summary_chunk_budget(provider_config: ProviderConfig, config: EntityPipelineConfig) -> int:
-    overhead = _prompt_overhead(SUMMARY_PROMPT.format(text=""))
-    bound = provider_config.usable_window() - config.summary_output_tokens - overhead
-    if bound <= 0:
-        raise PipelineError("context window too small for summarization prompts")
-    return min(config.chunk_tokens, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +276,15 @@ def condense(
         audit.record("condense", "decision", outcome="pass-through", tokens=source_tokens)
         return CondensedReport(report.id, current, 0, source_tokens, source_tokens)
 
-    chunk_budget = _summary_chunk_budget(provider.config, config)
+    chunk_budget = min(config.chunk_tokens, context_budget(
+        provider.config, SUMMARY_PROMPT.format(text=""), config.summary_output_tokens))
     while iterations < config.condense_iteration_cap:
         iterations += 1
         chunks = chunk_text(current, chunk_budget)
         summaries = []
         for i, chunk in enumerate(chunks):
-            prompt = SUMMARY_PROMPT.format(text=chunk)
-            audit.record(
-                "condense", "prompt", text=prompt, reserved_output=config.summary_output_tokens,
-                iteration=iterations, chunk=i,
-            )
-            response = provider.complete(
-                CompletionRequest(prompt, max_output_tokens=config.summary_output_tokens)
-            )
-            audit.record("condense", "response", text=response, iteration=iterations, chunk=i)
+            response = ask(provider, audit, "condense", SUMMARY_PROMPT.format(text=chunk),
+                           config.summary_output_tokens, iteration=iterations, chunk=i)
             summaries.append(response.strip())
         current = "\n\n".join(s for s in summaries if s)
         tokens = estimate_tokens(current)
@@ -402,12 +336,8 @@ def extract_entities(
 ) -> list[str]:
     """Ask one entity question against one context; return candidate names."""
     prompt = ENTITY_PROMPT.format(context=context, definition=query.definition, question=query.question)
-    audit.record(
-        "extract", "prompt", text=prompt, reserved_output=config.answer_output_tokens,
-        query=query.name, context_id=context_id,
-    )
-    response = provider.complete(CompletionRequest(prompt, max_output_tokens=config.answer_output_tokens))
-    audit.record("extract", "response", text=response, query=query.name, context_id=context_id)
+    response = ask(provider, audit, "extract", prompt, config.answer_output_tokens,
+                   query=query.name, context_id=context_id)
     names = parse_name_lines(response)
     audit.record("extract", "decision", query=query.name, names=names, context_id=context_id)
     return names
@@ -430,20 +360,11 @@ def verify_entity(
         audit.record("verify", "decision", name=name, outcome="literal")
         return True, "literal"
 
-    overhead = _prompt_overhead(VERIFY_PROMPT.format(text="", name=name))
-    budget = provider.config.usable_window() - config.answer_output_tokens - overhead
-    if budget <= 0:
-        raise PipelineError("context window too small for verification prompts")
+    budget = context_budget(provider.config, VERIFY_PROMPT.format(text="", name=name),
+                            config.answer_output_tokens)
     for i, chunk in enumerate(chunk_text(report.text, budget)):
-        prompt = VERIFY_PROMPT.format(text=chunk, name=name)
-        audit.record(
-            "verify", "prompt", text=prompt, reserved_output=config.answer_output_tokens,
-            name=name, chunk=i,
-        )
-        response = provider.complete(
-            CompletionRequest(prompt, max_output_tokens=config.answer_output_tokens)
-        )
-        audit.record("verify", "response", text=response, name=name, chunk=i)
+        response = ask(provider, audit, "verify", VERIFY_PROMPT.format(text=chunk, name=name),
+                       config.answer_output_tokens, name=name, chunk=i)
         if response.strip().casefold().startswith("yes"):
             audit.record("verify", "decision", name=name, outcome="llm")
             return True, "llm"
@@ -516,17 +437,8 @@ def extract_relations(
             prompt = RELATION_PROMPT.format(
                 context=context, source=a.name, target=b.name, options=", ".join(options),
             )
-            audit.record(
-                "relations", "prompt", text=prompt, reserved_output=config.answer_output_tokens,
-                source=a.name, target=b.name, context_id=str(ctx_index),
-            )
-            response = provider.complete(
-                CompletionRequest(prompt, max_output_tokens=config.answer_output_tokens)
-            )
-            audit.record(
-                "relations", "response", text=response, source=a.name, target=b.name,
-                context_id=str(ctx_index),
-            )
+            response = ask(provider, audit, "relations", prompt, config.answer_output_tokens,
+                           source=a.name, target=b.name, context_id=str(ctx_index))
             found, warning = _parse_relation_answer(response, options)
             if found is not None:
                 break

@@ -26,7 +26,8 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .attack_patterns import detect_explicit_techniques
 from .catalog import parent_technique
-from .entity_pipeline import AuditTrail, EntityPipelineConfig, extract_relations
+from .audit import AuditTrail
+from .entity_pipeline import EntityPipelineConfig, extract_relations
 from .stix import (
     EntityKind,
     RelationKind,

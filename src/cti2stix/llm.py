@@ -121,6 +121,24 @@ def check_budget(request: CompletionRequest, config: ProviderConfig) -> int:
     return estimate
 
 
+def context_budget(config: ProviderConfig, empty_prompt: str, reserved_output: int) -> int:
+    """Largest context, in estimated tokens, that a prompt rendered as
+    *empty_prompt* with no context can carry and still pass
+    :func:`check_budget` with *reserved_output* answer tokens.
+
+    Raises :class:`BudgetError` when no context fits.
+    """
+    overhead = estimate_tokens(empty_prompt)
+    budget = config.usable_window() - reserved_output - overhead
+    if budget <= 0:
+        raise BudgetError(
+            f"no room for context: prompt overhead {overhead} + reserved output "
+            f"{reserved_output} fill usable window {config.usable_window()} "
+            f"(context {config.context_window}, margin {config.budget_margin:.0%})"
+        )
+    return budget
+
+
 def _cache_key(kind: str, model: str, text: str) -> str:
     """Response-cache key of one prompt (*kind* "completion") or one
     embedded text (*kind* "embedding")."""

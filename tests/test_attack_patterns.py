@@ -21,7 +21,7 @@ from cti2stix.attack_patterns import (
     strategy_vte,
 )
 from cti2stix.catalog import CatalogEntry, TechniqueCatalog
-from cti2stix.entity_pipeline import AuditTrail
+from cti2stix.audit import AuditTrail
 from cti2stix.ingest import make_report
 from cti2stix.llm import HashEmbedder, ScriptedProvider
 

@@ -388,6 +388,17 @@ class TestMappedFile:
         if npy_data_offset(path, "vectors.npy") % 8:
             assert loaded.vectors.flags.owndata  # the one copy
 
+    def test_cache_hit_rewrites_savez_file_for_mapping(self, tmp_path):
+        path = tmp_path / "catalog.npz"
+        write_legacy(path, build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[])))
+        assert load_catalog(path).vectors.flags.owndata  # loads by copying
+
+        provider = ScriptedProvider(script=[])
+        build_catalog(MITRE_SAMPLE, provider, cache_path=path)
+        assert provider.embedded == []
+        assert npy_data_offset(path, "vectors.npy") % 64 == 0
+        assert not load_catalog(path).vectors.flags.owndata
+
 
 class TestSegments:
     def test_interleaved_ids_group_stably(self):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cti2stix import ingest
+from cti2stix.audit import AuditTrail
 from cti2stix.entity_pipeline import (
     DEFAULT_QUERIES,
-    AuditTrail,
     CondensationError,
     CondensedReport,
     ENTITY_PROMPT,

@@ -26,6 +26,7 @@ from cti2stix.llm import (
     TransportError,
     _cache_key,
     check_budget,
+    context_budget,
     estimate_tokens,
     load_script,
 )
@@ -96,6 +97,25 @@ def test_check_budget_rejects_oversized_prompt():
     request = CompletionRequest(lorem_words(6000), max_output_tokens=256)
     with pytest.raises(BudgetError):
         check_budget(request, config)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 400), st.integers(1, 600))
+def test_context_budget_fits_check_budget(overhead_words, reserved):
+    config = ProviderConfig(context_window=1024)
+    empty = lorem_words(overhead_words)
+    room = config.usable_window() - reserved - estimate_tokens(empty)
+    if room <= 0:
+        with pytest.raises(BudgetError, match="no room for context"):
+            context_budget(config, empty, reserved)
+        return
+    assert context_budget(config, empty, reserved) == room
+    if room >= 2:  # no non-empty text estimates below 2 tokens
+        # a context of exactly that estimate still fits, because the estimate
+        # of a concatenation is at most the sum of the parts'
+        context = "x" * (8 * room)
+        assert estimate_tokens(context) == room
+        check_budget(CompletionRequest(empty + context, max_output_tokens=reserved), config)
 
 
 def test_usable_window_applies_ten_percent_margin():
