@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import logging
 import re
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -254,10 +255,16 @@ def detect_explicit_techniques(text: str) -> list[str]:
 
 def run_attack_pattern_pipeline(
     report: Report,
-    catalog: TechniqueCatalog,
+    catalog: Union[TechniqueCatalog, Future[TechniqueCatalog]],
     provider: Any,
     config: Optional[AttackPatternConfig] = None,
 ) -> AttackPatternResult:
+    """Gather, embed and score *report*'s technique candidates.
+
+    *catalog* may be a future of one still loading: the pipeline waits for it
+    only after the candidates are gathered and embedded, just before scoring,
+    and re-raises the load's exception.
+    """
     config = config or AttackPatternConfig()
     audit = AuditTrail(report.id)
     warnings: list[dict[str, Any]] = []
@@ -283,9 +290,11 @@ def run_attack_pattern_pipeline(
         if c.text not in seen_texts:
             seen_texts.add(c.text)
             unique_texts.append(c.text)
+    vectors = np.asarray(provider.embed(unique_texts), dtype=np.float64) if unique_texts else None
+    if isinstance(catalog, Future):
+        catalog = catalog.result()
     hits_by_text: dict[str, list[tuple[str, float, str]]] = {}
     if unique_texts:
-        vectors = np.asarray(provider.embed(unique_texts), dtype=np.float64)
         hits_by_text = dict(zip(unique_texts,
                                 classify_vectors(vectors, catalog, config.threshold)))
 

@@ -229,9 +229,9 @@ def build_catalog(
         else:
             if cached.content_hash == content_hash and cached.model == model:
                 logger.info("catalog cache hit (%d entries)", len(cached.entries))
-                if cached.vectors.flags.owndata:
-                    # an older file the matrix could not be mapped from:
-                    # rewrite it so that later loads map it
+                if not _maps_file(cached.vectors):
+                    # an older file the matrix could not be mapped from
+                    # (misaligned or compressed): rewrite it so later loads map it
                     save_catalog(cached, cache_path)
                 return cached
             logger.info(
@@ -367,6 +367,14 @@ def _read_members(path: Union[str, Path]) -> dict[str, tuple[int, Any]]:
             raise ValueError(f"member {info.filename} is truncated")
         members[info.filename] = (info.CRC, data)
     return members
+
+
+def _maps_file(array: np.ndarray) -> bool:
+    """Whether *array* is a view of a file mapping made by :func:`_read_members`."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
 
 def _check_crcs(members: dict[str, tuple[int, Any]], path: Union[str, Path]) -> None:

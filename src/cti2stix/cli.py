@@ -20,7 +20,7 @@ import dataclasses
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--preprocessing", choices=("on", "off"))
     p_extract.add_argument("--strategies", help="comma list: vte,sbsa,ot")
     p_extract.add_argument("--threshold", type=float, help="similarity threshold")
-    p_extract.add_argument("--jobs", type=int, default=1, help="parallel reports")
+    p_extract.add_argument("--jobs", type=int, default=1, help="parallel reports (at least 1)")
     _provider_flags(p_extract)
     _add_common(p_extract)
 
@@ -167,7 +167,7 @@ def _load_report(source: str, plugins: Sequence) -> Any:
 
 
 def _extract_one(source: str, config: AppConfig, provider: Any,
-                 catalog: Optional[TechniqueCatalog], plugins: Sequence,
+                 catalog: Optional[Future[TechniqueCatalog]], plugins: Sequence,
                  out_dir: Path) -> dict[str, Any]:
     report = _load_report(source, plugins)
     entity_result = run_entity_pipeline(report, provider, config.pipeline)
@@ -207,16 +207,20 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = _config_from_args(args)
     provider = make_provider(config)
 
     plugins = load_plugins(config.paths.plugins) if config.paths.plugins else []
-    catalog = None
+    # the catalog loads while the first reports run; each report waits for it
+    # only when it scores its candidates
+    catalog: Optional[Future[TechniqueCatalog]] = None
     if config.paths.catalog:
         catalog_path = Path(config.paths.catalog)
         if not catalog_path.exists():
             raise ConfigError(f"catalog not found: {catalog_path}")
-        catalog = load_catalog(catalog_path)
+        catalog = Future()
     else:
         logger.warning("no catalog configured; skipping technique extraction")
 
@@ -242,15 +246,24 @@ def cmd_extract(args: argparse.Namespace) -> int:
             results[source] = _extract_one(source, config, provider, catalog,
                                            plugins, out_dir)
         except Exception as exc:  # one bad report must not sink the batch
+            if catalog is not None and catalog.done() and catalog.exception():
+                return  # the catalog did not load: that error ends the run, once
             logger.exception("extraction failed for %s: %s", source, exc)
             failures[source] = f"{type(exc).__name__}: {exc}"
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run, inputs))
-    else:
-        for source in inputs:
-            run(source)
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        reports = [pool.submit(run, source) for source in inputs]
+        if catalog is not None:
+            try:
+                catalog.set_result(load_catalog(catalog_path))
+            except BaseException as exc:
+                # cancel the reports not yet started before releasing the
+                # running ones, so that no further report asks the model
+                pool.shutdown(wait=False, cancel_futures=True)
+                catalog.set_exception(exc)
+                raise
+    for report in reports:
+        report.result()
 
     summary = {
         "ok": sorted(results),

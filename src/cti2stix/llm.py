@@ -17,6 +17,7 @@ with a safety margin, because the estimator is a heuristic, not a tokenizer.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -24,6 +25,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
@@ -149,7 +151,9 @@ class ResponseCache:
     """Append-only JSONL cache of provider responses, keyed by prompt hash.
 
     The same file works as a write-through log for live runs and as the input
-    of :class:`ReplayProvider`.
+    of :class:`ReplayProvider`.  Several processes may append to one file:
+    each record is one write on an ``O_APPEND`` descriptor, made under an
+    advisory ``flock`` of the file.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -158,6 +162,8 @@ class ResponseCache:
         self._completions: dict[str, str] = {}
         self._embeddings: dict[str, list[float]] = {}
         self._torn_at: int | None = None  # byte offset of an unparseable last line
+        self._torn_tail = b""  # the file's bytes from there on, as loaded
+        self._fd: int | None = None  # opened by the first append
         if self.path.exists():
             self._load()
 
@@ -185,6 +191,9 @@ class ResponseCache:
                     self._completions[record["key"]] = record["response"]
                 elif record.get("kind") == "embedding":
                     self._embeddings[record["key"]] = record["vector"]
+            if torn is not None:
+                fh.seek(self._torn_at)
+                self._torn_tail = fh.read()
         if torn is not None:
             logger.warning("%s: skipping unparseable last line (%s)", self.path, torn)
 
@@ -211,13 +220,24 @@ class ResponseCache:
             self._append(record)
 
     def _append(self, record: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._torn_at is not None:
-            with self.path.open("r+b") as fh:
-                fh.truncate(self._torn_at)
-            self._torn_at = None
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+        if self._fd is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+            weakref.finalize(self, os.close, self._fd)
+        fcntl.flock(self._fd, fcntl.LOCK_EX)
+        try:
+            if self._torn_at is not None:
+                # cut the torn tail only if it is still the file's end: another
+                # process may have cut it and appended since this one loaded
+                tail = os.pread(self._fd, len(self._torn_tail) + 1, self._torn_at)
+                if tail == self._torn_tail:
+                    os.ftruncate(self._fd, self._torn_at)
+                self._torn_at = None
+            while data:  # one write, unless a signal or a full disk cuts it short
+                data = data[os.write(self._fd, data):]
+        finally:
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
 
 
 def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, dict]:

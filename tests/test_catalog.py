@@ -399,6 +399,23 @@ class TestMappedFile:
         assert npy_data_offset(path, "vectors.npy") % 64 == 0
         assert not load_catalog(path).vectors.flags.owndata
 
+    def test_cache_hit_rewrites_compressed_file_for_mapping(self, tmp_path):
+        # the inflated matrix is a view of fresh bytes, so it owns no data
+        # either, yet every load inflates it again
+        path = tmp_path / "catalog.npz"
+        write_legacy(path, build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[])),
+                     np.savez_compressed)
+
+        provider = ScriptedProvider(script=[])
+        build_catalog(MITRE_SAMPLE, provider, cache_path=path)
+        assert provider.embedded == []
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        assert npy_data_offset(path, "vectors.npy") % 64 == 0
+        before = path.stat().st_mtime_ns, path.stat().st_ino
+        build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[]), cache_path=path)
+        assert (path.stat().st_mtime_ns, path.stat().st_ino) == before  # mapped: kept
+
 
 class TestSegments:
     def test_interleaved_ids_group_stably(self):

@@ -1,4 +1,7 @@
 import json
+import logging
+import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -213,6 +216,91 @@ class TestExtract:
             "--set", "nonsense",
         ])
         assert code == 2
+
+
+class TestCatalogOverlap:
+    """``extract`` loads the catalog on the main thread while the first
+    reports run; each report waits for it only when it scores."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Records each prompt the run's provider answers, and makes
+        ``load_catalog`` start only once the first prompt is answered (or 10 s
+        have passed), recording which."""
+        import cti2stix.cli as cli
+
+        spy = SimpleNamespace(answered=threading.Event(), prompts=[], load_waited=[])
+        real_make_provider, real_load = cli.make_provider, cli.load_catalog
+
+        def make_provider(config):
+            provider = real_make_provider(config)
+            real_complete = provider.complete
+
+            def complete(request):
+                answer = real_complete(request)
+                spy.prompts.append(request.prompt)
+                spy.answered.set()
+                return answer
+
+            provider.complete = complete
+            return provider
+
+        def load_catalog(path):
+            spy.load_waited.append(spy.answered.wait(timeout=10))
+            return real_load(path)
+
+        monkeypatch.setattr(cli, "make_provider", make_provider)
+        monkeypatch.setattr(cli, "load_catalog", load_catalog)
+        return spy
+
+    @staticmethod
+    def three_reports(tmp_path):
+        paths = [tmp_path / f"report-{n}.txt" for n in "abc"]
+        for path in paths:
+            path.write_text(HELLOXD_TEXT, encoding="utf-8")
+        return paths
+
+    def test_catalog_loads_while_first_report_runs(self, tmp_path, script_path, catalog_path,
+                                                   report_path, spy):
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path, [report_path])
+        assert spy.load_waited == [True]  # a report asked the model before the load began
+        assert code == 0
+        bundle = load_bundle(out_dir / "helloxd-2022.bundle.json")
+        assert bundle.entities_of_kind(EntityKind.ATTACK_PATTERN)
+
+    def test_jobs_one_and_two_write_identical_files(self, tmp_path, script_path,
+                                                    catalog_path):
+        inputs = self.three_reports(tmp_path)
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out_dir = run_extract(tmp_path / jobs, script_path, catalog_path, inputs,
+                                        "--jobs", jobs)
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert len(outputs[0]) == 7  # a bundle and an audit file per report, one summary
+        assert outputs[0] == outputs[1]
+
+    def test_failed_load_stops_the_batch(self, tmp_path, script_path, catalog_path,
+                                         mini_catalog, report_path, spy, capsys, caplog):
+        run_extract(tmp_path / "one", script_path, catalog_path, [report_path])
+        one_report = list(spy.prompts)
+        spy.prompts.clear()
+
+        bad = tmp_path / "flipped.npz"
+        raw = bytearray(catalog_path.read_bytes())
+        raw[raw.find(mini_catalog.vectors.tobytes()) + 3] ^= 0x10
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+
+        code, out_dir = run_extract(tmp_path, script_path, bad, self.three_reports(tmp_path),
+                                    "--jobs", "1")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: catalog" in err and "fails its CRC-32 check" in err
+        assert "Traceback" not in err
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        assert list(out_dir.iterdir()) == []  # no bundle, audit or summary file
+        assert one_report and spy.prompts == one_report  # the first report's prompts only
 
 
 class TestReplay:
@@ -622,3 +710,15 @@ class TestUsage:
 
     def test_extract_requires_out_dir(self, tmp_path):
         assert main(["extract", str(tmp_path / "r.txt")]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, script_path, report_path, jobs,
+                                           capsys):
+        code = main([
+            "extract", str(report_path), "--out-dir", str(tmp_path / "out"),
+            "--provider", "scripted", "--script", str(script_path), "--jobs", jobs,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: --jobs must be at least 1, got {jobs}" in err
+        assert "Traceback" not in err

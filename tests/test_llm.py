@@ -1,16 +1,20 @@
 """Provider-layer tests: token estimator, budgets, retries, caching, doubles."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cti2stix
 from cti2stix.llm import (
     BudgetError,
     CompletionRequest,
@@ -426,6 +430,18 @@ def test_cache_append_after_torn_tail_stays_loadable(tmp_path):
     assert [again.get_completion(k) for k in ("k1", "k2", "k3")] == ["r1", "r2 again", "r3"]
 
 
+def test_torn_tail_cut_once_by_two_writers(tmp_path):
+    # both writers loaded the torn file; the second must not cut at the old
+    # offset again, which now holds the first writer's record
+    path = tmp_path / "cache.jsonl"
+    _torn_cache(path)
+    first, second = ResponseCache(path), ResponseCache(path)
+    first.put_completion("k3", "m", "p", "r3")
+    second.put_completion("k4", "m", "p", "r4")
+    again = ResponseCache(path)
+    assert [again.get_completion(k) for k in ("k1", "k2", "k3", "k4")] == ["r1", None, "r3", "r4"]
+
+
 def test_cache_keys_are_stable():
     # existing response caches replay only while these digests hold
     prompt = "Write a concise summary of the following:\nHelloXD\nCONCISE SUMMARY:"
@@ -505,3 +521,43 @@ def test_hash_embedder_deterministic_unit_vectors():
     assert a1.shape == (16,)
     assert np.isclose(np.linalg.norm(a1), 1.0)
     assert not np.array_equal(a1, b)
+
+
+_APPENDER = """
+import sys, time
+from pathlib import Path
+from cti2stix.llm import ResponseCache, _cache_key
+
+path, tag, go = sys.argv[1], sys.argv[2], Path(sys.argv[3])
+cache = ResponseCache(path)
+deadline = time.monotonic() + 30
+while not go.exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+for i in range(200):
+    prompt = f"{tag}-{i}"
+    cache.put_completion(_cache_key("completion", "m", prompt), "m", prompt,
+                         prompt + "x" * (70_000 if i % 10 == 0 else 100))
+"""
+
+
+def test_two_processes_append_to_one_cache(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    go = tmp_path / "go"
+    src = str(Path(cti2stix.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    children = [subprocess.Popen([sys.executable, "-c", _APPENDER, str(path), tag, str(go)],
+                                 env=env, stderr=subprocess.PIPE, text=True)
+                for tag in ("a", "b")]
+    go.touch()
+    for child in children:
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+
+    replay = ReplayProvider(path, ProviderConfig(completion_model="m"))
+    for tag in ("a", "b"):
+        for i in range(200):
+            prompt = f"{tag}-{i}"
+            expected = prompt + "x" * (70_000 if i % 10 == 0 else 100)  # 20 over 64 KB each
+            assert replay.complete(CompletionRequest(prompt)) == expected
+    assert len(path.read_bytes().splitlines()) == 400
