@@ -37,7 +37,7 @@ from typing import Any, Iterable, Sequence
 from .audit import AuditTrail, ask
 from .ingest import Report, collapse_whitespace, segment_sentences
 from .iocs import ioc_entities
-from .llm import ProviderConfig, context_budget, estimate_tokens
+from .llm import ProviderConfig, context_budget, estimate_tokens, tokens_for_counts
 from .stix import (
     DEFAULT_NAMESPACE_SEED,
     EntityKind,
@@ -181,17 +181,21 @@ class EntityPipelineResult:
 def _split_oversized(piece: str, budget: int) -> list[str]:
     """Split one over-budget sentence at word boundaries (whitespace stays
     attached to the preceding word so concatenation is lossless)."""
-    tokens = re.findall(r"\S+\s*|\s+", piece)
     out: list[str] = []
-    current = ""
-    for token in tokens:
-        if current and estimate_tokens(current + token) > budget:
-            out.append(current)
-            current = token
-        else:
-            current += token
+    current: list[str] = []
+    words = chars = 0
+    # every token but a leading blank one is one word and follows
+    # whitespace, so joining tokens never merges two words
+    for token in re.findall(r"\S+\s*|\s+", piece):
+        token_words = 0 if token[0].isspace() else 1
+        if current and tokens_for_counts(words + token_words, chars + len(token)) > budget:
+            out.append("".join(current))
+            current, words, chars = [], 0, 0
+        current.append(token)
+        words += token_words
+        chars += len(token)
     if current:
-        out.append(current)
+        out.append("".join(current))
     # a single word can still exceed the budget; cut it by characters
     final: list[str] = []
     for part in out:
@@ -207,30 +211,37 @@ def chunk_text(text: str, budget: int) -> list[str]:
     """Greedy sentence-boundary chunks of at most *budget* estimated tokens.
 
     Chunks concatenate back to the input exactly.  A single sentence larger
-    than the budget is split at word boundaries as a last resort.
+    than the budget is split at word boundaries as a last resort.  Word and
+    character counts of the chunk being built are kept as it grows, so the
+    cost is linear in the length of *text*.
     """
     if budget <= 0:
         raise ValueError("chunk budget must be positive")
     if not text:
         return []
-    sentences = segment_sentences(text)
     chunks: list[str] = []
-    current = ""
-    for sentence in sentences:
+    current: list[str] = []
+    words = chars = 0
+    # every sentence but the first starts after whitespace, so joining
+    # sentences never merges two words and the counts simply add up
+    for sentence in segment_sentences(text):
         piece = sentence.text
-        if estimate_tokens(piece) > budget:
+        piece_words = len(piece.split())
+        if tokens_for_counts(piece_words, len(piece)) > budget:
             if current:
-                chunks.append(current)
-                current = ""
+                chunks.append("".join(current))
+                current, words, chars = [], 0, 0
             chunks.extend(_split_oversized(piece, budget))
             continue
-        if current and estimate_tokens(current + piece) > budget:
-            chunks.append(current)
-            current = piece
+        if current and tokens_for_counts(words + piece_words, chars + len(piece)) > budget:
+            chunks.append("".join(current))
+            current, words, chars = [piece], piece_words, len(piece)
         else:
-            current += piece
+            current.append(piece)
+            words += piece_words
+            chars += len(piece)
     if current:
-        chunks.append(current)
+        chunks.append("".join(current))
     return chunks
 
 
@@ -413,13 +424,15 @@ def extract_relations(
     """One direct relation question per ordered pair with a non-empty
     admissible kind set; answers outside that set parse to none with a
     warning.  With several contexts (ablated preprocessing) the first
-    non-none answer wins."""
+    non-none answer wins.  Without explicit *pairs* only the admissible
+    ordered pairs of *entities* are enumerated; an explicit pair with no
+    admissible kind is recorded as skipped."""
     if pairs is None:
         pairs = [
             (a, b)
             for a in entities
             for b in entities
-            if a.id != b.id
+            if a.id != b.id and admissible_relations(a.kind, b.kind)
         ]
     answers: list[RelationAnswer] = []
     for a, b in pairs:

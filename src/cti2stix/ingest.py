@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import html
 import logging
 import re
+import string
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Union
 from urllib.parse import urlparse
@@ -33,6 +34,10 @@ logger = logging.getLogger(__name__)
 
 _SENTENCE_PUNCT = ".!?"
 _CLOSER_CHARS = "\"')]”’»"
+# a punctuation run that whitespace or the end of the text follows, maybe
+# after closers; at any other run _is_boundary finds a mid-token period
+_PUNCT_RUN = re.compile(f"[{re.escape(_SENTENCE_PUNCT)}]+[{re.escape(_CLOSER_CHARS)}]*(?!\\S)")
+_BLANK_LINE = re.compile(r"\n[ \t\r]*\n\s*")
 _OPENER_CHARS = "\"'“‘([«"
 
 # Tokens before a period that end an abbreviation, not a sentence.
@@ -132,38 +137,63 @@ class FetchResult:
     text: str
 
 
+FETCH_MAX_BYTES = 16 * 1024 * 1024
+
+
 def fetch(
     url: str,
     timeout: float = 30.0,
     max_redirects: int = 10,
     user_agent: str = "cti2stix/0.1",
+    max_bytes: int = FETCH_MAX_BYTES,
 ) -> FetchResult:
-    """GET a report URL with bounded redirects and a strict timeout."""
-    session = requests.Session()
-    session.max_redirects = max_redirects
+    """GET a report URL with bounded redirects, a strict timeout and a cap
+    of *max_bytes* on the (decompressed) body."""
     try:
-        resp = session.get(
-            url,
-            timeout=timeout,
-            headers={"User-Agent": user_agent},
-            allow_redirects=True,
-        )
+        with requests.Session() as session:
+            session.max_redirects = max_redirects
+            with session.get(
+                url,
+                timeout=timeout,
+                headers={"User-Agent": user_agent},
+                allow_redirects=True,
+                stream=True,
+            ) as resp:
+                if resp.status_code != 200:
+                    raise FetchError(url, f"HTTP {resp.status_code}")
+                body = bytearray()
+                for chunk in resp.iter_content(64 * 1024):
+                    body += chunk
+                    if len(body) > max_bytes:
+                        raise FetchError(url, f"body exceeds the {max_bytes}-byte limit")
+                return FetchResult(
+                    url=url,
+                    final_url=resp.url,
+                    content_type=resp.headers.get("Content-Type", ""),
+                    text=_decode_body(bytes(body), resp.encoding),
+                )
     except requests.TooManyRedirects:
         raise FetchError(url, f"more than {max_redirects} redirects")
     except requests.RequestException as exc:
         raise FetchError(url, str(exc))
-    if resp.status_code != 200:
-        raise FetchError(url, f"HTTP {resp.status_code}")
-    return FetchResult(
-        url=url,
-        final_url=resp.url,
-        content_type=resp.headers.get("Content-Type", ""),
-        text=resp.text,
-    )
+
+
+def _decode_body(body: bytes, encoding: str | None) -> str:
+    """*body* decoded as ``requests.Response.text`` decodes it: the charset
+    of the headers, else the detected one, with undecodable bytes replaced."""
+    if not body:
+        return ""
+    if encoding is None:
+        chardet = requests.compat.chardet
+        encoding = chardet.detect(body)["encoding"] if chardet is not None else "utf-8"
+    try:
+        return str(body, encoding or "utf-8", errors="replace")
+    except (LookupError, TypeError):
+        return str(body, errors="replace")
 
 
 # ---------------------------------------------------------------------------
-# a minimal DOM + CSS-ish selectors on top of html.parser
+# HTML tokenizer and a minimal DOM with CSS-ish selectors
 
 _VOID_TAGS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -173,11 +203,49 @@ _VOID_TAGS = {
 _SKIP_TAGS = {"script", "style", "nav", "noscript", "template"}
 _BLOCK_TAGS = {"h1", "h2", "h3", "h4", "h5", "h6", "p", "li", "td", "th"}
 
+# The markup grammar is html.parser's tolerant one, so the tree is the one
+# that parser built.  A bare start tag or an end tag is matched in one go;
+# everything else starting at "<" goes through the slower patterns below.
+_TOKEN = re.compile(r"<(?:([a-zA-Z][^\t\n\r\f />\x00]*)>|/\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>)?")
+_START_TAG = re.compile(r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*       # tag name
+  (?:[\s/]*                          # optional whitespace before attribute name
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
+      (?:\s*=+\s*                    # value indicator
+        (?:'[^']*'                   # single-quoted value
+          |"[^"]*"                   # double-quoted value
+          |(?!['"])[^>\s]*           # bare value
+         )
+        \s*
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*
+""", re.VERBOSE)
+_TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTRIBUTE = re.compile(
+    r"((?<=['\"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*"
+    r"('[^']*'|\"[^\"]*\"|(?!['\"])[^>\s]*))?(?:\s|/(?!>))*")
+_ASCII_LETTERS = frozenset(string.ascii_letters)
+# a start tag stops short of its ">" at one of these only when it is cut off
+_UNFINISHED_TAG = _ASCII_LETTERS | {"=", "/"}
+_COMMENT_END = re.compile(r"--\s*>")
+_SECTION_NAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+_SECTION_ENDS = {
+    **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"), re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),
+}
+# case-insensitive in ASCII only, like the end-tag pattern that has to agree
+_RAW_TEXT_END = {
+    tag: re.compile(r"</\s*" + "".join(f"[{c}{c.upper()}]" for c in tag) + r"\s*>")
+    for tag in ("script", "style")
+}
+
 
 class _Element:
     __slots__ = ("tag", "attrs", "children", "parent")
 
-    def __init__(self, tag: str, attrs: dict[str, str], parent: "_Element | None"):
+    def __init__(self, tag: str, attrs: dict[str, str | None], parent: "_Element | None"):
         self.tag = tag
         self.attrs = attrs
         self.children: list[Union[_Element, str]] = []
@@ -209,34 +277,158 @@ class _Element:
         return "".join(parts)
 
 
-class _DomBuilder(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.root = _Element("#document", {}, None)
-        self._stack = [self.root]
+def _start_tag(markup: str, i: int) -> tuple[int, str, dict[str, str | None], bool]:
+    """The start tag at *i* that the bare-tag pattern did not match, as
+    ``(end, tag, attrs, self_closing)``; *tag* is empty when the markup there
+    is junk that stands as raw text, and *end* is -1 when the tag is cut off
+    by the end of the input."""
+    j = _START_TAG.match(markup, i).end()
+    after = markup[j:j + 1]
+    if after == ">":
+        end = j + 1
+    elif markup.startswith("/>", j):
+        end = j + 2
+    elif not after or after in _UNFINISHED_TAG:
+        return -1, "", {}, False
+    else:
+        end = j
+    name = _TAG_NAME.match(markup, i + 1)
+    k = name.end()
+    attrs: dict[str, str | None] = {}
+    while k < end:
+        m = _ATTRIBUTE.match(markup, k)
+        if not m:
+            break
+        key, rest, value = m.group(1, 2, 3)
+        if not rest:
+            value = None
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        if value:
+            value = html.unescape(value)
+        attrs[key.lower()] = value
+        k = m.end()
+    close = markup[k:end].strip()
+    if close != ">" and close != "/>":
+        return end, "", {}, False
+    return end, name.group(1).lower(), attrs, close == "/>"
 
-    def handle_starttag(self, tag, attrs):
-        element = _Element(tag, dict(attrs), self._stack[-1])
-        self._stack[-1].children.append(element)
-        if tag not in _VOID_TAGS:
-            self._stack.append(element)
 
-    def handle_endtag(self, tag):
-        for i in range(len(self._stack) - 1, 0, -1):
-            if self._stack[i].tag == tag:
-                del self._stack[i:]
-                break
-
-    def handle_data(self, data):
-        if data:
-            self._stack[-1].children.append(data)
+def _markup_end(markup: str, i: int) -> int:
+    """End of the comment, declaration or processing instruction at *i*
+    (none of them adds to the tree), or -1 when it runs to the end of the
+    input."""
+    if markup.startswith("<!--", i):
+        m = _COMMENT_END.search(markup, i + 4)
+        return m.end() if m else -1
+    if markup.startswith("<![", i):
+        m = _SECTION_NAME.match(markup, i + 3)
+        if m is not None and m.end() == len(markup):
+            return -1
+        close = _SECTION_ENDS.get(m.group().strip().lower()) if m else None
+        if close is not None:
+            m = close.search(markup, i + 3)
+            return m.end() if m else -1
+        # a missing or unknown keyword makes a bogus comment, as in HTML5
+    elif markup[i:i + 9].lower() == "<!doctype":
+        gt = markup.find(">", i + 9)
+        return gt + 1 if gt >= 0 else -1
+    gt = markup.find(">", i + 2)
+    return gt + 1 if gt >= 0 else -1
 
 
 def parse_html(markup: str) -> _Element:
-    builder = _DomBuilder()
-    builder.feed(markup)
-    builder.close()
-    return builder.root
+    """Element tree of *markup*, built in one left-to-right pass.
+
+    The grammar is html.parser's: tag and attribute names lowercased,
+    attribute values unquoted and unescaped, void tags never opened, the text
+    of ``script`` and ``style`` kept raw up to their end tag, other text
+    unescaped, comments, declarations and processing instructions dropped,
+    and a start tag ending in ``/>`` opened and closed at once.  An end tag
+    closes the innermost open element of its name together with everything
+    opened inside it; an end tag with no open element of its name is ignored.
+
+    End of input: when a tag, comment, declaration, processing instruction or
+    the raw text of a ``script``/``style`` element runs to the end of the
+    input, the rest of the input, from where it starts, is text of the
+    innermost open element (raw inside ``script``/``style``, unescaped
+    elsewhere).  Scanning resumes after each construct and never restarts
+    from an earlier "<", so the time grows linearly with the input.
+    """
+    root = node = _Element("#document", {}, None)
+    open_count: dict[str, int] = {}
+    unescape = html.unescape
+    n = len(markup)
+    pos = 0
+    while pos < n:
+        m = _TOKEN.search(markup, pos)
+        i = m.start() if m else n
+        if i > pos:
+            text = markup[pos:i]
+            if "&" in text:
+                text = unescape(text)
+            if text:
+                node.children.append(text)
+        if m is None:
+            break
+        kind = m.lastindex
+        if kind == 1:
+            tag, attrs, self_closing, pos = m.group(1).lower(), {}, False, m.end()
+        elif kind == 2 or markup.startswith("</", i):
+            if kind == 2:
+                tag, pos = m.group(2).lower(), m.end()
+            else:  # junk after the name, or no name: then a bogus comment
+                gt = markup.find(">", i + 2)
+                if gt < 0:
+                    node.children.append(unescape(markup[i:]))
+                    break
+                name = _TAG_NAME.match(markup, i + 2)
+                tag, pos = (name.group(1).lower() if name else ""), gt + 1
+            if open_count.get(tag):
+                while True:
+                    closed = node.tag
+                    open_count[closed] -= 1
+                    node = node.parent
+                    if closed == tag:
+                        break
+            continue
+        elif markup[i + 1:i + 2] in _ASCII_LETTERS:
+            pos, tag, attrs, self_closing = _start_tag(markup, i)
+            if pos < 0:
+                node.children.append(unescape(markup[i:]))
+                break
+            if not tag:
+                node.children.append(markup[i:pos])
+                continue
+        elif markup.startswith("<!", i) or markup.startswith("<?", i):
+            pos = _markup_end(markup, i)
+            if pos < 0:
+                node.children.append(unescape(markup[i:]))
+                break
+            continue
+        else:
+            node.children.append("<")
+            pos = i + 1
+            continue
+
+        element = _Element(tag, attrs, node)
+        node.children.append(element)
+        if self_closing or tag in _VOID_TAGS:
+            continue
+        node = element
+        open_count[tag] = open_count.get(tag, 0) + 1
+        raw_end = _RAW_TEXT_END.get(tag)
+        if raw_end is not None:
+            m = raw_end.search(markup, pos)
+            stop = m.start() if m else n
+            if stop > pos:
+                node.children.append(markup[pos:stop])
+            if m is None:
+                break
+            open_count[tag] -= 1
+            node = node.parent
+            pos = m.end()
+    return root
 
 
 @dataclass(frozen=True)
@@ -311,6 +503,22 @@ def _blocks_under(element: _Element) -> list[str]:
     return blocks
 
 
+def _first_text(root: _Element, tag: str) -> str:
+    """Collapsed text of the first *tag* element, in document order, whose
+    text is not blank.  Every element inside a blank one is blank too, so
+    its subtree is skipped and nested elements cost one visit each."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.tag == tag:
+            text = collapse_whitespace(node.text())
+            if text:
+                return text
+            continue
+        stack.extend(c for c in reversed(node.children) if isinstance(c, _Element))
+    return ""
+
+
 def extract_article(
     markup: str,
     url: str = "",
@@ -324,17 +532,7 @@ def extract_article(
     survive into segmentation.
     """
     root = parse_html(markup)
-
-    title = ""
-    for node in select(root, "title"):
-        title = collapse_whitespace(node.text())
-        if title:
-            break
-    if not title:
-        for node in select(root, "h1"):
-            title = collapse_whitespace(node.text())
-            if title:
-                break
+    title = _first_text(root, "title") or _first_text(root, "h1")
 
     plugin = next((p for p in plugins if p.claims(url)), None)
     blocks: list[str] = []
@@ -415,7 +613,7 @@ def _is_boundary(text: str, i: int) -> int:
 
 def _blank_line_starts(text: str) -> list[int]:
     starts = []
-    for m in re.finditer(r"\n[ \t\r]*\n\s*", text):
+    for m in _BLANK_LINE.finditer(text):
         if m.end() < len(text):
             starts.append(m.end())
     return starts
@@ -432,18 +630,14 @@ def segment_sentences(text: str) -> list[Sentence]:
     if not text:
         return []
     starts: set[int] = set(_blank_line_starts(text))
-    i = 0
-    while i < len(text):
-        if text[i] in _SENTENCE_PUNCT:
-            nxt = _is_boundary(text, i)
-            if nxt > 0:
-                starts.add(nxt)
-                i = nxt
-                continue
-            while i < len(text) and text[i] in _SENTENCE_PUNCT:
-                i += 1
-            continue
-        i += 1
+    pos = 0
+    while (m := _PUNCT_RUN.search(text, pos)) is not None:
+        nxt = _is_boundary(text, m.start())
+        if nxt > 0:
+            starts.add(nxt)
+            pos = nxt
+        else:
+            pos = m.end()
 
     ordered = sorted(s for s in starts if 0 < s < len(text))
     bounds = [0] + ordered + [len(text)]

@@ -38,7 +38,6 @@ logger = logging.getLogger(__name__)
 # (status, parsed JSON body) <- (url, payload, headers, timeout)
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
-_WORD_RE = re.compile(r"\S+")
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
 
@@ -71,10 +70,13 @@ def estimate_tokens(text: str) -> int:
     for empty text, never decreases when text is extended, and is subadditive
     under concatenation.
     """
-    if not text:
-        return 0
-    words = len(_WORD_RE.findall(text))
-    return max((4 * words + 2) // 3, (len(text) + 7) // 8)
+    return tokens_for_counts(len(text.split()), len(text))
+
+
+def tokens_for_counts(words: int, chars: int) -> int:
+    """:func:`estimate_tokens` of a text of *chars* characters that holds
+    *words* whitespace-separated words."""
+    return max((4 * words + 2) // 3, (chars + 7) // 8)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 relation queries, and the assembled partial bundle."""
 
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,93 @@ def test_chunk_rejects_nonpositive_budget():
 @given(st.text(max_size=400), st.integers(min_value=8, max_value=64))
 def test_chunks_always_concatenate_to_input(text, budget):
     assert "".join(chunk_text(text, budget)) == text
+
+
+def reference_estimate_tokens(text: str) -> int:
+    """``estimate_tokens`` as first written, counting words with a regex."""
+    if not text:
+        return 0
+    words = len(re.findall(r"\S+", text))
+    return max((4 * words + 2) // 3, (len(text) + 7) // 8)
+
+
+def reference_split_oversized(piece: str, budget: int) -> list[str]:
+    """``_split_oversized`` as first written: one estimate of the whole
+    chunk so far per word."""
+    tokens = re.findall(r"\S+\s*|\s+", piece)
+    out: list[str] = []
+    current = ""
+    for token in tokens:
+        if current and reference_estimate_tokens(current + token) > budget:
+            out.append(current)
+            current = token
+        else:
+            current += token
+    if current:
+        out.append(current)
+    final: list[str] = []
+    for part in out:
+        while reference_estimate_tokens(part) > budget and len(part) > 1:
+            cut = max(1, len(part) // 2)
+            final.append(part[:cut])
+            part = part[cut:]
+        final.append(part)
+    return [p for p in final if p]
+
+
+def reference_chunk_text(text: str, budget: int) -> list[str]:
+    """``chunk_text`` as first written: one estimate of the whole chunk so
+    far per sentence, so O(text x budget)."""
+    if not text:
+        return []
+    chunks: list[str] = []
+    current = ""
+    for sentence in segment_sentences(text):
+        piece = sentence.text
+        if reference_estimate_tokens(piece) > budget:
+            if current:
+                chunks.append(current)
+                current = ""
+            chunks.extend(reference_split_oversized(piece, budget))
+            continue
+        if current and reference_estimate_tokens(current + piece) > budget:
+            chunks.append(current)
+            current = piece
+        else:
+            current += piece
+    if current:
+        chunks.append(current)
+    return chunks
+
+
+# sentences that end glued to the next one ("a.B"), blank pieces, long words
+_CHUNK_TEXT = st.lists(
+    st.one_of(
+        st.text(st.sampled_from(list("ab .!?\n\t\xa0\u2028\"')")), max_size=30),
+        st.sampled_from(["Word. ", "Next sentence here. ", "x" * 90, "\n\n", " " * 40, "e.g. ", "A."]),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHUNK_TEXT | st.text(max_size=300), st.integers(min_value=1, max_value=40))
+def test_chunk_text_matches_reference(text, budget):
+    assert chunk_text(text, budget) == reference_chunk_text(text, budget)
+
+
+@given(st.text(st.characters() | st.sampled_from(list(" \t\n\x0b\x1c\x85\xa0\u2028\u3000"))))
+def test_estimate_tokens_matches_regex_word_count(text):
+    assert estimate_tokens(text) == reference_estimate_tokens(text)
+
+
+def test_chunk_text_is_linear_in_unpunctuated_words():
+    text = " ".join(f"w{i}" for i in range(80_000))
+    start = time.perf_counter()
+    chunks = chunk_text(text, 3000)
+    assert time.perf_counter() - start < 2.0
+    assert "".join(chunks) == text
+    assert all(estimate_tokens(chunk) <= 3000 for chunk in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +361,31 @@ def test_malware_malware_pair_issues_no_prompt():
     provider = scripted([])
     answers = extract_relations(["ctx"], [a, b], provider, EntityPipelineConfig(), audit())
     assert answers == []
+    assert provider.prompts == []
+
+
+def test_relations_enumerate_only_admissible_pairs():
+    malware = [StixEntity(EntityKind.MALWARE, f"Strain{i}") for i in range(30)]
+    tool = StixEntity(EntityKind.TOOL, "QuickConsole")
+    provider = scripted([(re.compile("between"), "uses")])
+    trail = audit()
+    answers = extract_relations(["ctx"], [*malware, tool], provider, EntityPipelineConfig(), trail)
+    # 30 x 29 malware pairs and the 30 tool -> malware pairs have no admissible kind
+    assert not [e for e in trail.events if e.data.get("outcome") == "skipped-no-admissible-kinds"]
+    assert provider.prompts == [
+        RELATION_PROMPT.format(context="ctx", source=m.name, target="QuickConsole", options="uses")
+        for m in malware
+    ]
+    assert [a.kind for a in answers] == [RelationKind.USES] * 30
+
+
+def test_explicit_inadmissible_pair_is_still_recorded_as_skipped():
+    a = StixEntity(EntityKind.MALWARE, "A")
+    b = StixEntity(EntityKind.MALWARE, "B")
+    provider = scripted([])
+    trail = audit()
+    assert extract_relations(["ctx"], [a, b], provider, EntityPipelineConfig(), trail, pairs=[(a, b)]) == []
+    assert [e.data["outcome"] for e in trail.events] == ["skipped-no-admissible-kinds"]
     assert provider.prompts == []
 
 

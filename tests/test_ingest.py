@@ -1,8 +1,16 @@
 """Ingestion tests: segmentation oracle, span tiling, HTML extraction, plugins."""
 
+import ast
+import inspect
+import io
 import re
+import time
+from html import unescape
+from html.parser import HTMLParser
+from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -130,11 +138,44 @@ def test_partition_property(text):
     for i, s in enumerate(sentences):
         assert (s.index, s.start) == (i, cursor)
         assert s.end > s.start
+        # chunk_text adds word counts of sentences: no word spans two of them
+        assert i == 0 or text[s.start - 1].isspace()
         cursor = s.end
     if text:
         assert cursor == len(text)
     else:
         assert sentences == []
+
+
+def reference_segment_starts(text: str) -> list[int]:
+    """Sentence starts from the character-by-character scan the segmenter
+    first used: every punctuation run is offered to ``_is_boundary``."""
+    starts = set(ingest._blank_line_starts(text))
+    i = 0
+    while i < len(text):
+        if text[i] in ingest._SENTENCE_PUNCT:
+            nxt = ingest._is_boundary(text, i)
+            if nxt > 0:
+                starts.add(nxt)
+                i = nxt
+                continue
+            while i < len(text) and text[i] in ingest._SENTENCE_PUNCT:
+                i += 1
+            continue
+        i += 1
+    return sorted(s for s in starts if 0 < s < len(text))
+
+
+_PUNCTUATED = st.lists(
+    st.sampled_from(list("aZ1 .!?\n\t\xa0\"')]”’»“‘([«") + ["e.g", "Dr", "U.S", "fig"]), max_size=80,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PUNCTUATED | st.text(max_size=200))
+@example(" ".join(FIFTY_SENTENCES))
+def test_segmentation_matches_character_scan(text):
+    assert [s.start for s in segment_sentences(text)][1:] == reference_segment_starts(text)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +316,217 @@ def test_extract_article_survives_tag_soup(markup):
         assert block and block == collapse_whitespace(block)
 
 
+# ---------------------------------------------------------------------------
+# the tokenizer against html.parser
+
+
+class _ReferenceDomBuilder(HTMLParser):
+    """The tree builder ``parse_html`` replaced: html.parser's tokenizer
+    feeding the same ``_Element`` tree with the same stray-end-tag rule."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.root = ingest._Element("#document", {}, None)
+        self._stack = [self.root]
+
+    def handle_starttag(self, tag, attrs):
+        element = ingest._Element(tag, dict(attrs), self._stack[-1])
+        self._stack[-1].children.append(element)
+        if tag not in ingest._VOID_TAGS:
+            self._stack.append(element)
+
+    def handle_endtag(self, tag):
+        for i in range(len(self._stack) - 1, 0, -1):
+            if self._stack[i].tag == tag:
+                del self._stack[i:]
+                break
+
+    def handle_data(self, data):
+        if data:
+            self._stack[-1].children.append(data)
+
+
+def reference_parse_html(markup: str, end_rule: bool = False) -> ingest._Element:
+    """html.parser's tree of *markup*.  With *end_rule*, the input its
+    ``feed`` leaves unparsed becomes text of the innermost open element (raw
+    inside script/style), which is ``parse_html``'s end-of-input rule, in
+    place of what its ``close`` does."""
+    builder = _ReferenceDomBuilder()
+    builder.feed(markup)
+    if not end_rule:
+        builder.close()
+    elif builder.rawdata:
+        rest = builder.rawdata
+        builder.handle_data(rest if builder.cdata_elem else unescape(rest))
+    return builder.root
+
+
+def runs_to_end_of_input(markup: str) -> bool:
+    """True when html.parser's ``feed`` stops short of the end of *markup*
+    at a construct that runs to the end of the input: the input it keeps
+    for ``close`` starts with "<" (a tag, comment, declaration or processing
+    instruction) or lies inside an unclosed script/style element.  Also true
+    when ``feed`` raises, which it does on a ``<![`` marked section with a
+    missing or unknown keyword.  These are the inputs on which ``parse_html``
+    may differ from html.parser."""
+    builder = _ReferenceDomBuilder()
+    try:
+        builder.feed(markup)
+    except AssertionError:
+        return True
+    rest = builder.rawdata
+    return bool(rest) and (rest[0] == "<" or builder.cdata_elem is not None)
+
+
+def tree(root: ingest._Element) -> list:
+    """Every element in document order as (tag, attrs, children), where the
+    children are merged text runs and the tags of child elements."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        children: list = []
+        for child in node.children:
+            if not isinstance(child, str):
+                children.append(("element", child.tag))
+            elif children and isinstance(children[-1], str):
+                children[-1] += child
+            elif child:
+                children.append(child)
+        out.append((node.tag, node.attrs, children))
+        stack.extend(c for c in reversed(node.children) if not isinstance(c, str))
+    return out
+
+
+def reference_extract_article(root: ingest._Element) -> tuple[str, str]:
+    """``extract_article`` without plugins as first written, over *root*."""
+    title = ""
+    for node in select(root, "title"):
+        title = collapse_whitespace(node.text())
+        if title:
+            break
+    if not title:
+        for node in select(root, "h1"):
+            title = collapse_whitespace(node.text())
+            if title:
+                break
+    return title, "\n\n".join(ingest._blocks_under(root))
+
+
+_MARKUP_EDGES = [
+    "<a href='x&amp;y' B=c d>t</A>", "<p>x<script>a<b></SCRIPT >y</p>", "<br/><p/>q",
+    "<a\x00b>c", "<![CDATA[x]]>z", "<!DOCTYPE html>a", "a < b &amp; c", "</>x", "</ x>y",
+    "</a b>z", "<p>a &amp", "<a b='c'd=e f = \"g\">h", "<style>x</style\t><p>y",
+    "<script>x</ſcript></script>z", "<p>u<!--c-- >v", "<?pi x?>w", "<li>&#1;&#65;&notit;",
+    "<a&amp;\x00b>c", "<![if !supportLists]>d<![endif]>",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SOUP, max_size=6).map("".join))
+@example(SAMPLE_HTML)
+@example(deeply_nested_html(5000, "The <b>inner</b> paragraph."))
+@example("".join(_MARKUP_EDGES))
+def test_parse_html_matches_html_parser(markup):
+    if runs_to_end_of_input(markup):
+        return  # test_end_of_input_rule_matches_html_parser_up_to_the_cut
+    expected = reference_parse_html(markup)
+    root = parse_html(markup)
+    assert tree(root) == tree(expected)
+    assert extract_article(markup) == reference_extract_article(expected)
+
+
+@pytest.mark.parametrize("markup", _MARKUP_EDGES)
+def test_markup_edge_cases_match_html_parser(markup):
+    assert not runs_to_end_of_input(markup)
+    assert tree(parse_html(markup)) == tree(reference_parse_html(markup))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SOUP, max_size=6).map("".join))
+@example("<p>Cut off <a href='/x")
+@example("<p>x<script>var a = '<b>'")
+def test_end_of_input_rule_matches_html_parser_up_to_the_cut(markup):
+    try:
+        expected = reference_parse_html(markup, end_rule=True)
+    except AssertionError:
+        return  # test_rejected_marked_section_is_a_bogus_comment
+    assert tree(parse_html(markup)) == tree(expected)
+
+
+@pytest.mark.parametrize(
+    "markup,body",
+    [
+        ("<p>Intro</p><p>Cut off <a href='/x", "Intro\n\nCut off <a href='/x"),
+        ("<p>One &amp; two</p><p>Three <!-- open <p>Four</p>", "One & two\n\nThree <!-- open <p>Four</p>"),
+        ("<p>Text</p><p>More</", "Text\n\nMore</"),
+        ("<li>A <?php echo 1 &lt; 2", "A <?php echo 1 < 2"),
+        ("<td>x <!DOCTYPE", "x <!DOCTYPE"),
+        ("<td>y <![CDATA[z</td><td>w</td>", "y <![CDATA[z</td><td>w</td>"),
+        ("<p>1 &lt; 2 <", "1 < 2 <"),
+        ("<p>a <b title='x>b</b> c</p>", "a <b title='x>b</b> c</p>"),
+    ],
+)
+def test_construct_running_to_end_of_input_is_text(markup, body):
+    assert runs_to_end_of_input(markup)
+    assert extract_article(markup) == ("", body)
+
+
+def test_unclosed_script_keeps_the_rest_as_raw_text():
+    root = parse_html("<p>Hi<script>if (a &lt; b) x = '<b>'")
+    assert select(root, "script")[0].children == ["if (a &lt; b) x = '<b>'"]
+
+
+@pytest.mark.parametrize("markup", ["<p>a<![foo]>b</p>", "<p>a<![ x]>b</p>", "<p>a<![1]>b</p>"])
+def test_rejected_marked_section_is_a_bogus_comment(markup):
+    with pytest.raises(AssertionError):
+        reference_parse_html(markup)
+    assert extract_article(markup) == ("", "ab")
+
+
+@pytest.mark.parametrize(
+    "unit,repeats",
+    [("<a ", 200_000), ("<!--", 200_000), ("</", 200_000), ("<!", 200_000), ("<?", 200_000),
+     # nested blank titles and stray end tags under deep nesting
+     ("<title> ", 50_000), ("<div></p>", 50_000)],
+)
+def test_extract_article_is_linear_on_malformed_input(unit, repeats):
+    markup = unit * repeats
+    start = time.perf_counter()
+    extract_article(markup)
+    assert time.perf_counter() - start < 2.0
+
+
+def html_parser_imports(tree: ast.AST) -> list[int]:
+    """Lines of *tree* that import ``html.parser`` or a name from it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "html.parser" or n.startswith("html.parser.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_imports_html_parser():
+    package = Path(ingest.__file__).resolve().parent
+    offenders = {}
+    for path in sorted(package.rglob("*.py")):
+        lines = html_parser_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
+
+
+def test_html_parser_guard_finds_imports():
+    source = "import html\nimport html.parser\nfrom html import parser\nfrom html.parser import HTMLParser\n"
+    assert html_parser_imports(ast.parse(source)) == [2, 3, 4]
+
+
 _WHITESPACE_HEAVY = st.text(
     st.characters()
     | st.sampled_from(list(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u200b\u2028\u3000\ufeff"))
@@ -332,47 +584,104 @@ def test_report_from_html_path(tmp_path):
 
 
 class _FakeResponse:
-    def __init__(self, status_code=200, text="body", url="https://x/final", content_type="text/html"):
+    def __init__(self, status_code=200, body=b"body", url="https://x/final", content_type="text/html",
+                 encoding="utf-8"):
         self.status_code = status_code
-        self.text = text
+        self.body = body
         self.url = url
         self.headers = {"Content-Type": content_type}
+        self.encoding = encoding
+        self.closed = False
+
+    def iter_content(self, chunk_size):
+        for i in range(0, len(self.body), chunk_size):
+            yield self.body[i:i + chunk_size]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.closed = True
+
+
+def fake_sessions(monkeypatch, respond):
+    """Replace ``requests.Session`` with a fake whose ``get`` returns
+    ``respond()``; returns the list of sessions ``fetch`` opens."""
+    opened = []
+
+    class FakeSession:
+        max_redirects = 0
+
+        def __init__(self):
+            self.closed = False
+            opened.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.closed = True
+
+        def get(self, url, timeout, headers, allow_redirects, stream):
+            assert allow_redirects and stream
+            return respond()
+
+    monkeypatch.setattr(ingest.requests, "Session", FakeSession)
+    return opened
 
 
 def test_fetch_success(monkeypatch):
-    class FakeSession:
-        max_redirects = 0
-
-        def get(self, url, timeout, headers, allow_redirects):
-            assert allow_redirects
-            return _FakeResponse(text="<html></html>")
-
-    monkeypatch.setattr(ingest.requests, "Session", FakeSession)
+    response = _FakeResponse(body=b"<html></html>")
+    sessions = fake_sessions(monkeypatch, lambda: response)
     result = fetch("https://x/page")
     assert result.text == "<html></html>"
     assert result.final_url == "https://x/final"
+    assert response.closed and [s.closed for s in sessions] == [True]
 
 
 def test_fetch_http_error(monkeypatch):
-    class FakeSession:
-        max_redirects = 0
-
-        def get(self, url, timeout, headers, allow_redirects):
-            return _FakeResponse(status_code=404)
-
-    monkeypatch.setattr(ingest.requests, "Session", FakeSession)
+    sessions = fake_sessions(monkeypatch, lambda: _FakeResponse(status_code=404))
     with pytest.raises(FetchError, match="HTTP 404") as err:
         fetch("https://x/missing")
     assert err.value.url == "https://x/missing"
+    assert [s.closed for s in sessions] == [True]
 
 
 def test_fetch_redirect_bound(monkeypatch):
-    class FakeSession:
-        max_redirects = 0
+    def loop():
+        raise ingest.requests.TooManyRedirects()
 
-        def get(self, url, timeout, headers, allow_redirects):
-            raise ingest.requests.TooManyRedirects()
-
-    monkeypatch.setattr(ingest.requests, "Session", FakeSession)
+    sessions = fake_sessions(monkeypatch, loop)
     with pytest.raises(FetchError, match="redirects"):
         fetch("https://x/loop", max_redirects=3)
+    assert [s.closed for s in sessions] == [True]
+
+
+def test_fetch_over_cap_body_fails_naming_the_limit(monkeypatch):
+    response = _FakeResponse(body=b"x" * (3 * 64 * 1024 + 1))
+    sessions = fake_sessions(monkeypatch, lambda: response)
+    with pytest.raises(FetchError, match=f"{3 * 64 * 1024}-byte limit"):
+        fetch("https://x/huge", max_bytes=3 * 64 * 1024)
+    assert response.closed and [s.closed for s in sessions] == [True]
+
+
+def test_fetch_default_cap_is_the_module_constant():
+    assert inspect.signature(fetch).parameters["max_bytes"].default == ingest.FETCH_MAX_BYTES
+
+
+@pytest.mark.parametrize(
+    "body,encoding",
+    [
+        ("Über die Kampagne".encode("iso-8859-1"), "ISO-8859-1"),
+        ("Bericht über die Gruppe — Teil 2".encode("utf-8"), None),
+        (b"\xff\xfe broken \xc3", "utf-8"),
+        (b"plain", "no-such-codec"),
+        (b"", None),
+    ],
+)
+def test_fetch_under_cap_decodes_like_requests(monkeypatch, body, encoding):
+    fake_sessions(monkeypatch, lambda: _FakeResponse(body=body, encoding=encoding))
+    reference = requests.Response()
+    reference.raw = io.BytesIO(body)
+    reference.encoding = encoding
+    assert fetch("https://x/page", max_bytes=len(body)).text == reference.text
