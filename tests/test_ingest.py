@@ -1,7 +1,6 @@
 """Ingestion tests: segmentation oracle, span tiling, HTML extraction, plugins."""
 
 import ast
-import inspect
 import io
 import re
 import time
@@ -347,17 +346,20 @@ class _ReferenceDomBuilder(HTMLParser):
 
 
 def reference_parse_html(markup: str, end_rule: bool = False) -> ingest._Element:
-    """html.parser's tree of *markup*.  With *end_rule*, the input its
-    ``feed`` leaves unparsed becomes text of the innermost open element (raw
-    inside script/style), which is ``parse_html``'s end-of-input rule, in
-    place of what its ``close`` does."""
+    """html.parser's tree of *markup*.  With *end_rule*, ``parse_html``'s
+    end-of-input rule takes the place of what its ``close`` does: a construct
+    its ``feed`` leaves unparsed is dropped with the rest of the input, while
+    unclosed script/style text, a lone "<" and text held back for a possible
+    character reference stay text."""
     builder = _ReferenceDomBuilder()
     builder.feed(markup)
+    rest = builder.rawdata
     if not end_rule:
         builder.close()
-    elif builder.rawdata:
-        rest = builder.rawdata
-        builder.handle_data(rest if builder.cdata_elem else unescape(rest))
+    elif builder.cdata_elem:
+        builder.handle_data(rest)
+    elif rest == "<" or rest[:1] != "<":
+        builder.handle_data(unescape(rest))
     return builder.root
 
 
@@ -457,17 +459,19 @@ def test_end_of_input_rule_matches_html_parser_up_to_the_cut(markup):
 @pytest.mark.parametrize(
     "markup,body",
     [
-        ("<p>Intro</p><p>Cut off <a href='/x", "Intro\n\nCut off <a href='/x"),
-        ("<p>One &amp; two</p><p>Three <!-- open <p>Four</p>", "One & two\n\nThree <!-- open <p>Four</p>"),
-        ("<p>Text</p><p>More</", "Text\n\nMore</"),
-        ("<li>A <?php echo 1 &lt; 2", "A <?php echo 1 < 2"),
-        ("<td>x <!DOCTYPE", "x <!DOCTYPE"),
-        ("<td>y <![CDATA[z</td><td>w</td>", "y <![CDATA[z</td><td>w</td>"),
+        ("<p>Intro</p><p>Cut off <a href='/x", "Intro\n\nCut off"),
+        ("<p>One &amp; two</p><p>Three <!-- open <p>Four</p>", "One & two\n\nThree"),
+        ("<p>Keep</p><!-- <script>var leak = 1;</script><style>p {}</style><nav>Menu</nav><p>Gone</p>",
+         "Keep"),
+        ("<p>Text</p><p>More</", "Text\n\nMore"),
+        ("<li>A <?php echo 1 &lt; 2", "A"),
+        ("<td>x <!DOCTYPE", "x"),
+        ("<td>y <![CDATA[z</td><td>w</td>", "y"),
+        ("<p>a <b title='x>b</b> c</p>", "a"),
         ("<p>1 &lt; 2 <", "1 < 2 <"),
-        ("<p>a <b title='x>b</b> c</p>", "a <b title='x>b</b> c</p>"),
     ],
 )
-def test_construct_running_to_end_of_input_is_text(markup, body):
+def test_construct_running_to_end_of_input_is_dropped(markup, body):
     assert runs_to_end_of_input(markup)
     assert extract_article(markup) == ("", body)
 
@@ -658,15 +662,12 @@ def test_fetch_redirect_bound(monkeypatch):
 
 
 def test_fetch_over_cap_body_fails_naming_the_limit(monkeypatch):
+    monkeypatch.setattr(ingest, "FETCH_MAX_BYTES", 3 * 64 * 1024)
     response = _FakeResponse(body=b"x" * (3 * 64 * 1024 + 1))
     sessions = fake_sessions(monkeypatch, lambda: response)
     with pytest.raises(FetchError, match=f"{3 * 64 * 1024}-byte limit"):
-        fetch("https://x/huge", max_bytes=3 * 64 * 1024)
+        fetch("https://x/huge")
     assert response.closed and [s.closed for s in sessions] == [True]
-
-
-def test_fetch_default_cap_is_the_module_constant():
-    assert inspect.signature(fetch).parameters["max_bytes"].default == ingest.FETCH_MAX_BYTES
 
 
 @pytest.mark.parametrize(
@@ -680,8 +681,9 @@ def test_fetch_default_cap_is_the_module_constant():
     ],
 )
 def test_fetch_under_cap_decodes_like_requests(monkeypatch, body, encoding):
+    monkeypatch.setattr(ingest, "FETCH_MAX_BYTES", len(body))
     fake_sessions(monkeypatch, lambda: _FakeResponse(body=body, encoding=encoding))
     reference = requests.Response()
     reference.raw = io.BytesIO(body)
     reference.encoding = encoding
-    assert fetch("https://x/page", max_bytes=len(body)).text == reference.text
+    assert fetch("https://x/page").text == reference.text
