@@ -196,14 +196,6 @@ def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> n
     return np.divide(dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors: the one-by-one case of
-    :func:`cosine_scores`."""
-    rows = np.asarray(b, dtype=np.float64)[np.newaxis]
-    return float(cosine_scores(np.asarray(a, dtype=np.float64)[np.newaxis], rows,
-                               row_norms(rows))[0, 0])
-
-
 def classify_vectors(
     vectors: np.ndarray, catalog: TechniqueCatalog, threshold: float
 ) -> list[list[tuple[str, float, str]]]:
@@ -245,12 +237,8 @@ def classify_vector(
 def detect_explicit_techniques(text: str) -> list[str]:
     """Technique ids written out in the text, collapsed to parents, first
     occurrence order, deduplicated."""
-    seen: list[str] = []
-    for match in TECHNIQUE_ID_RE.finditer(text):
-        parent = parent_technique(match.group(0))
-        if parent not in seen:
-            seen.append(parent)
-    return seen
+    return list(dict.fromkeys(parent_technique(m.group(0))
+                              for m in TECHNIQUE_ID_RE.finditer(text)))
 
 
 def run_attack_pattern_pipeline(
@@ -284,12 +272,7 @@ def run_attack_pattern_pipeline(
         candidates.extend(found)
     audit.record("attack-pattern", "decision", rule="candidates", counts=dict(counts))
 
-    unique_texts: list[str] = []
-    seen_texts: set[str] = set()
-    for c in candidates:
-        if c.text not in seen_texts:
-            seen_texts.add(c.text)
-            unique_texts.append(c.text)
+    unique_texts = list(dict.fromkeys(c.text for c in candidates))
     vectors = np.asarray(provider.embed(unique_texts), dtype=np.float64) if unique_texts else None
     if isinstance(catalog, Future):
         catalog = catalog.result()

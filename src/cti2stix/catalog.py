@@ -22,8 +22,9 @@ place, so concurrent processes share one copy in the page cache; every
 member's CRC-32 is still checked before a catalog is returned.  Because the
 matrix is the file, a catalog file is replaced (written beside it, then
 renamed), never rewritten in place: truncating a mapped file would crash the
-processes reading it.  Files written by earlier versions (``np.savez``,
-compressed or not) still load, with one copy of the matrix.
+processes reading it.  Only files in this layout load: one written by an
+older version (``np.savez``, compressed or not) is refused, and ``cti2stix
+catalog build`` rebuilds it.
 """
 
 from __future__ import annotations
@@ -57,11 +58,9 @@ _PAD_BLOCK = struct.Struct("<HHH")  # id, data size, alignment; zero bytes follo
 _LOCAL_HEADER = struct.Struct("<4s22xHH")  # signature, ..., name length, extra length
 _ZIP64_EXTRA_SIZE = 20  # size block zipfile appends to a local header under force_zip64
 # magic, version and length field, then the longest header np.load reads by default
-_NPY_HEADER_MAX = 12 + 10_000
-_NPY_HEADER_READERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
+_NPY_HEADER_MAX = 10 + 10_000
+_NPY_VERSION = (1, 0)  # the .npy format version save_catalog writes
+_REBUILD = "written by an older version; rebuild it with `cti2stix catalog build`"
 
 
 class CatalogError(ValueError):
@@ -229,10 +228,6 @@ def build_catalog(
         else:
             if cached.content_hash == content_hash and cached.model == model:
                 logger.info("catalog cache hit (%d entries)", len(cached.entries))
-                if not _maps_file(cached.vectors):
-                    # an older file the matrix could not be mapped from
-                    # (misaligned or compressed): rewrite it so later loads map it
-                    save_catalog(cached, cache_path)
                 return cached
             logger.info(
                 "catalog cache stale (model %s vs %s); rebuilding", cached.model, model
@@ -309,22 +304,22 @@ def _write_npy_member(zf: zipfile.ZipFile, fh: Any, name: str, array: np.ndarray
         info.extra = _PAD_BLOCK.pack(_PAD_ID, pad - 4, _ALIGN) + bytes(pad - _PAD_BLOCK.size)
     # force_zip64 as np.savez does: the header length must not depend on size
     with zf.open(info, "w", force_zip64=True) as out:
-        np.lib.format.write_array(out, array, allow_pickle=False)
+        np.lib.format.write_array(out, array, version=_NPY_VERSION, allow_pickle=False)
 
 
 def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
-    """Read a catalog written by :func:`save_catalog`, or by earlier versions
-    (``np.savez``, compressed or not).
+    """Read a catalog written by :func:`save_catalog`.
 
-    The file is mapped read-only and the matrix is a view of the mapping, not
-    a copy; a matrix that is compressed, or not aligned for float64, is copied
-    once.  Every member's CRC-32 is checked against the zip directory on a
-    helper thread while the entries, norms and segments are built, and the
-    catalog is returned only once that check has passed.
+    The file is mapped read-only and the matrix is a view of the mapping,
+    never a copy.  Every member's CRC-32 is checked against the zip directory
+    on a helper thread while the entries, norms and segments are built, and
+    the catalog is returned only once that check has passed.
 
     Raises :class:`CatalogError` when the file is not a catalog, fails its
-    CRC-32 check, holds an object array, or when its matrix is not
-    ``(len(entries), dim)`` as its metadata says.
+    CRC-32 check, holds an object array, when its matrix is not
+    ``(len(entries), dim)`` as its metadata says, or when it was written by
+    an older version (a compressed member, or a matrix not 64-byte aligned):
+    ``cti2stix catalog build`` rebuilds such a file.
     """
     try:
         members = _read_members(path)
@@ -338,16 +333,15 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
         return catalog
     except CatalogError:
         raise
-    except (ValueError, KeyError, TypeError, EOFError, struct.error, zlib.error,
+    except (ValueError, KeyError, TypeError, EOFError, struct.error,
             zipfile.BadZipFile) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
 
 
 def _read_members(path: Union[str, Path]) -> dict[str, tuple[int, Any]]:
-    """Each member's name -> (CRC-32 from the zip directory, uncompressed
-    bytes).  The bytes of a stored member are a view of a read-only mapping
-    of the file, which stays mapped while any view of it is alive; a
-    deflated member is inflated into a copy."""
+    """Each member's name -> (CRC-32 from the zip directory, bytes).  The
+    bytes are a view of a read-only mapping of the file, which stays mapped
+    while any view of it is alive."""
     with open(path, "rb") as fh:
         with zipfile.ZipFile(fh) as zf:
             infos = zf.infolist()
@@ -358,23 +352,13 @@ def _read_members(path: Union[str, Path]) -> dict[str, tuple[int, Any]]:
         if signature != b"PK\x03\x04":
             raise ValueError(f"member {info.filename} has no local header")
         start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(f"member {info.filename} is compressed, so the file was {_REBUILD}")
         data = view[start:start + info.compress_size]
-        if info.compress_type == zipfile.ZIP_DEFLATED:
-            data = zlib.decompress(data, -15)
-        elif info.compress_type != zipfile.ZIP_STORED:
-            raise ValueError(f"member {info.filename} uses compression {info.compress_type}")
         if len(data) != info.file_size:
             raise ValueError(f"member {info.filename} is truncated")
         members[info.filename] = (info.CRC, data)
     return members
-
-
-def _maps_file(array: np.ndarray) -> bool:
-    """Whether *array* is a view of a file mapping made by :func:`_read_members`."""
-    base = array
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
 
 def _check_crcs(members: dict[str, tuple[int, Any]], path: Union[str, Path]) -> None:
@@ -393,9 +377,10 @@ def _catalog_from(members: dict[str, tuple[int, Any]],
         raise CatalogError(
             f"catalog {path}: vectors have shape {vectors.shape}, its metadata says {expected}"
         )
-    if not (vectors.dtype == np.float64 and vectors.flags.c_contiguous
-            and vectors.flags.aligned):
-        vectors = np.array(vectors, dtype=np.float64, order="C")
+    # the mapping starts on a page boundary, so the matrix is 64-byte aligned
+    # in memory exactly when save_catalog put it there in the file
+    if vectors.ctypes.data % _ALIGN:
+        raise CatalogError(f"catalog {path} was {_REBUILD}")
     return TechniqueCatalog(model=meta["model"], content_hash=meta["content_hash"],
                             entries=entries, vectors=vectors)
 
@@ -405,9 +390,9 @@ def _npy_array(data: Any) -> np.ndarray:
     Object arrays are refused, as ``np.load(..., allow_pickle=False)`` does."""
     header = io.BytesIO(data[:_NPY_HEADER_MAX])  # copies the header, not the data
     version = np.lib.format.read_magic(header)
-    if version not in _NPY_HEADER_READERS:
+    if version != _NPY_VERSION:
         raise ValueError(f"unsupported .npy version {version}")
-    shape, fortran_order, dtype = _NPY_HEADER_READERS[version](header)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
     if dtype.hasobject:
         raise ValueError("object arrays are refused")
     array = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=header.tell())

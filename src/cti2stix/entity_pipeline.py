@@ -196,14 +196,16 @@ def _split_oversized(piece: str, budget: int) -> list[str]:
         chars += len(token)
     if current:
         out.append("".join(current))
-    # a single word can still exceed the budget; cut it by characters
+    # a single word can still exceed the budget; cut it into runs of
+    # 8 * budget characters, which hold at most one word and so estimate at
+    # most max(2, budget) tokens
+    step = 8 * budget
     final: list[str] = []
     for part in out:
-        while estimate_tokens(part) > budget and len(part) > 1:
-            cut = max(1, len(part) // 2)
-            final.append(part[:cut])
-            part = part[cut:]
-        final.append(part)
+        if estimate_tokens(part) > budget:
+            final.extend(part[i:i + step] for i in range(0, len(part), step))
+        else:
+            final.append(part)
     return [p for p in final if p]
 
 

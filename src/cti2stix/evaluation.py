@@ -183,24 +183,14 @@ def extracted_names(bundle: StixBundle, kind: str) -> list[str]:
         ]
     else:
         raise ValueError(f"unknown evaluation kind: {kind!r}")
-    seen: list[str] = []
-    for name in names:
-        if name not in seen:
-            seen.append(name)
-    return seen
+    return list(dict.fromkeys(names))
 
 
 def truth_for_kind(gt: GroundTruth, kind: str) -> list[GroundTruthEntity]:
     entries = gt.entities.get(kind, [])
     if kind == "attack_pattern":
-        collapsed: list[GroundTruthEntity] = []
-        seen: set[str] = set()
-        for e in entries:
-            parent = parent_technique(e.name)
-            if parent not in seen:
-                seen.add(parent)
-                collapsed.append(GroundTruthEntity(name=parent))
-        return collapsed
+        parents = dict.fromkeys(parent_technique(e.name) for e in entries)
+        return [GroundTruthEntity(name=parent) for parent in parents]
     return entries
 
 
@@ -315,15 +305,15 @@ def build_relation_examples(
         for p in positives
     }
 
-    pool: list[tuple[str, EntityKind]] = []
-    for kind_name, kind in (
-        ("malware", EntityKind.MALWARE),
-        ("threat_actor", EntityKind.THREAT_ACTOR),
-        ("target", EntityKind.IDENTITY),
-    ):
-        for e in gt.entities.get(kind_name, []):
-            if (e.name, kind) not in pool:
-                pool.append((e.name, kind))
+    pool = list(dict.fromkeys(
+        (e.name, kind)
+        for kind_name, kind in (
+            ("malware", EntityKind.MALWARE),
+            ("threat_actor", EntityKind.THREAT_ACTOR),
+            ("target", EntityKind.IDENTITY),
+        )
+        for e in gt.entities.get(kind_name, [])
+    ))
 
     # a negative is an ordered pair that admits at least one relation kind
     # but has none asserted; the right answer for it is "none"
@@ -410,11 +400,8 @@ def scores_payload(
     subset_ids: Optional[Mapping[str, Sequence[str]]] = None,
 ) -> dict[str, Any]:
     """JSON-ready structure: per-report metrics plus per-kind summaries."""
-    kinds: list[str] = []
-    for report_scores in per_report.values():
-        for kind in report_scores:
-            if kind not in kinds:
-                kinds.append(kind)
+    kinds = list(dict.fromkeys(kind for report_scores in per_report.values()
+                               for kind in report_scores))
 
     aggregate: dict[str, Any] = {}
     for kind in kinds:

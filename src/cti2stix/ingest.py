@@ -24,7 +24,7 @@ import string
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Callable, Container, Iterable, Union
 from urllib.parse import urlparse
 
 import requests
@@ -256,23 +256,25 @@ class _Element:
         return set((self.attrs.get("class") or "").split())
 
     # traversals use explicit stacks (children pushed in reverse to keep
-    # document order) so arbitrarily deep markup cannot hit the recursion limit
+    # document order) so arbitrarily deep markup cannot hit the recursion
+    # limit; *skip* leaves out elements together with everything under them
 
-    def walk(self) -> Iterable["_Element"]:
+    def walk(self, skip: Container["_Element"] = ()) -> Iterable["_Element"]:
         stack: list[_Element] = [self]
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(c for c in reversed(node.children) if isinstance(c, _Element))
+            stack.extend(c for c in reversed(node.children)
+                         if isinstance(c, _Element) and c not in skip)
 
-    def text(self) -> str:
+    def text(self, skip: Container["_Element"] = ()) -> str:
         parts: list[str] = []
         stack: list[Union[_Element, str]] = list(reversed(self.children))
         while stack:
             node = stack.pop()
             if isinstance(node, str):
                 parts.append(node)
-            else:
+            elif node not in skip:
                 stack.extend(reversed(node.children))
         return "".join(parts)
 
@@ -460,19 +462,20 @@ def select(root: _Element, selector: str) -> list[_Element]:
     """Document-order matches for a selector subset: ``tag``, ``#id``,
     ``.class`` (combinable, e.g. ``div.article-body``) and the descendant
     combinator (space)."""
-    chain = _parse_selector(selector)
+    *ancestors, last = _parse_selector(selector)
     out = []
-    for element in root.walk():
-        if element.tag == "#document" or not chain[-1].matches(element):
-            continue
-        remaining = len(chain) - 2
-        node = element.parent
-        while remaining >= 0 and node is not None:
-            if chain[remaining].matches(node):
-                remaining -= 1
-            node = node.parent
-        if remaining < 0:
+    # each element with how many of *ancestors* its own ancestors match in
+    # turn, greedily from the root: a match needs all of them
+    stack = [(root, 0)]
+    while stack:
+        element, matched = stack.pop()
+        if (matched == len(ancestors) and element.tag != "#document"
+                and last.matches(element)):
             out.append(element)
+        if matched < len(ancestors) and ancestors[matched].matches(element):
+            matched += 1
+        stack.extend((c, matched) for c in reversed(element.children)
+                     if isinstance(c, _Element))
     return out
 
 
@@ -481,18 +484,19 @@ def collapse_whitespace(text: str) -> str:
     return " ".join(text.split())
 
 
-def _blocks_under(element: _Element) -> list[str]:
+def _blocks_under(element: _Element, skip: Container[_Element] = ()) -> list[str]:
     """Heading/paragraph/list/table-cell texts under *element*, in document
-    order, skipping script/style/nav subtrees.  A matched block is emitted
-    whole; nested block tags inside it are not emitted again."""
+    order, skipping script/style/nav subtrees and the elements in *skip*.  A
+    matched block is emitted whole; nested block tags inside it are not
+    emitted again."""
     blocks: list[str] = []
     stack: list[Union[_Element, str]] = list(reversed(element.children))
     while stack:
         node = stack.pop()
-        if not isinstance(node, _Element) or node.tag in _SKIP_TAGS:
+        if not isinstance(node, _Element) or node.tag in _SKIP_TAGS or node in skip:
             continue
         if node.tag in _BLOCK_TAGS:
-            text = collapse_whitespace(node.text())
+            text = collapse_whitespace(node.text(skip))
             if text:
                 blocks.append(text)
             continue
@@ -500,14 +504,14 @@ def _blocks_under(element: _Element) -> list[str]:
     return blocks
 
 
-def _first_text(root: _Element, tag: str) -> str:
-    """Collapsed text of the first *tag* element, in document order, whose
+def _first_text(root: _Element, wanted: Callable[[_Element], bool]) -> str:
+    """Collapsed text of the first *wanted* element, in document order, whose
     text is not blank.  Every element inside a blank one is blank too, so
     its subtree is skipped and nested elements cost one visit each."""
     stack = [root]
     while stack:
         node = stack.pop()
-        if node.tag == tag:
+        if wanted(node):
             text = collapse_whitespace(node.text())
             if text:
                 return text
@@ -529,30 +533,31 @@ def extract_article(
     survive into segmentation.
     """
     root = parse_html(markup)
-    title = _first_text(root, "title") or _first_text(root, "h1")
+    title = (_first_text(root, lambda node: node.tag == "title")
+             or _first_text(root, lambda node: node.tag == "h1"))
 
     plugin = next((p for p in plugins if p.claims(url)), None)
     blocks: list[str] = []
     if plugin is not None:
-        seen: set[int] = set()
+        # regions in selector order, then document order; each element
+        # belongs to the first region that holds it, so a region inside an
+        # earlier one adds nothing and one around it leaves it out
+        taken: set[_Element] = set()
         for selector in plugin.selectors:
             for region in select(root, selector):
-                if id(region) in seen:
+                if region in taken:
                     continue
-                seen.add(id(region))
-                region_blocks = _blocks_under(region)
+                region_blocks = _blocks_under(region, taken)
                 if region_blocks:
                     blocks.extend(region_blocks)
                 else:
-                    text = collapse_whitespace(region.text())
+                    text = collapse_whitespace(region.text(taken))
                     if text:
                         blocks.append(text)
+                taken.update(region.walk(taken))
         if plugin.title_selector:
-            for node in select(root, plugin.title_selector):
-                text = collapse_whitespace(node.text())
-                if text:
-                    title = text
-                    break
+            titles = set(select(root, plugin.title_selector))
+            title = _first_text(root, titles.__contains__) or title
         if not blocks:
             logger.warning(
                 "plugin %s matched %s but selected no content; using generic extractor",

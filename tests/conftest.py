@@ -2,7 +2,9 @@
 matching technique-catalog fixture for hermetic end-to-end runs."""
 
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from cti2stix.ingest import Report, make_report
@@ -125,3 +127,28 @@ def mini_catalog():
     from cti2stix.llm import ScriptedProvider
 
     return build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[]))
+
+
+@pytest.fixture(params=[np.savez, np.savez_compressed], ids=["savez", "savez_compressed"])
+def legacy_writer(request):
+    """How versions before the aligned layout wrote a catalog."""
+    return request.param
+
+
+def write_legacy_catalog(path, catalog, writer):
+    """*catalog* as versions before the aligned layout wrote it: *writer*
+    (``np.savez`` or ``np.savez_compressed``) over the same two arrays."""
+    meta = {"model": catalog.model, "dim": catalog.dim, "content_hash": catalog.content_hash,
+            "entries": [asdict(e) for e in catalog.entries]}
+    with path.open("wb") as fh:
+        writer(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=catalog.vectors)
+
+
+def cosine(a, b):
+    """Cosine of two vectors: the one-by-one case of ``cosine_scores``."""
+    from cti2stix.attack_patterns import cosine_scores
+    from cti2stix.catalog import row_norms
+
+    rows = np.asarray(b, dtype=np.float64)[np.newaxis]
+    return float(cosine_scores(np.asarray(a, dtype=np.float64)[np.newaxis], rows,
+                               row_norms(rows))[0, 0])

@@ -13,7 +13,6 @@ from cti2stix.attack_patterns import (
     Candidate,
     classify_vector,
     classify_vectors,
-    cosine_similarity,
     detect_explicit_techniques,
     run_attack_pattern_pipeline,
     strategy_ot,
@@ -25,7 +24,7 @@ from cti2stix.audit import AuditTrail
 from cti2stix.ingest import make_report
 from cti2stix.llm import HashEmbedder, ScriptedProvider
 
-from conftest import SBSA_RESPONSE, VTE_CANDIDATE
+from conftest import SBSA_RESPONSE, VTE_CANDIDATE, cosine
 
 
 def vte_provider(response):
@@ -143,25 +142,25 @@ class TestOt:
 class TestCosine:
     def test_identical_is_one(self):
         v = np.array([0.3, -1.2, 4.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
+        assert cosine(v, v) == pytest.approx(1.0)
 
     def test_orthogonal_is_zero(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.0
+        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.0
 
     def test_opposite_is_minus_one(self):
         v = np.array([1.0, 2.0])
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0)
+        assert cosine(v, -v) == pytest.approx(-1.0)
 
     def test_zero_vector_scores_zero(self):
-        assert cosine_similarity(np.zeros(4), np.ones(4)) == 0.0
+        assert cosine(np.zeros(4), np.ones(4)) == 0.0
 
     def test_tiny_vector_keeps_its_direction(self):
         # squared, these components underflow to subnormals or to zero
         a = np.array([0.0, 8.426796176162971e-160, 0.0])
         b = np.array([0.0, 1.0, 0.0])
-        assert cosine_similarity(a, b) == 1.0
-        assert cosine_similarity(a * 0.125, b) == 1.0
-        assert cosine_similarity(np.array([1e-170, 1e-170]), np.array([1.0, 0.0])) == (
+        assert cosine(a, b) == 1.0
+        assert cosine(a * 0.125, b) == 1.0
+        assert cosine(np.array([1e-170, 1e-170]), np.array([1.0, 0.0])) == (
             pytest.approx(np.sqrt(0.5))
         )
 
@@ -172,10 +171,8 @@ class TestCosine:
     )
     def test_symmetric_and_scale_invariant(self, a, b, scale):
         va, vb = np.array(a), np.array(b)
-        assert cosine_similarity(va, vb) == pytest.approx(cosine_similarity(vb, va))
-        assert cosine_similarity(va * scale, vb) == pytest.approx(
-            cosine_similarity(va, vb), abs=1e-9
-        )
+        assert cosine(va, vb) == pytest.approx(cosine(vb, va))
+        assert cosine(va * scale, vb) == pytest.approx(cosine(va, vb), abs=1e-9)
 
 
 def geometry_catalog():

@@ -4,6 +4,7 @@ import struct
 import tempfile
 import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from cti2stix.catalog import (
 )
 from cti2stix.llm import ScriptedProvider
 
-from conftest import MITRE_SAMPLE, VTE_CANDIDATE
+from conftest import MITRE_SAMPLE, VTE_CANDIDATE, write_legacy_catalog
 
 
 def test_parent_technique():
@@ -149,25 +150,6 @@ class TestCache:
         assert loaded.entries == mini_catalog.entries
         np.testing.assert_array_equal(loaded.vectors, mini_catalog.vectors)
 
-    def test_compressed_catalog_still_loads(self, mini_catalog, tmp_path):
-        # earlier versions wrote the same arrays with savez_compressed
-        path = tmp_path / "compressed.npz"
-        meta = {
-            "model": mini_catalog.model,
-            "dim": mini_catalog.dim,
-            "content_hash": mini_catalog.content_hash,
-            "entries": [
-                {"technique_id": e.technique_id, "name": e.name,
-                 "example_id": e.example_id, "text": e.text}
-                for e in mini_catalog.entries
-            ],
-        }
-        with path.open("wb") as fh:
-            np.savez_compressed(fh, meta=json.dumps(meta), vectors=mini_catalog.vectors)
-        loaded = load_catalog(path)
-        assert loaded.entries == mini_catalog.entries
-        np.testing.assert_array_equal(loaded.vectors, mini_catalog.vectors)
-
     def test_saved_uncompressed(self, mini_catalog, tmp_path):
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)
@@ -259,11 +241,10 @@ class TestCache:
 
 
 def write_catalog_file(path, entries, dim, vectors):
-    meta = {"model": "stub", "dim": dim, "content_hash": "x",
-            "entries": [{"technique_id": tid, "name": "n", "example_id": "description",
-                         "text": tid} for tid in entries]}
-    with path.open("wb") as fh:
-        np.savez(fh, meta=json.dumps(meta), vectors=vectors)
+    # save_catalog writes what it is given; a TechniqueCatalog would refuse the shape
+    save_catalog(SimpleNamespace(
+        model="stub", dim=dim, content_hash="x", vectors=vectors,
+        entries=[CatalogEntry(tid, "n", "description", tid) for tid in entries]), path)
 
 
 class TestMalformedFile:
@@ -295,9 +276,8 @@ def npy_data_offset(path, member):
         fh.seek(header_offset)
         name_len, extra_len = struct.unpack("<26xHH", fh.read(30))
         fh.seek(name_len + extra_len, 1)
-        version = np.lib.format.read_magic(fh)
-        {(1, 0): np.lib.format.read_array_header_1_0,
-         (2, 0): np.lib.format.read_array_header_2_0}[version](fh)
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        np.lib.format.read_array_header_1_0(fh)
         return fh.tell()
 
 
@@ -305,15 +285,6 @@ def make_catalog(vectors):
     entries = [CatalogEntry(f"T{1000 + i}", "n", "description", f"text {i}")
                for i in range(len(vectors))]
     return TechniqueCatalog(model="stub", content_hash="x", entries=entries, vectors=vectors)
-
-
-def write_legacy(path, catalog, writer=np.savez):
-    """A catalog as earlier versions wrote it."""
-    meta = {"model": catalog.model, "dim": catalog.dim, "content_hash": catalog.content_hash,
-            "entries": [{"technique_id": e.technique_id, "name": e.name,
-                         "example_id": e.example_id, "text": e.text} for e in catalog.entries]}
-    with path.open("wb") as fh:
-        writer(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=catalog.vectors)
 
 
 class TestMappedFile:
@@ -374,47 +345,24 @@ class TestMappedFile:
         with pytest.raises(CatalogError, match="object arrays are refused"):
             load_catalog(path)
 
-    @pytest.mark.parametrize("text_len", range(0, 64, 9))
-    def test_savez_catalog_loads_equal(self, tmp_path, text_len):
-        # metadata of varying length puts the matrix at varying offsets
-        catalog = make_catalog(np.arange(12.0).reshape(3, 4) / 7)
-        catalog.entries[0].text = "x" * text_len
+    def test_older_file_refused(self, mini_catalog, tmp_path, legacy_writer):
         path = tmp_path / "legacy.npz"
-        write_legacy(path, catalog)
-        loaded = load_catalog(path)
-        assert loaded.entries == catalog.entries
-        assert loaded.vectors.tobytes() == catalog.vectors.tobytes()
-        assert loaded.vectors.flags.aligned
-        if npy_data_offset(path, "vectors.npy") % 8:
-            assert loaded.vectors.flags.owndata  # the one copy
+        write_legacy_catalog(path, mini_catalog, legacy_writer)
+        with pytest.raises(CatalogError, match="older version.*`cti2stix catalog build`"):
+            load_catalog(path)
 
-    def test_cache_hit_rewrites_savez_file_for_mapping(self, tmp_path):
+    def test_cache_hit_on_older_file_rebuilds(self, tmp_path, legacy_writer, caplog):
         path = tmp_path / "catalog.npz"
-        write_legacy(path, build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[])))
-        assert load_catalog(path).vectors.flags.owndata  # loads by copying
-
+        write_legacy_catalog(path, build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[])),
+                             legacy_writer)
         provider = ScriptedProvider(script=[])
-        build_catalog(MITRE_SAMPLE, provider, cache_path=path)
-        assert provider.embedded == []
+        with caplog.at_level(logging.WARNING, logger="cti2stix.catalog"):
+            build_catalog(MITRE_SAMPLE, provider, cache_path=path)
+        assert provider.embedded != []
+        assert any("older version" in r.message and "rebuilding" in r.message
+                   for r in caplog.records)
         assert npy_data_offset(path, "vectors.npy") % 64 == 0
         assert not load_catalog(path).vectors.flags.owndata
-
-    def test_cache_hit_rewrites_compressed_file_for_mapping(self, tmp_path):
-        # the inflated matrix is a view of fresh bytes, so it owns no data
-        # either, yet every load inflates it again
-        path = tmp_path / "catalog.npz"
-        write_legacy(path, build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[])),
-                     np.savez_compressed)
-
-        provider = ScriptedProvider(script=[])
-        build_catalog(MITRE_SAMPLE, provider, cache_path=path)
-        assert provider.embedded == []
-        with zipfile.ZipFile(path) as zf:
-            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
-        assert npy_data_offset(path, "vectors.npy") % 64 == 0
-        before = path.stat().st_mtime_ns, path.stat().st_ino
-        build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[]), cache_path=path)
-        assert (path.stat().st_mtime_ns, path.stat().st_ino) == before  # mapped: kept
 
 
 class TestSegments:

@@ -9,7 +9,14 @@ from cti2stix.catalog import load_catalog
 from cti2stix.cli import main
 from cti2stix.stix import EntityKind, load_bundle
 
-from conftest import GOLDEN_SCRIPT, HELLOXD_TEXT, MITRE_SAMPLE, VTE_CANDIDATE
+from conftest import (
+    GOLDEN_SCRIPT,
+    HELLOXD_TEXT,
+    MITRE_SAMPLE,
+    VTE_CANDIDATE,
+    cosine,
+    write_legacy_catalog,
+)
 
 
 @pytest.fixture
@@ -538,7 +545,7 @@ class TestCalibrate:
         0.80 is the only threshold on the grid that scores F1=1."""
         import numpy as np
 
-        from cti2stix.attack_patterns import cosine_similarity, strategy_ot
+        from cti2stix.attack_patterns import strategy_ot
         from cti2stix.catalog import CatalogEntry, TechniqueCatalog, save_catalog
         from cti2stix.ingest import make_report
         from cti2stix.llm import HashEmbedder
@@ -562,10 +569,10 @@ class TestCalibrate:
         e2 = vector_at(0.7905, h[1], rng)
         # construction sanity: scores land in the intended 0.01-wide bins and
         # the cross pairings stay far below the sweep floor
-        assert 0.80 < cosine_similarity(e1, h[0]) < 0.81
-        assert 0.79 < cosine_similarity(e2, h[1]) < 0.80
-        assert abs(cosine_similarity(e1, h[1])) < 0.65
-        assert abs(cosine_similarity(e2, h[0])) < 0.65
+        assert 0.80 < cosine(e1, h[0]) < 0.81
+        assert 0.79 < cosine(e2, h[1]) < 0.80
+        assert abs(cosine(e1, h[1])) < 0.65
+        assert abs(cosine(e2, h[0])) < 0.65
 
         catalog = TechniqueCatalog(model="hash-32", content_hash="fixture", entries=[
             CatalogEntry("T1001", "Alpha", "description", "alpha"),
@@ -620,40 +627,54 @@ class TestMalformedCatalog:
 
     @pytest.fixture
     def short_catalog(self, tmp_path, mini_catalog):
-        import numpy as np
-
         from cti2stix.catalog import save_catalog
 
         path = tmp_path / "short.npz"
-        save_catalog(mini_catalog, path)
-        with np.load(path) as data:
-            meta = str(data["meta"])
-            vectors = data["vectors"]
-        with path.open("wb") as fh:
-            np.savez(fh, meta=meta, vectors=vectors[:-1])
+        # save_catalog writes what it is given; a TechniqueCatalog would refuse the shape
+        save_catalog(SimpleNamespace(model=mini_catalog.model, dim=mini_catalog.dim,
+                                     content_hash=mini_catalog.content_hash,
+                                     entries=mini_catalog.entries,
+                                     vectors=mini_catalog.vectors[:-1]), path)
         return path
 
-    def assert_usage_error(self, code, capsys):
+    @pytest.fixture
+    def legacy_catalog(self, tmp_path, mini_catalog, legacy_writer):
+        path = tmp_path / "legacy.npz"
+        write_legacy_catalog(path, mini_catalog, legacy_writer)
+        return path
+
+    def assert_usage_error(self, code, capsys, says=("error: catalog", "shape")):
         err = capsys.readouterr().err
         assert code == 2
-        assert "error: catalog" in err and "shape" in err
+        assert all(words in err for words in says)
         assert "Traceback" not in err
+
+    def run_calibrate(self, tmp_path, catalog):
+        script = tmp_path / "empty.json"
+        script.write_text("[]", encoding="utf-8")
+        gt_dir = tmp_path / "gt"
+        write_ground_truth(gt_dir, "helloxd-2022", HELLOXD_TEXT)
+        return main([
+            "calibrate", "--gt", str(gt_dir), "--catalog", str(catalog),
+            "--out-dir", str(tmp_path / "cal"),
+            "--provider", "scripted", "--script", str(script),
+        ])
 
     def test_extract(self, tmp_path, script_path, short_catalog, report_path, capsys):
         code, _ = run_extract(tmp_path, script_path, short_catalog, [report_path])
         self.assert_usage_error(code, capsys)
 
     def test_calibrate(self, tmp_path, short_catalog, capsys):
-        script = tmp_path / "empty.json"
-        script.write_text("[]", encoding="utf-8")
-        gt_dir = tmp_path / "gt"
-        write_ground_truth(gt_dir, "helloxd-2022", HELLOXD_TEXT)
-        code = main([
-            "calibrate", "--gt", str(gt_dir), "--catalog", str(short_catalog),
-            "--out-dir", str(tmp_path / "cal"),
-            "--provider", "scripted", "--script", str(script),
-        ])
-        self.assert_usage_error(code, capsys)
+        self.assert_usage_error(self.run_calibrate(tmp_path, short_catalog), capsys)
+
+    def test_extract_older_file(self, tmp_path, script_path, legacy_catalog, report_path,
+                                capsys):
+        code, _ = run_extract(tmp_path, script_path, legacy_catalog, [report_path])
+        self.assert_usage_error(code, capsys, says=("older version", "catalog build"))
+
+    def test_calibrate_older_file(self, tmp_path, legacy_catalog, capsys):
+        self.assert_usage_error(self.run_calibrate(tmp_path, legacy_catalog), capsys,
+                                says=("older version", "catalog build"))
 
     def test_extract_truncated(self, tmp_path, script_path, short_catalog, report_path,
                                capsys):
@@ -683,6 +704,12 @@ class TestMalformedCatalog:
                                                     short_catalog):
         short_catalog.write_bytes(short_catalog.read_bytes()[:1000])
         self.assert_rebuilds(tmp_path, mitre_sample_path, short_catalog)
+
+    def test_catalog_build_rebuilds_older_file(self, tmp_path, mitre_sample_path,
+                                               legacy_catalog):
+        self.assert_rebuilds(tmp_path, mitre_sample_path, legacy_catalog)
+        flags = load_catalog(legacy_catalog).vectors.flags
+        assert flags.aligned and not flags.writeable and not flags.owndata
 
 
 class TestConfigShow:

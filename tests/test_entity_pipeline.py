@@ -95,6 +95,34 @@ def test_single_oversized_sentence_splits_on_words():
         assert left[-1].isspace() or not right[:1].isalnum() or not left[-1].isalnum()
 
 
+def test_unbroken_word_cut_into_budget_sized_chunks():
+    chunks = chunk_text("x" * 1000, 30)
+    assert "".join(chunks) == "x" * 1000
+    assert [estimate_tokens(chunk) for chunk in chunks] == [30, 30, 30, 30, 5]
+
+
+# one unbroken token (a hex dump, a URL list without spaces) longer than any prompt
+HEX_DUMP_REPORT = "GrimVault drops a payload. " + "ab" * 30_000 + " It beacons home."
+
+
+def test_verify_keeps_unbroken_token_chunks_in_budget():
+    report = make_report(HEX_DUMP_REPORT, report_id="r-hex")
+    provider = scripted([('Is "SpectralKit" mentioned', "No.")])
+    ok, _ = verify_entity("SpectralKit", report, provider, EntityPipelineConfig(), audit())
+    assert not ok
+    assert len(provider.prompts) > 1
+
+
+def test_ablated_pipeline_keeps_unbroken_token_chunks_in_budget():
+    report = make_report(HEX_DUMP_REPORT, report_id="r-hex")
+    provider = scripted([
+        ("Question: Who/which is the malware", "GrimVault"),
+        ("Question: Who/which is the", "none"),
+    ])
+    result = run_entity_pipeline(report, provider, EntityPipelineConfig(preprocessing=False))
+    assert [e.name for e in result.bundle.entities_of_kind(EntityKind.MALWARE)] == ["GrimVault"]
+
+
 def test_chunk_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
         chunk_text("text", 0)
@@ -130,10 +158,9 @@ def reference_split_oversized(piece: str, budget: int) -> list[str]:
         out.append(current)
     final: list[str] = []
     for part in out:
-        while reference_estimate_tokens(part) > budget and len(part) > 1:
-            cut = max(1, len(part) // 2)
-            final.append(part[:cut])
-            part = part[cut:]
+        while reference_estimate_tokens(part) > budget and len(part) > 8 * budget:
+            final.append(part[:8 * budget])
+            part = part[8 * budget:]
         final.append(part)
     return [p for p in final if p]
 

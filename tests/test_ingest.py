@@ -244,6 +244,40 @@ def test_plugin_with_empty_selection_falls_back(caplog):
     assert any("stale" in r.message for r in caplog.records)
 
 
+def post_plugin(**kwargs):
+    return SourcePlugin(name="posts", hosts=["example.com"], selectors=["div.post"], **kwargs)
+
+
+def test_nested_plugin_regions_emit_each_block_once():
+    html = '<div class="post"><p>A</p><div class="post"><p>B</p></div></div>'
+    _, body = extract_article(html, url="https://example.com/x", plugins=[post_plugin()])
+    assert body == "A\n\nB"
+
+
+def test_region_around_an_earlier_one_leaves_it_out():
+    plugin = SourcePlugin(name="posts", hosts=["example.com"],
+                          selectors=["div.inner", "div.outer"])
+    html = ('<div class="outer"><p>A</p><div class="inner"><p>B</p></div>'
+            '<span>C <b>D</b></span></div>')
+    _, body = extract_article(html, url="https://example.com/x", plugins=[plugin])
+    assert body == "B\n\nA"
+    _, body = extract_article(html.replace("<p>", "<i>").replace("</p>", "</i>"),
+                              url="https://example.com/x", plugins=[plugin])
+    assert body == "B\n\nAC D"  # no blocks: the outer region's own text
+
+
+def test_nested_plugin_regions_are_linear():
+    depth = 3000
+    html = ('<title>t</title>' + '<div class="post"><p>x</p>' * depth
+            + '<h1 class="title"> </h1>' * depth + '</div>' * depth)
+    plugin = post_plugin(title_selector="div.post h1.title")
+    start = time.perf_counter()
+    title, body = extract_article(html, url="https://example.com/x", plugins=[plugin])
+    assert time.perf_counter() - start < 1.0
+    assert body == "\n\n".join(["x"] * depth)
+    assert title == "t"
+
+
 def test_plugin_host_matching():
     plugin = SourcePlugin(name="p", hosts=["unit42.example.com", "*.research.net"], selectors=[])
     assert plugin.claims("https://unit42.example.com/post")
@@ -301,6 +335,34 @@ _SOUP = st.recursive(
     ),
     max_leaves=25,
 )
+
+
+def reference_select(root: ingest._Element, selector: str) -> list[ingest._Element]:
+    """``select`` as first written: each match climbs to the root to find
+    the rest of the chain, nearest ancestor first."""
+    chain = ingest._parse_selector(selector)
+    out = []
+    for element in root.walk():
+        if element.tag == "#document" or not chain[-1].matches(element):
+            continue
+        remaining = len(chain) - 2
+        node = element.parent
+        while remaining >= 0 and node is not None:
+            if chain[remaining].matches(node):
+                remaining -= 1
+            node = node.parent
+        if remaining < 0:
+            out.append(element)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SOUP, max_size=6).map("".join),
+       st.sampled_from(["p", "div p", "div div p", "ul li b", "div span div", "table td",
+                        "li li", "article div p b"]))
+def test_select_matches_reference(markup, selector):
+    root = parse_html(markup)
+    assert select(root, selector) == reference_select(root, selector)
 
 
 @settings(max_examples=150, deadline=None)
