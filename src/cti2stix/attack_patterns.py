@@ -23,13 +23,13 @@ from __future__ import annotations
 import logging
 import re
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Optional, Union
 
 import numpy as np
 
 from .catalog import TECHNIQUE_ID_RE, TechniqueCatalog, parent_technique, row_norms
-from .audit import AuditTrail, ask
+from .audit import AuditTrail, ask, is_negative_answer
 from .entity_pipeline import chunk_text
 from .ingest import Report, collapse_whitespace, segment_sentences
 from .llm import context_budget
@@ -50,10 +50,6 @@ SBSA_PROMPT = (
     "KEY FACTS:"
 )
 
-_NEGATIVE_RESPONSES = frozenset(
-    {"", "none", "none.", "no", "no relevant text", "no relevant text.", "n/a",
-     "no relevant text found", "no relevant text found.", "there is no relevant text."}
-)
 _STEP_PREFIX_RE = re.compile(r"^\s*(?:\d+[.):]\s*|[-*•]\s+|step\s+\d+\s*[:.]\s*)", re.IGNORECASE)
 
 
@@ -67,28 +63,15 @@ class AttackPatternConfig:
 
 
 @dataclass
-class Candidate:
-    text: str
-    origin: str  # "vte" | "sbsa" | "ot"
-    source_id: str
-
-
-@dataclass
 class TechniqueMatch:
     technique_id: str
     name: Optional[str]
     score: Optional[float]  # None for matches from explicit ids only
-    example_id: Optional[str]
-    candidate: Optional[Candidate]
-    explicit: bool = False
-    supporting: list[str] = field(default_factory=list)
 
 
 @dataclass
 class AttackPatternResult:
-    report_id: str
     matches: list[TechniqueMatch]
-    candidate_counts: dict[str, int]
     warnings: list[dict[str, Any]]
     audit: AuditTrail
 
@@ -104,22 +87,22 @@ def _strategy_chunks(report: Report, config: AttackPatternConfig, provider: Any,
 
 
 def strategy_vte(report: Report, provider: Any, config: AttackPatternConfig,
-                 audit: AuditTrail, warnings: list[dict[str, Any]]) -> list[Candidate]:
+                 audit: AuditTrail, warnings: list[dict[str, Any]]) -> list[str]:
     """Verbatim-text-extraction: quote relevant passages, one candidate per
     quoted paragraph, with a whitespace-insensitive substring guard."""
-    candidates: list[Candidate] = []
+    candidates: list[str] = []
     for i, chunk in enumerate(_strategy_chunks(report, config, provider, VTE_PROMPT)):
         response = ask(provider, audit, "attack-pattern", VTE_PROMPT.format(text=chunk),
                        config.strategy_output_tokens, strategy="vte", chunk=i)
-        if response.strip().casefold() in _NEGATIVE_RESPONSES:
+        if is_negative_answer(response):
             continue
         squashed_chunk = collapse_whitespace(chunk).casefold()
         for para in re.split(r"\n\s*\n", response):
             para = para.strip()
-            if not para or para.casefold() in _NEGATIVE_RESPONSES:
+            if is_negative_answer(para):
                 continue
             if collapse_whitespace(para).casefold() in squashed_chunk:
-                candidates.append(Candidate(text=para, origin="vte", source_id=f"chunk-{i}"))
+                candidates.append(para)
             else:
                 warnings.append({
                     "kind": "non-verbatim",
@@ -132,29 +115,23 @@ def strategy_vte(report: Report, provider: Any, config: AttackPatternConfig,
 
 
 def strategy_sbsa(report: Report, provider: Any, config: AttackPatternConfig,
-                  audit: AuditTrail) -> list[Candidate]:
+                  audit: AuditTrail) -> list[str]:
     """Step-by-step abstraction: each step line of the response is a candidate."""
-    candidates: list[Candidate] = []
+    candidates: list[str] = []
     for i, chunk in enumerate(_strategy_chunks(report, config, provider, SBSA_PROMPT)):
         response = ask(provider, audit, "attack-pattern", SBSA_PROMPT.format(text=chunk),
                        config.strategy_output_tokens, strategy="sbsa", chunk=i)
-        for n, line in enumerate(response.splitlines()):
+        for line in response.splitlines():
             step = _STEP_PREFIX_RE.sub("", line).strip()
-            if not step or step.casefold() in _NEGATIVE_RESPONSES:
-                continue
-            candidates.append(Candidate(text=step, origin="sbsa", source_id=f"chunk-{i}-step-{n}"))
+            if not is_negative_answer(step):
+                candidates.append(step)
     return candidates
 
 
-def strategy_ot(report: Report) -> list[Candidate]:
+def strategy_ot(report: Report) -> list[str]:
     """One-sentence-at-a-time: every sentence is a candidate, no model calls."""
     sentences = report.sentences or segment_sentences(report.text)
-    out = []
-    for s in sentences:
-        text = s.text.strip()
-        if text:
-            out.append(Candidate(text=text, origin="ot", source_id=f"sentence-{s.index}"))
-    return out
+    return [text for text in (s.text.strip() for s in sentences) if text]
 
 
 # below this norm the squared components are subnormal or zero, so the norm
@@ -257,7 +234,7 @@ def run_attack_pattern_pipeline(
     audit = AuditTrail(report.id)
     warnings: list[dict[str, Any]] = []
 
-    candidates: list[Candidate] = []
+    candidates: list[str] = []
     counts: dict[str, int] = {}
     for strategy in config.strategies:
         if strategy == "vte":
@@ -270,52 +247,25 @@ def run_attack_pattern_pipeline(
             raise ValueError(f"unknown strategy: {strategy!r}")
         counts[strategy] = len(found)
         candidates.extend(found)
-    audit.record("attack-pattern", "decision", rule="candidates", counts=dict(counts))
+    audit.record("attack-pattern", "decision", rule="candidates", counts=counts)
 
-    unique_texts = list(dict.fromkeys(c.text for c in candidates))
+    unique_texts = list(dict.fromkeys(candidates))
     vectors = np.asarray(provider.embed(unique_texts), dtype=np.float64) if unique_texts else None
     if isinstance(catalog, Future):
         catalog = catalog.result()
-    hits_by_text: dict[str, list[tuple[str, float, str]]] = {}
+    # each technique's best score over the unique candidate texts
+    best: dict[str, Optional[float]] = {}
     if unique_texts:
-        hits_by_text = dict(zip(unique_texts,
-                                classify_vectors(vectors, catalog, config.threshold)))
-
-    names = catalog.technique_names()
-    matches: dict[str, TechniqueMatch] = {}
-    for candidate in candidates:
-        for tid, score, example_id in hits_by_text[candidate.text]:
-            current = matches.get(tid)
-            if current is None:
-                matches[tid] = TechniqueMatch(
-                    technique_id=tid, name=names.get(tid), score=score,
-                    example_id=example_id, candidate=candidate,
-                    supporting=[candidate.text],
-                )
-            else:
-                if candidate.text not in current.supporting:
-                    current.supporting.append(candidate.text)
-                if current.score is None or score > current.score:
-                    current.score = score
-                    current.example_id = example_id
-                    current.candidate = candidate
+        for hits in classify_vectors(vectors, catalog, config.threshold):
+            for tid, score, _ in hits:
+                if tid not in best or score > best[tid]:
+                    best[tid] = score
 
     if config.include_explicit:
         for tid in detect_explicit_techniques(report.text):
-            if tid in matches:
-                matches[tid].explicit = True
-            else:
-                matches[tid] = TechniqueMatch(
-                    technique_id=tid, name=names.get(tid), score=None,
-                    example_id=None, candidate=None, explicit=True,
-                )
+            best.setdefault(tid, None)
             audit.record("attack-pattern", "decision", rule="explicit-id", technique=tid)
 
-    ordered = [matches[tid] for tid in sorted(matches)]
-    return AttackPatternResult(
-        report_id=report.id,
-        matches=ordered,
-        candidate_counts=counts,
-        warnings=warnings,
-        audit=audit,
-    )
+    names = catalog.technique_names()
+    matches = [TechniqueMatch(tid, names.get(tid), best[tid]) for tid in sorted(best)]
+    return AttackPatternResult(matches, warnings, audit)

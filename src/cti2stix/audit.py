@@ -2,7 +2,8 @@
 
 Every completion the pipelines make goes through :func:`ask`, which records
 the prompt, calls the provider, and records the response, so the trail holds
-each prompt directly followed by its answer.
+each prompt directly followed by its answer.  :func:`is_negative_answer`
+recognises the answers that say there is nothing to report.
 """
 
 from __future__ import annotations
@@ -59,3 +60,16 @@ def ask(provider: Any, trail: AuditTrail, stage: str, prompt: str, reserved_outp
     response = provider.complete(CompletionRequest(prompt, max_output_tokens=reserved_output))
     trail.record(stage, "response", text=response, **fields)
     return response
+
+
+# answers, and answer lines, that say "nothing here"; compared casefolded,
+# stripped and without trailing periods
+NEGATIVE_ANSWERS = frozenset({
+    "", "none", "n/a", "na", "no", "nothing", "unknown", "no one", "not specified",
+    "no relevant text", "no relevant text found", "there is no relevant text",
+})
+
+
+def is_negative_answer(text: str) -> bool:
+    """Whether *text* is one of the :data:`NEGATIVE_ANSWERS`."""
+    return text.casefold().strip().rstrip(".") in NEGATIVE_ANSWERS

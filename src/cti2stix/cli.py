@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
@@ -368,6 +369,12 @@ def _sweep(low: float, high: float, step: float) -> list[float]:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    if not all(map(math.isfinite, (args.low, args.high, args.step))):
+        raise ConfigError("--low, --high and --step must be finite numbers")
+    if args.step <= 0:
+        raise ConfigError(f"--step must be positive, got {args.step}")
+    if args.low > args.high:
+        raise ConfigError(f"--low {args.low} is above --high {args.high}")
     config = _config_from_args(args)
     catalog = load_catalog(args.catalog)
     provider = make_provider(config)

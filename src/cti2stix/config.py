@@ -62,10 +62,6 @@ _SECTION_TYPES = {
     "paths": PathsConfig,
 }
 
-#: dataclass fields that are not settable from YAML (code-defined objects)
-_UNSETTABLE = {("pipeline", "queries")}
-
-
 def _coerce(section: str, name: str, current: Any, value: Any) -> Any:
     if isinstance(current, tuple):
         if isinstance(value, (list, tuple)):
@@ -90,7 +86,7 @@ def _apply_section(obj: Any, section: str, data: Mapping[str, Any]) -> Any:
     known = {f.name for f in fields(obj)}
     updates: dict[str, Any] = {}
     for key, value in data.items():
-        if key not in known or (section, key) in _UNSETTABLE:
+        if key not in known:
             raise ConfigError(f"unknown config key: {section}.{key}")
         updates[key] = _coerce(section, key, getattr(obj, key), value)
     return dataclasses.replace(obj, **updates)
@@ -182,8 +178,6 @@ def dump_config(config: AppConfig) -> str:
     ):
         content = {}
         for f in fields(obj):
-            if (section, f.name) in _UNSETTABLE:
-                continue
             value = getattr(obj, f.name)
             if isinstance(value, tuple):
                 value = list(value)

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .audit import AuditTrail, ask
+from .audit import AuditTrail, ask, is_negative_answer
 from .ingest import Report, collapse_whitespace, segment_sentences
 from .iocs import ioc_entities
 from .llm import ProviderConfig, context_budget, estimate_tokens, tokens_for_counts
@@ -76,7 +76,6 @@ RELATION_PROMPT = (
     "Answer with one of: {options}, or none."
 )
 
-_NEGATIVE_ANSWERS = frozenset({"none", "n/a", "na", "nothing", "unknown", "no one", "not specified"})
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d{1,2}[.)])\s+")
 _ANSWER_PREFIX_RE = re.compile(r"^\s*answer\s*:\s*", re.IGNORECASE)
 
@@ -96,9 +95,9 @@ class EntityQuery:
     question: str
 
 
-# Definitions paraphrase the STIX 2.1 vocabulary; they are configuration, not
-# code — override them per deployment via the config file.
-DEFAULT_QUERIES: list[EntityQuery] = [
+# The questions asked of every report, in this order; the definitions
+# paraphrase the STIX 2.1 vocabulary.
+QUERIES: tuple[EntityQuery, ...] = (
     EntityQuery(
         name="malware",
         entity_kind=EntityKind.MALWARE,
@@ -128,13 +127,12 @@ DEFAULT_QUERIES: list[EntityQuery] = [
         ),
         question="Who/which is the target of the described attack?",
     ),
-]
+)
 
 
 @dataclass
 class EntityPipelineConfig:
     preprocessing: bool = True
-    queries: list[EntityQuery] = field(default_factory=lambda: list(DEFAULT_QUERIES))
     chunk_tokens: int = 1024
     summary_output_tokens: int = 512
     answer_output_tokens: int = 256
@@ -144,32 +142,8 @@ class EntityPipelineConfig:
 
 
 @dataclass
-class CondensedReport:
-    report_id: str
-    text: str
-    iterations: int
-    source_tokens: int
-    condensed_tokens: int
-
-
-@dataclass
-class ExtractedEntity:
-    """One candidate name with its provenance and verification outcome."""
-
-    query: str
-    entity_kind: EntityKind
-    name: str
-    verified: bool
-    method: str  # "literal", "llm", or "" when unverified
-    context_id: str
-
-
-@dataclass
 class EntityPipelineResult:
-    report_id: str
     bundle: StixBundle
-    condensed: CondensedReport | None
-    extracted: list[ExtractedEntity]
     warnings: list[dict[str, str]]
     audit: AuditTrail
 
@@ -259,7 +233,7 @@ def extraction_budget(provider_config: ProviderConfig, config: EntityPipelineCon
     return min(
         context_budget(provider_config, ENTITY_PROMPT.format(
             context="", definition=q.definition, question=q.question), reserved)
-        for q in config.queries
+        for q in QUERIES
     )
 
 
@@ -273,24 +247,27 @@ def condense(
     config: EntityPipelineConfig,
     audit: AuditTrail,
     target_tokens: int | None = None,
-) -> CondensedReport:
-    """Shrink a report under *target_tokens* by iterative chunk summarization.
+) -> str:
+    """Shrink a report's text under *target_tokens* by iterative chunk
+    summarization, and return it.
 
-    Reports already under budget pass through verbatim with zero iterations.
-    Raises :class:`CondensationError` when the iteration cap is reached with
-    the text still over budget (e.g. a summarizer that refuses to compress).
+    Reports already under budget pass through verbatim.  The audit records
+    one ``condense`` decision for a pass-through and one per iteration, each
+    with the text's estimated tokens.  Raises :class:`CondensationError` when
+    the iteration cap is reached with the text still over budget (e.g. a
+    summarizer that refuses to compress).
     """
     if target_tokens is None:
         target_tokens = extraction_budget(provider.config, config)
-    source_tokens = estimate_tokens(report.text)
     current = report.text
-    iterations = 0
-    if source_tokens <= target_tokens:
-        audit.record("condense", "decision", outcome="pass-through", tokens=source_tokens)
-        return CondensedReport(report.id, current, 0, source_tokens, source_tokens)
+    tokens = estimate_tokens(current)
+    if tokens <= target_tokens:
+        audit.record("condense", "decision", outcome="pass-through", tokens=tokens)
+        return current
 
     chunk_budget = min(config.chunk_tokens, context_budget(
         provider.config, SUMMARY_PROMPT.format(text=""), config.summary_output_tokens))
+    iterations = 0
     while iterations < config.condense_iteration_cap:
         iterations += 1
         chunks = chunk_text(current, chunk_budget)
@@ -303,9 +280,9 @@ def condense(
         tokens = estimate_tokens(current)
         audit.record("condense", "decision", outcome="iteration", iteration=iterations, tokens=tokens)
         if tokens <= target_tokens:
-            return CondensedReport(report.id, current, iterations, source_tokens, tokens)
+            return current
     raise CondensationError(
-        f"report {report.id}: {estimate_tokens(current)} estimated tokens still exceed "
+        f"report {report.id}: {tokens} estimated tokens still exceed "
         f"budget {target_tokens} after {iterations} summarization iterations"
     )
 
@@ -329,7 +306,7 @@ def parse_name_lines(response: str) -> list[str]:
         if len(line) > 1 and line.endswith(".") and not line.endswith(".."):
             line = line[:-1]
         line = line.strip("\"'“”‘’ ").strip()
-        if not line or line.casefold().rstrip(".") in _NEGATIVE_ANSWERS:
+        if is_negative_answer(line):
             continue
         key = collapse_whitespace(line).casefold()
         if key in seen:
@@ -362,16 +339,15 @@ def verify_entity(
     provider: Any,
     config: EntityPipelineConfig,
     audit: AuditTrail,
-) -> tuple[bool, str]:
-    """Ground a candidate name in the original report.
-
-    Returns (verified, method) where method is "literal" for a substring hit
-    or "llm" when a per-chunk yes/no question confirmed a reworded mention.
-    """
+) -> bool:
+    """Ground a candidate name in the original report: a substring hit, or
+    else a per-chunk yes/no question that confirms a reworded mention.  The
+    audit's ``verify`` decision records which (``literal``, ``llm`` or
+    ``unverified``)."""
     squashed = collapse_whitespace(name).casefold()
     if squashed and squashed in report.folded_text:
         audit.record("verify", "decision", name=name, outcome="literal")
-        return True, "literal"
+        return True
 
     budget = context_budget(provider.config, VERIFY_PROMPT.format(text="", name=name),
                             config.answer_output_tokens)
@@ -380,9 +356,9 @@ def verify_entity(
                        config.answer_output_tokens, name=name, chunk=i)
         if response.strip().casefold().startswith("yes"):
             audit.record("verify", "decision", name=name, outcome="llm")
-            return True, "llm"
+            return True
     audit.record("verify", "decision", name=name, outcome="unverified")
-    return False, ""
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +381,7 @@ def _parse_relation_answer(response: str, options: dict[str, RelationKind]) -> t
         if m:
             hits.append((m.start(), kind))
     if not hits:
-        bare = collapse_whitespace(response).casefold().rstrip(".")
-        if re.search(r"\bnone\b", lowered) or bare in _NEGATIVE_ANSWERS:
+        if re.search(r"\bnone\b", lowered) or is_negative_answer(collapse_whitespace(response)):
             return None, ""
         return None, f"unparseable relation answer: {response[:80]!r}"
     distinct = {kind for _, kind in hits}
@@ -493,13 +468,11 @@ def run_entity_pipeline(
 
     if not report.text.strip():
         warnings.append({"kind": "empty-report", "detail": f"report {report.id} has no text"})
-        return EntityPipelineResult(report.id, new_bundle(report.id, seed), None, [], warnings, audit)
+        return EntityPipelineResult(new_bundle(report.id, seed), warnings, audit)
 
     budget = extraction_budget(provider.config, config)
-    condensed: CondensedReport | None = None
     if config.preprocessing:
-        condensed = condense(report, provider, config, audit, target_tokens=budget)
-        contexts = [condensed.text]
+        contexts = [condense(report, provider, config, audit, target_tokens=budget)]
         context_ids = ["condensed"]
     else:
         pieces = chunk_text(report.text, budget)
@@ -508,22 +481,14 @@ def run_entity_pipeline(
         audit.record("condense", "decision", outcome="ablated", chunks=len(pieces))
 
     # extract + verify per query
-    extracted: list[ExtractedEntity] = []
-    verified_by_query: dict[str, list[StixEntity]] = {q.name: [] for q in config.queries}
-    for query in config.queries:
+    verified_by_query: dict[str, list[StixEntity]] = {q.name: [] for q in QUERIES}
+    for query in QUERIES:
         candidates: dict[str, str] = {}  # squashed name -> first spelling seen
         for context, context_id in zip(contexts, context_ids):
             for name in extract_entities(context, query, provider, config, audit, context_id):
                 candidates.setdefault(collapse_whitespace(name).casefold(), name)
         for name in candidates.values():
-            ok, method = verify_entity(name, report, provider, config, audit)
-            extracted.append(
-                ExtractedEntity(
-                    query=query.name, entity_kind=query.entity_kind, name=name,
-                    verified=ok, method=method, context_id=context_ids[0],
-                )
-            )
-            if not ok:
+            if not verify_entity(name, report, provider, config, audit):
                 warnings.append(
                     {
                         "kind": "inconsistency",
@@ -535,7 +500,7 @@ def run_entity_pipeline(
                 StixEntity(query.entity_kind, name, id=entity_id(query.entity_kind, name, seed))
             )
 
-    entities = _unique_entities(e for q in config.queries for e in verified_by_query[q.name])
+    entities = _unique_entities(e for q in QUERIES for e in verified_by_query[q.name])
     principals = [e for e in entities if e.kind in (EntityKind.MALWARE, EntityKind.THREAT_ACTOR)]
     target_identities = [e for e in entities if e.kind is EntityKind.IDENTITY]
 
@@ -573,4 +538,4 @@ def run_entity_pipeline(
     bundle = new_bundle(report.id, seed)
     bundle.entities = entities + iocs
     bundle.relations = relations
-    return EntityPipelineResult(report.id, bundle, condensed, extracted, warnings, audit)
+    return EntityPipelineResult(bundle, warnings, audit)

@@ -547,14 +547,17 @@ def extract_article(
             for region in select(root, selector):
                 if region in taken:
                     continue
+                inside = list(region.walk(taken))
                 region_blocks = _blocks_under(region, taken)
                 if region_blocks:
                     blocks.extend(region_blocks)
                 else:
+                    # the region's own text, less script/style/nav subtrees
+                    taken.update(node for node in inside if node.tag in _SKIP_TAGS)
                     text = collapse_whitespace(region.text(taken))
                     if text:
                         blocks.append(text)
-                taken.update(region.walk(taken))
+                taken.update(inside)
         if plugin.title_selector:
             titles = set(select(root, plugin.title_selector))
             title = _first_text(root, titles.__contains__) or title

@@ -238,8 +238,9 @@ def test_c6_budget_safety():
     )
     result = run_entity_pipeline(report, provider, EntityPipelineConfig())
 
-    assert result.condensed is not None
-    assert result.condensed.iterations == 1
+    iterations = [e for e in result.audit.events if e.stage == "condense"
+                  and e.event == "decision" and e.data["outcome"] == "iteration"]
+    assert len(iterations) == 1
 
     usable = provider.config.usable_window()
     prompts = result.audit.prompts()

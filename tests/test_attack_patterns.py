@@ -10,7 +10,6 @@ from cti2stix.attack_patterns import (
     SBSA_PROMPT,
     VTE_PROMPT,
     AttackPatternConfig,
-    Candidate,
     classify_vector,
     classify_vectors,
     detect_explicit_techniques,
@@ -35,6 +34,16 @@ def sbsa_provider(response):
     return ScriptedProvider(script=[("Describe step by step", response)])
 
 
+def candidate_counts(result):
+    (event,) = [e for e in result.audit.events if e.data.get("rule") == "candidates"]
+    return event.data["counts"]
+
+
+def explicit_ids(result):
+    return [e.data["technique"] for e in result.audit.events
+            if e.data.get("rule") == "explicit-id"]
+
+
 def run_vte(report, provider, config=None):
     warnings = []
     found = strategy_vte(report, provider, config or AttackPatternConfig(),
@@ -49,15 +58,14 @@ class TestVte:
         assert provider.prompts == [VTE_PROMPT.format(text=helloxd_report.text)]
 
     def test_negative_response_yields_nothing(self, helloxd_report):
-        found, warnings = run_vte(helloxd_report, vte_provider("No relevant text."))
-        assert found == []
-        assert warnings == []
+        for response in ("No relevant text.", "Nothing."):
+            found, warnings = run_vte(helloxd_report, vte_provider(response))
+            assert found == []
+            assert warnings == []
 
     def test_verbatim_sentence_kept(self, helloxd_report):
         found, warnings = run_vte(helloxd_report, vte_provider(VTE_CANDIDATE))
-        assert [c.text for c in found] == [VTE_CANDIDATE]
-        assert found[0].origin == "vte"
-        assert found[0].source_id == "chunk-0"
+        assert found == [VTE_CANDIDATE]
         assert warnings == []
 
     def test_paraphrase_dropped_with_warning(self, helloxd_report):
@@ -72,7 +80,7 @@ class TestVte:
         first = "HelloXD is a ransomware family that surfaced in November 2021"
         response = f"{first}\n\n{VTE_CANDIDATE}"
         found, warnings = run_vte(helloxd_report, vte_provider(response))
-        assert [c.text for c in found] == [first, VTE_CANDIDATE]
+        assert found == [first, VTE_CANDIDATE]
         assert warnings == []
 
     def test_guard_is_whitespace_insensitive(self, helloxd_report):
@@ -85,7 +93,7 @@ class TestVte:
     def test_mixed_response_keeps_only_verbatim(self, helloxd_report):
         response = f"{VTE_CANDIDATE}\n\nTotally invented claim about kernels."
         found, warnings = run_vte(helloxd_report, vte_provider(response))
-        assert [c.text for c in found] == [VTE_CANDIDATE]
+        assert found == [VTE_CANDIDATE]
         assert len(warnings) == 1
 
 
@@ -98,12 +106,11 @@ class TestSbsa:
     def test_three_steps_in_order(self, helloxd_report):
         found = strategy_sbsa(helloxd_report, sbsa_provider(SBSA_RESPONSE),
                               AttackPatternConfig(), AuditTrail("test"))
-        assert [c.text for c in found] == [
+        assert found == [
             "HelloXD encrypts victim files on Windows and Linux hosts.",
             "The malware talks to its operators over a custom encrypted channel.",
             "Victims negotiate through the Tox messenger.",
         ]
-        assert {c.origin for c in found} == {"sbsa"}
 
     @pytest.mark.parametrize(
         "line,expected",
@@ -118,25 +125,25 @@ class TestSbsa:
     def test_step_prefixes_stripped(self, helloxd_report, line, expected):
         found = strategy_sbsa(helloxd_report, sbsa_provider(line),
                               AttackPatternConfig(), AuditTrail("test"))
-        assert [c.text for c in found] == [expected]
+        assert found == [expected]
 
     def test_blank_and_negative_lines_dropped(self, helloxd_report):
-        found = strategy_sbsa(helloxd_report, sbsa_provider("1. Fact.\n\nnone\n2. Other."),
+        found = strategy_sbsa(helloxd_report,
+                              sbsa_provider("1. Fact.\n\nnone\n2. Other.\n3. Unknown."),
                               AttackPatternConfig(), AuditTrail("test"))
-        assert [c.text for c in found] == ["Fact.", "Other."]
+        assert found == ["Fact.", "Other."]
 
 
 class TestOt:
     def test_every_sentence_is_a_candidate(self, helloxd_report):
         found = strategy_ot(helloxd_report)
         assert len(found) == len(helloxd_report.sentences)
-        assert VTE_CANDIDATE in [c.text for c in found]
-        assert {c.origin for c in found} == {"ot"}
+        assert VTE_CANDIDATE in found
 
     def test_needs_no_provider(self):
         report = make_report("One sentence. Two sentences here.", report_id="r")
         found = strategy_ot(report)
-        assert [c.text for c in found] == ["One sentence.", "Two sentences here."]
+        assert found == ["One sentence.", "Two sentences here."]
 
 
 class TestCosine:
@@ -390,20 +397,19 @@ class TestPipeline:
     def test_golden_report_matches_t1573(self, helloxd_report, golden_script, mini_catalog):
         provider = ScriptedProvider(script=golden_script)
         result = run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider)
-        assert result.report_id == "helloxd-2022"
+        assert result.audit.report_id == "helloxd-2022"
         assert result.technique_ids() == ["T1573"]
         match = result.matches[0]
         assert match.name == "Encrypted Channel"
         assert match.score == pytest.approx(1.0)
-        assert match.explicit is False
+        assert explicit_ids(result) == []
         assert result.warnings == []
 
     def test_candidate_counts(self, helloxd_report, golden_script, mini_catalog):
         provider = ScriptedProvider(script=golden_script)
         result = run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider)
-        assert result.candidate_counts["vte"] == 1
-        assert result.candidate_counts["sbsa"] == 3
-        assert result.candidate_counts["ot"] == len(helloxd_report.sentences)
+        assert candidate_counts(result) == {
+            "vte": 1, "sbsa": 3, "ot": len(helloxd_report.sentences)}
 
     def test_duplicate_candidate_embedded_once(self, helloxd_report, golden_script,
                                                mini_catalog):
@@ -426,7 +432,7 @@ class TestPipeline:
         result = run_attack_pattern_pipeline(report, mini_catalog, provider)
         assert result.technique_ids() == ["T1027"]
         match = result.matches[0]
-        assert match.explicit is True
+        assert explicit_ids(result) == ["T1027"]
         assert match.score is None
         assert match.name == "Obfuscated Files or Information"
 
@@ -442,14 +448,14 @@ class TestPipeline:
         result = run_attack_pattern_pipeline(report, mini_catalog, provider)
         assert result.technique_ids() == ["T1573"]
         match = result.matches[0]
-        assert match.explicit is True
+        assert explicit_ids(result) == ["T1573"]
         assert match.score == pytest.approx(1.0)
 
     def test_strategy_subset_respected(self, helloxd_report, mini_catalog):
         provider = ScriptedProvider(script=[])  # any prompt would raise
         config = AttackPatternConfig(strategies=("ot",))
         result = run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider, config)
-        assert list(result.candidate_counts) == ["ot"]
+        assert list(candidate_counts(result)) == ["ot"]
         assert result.technique_ids() == ["T1573"]  # the sentence itself
 
     def test_unknown_strategy_raises(self, helloxd_report, mini_catalog):
@@ -493,36 +499,25 @@ class TestPipeline:
         config = AttackPatternConfig(threshold=0.5, include_explicit=False)
         result = run_attack_pattern_pipeline(report, catalog, ScriptedProvider(script), config)
 
-        # reference: classify each candidate on its own, merge as the pipeline does
+        # reference: classify each candidate on its own, keep each
+        # technique's best score over every candidate
         provider = ScriptedProvider(script)
         candidates = (run_vte(report, provider)[0] + strategy_sbsa(
             report, provider, config, AuditTrail("r")) + strategy_ot(report))
-        assert len({c.text for c in candidates}) < len(candidates)
+        assert len(set(candidates)) < len(candidates)
         expected = {}
         for c in candidates:
             best = {}
             for entry, row in zip(catalog.entries, catalog.vectors):
-                score = reference_cosine(embed(c.text), row)
-                if entry.technique_id not in best or score > best[entry.technique_id][0]:
-                    best[entry.technique_id] = (score, entry.example_id)
-            for tid, (score, example_id) in sorted(best.items()):
-                if score < config.threshold:
-                    continue
-                if tid not in expected:
-                    expected[tid] = [score, example_id, c, [c.text]]
-                    continue
-                if c.text not in expected[tid][3]:
-                    expected[tid][3].append(c.text)
-                if score > expected[tid][0]:
-                    expected[tid][:3] = [score, example_id, c]
+                score = reference_cosine(embed(c), row)
+                best[entry.technique_id] = max(score, best.get(entry.technique_id, score))
+            for tid, score in best.items():
+                if score >= config.threshold:
+                    expected[tid] = max(score, expected.get(tid, score))
 
         assert result.technique_ids() == sorted(expected) == ["T1001", "T1002", "T1003"]
         for m in result.matches:
-            score, example_id, candidate, supporting = expected[m.technique_id]
-            assert m.score == pytest.approx(score, abs=1e-9)
-            assert (m.example_id, m.candidate, m.supporting) == (
-                example_id, candidate, supporting)
-        assert [m.candidate.origin for m in result.matches] == ["sbsa", "vte", "sbsa"]
+            assert m.score == pytest.approx(expected[m.technique_id], abs=1e-9)
 
     def test_higher_threshold_prunes(self, helloxd_report, golden_script, mini_catalog):
         loose = run_attack_pattern_pipeline(

@@ -555,7 +555,7 @@ class TestCalibrate:
         candidates = strategy_ot(make_report(text, report_id="argmax"))
         assert len(candidates) == 2
         embedder = HashEmbedder()
-        h = [embedder.embed_one(c.text) for c in candidates]
+        h = [embedder.embed_one(c) for c in candidates]
 
         def vector_at(cosine, toward, rng):
             u = toward / np.linalg.norm(toward)
@@ -618,6 +618,40 @@ class TestCalibrate:
             "--set", "attack_patterns.strategies=ot",
         ])
         assert code == 2  # nothing left to calibrate on
+
+    @pytest.mark.parametrize("bounds,message", [
+        (["--step", "0"], "--step must be positive"),
+        (["--step", "-0.01"], "--step must be positive"),
+        (["--low", "0.9", "--high", "0.7"], "--low 0.9 is above --high 0.7"),
+        (["--high", "inf"], "must be finite"),
+        (["--step", "nan"], "must be finite"),
+    ])
+    def test_bad_sweep_bounds_are_rejected_before_any_work(
+            self, tmp_path, catalog_path, monkeypatch, capsys, bounds, message):
+        import cti2stix.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("calibrate did work before checking its bounds")
+
+        monkeypatch.setattr(cli, "load_catalog", forbidden)
+        monkeypatch.setattr(cli, "make_provider", forbidden)
+        script = tmp_path / "empty.json"
+        script.write_text("[]", encoding="utf-8")
+        gt_dir = tmp_path / "gt"
+        write_ground_truth(gt_dir, "helloxd-2022", HELLOXD_TEXT)
+        code = main([
+            "calibrate",
+            "--gt", str(gt_dir),
+            "--catalog", str(catalog_path),
+            "--out-dir", str(tmp_path / "cal"),
+            "--provider", "scripted",
+            "--script", str(script),
+            *bounds,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "cal").exists()
 
 
 class TestMalformedCatalog:

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from cti2stix import ingest
 from cti2stix.audit import AuditTrail
 from cti2stix.entity_pipeline import (
-    DEFAULT_QUERIES,
     CondensationError,
-    CondensedReport,
     ENTITY_PROMPT,
     EntityPipelineConfig,
     EntityQuery,
+    QUERIES,
     RELATION_PROMPT,
     SUMMARY_PROMPT,
     VERIFY_PROMPT,
@@ -41,6 +40,14 @@ def scripted(script, window=4096):
 
 def audit():
     return AuditTrail("t")
+
+
+def decisions(trail, stage):
+    return [e.data for e in trail.events if e.stage == stage and e.event == "decision"]
+
+
+def outcomes(trail, stage):
+    return [d["outcome"] for d in decisions(trail, stage)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +115,7 @@ HEX_DUMP_REPORT = "GrimVault drops a payload. " + "ab" * 30_000 + " It beacons h
 def test_verify_keeps_unbroken_token_chunks_in_budget():
     report = make_report(HEX_DUMP_REPORT, report_id="r-hex")
     provider = scripted([('Is "SpectralKit" mentioned', "No.")])
-    ok, _ = verify_entity("SpectralKit", report, provider, EntityPipelineConfig(), audit())
+    ok = verify_entity("SpectralKit", report, provider, EntityPipelineConfig(), audit())
     assert not ok
     assert len(provider.prompts) > 1
 
@@ -235,9 +242,8 @@ def test_short_report_passes_through_verbatim():
     report = make_report("A short report. Nothing to shrink here.")
     provider = scripted([])
     trail = audit()
-    result = condense(report, provider, EntityPipelineConfig(), trail)
-    assert result.text == report.text
-    assert result.iterations == 0
+    assert condense(report, provider, EntityPipelineConfig(), trail) == report.text
+    assert outcomes(trail, "condense") == ["pass-through"]
     assert provider.prompts == []
 
 
@@ -248,10 +254,13 @@ def test_oversized_report_halves_into_budget_in_one_iteration():
         [("CONCISE SUMMARY:", halving_summarizer)],
         config=ProviderConfig(context_window=8192),
     )
-    result = condense(report, provider, EntityPipelineConfig(), audit())
-    assert result.iterations == 1
-    assert result.condensed_tokens <= extraction_budget(provider.config, EntityPipelineConfig())
-    assert result.source_tokens > result.condensed_tokens
+    trail = audit()
+    condensed = condense(report, provider, EntityPipelineConfig(), trail)
+    (iteration,) = decisions(trail, "condense")
+    assert (iteration["outcome"], iteration["iteration"]) == ("iteration", 1)
+    assert iteration["tokens"] == estimate_tokens(condensed)
+    assert estimate_tokens(condensed) <= extraction_budget(provider.config, EntityPipelineConfig())
+    assert estimate_tokens(report.text) > estimate_tokens(condensed)
 
 
 def test_non_progress_summarizer_fails_at_cap():
@@ -285,6 +294,7 @@ def test_non_progress_summarizer_fails_at_cap():
         ("HelloXD\nhelloxd\nHELLOXD", ["HelloXD"]),
         ("", []),
         ("none\nHelloXD", ["HelloXD"]),
+        ("No relevant text.", []),
     ],
 )
 def test_parse_name_lines(response, expected):
@@ -297,7 +307,7 @@ def test_parse_name_lines(response, expected):
 
 def test_extract_entities_prompt_assembly_and_answer():
     provider = scripted([("Question: Who/which is the target", "Windows and Linux systems")])
-    query = DEFAULT_QUERIES[2]
+    query = QUERIES[2]
     names = extract_entities("some condensed context", query, provider, EntityPipelineConfig(), audit())
     assert names == ["Windows and Linux systems"]
     assert provider.prompts[0] == ENTITY_PROMPT.format(
@@ -309,10 +319,10 @@ def test_extract_entities_prompt_assembly_and_answer():
 
 def test_verify_literal_is_case_and_whitespace_insensitive(helloxd_report):
     provider = scripted([])
-    ok, method = verify_entity("hello xd".replace(" ", ""), helloxd_report, provider, EntityPipelineConfig(), audit())
-    assert ok and method == "literal"
-    ok, method = verify_entity("WINDOWS AND  LINUX SYSTEMS", helloxd_report, provider, EntityPipelineConfig(), audit())
-    assert ok and method == "literal"
+    trail = audit()
+    assert verify_entity("hello xd".replace(" ", ""), helloxd_report, provider, EntityPipelineConfig(), trail)
+    assert verify_entity("WINDOWS AND  LINUX SYSTEMS", helloxd_report, provider, EntityPipelineConfig(), trail)
+    assert outcomes(trail, "verify") == ["literal", "literal"]
     assert provider.prompts == []
 
 
@@ -327,22 +337,24 @@ def test_report_text_is_folded_once_for_all_names(helloxd_report, golden_script,
 
     monkeypatch.setattr(ingest, "collapse_whitespace", counting)
     result = run_entity_pipeline(helloxd_report, scripted(golden_script), EntityPipelineConfig())
-    verified = [e for e in result.extracted if e.verified]
+    verified = [o for o in outcomes(result.audit, "verify") if o != "unverified"]
     assert len(verified) >= 3
     assert len(folds) == 1
 
 
 def test_verify_falls_back_to_llm_confirmation(helloxd_report):
     provider = scripted([('Is "the Tox messenger" mentioned', "Yes, it is.")])
-    ok, method = verify_entity("the Tox messenger", helloxd_report, provider, EntityPipelineConfig(), audit())
-    assert ok and method == "llm"
+    trail = audit()
+    assert verify_entity("the Tox messenger", helloxd_report, provider, EntityPipelineConfig(), trail)
+    assert outcomes(trail, "verify") == ["llm"]
     assert provider.prompts[0].startswith("Use the following portion of a long document")
 
 
 def test_verify_rejects_ungrounded_name(helloxd_report):
     provider = scripted([('Is "SpectralKit" mentioned', "No.")])
-    ok, method = verify_entity("SpectralKit", helloxd_report, provider, EntityPipelineConfig(), audit())
-    assert not ok and method == ""
+    trail = audit()
+    assert not verify_entity("SpectralKit", helloxd_report, provider, EntityPipelineConfig(), trail)
+    assert outcomes(trail, "verify") == ["unverified"]
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +388,11 @@ def test_relation_answer_outside_admissible_set_warns():
 
 def test_relation_none_answer_is_silent():
     mal, actor = entities_for_relations()
-    provider = scripted([('between "x4k" and "HelloXD"', "none")])
-    answers = extract_relations(["ctx"], [actor, mal], provider, EntityPipelineConfig(), audit())
-    assert answers[0].kind is None
-    assert answers[0].warning == ""
+    for answer in ("none", "No relevant text."):
+        provider = scripted([('between "x4k" and "HelloXD"', answer)])
+        answers = extract_relations(["ctx"], [actor, mal], provider, EntityPipelineConfig(), audit())
+        assert answers[0].kind is None
+        assert answers[0].warning == ""
 
 
 def test_malware_malware_pair_issues_no_prompt():
@@ -446,7 +459,7 @@ def test_full_pipeline_on_small_report(helloxd_report, golden_script):
     rel_kinds = sorted(r.kind.value for r in result.bundle.relations)
     assert rel_kinds == ["targets", "targets", "uses"]
     assert validate_bundle(result.bundle) == []
-    assert result.condensed is not None and result.condensed.iterations == 0
+    assert outcomes(result.audit, "condense") == ["pass-through"]
     assert result.warnings == []
 
 
@@ -523,7 +536,7 @@ def test_pipeline_without_preprocessing_unions_chunks(helloxd_report, golden_scr
     config = EntityPipelineConfig(preprocessing=False)
     provider = scripted(golden_script)
     result = run_entity_pipeline(helloxd_report, provider, config)
-    assert result.condensed is None
+    assert outcomes(result.audit, "condense") == ["ablated"]
     assert [e.name for e in result.bundle.entities_of_kind(EntityKind.MALWARE)] == ["HelloXD"]
 
 
@@ -548,6 +561,6 @@ def test_extraction_budget_leaves_room_for_prompts():
     provider_config = ProviderConfig(context_window=4096)
     config = EntityPipelineConfig()
     budget = extraction_budget(provider_config, config)
-    query = max(config.queries, key=lambda q: len(q.definition) + len(q.question))
+    query = max(QUERIES, key=lambda q: len(q.definition) + len(q.question))
     prompt = ENTITY_PROMPT.format(context="x" * (budget * 4), definition=query.definition, question=query.question)
     assert estimate_tokens(prompt) + config.answer_output_tokens <= provider_config.usable_window()

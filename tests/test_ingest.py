@@ -266,6 +266,13 @@ def test_region_around_an_earlier_one_leaves_it_out():
     assert body == "B\n\nAC D"  # no blocks: the outer region's own text
 
 
+def test_region_without_blocks_leaves_out_script_style_and_nav():
+    html = ('<div class="post">Hi <script>var x=1</script><nav>Home</nav>'
+            '<style>p {}</style></div>')
+    _, body = extract_article(html, url="https://example.com/x", plugins=[post_plugin()])
+    assert body == "Hi"
+
+
 def test_nested_plugin_regions_are_linear():
     depth = 3000
     html = ('<title>t</title>' + '<div class="post"><p>x</p>' * depth
