@@ -30,7 +30,7 @@ import numpy as np
 
 from .catalog import TECHNIQUE_ID_RE, TechniqueCatalog, parent_technique, row_norms
 from .audit import AuditTrail, ask, is_negative_answer
-from .entity_pipeline import chunk_text
+from .entity_pipeline import CHUNK_TOKENS, chunk_text
 from .ingest import Report, collapse_whitespace, segment_sentences
 from .llm import context_budget
 
@@ -50,6 +50,9 @@ SBSA_PROMPT = (
     "KEY FACTS:"
 )
 
+# tokens reserved for a vte or sbsa answer
+STRATEGY_OUTPUT_TOKENS = 512
+
 _STEP_PREFIX_RE = re.compile(r"^\s*(?:\d+[.):]\s*|[-*•]\s+|step\s+\d+\s*[:.]\s*)", re.IGNORECASE)
 
 
@@ -57,8 +60,6 @@ _STEP_PREFIX_RE = re.compile(r"^\s*(?:\d+[.):]\s*|[-*•]\s+|step\s+\d+\s*[:.]\s
 class AttackPatternConfig:
     strategies: tuple[str, ...] = ("vte", "sbsa", "ot")
     threshold: float = 0.80
-    chunk_tokens: int = 1024
-    strategy_output_tokens: int = 512
     include_explicit: bool = True
 
 
@@ -79,21 +80,19 @@ class AttackPatternResult:
         return [m.technique_id for m in self.matches]
 
 
-def _strategy_chunks(report: Report, config: AttackPatternConfig, provider: Any,
-                     prompt_template: str) -> list[str]:
-    budget = context_budget(provider.config, prompt_template.format(text=""),
-                            config.strategy_output_tokens)
-    return chunk_text(report.text, min(config.chunk_tokens, budget))
+def _strategy_chunks(report: Report, provider: Any, prompt_template: str) -> list[str]:
+    budget = context_budget(provider.config, prompt_template.format(text=""), STRATEGY_OUTPUT_TOKENS)
+    return chunk_text(report.text, min(CHUNK_TOKENS, budget))
 
 
-def strategy_vte(report: Report, provider: Any, config: AttackPatternConfig,
-                 audit: AuditTrail, warnings: list[dict[str, Any]]) -> list[str]:
+def strategy_vte(report: Report, provider: Any, audit: AuditTrail,
+                 warnings: list[dict[str, Any]]) -> list[str]:
     """Verbatim-text-extraction: quote relevant passages, one candidate per
     quoted paragraph, with a whitespace-insensitive substring guard."""
     candidates: list[str] = []
-    for i, chunk in enumerate(_strategy_chunks(report, config, provider, VTE_PROMPT)):
+    for i, chunk in enumerate(_strategy_chunks(report, provider, VTE_PROMPT)):
         response = ask(provider, audit, "attack-pattern", VTE_PROMPT.format(text=chunk),
-                       config.strategy_output_tokens, strategy="vte", chunk=i)
+                       STRATEGY_OUTPUT_TOKENS, strategy="vte", chunk=i)
         if is_negative_answer(response):
             continue
         squashed_chunk = collapse_whitespace(chunk).casefold()
@@ -114,13 +113,12 @@ def strategy_vte(report: Report, provider: Any, config: AttackPatternConfig,
     return candidates
 
 
-def strategy_sbsa(report: Report, provider: Any, config: AttackPatternConfig,
-                  audit: AuditTrail) -> list[str]:
+def strategy_sbsa(report: Report, provider: Any, audit: AuditTrail) -> list[str]:
     """Step-by-step abstraction: each step line of the response is a candidate."""
     candidates: list[str] = []
-    for i, chunk in enumerate(_strategy_chunks(report, config, provider, SBSA_PROMPT)):
+    for i, chunk in enumerate(_strategy_chunks(report, provider, SBSA_PROMPT)):
         response = ask(provider, audit, "attack-pattern", SBSA_PROMPT.format(text=chunk),
-                       config.strategy_output_tokens, strategy="sbsa", chunk=i)
+                       STRATEGY_OUTPUT_TOKENS, strategy="sbsa", chunk=i)
         for line in response.splitlines():
             step = _STEP_PREFIX_RE.sub("", line).strip()
             if not is_negative_answer(step):
@@ -238,9 +236,9 @@ def run_attack_pattern_pipeline(
     counts: dict[str, int] = {}
     for strategy in config.strategies:
         if strategy == "vte":
-            found = strategy_vte(report, provider, config, audit, warnings)
+            found = strategy_vte(report, provider, audit, warnings)
         elif strategy == "sbsa":
-            found = strategy_sbsa(report, provider, config, audit)
+            found = strategy_sbsa(report, provider, audit)
         elif strategy == "ot":
             found = strategy_ot(report)
         else:

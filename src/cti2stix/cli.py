@@ -179,9 +179,7 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
             report, catalog, provider, config.attack_patterns
         )
 
-    bundle, violations = assemble_and_validate(
-        entity_result.bundle, ap_result, config.pipeline.namespace_seed
-    )
+    bundle, violations = assemble_and_validate(entity_result.bundle, ap_result)
 
     bundle_path = out_dir / f"{report.id}.bundle.json"
     bundle_path.write_text(save_bundle(bundle), encoding="utf-8")
@@ -213,7 +211,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     provider = make_provider(config)
 
-    plugins = load_plugins(config.paths.plugins) if config.paths.plugins else []
+    plugins: list = []
+    if config.paths.plugins:
+        try:
+            plugins = load_plugins(config.paths.plugins)
+        except ValueError as exc:
+            raise ConfigError(f"plugins {config.paths.plugins}: {exc}") from exc
     # the catalog loads while the first reports run; each report waits for it
     # only when it scores its candidates
     catalog: Optional[Future[TechniqueCatalog]] = None
@@ -368,13 +371,42 @@ def _sweep(low: float, high: float, step: float) -> list[float]:
     return out
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    if not all(map(math.isfinite, (args.low, args.high, args.step))):
+# calibration.json keys each threshold by two decimals, so a grid over the
+# cosine range [-1, 1] holds at most this many distinct thresholds
+_MAX_THRESHOLDS = 201
+
+
+def _threshold_key(threshold: float) -> str:
+    return f"{threshold:.2f}"
+
+
+def _calibration_grid(low: float, high: float, step: float) -> list[float]:
+    """The thresholds ``calibrate`` sweeps; raises :class:`ConfigError` on
+    bounds that are not finite or leave the cosine range, a step that is not
+    positive, or a grid whose thresholds would share a key."""
+    if not all(map(math.isfinite, (low, high, step))):
         raise ConfigError("--low, --high and --step must be finite numbers")
-    if args.step <= 0:
-        raise ConfigError(f"--step must be positive, got {args.step}")
-    if args.low > args.high:
-        raise ConfigError(f"--low {args.low} is above --high {args.high}")
+    if step <= 0:
+        raise ConfigError(f"--step must be positive, got {step}")
+    if low > high:
+        raise ConfigError(f"--low {low} is above --high {high}")
+    if low < -1 or high > 1:
+        raise ConfigError(f"--low {low} and --high {high} must lie in the cosine range [-1, 1]")
+    if (high - low) / step >= _MAX_THRESHOLDS:
+        raise ConfigError(f"--step {step} from {low} to {high} gives more than "
+                          f"{_MAX_THRESHOLDS} thresholds")
+    thresholds = _sweep(low, high, step)
+    keys: dict[str, float] = {}
+    for t in thresholds:
+        other = keys.setdefault(_threshold_key(t), t)
+        if other != t:
+            raise ConfigError(f"thresholds {other} and {t} share the key {_threshold_key(t)} "
+                              f"of calibration.json; use a coarser --step")
+    return thresholds
+
+
+def cmd_calibrate(args: argparse.Namespace) -> int:
+    thresholds = _calibration_grid(args.low, args.high, args.step)
     config = _config_from_args(args)
     catalog = load_catalog(args.catalog)
     provider = make_provider(config)
@@ -400,7 +432,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             m.technique_id: m.score for m in result.matches if m.score is not None
         }
 
-    thresholds = _sweep(args.low, args.high, args.step)
     means: dict[float, float] = {}
     for threshold in thresholds:
         f1s = []
@@ -417,7 +448,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "reports": sorted(eligible),
-        "thresholds": {f"{t:.2f}": means[t] for t in thresholds},
+        "thresholds": {_threshold_key(t): means[t] for t in thresholds},
         "best_threshold": best,
         "best_mean_f1": means[best],
         "summary": summarize(list(means.values())),

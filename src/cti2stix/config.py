@@ -63,6 +63,8 @@ _SECTION_TYPES = {
 }
 
 def _coerce(section: str, name: str, current: Any, value: Any) -> Any:
+    """*value* converted to the type of the field's *current* value; raises
+    :class:`ConfigError` on a string that does not parse as that type."""
     if isinstance(current, tuple):
         if isinstance(value, (list, tuple)):
             return tuple(value)
@@ -75,10 +77,13 @@ def _coerce(section: str, name: str, current: Any, value: Any) -> Any:
         if lowered in ("false", "off", "no", "0"):
             return False
         raise ConfigError(f"{section}.{name}: expected a boolean, got {value!r}")
-    if isinstance(current, int) and not isinstance(current, bool) and isinstance(value, str):
-        return int(value)
-    if isinstance(current, float) and isinstance(value, str):
-        return float(value)
+    if isinstance(current, (int, float)) and isinstance(value, str):
+        number = type(current)
+        try:
+            return number(value)
+        except ValueError:
+            expected = "an integer" if number is int else "a number"
+            raise ConfigError(f"{section}.{name}: expected {expected}, got {value!r}") from None
     return value
 
 
@@ -89,7 +94,10 @@ def _apply_section(obj: Any, section: str, data: Mapping[str, Any]) -> Any:
         if key not in known:
             raise ConfigError(f"unknown config key: {section}.{key}")
         updates[key] = _coerce(section, key, getattr(obj, key), value)
-    return dataclasses.replace(obj, **updates)
+    try:
+        return dataclasses.replace(obj, **updates)
+    except (TypeError, ValueError) as exc:  # a section's own checks
+        raise ConfigError(str(exc)) from exc
 
 
 def _apply_mapping(config: AppConfig, data: Mapping[str, Any]) -> AppConfig:
@@ -116,7 +124,10 @@ def load_config(
     """Defaults, then the YAML file, then dotted-key overrides."""
     config = AppConfig()
     if path is not None:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
         if raw is None:
             raw = {}
         if not isinstance(raw, Mapping):
@@ -158,11 +169,11 @@ def make_provider(config: AppConfig) -> Any:
             provider_config = dataclasses.replace(
                 provider_config, embedding_model="hash-32"
             )
-        return ScriptedProvider(
-            load_script(config.paths.script),
-            config=provider_config,
-            embedder=HashEmbedder(),
-        )
+        try:
+            script = load_script(config.paths.script)
+        except ValueError as exc:  # JSON syntax errors included
+            raise ConfigError(f"script {config.paths.script}: {exc}") from exc
+        return ScriptedProvider(script, config=provider_config, embedder=HashEmbedder())
     raise ConfigError(f"unknown provider kind: {kind!r}")
 
 

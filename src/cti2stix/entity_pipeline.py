@@ -39,16 +39,13 @@ from .ingest import Report, collapse_whitespace, segment_sentences
 from .iocs import ioc_entities
 from .llm import ProviderConfig, context_budget, estimate_tokens, tokens_for_counts
 from .stix import (
-    DEFAULT_NAMESPACE_SEED,
     EntityKind,
     RelationKind,
     StixBundle,
     StixEntity,
     StixRelation,
     admissible_relations,
-    entity_id,
     new_bundle,
-    relation_id,
 )
 
 logger = logging.getLogger(__name__)
@@ -75,6 +72,16 @@ RELATION_PROMPT = (
     'Question: What is the relation between "{source}" and "{target}"? '
     "Answer with one of: {options}, or none."
 )
+
+# prompt shapes, sized for a GPT-3.5-class window: the largest chunk any
+# prompt carries, the tokens reserved for a summary and for a short answer,
+# how many summarization rounds condensation may take, and the context held
+# back from the extraction budget for the longer relation wording
+CHUNK_TOKENS = 1024
+SUMMARY_OUTPUT_TOKENS = 512
+ANSWER_OUTPUT_TOKENS = 256
+CONDENSE_ITERATION_CAP = 3
+RELATION_PROMPT_SLACK = 160
 
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d{1,2}[.)])\s+")
 _ANSWER_PREFIX_RE = re.compile(r"^\s*answer\s*:\s*", re.IGNORECASE)
@@ -133,12 +140,6 @@ QUERIES: tuple[EntityQuery, ...] = (
 @dataclass
 class EntityPipelineConfig:
     preprocessing: bool = True
-    chunk_tokens: int = 1024
-    summary_output_tokens: int = 512
-    answer_output_tokens: int = 256
-    condense_iteration_cap: int = 3
-    relation_prompt_slack: int = 160
-    namespace_seed: str = DEFAULT_NAMESPACE_SEED
 
 
 @dataclass
@@ -225,11 +226,11 @@ def chunk_text(text: str, budget: int) -> list[str]:
 # prompt budgets
 
 
-def extraction_budget(provider_config: ProviderConfig, config: EntityPipelineConfig) -> int:
+def extraction_budget(provider_config: ProviderConfig) -> int:
     """Largest context (in estimated tokens) that still leaves room for the
     biggest extraction prompt plus the reserved answer inside the margined
     window, less the slack relation prompts need for their longer wording."""
-    reserved = config.answer_output_tokens + config.relation_prompt_slack
+    reserved = ANSWER_OUTPUT_TOKENS + RELATION_PROMPT_SLACK
     return min(
         context_budget(provider_config, ENTITY_PROMPT.format(
             context="", definition=q.definition, question=q.question), reserved)
@@ -242,11 +243,7 @@ def extraction_budget(provider_config: ProviderConfig, config: EntityPipelineCon
 
 
 def condense(
-    report: Report,
-    provider: Any,
-    config: EntityPipelineConfig,
-    audit: AuditTrail,
-    target_tokens: int | None = None,
+    report: Report, provider: Any, audit: AuditTrail, target_tokens: int | None = None
 ) -> str:
     """Shrink a report's text under *target_tokens* by iterative chunk
     summarization, and return it.
@@ -258,23 +255,23 @@ def condense(
     summarizer that refuses to compress).
     """
     if target_tokens is None:
-        target_tokens = extraction_budget(provider.config, config)
+        target_tokens = extraction_budget(provider.config)
     current = report.text
     tokens = estimate_tokens(current)
     if tokens <= target_tokens:
         audit.record("condense", "decision", outcome="pass-through", tokens=tokens)
         return current
 
-    chunk_budget = min(config.chunk_tokens, context_budget(
-        provider.config, SUMMARY_PROMPT.format(text=""), config.summary_output_tokens))
+    chunk_budget = min(CHUNK_TOKENS, context_budget(
+        provider.config, SUMMARY_PROMPT.format(text=""), SUMMARY_OUTPUT_TOKENS))
     iterations = 0
-    while iterations < config.condense_iteration_cap:
+    while iterations < CONDENSE_ITERATION_CAP:
         iterations += 1
         chunks = chunk_text(current, chunk_budget)
         summaries = []
         for i, chunk in enumerate(chunks):
             response = ask(provider, audit, "condense", SUMMARY_PROMPT.format(text=chunk),
-                           config.summary_output_tokens, iteration=iterations, chunk=i)
+                           SUMMARY_OUTPUT_TOKENS, iteration=iterations, chunk=i)
             summaries.append(response.strip())
         current = "\n\n".join(s for s in summaries if s)
         tokens = estimate_tokens(current)
@@ -320,26 +317,19 @@ def extract_entities(
     context: str,
     query: EntityQuery,
     provider: Any,
-    config: EntityPipelineConfig,
     audit: AuditTrail,
     context_id: str = "condensed",
 ) -> list[str]:
     """Ask one entity question against one context; return candidate names."""
     prompt = ENTITY_PROMPT.format(context=context, definition=query.definition, question=query.question)
-    response = ask(provider, audit, "extract", prompt, config.answer_output_tokens,
+    response = ask(provider, audit, "extract", prompt, ANSWER_OUTPUT_TOKENS,
                    query=query.name, context_id=context_id)
     names = parse_name_lines(response)
     audit.record("extract", "decision", query=query.name, names=names, context_id=context_id)
     return names
 
 
-def verify_entity(
-    name: str,
-    report: Report,
-    provider: Any,
-    config: EntityPipelineConfig,
-    audit: AuditTrail,
-) -> bool:
+def verify_entity(name: str, report: Report, provider: Any, audit: AuditTrail) -> bool:
     """Ground a candidate name in the original report: a substring hit, or
     else a per-chunk yes/no question that confirms a reworded mention.  The
     audit's ``verify`` decision records which (``literal``, ``llm`` or
@@ -350,10 +340,10 @@ def verify_entity(
         return True
 
     budget = context_budget(provider.config, VERIFY_PROMPT.format(text="", name=name),
-                            config.answer_output_tokens)
+                            ANSWER_OUTPUT_TOKENS)
     for i, chunk in enumerate(chunk_text(report.text, budget)):
         response = ask(provider, audit, "verify", VERIFY_PROMPT.format(text=chunk, name=name),
-                       config.answer_output_tokens, name=name, chunk=i)
+                       ANSWER_OUTPUT_TOKENS, name=name, chunk=i)
         if response.strip().casefold().startswith("yes"):
             audit.record("verify", "decision", name=name, outcome="llm")
             return True
@@ -394,7 +384,6 @@ def extract_relations(
     contexts: Sequence[str],
     entities: Sequence[StixEntity],
     provider: Any,
-    config: EntityPipelineConfig,
     audit: AuditTrail,
     pairs: Sequence[tuple[StixEntity, StixEntity]] | None = None,
 ) -> list[RelationAnswer]:
@@ -427,7 +416,7 @@ def extract_relations(
             prompt = RELATION_PROMPT.format(
                 context=context, source=a.name, target=b.name, options=", ".join(options),
             )
-            response = ask(provider, audit, "relations", prompt, config.answer_output_tokens,
+            response = ask(provider, audit, "relations", prompt, ANSWER_OUTPUT_TOKENS,
                            source=a.name, target=b.name, context_id=str(ctx_index))
             found, warning = _parse_relation_answer(response, options)
             if found is not None:
@@ -464,15 +453,14 @@ def run_entity_pipeline(
     config = config or EntityPipelineConfig()
     audit = AuditTrail(report.id)
     warnings: list[dict[str, str]] = []
-    seed = config.namespace_seed
 
     if not report.text.strip():
         warnings.append({"kind": "empty-report", "detail": f"report {report.id} has no text"})
-        return EntityPipelineResult(new_bundle(report.id, seed), warnings, audit)
+        return EntityPipelineResult(new_bundle(report.id), warnings, audit)
 
-    budget = extraction_budget(provider.config, config)
+    budget = extraction_budget(provider.config)
     if config.preprocessing:
-        contexts = [condense(report, provider, config, audit, target_tokens=budget)]
+        contexts = [condense(report, provider, audit, target_tokens=budget)]
         context_ids = ["condensed"]
     else:
         pieces = chunk_text(report.text, budget)
@@ -485,10 +473,10 @@ def run_entity_pipeline(
     for query in QUERIES:
         candidates: dict[str, str] = {}  # squashed name -> first spelling seen
         for context, context_id in zip(contexts, context_ids):
-            for name in extract_entities(context, query, provider, config, audit, context_id):
+            for name in extract_entities(context, query, provider, audit, context_id):
                 candidates.setdefault(collapse_whitespace(name).casefold(), name)
         for name in candidates.values():
-            if not verify_entity(name, report, provider, config, audit):
+            if not verify_entity(name, report, provider, audit):
                 warnings.append(
                     {
                         "kind": "inconsistency",
@@ -496,9 +484,7 @@ def run_entity_pipeline(
                     }
                 )
                 continue
-            verified_by_query[query.name].append(
-                StixEntity(query.entity_kind, name, id=entity_id(query.entity_kind, name, seed))
-            )
+            verified_by_query[query.name].append(StixEntity(query.entity_kind, name))
 
     entities = _unique_entities(e for q in QUERIES for e in verified_by_query[q.name])
     principals = [e for e in entities if e.kind in (EntityKind.MALWARE, EntityKind.THREAT_ACTOR)]
@@ -506,16 +492,12 @@ def run_entity_pipeline(
 
     relations: list[StixRelation] = []
 
-    def add_relation(kind: RelationKind, source: StixEntity, target: StixEntity) -> None:
-        rel_id = relation_id(kind, source.id, target.id, seed)
-        relations.append(StixRelation(kind, source.id, target.id, id=rel_id))
-
     # the target question already asserts the Targets relation; attach it
     # from every principal without a second query
     for identity in target_identities:
         for principal in principals:
             if RelationKind.TARGETS in admissible_relations(principal.kind, identity.kind):
-                add_relation(RelationKind.TARGETS, principal, identity)
+                relations.append(StixRelation(RelationKind.TARGETS, principal.id, identity.id))
                 audit.record(
                     "relations", "decision", source=principal.name, target=identity.name,
                     outcome="targets", rule="principal-target",
@@ -523,19 +505,19 @@ def run_entity_pipeline(
 
     # LLM relation queries among the remaining (non-identity) verified pairs
     queryable = [e for e in entities if e.kind is not EntityKind.IDENTITY]
-    for answer in extract_relations(contexts, queryable, provider, config, audit):
+    for answer in extract_relations(contexts, queryable, provider, audit):
         if answer.warning:
             warnings.append({"kind": "relation-parse", "detail": answer.warning})
         if answer.kind is not None:
-            add_relation(answer.kind, answer.source, answer.target)
+            relations.append(StixRelation(answer.kind, answer.source.id, answer.target.id))
 
     # IoCs from the raw text; assembly draws their indicates edges
-    iocs = ioc_entities(report.text, seed)
+    iocs = ioc_entities(report.text)
     existing_ids = {e.id for e in entities}
     iocs = [e for e in iocs if e.id not in existing_ids]
     audit.record("iocs", "decision", count=len(iocs))
 
-    bundle = new_bundle(report.id, seed)
+    bundle = new_bundle(report.id)
     bundle.entities = entities + iocs
     bundle.relations = relations
     return EntityPipelineResult(bundle, warnings, audit)

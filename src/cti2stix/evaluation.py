@@ -27,7 +27,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 from .attack_patterns import detect_explicit_techniques
 from .catalog import parent_technique
 from .audit import AuditTrail
-from .entity_pipeline import EntityPipelineConfig, extract_relations
+from .entity_pipeline import extract_relations
 from .stix import (
     EntityKind,
     RelationKind,
@@ -348,11 +348,9 @@ def run_relation_benchmark(
     gt: GroundTruth,
     contexts: Sequence[str],
     provider: Any,
-    config: Optional[EntityPipelineConfig] = None,
     seed: Union[str, int] = "cti2stix",
     negatives: Optional[int] = None,
 ) -> RelationBenchmarkResult:
-    config = config or EntityPipelineConfig()
     audit = AuditTrail(gt.report_id)
     examples = build_relation_examples(gt, seed=seed, negatives=negatives)
     if not examples:
@@ -367,8 +365,7 @@ def run_relation_benchmark(
         source = StixEntity(kind=example.source_kind, name=example.source)
         target = StixEntity(kind=example.target_kind, name=example.target)
         answers = extract_relations(
-            contexts, [source, target], provider, config, audit,
-            pairs=[(source, target)],
+            contexts, [source, target], provider, audit, pairs=[(source, target)],
         )
         predicted = answers[0].kind if answers else None
         predictions.append(predicted)

@@ -18,15 +18,12 @@ from typing import Optional
 
 from .attack_patterns import AttackPatternResult
 from .stix import (
-    DEFAULT_NAMESPACE_SEED,
     EntityKind,
     RelationKind,
     StixBundle,
     StixEntity,
     StixRelation,
     Violation,
-    entity_id,
-    relation_id,
     validate_bundle,
 )
 
@@ -47,24 +44,12 @@ def _add_relation(bundle: StixBundle, ids: set[str], relation: StixRelation) -> 
         bundle.relations.append(relation)
 
 
-def technique_entity(
-    technique_id: str,
-    name: Optional[str],
-    namespace_seed: str = DEFAULT_NAMESPACE_SEED,
-) -> StixEntity:
-    display = name or technique_id
-    return StixEntity(
-        kind=EntityKind.ATTACK_PATTERN,
-        name=display,
-        id=entity_id(EntityKind.ATTACK_PATTERN, display, namespace_seed),
-        technique_id=technique_id,
-    )
+def technique_entity(technique_id: str, name: Optional[str]) -> StixEntity:
+    return StixEntity(EntityKind.ATTACK_PATTERN, name or technique_id, technique_id=technique_id)
 
 
 def assemble_bundle(
-    entity_bundle: StixBundle,
-    ap_result: Optional[AttackPatternResult] = None,
-    namespace_seed: str = DEFAULT_NAMESPACE_SEED,
+    entity_bundle: StixBundle, ap_result: Optional[AttackPatternResult] = None
 ) -> StixBundle:
     """One merged bundle; the inputs are not modified."""
     bundle = StixBundle(
@@ -88,47 +73,25 @@ def assemble_bundle(
         )
     for indicator in indicators:
         for mal in malware:
-            _add_relation(
-                bundle,
-                relation_ids,
-                StixRelation(
-                    kind=RelationKind.INDICATES,
-                    source_ref=indicator.id,
-                    target_ref=mal.id,
-                    id=relation_id(
-                        RelationKind.INDICATES, indicator.id, mal.id, namespace_seed
-                    ),
-                ),
-            )
+            _add_relation(bundle, relation_ids,
+                          StixRelation(RelationKind.INDICATES, indicator.id, mal.id))
 
     if ap_result is not None:
         principals = [e for e in bundle.entities if e.kind in _PRINCIPAL_KINDS]
         for match in ap_result.matches:
-            ap = technique_entity(match.technique_id, match.name, namespace_seed)
+            ap = technique_entity(match.technique_id, match.name)
             _add_entity(bundle, entity_ids, ap)
             for principal in principals:
-                _add_relation(
-                    bundle,
-                    relation_ids,
-                    StixRelation(
-                        kind=RelationKind.USES,
-                        source_ref=principal.id,
-                        target_ref=ap.id,
-                        id=relation_id(
-                            RelationKind.USES, principal.id, ap.id, namespace_seed
-                        ),
-                    ),
-                )
+                _add_relation(bundle, relation_ids,
+                              StixRelation(RelationKind.USES, principal.id, ap.id))
 
     return bundle
 
 
 def assemble_and_validate(
-    entity_bundle: StixBundle,
-    ap_result: Optional[AttackPatternResult] = None,
-    namespace_seed: str = DEFAULT_NAMESPACE_SEED,
+    entity_bundle: StixBundle, ap_result: Optional[AttackPatternResult] = None
 ) -> tuple[StixBundle, list[Violation]]:
-    bundle = assemble_bundle(entity_bundle, ap_result, namespace_seed)
+    bundle = assemble_bundle(entity_bundle, ap_result)
     violations = validate_bundle(bundle)
     for v in violations:
         logger.warning("bundle %s: %s (%s)", bundle.id, v.message, v.code)

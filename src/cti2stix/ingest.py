@@ -106,8 +106,16 @@ class SourcePlugin:
 
 
 def load_plugins(path: Union[str, Path]) -> list[SourcePlugin]:
-    """Read plugin definitions from a YAML list (see README for the schema)."""
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or []
+    """Read plugin definitions from a YAML list (see README for the schema).
+
+    Raises ``ValueError`` on a file that is not such a list."""
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or []
+    except yaml.YAMLError as exc:
+        raise ValueError(f"not valid YAML: {exc}") from exc
+    if not isinstance(raw, list) or not all(isinstance(item, dict) and "name" in item
+                                            for item in raw):
+        raise ValueError("a plugin file is a YAML list of mappings, each with a name")
     plugins = []
     for item in raw:
         plugins.append(
@@ -257,7 +265,8 @@ class _Element:
 
     # traversals use explicit stacks (children pushed in reverse to keep
     # document order) so arbitrarily deep markup cannot hit the recursion
-    # limit; *skip* leaves out elements together with everything under them
+    # limit; *skip* leaves out elements together with everything under them,
+    # and text() also leaves out script/style/nav subtrees
 
     def walk(self, skip: Container["_Element"] = ()) -> Iterable["_Element"]:
         stack: list[_Element] = [self]
@@ -274,7 +283,7 @@ class _Element:
             node = stack.pop()
             if isinstance(node, str):
                 parts.append(node)
-            elif node not in skip:
+            elif node not in skip and node.tag not in _SKIP_TAGS:
                 stack.extend(reversed(node.children))
         return "".join(parts)
 
@@ -487,8 +496,8 @@ def collapse_whitespace(text: str) -> str:
 def _blocks_under(element: _Element, skip: Container[_Element] = ()) -> list[str]:
     """Heading/paragraph/list/table-cell texts under *element*, in document
     order, skipping script/style/nav subtrees and the elements in *skip*.  A
-    matched block is emitted whole; nested block tags inside it are not
-    emitted again."""
+    matched block is emitted whole, less its own script/style/nav subtrees;
+    nested block tags inside it are not emitted again."""
     blocks: list[str] = []
     stack: list[Union[_Element, str]] = list(reversed(element.children))
     while stack:
@@ -553,7 +562,6 @@ def extract_article(
                     blocks.extend(region_blocks)
                 else:
                     # the region's own text, less script/style/nav subtrees
-                    taken.update(node for node in inside if node.tag in _SKIP_TAGS)
                     text = collapse_whitespace(region.text(taken))
                     if text:
                         blocks.append(text)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .stix import DEFAULT_NAMESPACE_SEED, EntityKind, StixEntity, entity_id
+from .stix import EntityKind, StixEntity
 
 _OCTET = r"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
 _DOT = r"(?:\.|\[\.\]|\(\.\))"
@@ -139,26 +139,19 @@ def _stix_pattern(ioc_type: str, value: str) -> str:
     return f"[{field} = '{escaped}']"
 
 
-def ioc_entities(text: str, namespace_seed: str = DEFAULT_NAMESPACE_SEED) -> list[StixEntity]:
+def ioc_entities(text: str) -> list[StixEntity]:
     """Indicator/Vulnerability entities for every IoC in *text*."""
     entities = []
     for match in find_iocs(text):
         if match.ioc_type == "cve":
-            ent = StixEntity(
-                EntityKind.VULNERABILITY, match.value,
-                id=entity_id(EntityKind.VULNERABILITY, match.value, namespace_seed),
-            )
-        else:
-            extra = {
-                "indicator_type": match.ioc_type,
-                "pattern": _stix_pattern(match.ioc_type, match.value),
-                "pattern_type": "stix",
-            }
-            if match.original != match.value:
-                extra["original"] = match.original
-            ent = StixEntity(
-                EntityKind.INDICATOR, match.value, extra=extra,
-                id=entity_id(EntityKind.INDICATOR, match.value, namespace_seed),
-            )
-        entities.append(ent)
+            entities.append(StixEntity(EntityKind.VULNERABILITY, match.value))
+            continue
+        extra = {
+            "indicator_type": match.ioc_type,
+            "pattern": _stix_pattern(match.ioc_type, match.value),
+            "pattern_type": "stix",
+        }
+        if match.original != match.value:
+            extra["original"] = match.original
+        entities.append(StixEntity(EntityKind.INDICATOR, match.value, extra=extra))
     return entities

@@ -26,7 +26,7 @@ import re
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
 
@@ -81,14 +81,16 @@ def tokens_for_counts(words: int, chars: int) -> int:
 
 @dataclass
 class ProviderConfig:
-    """Connection and budgeting settings for one provider endpoint."""
+    """Connection and budgeting settings for one provider endpoint.
+
+    Raises ``ValueError`` on a count below one, a timeout that is not
+    positive or a negative backoff."""
 
     endpoint: str = "https://api.openai.com/v1"
     api_key_env: str = "OPENAI_API_KEY"
     completion_model: str = "gpt-3.5-turbo"
     embedding_model: str = "text-embedding-ada-002"
     context_window: int = 4096
-    budget_margin: float = 0.10
     max_concurrent: int = 4
     retry_attempts: int = 3
     retry_backoff: float = 0.5
@@ -96,9 +98,20 @@ class ProviderConfig:
     embed_batch_size: int = 100
     cache_path: str | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("context_window", "max_concurrent", "retry_attempts", "embed_batch_size"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"provider.{name} must be at least 1, got {value!r}")
+        if not self.timeout > 0:
+            raise ValueError(f"provider.timeout must be positive, got {self.timeout!r}")
+        if not self.retry_backoff >= 0:
+            raise ValueError(
+                f"provider.retry_backoff must not be negative, got {self.retry_backoff!r}")
+
     def usable_window(self) -> int:
         """Context window shrunk by the safety margin for estimation error."""
-        return int(self.context_window * (1.0 - self.budget_margin))
+        return int(self.context_window * (1.0 - BUDGET_MARGIN))
 
 
 @dataclass
@@ -107,6 +120,10 @@ class CompletionRequest:
     max_output_tokens: int = 256
     temperature: float = 0.0
     model: str = ""
+
+
+# share of the context window held back for the token estimator's error
+BUDGET_MARGIN = 0.10
 
 
 def check_budget(request: CompletionRequest, config: ProviderConfig) -> int:
@@ -120,7 +137,7 @@ def check_budget(request: CompletionRequest, config: ProviderConfig) -> int:
         raise BudgetError(
             f"prompt estimate {estimate} + reserved output {request.max_output_tokens} "
             f"exceeds usable window {usable} (context {config.context_window}, "
-            f"margin {config.budget_margin:.0%})"
+            f"margin {BUDGET_MARGIN:.0%})"
         )
     return estimate
 
@@ -138,7 +155,7 @@ def context_budget(config: ProviderConfig, empty_prompt: str, reserved_output: i
         raise BudgetError(
             f"no room for context: prompt overhead {overhead} + reserved output "
             f"{reserved_output} fill usable window {config.usable_window()} "
-            f"(context {config.context_window}, margin {config.budget_margin:.0%})"
+            f"(context {config.context_window}, margin {BUDGET_MARGIN:.0%})"
         )
     return budget
 
@@ -288,9 +305,8 @@ class HttpProvider:
     def _post(self, path: str, payload: dict) -> dict:
         url = self.config.endpoint.rstrip("/") + path
         headers = self._headers()
-        attempts = max(1, self.config.retry_attempts)
         last_error = ""
-        for attempt in range(attempts):
+        for attempt in range(self.config.retry_attempts):
             if attempt:
                 wait = min(self.config.retry_backoff * (2 ** (attempt - 1)), 60.0)
                 with self._counter_lock:
@@ -310,7 +326,8 @@ class HttpProvider:
             last_error = f"HTTP {status}: {body.get('error', {}).get('message', '')}"
             if status not in _RETRYABLE_STATUS:
                 raise TransportError(f"{path} failed, {last_error}")
-        raise TransportError(f"{path} failed after {attempts} attempts, {last_error}")
+        raise TransportError(
+            f"{path} failed after {self.config.retry_attempts} attempts, {last_error}")
 
     def complete(self, request: CompletionRequest) -> str:
         check_budget(request, self.config)
@@ -349,7 +366,7 @@ class HttpProvider:
                     continue
             pending.append(i)
 
-        batch = max(1, self.config.embed_batch_size)
+        batch = self.config.embed_batch_size
         dims: set[int] = set()
         for start in range(0, len(pending), batch):
             idxs = pending[start : start + batch]
@@ -477,8 +494,14 @@ def load_script(path: Union[str, Path]) -> list[ScriptRule]:
 
     The file holds a list of ``{"match": substring, "response": text}``
     objects (``"regex": pattern`` may replace ``"match"``); order matters.
+    Raises ``ValueError`` on a file that is not such a list.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, list) or not all(
+        isinstance(item, dict) and "response" in item and ("regex" in item or "match" in item)
+        for item in raw
+    ):
+        raise ValueError('a script is a JSON list of {"match" or "regex", "response"} objects')
     rules: list[ScriptRule] = []
     for item in raw:
         if "regex" in item:

@@ -7,14 +7,13 @@ bundle.  Everything else found in a bundle file is preserved (per-object
 unknown properties ride along in ``extra``) or skipped with a warning (unknown
 object types).
 
-Identifiers are deterministic: the same (kind, normalized name) under the same
-namespace seed always yields the same STIX id, so re-running an extraction
+Identifiers are deterministic: the same (kind, normalized name) always yields
+the same STIX id, a UUIDv5 in one fixed namespace, so re-running an extraction
 produces byte-identical output.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -24,13 +23,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
-from typing import Any, Iterable, Union
+from typing import Any, Union
 
 logger = logging.getLogger(__name__)
 
 SPEC_VERSION = "2.1"
 MITRE_SOURCE_NAME = "mitre-attack"
-DEFAULT_NAMESPACE_SEED = "cti2stix"
+# the namespace of every generated id
+_NAMESPACE = uuid.uuid5(uuid.NAMESPACE_DNS, "cti2stix")
 
 _WS_RE = re.compile(r"\s+")
 _TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(?:\.\d{3})?$")
@@ -137,41 +137,28 @@ def normalize_name(name: str) -> str:
     return out.casefold()
 
 
-@functools.cache
-def _namespace(seed: str) -> uuid.UUID:
-    return uuid.uuid5(uuid.NAMESPACE_DNS, seed)
-
-
 # hex digit of the UUID variant nibble (bits 10xx) for each digit of the digest
 _VARIANT_DIGIT = {d: "89ab"[int(d, 16) & 3] for d in "0123456789abcdef"}
 
 
-def _uuid5(seed: str, name: str) -> str:
-    """``str(uuid.uuid5(_namespace(seed), name))`` from one SHA-1 digest,
-    formatted directly instead of through a ``UUID`` object."""
-    h = hashlib.sha1(_namespace(seed).bytes + name.encode("utf-8")).hexdigest()
+def _uuid5(name: str) -> str:
+    """``str(uuid.uuid5(_NAMESPACE, name))`` from one SHA-1 digest, formatted
+    directly instead of through a ``UUID`` object."""
+    h = hashlib.sha1(_NAMESPACE.bytes + name.encode("utf-8")).hexdigest()
     return f"{h[:8]}-{h[8:12]}-5{h[13:16]}-{_VARIANT_DIGIT[h[16]]}{h[17:20]}-{h[20:32]}"
 
 
-def entity_id(kind: EntityKind, name: str, namespace_seed: str = DEFAULT_NAMESPACE_SEED) -> str:
+def entity_id(kind: EntityKind, name: str) -> str:
     """Deterministic STIX id for an entity: stable across runs and processes."""
-    u = _uuid5(namespace_seed, f"entity|{kind.value}|{normalize_name(name)}")
-    return f"{kind.value}--{u}"
+    return f"{kind.value}--{_uuid5(f'entity|{kind.value}|{normalize_name(name)}')}"
 
 
-def relation_id(
-    kind: RelationKind,
-    source_ref: str,
-    target_ref: str,
-    namespace_seed: str = DEFAULT_NAMESPACE_SEED,
-) -> str:
-    u = _uuid5(namespace_seed, f"relation|{kind.value}|{source_ref}|{target_ref}")
-    return f"relationship--{u}"
+def relation_id(kind: RelationKind, source_ref: str, target_ref: str) -> str:
+    return f"relationship--{_uuid5(f'relation|{kind.value}|{source_ref}|{target_ref}')}"
 
 
-def bundle_id(report_id: str, namespace_seed: str = DEFAULT_NAMESPACE_SEED) -> str:
-    u = _uuid5(namespace_seed, f"bundle|{report_id}")
-    return f"bundle--{u}"
+def bundle_id(report_id: str) -> str:
+    return f"bundle--{_uuid5(f'bundle|{report_id}')}"
 
 
 @dataclass
@@ -461,5 +448,5 @@ def validate_bundle(bundle: StixBundle) -> list[Violation]:
     return violations
 
 
-def new_bundle(report_id: str, namespace_seed: str = DEFAULT_NAMESPACE_SEED) -> StixBundle:
-    return StixBundle(id=bundle_id(report_id, namespace_seed))
+def new_bundle(report_id: str) -> StixBundle:
+    return StixBundle(id=bundle_id(report_id))

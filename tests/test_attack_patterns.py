@@ -44,10 +44,9 @@ def explicit_ids(result):
             if e.data.get("rule") == "explicit-id"]
 
 
-def run_vte(report, provider, config=None):
+def run_vte(report, provider):
     warnings = []
-    found = strategy_vte(report, provider, config or AttackPatternConfig(),
-                         AuditTrail("test"), warnings)
+    found = strategy_vte(report, provider, AuditTrail("test"), warnings)
     return found, warnings
 
 
@@ -100,12 +99,11 @@ class TestVte:
 class TestSbsa:
     def test_prompt_is_exact(self, helloxd_report):
         provider = sbsa_provider("1. One fact.")
-        strategy_sbsa(helloxd_report, provider, AttackPatternConfig(), AuditTrail("test"))
+        strategy_sbsa(helloxd_report, provider, AuditTrail("test"))
         assert provider.prompts == [SBSA_PROMPT.format(text=helloxd_report.text)]
 
     def test_three_steps_in_order(self, helloxd_report):
-        found = strategy_sbsa(helloxd_report, sbsa_provider(SBSA_RESPONSE),
-                              AttackPatternConfig(), AuditTrail("test"))
+        found = strategy_sbsa(helloxd_report, sbsa_provider(SBSA_RESPONSE), AuditTrail("test"))
         assert found == [
             "HelloXD encrypts victim files on Windows and Linux hosts.",
             "The malware talks to its operators over a custom encrypted channel.",
@@ -123,14 +121,13 @@ class TestSbsa:
         ],
     )
     def test_step_prefixes_stripped(self, helloxd_report, line, expected):
-        found = strategy_sbsa(helloxd_report, sbsa_provider(line),
-                              AttackPatternConfig(), AuditTrail("test"))
+        found = strategy_sbsa(helloxd_report, sbsa_provider(line), AuditTrail("test"))
         assert found == [expected]
 
     def test_blank_and_negative_lines_dropped(self, helloxd_report):
         found = strategy_sbsa(helloxd_report,
                               sbsa_provider("1. Fact.\n\nnone\n2. Other.\n3. Unknown."),
-                              AttackPatternConfig(), AuditTrail("test"))
+                              AuditTrail("test"))
         assert found == ["Fact.", "Other."]
 
 
@@ -503,7 +500,7 @@ class TestPipeline:
         # technique's best score over every candidate
         provider = ScriptedProvider(script)
         candidates = (run_vte(report, provider)[0] + strategy_sbsa(
-            report, provider, config, AuditTrail("r")) + strategy_ot(report))
+            report, provider, AuditTrail("r")) + strategy_ot(report))
         assert len(set(candidates)) < len(candidates)
         expected = {}
         for c in candidates:

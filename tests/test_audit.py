@@ -9,12 +9,7 @@ from pathlib import Path
 import pytest
 
 import cti2stix
-from cti2stix.attack_patterns import (
-    AttackPatternConfig,
-    run_attack_pattern_pipeline,
-    strategy_sbsa,
-    strategy_vte,
-)
+from cti2stix.attack_patterns import run_attack_pattern_pipeline, strategy_sbsa, strategy_vte
 from cti2stix.audit import AuditTrail
 from cti2stix.entity_pipeline import (
     EntityPipelineConfig,
@@ -88,15 +83,13 @@ def test_trail_holds_every_prompt_in_order(helloxd_report, mini_catalog, preproc
 TINY = ProviderConfig(context_window=200)
 
 STAGES = {
-    "extract": lambda report, provider: extraction_budget(TINY, EntityPipelineConfig()),
-    "summary": lambda report, provider: condense(
-        report, provider, EntityPipelineConfig(), AuditTrail("t"), target_tokens=10),
+    "extract": lambda report, provider: extraction_budget(TINY),
+    "summary": lambda report, provider: condense(report, provider, AuditTrail("t"),
+                                                 target_tokens=10),
     "verify": lambda report, provider: verify_entity(
-        "Hello-XD loader", report, provider, EntityPipelineConfig(), AuditTrail("t")),
-    "vte": lambda report, provider: strategy_vte(
-        report, provider, AttackPatternConfig(), AuditTrail("t"), []),
-    "sbsa": lambda report, provider: strategy_sbsa(
-        report, provider, AttackPatternConfig(), AuditTrail("t")),
+        "Hello-XD loader", report, provider, AuditTrail("t")),
+    "vte": lambda report, provider: strategy_vte(report, provider, AuditTrail("t"), []),
+    "sbsa": lambda report, provider: strategy_sbsa(report, provider, AuditTrail("t")),
 }
 
 

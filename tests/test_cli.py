@@ -625,6 +625,11 @@ class TestCalibrate:
         (["--low", "0.9", "--high", "0.7"], "--low 0.9 is above --high 0.7"),
         (["--high", "inf"], "must be finite"),
         (["--step", "nan"], "must be finite"),
+        (["--low", "-1.5"], "cosine range [-1, 1]"),
+        (["--high", "1.5"], "cosine range [-1, 1]"),
+        (["--step", "0.001"], "more than 201 thresholds"),
+        (["--low", "0", "--high", "1", "--step", "1e-6"], "more than 201 thresholds"),
+        (["--low", "0.005", "--step", "0.01"], "share the key 0.01"),
     ])
     def test_bad_sweep_bounds_are_rejected_before_any_work(
             self, tmp_path, catalog_path, monkeypatch, capsys, bounds, message):
@@ -652,6 +657,12 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "cal").exists()
+
+    def test_widest_grid_keys_every_threshold(self):
+        from cti2stix.cli import _calibration_grid
+
+        grid = _calibration_grid(-1.0, 1.0, 0.01)
+        assert len(grid) == len({f"{t:.2f}" for t in grid}) == 201
 
 
 class TestMalformedCatalog:
@@ -756,10 +767,10 @@ class TestConfigShow:
 
     def test_flag_overrides_visible(self, capsys, tmp_path):
         config_file = tmp_path / "c.yaml"
-        config_file.write_text("pipeline:\n  chunk_tokens: 333\n", encoding="utf-8")
+        config_file.write_text("attack_patterns:\n  threshold: 0.33\n", encoding="utf-8")
         code = main(["config", "show", "--config", str(config_file)])
         assert code == 0
-        assert "chunk_tokens: 333" in capsys.readouterr().out
+        assert "threshold: 0.33" in capsys.readouterr().out
 
 
 class TestUsage:
@@ -783,3 +794,68 @@ class TestUsage:
         assert code == 2
         assert f"error: --jobs must be at least 1, got {jobs}" in err
         assert "Traceback" not in err
+
+    def test_unparseable_override_is_usage_error(self, capsys):
+        code = main(["config", "show", "--set", "provider.context_window=abc"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: provider.context_window: expected an integer, got 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_malformed_config_file_is_usage_error(self, tmp_path, capsys):
+        config_file = tmp_path / "broken.yaml"
+        config_file.write_text("provider: [unclosed\n", encoding="utf-8")
+        code = main(["config", "show", "--config", str(config_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "not valid YAML" in err
+
+    @pytest.mark.parametrize("plugins", [
+        "- hosts: [example.com]\n  selectors: [article]\n",  # an item without a name
+        "name: vendor-blog\nhosts: [example.com]\n",          # a mapping, not a list
+    ])
+    def test_malformed_plugin_file_is_usage_error(self, tmp_path, script_path, report_path,
+                                                  capsys, plugins):
+        plugin_file = tmp_path / "sites.yaml"
+        plugin_file.write_text(plugins, encoding="utf-8")
+        code = main([
+            "extract", str(report_path), "--out-dir", str(tmp_path / "out"),
+            "--provider", "scripted", "--script", str(script_path),
+            "--plugins", str(plugin_file),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: plugins ") and "each with a name" in err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_script_that_is_not_json_is_usage_error(self, tmp_path, report_path, capsys):
+        script = tmp_path / "rules.json"
+        script.write_text("match: HelloXD\n", encoding="utf-8")
+        code = main([
+            "extract", str(report_path), "--out-dir", str(tmp_path / "out"),
+            "--provider", "scripted", "--script", str(script),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: script {script}: ")
+        assert "Traceback" not in err
+
+    def test_zero_concurrency_is_usage_error_not_a_hang(self, tmp_path, report_path,
+                                                      monkeypatch, capsys):
+        import cti2stix.llm as llm
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("the endpoint must not be contacted")
+
+        # with a key set, a zero-permit semaphore would block the first call
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(llm, "_requests_transport", no_network)
+        codes = []
+        run = threading.Thread(target=lambda: codes.append(main([
+            "extract", str(report_path), "--out-dir", str(tmp_path / "out"),
+            "--set", "provider.max_concurrent=0",
+        ])), daemon=True)
+        run.start()
+        run.join(timeout=20)
+        assert codes == [2], "extract with provider.max_concurrent=0 did not return"
+        assert "error: provider.max_concurrent must be at least 1, got 0" in capsys.readouterr().err

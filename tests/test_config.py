@@ -1,8 +1,14 @@
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
+import cti2stix
 from cti2stix.config import (
+    _SECTION_TYPES,
     AppConfig,
     ConfigError,
     dump_config,
@@ -10,6 +16,20 @@ from cti2stix.config import (
     make_provider,
 )
 from cti2stix.llm import HttpProvider, ReplayProvider, ScriptedProvider
+
+# prompt shapes, the id namespace and the budget margin are module constants,
+# so these keys are refused as unknown
+FIXED_KEYS = (
+    "provider.budget_margin",
+    "pipeline.chunk_tokens",
+    "pipeline.summary_output_tokens",
+    "pipeline.answer_output_tokens",
+    "pipeline.condense_iteration_cap",
+    "pipeline.relation_prompt_slack",
+    "pipeline.namespace_seed",
+    "attack_patterns.chunk_tokens",
+    "attack_patterns.strategy_output_tokens",
+)
 
 
 def write_yaml(tmp_path, text):
@@ -37,7 +57,6 @@ provider:
   completion_model: test-model
 pipeline:
   preprocessing: false
-  chunk_tokens: 256
 attack_patterns:
   strategies: [vte, ot]
   threshold: 0.9
@@ -52,7 +71,6 @@ paths:
         assert config.provider.context_window == 8192
         assert config.provider.completion_model == "test-model"
         assert config.pipeline.preprocessing is False
-        assert config.pipeline.chunk_tokens == 256
         assert config.attack_patterns.strategies == ("vte", "ot")
         assert config.attack_patterns.threshold == 0.9
         assert config.eval.kinds == ("malware",)
@@ -72,6 +90,15 @@ paths:
         path = write_yaml(tmp_path, "pipeline:\n  queries: []\n")
         with pytest.raises(ConfigError, match="pipeline.queries"):
             load_config(path)
+
+    @pytest.mark.parametrize("dotted", FIXED_KEYS)
+    def test_fixed_keys_are_unknown(self, tmp_path, dotted):
+        section, key = dotted.split(".")
+        path = write_yaml(tmp_path, f"{section}:\n  {key}: 1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key: {dotted}"):
+            load_config(path)
+        with pytest.raises(ConfigError, match=f"unknown config key: {dotted}"):
+            load_config(overrides={dotted: "1"})
 
     def test_empty_file_is_defaults(self, tmp_path):
         path = write_yaml(tmp_path, "")
@@ -104,6 +131,39 @@ class TestOverrides:
     def test_bad_boolean_string(self):
         with pytest.raises(ConfigError, match="expected a boolean"):
             load_config(overrides={"pipeline.preprocessing": "maybe"})
+
+    @pytest.mark.parametrize("dotted,value,expected", [
+        ("provider.context_window", "abc", "expected an integer, got 'abc'"),
+        ("provider.context_window", "8192.5", "expected an integer"),
+        ("provider.retry_backoff", "soon", "expected a number, got 'soon'"),
+        ("attack_patterns.threshold", "high", "expected a number"),
+    ])
+    def test_unparseable_number_string(self, dotted, value, expected):
+        with pytest.raises(ConfigError, match=f"{dotted}: {expected}"):
+            load_config(overrides={dotted: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("context_window", "0"),
+        ("max_concurrent", "0"),
+        ("max_concurrent", "-1"),
+        ("retry_attempts", "0"),
+        ("embed_batch_size", "0"),
+        ("timeout", "0"),
+        ("timeout", "nan"),
+        ("retry_backoff", "-0.5"),
+    ])
+    def test_provider_numbers_out_of_range(self, key, value):
+        with pytest.raises(ConfigError, match=f"provider.{key} must"):
+            load_config(overrides={f"provider.{key}": value})
+
+    def test_provider_numbers_at_their_limits(self):
+        config = load_config(overrides={
+            "provider.max_concurrent": "1", "provider.retry_attempts": "1",
+            "provider.embed_batch_size": "1", "provider.context_window": "1",
+            "provider.timeout": "0.001", "provider.retry_backoff": "0",
+        })
+        assert config.provider.max_concurrent == 1
+        assert config.provider.retry_backoff == 0
 
     def test_override_needs_dot(self):
         with pytest.raises(ConfigError, match="section.key"):
@@ -183,3 +243,28 @@ class TestDump:
         for section in ("provider:", "pipeline:", "attack_patterns:", "eval:", "paths:"):
             assert section in text
         assert "queries" not in text
+
+    def test_dump_holds_every_key(self):
+        data = yaml.safe_load(dump_config(AppConfig()))
+        keys = [f"{section}.{key}" if isinstance(content, dict) else section
+                for section, content in data.items()
+                for key in (content if isinstance(content, dict) else [None])]
+        assert len(keys) == 21
+        assert not set(FIXED_KEYS) & set(keys)
+
+
+def _attributes_read_in_src() -> set[str]:
+    names: set[str] = set()
+    for path in Path(cti2stix.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_config_key_is_read():
+    """A settable key that no code reads is a setting that does nothing."""
+    read = _attributes_read_in_src()
+    unread = [f"{section}.{f.name}" for section, cls in _SECTION_TYPES.items()
+              for f in dataclasses.fields(cls) if f.name not in read]
+    assert unread == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cti2stix import ingest
 from cti2stix.audit import AuditTrail
 from cti2stix.entity_pipeline import (
+    ANSWER_OUTPUT_TOKENS,
     CondensationError,
     ENTITY_PROMPT,
     EntityPipelineConfig,
@@ -115,7 +116,7 @@ HEX_DUMP_REPORT = "GrimVault drops a payload. " + "ab" * 30_000 + " It beacons h
 def test_verify_keeps_unbroken_token_chunks_in_budget():
     report = make_report(HEX_DUMP_REPORT, report_id="r-hex")
     provider = scripted([('Is "SpectralKit" mentioned', "No.")])
-    ok = verify_entity("SpectralKit", report, provider, EntityPipelineConfig(), audit())
+    ok = verify_entity("SpectralKit", report, provider, audit())
     assert not ok
     assert len(provider.prompts) > 1
 
@@ -242,7 +243,7 @@ def test_short_report_passes_through_verbatim():
     report = make_report("A short report. Nothing to shrink here.")
     provider = scripted([])
     trail = audit()
-    assert condense(report, provider, EntityPipelineConfig(), trail) == report.text
+    assert condense(report, provider, trail) == report.text
     assert outcomes(trail, "condense") == ["pass-through"]
     assert provider.prompts == []
 
@@ -255,11 +256,11 @@ def test_oversized_report_halves_into_budget_in_one_iteration():
         config=ProviderConfig(context_window=8192),
     )
     trail = audit()
-    condensed = condense(report, provider, EntityPipelineConfig(), trail)
+    condensed = condense(report, provider, trail)
     (iteration,) = decisions(trail, "condense")
     assert (iteration["outcome"], iteration["iteration"]) == ("iteration", 1)
     assert iteration["tokens"] == estimate_tokens(condensed)
-    assert estimate_tokens(condensed) <= extraction_budget(provider.config, EntityPipelineConfig())
+    assert estimate_tokens(condensed) <= extraction_budget(provider.config)
     assert estimate_tokens(report.text) > estimate_tokens(condensed)
 
 
@@ -270,9 +271,8 @@ def test_non_progress_summarizer_fails_at_cap():
         [("CONCISE SUMMARY:", lambda p: p.split(":\n", 1)[1].rsplit("\nCONCISE", 1)[0])],
         config=ProviderConfig(context_window=4096),
     )
-    config = EntityPipelineConfig(condense_iteration_cap=3)
     with pytest.raises(CondensationError, match="after 3"):
-        condense(report, provider, config, audit())
+        condense(report, provider, audit())
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_parse_name_lines(response, expected):
 def test_extract_entities_prompt_assembly_and_answer():
     provider = scripted([("Question: Who/which is the target", "Windows and Linux systems")])
     query = QUERIES[2]
-    names = extract_entities("some condensed context", query, provider, EntityPipelineConfig(), audit())
+    names = extract_entities("some condensed context", query, provider, audit())
     assert names == ["Windows and Linux systems"]
     assert provider.prompts[0] == ENTITY_PROMPT.format(
         context="some condensed context",
@@ -320,8 +320,8 @@ def test_extract_entities_prompt_assembly_and_answer():
 def test_verify_literal_is_case_and_whitespace_insensitive(helloxd_report):
     provider = scripted([])
     trail = audit()
-    assert verify_entity("hello xd".replace(" ", ""), helloxd_report, provider, EntityPipelineConfig(), trail)
-    assert verify_entity("WINDOWS AND  LINUX SYSTEMS", helloxd_report, provider, EntityPipelineConfig(), trail)
+    assert verify_entity("hello xd".replace(" ", ""), helloxd_report, provider, trail)
+    assert verify_entity("WINDOWS AND  LINUX SYSTEMS", helloxd_report, provider, trail)
     assert outcomes(trail, "verify") == ["literal", "literal"]
     assert provider.prompts == []
 
@@ -345,7 +345,7 @@ def test_report_text_is_folded_once_for_all_names(helloxd_report, golden_script,
 def test_verify_falls_back_to_llm_confirmation(helloxd_report):
     provider = scripted([('Is "the Tox messenger" mentioned', "Yes, it is.")])
     trail = audit()
-    assert verify_entity("the Tox messenger", helloxd_report, provider, EntityPipelineConfig(), trail)
+    assert verify_entity("the Tox messenger", helloxd_report, provider, trail)
     assert outcomes(trail, "verify") == ["llm"]
     assert provider.prompts[0].startswith("Use the following portion of a long document")
 
@@ -353,7 +353,7 @@ def test_verify_falls_back_to_llm_confirmation(helloxd_report):
 def test_verify_rejects_ungrounded_name(helloxd_report):
     provider = scripted([('Is "SpectralKit" mentioned', "No.")])
     trail = audit()
-    assert not verify_entity("SpectralKit", helloxd_report, provider, EntityPipelineConfig(), trail)
+    assert not verify_entity("SpectralKit", helloxd_report, provider, trail)
     assert outcomes(trail, "verify") == ["unverified"]
 
 
@@ -370,7 +370,7 @@ def entities_for_relations():
 def test_relation_query_uses_admissible_options():
     mal, actor = entities_for_relations()
     provider = scripted([('between "x4k" and "HelloXD"', "uses")])
-    answers = extract_relations(["ctx"], [actor, mal], provider, EntityPipelineConfig(), audit())
+    answers = extract_relations(["ctx"], [actor, mal], provider, audit())
     assert len(answers) == 1  # (mal, actor) has no admissible kinds; skipped
     assert answers[0].kind is RelationKind.USES
     assert provider.prompts[0] == RELATION_PROMPT.format(
@@ -381,7 +381,7 @@ def test_relation_query_uses_admissible_options():
 def test_relation_answer_outside_admissible_set_warns():
     mal, actor = entities_for_relations()
     provider = scripted([('between "x4k" and "HelloXD"', "mitigates")])
-    answers = extract_relations(["ctx"], [actor, mal], provider, EntityPipelineConfig(), audit())
+    answers = extract_relations(["ctx"], [actor, mal], provider, audit())
     assert answers[0].kind is None
     assert "relation answer" in answers[0].warning
 
@@ -390,7 +390,7 @@ def test_relation_none_answer_is_silent():
     mal, actor = entities_for_relations()
     for answer in ("none", "No relevant text."):
         provider = scripted([('between "x4k" and "HelloXD"', answer)])
-        answers = extract_relations(["ctx"], [actor, mal], provider, EntityPipelineConfig(), audit())
+        answers = extract_relations(["ctx"], [actor, mal], provider, audit())
         assert answers[0].kind is None
         assert answers[0].warning == ""
 
@@ -399,7 +399,7 @@ def test_malware_malware_pair_issues_no_prompt():
     a = StixEntity(EntityKind.MALWARE, "A")
     b = StixEntity(EntityKind.MALWARE, "B")
     provider = scripted([])
-    answers = extract_relations(["ctx"], [a, b], provider, EntityPipelineConfig(), audit())
+    answers = extract_relations(["ctx"], [a, b], provider, audit())
     assert answers == []
     assert provider.prompts == []
 
@@ -409,7 +409,7 @@ def test_relations_enumerate_only_admissible_pairs():
     tool = StixEntity(EntityKind.TOOL, "QuickConsole")
     provider = scripted([(re.compile("between"), "uses")])
     trail = audit()
-    answers = extract_relations(["ctx"], [*malware, tool], provider, EntityPipelineConfig(), trail)
+    answers = extract_relations(["ctx"], [*malware, tool], provider, trail)
     # 30 x 29 malware pairs and the 30 tool -> malware pairs have no admissible kind
     assert not [e for e in trail.events if e.data.get("outcome") == "skipped-no-admissible-kinds"]
     assert provider.prompts == [
@@ -424,7 +424,7 @@ def test_explicit_inadmissible_pair_is_still_recorded_as_skipped():
     b = StixEntity(EntityKind.MALWARE, "B")
     provider = scripted([])
     trail = audit()
-    assert extract_relations(["ctx"], [a, b], provider, EntityPipelineConfig(), trail, pairs=[(a, b)]) == []
+    assert extract_relations(["ctx"], [a, b], provider, trail, pairs=[(a, b)]) == []
     assert [e.data["outcome"] for e in trail.events] == ["skipped-no-admissible-kinds"]
     assert provider.prompts == []
 
@@ -437,7 +437,7 @@ def test_relation_first_non_none_context_wins():
             (re.compile(r"CTX-B.*x4k", re.S), "uses"),
         ]
     )
-    answers = extract_relations(["CTX-A", "CTX-B"], [actor, mal], provider, EntityPipelineConfig(), audit())
+    answers = extract_relations(["CTX-A", "CTX-B"], [actor, mal], provider, audit())
     assert answers[0].kind is RelationKind.USES
     assert len(provider.prompts) == 2
 
@@ -559,8 +559,7 @@ def test_audit_trail_records_prompts_and_serializes(helloxd_report, golden_scrip
 
 def test_extraction_budget_leaves_room_for_prompts():
     provider_config = ProviderConfig(context_window=4096)
-    config = EntityPipelineConfig()
-    budget = extraction_budget(provider_config, config)
+    budget = extraction_budget(provider_config)
     query = max(QUERIES, key=lambda q: len(q.definition) + len(q.question))
     prompt = ENTITY_PROMPT.format(context="x" * (budget * 4), definition=query.definition, question=query.question)
-    assert estimate_tokens(prompt) + config.answer_output_tokens <= provider_config.usable_window()
+    assert estimate_tokens(prompt) + ANSWER_OUTPUT_TOKENS <= provider_config.usable_window()

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cti2stix.entity_pipeline import EntityPipelineConfig
 from cti2stix.evaluation import (
     EVAL_KINDS,
     GroundTruth,
@@ -362,17 +361,14 @@ class TestRelationBenchmark:
             ('relation between "GrimVault" and "Windows and Linux systems"', "none"),
         ]
         result = run_relation_benchmark(
-            benchmark_truth(), [helloxd_report.text], ScriptedProvider(script=script),
-            EntityPipelineConfig(),
+            benchmark_truth(), [helloxd_report.text], ScriptedProvider(script=script)
         )
         assert (result.tp, result.fp, result.fn) == (3, 0, 0)
         assert result.scores == Scores(1.0, 1.0, 1.0)
 
     def test_always_none_has_zero_recall(self, helloxd_report):
         provider = ScriptedProvider(script=[("What is the relation", "none")])
-        result = run_relation_benchmark(
-            benchmark_truth(), [helloxd_report.text], provider, EntityPipelineConfig()
-        )
+        result = run_relation_benchmark(benchmark_truth(), [helloxd_report.text], provider)
         assert result.tp == 0
         assert result.fn == 3
         assert result.scores.recall == 0.0
@@ -381,9 +377,7 @@ class TestRelationBenchmark:
 
     def test_eager_guesser_pays_precision(self, helloxd_report):
         provider = ScriptedProvider(script=[("What is the relation", "uses")])
-        result = run_relation_benchmark(
-            benchmark_truth(), [helloxd_report.text], provider, EntityPipelineConfig()
-        )
+        result = run_relation_benchmark(benchmark_truth(), [helloxd_report.text], provider)
         # positives: only x4k->HelloXD admits "uses"; the two targets
         # questions parse "uses" as inadmissible -> none -> misses
         assert result.tp == 1
@@ -397,7 +391,7 @@ class TestRelationBenchmark:
         )
         provider = ScriptedProvider(script=[])
         with caplog.at_level("INFO", logger="cti2stix.evaluation"):
-            result = run_relation_benchmark(gt, ["text"], provider, EntityPipelineConfig())
+            result = run_relation_benchmark(gt, ["text"], provider)
         assert result.examples == []
         assert (result.tp, result.fp, result.fn) == (0, 0, 0)
         assert any("fewer than two eligible entities" in r.getMessage() for r in caplog.records)

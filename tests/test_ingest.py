@@ -273,6 +273,16 @@ def test_region_without_blocks_leaves_out_script_style_and_nav():
     assert body == "Hi"
 
 
+@pytest.mark.parametrize("html,expected", [
+    ("<p>Hi <script>var x=1</script><nav>Home</nav></p>", "Hi"),
+    ("<table><tr><td>A<style>p{}</style></td></tr></table>", "A"),
+    ("<h2>Title<noscript>enable js</noscript><template><b>t</b></template></h2><p>B</p>",
+     "Title\n\nB"),
+])
+def test_block_leaves_out_nested_script_style_and_nav(html, expected):
+    assert extract_article(html)[1] == expected
+
+
 def test_nested_plugin_regions_are_linear():
     depth = 3000
     html = ('<title>t</title>' + '<div class="post"><p>x</p>' * depth

@@ -119,44 +119,37 @@ def test_entity_ids_deterministic_and_kind_prefixed():
     assert entity_id(K.THREAT_ACTOR, "HelloXD") != a
 
 
-def test_namespace_seed_changes_ids():
-    assert entity_id(K.MALWARE, "HelloXD", "seed-a") != entity_id(K.MALWARE, "HelloXD", "seed-b")
-    assert bundle_id("r1", "seed-a") != bundle_id("r1", "seed-b")
-    assert relation_id(R.USES, "a", "b", "seed-a") != relation_id(R.USES, "a", "b", "seed-b")
+def reference_uuid5(name: str) -> str:
+    return str(uuid.uuid5(uuid.uuid5(uuid.NAMESPACE_DNS, "cti2stix"), name))
 
 
-def reference_uuid5(seed: str, name: str) -> str:
-    return str(uuid.uuid5(uuid.uuid5(uuid.NAMESPACE_DNS, seed), name))
+@given(st.text())
+@example("entity|malware|\U0001f600 \U00010348 \u00e9")
+@example("")
+def test_uuid5_matches_uuid_module(name):
+    assert stix._uuid5(name) == reference_uuid5(name)
 
 
-@given(st.text(max_size=12), st.text())
-@example("cti2stix", "entity|malware|\U0001f600 \U00010348 \u00e9")
-@example("", "")
-def test_uuid5_matches_uuid_module(seed, name):
-    assert stix._uuid5(seed, name) == reference_uuid5(seed, name)
-
-
-@given(st.sampled_from(list(K)), st.text(), st.sampled_from(list(R)), st.text(), st.text(),
-       st.sampled_from(["cti2stix", "ns-\U0001f600"]))
-def test_ids_match_uuid_module(kind, name, rel_kind, source, target, seed):
-    assert entity_id(kind, name, seed) == (
-        f"{kind.value}--{reference_uuid5(seed, f'entity|{kind.value}|{normalize_name(name)}')}")
-    assert relation_id(rel_kind, source, target, seed) == (
-        f"relationship--{reference_uuid5(seed, f'relation|{rel_kind.value}|{source}|{target}')}")
-    assert bundle_id(name, seed) == f"bundle--{reference_uuid5(seed, f'bundle|{name}')}"
+@given(st.sampled_from(list(K)), st.text(), st.sampled_from(list(R)), st.text(), st.text())
+def test_ids_match_uuid_module(kind, name, rel_kind, source, target):
+    assert entity_id(kind, name) == (
+        f"{kind.value}--{reference_uuid5(f'entity|{kind.value}|{normalize_name(name)}')}")
+    assert relation_id(rel_kind, source, target) == (
+        f"relationship--{reference_uuid5(f'relation|{rel_kind.value}|{source}|{target}')}")
+    assert bundle_id(name) == f"bundle--{reference_uuid5(f'bundle|{name}')}"
 
 
 def test_bundle_without_id_loads_with_the_empty_report_id():
     assert load_bundle({"type": "bundle", "objects": []}).id == (
-        f"bundle--{reference_uuid5('cti2stix', 'bundle|')}")
+        f"bundle--{reference_uuid5('bundle|')}")
 
 
 @pytest.mark.parametrize("name", ["\ud800", "entity|malware|a\udfffb"])
 def test_uuid5_lone_surrogate_raises_like_uuid_module(name):
     with pytest.raises(Exception) as expected:
-        reference_uuid5("cti2stix", name)
+        reference_uuid5(name)
     with pytest.raises(Exception) as got:
-        stix._uuid5("cti2stix", name)
+        stix._uuid5(name)
     assert got.type is expected.type
 
 
@@ -320,7 +313,6 @@ _names = st.text(alphabet=_NAME_ALPHABET, min_size=1, max_size=24).filter(
 
 @st.composite
 def bundles(draw) -> StixBundle:
-    seed = draw(st.sampled_from(["ns-a", "ns-b"]))
     n = draw(st.integers(min_value=1, max_value=8))
     entities: list[StixEntity] = []
     used_ids: set[str] = set()
@@ -328,7 +320,6 @@ def bundles(draw) -> StixBundle:
         kind = draw(st.sampled_from(list(K)))
         name = draw(_names)
         ent = StixEntity(kind, name, aliases=draw(st.lists(_names, max_size=2)))
-        ent.id = entity_id(kind, name, seed)
         if ent.id in used_ids:
             continue
         used_ids.add(ent.id)
@@ -347,11 +338,10 @@ def bundles(draw) -> StixBundle:
             for rel_kind in sorted(admissible_relations(src.kind, dst.kind), key=lambda r: r.value):
                 if draw(st.booleans()):
                     rel = StixRelation(rel_kind, src.id, dst.id)
-                    rel.id = relation_id(rel_kind, src.id, dst.id, seed)
                     if rel.id not in seen_rel:
                         seen_rel.add(rel.id)
                         relations.append(rel)
-    return StixBundle(id=bundle_id("prop", seed), entities=entities, relations=relations)
+    return StixBundle(id=bundle_id("prop"), entities=entities, relations=relations)
 
 
 @settings(max_examples=120, deadline=None)
