@@ -27,7 +27,7 @@ from typing import Any, Optional, Sequence
 
 from .attack_patterns import run_attack_pattern_pipeline
 from .catalog import CatalogError, TechniqueCatalog, build_catalog, load_catalog
-from .config import AppConfig, ConfigError, dump_config, load_config, make_provider
+from .config import PROVIDER_KINDS, AppConfig, ConfigError, dump_config, load_config, make_provider
 from .entity_pipeline import CondensationError, run_entity_pipeline
 from .evaluation import (
     GroundTruth,
@@ -67,8 +67,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _provider_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--provider", choices=("live", "replay", "scripted"),
-                        help="provider kind")
+    parser.add_argument("--provider", choices=PROVIDER_KINDS, help="provider kind")
     parser.add_argument("--script", help="scripted-provider rules (JSON)")
     parser.add_argument("--replay-cache", help="response cache for replay runs")
 

@@ -20,7 +20,7 @@ import yaml
 from .attack_patterns import AttackPatternConfig
 from .entity_pipeline import EntityPipelineConfig
 from .evaluation import EVAL_KINDS
-from .llm import HashEmbedder, HttpProvider, ProviderConfig, ReplayProvider, ScriptedProvider, load_script
+from .llm import HttpProvider, ProviderConfig, ReplayProvider, ScriptedProvider, load_script
 
 logger = logging.getLogger(__name__)
 
@@ -164,16 +164,13 @@ def make_provider(config: AppConfig) -> Any:
         if not config.paths.script:
             raise ConfigError("scripted provider needs paths.script")
         provider_config = config.provider
-        defaults = ProviderConfig()
-        if provider_config.embedding_model == defaults.embedding_model:
-            provider_config = dataclasses.replace(
-                provider_config, embedding_model="hash-32"
-            )
+        if provider_config.embedding_model == ProviderConfig.embedding_model:
+            provider_config = dataclasses.replace(provider_config, embedding_model="hash-32")
         try:
             script = load_script(config.paths.script)
         except ValueError as exc:  # JSON syntax errors included
             raise ConfigError(f"script {config.paths.script}: {exc}") from exc
-        return ScriptedProvider(script, config=provider_config, embedder=HashEmbedder())
+        return ScriptedProvider(script, config=provider_config)
     raise ConfigError(f"unknown provider kind: {kind!r}")
 
 

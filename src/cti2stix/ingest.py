@@ -108,7 +108,9 @@ class SourcePlugin:
 def load_plugins(path: Union[str, Path]) -> list[SourcePlugin]:
     """Read plugin definitions from a YAML list (see README for the schema).
 
-    Raises ``ValueError`` on a file that is not such a list."""
+    Raises ``ValueError`` on a file that is not such a list, on ``hosts`` or
+    ``selectors`` that are not lists of strings, and on a selector that
+    :func:`select` does not support."""
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or []
     except yaml.YAMLError as exc:
@@ -118,14 +120,21 @@ def load_plugins(path: Union[str, Path]) -> list[SourcePlugin]:
         raise ValueError("a plugin file is a YAML list of mappings, each with a name")
     plugins = []
     for item in raw:
-        plugins.append(
-            SourcePlugin(
-                name=item["name"],
-                hosts=list(item.get("hosts", [])),
-                selectors=list(item.get("selectors", [])),
-                title_selector=item.get("title_selector", ""),
-            )
-        )
+        plugin = SourcePlugin(item["name"], item.get("hosts", []), item.get("selectors", []),
+                              item.get("title_selector", ""))
+        for key in ("hosts", "selectors"):
+            value = getattr(plugin, key)
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"plugin {plugin.name!r}: {key} must be a list of strings")
+        if not isinstance(plugin.title_selector, str):
+            raise ValueError(f"plugin {plugin.name!r}: title_selector must be a string")
+        titles = [plugin.title_selector] if plugin.title_selector else []
+        try:  # with the parser that select uses
+            for selector in plugin.selectors + titles:
+                _parse_selector(selector)
+        except ValueError as exc:
+            raise ValueError(f"plugin {plugin.name!r}: {exc}") from exc
+        plugins.append(plugin)
     return plugins
 
 

@@ -1,22 +1,22 @@
 """LLM provider layer: completions, embeddings, token budgeting, test doubles.
 
-Three providers share one interface (``complete`` / ``embed``):
+:class:`HttpProvider` holds the one ``complete`` and ``embed``.  They check
+the token budget first (the estimated prompt plus the reserved output must
+fit the context window less a margin, as the estimator is a heuristic, not a
+tokenizer), then the response cache, and they parse and check every answer.
+Only a cache miss reaches ``_post``, which answers in one of three ways:
 
-* :class:`HttpProvider` — an OpenAI-compatible chat/embeddings endpoint over
-  HTTP, with bounded retries, a concurrency cap, and an append-only response
-  cache keyed by prompt hash.
-* :class:`ReplayProvider` — serves answers from a previously written cache
-  file and never touches the network.
-* :class:`ScriptedProvider` — answers from an ordered rule list; used by the
-  test suite and by hermetic demo runs.
-
-All providers enforce the same token budget before doing any work: the
-estimated prompt size plus the reserved output must fit the context window
-with a safety margin, because the estimator is a heuristic, not a tokenizer.
+* :class:`HttpProvider` — an OpenAI-compatible endpoint over HTTP, with
+  bounded retries and a concurrency cap; answers are appended to the cache.
+* :class:`ReplayProvider` — raises :class:`ReplayMissError`: the cache is
+  the only source, so replay needs no API key and no network.
+* :class:`ScriptedProvider` — an ordered rule list and a stand-in embedder,
+  for the test suite and hermetic demo runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -169,8 +169,8 @@ def _cache_key(kind: str, model: str, text: str) -> str:
 class ResponseCache:
     """Append-only JSONL cache of provider responses, keyed by prompt hash.
 
-    The same file works as a write-through log for live runs and as the input
-    of :class:`ReplayProvider`.  Several processes may append to one file:
+    Live runs write it through; its one reader is :class:`HttpProvider`, for
+    live and replay runs alike.  Several processes may append to one file:
     each record is one write on an ``O_APPEND`` descriptor, made under an
     advisory ``flock`` of the file.
     """
@@ -396,33 +396,22 @@ class HttpProvider:
         return out  # every slot is filled, or a call above raised
 
 
-class ReplayProvider:
-    """Serves completions and embeddings from a cache file; zero network use."""
+class ReplayProvider(HttpProvider):
+    """An :class:`HttpProvider` whose only source is the cache file at
+    *cache_path*.  A miss raises :class:`ReplayMissError` in place of a
+    request, so replay needs no API key and never retries."""
 
     def __init__(self, cache_path: Union[str, Path], config: ProviderConfig | None = None):
-        self.config = config or ProviderConfig()
-        self._cache = ResponseCache(cache_path)
+        super().__init__(dataclasses.replace(config or ProviderConfig(), cache_path=str(cache_path)))
 
-    def complete(self, request: CompletionRequest) -> str:
-        check_budget(request, self.config)
-        model = request.model or self.config.completion_model
-        hit = self._cache.get_completion(_cache_key("completion", model, request.prompt))
-        if hit is None:
+    def _post(self, path: str, payload: dict) -> dict:
+        if path == "/embeddings":
             raise ReplayMissError(
-                f"no cached completion for model {model!r}, prompt starting "
-                f"{request.prompt[:80]!r}"
-            )
-        return hit
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        model = self.config.embedding_model
-        out = []
-        for text in texts:
-            hit = self._cache.get_embedding(_cache_key("embedding", model, text))
-            if hit is None:
-                raise ReplayMissError(f"no cached embedding for text starting {text[:80]!r}")
-            out.append(np.asarray(hit, dtype=np.float64))
-        return out
+                f"no cached embedding for text starting {payload['input'][0][:80]!r}")
+        raise ReplayMissError(
+            f"no cached completion for model {payload['model']!r}, prompt starting "
+            f"{payload['messages'][0]['content'][:80]!r}"
+        )
 
 
 class HashEmbedder:
@@ -450,7 +439,7 @@ ScriptResponse = Union[str, Callable[[str], str]]
 ScriptRule = tuple[Union[str, "re.Pattern[str]"], ScriptResponse]
 
 
-class ScriptedProvider:
+class ScriptedProvider(HttpProvider):
     """Rule-driven provider for tests and offline demo runs.
 
     ``script`` is an ordered list of (matcher, response) pairs.  A matcher is
@@ -458,6 +447,8 @@ class ScriptedProvider:
     A response may be a callable taking the full prompt, for rules whose
     output depends on it.  Prompts nothing matches raise
     :class:`ScriptedMissError` — a scripted run must never improvise.
+    *embedder* answers embeddings.  No response cache is kept: scripted
+    answers under a real model's keys would later be served to live runs.
     """
 
     def __init__(
@@ -466,27 +457,25 @@ class ScriptedProvider:
         config: ProviderConfig | None = None,
         embedder: Any | None = None,
     ):
+        super().__init__(dataclasses.replace(config or ProviderConfig(), cache_path=None))
         self.script = list(script)
-        self.config = config or ProviderConfig()
         self.embedder = embedder or HashEmbedder()
         self.prompts: list[str] = []
         self.embedded: list[str] = []
 
-    def complete(self, request: CompletionRequest) -> str:
-        check_budget(request, self.config)
-        self.prompts.append(request.prompt)
+    def _post(self, path: str, payload: dict) -> dict:
+        if path == "/embeddings":
+            self.embedded.extend(payload["input"])
+            vectors = self.embedder.embed(payload["input"])
+            return {"data": [{"index": i, "embedding": vec} for i, vec in enumerate(vectors)]}
+        prompt = payload["messages"][0]["content"]
+        self.prompts.append(prompt)
         for matcher, response in self.script:
-            if isinstance(matcher, str):
-                matched = matcher in request.prompt
-            else:
-                matched = bool(matcher.search(request.prompt))
-            if matched:
-                return response(request.prompt) if callable(response) else response
-        raise ScriptedMissError(f"no scripted rule matches prompt starting {request.prompt[:80]!r}")
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        self.embedded.extend(texts)
-        return self.embedder.embed(texts)
+            hit = matcher in prompt if isinstance(matcher, str) else matcher.search(prompt)
+            if hit:
+                answer = response(prompt) if callable(response) else response
+                return {"choices": [{"message": {"content": answer}}]}
+        raise ScriptedMissError(f"no scripted rule matches prompt starting {prompt[:80]!r}")
 
 
 def load_script(path: Union[str, Path]) -> list[ScriptRule]:
@@ -494,7 +483,8 @@ def load_script(path: Union[str, Path]) -> list[ScriptRule]:
 
     The file holds a list of ``{"match": substring, "response": text}``
     objects (``"regex": pattern`` may replace ``"match"``); order matters.
-    Raises ``ValueError`` on a file that is not such a list.
+    Raises ``ValueError`` on a file that is not such a list, or on a
+    ``"regex"`` that does not compile, naming the rule's index.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list) or not all(
@@ -503,9 +493,10 @@ def load_script(path: Union[str, Path]) -> list[ScriptRule]:
     ):
         raise ValueError('a script is a JSON list of {"match" or "regex", "response"} objects')
     rules: list[ScriptRule] = []
-    for item in raw:
-        if "regex" in item:
-            rules.append((re.compile(item["regex"]), item["response"]))
-        else:
-            rules.append((item["match"], item["response"]))
+    for index, item in enumerate(raw):
+        try:
+            matcher = re.compile(item["regex"]) if "regex" in item else item["match"]
+        except (re.error, TypeError) as exc:
+            raise ValueError(f"rule {index}: bad regex {item['regex']!r}: {exc}") from exc
+        rules.append((matcher, item["response"]))
     return rules

@@ -840,6 +840,39 @@ class TestUsage:
         assert err.startswith(f"error: script {script}: ")
         assert "Traceback" not in err
 
+    def test_script_with_bad_regex_is_usage_error(self, tmp_path, report_path, capsys):
+        script = tmp_path / "rules.json"
+        script.write_text(json.dumps([{"match": "HelloXD", "response": "x"},
+                                      {"regex": "(", "response": "x"}]), encoding="utf-8")
+        code = main([
+            "extract", str(report_path), "--out-dir", str(tmp_path / "out"),
+            "--provider", "scripted", "--script", str(script),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: script {script}: rule 1: bad regex '('")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("plugins, message", [
+        ('- name: vendor-blog\n  hosts: "blog.example.com"\n  selectors: [article]\n',
+         "plugin 'vendor-blog': hosts must be a list of strings"),
+        ("- name: vendor-blog\n  hosts: [blog.example.com]\n  selectors: ['article > p']\n",
+         "plugin 'vendor-blog': unsupported selector: 'article > p'"),
+    ], ids=["hosts-string", "unsupported-selector"])
+    def test_plugin_that_cannot_work_is_usage_error(self, tmp_path, script_path, report_path,
+                                                    capsys, plugins, message):
+        plugin_file = tmp_path / "sites.yaml"
+        plugin_file.write_text(plugins, encoding="utf-8")
+        code = main([
+            "extract", str(report_path), "--out-dir", str(tmp_path / "out"),
+            "--provider", "scripted", "--script", str(script_path),
+            "--plugins", str(plugin_file),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: plugins {plugin_file}: {message}\n"
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_zero_concurrency_is_usage_error_not_a_hang(self, tmp_path, report_path,
                                                       monkeypatch, capsys):
         import cti2stix.llm as llm

@@ -370,6 +370,51 @@ def test_cache_write_through_and_replay(monkeypatch, tmp_path):
         replay.embed(["never embedded"])
 
 
+def test_one_implementation_of_complete_and_embed():
+    for double in (ReplayProvider, ScriptedProvider):
+        assert double.complete is HttpProvider.complete
+        assert double.embed is HttpProvider.embed
+
+
+def test_replay_needs_no_api_key(monkeypatch, tmp_path):
+    cache_file = tmp_path / "cache.jsonl"
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+
+    def transport(url, payload, headers, timeout):
+        if url.endswith("/embeddings"):
+            return 200, {"data": [{"index": 0, "embedding": [0.5, 0.5]}]}
+        return _ok_completion("cached answer")
+
+    live = HttpProvider(ProviderConfig(cache_path=str(cache_file)), transport=transport)
+    live.complete(CompletionRequest("what is this"))
+    live.embed(["one text"])
+
+    def no_network(*args):
+        raise AssertionError("replay contacted the endpoint")
+
+    monkeypatch.delenv("OPENAI_API_KEY")
+    monkeypatch.setattr("cti2stix.llm._requests_transport", no_network)
+    replay = ReplayProvider(cache_file)
+    assert replay.complete(CompletionRequest("what is this")) == "cached answer"
+    assert replay.embed(["one text"])[0].tolist() == [0.5, 0.5]
+
+
+def test_replay_miss_needs_no_api_key_and_is_not_retried(monkeypatch, tmp_path):
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    cache_file = tmp_path / "cache.jsonl"
+    replay = ReplayProvider(cache_file)
+    slept = []
+    replay._sleep = slept.append
+    with pytest.raises(ReplayMissError, match=re.escape(
+            "no cached completion for model 'gpt-3.5-turbo', prompt starting 'never asked'")):
+        replay.complete(CompletionRequest("never asked"))
+    with pytest.raises(ReplayMissError,
+                       match=re.escape("no cached embedding for text starting 'never embedded'")):
+        replay.embed(["never embedded"])
+    assert (replay.retries_total, replay.calls_total, slept) == (0, 0, [])
+    assert not cache_file.exists()
+
+
 def test_cache_survives_reload(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
@@ -492,6 +537,25 @@ def test_scripted_provider_enforces_budget():
     provider = ScriptedProvider([("", "x")], config=ProviderConfig(context_window=64))
     with pytest.raises(BudgetError):
         provider.complete(CompletionRequest(lorem_words(200)))
+
+
+def test_scripted_provider_writes_no_cache(tmp_path):
+    cache_file = tmp_path / "cache.jsonl"
+    provider = ScriptedProvider([("", "answer")], config=ProviderConfig(cache_path=str(cache_file)))
+    assert provider.complete(CompletionRequest("question")) == "answer"
+    provider.embed(["text"])
+    assert (provider.prompts, provider.embedded) == (["question"], ["text"])
+    assert not cache_file.exists()
+
+
+def test_scripted_embeddings_pass_the_response_checks():
+    class Ragged:
+        def embed(self, texts):
+            return [np.ones(i + 1) for i in range(len(texts))]
+
+    provider = ScriptedProvider([], embedder=Ragged())
+    with pytest.raises(TransportError, match="rows of lengths"):
+        provider.embed(["a", "b"])
 
 
 def test_load_script(tmp_path):
