@@ -1,6 +1,9 @@
 """The named-entity pipeline: condense, extract, verify, relate, assemble.
 
-The flow for one report:
+The flow for one report.  Prompts carry the report's *prompt text*
+(:attr:`cti2stix.ingest.Report.prompt_text`): the original with every
+observable the IoC regexes find replaced by a type marker such as
+``[ipv4]``, since those values become entities without the model.
 
 1. **Condense** — if the report does not fit the prompt budget, summarize it
    chunk by chunk and re-join, repeating until it fits (iterative
@@ -18,8 +21,8 @@ The flow for one report:
    Identity entities and receive a Targets edge from each principal Malware
    and ThreatActor; that edge is implied by the target question itself, so it
    is attached without an extra query.
-5. **IoCs** — regex indicators and CVEs from the raw text.  Their Indicates
-   edges to each malware are structural, so assembly derives them
+5. **IoCs** — regex indicators and CVEs from the original text.  Their
+   Indicates edges to each malware are structural, so assembly derives them
    (:mod:`cti2stix.exporter`).
 
 Every prompt, response, and decision is recorded on an audit trail so runs
@@ -248,15 +251,16 @@ def condense(
     """Shrink a report's text under *target_tokens* by iterative chunk
     summarization, and return it.
 
-    Reports already under budget pass through verbatim.  The audit records
-    one ``condense`` decision for a pass-through and one per iteration, each
-    with the text's estimated tokens.  Raises :class:`CondensationError` when
-    the iteration cap is reached with the text still over budget (e.g. a
-    summarizer that refuses to compress).
+    The report's prompt text is what shrinks; reports already under budget
+    pass through verbatim.  The audit records one ``condense`` decision for a
+    pass-through and one per iteration, each with the text's estimated
+    tokens.  Raises :class:`CondensationError` when the iteration cap is
+    reached with the text still over budget (e.g. a summarizer that refuses
+    to compress).
     """
     if target_tokens is None:
         target_tokens = extraction_budget(provider.config)
-    current = report.text
+    current = report.prompt_text
     tokens = estimate_tokens(current)
     if tokens <= target_tokens:
         audit.record("condense", "decision", outcome="pass-through", tokens=tokens)
@@ -341,7 +345,7 @@ def verify_entity(name: str, report: Report, provider: Any, audit: AuditTrail) -
 
     budget = context_budget(provider.config, VERIFY_PROMPT.format(text="", name=name),
                             ANSWER_OUTPUT_TOKENS)
-    for i, chunk in enumerate(chunk_text(report.text, budget)):
+    for i, chunk in enumerate(chunk_text(report.prompt_text, budget)):
         response = ask(provider, audit, "verify", VERIFY_PROMPT.format(text=chunk, name=name),
                        ANSWER_OUTPUT_TOKENS, name=name, chunk=i)
         if response.strip().casefold().startswith("yes"):
@@ -463,7 +467,7 @@ def run_entity_pipeline(
         contexts = [condense(report, provider, audit, target_tokens=budget)]
         context_ids = ["condensed"]
     else:
-        pieces = chunk_text(report.text, budget)
+        pieces = chunk_text(report.prompt_text, budget)
         contexts = pieces
         context_ids = [f"chunk-{i}" for i in range(len(pieces))]
         audit.record("condense", "decision", outcome="ablated", chunks=len(pieces))
@@ -511,11 +515,15 @@ def run_entity_pipeline(
         if answer.kind is not None:
             relations.append(StixRelation(answer.kind, answer.source.id, answer.target.id))
 
-    # IoCs from the raw text; assembly draws their indicates edges
-    iocs = ioc_entities(report.text)
+    # IoCs from the spans found in the original text; assembly draws their
+    # indicates edges
+    iocs = ioc_entities(report.text, report.ioc_spans)
     existing_ids = {e.id for e in entities}
     iocs = [e for e in iocs if e.id not in existing_ids]
-    audit.record("iocs", "decision", count=len(iocs))
+    audit.record("iocs", "decision", count=len(iocs),
+                 masked=sum(m.ioc_type != "cve" for m in report.ioc_spans),
+                 tokens=estimate_tokens(report.text),
+                 prompt_tokens=estimate_tokens(report.prompt_text))
 
     bundle = new_bundle(report.id)
     bundle.entities = entities + iocs

@@ -30,6 +30,8 @@ from urllib.parse import urlparse
 import requests
 import yaml
 
+from .iocs import IocMatch, mask_observables, scan_iocs
+
 logger = logging.getLogger(__name__)
 
 _SENTENCE_PUNCT = ".!?"
@@ -83,6 +85,17 @@ class Report:
         """``text`` whitespace-squashed and casefolded, worked out once per
         report for case- and spacing-insensitive substring checks."""
         return collapse_whitespace(self.text).casefold()
+
+    @functools.cached_property
+    def ioc_spans(self) -> list[IocMatch]:
+        """Every IoC span in ``text``, found once per report."""
+        return scan_iocs(self.text)
+
+    @functools.cached_property
+    def prompt_text(self) -> str:
+        """``text`` as model prompts carry it: each observable the regexes
+        found is a type marker, as the IoC entities already hold it."""
+        return mask_observables(self.text, self.ioc_spans)
 
 
 @dataclass

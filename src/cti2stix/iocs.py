@@ -5,13 +5,16 @@ IoC by accident (``92.118.188[.]78``, ``hxxp://evil(.)example``): matches are
 normalized to their clean form and the form found in the text is preserved.
 
 CVE identifiers become Vulnerability entities; everything else becomes an
-Indicator carrying a STIX pattern for the observable.
+Indicator carrying a STIX pattern for the observable.  Since those values are
+entities already, model prompts carry each observable as a type marker
+(:func:`mask_observables`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .stix import EntityKind, StixEntity
 
@@ -103,13 +106,12 @@ def _normalize(ioc_type: str, original: str) -> str:
     return value
 
 
-def find_iocs(text: str) -> list[IocMatch]:
-    """All indicator matches in first-occurrence order, deduplicated by
-    (type, normalized value); matches nested inside an earlier match of a
-    higher-priority pattern are suppressed."""
+def scan_iocs(text: str) -> list[IocMatch]:
+    """Every indicator span in *text*, repeats included, in text order;
+    matches nested inside an earlier match of a higher-priority pattern are
+    suppressed."""
     taken = bytearray(len(text))  # 1 where an earlier match occupies the character
     found: list[IocMatch] = []
-    seen: set[tuple[str, str]] = set()
     for ioc_type, pattern in _IOC_PATTERNS:
         for m in pattern.finditer(text):
             start, end = m.span()
@@ -124,13 +126,40 @@ def find_iocs(text: str) -> list[IocMatch]:
             if ioc_type == "domain" and value.rsplit(".", 1)[-1] in _FILE_EXT_TLDS:
                 continue
             taken[start:end] = b"\x01" * (end - start)
-            key = (ioc_type, value)
-            if key in seen:
-                continue
-            seen.add(key)
             found.append(IocMatch(ioc_type, value, original, start, end))
     found.sort(key=lambda x: (x.start, x.end))
     return found
+
+
+def unique_iocs(spans: Iterable[IocMatch]) -> list[IocMatch]:
+    """The first of *spans* for each (type, normalized value), in order."""
+    seen: set[tuple[str, str]] = set()
+    found = []
+    for match in spans:
+        key = (match.ioc_type, match.value)
+        if key not in seen:
+            seen.add(key)
+            found.append(match)
+    return found
+
+
+def find_iocs(text: str) -> list[IocMatch]:
+    """All indicator matches in first-occurrence order, deduplicated by
+    (type, normalized value)."""
+    return unique_iocs(scan_iocs(text))
+
+
+def mask_observables(text: str, spans: Iterable[IocMatch]) -> str:
+    """*text* with each observable among *spans*, as :func:`scan_iocs` found
+    them, replaced by a type marker such as ``[sha256]``; CVE ids are kept."""
+    parts: list[str] = []
+    pos = 0
+    for match in spans:
+        if match.ioc_type != "cve":
+            parts += (text[pos:match.start], f"[{match.ioc_type}]")
+            pos = match.end
+    parts.append(text[pos:])
+    return "".join(parts)
 
 
 def _stix_pattern(ioc_type: str, value: str) -> str:
@@ -139,10 +168,11 @@ def _stix_pattern(ioc_type: str, value: str) -> str:
     return f"[{field} = '{escaped}']"
 
 
-def ioc_entities(text: str) -> list[StixEntity]:
-    """Indicator/Vulnerability entities for every IoC in *text*."""
+def ioc_entities(text: str, spans: Sequence[IocMatch] | None = None) -> list[StixEntity]:
+    """Indicator/Vulnerability entities for every IoC in *text*; *spans* is
+    ``scan_iocs(text)`` when the caller already has it."""
     entities = []
-    for match in find_iocs(text):
+    for match in unique_iocs(scan_iocs(text) if spans is None else spans):
         if match.ioc_type == "cve":
             entities.append(StixEntity(EntityKind.VULNERABILITY, match.value))
             continue

@@ -40,6 +40,10 @@ Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
+# a JSON body may escape one half of a surrogate pair on its own; no UTF-8
+# encoder (cache keys, files, STIX ids) takes that, so it becomes U+FFFD
+_LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
 
 class ProviderError(Exception):
     """Base class for provider failures."""
@@ -259,8 +263,14 @@ class ResponseCache:
             fcntl.flock(self._fd, fcntl.LOCK_UN)
 
 
+# one session for every request to the model endpoint, so calls reuse open
+# connections; a provider's semaphore keeps at most max_concurrent in use,
+# and the session's pool keeps up to 10 per host open between calls
+_session = requests.Session()
+
+
 def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, dict]:
-    resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+    resp = _session.post(url, json=payload, headers=headers, timeout=timeout)
     try:
         body = resp.json()
     except ValueError:
@@ -336,7 +346,7 @@ class HttpProvider:
         if self._cache is not None:
             hit = self._cache.get_completion(key)
             if hit is not None:
-                return hit
+                return _LONE_SURROGATE_RE.sub("\ufffd", hit)
         body = self._post(
             "/chat/completions",
             {
@@ -347,7 +357,7 @@ class HttpProvider:
             },
         )
         try:
-            text = body["choices"][0]["message"]["content"]
+            text = _LONE_SURROGATE_RE.sub("\ufffd", body["choices"][0]["message"]["content"])
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
         if self._cache is not None:

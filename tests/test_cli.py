@@ -160,6 +160,23 @@ class TestExtract:
         assert summary["ok"] == [str(b)]
         assert summary["failed"] == {str(a): "KeyError: 'boom'"}
 
+    def test_lone_surrogate_in_an_answer_does_not_fail_the_report(self, tmp_path):
+        report = tmp_path / "r.txt"
+        report.write_text("HelloXD encrypts files.", encoding="utf-8")
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([  # json.dumps escapes the surrogate as \ud800
+            {"match": "Question: Who/which is the malware", "response": "HelloXD\ud800"},
+            {"match": "Question: Who/which is", "response": "none"},
+            {"match": "mentioned in the text above", "response": "yes"},
+        ]), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main(["extract", str(report), "--out-dir", str(out_dir),
+                     "--provider", "scripted", "--script", str(script)])
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert (code, summary["failed"]) == (0, {})
+        bundle = load_bundle(out_dir / "r.bundle.json")
+        assert [e.name for e in bundle.entities_of_kind(EntityKind.MALWARE)] == ["HelloXD\ufffd"]
+
     def test_report_id_collision_fails(self, tmp_path, script_path, catalog_path):
         first = tmp_path / "a" / "r.txt"
         second = tmp_path / "b" / "r.txt"

@@ -1,6 +1,7 @@
 """Entity-pipeline tests: chunking, condensation, extraction, verification,
 relation queries, and the assembled partial bundle."""
 
+import hashlib
 import re
 import time
 
@@ -31,6 +32,7 @@ from cti2stix.entity_pipeline import (
 )
 from cti2stix.exporter import assemble_bundle
 from cti2stix.ingest import make_report, segment_sentences
+from cti2stix.iocs import ioc_entities, scan_iocs
 from cti2stix.llm import ProviderConfig, ScriptedProvider, estimate_tokens
 from cti2stix.stix import EntityKind, RelationKind, StixEntity, save_bundle, validate_bundle
 
@@ -512,7 +514,7 @@ def test_same_malware_from_two_contexts_is_one_entity():
     def malware_answer(prompt):
         # the second context quotes the name as code, which only id
         # normalization sees through
-        return "GrimVault" if "92.118.188[.]78" in prompt else "`GrimVault`"
+        return "GrimVault" if "beacons to" in prompt else "`GrimVault`"
 
     script = [
         ("Question: Who/which is the malware", malware_answer),
@@ -530,6 +532,84 @@ def test_same_malware_from_two_contexts_is_one_entity():
     assert len(assembled.relations) == 1
     codes = [v.code for v in validate_bundle(assembled)]
     assert "duplicate-id" not in codes
+
+
+# ---------------------------------------------------------------------------
+# prompts carry the observables as type markers
+
+
+def ioc_table_report():
+    """An HTML report whose IoC table outweighs its prose, as vendors publish."""
+    rows = (
+        [("SHA-256", hashlib.sha256(f"sample {i}".encode()).hexdigest()) for i in range(400)]
+        + [("IP", f"45.61.{i}.{i + 7}") for i in range(50)]
+        + [("Domain", f"cdn{i}.grimvault-c2[.]net") for i in range(50)]
+    )
+    table = "".join(f"<tr><td>{kind}</td><td>{value}</td></tr>" for kind, value in rows)
+    html = (
+        "<html><head><title>GrimVault</title></head><body>"
+        "<p>GrimVault malware beacons to 45.61.0.7 for tasking. "
+        "The operators exploit CVE-2023-1234 on exposed servers.</p>"
+        f"<table>{table}</table></body></html>"
+    )
+    title, body = ingest.extract_article(html)
+    return make_report(body, title=title, report_id="r-table")
+
+
+GRIMVAULT_SCRIPT = [
+    ("Write a concise summary", halving_summarizer),
+    ("Question: Who/which is the malware", "GrimVault\nGrim Vault loader"),
+    ("Question: Who/which is the threat actor", "Ember Bear"),
+    ("Question: Who/which is the target", "none"),
+    ("mentioned in the text above", "no"),
+    ("What is the relation between", "uses"),
+]
+
+
+def test_ioc_table_report_fits_the_default_window_unsummarized():
+    report = ioc_table_report()
+    budget = extraction_budget(ProviderConfig())
+    assert estimate_tokens(report.text) > budget >= estimate_tokens(report.prompt_text)
+
+    provider = scripted(GRIMVAULT_SCRIPT)
+    result = run_entity_pipeline(report, provider, EntityPipelineConfig())
+    assert outcomes(result.audit, "condense") == ["pass-through"]
+    assert not [p for p in provider.prompts if p.startswith("Write a concise summary")]
+    indicators = result.bundle.entities_of_kind(EntityKind.INDICATOR)
+    assert len(indicators) == 500
+
+
+GRIMVAULT_TEXT = (
+    "Ember Bear deployed GrimVault against logistics firms. "
+    "GrimVault beacons to 92.118.188[.]78 and to update.badcdn[.]net for tasking. "
+    f"Its dropper, sha256 {'ab12' * 16}, fetched hxxp://update.badcdn[.]net/stage2.bin. "
+    "The operators exploited CVE-2021-44228 on exposed servers. "
+    + "The implant encrypts payloads before staging them for exfiltration. " * 30
+    + f"Later samples still beacon to 92.118.188.78; one more dropper has md5 {'c0ffee' * 5}ab."
+)
+
+
+@pytest.mark.parametrize("preprocessing", [True, False])
+def test_no_prompt_carries_an_observable(preprocessing):
+    report = make_report(GRIMVAULT_TEXT, report_id="r-masked")
+    provider = scripted(GRIMVAULT_SCRIPT, window=900)
+    result = run_entity_pipeline(report, provider, EntityPipelineConfig(preprocessing=preprocessing))
+
+    stages = {e.stage for e in result.audit.events if e.event == "prompt"}
+    assert stages >= {"extract", "verify", "relations"}
+    assert ("condense" in stages) is preprocessing
+    observables = [m for m in scan_iocs(report.text) if m.ioc_type != "cve"]
+    assert len(observables) == 6
+    prompts = [prompt for prompt, _ in result.audit.prompts()]
+    for prompt in prompts:
+        assert not [m for m in observables if m.original in prompt or m.value in prompt]
+    assert any("CVE-2021-44228" in prompt for prompt in prompts)
+
+    kinds = (EntityKind.INDICATOR, EntityKind.VULNERABILITY)
+    assert [e for e in result.bundle.entities if e.kind in kinds] == ioc_entities(report.text)
+    (decision,) = decisions(result.audit, "iocs")
+    assert decision == {"count": 6, "masked": 6, "tokens": estimate_tokens(report.text),
+                        "prompt_tokens": estimate_tokens(report.prompt_text)}
 
 
 def test_pipeline_without_preprocessing_unions_chunks(helloxd_report, golden_script):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cti2stix import iocs
-from cti2stix.iocs import IocMatch, find_iocs, ioc_entities, refang
+from cti2stix.iocs import IocMatch, find_iocs, ioc_entities, mask_observables, refang, scan_iocs
 from cti2stix.stix import EntityKind
 
 
@@ -256,3 +256,43 @@ _texts = st.lists(st.tuples(_tokens, _joiners), max_size=30).map(
 @settings(max_examples=300, deadline=None)
 def test_find_iocs_matches_pairwise_reference(text):
     assert find_iocs(text) == reference_find_iocs(text)
+
+
+# ---------------------------------------------------------------------------
+# masking: the prompt text keeps everything but the observables
+
+
+def test_mask_replaces_every_occurrence_and_keeps_cves():
+    text = "C2 92.118.188[.]78, CVE-2021-44228, then 92.118.188.78 and evil.com again"
+    spans = scan_iocs(text)
+    assert [m.ioc_type for m in spans] == ["ipv4", "cve", "ipv4", "domain"]
+    assert [m.ioc_type for m in find_iocs(text)] == ["ipv4", "cve", "domain"]
+    assert mask_observables(text, spans) == "C2 [ipv4], CVE-2021-44228, then [ipv4] and [domain] again"
+
+
+_MARKER_RE = re.compile(r"\[(?:url|ipv4|domain|sha256|sha1|md5)\]")
+# IoCs planted in prose: separated from their neighbours as authors write
+# them, where _texts above also runs tokens together
+_planted = st.lists(
+    st.tuples(st.one_of(_ips, _domains, _urls, _hashes, _cves, _filler),
+              st.sampled_from([" ", ", ", "\n", "; ", " (", ") "])),
+    max_size=20,
+).map(lambda pairs: "".join(token + joiner for token, joiner in pairs))
+
+
+@given(_planted, _planted)
+@settings(max_examples=300, deadline=None)
+def test_masked_text_holds_only_the_cves(first, second):
+    text = first + " and again " + second + " and again " + first  # repeats
+    spans = scan_iocs(text)
+    masked = mask_observables(text, spans)
+    cves = [(m.ioc_type, m.value) for m in find_iocs(text) if m.ioc_type == "cve"]
+    assert [(m.ioc_type, m.value) for m in find_iocs(masked)] == cves
+    observables = [m for m in spans if m.ioc_type != "cve"]
+    assert len(_MARKER_RE.findall(masked)) == len(observables)
+    kept, pos = [], 0
+    for m in observables:
+        kept.append(text[pos:m.start])
+        pos = m.end
+    kept.append(text[pos:])
+    assert _MARKER_RE.sub("", masked) == "".join(kept)

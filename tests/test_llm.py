@@ -7,6 +7,8 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +337,95 @@ def test_embeddings_batched(monkeypatch):
     provider = HttpProvider(ProviderConfig(embed_batch_size=2), transport=transport)
     provider.embed([f"t{i}" for i in range(5)])
     assert [len(b) for b in batches] == [2, 2, 1]
+
+
+def test_lone_surrogate_in_answer_becomes_replacement_character(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    cache_file = tmp_path / "cache.jsonl"
+    provider = HttpProvider(ProviderConfig(cache_path=str(cache_file)),
+                            transport=lambda *a: _ok_completion("HelloXD\ud800"))
+    assert provider.complete(CompletionRequest("which malware?")) == "HelloXD\ufffd"
+    assert "\ufffd" in cache_file.read_text(encoding="utf-8")
+
+    # a cache line written elsewhere may hold the escape itself
+    key = _cache_key("completion", "gpt-3.5-turbo", "old prompt")
+    record = {"kind": "completion", "key": key, "response": "\udfffX"}
+    cache_file.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert ReplayProvider(cache_file).complete(CompletionRequest("old prompt")) == "\ufffdX"
+
+
+# ---------------------------------------------------------------------------
+# the default transport, against a loopback HTTP/1.1 server
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out as two writes
+    timeout = 5  # an idle keep-alive connection ends its thread after this
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            drop, self.server.drop_next = self.server.drop_next, False
+        if drop:  # as a server does when a keep-alive connection times out
+            self.close_connection = True
+            return
+        answer = payload["messages"][0]["content"].upper()
+        body = json.dumps({"choices": [{"message": {"content": answer}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    server.daemon_threads = True
+    server.lock = threading.Lock()
+    server.connections = 0
+    server.drop_next = False
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _loopback_provider(server, max_concurrent):
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1"
+    return HttpProvider(ProviderConfig(endpoint=endpoint, max_concurrent=max_concurrent),
+                        sleep=lambda s: None)
+
+
+@pytest.mark.parametrize("max_concurrent", [1, 2])
+def test_default_transport_reuses_connections(loopback, max_concurrent):
+    provider = _loopback_provider(loopback, max_concurrent)
+    prompts = [f"prompt {i}" for i in range(50)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        answers = list(pool.map(lambda p: provider.complete(CompletionRequest(p)), prompts))
+    assert answers == [p.upper() for p in prompts]
+    assert 1 <= loopback.connections <= max_concurrent
+
+
+def test_default_transport_retries_a_connection_the_server_closed(loopback):
+    provider = _loopback_provider(loopback, 1)
+    assert provider.complete(CompletionRequest("first")) == "FIRST"
+    loopback.drop_next = True
+    assert provider.complete(CompletionRequest("second")) == "SECOND"
+    assert (provider.retries_total, loopback.connections) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
