@@ -31,7 +31,8 @@ import numpy as np
 from .catalog import TECHNIQUE_ID_RE, TechniqueCatalog, parent_technique, row_norms
 from .audit import AuditTrail, ask, is_negative_answer
 from .entity_pipeline import CHUNK_TOKENS, chunk_text
-from .ingest import Report, collapse_whitespace, segment_sentences
+from .ingest import Report, collapse_whitespace
+from .ingest import segment_sentences  # noqa: F401  perfbench's traced pass wraps this binding
 from .llm import context_budget
 
 logger = logging.getLogger(__name__)
@@ -128,8 +129,7 @@ def strategy_sbsa(report: Report, provider: Any, audit: AuditTrail) -> list[str]
 
 def strategy_ot(report: Report) -> list[str]:
     """One-sentence-at-a-time: every sentence is a candidate, no model calls."""
-    sentences = report.sentences or segment_sentences(report.text)
-    return [text for text in (s.text.strip() for s in sentences) if text]
+    return [text for text in (s.text.strip() for s in report.sentences) if text]
 
 
 # below this norm the squared components are subnormal or zero, so the norm
@@ -221,15 +221,18 @@ def run_attack_pattern_pipeline(
     catalog: Union[TechniqueCatalog, Future[TechniqueCatalog]],
     provider: Any,
     config: Optional[AttackPatternConfig] = None,
+    audit: Optional[AuditTrail] = None,
 ) -> AttackPatternResult:
     """Gather, embed and score *report*'s technique candidates.
 
     *catalog* may be a future of one still loading: the pipeline waits for it
     only after the candidates are gathered and embedded, just before scoring,
-    and re-raises the load's exception.
+    and re-raises the load's exception.  Events go on *audit*, such as the
+    report's entity-pipeline trail, or on a trail of their own.
     """
     config = config or AttackPatternConfig()
-    audit = AuditTrail(report.id)
+    if audit is None:
+        audit = AuditTrail(report.id)
     warnings: list[dict[str, Any]] = []
 
     candidates: list[str] = []

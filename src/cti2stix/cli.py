@@ -175,7 +175,7 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
     ap_result = None
     if catalog is not None:
         ap_result = run_attack_pattern_pipeline(
-            report, catalog, provider, config.attack_patterns
+            report, catalog, provider, config.attack_patterns, entity_result.audit
         )
 
     bundle, violations = assemble_and_validate(entity_result.bundle, ap_result)
@@ -183,11 +183,9 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
     bundle_path = out_dir / f"{report.id}.bundle.json"
     bundle_path.write_text(save_bundle(bundle), encoding="utf-8")
 
+    # one trail holds both pipelines' events, numbered once
     audit_path = out_dir / f"{report.id}.audit.jsonl"
-    audit_text = entity_result.audit.to_jsonl()
-    if ap_result is not None:
-        audit_text += ap_result.audit.to_jsonl()
-    audit_path.write_text(audit_text, encoding="utf-8")
+    audit_path.write_text(entity_result.audit.to_jsonl(), encoding="utf-8")
 
     warnings = list(entity_result.warnings)
     if ap_result is not None:

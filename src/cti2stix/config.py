@@ -177,13 +177,8 @@ def make_provider(config: AppConfig) -> Any:
 def dump_config(config: AppConfig) -> str:
     """Effective configuration as YAML, round-trippable through load_config."""
     data: dict[str, Any] = {"provider_kind": config.provider_kind}
-    for section, obj in (
-        ("provider", config.provider),
-        ("pipeline", config.pipeline),
-        ("attack_patterns", config.attack_patterns),
-        ("eval", config.eval),
-        ("paths", config.paths),
-    ):
+    for section in _SECTION_TYPES:
+        obj = getattr(config, section)
         content = {}
         for f in fields(obj):
             value = getattr(obj, f.name)

@@ -389,30 +389,20 @@ def extract_relations(
     entities: Sequence[StixEntity],
     provider: Any,
     audit: AuditTrail,
-    pairs: Sequence[tuple[StixEntity, StixEntity]] | None = None,
 ) -> list[RelationAnswer]:
-    """One direct relation question per ordered pair with a non-empty
-    admissible kind set; answers outside that set parse to none with a
-    warning.  With several contexts (ablated preprocessing) the first
-    non-none answer wins.  Without explicit *pairs* only the admissible
-    ordered pairs of *entities* are enumerated; an explicit pair with no
-    admissible kind is recorded as skipped."""
-    if pairs is None:
-        pairs = [
-            (a, b)
-            for a in entities
-            for b in entities
-            if a.id != b.id and admissible_relations(a.kind, b.kind)
-        ]
+    """One direct relation question per ordered pair of *entities* with a
+    non-empty admissible kind set; answers outside that set parse to none
+    with a warning.  With several contexts (ablated preprocessing) the first
+    non-none answer wins."""
+    pairs = [
+        (a, b)
+        for a in entities
+        for b in entities
+        if a.id != b.id and admissible_relations(a.kind, b.kind)
+    ]
     answers: list[RelationAnswer] = []
     for a, b in pairs:
         kinds = admissible_relations(a.kind, b.kind)
-        if not kinds:
-            audit.record(
-                "relations", "decision", source=a.name, target=b.name,
-                outcome="skipped-no-admissible-kinds",
-            )
-            continue
         options = {k.value: k for k in sorted(kinds, key=lambda r: r.value)}
         found: RelationKind | None = None
         warning = ""

@@ -7,44 +7,46 @@ were extracted.  Per-report recall/precision/F1 use the usual conventions for
 empty sides — a report with nothing to find and nothing found is perfect, a
 report with nothing to find but spurious output has precision 0.
 
-The relation benchmark turns a report's ground-truth relations into labelled
-examples (each known relation is a positive; admissible-but-unasserted pairs
-are sampled as negatives with a seeded RNG, so runs are reproducible) and
-scores direct relation questions against them.
+Relations are scored the same way: each edge between two malware,
+threat-actor or identity entities is a (source, kind, target) triple, and a
+ground-truth triple's aliases are every pairing of its two ends' aliases.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .attack_patterns import detect_explicit_techniques
 from .catalog import parent_technique
-from .audit import AuditTrail
-from .entity_pipeline import extract_relations
 from .stix import (
     EntityKind,
     RelationKind,
     StixBundle,
-    StixEntity,
-    admissible_relations,
     normalize_name,
 )
 
-logger = logging.getLogger(__name__)
-
+# entity kinds a ground-truth file lists names for
+_ENTITY_KINDS = ("malware", "threat_actor", "target", "attack_pattern")
 #: evaluation kinds -> how names are pulled out of a bundle
-EVAL_KINDS = ("malware", "threat_actor", "target", "attack_pattern")
+EVAL_KINDS = (*_ENTITY_KINDS, "relation")
 
 _KIND_TO_ENTITY = {
     "malware": EntityKind.MALWARE,
     "threat_actor": EntityKind.THREAT_ACTOR,
+}
+
+# the entities whose edges the ``relation`` kind scores, and the entity kind
+# of each in ground truth; assembly draws every other edge (``indicates``,
+# ``uses`` an attack pattern), not the model
+_RELATION_ENDS = {
+    EntityKind.MALWARE: "malware",
+    EntityKind.THREAT_ACTOR: "threat_actor",
+    EntityKind.IDENTITY: "target",
 }
 
 
@@ -161,7 +163,9 @@ def extracted_names(bundle: StixBundle, kind: str) -> list[str]:
 
     ``target`` means identities that something targets — an identity entity
     that never appears on the receiving end of a targets edge is not a
-    target.  ``attack_pattern`` yields parent technique ids.
+    target.  ``attack_pattern`` yields parent technique ids.  ``relation``
+    yields one :func:`_relation_key` per edge between two malware,
+    threat-actor or identity entities.
     """
     if kind in _KIND_TO_ENTITY:
         names = [e.name for e in bundle.entities_of_kind(_KIND_TO_ENTITY[kind])]
@@ -181,12 +185,47 @@ def extracted_names(bundle: StixBundle, kind: str) -> list[str]:
             for e in bundle.entities_of_kind(EntityKind.ATTACK_PATTERN)
             if e.technique_id
         ]
+    elif kind == "relation":
+        ends = {e.id: e.name for e in bundle.entities if e.kind in _RELATION_ENDS}
+        names = [
+            _relation_key(ends[r.source_ref], r.kind, ends[r.target_ref])
+            for r in bundle.relations
+            if r.source_ref in ends and r.target_ref in ends
+        ]
     else:
         raise ValueError(f"unknown evaluation kind: {kind!r}")
     return list(dict.fromkeys(names))
 
 
+def _relation_key(source: str, relation: RelationKind, target: str) -> str:
+    """One edge as a name :func:`match_entities` can compare; the ends are
+    normalized, and :func:`normalize_name` leaves the key as it is."""
+    return f"({normalize_name(source)}) {relation.value} ({normalize_name(target)})"
+
+
+def _aliases(gt: GroundTruth, kind: EntityKind, name: str) -> tuple[str, ...]:
+    """Every name of the ground-truth entity of *kind* called *name*."""
+    norm = normalize_name(name)
+    for entity in gt.entities.get(_RELATION_ENDS[kind], []):
+        if norm in map(normalize_name, entity.all_names()):
+            return entity.all_names()
+    return (name,)
+
+
 def truth_for_kind(gt: GroundTruth, kind: str) -> list[GroundTruthEntity]:
+    if kind == "relation":
+        return [
+            GroundTruthEntity(
+                name=_relation_key(r.source, r.relation, r.target),
+                aliases=tuple(
+                    _relation_key(source, r.relation, target)
+                    for source in _aliases(gt, r.source_kind, r.source)
+                    for target in _aliases(gt, r.target_kind, r.target)
+                ),
+            )
+            for r in gt.relations
+            if r.source_kind in _RELATION_ENDS and r.target_kind in _RELATION_ENDS
+        ]
     entries = gt.entities.get(kind, [])
     if kind == "attack_pattern":
         parents = dict.fromkeys(parent_technique(e.name) for e in entries)
@@ -220,7 +259,7 @@ def load_ground_truth_file(path: Union[str, Path]) -> GroundTruth:
     raw = json.loads(path.read_text(encoding="utf-8"))
     entities = {
         kind: [_parse_gt_entity(item) for item in raw.get(kind, [])]
-        for kind in EVAL_KINDS
+        for kind in _ENTITY_KINDS
         if raw.get(kind)
     }
     relations = [
@@ -259,134 +298,6 @@ def filter_without_explicit_ids(texts: Mapping[str, str]) -> list[str]:
     subset keeps exactly these reports.
     """
     return [rid for rid, text in texts.items() if not detect_explicit_techniques(text)]
-
-
-# --- relation benchmark ------------------------------------------------------
-
-_BENCHMARK_KINDS = frozenset(
-    {EntityKind.MALWARE, EntityKind.THREAT_ACTOR, EntityKind.IDENTITY}
-)
-
-
-@dataclass(frozen=True)
-class RelationExample:
-    source: str
-    source_kind: EntityKind
-    target: str
-    target_kind: EntityKind
-    relation: Optional[RelationKind]  # None marks a sampled negative
-
-
-@dataclass
-class RelationBenchmarkResult:
-    report_id: str
-    examples: list[RelationExample]
-    predictions: list[Optional[RelationKind]]
-    scores: Scores
-    tp: int
-    fp: int
-    fn: int
-
-
-def build_relation_examples(
-    gt: GroundTruth,
-    seed: Union[str, int] = "cti2stix",
-    negatives: Optional[int] = None,
-) -> list[RelationExample]:
-    """Positives straight from ground truth; negatives sampled from the
-    admissible-but-unasserted triples over the same entities."""
-    positives = [
-        RelationExample(r.source, r.source_kind, r.target, r.target_kind, r.relation)
-        for r in gt.relations
-        if r.source_kind in _BENCHMARK_KINDS and r.target_kind in _BENCHMARK_KINDS
-    ]
-    asserted_pairs = {
-        (normalize_name(p.source), p.source_kind, normalize_name(p.target), p.target_kind)
-        for p in positives
-    }
-
-    pool = list(dict.fromkeys(
-        (e.name, kind)
-        for kind_name, kind in (
-            ("malware", EntityKind.MALWARE),
-            ("threat_actor", EntityKind.THREAT_ACTOR),
-            ("target", EntityKind.IDENTITY),
-        )
-        for e in gt.entities.get(kind_name, [])
-    ))
-
-    # a negative is an ordered pair that admits at least one relation kind
-    # but has none asserted; the right answer for it is "none"
-    candidates: list[RelationExample] = []
-    for source, source_kind in pool:
-        for target, target_kind in pool:
-            if (source, source_kind) == (target, target_kind):
-                continue
-            if not admissible_relations(source_kind, target_kind):
-                continue
-            key = (
-                normalize_name(source), source_kind,
-                normalize_name(target), target_kind,
-            )
-            if key not in asserted_pairs:
-                candidates.append(
-                    RelationExample(source, source_kind, target, target_kind, None)
-                )
-
-    wanted = len(positives) if negatives is None else negatives
-    rng = random.Random(f"{seed}:{gt.report_id}")
-    if wanted < len(candidates):
-        sampled = rng.sample(candidates, wanted)
-        # keep deterministic presentation order regardless of sample order
-        sampled.sort(key=lambda e: (e.source, e.source_kind.value, e.target, e.target_kind.value))
-    else:
-        sampled = candidates
-    return positives + sampled
-
-
-def run_relation_benchmark(
-    gt: GroundTruth,
-    contexts: Sequence[str],
-    provider: Any,
-    seed: Union[str, int] = "cti2stix",
-    negatives: Optional[int] = None,
-) -> RelationBenchmarkResult:
-    audit = AuditTrail(gt.report_id)
-    examples = build_relation_examples(gt, seed=seed, negatives=negatives)
-    if not examples:
-        logger.info(
-            "relation benchmark for %s skipped: fewer than two eligible entities",
-            gt.report_id,
-        )
-
-    predictions: list[Optional[RelationKind]] = []
-    tp = fp = fn = 0
-    for example in examples:
-        source = StixEntity(kind=example.source_kind, name=example.source)
-        target = StixEntity(kind=example.target_kind, name=example.target)
-        answers = extract_relations(
-            contexts, [source, target], provider, audit, pairs=[(source, target)],
-        )
-        predicted = answers[0].kind if answers else None
-        predictions.append(predicted)
-        if example.relation is not None:
-            if predicted == example.relation:
-                tp += 1
-            elif predicted is None:
-                fn += 1
-            else:
-                fp += 1
-                fn += 1
-        elif predicted is not None:
-            fp += 1
-
-    return RelationBenchmarkResult(
-        report_id=gt.report_id,
-        examples=examples,
-        predictions=predictions,
-        scores=Scores.from_counts(tp, fp, fn),
-        tp=tp, fp=fp, fn=fn,
-    )
 
 
 # --- score output ------------------------------------------------------------

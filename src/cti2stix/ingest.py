@@ -21,7 +21,7 @@ import html
 import logging
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Callable, Container, Iterable, Union
@@ -72,13 +72,18 @@ class Sentence:
 
 @dataclass
 class Report:
-    """One source document, segmented and ready for the pipelines."""
+    """One source document; what the pipelines derive from its text is
+    worked out on first use, once."""
 
     id: str
     text: str
     title: str = ""
     url: str = ""
-    sentences: list[Sentence] = field(default_factory=list)
+
+    @functools.cached_property
+    def sentences(self) -> list[Sentence]:
+        """``text`` segmented, worked out on first use."""
+        return segment_sentences(self.text)
 
     @functools.cached_property
     def folded_text(self) -> str:
@@ -690,7 +695,7 @@ def make_report(
 ) -> Report:
     """Assemble a :class:`Report`; ids default to a hash of the body text."""
     rid = report_id if report_id else content_hash_id(text)
-    return Report(id=rid, text=text, title=title, url=url, sentences=segment_sentences(text))
+    return Report(id=rid, text=text, title=title, url=url)
 
 
 def report_from_path(path: Union[str, Path], plugins: Iterable[SourcePlugin] = ()) -> Report:

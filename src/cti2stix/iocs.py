@@ -23,8 +23,10 @@ _DOT = r"(?:\.|\[\.\]|\(\.\))"
 
 IPV4_RE = re.compile(rf"(?<![\d.])(?:{_OCTET}{_DOT}){{3}}{_OCTET}(?!\.?\d)")
 
+# a scheme follows anything but a letter or "_": a URL run on after an IP or
+# a hash (``1.2.3.4http://...``) is found whole, before its host is a domain
 URL_RE = re.compile(
-    r"\b(?:h(?:tt|xx)ps?|ftp):(?:\[:?//?\]|//)[^\s\"'<>]+",
+    r"(?<![^\W\d])(?:h(?:tt|xx)ps?|ftp):(?:\[:?//?\]|//)[^\s\"'<>]+",
     re.IGNORECASE,
 )
 
@@ -41,6 +43,7 @@ MD5_RE = re.compile(r"\b[a-f0-9]{32}\b", re.IGNORECASE)
 CVE_RE = re.compile(r"\bCVE-\d{4}-\d{4,7}\b", re.IGNORECASE)
 
 _HXXP_RE = re.compile(r"hxxp", re.IGNORECASE)
+_UNTAKEN_RE = re.compile(rb"\x00+")
 
 # Domain-looking tokens whose "TLD" is really a file extension are noise in
 # CTI prose ("dropped invoice.exe"), so they are filtered out.  Deliberately
@@ -56,7 +59,7 @@ _FILE_EXT_TLDS = frozenset(
 )
 
 # scan order doubles as overlap priority: a domain inside a matched URL is
-# not re-reported on its own.
+# not re-reported on its own (see scan_iocs).
 _IOC_PATTERNS: list[tuple[str, re.Pattern[str]]] = [
     ("url", URL_RE),
     ("ipv4", IPV4_RE),
@@ -107,26 +110,28 @@ def _normalize(ioc_type: str, original: str) -> str:
 
 
 def scan_iocs(text: str) -> list[IocMatch]:
-    """Every indicator span in *text*, repeats included, in text order;
-    matches nested inside an earlier match of a higher-priority pattern are
-    suppressed."""
+    """Every indicator span in *text*, repeats included, in text order.
+
+    Each pattern reads only the runs of text that earlier patterns left
+    untaken, and a taken span bounds a run as a space would: a domain inside
+    a URL is not reported on its own, and ``1.2.3.4evil.com`` holds an IP and
+    the domain ``evil.com``.
+    """
     taken = bytearray(len(text))  # 1 where an earlier match occupies the character
     found: list[IocMatch] = []
     for ioc_type, pattern in _IOC_PATTERNS:
-        for m in pattern.finditer(text):
-            start, end = m.span()
-            original = m.group()
-            if ioc_type == "url":
-                trimmed = original.rstrip(_URL_TRAILING_JUNK)
-                end -= len(original) - len(trimmed)
-                original = trimmed
-            if taken.find(1, start, end) != -1:
-                continue
-            value = _normalize(ioc_type, original)
-            if ioc_type == "domain" and value.rsplit(".", 1)[-1] in _FILE_EXT_TLDS:
-                continue
-            taken[start:end] = b"\x01" * (end - start)
-            found.append(IocMatch(ioc_type, value, original, start, end))
+        for run_start, run_end in [m.span() for m in _UNTAKEN_RE.finditer(taken)]:
+            for m in pattern.finditer(text[run_start:run_end]):
+                original = m.group()
+                if ioc_type == "url":
+                    original = original.rstrip(_URL_TRAILING_JUNK)
+                value = _normalize(ioc_type, original)
+                if ioc_type == "domain" and value.rsplit(".", 1)[-1] in _FILE_EXT_TLDS:
+                    continue
+                start = run_start + m.start()
+                end = start + len(original)
+                taken[start:end] = b"\x01" * (end - start)
+                found.append(IocMatch(ioc_type, value, original, start, end))
     found.sort(key=lambda x: (x.start, x.end))
     return found
 

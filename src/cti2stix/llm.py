@@ -122,8 +122,6 @@ class ProviderConfig:
 class CompletionRequest:
     prompt: str
     max_output_tokens: int = 256
-    temperature: float = 0.0
-    model: str = ""
 
 
 # share of the context window held back for the token estimator's error
@@ -341,7 +339,7 @@ class HttpProvider:
 
     def complete(self, request: CompletionRequest) -> str:
         check_budget(request, self.config)
-        model = request.model or self.config.completion_model
+        model = self.config.completion_model
         key = _cache_key("completion", model, request.prompt)
         if self._cache is not None:
             hit = self._cache.get_completion(key)
@@ -352,7 +350,7 @@ class HttpProvider:
             {
                 "model": model,
                 "messages": [{"role": "user", "content": request.prompt}],
-                "temperature": request.temperature,
+                "temperature": 0.0,
                 "max_tokens": request.max_output_tokens,
             },
         )

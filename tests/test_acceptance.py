@@ -16,7 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cti2stix.attack_patterns import classify_vector, run_attack_pattern_pipeline
+from cti2stix.attack_patterns import (
+    AttackPatternResult,
+    TechniqueMatch,
+    classify_vector,
+    run_attack_pattern_pipeline,
+)
 from cti2stix.catalog import CatalogEntry, TechniqueCatalog
 from cti2stix.cli import main
 from cti2stix.entity_pipeline import (
@@ -24,11 +29,13 @@ from cti2stix.entity_pipeline import (
     run_entity_pipeline,
 )
 from cti2stix.evaluation import (
+    GroundTruth,
+    GroundTruthEntity,
+    GroundTruthRelation,
     MatchSets,
     Scores,
-    build_relation_examples,
     match_entities,
-    run_relation_benchmark,
+    score_bundle,
     score_matches,
 )
 from cti2stix.exporter import assemble_and_validate
@@ -72,8 +79,6 @@ def criterion(number, title):
 
 @criterion(1, "metrics match the brute-force oracle on 1,000 instances in <5s")
 def test_c1_metrics_oracle():
-    from cti2stix.evaluation import GroundTruthEntity
-
     rng = random.Random(1234)
     started = time.perf_counter()
     for _ in range(1000):
@@ -279,41 +284,54 @@ def test_c7_subset_rule(tmp_path):
     assert scores["aggregate"]["malware"]["f1"]["n"] == 10
 
 
-@criterion(8, "relation benchmark: seeded negatives reproduce; oracle=1, "
-              "always-none R=0")
+@criterion(8, "relation kind: golden edges F1=1, no edges R=0 P=1, aliases on either "
+              "end match, a missed entity costs its edges, structural edges ignored")
 def test_c8_relation_benchmark(helloxd_report):
     gt = benchmark_truth()
 
-    first = build_relation_examples(gt, seed="acceptance")
-    second = build_relation_examples(gt, seed="acceptance")
-    assert first == second
+    def relation(bundle, truth=gt):
+        return score_bundle(bundle, truth, ["relation"])["relation"][1]
 
-    oracle_script = [
-        ('relation between "x4k" and "HelloXD"', "uses"),
-        ('relation between "HelloXD" and "Windows and Linux systems"', "targets"),
-        ('relation between "x4k" and "Windows and Linux systems"', "targets"),
-        ('relation between "x4k" and "GrimVault"', "none"),
-        ('relation between "GrimVault" and "Windows and Linux systems"', "none"),
-    ]
-    run_a = run_relation_benchmark(
-        gt, [helloxd_report.text], ScriptedProvider(script=oracle_script),
-        seed="acceptance",
-    )
-    run_b = run_relation_benchmark(
-        gt, [helloxd_report.text], ScriptedProvider(script=oracle_script),
-        seed="acceptance",
-    )
-    assert run_a.examples == run_b.examples
-    assert run_a.scores == run_b.scores
-    assert run_a.scores == Scores(1.0, 1.0, 1.0)
-    assert (run_a.tp, run_a.fp, run_a.fn) == (3, 0, 0)
+    # the golden run answers every relation the ground truth lists
+    golden = run_entity_pipeline(helloxd_report, ScriptedProvider(script=GOLDEN_SCRIPT)).bundle
+    assert relation(golden) == relation(golden) == Scores(1.0, 1.0, 1.0)
 
-    silent = run_relation_benchmark(
-        gt, [helloxd_report.text],
-        ScriptedProvider(script=[("What is the relation", "none")]),
-        seed="acceptance",
+    bare = new_bundle(golden.id)
+    bare.entities = list(golden.entities)
+    assert relation(bare) == Scores(0.0, 1.0, 0.0)
+
+    # ground truth spelled otherwise, with the extracted names as aliases
+    aliased = GroundTruth(
+        report_id=gt.report_id,
+        entities={
+            "malware": [GroundTruthEntity("HelloXD ransomware", ("HelloXD",))],
+            "threat_actor": [GroundTruthEntity("The x4k crew", ("x4k",))],
+            "target": [GroundTruthEntity("Windows and Linux", ("Windows and Linux systems",))],
+        },
+        relations=[
+            GroundTruthRelation("The x4k crew", EntityKind.THREAT_ACTOR, RelationKind.USES,
+                                "HelloXD ransomware", EntityKind.MALWARE),
+            GroundTruthRelation("HelloXD ransomware", EntityKind.MALWARE, RelationKind.TARGETS,
+                                "Windows and Linux", EntityKind.IDENTITY),
+            GroundTruthRelation("The x4k crew", EntityKind.THREAT_ACTOR, RelationKind.TARGETS,
+                                "Windows and Linux", EntityKind.IDENTITY),
+        ],
     )
-    assert silent.scores.recall == 0.0
+    assert relation(golden, aliased) == Scores(1.0, 1.0, 1.0)
+
+    # without the actor: its two edges are missed, the third still scores
+    actor = next(e for e in golden.entities if e.kind is EntityKind.THREAT_ACTOR)
+    no_actor = new_bundle(golden.id)
+    no_actor.entities = [e for e in golden.entities if e is not actor]
+    no_actor.relations = [r for r in golden.relations if actor.id not in (r.source_ref, r.target_ref)]
+    assert relation(no_actor).recall == 1 / 3 and relation(no_actor).precision == 1.0
+
+    # assembly's indicates and uses -> attack-pattern edges are not scored
+    golden.entities.append(StixEntity(EntityKind.INDICATOR, "evil.example"))
+    ap_result = AttackPatternResult([TechniqueMatch("T1573", "Encrypted Channel", 0.9)], [], None)
+    assembled, _ = assemble_and_validate(golden, ap_result)
+    assert len(assembled.relations) == len(golden.relations) + 3
+    assert relation(assembled) == Scores(1.0, 1.0, 1.0)
 
 
 @criterion(9, "1,000 generated bundles round-trip byte-identically")

@@ -83,6 +83,18 @@ class TestExtract:
         assert record["techniques"] == ["T1573"]
         assert record["violations"] == []
 
+    def test_audit_file_numbers_its_events_once(self, tmp_path, script_path, catalog_path,
+                                                report_path):
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path, [report_path])
+        assert code == 0
+        lines = (out_dir / "helloxd-2022.audit.jsonl").read_text(encoding="utf-8").splitlines()
+        events = [json.loads(line) for line in lines]
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        stages = [e["stage"] for e in events]
+        assert "attack-pattern" in stages
+        assert stages.index("attack-pattern") > max(
+            i for i, stage in enumerate(stages) if stage != "attack-pattern")
+
     def test_failure_is_partial_not_fatal(self, tmp_path, script_path, catalog_path,
                                           report_path):
         missing = tmp_path / "nope.txt"
@@ -401,6 +413,17 @@ def write_ground_truth(gt_dir, report_id, text, attack_pattern=("T1573",)):
                 "threat_actor": ["x4k"],
                 "target": ["Windows and Linux systems"],
                 "attack_pattern": list(attack_pattern),
+                "relations": [
+                    {"source": source, "source_kind": source_kind, "relation": relation,
+                     "target": target, "target_kind": target_kind}
+                    for source, source_kind, relation, target, target_kind in (
+                        ("x4k", "threat-actor", "uses", "HelloXD", "malware"),
+                        ("x4k", "threat-actor", "targets", "Windows and Linux systems",
+                         "identity"),
+                        ("HelloXD", "malware", "targets", "Windows and Linux systems",
+                         "identity"),
+                    )
+                ],
             }
         ),
         encoding="utf-8",
@@ -425,7 +448,7 @@ class TestEval:
 
         scores = json.loads((eval_dir / "scores.json").read_text(encoding="utf-8"))
         report_scores = scores["per_report"]["helloxd-2022"]
-        for kind in ("malware", "threat_actor", "target", "attack_pattern"):
+        for kind in ("malware", "threat_actor", "target", "attack_pattern", "relation"):
             assert report_scores[kind]["f1"] == 1.0, kind
         assert (eval_dir / "scores.csv").exists()
         assert "malware: mean F1 1.000" in capsys.readouterr().out

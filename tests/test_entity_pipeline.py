@@ -413,22 +413,12 @@ def test_relations_enumerate_only_admissible_pairs():
     trail = audit()
     answers = extract_relations(["ctx"], [*malware, tool], provider, trail)
     # 30 x 29 malware pairs and the 30 tool -> malware pairs have no admissible kind
-    assert not [e for e in trail.events if e.data.get("outcome") == "skipped-no-admissible-kinds"]
+    assert [e.data["target"] for e in trail.events if e.event == "decision"] == ["QuickConsole"] * 30
     assert provider.prompts == [
         RELATION_PROMPT.format(context="ctx", source=m.name, target="QuickConsole", options="uses")
         for m in malware
     ]
     assert [a.kind for a in answers] == [RelationKind.USES] * 30
-
-
-def test_explicit_inadmissible_pair_is_still_recorded_as_skipped():
-    a = StixEntity(EntityKind.MALWARE, "A")
-    b = StixEntity(EntityKind.MALWARE, "B")
-    provider = scripted([])
-    trail = audit()
-    assert extract_relations(["ctx"], [a, b], provider, trail, pairs=[(a, b)]) == []
-    assert [e.data["outcome"] for e in trail.events] == ["skipped-no-admissible-kinds"]
-    assert provider.prompts == []
 
 
 def test_relation_first_non_none_context_wins():

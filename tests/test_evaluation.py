@@ -11,21 +11,18 @@ from cti2stix.evaluation import (
     GroundTruthRelation,
     MatchSets,
     Scores,
-    build_relation_examples,
     extracted_names,
     filter_without_explicit_ids,
     load_ground_truth_dir,
     load_ground_truth_file,
     match_entities,
     percentile,
-    run_relation_benchmark,
     score_bundle,
     score_matches,
     scores_payload,
     summarize,
     write_scores,
 )
-from cti2stix.llm import ScriptedProvider
 from cti2stix.stix import (
     EntityKind,
     RelationKind,
@@ -226,6 +223,12 @@ class TestBundleExtraction:
                 "target": [GroundTruthEntity("Windows and Linux systems")],
                 "attack_pattern": [GroundTruthEntity("T1027.002")],
             },
+            relations=[
+                GroundTruthRelation("HelloXD", EntityKind.MALWARE, RelationKind.TARGETS,
+                                    "Windows and Linux systems", EntityKind.IDENTITY),
+                GroundTruthRelation("x4k", EntityKind.THREAT_ACTOR, RelationKind.USES,
+                                    "helloxd", EntityKind.MALWARE),
+            ],
         )
         scored = score_bundle(sample_bundle(), gt)
         for kind in EVAL_KINDS:
@@ -310,91 +313,83 @@ def benchmark_truth():
     )
 
 
-class TestRelationBenchmark:
-    def test_examples_reproducible(self):
-        gt = benchmark_truth()
-        a = build_relation_examples(gt, seed="s1")
-        b = build_relation_examples(gt, seed="s1")
-        assert a == b
+def benchmark_bundle(gt):
+    """A bundle holding *gt*'s malware, actors and targets, and its relations."""
+    bundle = new_bundle(gt.report_id)
+    by_name = {}
+    for kind, entity_kind in (("malware", EntityKind.MALWARE),
+                              ("threat_actor", EntityKind.THREAT_ACTOR),
+                              ("target", EntityKind.IDENTITY)):
+        for entry in gt.entities.get(kind, []):
+            by_name[entry.name] = StixEntity(entity_kind, entry.name)
+    bundle.entities = list(by_name.values())
+    bundle.relations = [
+        StixRelation(r.relation, by_name[r.source].id, by_name[r.target].id)
+        for r in gt.relations
+    ]
+    return bundle
 
-    def test_positives_then_negatives(self):
-        examples = build_relation_examples(benchmark_truth())
-        positives = [e for e in examples if e.relation is not None]
-        negatives = [e for e in examples if e.relation is None]
-        assert len(positives) == 3
-        # unasserted admissible pairs: x4k->GrimVault, GrimVault->target
-        assert {(e.source, e.target) for e in negatives} == {
-            ("x4k", "GrimVault"),
-            ("GrimVault", "Windows and Linux systems"),
-        }
 
-    def test_negative_sampling_is_seeded(self):
-        gt = GroundTruth(
-            report_id="wide",
-            entities={
-                "malware": [GroundTruthEntity(f"mal{i}") for i in range(4)],
-                "target": [GroundTruthEntity(f"org{i}") for i in range(4)],
-            },
-            relations=[
-                GroundTruthRelation(
-                    "mal0", EntityKind.MALWARE, RelationKind.TARGETS,
-                    "org0", EntityKind.IDENTITY,
-                )
-            ],
-        )
-        one = build_relation_examples(gt, seed="a")
-        two = build_relation_examples(gt, seed="a")
-        assert one == two
-        negatives = [e for e in one if e.relation is None]
-        assert len(negatives) == 1  # matched to the positive count
+def relation_scores(bundle, gt):
+    return score_bundle(bundle, gt, ["relation"])["relation"][1]
 
-    def test_explicit_negative_count(self):
-        examples = build_relation_examples(benchmark_truth(), negatives=1)
-        assert sum(1 for e in examples if e.relation is None) == 1
 
-    def test_perfect_oracle_scores_one(self, helloxd_report):
-        script = [
-            ('relation between "x4k" and "HelloXD"', "uses"),
-            ('relation between "HelloXD" and "Windows and Linux systems"', "targets"),
-            ('relation between "x4k" and "Windows and Linux systems"', "targets"),
-            ('relation between "x4k" and "GrimVault"', "none"),
-            ('relation between "GrimVault" and "Windows and Linux systems"', "none"),
+class TestRelationKind:
+    def test_edge_keys_are_normalized_triples(self):
+        bundle = sample_bundle()
+        assert extracted_names(bundle, "relation") == [
+            "(helloxd) targets (windows and linux systems)",
+            "(x4k) uses (helloxd)",
         ]
-        result = run_relation_benchmark(
-            benchmark_truth(), [helloxd_report.text], ScriptedProvider(script=script)
-        )
-        assert (result.tp, result.fp, result.fn) == (3, 0, 0)
-        assert result.scores == Scores(1.0, 1.0, 1.0)
 
-    def test_always_none_has_zero_recall(self, helloxd_report):
-        provider = ScriptedProvider(script=[("What is the relation", "none")])
-        result = run_relation_benchmark(benchmark_truth(), [helloxd_report.text], provider)
-        assert result.tp == 0
-        assert result.fn == 3
-        assert result.scores.recall == 0.0
-        assert result.scores.precision == 1.0
-        assert result.scores.f1 == 0.0
-
-    def test_eager_guesser_pays_precision(self, helloxd_report):
-        provider = ScriptedProvider(script=[("What is the relation", "uses")])
-        result = run_relation_benchmark(benchmark_truth(), [helloxd_report.text], provider)
-        # positives: only x4k->HelloXD admits "uses"; the two targets
-        # questions parse "uses" as inadmissible -> none -> misses
-        assert result.tp == 1
-        # x4k->GrimVault negative admits uses -> false positive
-        assert result.fp >= 1
-
-    def test_too_few_entities_noted(self, caplog):
+    @pytest.mark.parametrize("source,target", [
+        ("The x4k crew", "HelloXD"),
+        ("x4k", "HelloXD ransomware"),
+        ("The x4k crew", "HelloXD ransomware"),
+    ])
+    def test_alias_on_either_end_matches(self, source, target):
         gt = GroundTruth(
-            report_id="lonely",
-            entities={"malware": [GroundTruthEntity(name="HelloXD")]},
+            report_id="aliases",
+            entities={
+                "malware": [GroundTruthEntity("HelloXD", ("HelloXD ransomware",))],
+                "threat_actor": [GroundTruthEntity("x4k", ("The x4k crew",))],
+            },
+            relations=[GroundTruthRelation("x4k", EntityKind.THREAT_ACTOR, RelationKind.USES,
+                                           "HelloXD", EntityKind.MALWARE)],
         )
-        provider = ScriptedProvider(script=[])
-        with caplog.at_level("INFO", logger="cti2stix.evaluation"):
-            result = run_relation_benchmark(gt, ["text"], provider)
-        assert result.examples == []
-        assert (result.tp, result.fp, result.fn) == (0, 0, 0)
-        assert any("fewer than two eligible entities" in r.getMessage() for r in caplog.records)
+        actor = StixEntity(EntityKind.THREAT_ACTOR, source)
+        malware = StixEntity(EntityKind.MALWARE, target)
+        bundle = new_bundle("aliases")
+        bundle.entities = [actor, malware]
+        bundle.relations = [StixRelation(RelationKind.USES, actor.id, malware.id)]
+        assert relation_scores(bundle, gt) == Scores(1.0, 1.0, 1.0)
+
+    def test_wrong_kind_or_direction_is_a_miss_and_a_false_positive(self):
+        gt = benchmark_truth()
+        bundle = benchmark_bundle(gt)
+        uses = bundle.relations[0]
+        assert uses.kind is RelationKind.USES
+        bundle.relations[0] = StixRelation(RelationKind.TARGETS, uses.source_ref, uses.target_ref)
+        match, _ = score_bundle(bundle, gt, ["relation"])["relation"]
+        assert (len(match.tp), len(match.fp), len(match.fn)) == (2, 1, 1)
+
+    def test_misnamed_entity_costs_its_edges(self):
+        gt = benchmark_truth()
+        bundle = benchmark_bundle(gt)
+        renamed = StixEntity(EntityKind.THREAT_ACTOR, "x4k operators")
+        old = next(e for e in bundle.entities if e.name == "x4k")
+        bundle.entities[bundle.entities.index(old)] = renamed
+        for r in bundle.relations:
+            if r.source_ref == old.id:
+                r.source_ref = renamed.id
+        match, _ = score_bundle(bundle, gt, ["relation"])["relation"]
+        assert (len(match.tp), len(match.fp), len(match.fn)) == (1, 2, 2)
+
+    def test_ground_truth_edges_to_other_kinds_are_not_scored(self):
+        gt = benchmark_truth()
+        gt.relations.append(GroundTruthRelation("HelloXD", EntityKind.MALWARE, RelationKind.USES,
+                                                "T1573", EntityKind.ATTACK_PATTERN))
+        assert relation_scores(benchmark_bundle(benchmark_truth()), gt) == Scores(1.0, 1.0, 1.0)
 
 
 class TestScoreOutput:

@@ -645,6 +645,12 @@ def test_make_report_defaults_to_content_hash_id():
     assert len(report.sentences) == 2
 
 
+def test_report_is_segmented_on_first_use_only():
+    report = make_report("Some body. Two sentences.")
+    assert "sentences" not in vars(report)
+    assert report.sentences is report.sentences
+
+
 def test_report_from_txt_path_uses_stem(tmp_path):
     p = tmp_path / "report-007.txt"
     p.write_text("A short report. It has two sentences.")

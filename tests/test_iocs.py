@@ -80,6 +80,24 @@ def test_domain_inside_url_not_duplicated():
     ]
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("1.2.3.4evil.com", [("ipv4", "1.2.3.4"), ("domain", "evil.com")]),
+    ("10.0.0.1.update.badcdn[.]net", [("ipv4", "10.0.0.1"), ("domain", "update.badcdn.net")]),
+    ("evil.com1.2.3.4", [("domain", "evil.com"), ("ipv4", "1.2.3.4")]),
+    ("hxxp://a.example/x 1.2.3.4evil.exe", [("url", "http://a.example/x"), ("ipv4", "1.2.3.4")]),
+    ("1.2.3.4hxxp://update.badcdn[.]net/gate.php",
+     [("ipv4", "1.2.3.4"), ("url", "http://update.badcdn.net/gate.php")]),
+])
+def test_iocs_run_together_are_each_found(text, expected):
+    assert types_and_values(text) == expected
+    assert find_iocs(mask_observables(text, scan_iocs(text))) == []
+
+
+def test_domain_wholly_inside_a_url_stays_suppressed():
+    text = "get hxxp://1.2.3.4evil.com/gate.php now"
+    assert types_and_values(text) == [("url", "http://1.2.3.4evil.com/gate.php")]
+
+
 def test_defanged_domain():
     assert types_and_values("beacons to update[.]badcdn[.]net nightly") == [
         ("domain", "update.badcdn.net")
@@ -184,16 +202,27 @@ def test_no_iocs_in_clean_prose():
 # oracle: the occupancy-map overlap test against a pairwise scan
 
 
+def reference_spans(pattern, text, taken):
+    """Match spans, each found in a gap between the spans taken so far as if
+    the gap were the whole text."""
+    gaps, pos = [], 0
+    for t_start, t_end in sorted(taken) + [(len(text), len(text))]:
+        if t_start > pos:
+            gaps.append((pos, t_start))
+        pos = max(pos, t_end)
+    return [(a + m.start(), a + m.end()) for a, b in gaps for m in pattern.finditer(text[a:b])]
+
+
 def reference_find_iocs(text):
-    """find_iocs with the pairwise overlap scan: every match is tested
-    against every span taken before it."""
+    """find_iocs with a list of taken spans in place of the occupancy map:
+    the gaps come from the sorted spans, and every match is tested against
+    every span taken before it."""
     taken = []
     found = []
     seen = set()
     for ioc_type, pattern in iocs._IOC_PATTERNS:
-        for m in pattern.finditer(text):
-            start, end = m.span()
-            original = m.group()
+        for start, end in reference_spans(pattern, text, taken):
+            original = text[start:end]
             if ioc_type == "url":
                 trimmed = original.rstrip(iocs._URL_TRAILING_JUNK)
                 end -= len(original) - len(trimmed)
@@ -271,16 +300,9 @@ def test_mask_replaces_every_occurrence_and_keeps_cves():
 
 
 _MARKER_RE = re.compile(r"\[(?:url|ipv4|domain|sha256|sha1|md5)\]")
-# IoCs planted in prose: separated from their neighbours as authors write
-# them, where _texts above also runs tokens together
-_planted = st.lists(
-    st.tuples(st.one_of(_ips, _domains, _urls, _hashes, _cves, _filler),
-              st.sampled_from([" ", ", ", "\n", "; ", " (", ") "])),
-    max_size=20,
-).map(lambda pairs: "".join(token + joiner for token, joiner in pairs))
 
 
-@given(_planted, _planted)
+@given(_texts, _texts)
 @settings(max_examples=300, deadline=None)
 def test_masked_text_holds_only_the_cves(first, second):
     text = first + " and again " + second + " and again " + first  # repeats

@@ -89,10 +89,6 @@ def test_estimate_positive_for_nonempty(text):
 # budget checks
 
 
-def test_request_defaults_to_temperature_zero():
-    assert CompletionRequest("hi").temperature == 0.0
-
-
 def test_check_budget_accepts_small_prompt():
     config = ProviderConfig(context_window=4096)
     assert check_budget(CompletionRequest("short prompt", max_output_tokens=256), config) > 0
@@ -162,6 +158,7 @@ def test_complete_posts_expected_payload(monkeypatch):
     out = provider.complete(CompletionRequest("a question", max_output_tokens=128))
     assert out == "the answer"
     assert seen["url"].endswith("/chat/completions")
+    assert seen["payload"]["model"] == "gpt-3.5-turbo"
     assert seen["payload"]["temperature"] == 0.0
     assert seen["payload"]["max_tokens"] == 128
     assert seen["payload"]["messages"] == [{"role": "user", "content": "a question"}]
