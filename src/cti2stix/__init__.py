@@ -26,6 +26,7 @@ from .stix import (  # noqa: F401
 )
 
 from .attack_patterns import run_attack_pattern_pipeline  # noqa: F401
+from .audit import AuditTrail  # noqa: F401
 from .catalog import build_catalog, load_catalog, save_catalog  # noqa: F401
 from .config import AppConfig, load_config, make_provider  # noqa: F401
 from .entity_pipeline import run_entity_pipeline  # noqa: F401

@@ -6,7 +6,7 @@ Three candidate-generation strategies feed one embedding classifier:
   techniques, verbatim; quoted paragraphs become candidates.  A guard drops
   any response text that is not actually a substring of the chunk (the model
   paraphrased), because a non-verbatim "quote" can smuggle in hallucinated
-  behavior.
+  behavior; each drop is a decision with a warning on the audit trail.
 * ``sbsa`` — ask for a step-by-step restatement of key facts; each step is a
   candidate.  Steps are model prose, not quotes, so no verbatim guard.
 * ``ot`` — no model at all: every sentence of the report is a candidate.
@@ -54,14 +54,26 @@ SBSA_PROMPT = (
 # tokens reserved for a vte or sbsa answer
 STRATEGY_OUTPUT_TOKENS = 512
 
+# the candidate strategies a config may name
+STRATEGIES = ("vte", "sbsa", "ot")
+
 _STEP_PREFIX_RE = re.compile(r"^\s*(?:\d+[.):]\s*|[-*•]\s+|step\s+\d+\s*[:.]\s*)", re.IGNORECASE)
 
 
 @dataclass
 class AttackPatternConfig:
-    strategies: tuple[str, ...] = ("vte", "sbsa", "ot")
+    strategies: tuple[str, ...] = STRATEGIES
     threshold: float = 0.80
     include_explicit: bool = True
+
+    def __post_init__(self) -> None:
+        # a repeat would ask every vte or sbsa prompt again
+        for i, strategy in enumerate(self.strategies):
+            if strategy not in STRATEGIES:
+                raise ValueError(f"attack_patterns.strategies: unknown strategy {strategy!r}; "
+                                 f"choose from {', '.join(STRATEGIES)}")
+            if strategy in self.strategies[:i]:
+                raise ValueError(f"attack_patterns.strategies: {strategy!r} is named twice")
 
 
 @dataclass
@@ -71,23 +83,13 @@ class TechniqueMatch:
     score: Optional[float]  # None for matches from explicit ids only
 
 
-@dataclass
-class AttackPatternResult:
-    matches: list[TechniqueMatch]
-    warnings: list[dict[str, Any]]
-    audit: AuditTrail
-
-    def technique_ids(self) -> list[str]:
-        return [m.technique_id for m in self.matches]
-
-
 def _strategy_chunks(report: Report, provider: Any, prompt_template: str) -> list[str]:
+    """The chunks a strategy prompt carries: none for a blank report."""
     budget = context_budget(provider.config, prompt_template.format(text=""), STRATEGY_OUTPUT_TOKENS)
-    return chunk_text(report.text, min(CHUNK_TOKENS, budget))
+    return chunk_text(report.text, min(CHUNK_TOKENS, budget)) if report.text.strip() else []
 
 
-def strategy_vte(report: Report, provider: Any, audit: AuditTrail,
-                 warnings: list[dict[str, Any]]) -> list[str]:
+def strategy_vte(report: Report, provider: Any, audit: AuditTrail) -> list[str]:
     """Verbatim-text-extraction: quote relevant passages, one candidate per
     quoted paragraph, with a whitespace-insensitive substring guard."""
     candidates: list[str] = []
@@ -104,12 +106,8 @@ def strategy_vte(report: Report, provider: Any, audit: AuditTrail,
             if collapse_whitespace(para).casefold() in squashed_chunk:
                 candidates.append(para)
             else:
-                warnings.append({
-                    "kind": "non-verbatim",
-                    "strategy": "vte",
-                    "chunk": i,
-                    "text": para,
-                })
+                audit.record("attack-pattern", "decision", rule="non-verbatim", strategy="vte",
+                             chunk=i, text=para, warning="quote is not verbatim in its chunk")
                 logger.warning("vte response not verbatim in chunk %d; dropped: %.60s", i, para)
     return candidates
 
@@ -220,32 +218,27 @@ def run_attack_pattern_pipeline(
     report: Report,
     catalog: Union[TechniqueCatalog, Future[TechniqueCatalog]],
     provider: Any,
+    audit: AuditTrail,
     config: Optional[AttackPatternConfig] = None,
-    audit: Optional[AuditTrail] = None,
-) -> AttackPatternResult:
-    """Gather, embed and score *report*'s technique candidates.
+) -> list[TechniqueMatch]:
+    """Gather, embed and score *report*'s technique candidates, recording on
+    *audit*, and return the matches in technique-id order.
 
     *catalog* may be a future of one still loading: the pipeline waits for it
     only after the candidates are gathered and embedded, just before scoring,
-    and re-raises the load's exception.  Events go on *audit*, such as the
-    report's entity-pipeline trail, or on a trail of their own.
+    and re-raises the load's exception.
     """
     config = config or AttackPatternConfig()
-    if audit is None:
-        audit = AuditTrail(report.id)
-    warnings: list[dict[str, Any]] = []
 
     candidates: list[str] = []
     counts: dict[str, int] = {}
     for strategy in config.strategies:
         if strategy == "vte":
-            found = strategy_vte(report, provider, audit, warnings)
+            found = strategy_vte(report, provider, audit)
         elif strategy == "sbsa":
             found = strategy_sbsa(report, provider, audit)
-        elif strategy == "ot":
-            found = strategy_ot(report)
         else:
-            raise ValueError(f"unknown strategy: {strategy!r}")
+            found = strategy_ot(report)
         counts[strategy] = len(found)
         candidates.extend(found)
     audit.record("attack-pattern", "decision", rule="candidates", counts=counts)
@@ -268,5 +261,4 @@ def run_attack_pattern_pipeline(
             audit.record("attack-pattern", "decision", rule="explicit-id", technique=tid)
 
     names = catalog.technique_names()
-    matches = [TechniqueMatch(tid, names.get(tid), best[tid]) for tid in sorted(best)]
-    return AttackPatternResult(matches, warnings, audit)
+    return [TechniqueMatch(tid, names.get(tid), best[tid]) for tid in sorted(best)]

@@ -2,8 +2,10 @@
 
 Every completion the pipelines make goes through :func:`ask`, which records
 the prompt, calls the provider, and records the response, so the trail holds
-each prompt directly followed by its answer.  :func:`is_negative_answer`
-recognises the answers that say there is nothing to report.
+each prompt directly followed by its answer.  A warning is a ``decision``
+event with a non-empty ``warning`` field; :meth:`AuditTrail.warnings` lists
+them.  :func:`is_negative_answer` recognises the answers that say there is
+nothing to report.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ class AuditEvent:
 
 
 class AuditTrail:
-    """Ordered record of everything a pipeline run did, JSONL-serializable."""
+    """Ordered record of everything a report's pipeline runs did,
+    JSONL-serializable.  The caller creates one per report and hands it to
+    each pipeline."""
 
     def __init__(self, report_id: str):
         self.report_id = report_id
@@ -40,6 +44,12 @@ class AuditTrail:
             for e in self.events
             if e.event == "prompt"
         ]
+
+    def warnings(self) -> list[dict[str, Any]]:
+        """The decisions with a non-empty ``warning``, in order, each as its
+        audit line reads less ``report`` and ``event``."""
+        return [{"seq": e.seq, "stage": e.stage, **e.data} for e in self.events
+                if e.event == "decision" and e.data.get("warning")]
 
     def to_jsonl(self) -> str:
         lines = []

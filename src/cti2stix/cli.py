@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .attack_patterns import run_attack_pattern_pipeline
+from .audit import AuditTrail
 from .catalog import CatalogError, TechniqueCatalog, build_catalog, load_catalog
 from .config import PROVIDER_KINDS, AppConfig, ConfigError, dump_config, load_config, make_provider
 from .entity_pipeline import CondensationError, run_entity_pipeline
@@ -170,34 +171,29 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
                  catalog: Optional[Future[TechniqueCatalog]], plugins: Sequence,
                  out_dir: Path) -> dict[str, Any]:
     report = _load_report(source, plugins)
-    entity_result = run_entity_pipeline(report, provider, config.pipeline)
-
-    ap_result = None
+    # one trail holds both pipelines' events, numbered once
+    audit = AuditTrail(report.id)
+    entity_bundle = run_entity_pipeline(report, provider, audit, config.pipeline)
+    matches = []
     if catalog is not None:
-        ap_result = run_attack_pattern_pipeline(
-            report, catalog, provider, config.attack_patterns, entity_result.audit
-        )
+        matches = run_attack_pattern_pipeline(report, catalog, provider, audit,
+                                              config.attack_patterns)
 
-    bundle, violations = assemble_and_validate(entity_result.bundle, ap_result)
+    bundle, violations = assemble_and_validate(entity_bundle, matches)
 
     bundle_path = out_dir / f"{report.id}.bundle.json"
     bundle_path.write_text(save_bundle(bundle), encoding="utf-8")
-
-    # one trail holds both pipelines' events, numbered once
     audit_path = out_dir / f"{report.id}.audit.jsonl"
-    audit_path.write_text(entity_result.audit.to_jsonl(), encoding="utf-8")
+    audit_path.write_text(audit.to_jsonl(), encoding="utf-8")
 
-    warnings = list(entity_result.warnings)
-    if ap_result is not None:
-        warnings += ap_result.warnings
     return {
         "report_id": report.id,
         "source": source,
         "bundle": bundle_path.name,
         "entities": len(bundle.entities),
         "relations": len(bundle.relations),
-        "techniques": ap_result.technique_ids() if ap_result else [],
-        "warnings": warnings,
+        "techniques": [m.technique_id for m in matches],
+        "warnings": audit.warnings(),
         "violations": [v.code for v in violations],
     }
 
@@ -295,12 +291,19 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return OK
 
 
+def _load_truth(gt_dir: str) -> dict[str, GroundTruth]:
+    try:
+        return load_ground_truth_dir(gt_dir)
+    except ValueError as exc:  # a malformed file, named in the message
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     extracted_dir = Path(args.extracted)
     if not extracted_dir.is_dir():
         raise ConfigError(f"not a directory: {extracted_dir}")
-    truth = load_ground_truth_dir(args.gt)
+    truth = _load_truth(args.gt)
     if not truth:
         raise ConfigError(f"no ground truth found under {args.gt}")
 
@@ -407,7 +410,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     catalog = load_catalog(args.catalog)
     provider = make_provider(config)
-    truth = load_ground_truth_dir(args.gt)
+    truth = _load_truth(args.gt)
 
     eligible: dict[str, GroundTruth] = {}
     for report_id, gt in truth.items():
@@ -424,10 +427,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     best_scores: dict[str, dict[str, float]] = {}
     for report_id in sorted(eligible):
         report = make_report(eligible[report_id].text, report_id=report_id)
-        result = run_attack_pattern_pipeline(report, catalog, provider, zero)
-        best_scores[report_id] = {
-            m.technique_id: m.score for m in result.matches if m.score is not None
-        }
+        matches = run_attack_pattern_pipeline(report, catalog, provider,
+                                              AuditTrail(report_id), zero)
+        best_scores[report_id] = {m.technique_id: m.score for m in matches
+                                  if m.score is not None}
 
     means: dict[float, float] = {}
     for threshold in thresholds:

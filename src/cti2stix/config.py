@@ -36,6 +36,12 @@ class EvalConfig:
     kinds: tuple[str, ...] = EVAL_KINDS
     subset_rule: bool = True
 
+    def __post_init__(self) -> None:
+        unknown = [kind for kind in self.kinds if kind not in EVAL_KINDS]
+        if unknown:
+            raise ValueError(f"eval.kinds: unknown kind {unknown[0]!r}; "
+                             f"choose from {', '.join(EVAL_KINDS)}")
+
 
 @dataclass
 class PathsConfig:

@@ -13,8 +13,8 @@ observable the IoC regexes find replaced by a type marker such as
    short definition of the kind.
 3. **Verify** — every candidate name must be grounded in the *original*
    report: first a literal substring check, then a yes/no question per chunk
-   for names the model may have reworded.  Unverifiable names are dropped and
-   logged as inconsistencies; this is the hallucination guard.
+   for names the model may have reworded.  Unverifiable names are dropped,
+   and their decision carries a warning; this is the hallucination guard.
 4. **Relate** — for each ordered pair of verified entities with at least one
    admissible relation kind, ask one direct question whose answer is
    constrained to those kinds (or "none").  Extracted target names become
@@ -25,9 +25,9 @@ observable the IoC regexes find replaced by a type marker such as
    Indicates edges to each malware are structural, so assembly derives them
    (:mod:`cti2stix.exporter`).
 
-Every prompt, response, and decision is recorded on an audit trail so runs
-can be replayed and inspected; every question to the model goes through
-:func:`cti2stix.audit.ask`, which records it and its answer.
+Every prompt, response, and decision is recorded on the caller's audit
+trail so runs can be replayed and inspected; every question to the model
+goes through :func:`cti2stix.audit.ask`, which records it and its answer.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .audit import AuditTrail, ask, is_negative_answer
 from .ingest import Report, collapse_whitespace, segment_sentences
@@ -143,13 +143,6 @@ QUERIES: tuple[EntityQuery, ...] = (
 @dataclass
 class EntityPipelineConfig:
     preprocessing: bool = True
-
-
-@dataclass
-class EntityPipelineResult:
-    bundle: StixBundle
-    warnings: list[dict[str, str]]
-    audit: AuditTrail
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +344,13 @@ def verify_entity(name: str, report: Report, provider: Any, audit: AuditTrail) -
         if response.strip().casefold().startswith("yes"):
             audit.record("verify", "decision", name=name, outcome="llm")
             return True
-    audit.record("verify", "decision", name=name, outcome="unverified")
+    audit.record("verify", "decision", name=name, outcome="unverified",
+                 warning=f"{name!r} is not grounded in the report")
     return False
 
 
 # ---------------------------------------------------------------------------
 # relations
-
-
-@dataclass
-class RelationAnswer:
-    source: StixEntity
-    target: StixEntity
-    kind: RelationKind | None
-    warning: str = ""
 
 
 def _parse_relation_answer(response: str, options: dict[str, RelationKind]) -> tuple[RelationKind | None, str]:
@@ -389,10 +375,11 @@ def extract_relations(
     entities: Sequence[StixEntity],
     provider: Any,
     audit: AuditTrail,
-) -> list[RelationAnswer]:
+) -> list[StixRelation]:
     """One direct relation question per ordered pair of *entities* with a
-    non-empty admissible kind set; answers outside that set parse to none
-    with a warning.  With several contexts (ablated preprocessing) the first
+    non-empty admissible kind set; return the relations the model confirmed.
+    Answers outside that set parse to none, and the pair's decision carries
+    a warning.  With several contexts (ablated preprocessing) the first
     non-none answer wins."""
     pairs = [
         (a, b)
@@ -400,7 +387,7 @@ def extract_relations(
         for b in entities
         if a.id != b.id and admissible_relations(a.kind, b.kind)
     ]
-    answers: list[RelationAnswer] = []
+    relations: list[StixRelation] = []
     for a, b in pairs:
         kinds = admissible_relations(a.kind, b.kind)
         options = {k.value: k for k in sorted(kinds, key=lambda r: r.value)}
@@ -419,68 +406,52 @@ def extract_relations(
             "relations", "decision", source=a.name, target=b.name,
             outcome=found.value if found else "none", warning=warning,
         )
-        answers.append(RelationAnswer(source=a, target=b, kind=found, warning=warning))
-    return answers
+        if found is not None:
+            relations.append(StixRelation(found, a.id, b.id))
+    return relations
 
 
 # ---------------------------------------------------------------------------
 # the full pipeline
 
 
-def _unique_entities(entities: Iterable[StixEntity]) -> list[StixEntity]:
-    seen: set[str] = set()
-    out = []
-    for ent in entities:
-        if ent.id not in seen:
-            seen.add(ent.id)
-            out.append(ent)
-    return out
-
-
 def run_entity_pipeline(
     report: Report,
     provider: Any,
+    audit: AuditTrail,
     config: EntityPipelineConfig | None = None,
-) -> EntityPipelineResult:
-    """Run the complete entity flow for one report and assemble the partial
-    bundle (entities, Targets and LLM-answered relations, IoCs)."""
+) -> StixBundle:
+    """Run the complete entity flow for one report, recording on *audit*,
+    and return the partial bundle (entities, Targets and LLM-answered
+    relations, IoCs)."""
     config = config or EntityPipelineConfig()
-    audit = AuditTrail(report.id)
-    warnings: list[dict[str, str]] = []
 
     if not report.text.strip():
-        warnings.append({"kind": "empty-report", "detail": f"report {report.id} has no text"})
-        return EntityPipelineResult(new_bundle(report.id), warnings, audit)
+        audit.record("ingest", "decision", outcome="empty", warning="the report has no text")
+        return new_bundle(report.id)
 
     budget = extraction_budget(provider.config)
     if config.preprocessing:
         contexts = [condense(report, provider, audit, target_tokens=budget)]
         context_ids = ["condensed"]
     else:
-        pieces = chunk_text(report.prompt_text, budget)
-        contexts = pieces
-        context_ids = [f"chunk-{i}" for i in range(len(pieces))]
-        audit.record("condense", "decision", outcome="ablated", chunks=len(pieces))
+        contexts = chunk_text(report.prompt_text, budget)
+        context_ids = [f"chunk-{i}" for i in range(len(contexts))]
+        audit.record("condense", "decision", outcome="ablated", chunks=len(contexts))
 
-    # extract + verify per query
-    verified_by_query: dict[str, list[StixEntity]] = {q.name: [] for q in QUERIES}
+    # extract + verify per query; the first entity with an id is kept
+    unique: dict[str, StixEntity] = {}
     for query in QUERIES:
         candidates: dict[str, str] = {}  # squashed name -> first spelling seen
         for context, context_id in zip(contexts, context_ids):
             for name in extract_entities(context, query, provider, audit, context_id):
                 candidates.setdefault(collapse_whitespace(name).casefold(), name)
         for name in candidates.values():
-            if not verify_entity(name, report, provider, audit):
-                warnings.append(
-                    {
-                        "kind": "inconsistency",
-                        "detail": f"extracted {query.name} {name!r} is not grounded in report {report.id}",
-                    }
-                )
-                continue
-            verified_by_query[query.name].append(StixEntity(query.entity_kind, name))
+            if verify_entity(name, report, provider, audit):
+                entity = StixEntity(query.entity_kind, name)
+                unique.setdefault(entity.id, entity)
 
-    entities = _unique_entities(e for q in QUERIES for e in verified_by_query[q.name])
+    entities = list(unique.values())
     principals = [e for e in entities if e.kind in (EntityKind.MALWARE, EntityKind.THREAT_ACTOR)]
     target_identities = [e for e in entities if e.kind is EntityKind.IDENTITY]
 
@@ -499,11 +470,7 @@ def run_entity_pipeline(
 
     # LLM relation queries among the remaining (non-identity) verified pairs
     queryable = [e for e in entities if e.kind is not EntityKind.IDENTITY]
-    for answer in extract_relations(contexts, queryable, provider, audit):
-        if answer.warning:
-            warnings.append({"kind": "relation-parse", "detail": answer.warning})
-        if answer.kind is not None:
-            relations.append(StixRelation(answer.kind, answer.source.id, answer.target.id))
+    relations += extract_relations(contexts, queryable, provider, audit)
 
     # IoCs from the spans found in the original text; assembly draws their
     # indicates edges
@@ -518,4 +485,4 @@ def run_entity_pipeline(
     bundle = new_bundle(report.id)
     bundle.entities = entities + iocs
     bundle.relations = relations
-    return EntityPipelineResult(bundle, warnings, audit)
+    return bundle

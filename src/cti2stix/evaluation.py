@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .attack_patterns import detect_explicit_techniques
 from .catalog import parent_technique
@@ -254,24 +254,48 @@ def _parse_gt_entity(item: Union[str, dict]) -> GroundTruthEntity:
     )
 
 
+def _parse_gt_relation(r: dict) -> GroundTruthRelation:
+    return GroundTruthRelation(
+        source=r["source"],
+        source_kind=EntityKind(r["source_kind"]),
+        relation=RelationKind(r["relation"]),
+        target=r["target"],
+        target_kind=EntityKind(r["target_kind"]),
+    )
+
+
+def _parse_gt_list(path: Path, raw: dict, key: str, parse: Callable[[Any], Any]) -> list:
+    items = raw.get(key) or []
+    if not isinstance(items, list):
+        raise ValueError(f"ground truth {path}: {key} must be a list")
+    out = []
+    for item in items:
+        try:
+            out.append(parse(item))
+        except KeyError as exc:
+            raise ValueError(f"ground truth {path}: {key} entry {item!r} "
+                             f"has no key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"ground truth {path}: {key} entry {item!r}: {exc}") from None
+    return out
+
+
 def load_ground_truth_file(path: Union[str, Path]) -> GroundTruth:
+    """Read one ground-truth file, and the report text beside it if any.
+
+    Raises ``ValueError`` naming *path*, and the bad entry if one is at
+    fault, on a file that is not JSON, not a mapping, or lists an entity or
+    relation that does not parse."""
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    entities = {
-        kind: [_parse_gt_entity(item) for item in raw.get(kind, [])]
-        for kind in _ENTITY_KINDS
-        if raw.get(kind)
-    }
-    relations = [
-        GroundTruthRelation(
-            source=r["source"],
-            source_kind=EntityKind(r["source_kind"]),
-            relation=RelationKind(r["relation"]),
-            target=r["target"],
-            target_kind=EntityKind(r["target_kind"]),
-        )
-        for r in raw.get("relations", [])
-    ]
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes included
+        raise ValueError(f"ground truth {path}: not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"ground truth {path}: the top level must be a mapping")
+    entities = {kind: _parse_gt_list(path, raw, kind, _parse_gt_entity)
+                for kind in _ENTITY_KINDS if raw.get(kind)}
+    relations = _parse_gt_list(path, raw, "relations", _parse_gt_relation)
     report_id = raw.get("report_id", path.stem)
     gt = GroundTruth(report_id=report_id, entities=entities, relations=relations)
     text_path = path.with_suffix(".txt")

@@ -14,9 +14,9 @@ changes nothing.
 from __future__ import annotations
 
 import logging
-from typing import Optional
+from typing import Optional, Sequence
 
-from .attack_patterns import AttackPatternResult
+from .attack_patterns import TechniqueMatch
 from .stix import (
     EntityKind,
     RelationKind,
@@ -49,7 +49,7 @@ def technique_entity(technique_id: str, name: Optional[str]) -> StixEntity:
 
 
 def assemble_bundle(
-    entity_bundle: StixBundle, ap_result: Optional[AttackPatternResult] = None
+    entity_bundle: StixBundle, matches: Sequence[TechniqueMatch] = ()
 ) -> StixBundle:
     """One merged bundle; the inputs are not modified."""
     bundle = StixBundle(
@@ -76,22 +76,21 @@ def assemble_bundle(
             _add_relation(bundle, relation_ids,
                           StixRelation(RelationKind.INDICATES, indicator.id, mal.id))
 
-    if ap_result is not None:
-        principals = [e for e in bundle.entities if e.kind in _PRINCIPAL_KINDS]
-        for match in ap_result.matches:
-            ap = technique_entity(match.technique_id, match.name)
-            _add_entity(bundle, entity_ids, ap)
-            for principal in principals:
-                _add_relation(bundle, relation_ids,
-                              StixRelation(RelationKind.USES, principal.id, ap.id))
+    principals = [e for e in bundle.entities if e.kind in _PRINCIPAL_KINDS]
+    for match in matches:
+        ap = technique_entity(match.technique_id, match.name)
+        _add_entity(bundle, entity_ids, ap)
+        for principal in principals:
+            _add_relation(bundle, relation_ids,
+                          StixRelation(RelationKind.USES, principal.id, ap.id))
 
     return bundle
 
 
 def assemble_and_validate(
-    entity_bundle: StixBundle, ap_result: Optional[AttackPatternResult] = None
+    entity_bundle: StixBundle, matches: Sequence[TechniqueMatch] = ()
 ) -> tuple[StixBundle, list[Violation]]:
-    bundle = assemble_bundle(entity_bundle, ap_result)
+    bundle = assemble_bundle(entity_bundle, matches)
     violations = validate_bundle(bundle)
     for v in violations:
         logger.warning("bundle %s: %s (%s)", bundle.id, v.message, v.code)

@@ -24,7 +24,7 @@ import string
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Callable, Container, Iterable, Union
+from typing import Container, Iterable, Union
 from urllib.parse import urlparse
 
 import requests
@@ -77,8 +77,6 @@ class Report:
 
     id: str
     text: str
-    title: str = ""
-    url: str = ""
 
     @functools.cached_property
     def sentences(self) -> list[Sentence]:
@@ -110,7 +108,6 @@ class SourcePlugin:
     name: str
     hosts: list[str]
     selectors: list[str]
-    title_selector: str = ""
 
     def claims(self, url: str) -> bool:
         host = urlparse(url).netloc.lower()
@@ -138,17 +135,13 @@ def load_plugins(path: Union[str, Path]) -> list[SourcePlugin]:
         raise ValueError("a plugin file is a YAML list of mappings, each with a name")
     plugins = []
     for item in raw:
-        plugin = SourcePlugin(item["name"], item.get("hosts", []), item.get("selectors", []),
-                              item.get("title_selector", ""))
+        plugin = SourcePlugin(item["name"], item.get("hosts", []), item.get("selectors", []))
         for key in ("hosts", "selectors"):
             value = getattr(plugin, key)
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise ValueError(f"plugin {plugin.name!r}: {key} must be a list of strings")
-        if not isinstance(plugin.title_selector, str):
-            raise ValueError(f"plugin {plugin.name!r}: title_selector must be a string")
-        titles = [plugin.title_selector] if plugin.title_selector else []
         try:  # with the parser that select uses
-            for selector in plugin.selectors + titles:
+            for selector in plugin.selectors:
                 _parse_selector(selector)
         except ValueError as exc:
             raise ValueError(f"plugin {plugin.name!r}: {exc}") from exc
@@ -166,7 +159,6 @@ def content_hash_id(text: str) -> str:
 
 @dataclass
 class FetchResult:
-    url: str
     final_url: str
     content_type: str
     text: str
@@ -201,7 +193,6 @@ def fetch(
                     if len(body) > FETCH_MAX_BYTES:
                         raise FetchError(url, f"body exceeds the {FETCH_MAX_BYTES}-byte limit")
                 return FetchResult(
-                    url=url,
                     final_url=resp.url,
                     content_type=resp.headers.get("Content-Type", ""),
                     text=_decode_body(bytes(body), resp.encoding),
@@ -540,28 +531,12 @@ def _blocks_under(element: _Element, skip: Container[_Element] = ()) -> list[str
     return blocks
 
 
-def _first_text(root: _Element, wanted: Callable[[_Element], bool]) -> str:
-    """Collapsed text of the first *wanted* element, in document order, whose
-    text is not blank.  Every element inside a blank one is blank too, so
-    its subtree is skipped and nested elements cost one visit each."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if wanted(node):
-            text = collapse_whitespace(node.text())
-            if text:
-                return text
-            continue
-        stack.extend(c for c in reversed(node.children) if isinstance(c, _Element))
-    return ""
-
-
 def extract_article(
     markup: str,
     url: str = "",
     plugins: Iterable[SourcePlugin] = (),
-) -> tuple[str, str]:
-    """Turn raw HTML into (title, body text).
+) -> str:
+    """Turn raw HTML into body text.
 
     The first plugin whose host pattern claims the URL is used; if it selects
     nothing (layout drifted), the generic extractor takes over with a
@@ -569,9 +544,6 @@ def extract_article(
     survive into segmentation.
     """
     root = parse_html(markup)
-    title = (_first_text(root, lambda node: node.tag == "title")
-             or _first_text(root, lambda node: node.tag == "h1"))
-
     plugin = next((p for p in plugins if p.claims(url)), None)
     blocks: list[str] = []
     if plugin is not None:
@@ -593,9 +565,6 @@ def extract_article(
                     if text:
                         blocks.append(text)
                 taken.update(inside)
-        if plugin.title_selector:
-            titles = set(select(root, plugin.title_selector))
-            title = _first_text(root, titles.__contains__) or title
         if not blocks:
             logger.warning(
                 "plugin %s matched %s but selected no content; using generic extractor",
@@ -604,7 +573,7 @@ def extract_article(
             )
     if not blocks:
         blocks = _blocks_under(root)
-    return title, "\n\n".join(blocks)
+    return "\n\n".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -687,26 +656,19 @@ def segment_sentences(text: str) -> list[Sentence]:
     return sentences
 
 
-def make_report(
-    text: str,
-    title: str = "",
-    url: str = "",
-    report_id: str | None = None,
-) -> Report:
+def make_report(text: str, report_id: str | None = None) -> Report:
     """Assemble a :class:`Report`; ids default to a hash of the body text."""
-    rid = report_id if report_id else content_hash_id(text)
-    return Report(id=rid, text=text, title=title, url=url)
+    return Report(id=report_id or content_hash_id(text), text=text)
 
 
 def report_from_path(path: Union[str, Path], plugins: Iterable[SourcePlugin] = ()) -> Report:
     """Build a report from a local ``.txt`` or ``.html`` file; the file stem
     becomes the report id."""
     p = Path(path)
-    raw = p.read_text(encoding="utf-8")
+    text = p.read_text(encoding="utf-8")
     if p.suffix.lower() in {".html", ".htm"}:
-        title, body = extract_article(raw, plugins=plugins)
-        return make_report(body, title=title, report_id=p.stem)
-    return make_report(raw, report_id=p.stem)
+        text = extract_article(text, plugins=plugins)
+    return make_report(text, report_id=p.stem)
 
 
 def report_from_url(
@@ -716,8 +678,7 @@ def report_from_url(
     report_id: str | None = None,
 ) -> Report:
     result = fetch(url, timeout=timeout)
-    if "html" in result.content_type.lower() or result.text.lstrip()[:1] == "<":
-        title, body = extract_article(result.text, url=result.final_url, plugins=plugins)
-    else:
-        title, body = "", result.text
-    return make_report(body, title=title, url=url, report_id=report_id)
+    body = result.text
+    if "html" in result.content_type.lower() or body.lstrip()[:1] == "<":
+        body = extract_article(body, url=result.final_url, plugins=plugins)
+    return make_report(body, report_id=report_id)

@@ -46,7 +46,7 @@ GOLDEN_SCRIPT = [
 
 @pytest.fixture
 def helloxd_report() -> Report:
-    return make_report(HELLOXD_TEXT, title="HelloXD Ransomware Analysis", report_id="helloxd-2022")
+    return make_report(HELLOXD_TEXT, report_id="helloxd-2022")
 
 
 @pytest.fixture

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from cti2stix.attack_patterns import (
-    AttackPatternResult,
     TechniqueMatch,
     classify_vector,
     run_attack_pattern_pipeline,
 )
+from cti2stix.audit import AuditTrail
 from cti2stix.catalog import CatalogEntry, TechniqueCatalog
 from cti2stix.cli import main
 from cti2stix.entity_pipeline import (
@@ -160,23 +160,21 @@ def test_c3_classification_oracle():
 
 
 def _golden_run(helloxd_report, mini_catalog):
-    entity_result = run_entity_pipeline(
-        helloxd_report, ScriptedProvider(script=GOLDEN_SCRIPT)
+    trail = AuditTrail(helloxd_report.id)
+    entity_bundle = run_entity_pipeline(
+        helloxd_report, ScriptedProvider(script=GOLDEN_SCRIPT), trail
     )
-    ap_result = run_attack_pattern_pipeline(
-        helloxd_report, mini_catalog, ScriptedProvider(script=GOLDEN_SCRIPT)
+    matches = run_attack_pattern_pipeline(
+        helloxd_report, mini_catalog, ScriptedProvider(script=GOLDEN_SCRIPT), trail
     )
-    bundle, violations = assemble_and_validate(entity_result.bundle, ap_result)
-    return entity_result, ap_result, bundle, violations
+    return assemble_and_validate(entity_bundle, matches)
 
 
 @criterion(4, "golden end-to-end bundle is exact and byte-stable over 3 runs")
 def test_c4_golden_end_to_end(helloxd_report, mini_catalog):
     serialized = []
     for _ in range(3):
-        entity_result, ap_result, bundle, violations = _golden_run(
-            helloxd_report, mini_catalog
-        )
+        bundle, violations = _golden_run(helloxd_report, mini_catalog)
         assert violations == []
         serialized.append(save_bundle(bundle))
 
@@ -204,20 +202,25 @@ def test_c4_golden_end_to_end(helloxd_report, mini_catalog):
     assert serialized[0] == serialized[1] == serialized[2]
 
 
-@criterion(5, "fabricated malware is dropped with exactly one inconsistency warning")
+@criterion(5, "fabricated malware is dropped with exactly one unverified decision, "
+              "which warns")
 def test_c5_hallucination_guard(helloxd_report):
     script = [
         ("Question: Who/which is the malware", "HelloXD\nSpectralKit"),
         ('Is "SpectralKit" mentioned', "no"),
         *GOLDEN_SCRIPT[1:],
     ]
-    result = run_entity_pipeline(helloxd_report, ScriptedProvider(script=script))
-    names = {e.name for e in result.bundle.entities}
+    trail = AuditTrail(helloxd_report.id)
+    bundle = run_entity_pipeline(helloxd_report, ScriptedProvider(script=script), trail)
+    names = {e.name for e in bundle.entities}
     assert "SpectralKit" not in names
     assert "HelloXD" in names
-    inconsistencies = [w for w in result.warnings if w.get("kind") == "inconsistency"]
-    assert len(inconsistencies) == 1
-    assert "SpectralKit" in str(inconsistencies[0])
+    unverified = [e.data for e in trail.events if e.stage == "verify"
+                  and e.event == "decision" and e.data["outcome"] == "unverified"]
+    assert len(unverified) == 1
+    assert unverified[0]["name"] == "SpectralKit"
+    assert "SpectralKit" in unverified[0]["warning"]
+    assert [w["name"] for w in trail.warnings()] == ["SpectralKit"]
 
 
 @criterion(6, "6,446-word report: every prompt obeys the 10% budget margin; "
@@ -241,14 +244,15 @@ def test_c6_budget_safety():
         ],
         config=ProviderConfig(context_window=8192),
     )
-    result = run_entity_pipeline(report, provider, EntityPipelineConfig())
+    trail = AuditTrail(report.id)
+    run_entity_pipeline(report, provider, trail, EntityPipelineConfig())
 
-    iterations = [e for e in result.audit.events if e.stage == "condense"
+    iterations = [e for e in trail.events if e.stage == "condense"
                   and e.event == "decision" and e.data["outcome"] == "iteration"]
     assert len(iterations) == 1
 
     usable = provider.config.usable_window()
-    prompts = result.audit.prompts()
+    prompts = trail.prompts()
     assert prompts, "no prompts audited"
     for prompt_text, reserved in prompts:
         assert estimate_tokens(prompt_text) + reserved <= usable, (
@@ -293,7 +297,8 @@ def test_c8_relation_benchmark(helloxd_report):
         return score_bundle(bundle, truth, ["relation"])["relation"][1]
 
     # the golden run answers every relation the ground truth lists
-    golden = run_entity_pipeline(helloxd_report, ScriptedProvider(script=GOLDEN_SCRIPT)).bundle
+    golden = run_entity_pipeline(helloxd_report, ScriptedProvider(script=GOLDEN_SCRIPT),
+                                 AuditTrail(helloxd_report.id))
     assert relation(golden) == relation(golden) == Scores(1.0, 1.0, 1.0)
 
     bare = new_bundle(golden.id)
@@ -328,8 +333,8 @@ def test_c8_relation_benchmark(helloxd_report):
 
     # assembly's indicates and uses -> attack-pattern edges are not scored
     golden.entities.append(StixEntity(EntityKind.INDICATOR, "evil.example"))
-    ap_result = AttackPatternResult([TechniqueMatch("T1573", "Encrypted Channel", 0.9)], [], None)
-    assembled, _ = assemble_and_validate(golden, ap_result)
+    matches = [TechniqueMatch("T1573", "Encrypted Channel", 0.9)]
+    assembled, _ = assemble_and_validate(golden, matches)
     assert len(assembled.relations) == len(golden.relations) + 3
     assert relation(assembled) == Scores(1.0, 1.0, 1.0)
 

@@ -34,20 +34,27 @@ def sbsa_provider(response):
     return ScriptedProvider(script=[("Describe step by step", response)])
 
 
-def candidate_counts(result):
-    (event,) = [e for e in result.audit.events if e.data.get("rule") == "candidates"]
+def candidate_counts(trail):
+    (event,) = [e for e in trail.events if e.data.get("rule") == "candidates"]
     return event.data["counts"]
 
 
-def explicit_ids(result):
-    return [e.data["technique"] for e in result.audit.events
-            if e.data.get("rule") == "explicit-id"]
+def explicit_ids(trail):
+    return [e.data["technique"] for e in trail.events if e.data.get("rule") == "explicit-id"]
+
+
+def run_pipeline(report, catalog, provider, config=None):
+    """(technique ids, matches, trail) of one pipeline run on a fresh trail."""
+    trail = AuditTrail(report.id)
+    matches = run_attack_pattern_pipeline(report, catalog, provider, trail, config)
+    return [m.technique_id for m in matches], matches, trail
 
 
 def run_vte(report, provider):
-    warnings = []
-    found = strategy_vte(report, provider, AuditTrail("test"), warnings)
-    return found, warnings
+    """(candidates, warning decisions) of one vte run on a fresh trail."""
+    trail = AuditTrail("test")
+    found = strategy_vte(report, provider, trail)
+    return found, trail.warnings()
 
 
 class TestVte:
@@ -71,9 +78,9 @@ class TestVte:
         fake = "The malware encrypts absolutely everything it can reach."
         found, warnings = run_vte(helloxd_report, vte_provider(fake))
         assert found == []
-        assert len(warnings) == 1
-        assert warnings[0]["kind"] == "non-verbatim"
-        assert warnings[0]["text"] == fake
+        assert warnings == [{"seq": 2, "stage": "attack-pattern", "rule": "non-verbatim",
+                             "strategy": "vte", "chunk": 0, "text": fake,
+                             "warning": "quote is not verbatim in its chunk"}]
 
     def test_two_paragraphs_become_two_candidates(self, helloxd_report):
         first = "HelloXD is a ransomware family that surfaced in November 2021"
@@ -393,26 +400,25 @@ class TestExplicitIds:
 class TestPipeline:
     def test_golden_report_matches_t1573(self, helloxd_report, golden_script, mini_catalog):
         provider = ScriptedProvider(script=golden_script)
-        result = run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider)
-        assert result.audit.report_id == "helloxd-2022"
-        assert result.technique_ids() == ["T1573"]
-        match = result.matches[0]
+        ids, matches, trail = run_pipeline(helloxd_report, mini_catalog, provider)
+        assert ids == ["T1573"]
+        match = matches[0]
         assert match.name == "Encrypted Channel"
         assert match.score == pytest.approx(1.0)
-        assert explicit_ids(result) == []
-        assert result.warnings == []
+        assert explicit_ids(trail) == []
+        assert trail.warnings() == []
 
     def test_candidate_counts(self, helloxd_report, golden_script, mini_catalog):
         provider = ScriptedProvider(script=golden_script)
-        result = run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider)
-        assert candidate_counts(result) == {
+        _, _, trail = run_pipeline(helloxd_report, mini_catalog, provider)
+        assert candidate_counts(trail) == {
             "vte": 1, "sbsa": 3, "ot": len(helloxd_report.sentences)}
 
     def test_duplicate_candidate_embedded_once(self, helloxd_report, golden_script,
                                                mini_catalog):
         # VTE quotes the same sentence OT already contributes; one embedding.
         provider = ScriptedProvider(script=golden_script)
-        run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider)
+        run_pipeline(helloxd_report, mini_catalog, provider)
         assert provider.embedded.count(VTE_CANDIDATE) == 1
 
     def test_explicit_id_unioned(self, golden_script, mini_catalog):
@@ -426,10 +432,10 @@ class TestPipeline:
                 ("Describe step by step", "none"),
             ]
         )
-        result = run_attack_pattern_pipeline(report, mini_catalog, provider)
-        assert result.technique_ids() == ["T1027"]
-        match = result.matches[0]
-        assert explicit_ids(result) == ["T1027"]
+        ids, matches, trail = run_pipeline(report, mini_catalog, provider)
+        assert ids == ["T1027"]
+        match = matches[0]
+        assert explicit_ids(trail) == ["T1027"]
         assert match.score is None
         assert match.name == "Obfuscated Files or Information"
 
@@ -442,33 +448,33 @@ class TestPipeline:
                 ("Describe step by step", "none"),
             ]
         )
-        result = run_attack_pattern_pipeline(report, mini_catalog, provider)
-        assert result.technique_ids() == ["T1573"]
-        match = result.matches[0]
-        assert explicit_ids(result) == ["T1573"]
+        ids, matches, trail = run_pipeline(report, mini_catalog, provider)
+        assert ids == ["T1573"]
+        match = matches[0]
+        assert explicit_ids(trail) == ["T1573"]
         assert match.score == pytest.approx(1.0)
 
     def test_strategy_subset_respected(self, helloxd_report, mini_catalog):
         provider = ScriptedProvider(script=[])  # any prompt would raise
         config = AttackPatternConfig(strategies=("ot",))
-        result = run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider, config)
-        assert list(candidate_counts(result)) == ["ot"]
-        assert result.technique_ids() == ["T1573"]  # the sentence itself
+        ids, _, trail = run_pipeline(helloxd_report, mini_catalog, provider, config)
+        assert list(candidate_counts(trail)) == ["ot"]
+        assert ids == ["T1573"]  # the sentence itself
 
-    def test_unknown_strategy_raises(self, helloxd_report, mini_catalog):
-        config = AttackPatternConfig(strategies=("vte", "telepathy"))
+    def test_unknown_strategy_raises(self):
+        # at construction, before any report asks the model
         with pytest.raises(ValueError, match="telepathy"):
-            run_attack_pattern_pipeline(
-                helloxd_report, mini_catalog,
-                ScriptedProvider(script=[("Return any relevant text", "none")]),
-                config,
-            )
+            AttackPatternConfig(strategies=("vte", "telepathy"))
+
+    def test_repeated_strategy_raises(self):
+        with pytest.raises(ValueError, match="'vte' is named twice"):
+            AttackPatternConfig(strategies=("vte", "ot", "vte"))
 
     def test_audit_records_prompts_and_decisions(self, helloxd_report, golden_script,
                                                  mini_catalog):
         provider = ScriptedProvider(script=golden_script)
-        result = run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider)
-        events = result.audit.events
+        _, _, trail = run_pipeline(helloxd_report, mini_catalog, provider)
+        events = trail.events
         assert any(e.event == "prompt" and e.data.get("strategy") == "vte" for e in events)
         assert any(e.event == "prompt" and e.data.get("strategy") == "sbsa" for e in events)
         assert any(e.event == "decision" and e.data.get("rule") == "candidates"
@@ -494,7 +500,7 @@ class TestPipeline:
                               0.7 * e2 + 0.7 * e3]),
         )
         config = AttackPatternConfig(threshold=0.5, include_explicit=False)
-        result = run_attack_pattern_pipeline(report, catalog, ScriptedProvider(script), config)
+        ids, matches, _ = run_pipeline(report, catalog, ScriptedProvider(script), config)
 
         # reference: classify each candidate on its own, keep each
         # technique's best score over every candidate
@@ -512,20 +518,20 @@ class TestPipeline:
                 if score >= config.threshold:
                     expected[tid] = max(score, expected.get(tid, score))
 
-        assert result.technique_ids() == sorted(expected) == ["T1001", "T1002", "T1003"]
-        for m in result.matches:
+        assert ids == sorted(expected) == ["T1001", "T1002", "T1003"]
+        for m in matches:
             assert m.score == pytest.approx(expected[m.technique_id], abs=1e-9)
 
     def test_higher_threshold_prunes(self, helloxd_report, golden_script, mini_catalog):
-        loose = run_attack_pattern_pipeline(
+        loose, _, _ = run_pipeline(
             helloxd_report, mini_catalog, ScriptedProvider(script=golden_script),
             AttackPatternConfig(threshold=0.80),
         )
         # nothing in the fixture scores between 0.80 and 0.999 except noise;
         # the exact-match candidate survives any threshold <= 1.0
-        tight = run_attack_pattern_pipeline(
+        tight, _, _ = run_pipeline(
             helloxd_report, mini_catalog, ScriptedProvider(script=golden_script),
             AttackPatternConfig(threshold=0.999),
         )
-        assert set(tight.technique_ids()) <= set(loose.technique_ids())
-        assert "T1573" in tight.technique_ids()
+        assert set(tight) <= set(loose)
+        assert "T1573" in tight

@@ -61,17 +61,15 @@ def assert_prompts_answered_in_place(trail):
 def test_trail_holds_every_prompt_in_order(helloxd_report, mini_catalog, preprocessing,
                                            window):
     provider = ScriptedProvider(SCRIPT, config=ProviderConfig(context_window=window))
-    entities = run_entity_pipeline(helloxd_report, provider,
-                                   EntityPipelineConfig(preprocessing=preprocessing))
-    techniques = run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider)
+    trail = AuditTrail(helloxd_report.id)
+    run_entity_pipeline(helloxd_report, provider, trail,
+                        EntityPipelineConfig(preprocessing=preprocessing))
+    run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider, trail)
 
-    trails = [entities.audit, techniques.audit]
-    assert [t for trail in trails for t, _ in trail.prompts()] == provider.prompts
-    for trail in trails:
-        assert_prompts_answered_in_place(trail)
+    assert [t for t, _ in trail.prompts()] == provider.prompts
+    assert_prompts_answered_in_place(trail)
 
-    sites = {(e.stage, e.data.get("strategy")) for trail in trails
-             for e in trail.events if e.event == "prompt"}
+    sites = {(e.stage, e.data.get("strategy")) for e in trail.events if e.event == "prompt"}
     expected = {("extract", None), ("verify", None), ("relations", None),
                 ("attack-pattern", "vte"), ("attack-pattern", "sbsa")}
     if preprocessing and window == CONDENSING_WINDOW:
@@ -88,7 +86,7 @@ STAGES = {
                                                  target_tokens=10),
     "verify": lambda report, provider: verify_entity(
         "Hello-XD loader", report, provider, AuditTrail("t")),
-    "vte": lambda report, provider: strategy_vte(report, provider, AuditTrail("t"), []),
+    "vte": lambda report, provider: strategy_vte(report, provider, AuditTrail("t")),
     "sbsa": lambda report, provider: strategy_sbsa(report, provider, AuditTrail("t")),
 }
 

@@ -13,18 +13,22 @@ from conftest import (
     GOLDEN_SCRIPT,
     HELLOXD_TEXT,
     MITRE_SAMPLE,
+    SBSA_RESPONSE,
     VTE_CANDIDATE,
     cosine,
     write_legacy_catalog,
 )
 
 
+def write_script(path, rules):
+    path.write_text(json.dumps([{"match": m, "response": r} for m, r in rules]),
+                    encoding="utf-8")
+    return path
+
+
 @pytest.fixture
 def script_path(tmp_path):
-    path = tmp_path / "golden-script.json"
-    rules = [{"match": m, "response": r} for m, r in GOLDEN_SCRIPT]
-    path.write_text(json.dumps(rules), encoding="utf-8")
-    return path
+    return write_script(tmp_path / "golden-script.json", GOLDEN_SCRIPT)
 
 
 @pytest.fixture
@@ -41,6 +45,24 @@ def report_path(tmp_path):
     path = tmp_path / "helloxd-2022.txt"
     path.write_text(HELLOXD_TEXT, encoding="utf-8")
     return path
+
+
+def audit_warnings(path):
+    """The decisions in an audit file that carry a warning, in order, less
+    ``report`` and ``event``."""
+    events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return [{k: v for k, v in e.items() if k not in ("report", "event")}
+            for e in events if e["event"] == "decision" and e.get("warning")]
+
+
+@pytest.fixture
+def no_model_calls(monkeypatch):
+    import cti2stix.llm as llm
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model must not be asked")
+
+    monkeypatch.setattr(llm.ScriptedProvider, "_post", refuse)
 
 
 def run_extract(tmp_path, script_path, catalog_path, inputs, *extra):
@@ -94,6 +116,43 @@ class TestExtract:
         assert "attack-pattern" in stages
         assert stages.index("attack-pattern") > max(
             i for i, stage in enumerate(stages) if stage != "attack-pattern")
+
+    def test_summary_warnings_are_the_audit_warning_decisions(self, tmp_path, catalog_path,
+                                                             report_path):
+        # an empty report, an unverified name, an unparseable relation answer
+        # and a non-verbatim vte quote, in one batch
+        empty = tmp_path / "empty.txt"
+        empty.write_text("  \n", encoding="utf-8")
+        invented = "The malware encrypts absolutely everything it can reach."
+        script = write_script(tmp_path / "warnings.json", [
+            ("Question: Who/which is the malware", "HelloXD\nSpectralKit"),
+            ('Is "SpectralKit" mentioned', "no"),
+            *GOLDEN_SCRIPT[1:3],
+            ('relation between "x4k" and "HelloXD"', "they are old friends"),
+            ("Return any relevant text verbatim", f"{VTE_CANDIDATE}\n\n{invented}"),
+            ("Describe step by step the key facts", SBSA_RESPONSE),
+        ])
+        code, out_dir = run_extract(tmp_path, script, catalog_path, [report_path, empty])
+        assert code == 0
+
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["failed"] == {}
+        warnings = {}
+        for record in summary["reports"].values():
+            rid = record["report_id"]
+            assert record["warnings"] == audit_warnings(out_dir / f"{rid}.audit.jsonl")
+            warnings[rid] = record["warnings"]
+
+        assert [(w["stage"], w["outcome"]) for w in warnings["empty"]] == [("ingest", "empty")]
+        empty_audit = (out_dir / "empty.audit.jsonl").read_text(encoding="utf-8")
+        assert '"event": "prompt"' not in empty_audit  # a blank report asks nothing
+        unverified, relation, quote = warnings["helloxd-2022"]
+        assert (unverified["stage"], unverified["name"]) == ("verify", "SpectralKit")
+        assert (relation["stage"], relation["source"], relation["target"]) == (
+            "relations", "x4k", "HelloXD")
+        assert relation["warning"].startswith("unparseable relation answer")
+        assert (quote["stage"], quote["rule"], quote["text"]) == (
+            "attack-pattern", "non-verbatim", invented)
 
     def test_failure_is_partial_not_fatal(self, tmp_path, script_path, catalog_path,
                                           report_path):
@@ -242,6 +301,21 @@ class TestExtract:
         audit = (out_dir / "helloxd-2022.audit.jsonl").read_text(encoding="utf-8")
         assert "Return any relevant text verbatim" in audit
         assert "Describe step by step the key facts" not in audit
+
+    @pytest.mark.parametrize("strategies, message", [
+        ("vte,bogus", "unknown strategy 'bogus'"),
+        ("vte,sbsa,vte", "'vte' is named twice"),
+    ])
+    def test_bad_strategy_list_is_usage_error(self, tmp_path, script_path, catalog_path,
+                                              report_path, no_model_calls, capsys,
+                                              strategies, message):
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path, [report_path],
+                                    "--strategies", strategies)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: attack_patterns.strategies: ") and message in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_bad_set_flag_is_usage_error(self, tmp_path, script_path, report_path):
         code = main([
@@ -524,6 +598,67 @@ class TestEval:
             "--out-dir", str(tmp_path / "eval"),
         ])
         assert code == 2
+
+
+    def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
+        extracted = tmp_path / "extracted"
+        extracted.mkdir()
+        write_ground_truth(tmp_path / "gt", "helloxd-2022", "text")
+        code = main([
+            "eval", "--extracted", str(extracted), "--gt", str(tmp_path / "gt"),
+            "--out-dir", str(tmp_path / "eval"), "--kinds", "malware,bogus",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: eval.kinds: unknown kind 'bogus'")
+        assert "Traceback" not in err
+
+
+GOOD_RELATION = {"source": "x4k", "source_kind": "threat-actor", "relation": "uses",
+                 "target": "HelloXD", "target_kind": "malware"}
+
+# malformed ground-truth files, and what the error line must name
+MALFORMED_TRUTH = {
+    "truncated": ('{"malware": ["HelloXD"', "not valid JSON"),
+    "not-a-mapping": ('["HelloXD"]', "the top level must be a mapping"),
+    "unknown-relation": (
+        json.dumps({"relations": [{**GOOD_RELATION, "relation": "communicates-with"}]}),
+        "'communicates-with' is not a valid RelationKind"),
+    "unknown-entity-kind": (
+        json.dumps({"relations": [{**GOOD_RELATION, "source_kind": "botnet"}]}),
+        "'botnet' is not a valid EntityKind"),
+    "missing-key": (
+        json.dumps({"relations": [{k: v for k, v in GOOD_RELATION.items() if k != "target"}]}),
+        "has no key 'target'"),
+    "entity-without-name": (json.dumps({"malware": [{"aliases": ["HXD"]}]}),
+                            "malware entry {'aliases': ['HXD']} has no key 'name'"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRUTH))
+def test_malformed_ground_truth_is_usage_error(tmp_path, catalog_path, no_model_calls,
+                                               capsys, command, case):
+    content, message = MALFORMED_TRUTH[case]
+    gt_dir = tmp_path / "gt"
+    write_ground_truth(gt_dir, "a-good-one", HELLOXD_TEXT)
+    bad = gt_dir / "helloxd-2022.json"
+    bad.write_text(content, encoding="utf-8")
+    (gt_dir / "helloxd-2022.txt").write_text(HELLOXD_TEXT, encoding="utf-8")
+    extracted = tmp_path / "extracted"
+    extracted.mkdir()
+    script = write_script(tmp_path / "empty.json", [])
+    argv = {
+        "eval": ["eval", "--extracted", str(extracted)],
+        "calibrate": ["calibrate", "--catalog", str(catalog_path), "--provider", "scripted",
+                      "--script", str(script)],
+    }[command]
+    code = main([*argv, "--gt", str(gt_dir), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: ground truth {bad}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestCatalogBuild:

@@ -34,7 +34,14 @@ from cti2stix.exporter import assemble_bundle
 from cti2stix.ingest import make_report, segment_sentences
 from cti2stix.iocs import ioc_entities, scan_iocs
 from cti2stix.llm import ProviderConfig, ScriptedProvider, estimate_tokens
-from cti2stix.stix import EntityKind, RelationKind, StixEntity, save_bundle, validate_bundle
+from cti2stix.stix import (
+    EntityKind,
+    RelationKind,
+    StixEntity,
+    StixRelation,
+    save_bundle,
+    validate_bundle,
+)
 
 
 def scripted(script, window=4096):
@@ -43,6 +50,12 @@ def scripted(script, window=4096):
 
 def audit():
     return AuditTrail("t")
+
+
+def run_pipeline(report, provider, config=None):
+    """(bundle, trail) of one pipeline run on a fresh trail."""
+    trail = AuditTrail(report.id)
+    return run_entity_pipeline(report, provider, trail, config), trail
 
 
 def decisions(trail, stage):
@@ -129,8 +142,8 @@ def test_ablated_pipeline_keeps_unbroken_token_chunks_in_budget():
         ("Question: Who/which is the malware", "GrimVault"),
         ("Question: Who/which is the", "none"),
     ])
-    result = run_entity_pipeline(report, provider, EntityPipelineConfig(preprocessing=False))
-    assert [e.name for e in result.bundle.entities_of_kind(EntityKind.MALWARE)] == ["GrimVault"]
+    bundle, trail = run_pipeline(report, provider, EntityPipelineConfig(preprocessing=False))
+    assert [e.name for e in bundle.entities_of_kind(EntityKind.MALWARE)] == ["GrimVault"]
 
 
 def test_chunk_rejects_nonpositive_budget():
@@ -338,8 +351,8 @@ def test_report_text_is_folded_once_for_all_names(helloxd_report, golden_script,
         return squash(text)
 
     monkeypatch.setattr(ingest, "collapse_whitespace", counting)
-    result = run_entity_pipeline(helloxd_report, scripted(golden_script), EntityPipelineConfig())
-    verified = [o for o in outcomes(result.audit, "verify") if o != "unverified"]
+    bundle, trail = run_pipeline(helloxd_report, scripted(golden_script), EntityPipelineConfig())
+    verified = [o for o in outcomes(trail, "verify") if o != "unverified"]
     assert len(verified) >= 3
     assert len(folds) == 1
 
@@ -357,6 +370,7 @@ def test_verify_rejects_ungrounded_name(helloxd_report):
     trail = audit()
     assert not verify_entity("SpectralKit", helloxd_report, provider, trail)
     assert outcomes(trail, "verify") == ["unverified"]
+    assert [w["name"] for w in trail.warnings()] == ["SpectralKit"]
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +386,9 @@ def entities_for_relations():
 def test_relation_query_uses_admissible_options():
     mal, actor = entities_for_relations()
     provider = scripted([('between "x4k" and "HelloXD"', "uses")])
-    answers = extract_relations(["ctx"], [actor, mal], provider, audit())
-    assert len(answers) == 1  # (mal, actor) has no admissible kinds; skipped
-    assert answers[0].kind is RelationKind.USES
+    relations = extract_relations(["ctx"], [actor, mal], provider, audit())
+    # (mal, actor) has no admissible kinds; skipped
+    assert relations == [StixRelation(RelationKind.USES, actor.id, mal.id)]
     assert provider.prompts[0] == RELATION_PROMPT.format(
         context="ctx", source="x4k", target="HelloXD", options="uses"
     )
@@ -383,26 +397,28 @@ def test_relation_query_uses_admissible_options():
 def test_relation_answer_outside_admissible_set_warns():
     mal, actor = entities_for_relations()
     provider = scripted([('between "x4k" and "HelloXD"', "mitigates")])
-    answers = extract_relations(["ctx"], [actor, mal], provider, audit())
-    assert answers[0].kind is None
-    assert "relation answer" in answers[0].warning
+    trail = audit()
+    assert extract_relations(["ctx"], [actor, mal], provider, trail) == []
+    (warning,) = trail.warnings()
+    assert warning["stage"] == "relations" and warning["outcome"] == "none"
+    assert "relation answer" in warning["warning"]
 
 
 def test_relation_none_answer_is_silent():
     mal, actor = entities_for_relations()
     for answer in ("none", "No relevant text."):
         provider = scripted([('between "x4k" and "HelloXD"', answer)])
-        answers = extract_relations(["ctx"], [actor, mal], provider, audit())
-        assert answers[0].kind is None
-        assert answers[0].warning == ""
+        trail = audit()
+        assert extract_relations(["ctx"], [actor, mal], provider, trail) == []
+        assert outcomes(trail, "relations") == ["none"]
+        assert trail.warnings() == []
 
 
 def test_malware_malware_pair_issues_no_prompt():
     a = StixEntity(EntityKind.MALWARE, "A")
     b = StixEntity(EntityKind.MALWARE, "B")
     provider = scripted([])
-    answers = extract_relations(["ctx"], [a, b], provider, audit())
-    assert answers == []
+    assert extract_relations(["ctx"], [a, b], provider, audit()) == []
     assert provider.prompts == []
 
 
@@ -411,14 +427,14 @@ def test_relations_enumerate_only_admissible_pairs():
     tool = StixEntity(EntityKind.TOOL, "QuickConsole")
     provider = scripted([(re.compile("between"), "uses")])
     trail = audit()
-    answers = extract_relations(["ctx"], [*malware, tool], provider, trail)
+    relations = extract_relations(["ctx"], [*malware, tool], provider, trail)
     # 30 x 29 malware pairs and the 30 tool -> malware pairs have no admissible kind
     assert [e.data["target"] for e in trail.events if e.event == "decision"] == ["QuickConsole"] * 30
     assert provider.prompts == [
         RELATION_PROMPT.format(context="ctx", source=m.name, target="QuickConsole", options="uses")
         for m in malware
     ]
-    assert [a.kind for a in answers] == [RelationKind.USES] * 30
+    assert relations == [StixRelation(RelationKind.USES, m.id, tool.id) for m in malware]
 
 
 def test_relation_first_non_none_context_wins():
@@ -429,8 +445,8 @@ def test_relation_first_non_none_context_wins():
             (re.compile(r"CTX-B.*x4k", re.S), "uses"),
         ]
     )
-    answers = extract_relations(["CTX-A", "CTX-B"], [actor, mal], provider, audit())
-    assert answers[0].kind is RelationKind.USES
+    relations = extract_relations(["CTX-A", "CTX-B"], [actor, mal], provider, audit())
+    assert relations == [StixRelation(RelationKind.USES, actor.id, mal.id)]
     assert len(provider.prompts) == 2
 
 
@@ -440,36 +456,36 @@ def test_relation_first_non_none_context_wins():
 
 def test_full_pipeline_on_small_report(helloxd_report, golden_script):
     provider = scripted(golden_script)
-    result = run_entity_pipeline(helloxd_report, provider, EntityPipelineConfig())
+    bundle, trail = run_pipeline(helloxd_report, provider, EntityPipelineConfig())
 
-    by_kind = {k: [e.name for e in result.bundle.entities_of_kind(k)] for k in EntityKind}
+    by_kind = {k: [e.name for e in bundle.entities_of_kind(k)] for k in EntityKind}
     assert by_kind[EntityKind.MALWARE] == ["HelloXD"]
     assert by_kind[EntityKind.THREAT_ACTOR] == ["x4k"]
     assert by_kind[EntityKind.IDENTITY] == ["Windows and Linux systems"]
     assert by_kind[EntityKind.INDICATOR] == []
 
-    rel_kinds = sorted(r.kind.value for r in result.bundle.relations)
+    rel_kinds = sorted(r.kind.value for r in bundle.relations)
     assert rel_kinds == ["targets", "targets", "uses"]
-    assert validate_bundle(result.bundle) == []
-    assert outcomes(result.audit, "condense") == ["pass-through"]
-    assert result.warnings == []
+    assert validate_bundle(bundle) == []
+    assert outcomes(trail, "condense") == ["pass-through"]
+    assert trail.warnings() == []
 
 
 def test_pipeline_output_is_deterministic(helloxd_report, golden_script):
-    first = run_entity_pipeline(helloxd_report, scripted(golden_script), EntityPipelineConfig())
-    second = run_entity_pipeline(helloxd_report, scripted(golden_script), EntityPipelineConfig())
-    assert save_bundle(first.bundle) == save_bundle(second.bundle)
+    first, _ = run_pipeline(helloxd_report, scripted(golden_script), EntityPipelineConfig())
+    second, _ = run_pipeline(helloxd_report, scripted(golden_script), EntityPipelineConfig())
+    assert save_bundle(first) == save_bundle(second)
 
 
 def test_fabricated_entity_dropped_with_single_warning(helloxd_report, golden_script):
     script = [("Question: Who/which is the malware", "HelloXD\nSpectralKit")] + golden_script[1:]
     script.append(('Is "SpectralKit" mentioned', "No."))
-    result = run_entity_pipeline(helloxd_report, scripted(script), EntityPipelineConfig())
-    names = [e.name for e in result.bundle.entities_of_kind(EntityKind.MALWARE)]
+    bundle, trail = run_pipeline(helloxd_report, scripted(script), EntityPipelineConfig())
+    names = [e.name for e in bundle.entities_of_kind(EntityKind.MALWARE)]
     assert names == ["HelloXD"]
-    inconsistencies = [w for w in result.warnings if w["kind"] == "inconsistency"]
-    assert len(inconsistencies) == 1
-    assert "SpectralKit" in inconsistencies[0]["detail"]
+    (warning,) = trail.warnings()
+    assert warning["stage"] == "verify" and warning["outcome"] == "unverified"
+    assert "SpectralKit" in warning["warning"]
 
 
 def test_indicates_edges_come_from_assembly():
@@ -483,12 +499,12 @@ def test_indicates_edges_come_from_assembly():
         ("Question: Who/which is the threat actor", "none"),
         ("Question: Who/which is the target", "none"),
     ]
-    result = run_entity_pipeline(report, scripted(script), EntityPipelineConfig())
-    indicators = result.bundle.entities_of_kind(EntityKind.INDICATOR)
+    bundle, trail = run_pipeline(report, scripted(script), EntityPipelineConfig())
+    indicators = bundle.entities_of_kind(EntityKind.INDICATOR)
     assert [e.name for e in indicators] == ["92.118.188.78"]
-    assert result.bundle.relations == []
+    assert bundle.relations == []
 
-    assembled = assemble_bundle(result.bundle)
+    assembled = assemble_bundle(bundle)
     (malware,) = assembled.entities_of_kind(EntityKind.MALWARE)
     indicates = [r for r in assembled.relations if r.kind is RelationKind.INDICATES]
     assert [(r.source_ref, r.target_ref) for r in indicates] == [(indicators[0].id, malware.id)]
@@ -513,12 +529,12 @@ def test_same_malware_from_two_contexts_is_one_entity():
         ("mentioned in the text above", "yes"),
     ]
     provider = scripted(script, window=900)
-    result = run_entity_pipeline(report, provider, EntityPipelineConfig(preprocessing=False))
+    bundle, trail = run_pipeline(report, provider, EntityPipelineConfig(preprocessing=False))
     malware_prompts = [p for p in provider.prompts if "Who/which is the malware" in p]
     assert len(malware_prompts) == 2
 
-    assert [e.name for e in result.bundle.entities_of_kind(EntityKind.MALWARE)] == ["GrimVault"]
-    assembled = assemble_bundle(result.bundle)
+    assert [e.name for e in bundle.entities_of_kind(EntityKind.MALWARE)] == ["GrimVault"]
+    assembled = assemble_bundle(bundle)
     assert len(assembled.relations) == 1
     codes = [v.code for v in validate_bundle(assembled)]
     assert "duplicate-id" not in codes
@@ -542,8 +558,7 @@ def ioc_table_report():
         "The operators exploit CVE-2023-1234 on exposed servers.</p>"
         f"<table>{table}</table></body></html>"
     )
-    title, body = ingest.extract_article(html)
-    return make_report(body, title=title, report_id="r-table")
+    return make_report(ingest.extract_article(html), report_id="r-table")
 
 
 GRIMVAULT_SCRIPT = [
@@ -562,10 +577,10 @@ def test_ioc_table_report_fits_the_default_window_unsummarized():
     assert estimate_tokens(report.text) > budget >= estimate_tokens(report.prompt_text)
 
     provider = scripted(GRIMVAULT_SCRIPT)
-    result = run_entity_pipeline(report, provider, EntityPipelineConfig())
-    assert outcomes(result.audit, "condense") == ["pass-through"]
+    bundle, trail = run_pipeline(report, provider, EntityPipelineConfig())
+    assert outcomes(trail, "condense") == ["pass-through"]
     assert not [p for p in provider.prompts if p.startswith("Write a concise summary")]
-    indicators = result.bundle.entities_of_kind(EntityKind.INDICATOR)
+    indicators = bundle.entities_of_kind(EntityKind.INDICATOR)
     assert len(indicators) == 500
 
 
@@ -583,21 +598,21 @@ GRIMVAULT_TEXT = (
 def test_no_prompt_carries_an_observable(preprocessing):
     report = make_report(GRIMVAULT_TEXT, report_id="r-masked")
     provider = scripted(GRIMVAULT_SCRIPT, window=900)
-    result = run_entity_pipeline(report, provider, EntityPipelineConfig(preprocessing=preprocessing))
+    bundle, trail = run_pipeline(report, provider, EntityPipelineConfig(preprocessing=preprocessing))
 
-    stages = {e.stage for e in result.audit.events if e.event == "prompt"}
+    stages = {e.stage for e in trail.events if e.event == "prompt"}
     assert stages >= {"extract", "verify", "relations"}
     assert ("condense" in stages) is preprocessing
     observables = [m for m in scan_iocs(report.text) if m.ioc_type != "cve"]
     assert len(observables) == 6
-    prompts = [prompt for prompt, _ in result.audit.prompts()]
+    prompts = [prompt for prompt, _ in trail.prompts()]
     for prompt in prompts:
         assert not [m for m in observables if m.original in prompt or m.value in prompt]
     assert any("CVE-2021-44228" in prompt for prompt in prompts)
 
     kinds = (EntityKind.INDICATOR, EntityKind.VULNERABILITY)
-    assert [e for e in result.bundle.entities if e.kind in kinds] == ioc_entities(report.text)
-    (decision,) = decisions(result.audit, "iocs")
+    assert [e for e in bundle.entities if e.kind in kinds] == ioc_entities(report.text)
+    (decision,) = decisions(trail, "iocs")
     assert decision == {"count": 6, "masked": 6, "tokens": estimate_tokens(report.text),
                         "prompt_tokens": estimate_tokens(report.prompt_text)}
 
@@ -605,25 +620,26 @@ def test_no_prompt_carries_an_observable(preprocessing):
 def test_pipeline_without_preprocessing_unions_chunks(helloxd_report, golden_script):
     config = EntityPipelineConfig(preprocessing=False)
     provider = scripted(golden_script)
-    result = run_entity_pipeline(helloxd_report, provider, config)
-    assert outcomes(result.audit, "condense") == ["ablated"]
-    assert [e.name for e in result.bundle.entities_of_kind(EntityKind.MALWARE)] == ["HelloXD"]
+    bundle, trail = run_pipeline(helloxd_report, provider, config)
+    assert outcomes(trail, "condense") == ["ablated"]
+    assert [e.name for e in bundle.entities_of_kind(EntityKind.MALWARE)] == ["HelloXD"]
 
 
 def test_empty_report_yields_empty_bundle_and_warning():
     report = make_report("   ", report_id="empty")
-    result = run_entity_pipeline(report, scripted([]), EntityPipelineConfig())
-    assert result.bundle.entities == []
-    assert result.warnings[0]["kind"] == "empty-report"
+    bundle, trail = run_pipeline(report, scripted([]), EntityPipelineConfig())
+    assert bundle.entities == []
+    assert trail.warnings() == [{"seq": 0, "stage": "ingest", "outcome": "empty",
+                                 "warning": "the report has no text"}]
 
 
 def test_audit_trail_records_prompts_and_serializes(helloxd_report, golden_script):
     provider = scripted(golden_script)
-    result = run_entity_pipeline(helloxd_report, provider, EntityPipelineConfig())
-    prompts = result.audit.prompts()
+    bundle, trail = run_pipeline(helloxd_report, provider, EntityPipelineConfig())
+    prompts = trail.prompts()
     assert len(prompts) == len(provider.prompts)
-    jsonl = result.audit.to_jsonl()
-    assert jsonl.count("\n") == len(result.audit.events)
+    jsonl = trail.to_jsonl()
+    assert jsonl.count("\n") == len(trail.events)
     assert '"stage": "extract"' in jsonl
 
 

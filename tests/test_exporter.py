@@ -1,6 +1,7 @@
 import pytest
 
-from cti2stix.attack_patterns import run_attack_pattern_pipeline
+from cti2stix.attack_patterns import TechniqueMatch, run_attack_pattern_pipeline
+from cti2stix.audit import AuditTrail
 from cti2stix.entity_pipeline import run_entity_pipeline
 from cti2stix.exporter import assemble_and_validate, assemble_bundle, technique_entity
 from cti2stix.ingest import make_report
@@ -18,12 +19,13 @@ from cti2stix.stix import (
 
 def entity_result_bundle(helloxd_report, golden_script):
     provider = ScriptedProvider(script=golden_script)
-    return run_entity_pipeline(helloxd_report, provider).bundle
+    return run_entity_pipeline(helloxd_report, provider, AuditTrail(helloxd_report.id))
 
 
-def ap_result_for(helloxd_report, golden_script, mini_catalog):
+def matches_for(helloxd_report, golden_script, mini_catalog):
     provider = ScriptedProvider(script=golden_script)
-    return run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider)
+    return run_attack_pattern_pipeline(helloxd_report, mini_catalog, provider,
+                                       AuditTrail(helloxd_report.id))
 
 
 class TestTechniqueEntity:
@@ -47,7 +49,7 @@ class TestTechniqueEntity:
 class TestAssembly:
     def test_golden_merge(self, helloxd_report, golden_script, mini_catalog):
         entity_bundle = entity_result_bundle(helloxd_report, golden_script)
-        ap = ap_result_for(helloxd_report, golden_script, mini_catalog)
+        ap = matches_for(helloxd_report, golden_script, mini_catalog)
         bundle, violations = assemble_and_validate(entity_bundle, ap)
 
         assert violations == []
@@ -67,14 +69,14 @@ class TestAssembly:
         entity_bundle = entity_result_bundle(helloxd_report, golden_script)
         before_entities = list(entity_bundle.entities)
         before_relations = list(entity_bundle.relations)
-        assemble_bundle(entity_bundle, ap_result_for(helloxd_report, golden_script,
+        assemble_bundle(entity_bundle, matches_for(helloxd_report, golden_script,
                                                      mini_catalog))
         assert entity_bundle.entities == before_entities
         assert entity_bundle.relations == before_relations
 
     def test_idempotent_on_own_output(self, helloxd_report, golden_script, mini_catalog):
         entity_bundle = entity_result_bundle(helloxd_report, golden_script)
-        ap = ap_result_for(helloxd_report, golden_script, mini_catalog)
+        ap = matches_for(helloxd_report, golden_script, mini_catalog)
         once = assemble_bundle(entity_bundle, ap)
         twice = assemble_bundle(once, ap)
         assert save_bundle(twice) == save_bundle(once)
@@ -84,13 +86,13 @@ class TestAssembly:
         first = save_bundle(
             assemble_bundle(
                 entity_result_bundle(helloxd_report, golden_script),
-                ap_result_for(helloxd_report, golden_script, mini_catalog),
+                matches_for(helloxd_report, golden_script, mini_catalog),
             )
         )
         second = save_bundle(
             assemble_bundle(
                 entity_result_bundle(helloxd_report, golden_script),
-                ap_result_for(helloxd_report, golden_script, mini_catalog),
+                matches_for(helloxd_report, golden_script, mini_catalog),
             )
         )
         assert first == second
@@ -100,9 +102,11 @@ class TestAssembly:
             helloxd_report.text + "\n\nThe HelloXD samples beacon to 92.118.188[.]78.",
             report_id="helloxd-ioc",
         )
-        entity_bundle = run_entity_pipeline(report, ScriptedProvider(script=golden_script)).bundle
+        entity_bundle = run_entity_pipeline(report, ScriptedProvider(script=golden_script),
+                                            AuditTrail(report.id))
         ap = run_attack_pattern_pipeline(report, mini_catalog,
-                                         ScriptedProvider(script=golden_script))
+                                         ScriptedProvider(script=golden_script),
+                                         AuditTrail(report.id))
         bundle = assemble_bundle(entity_bundle, ap)
         # targets, then model-answered relations, then indicates, then
         # technique uses; the ids predate assembly owning indicates edges
@@ -117,7 +121,7 @@ class TestAssembly:
 
     def test_no_principals_still_adds_technique(self, helloxd_report, golden_script,
                                                 mini_catalog):
-        ap = ap_result_for(helloxd_report, golden_script, mini_catalog)
+        ap = matches_for(helloxd_report, golden_script, mini_catalog)
         bundle = assemble_bundle(new_bundle("empty"), ap)
         assert len(bundle.entities_of_kind(EntityKind.ATTACK_PATTERN)) == 1
         assert bundle.relations == []
@@ -167,11 +171,7 @@ class TestAssembly:
             )
         )
 
-        class FakeResult:
-            matches = [type("M", (), {"technique_id": "T1573",
-                                      "name": "Encrypted Channel"})()]
-
-        bundle = assemble_bundle(base, FakeResult())
+        bundle = assemble_bundle(base, [TechniqueMatch("T1573", "Encrypted Channel", 0.9)])
         assert len(bundle.relations) == 1
         assert len(bundle.entities) == 2
 

@@ -203,8 +203,7 @@ SAMPLE_HTML = """
 
 
 def test_generic_extraction_keeps_blocks_in_order():
-    title, body = extract_article(SAMPLE_HTML)
-    assert title == "Threat Brief: Example Intrusion"
+    body = extract_article(SAMPLE_HTML)
     blocks = body.split("\n\n")
     assert blocks[0] == "Example Intrusion"
     assert blocks[1] == "First paragraph of the analysis."
@@ -222,7 +221,7 @@ def test_plugin_selectors_limit_extraction():
         hosts=["blog.example.com"],
         selectors=["div.article-body"],
     )
-    _, body = extract_article(SAMPLE_HTML, url="https://blog.example.com/post/1", plugins=[plugin])
+    body = extract_article(SAMPLE_HTML, url="https://blog.example.com/post/1", plugins=[plugin])
     assert "First paragraph" in body
     assert "Subscribe" not in body
     assert "Copyright" not in body
@@ -231,7 +230,7 @@ def test_plugin_selectors_limit_extraction():
 def test_first_matching_plugin_wins():
     first = SourcePlugin(name="first", hosts=["example.com"], selectors=["div.sidebar"])
     second = SourcePlugin(name="second", hosts=["example.com"], selectors=["div.article-body"])
-    _, body = extract_article(SAMPLE_HTML, url="https://example.com/x", plugins=[first, second])
+    body = extract_article(SAMPLE_HTML, url="https://example.com/x", plugins=[first, second])
     assert "Subscribe" in body
     assert "First paragraph" not in body
 
@@ -239,18 +238,18 @@ def test_first_matching_plugin_wins():
 def test_plugin_with_empty_selection_falls_back(caplog):
     plugin = SourcePlugin(name="stale", hosts=["example.com"], selectors=["div.gone"])
     with caplog.at_level("WARNING"):
-        _, body = extract_article(SAMPLE_HTML, url="https://example.com/x", plugins=[plugin])
+        body = extract_article(SAMPLE_HTML, url="https://example.com/x", plugins=[plugin])
     assert "First paragraph" in body
     assert any("stale" in r.message for r in caplog.records)
 
 
-def post_plugin(**kwargs):
-    return SourcePlugin(name="posts", hosts=["example.com"], selectors=["div.post"], **kwargs)
+def post_plugin():
+    return SourcePlugin(name="posts", hosts=["example.com"], selectors=["div.post"])
 
 
 def test_nested_plugin_regions_emit_each_block_once():
     html = '<div class="post"><p>A</p><div class="post"><p>B</p></div></div>'
-    _, body = extract_article(html, url="https://example.com/x", plugins=[post_plugin()])
+    body = extract_article(html, url="https://example.com/x", plugins=[post_plugin()])
     assert body == "A\n\nB"
 
 
@@ -259,17 +258,17 @@ def test_region_around_an_earlier_one_leaves_it_out():
                           selectors=["div.inner", "div.outer"])
     html = ('<div class="outer"><p>A</p><div class="inner"><p>B</p></div>'
             '<span>C <b>D</b></span></div>')
-    _, body = extract_article(html, url="https://example.com/x", plugins=[plugin])
+    body = extract_article(html, url="https://example.com/x", plugins=[plugin])
     assert body == "B\n\nA"
-    _, body = extract_article(html.replace("<p>", "<i>").replace("</p>", "</i>"),
-                              url="https://example.com/x", plugins=[plugin])
+    body = extract_article(html.replace("<p>", "<i>").replace("</p>", "</i>"),
+                           url="https://example.com/x", plugins=[plugin])
     assert body == "B\n\nAC D"  # no blocks: the outer region's own text
 
 
 def test_region_without_blocks_leaves_out_script_style_and_nav():
     html = ('<div class="post">Hi <script>var x=1</script><nav>Home</nav>'
             '<style>p {}</style></div>')
-    _, body = extract_article(html, url="https://example.com/x", plugins=[post_plugin()])
+    body = extract_article(html, url="https://example.com/x", plugins=[post_plugin()])
     assert body == "Hi"
 
 
@@ -280,19 +279,17 @@ def test_region_without_blocks_leaves_out_script_style_and_nav():
      "Title\n\nB"),
 ])
 def test_block_leaves_out_nested_script_style_and_nav(html, expected):
-    assert extract_article(html)[1] == expected
+    assert extract_article(html) == expected
 
 
 def test_nested_plugin_regions_are_linear():
     depth = 3000
     html = ('<title>t</title>' + '<div class="post"><p>x</p>' * depth
             + '<h1 class="title"> </h1>' * depth + '</div>' * depth)
-    plugin = post_plugin(title_selector="div.post h1.title")
     start = time.perf_counter()
-    title, body = extract_article(html, url="https://example.com/x", plugins=[plugin])
+    body = extract_article(html, url="https://example.com/x", plugins=[post_plugin()])
     assert time.perf_counter() - start < 1.0
     assert body == "\n\n".join(["x"] * depth)
-    assert title == "t"
 
 
 def test_plugin_host_matching():
@@ -323,9 +320,7 @@ def deeply_nested_html(depth: int, inner: str) -> str:
 
 def test_deep_nesting_does_not_recurse():
     html = deeply_nested_html(5000, "The <b>inner</b> paragraph.")
-    title, body = extract_article(html)
-    assert title == "Deep"
-    assert body == "The inner paragraph."
+    assert extract_article(html) == "The inner paragraph."
     root = parse_html(html)
     assert len(select(root, "div p")) == 1
     assert root.text() == "DeepThe inner paragraph."
@@ -386,10 +381,9 @@ def test_select_matches_reference(markup, selector):
 @given(st.lists(_SOUP, max_size=6).map("".join))
 @example("<title> T </title><p></p><li> a \n b</li><script>x</script><nav>y</nav><td>&amp;</td>")
 def test_extract_article_survives_tag_soup(markup):
-    title, body = extract_article(markup)
-    assert isinstance(title, str) and isinstance(body, str)
-    assert extract_article(markup) == (title, body)
-    assert title == collapse_whitespace(title)
+    body = extract_article(markup)
+    assert isinstance(body, str)
+    assert extract_article(markup) == body
     for block in body.split("\n\n") if body else []:
         assert block and block == collapse_whitespace(block)
 
@@ -479,19 +473,9 @@ def tree(root: ingest._Element) -> list:
     return out
 
 
-def reference_extract_article(root: ingest._Element) -> tuple[str, str]:
+def reference_extract_article(root: ingest._Element) -> str:
     """``extract_article`` without plugins as first written, over *root*."""
-    title = ""
-    for node in select(root, "title"):
-        title = collapse_whitespace(node.text())
-        if title:
-            break
-    if not title:
-        for node in select(root, "h1"):
-            title = collapse_whitespace(node.text())
-            if title:
-                break
-    return title, "\n\n".join(ingest._blocks_under(root))
+    return "\n\n".join(ingest._blocks_under(root))
 
 
 _MARKUP_EDGES = [
@@ -552,7 +536,7 @@ def test_end_of_input_rule_matches_html_parser_up_to_the_cut(markup):
 )
 def test_construct_running_to_end_of_input_is_dropped(markup, body):
     assert runs_to_end_of_input(markup)
-    assert extract_article(markup) == ("", body)
+    assert extract_article(markup) == body
 
 
 def test_unclosed_script_keeps_the_rest_as_raw_text():
@@ -564,7 +548,7 @@ def test_unclosed_script_keeps_the_rest_as_raw_text():
 def test_rejected_marked_section_is_a_bogus_comment(markup):
     with pytest.raises(AssertionError):
         reference_parse_html(markup)
-    assert extract_article(markup) == ("", "ab")
+    assert extract_article(markup) == "ab"
 
 
 @pytest.mark.parametrize(
@@ -627,12 +611,11 @@ def test_load_plugins_yaml(tmp_path):
         "- name: example\n"
         "  hosts: [blog.example.com]\n"
         "  selectors: ['div.article-body']\n"
-        "  title_selector: h1\n"
     )
     plugins = load_plugins(path)
     assert len(plugins) == 1
     assert plugins[0].name == "example"
-    assert plugins[0].title_selector == "h1"
+    assert plugins[0].selectors == ["div.article-body"]
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +647,6 @@ def test_report_from_html_path(tmp_path):
     p.write_text(SAMPLE_HTML)
     report = report_from_path(p)
     assert report.id == "post"
-    assert report.title == "Threat Brief: Example Intrusion"
     assert "First paragraph of the analysis." in report.text
 
 
