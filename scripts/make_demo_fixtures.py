@@ -110,6 +110,13 @@ GROUND_TRUTH = {
             "target": "Windows and Linux systems",
             "target_kind": "identity",
         },
+        {
+            "source": "x4k",
+            "source_kind": "threat-actor",
+            "relation": "targets",
+            "target": "Windows and Linux systems",
+            "target_kind": "identity",
+        },
     ],
 }
 

@@ -130,9 +130,10 @@ def strategy_ot(report: Report) -> list[str]:
     return [text for text in (s.text.strip() for s in report.sentences) if text]
 
 
-# below this norm the squared components are subnormal or zero, so the norm
-# has lost precision
-_TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+# per matrix dtype, the norms below which squared components are subnormal or
+# zero, so the norm has lost precision, and above which their sum overflows
+_TINY_NORM = {np.dtype(t): float(np.sqrt(np.finfo(t).tiny)) for t in (np.float32, np.float64)}
+_HUGE_NORM = {np.dtype(t): float(np.sqrt(np.finfo(t).max)) for t in (np.float32, np.float64)}
 
 
 # queries scored per matrix product: bounds the (queries, catalog rows) score
@@ -149,23 +150,29 @@ def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> n
     """Cosine of each query with each row, as a ``(len(queries), len(rows))``
     array; 0.0 where either has zero norm.
 
-    ``norms`` are the rows' norms from :func:`row_norms`, computed once per
-    catalog.  A query or row too small for an exact norm is first divided by
-    its largest magnitude, which keeps its direction.
+    ``rows`` are float32 or float64, and ``norms`` their norms from
+    :func:`row_norms`, computed once per catalog.  Scores are computed in the
+    rows' dtype: only the queries are cast, since a mixed-dtype product would
+    copy the whole of ``rows``.  A query or row too small or too large for an
+    exact norm in that dtype is first divided by its largest magnitude, which
+    keeps its direction.
     """
+    tiny_norm, huge_norm = _TINY_NORM[rows.dtype], _HUGE_NORM[rows.dtype]
     q = np.asarray(queries, dtype=np.float64)
     q_norms = row_norms(q)
-    tiny_q = q_norms < _TINY_NORM
-    if tiny_q.any():
-        q = np.where(tiny_q[:, np.newaxis], _peak_scaled(q), q)
-        q_norms = row_norms(q)
+    inexact_q = (q_norms < tiny_norm) | (q_norms > huge_norm)
+    if inexact_q.any():
+        q = np.where(inexact_q[:, np.newaxis], _peak_scaled(q), q)
+    q = q.astype(rows.dtype, copy=False)
+    q_norms = row_norms(q)
     dots = q @ rows.T
-    denominators = np.multiply.outer(q_norms, norms)
-    tiny = np.flatnonzero(norms < _TINY_NORM)
-    if tiny.size:
-        scaled = _peak_scaled(rows[tiny])  # copies only the tiny rows
-        dots[:, tiny] = q @ scaled.T
-        denominators[:, tiny] = np.multiply.outer(q_norms, row_norms(scaled))
+    with np.errstate(invalid="ignore"):  # 0 * inf, in columns replaced below
+        denominators = np.multiply.outer(q_norms, norms)
+    inexact = np.flatnonzero((norms < tiny_norm) | (norms > huge_norm))
+    if inexact.size:
+        scaled = _peak_scaled(rows[inexact])  # copies only those rows
+        dots[:, inexact] = q @ scaled.T
+        denominators[:, inexact] = np.multiply.outer(q_norms, row_norms(scaled))
     return np.divide(dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0)
 
 
@@ -178,7 +185,8 @@ def classify_vectors(
     Each row's hits are ``(technique_id, best_score, best_example_id)`` tuples
     sorted by technique id; the best example is the first of a technique's
     top scorers in catalog order.  Multi-label on purpose: one sentence can
-    exhibit several techniques.
+    exhibit several techniques.  A score is compared with the threshold as a
+    float64, the value the hit carries.
     """
     queries = np.asarray(vectors, dtype=np.float64)
     if not catalog.entries:
@@ -191,7 +199,8 @@ def classify_vectors(
         best = np.maximum.reduceat(scores, catalog.starts, axis=1)
         for row_scores, row_best in zip(scores, best):
             hits = []
-            for s in np.flatnonzero(row_best >= threshold):
+            # as float64: against float32 scores a Python float is rounded
+            for s in np.flatnonzero(row_best.astype(np.float64) >= threshold):
                 j = catalog.starts[s] + int(np.argmax(row_scores[catalog.starts[s]:ends[s]]))
                 entry = catalog.entries[catalog.order[j]]
                 hits.append((entry.technique_id, float(row_scores[j]), entry.example_id))

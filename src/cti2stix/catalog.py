@@ -7,10 +7,13 @@ procedure-example texts.  Sub-techniques are collapsed into their parent —
 T1027.002's description and examples all land under T1027 — because the
 pipeline classifies at technique granularity.
 
-The embeddings form one float64 matrix, row i embedding ``entries[i].text``;
-it is held, saved and loaded whole.  Scoring takes its row norms and its
-technique segments (entries grouped by technique id), so the catalog works
-them out once, when it is built or loaded.
+The embeddings form one matrix, row i embedding ``entries[i].text``; it is
+held, saved and loaded whole.  :func:`build_catalog` makes it float32, the
+precision embedding endpoints return, so the file, its CRC pass and every
+scoring product read half the bytes float64 would.  Scoring takes its row
+norms and its technique segments (entries grouped by technique id), so the
+catalog works them out once, when it is built or loaded, and scores in the
+matrix's own dtype.
 
 Embedding a full catalog costs real API calls, so the result is cached on
 disk, keyed by the content hash of the parsed catalog plus the embedding model
@@ -18,13 +21,16 @@ id; a stale, foreign-model or unreadable cache is rebuilt, never trusted.  The
 file is a plain ``.npz`` (``np.load`` reads it): a JSON metadata blob and the
 matrix, both stored uncompressed, with the matrix data at a multiple of 64
 bytes into the file.  Loading maps the file read-only and uses the matrix in
-place, so concurrent processes share one copy in the page cache; every
-member's CRC-32 is still checked before a catalog is returned.  Because the
-matrix is the file, a catalog file is replaced (written beside it, then
-renamed), never rewritten in place: truncating a mapped file would crash the
-processes reading it.  Only files in this layout load: one written by an
-older version (``np.savez``, compressed or not) is refused, and ``cti2stix
-catalog build`` rebuilds it.
+place, in whichever of float32 and float64 the file holds, so concurrent
+processes share one copy in the page cache; every member's CRC-32 is still
+checked before a catalog is returned.  Because the matrix is the file, a
+catalog file is replaced (written beside it, then renamed), never rewritten
+in place: truncating a mapped file would crash the processes reading it.
+Only files in this layout load: one written by an older version
+(``np.savez``, compressed or not) is refused, and ``cti2stix catalog build``
+rebuilds it.  A valid float64 cache, as older versions wrote, still loads and
+scores in float64; ``cti2stix catalog build`` rewrites it once as float32
+from its own matrix, with no embedding calls.
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ _ZIP64_EXTRA_SIZE = 20  # size block zipfile appends to a local header under for
 _NPY_HEADER_MAX = 10 + 10_000
 _NPY_VERSION = (1, 0)  # the .npy format version save_catalog writes
 _REBUILD = "written by an older version; rebuild it with `cti2stix catalog build`"
+# the matrix dtype build_catalog embeds into, and the dtypes a file may hold
+_DTYPE = np.dtype(np.float32)
+_MATRIX_DTYPES = (_DTYPE, np.dtype(np.float64))
 
 
 class CatalogError(ValueError):
@@ -95,13 +104,17 @@ class TechniqueCatalog:
     model: str
     content_hash: str
     entries: list[CatalogEntry]
-    vectors: np.ndarray  # float64 (len(entries), dim); row i embeds entries[i].text
+    vectors: np.ndarray  # float32 or float64 (len(entries), dim); row i embeds entries[i].text
     norms: np.ndarray = field(init=False, repr=False)
     order: np.ndarray = field(init=False, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        # float32 stays float32; anything else is taken as float64
+        vectors = np.asarray(self.vectors)
+        if vectors.dtype != _DTYPE:
+            vectors = vectors.astype(np.float64, copy=False)
+        self.vectors = vectors
         if self.vectors.ndim != 2 or len(self.vectors) != len(self.entries):
             raise CatalogError(
                 f"vectors have shape {self.vectors.shape}, "
@@ -214,24 +227,32 @@ def build_catalog(
     """Parse, embed, and return the catalog, reusing a valid cache if given.
 
     The cache is valid only when both the embedding model id and the content
-    hash of the parsed export match; an unreadable cache is rebuilt too.
+    hash of the parsed export match; an unreadable cache is rebuilt too.  A
+    valid cache that holds a float64 matrix is rewritten as float32 from its
+    own rows, with no embedding calls.
     """
     techniques = parse_attack_export(source)
     content_hash = catalog_content_hash(techniques)
     model = provider.config.embedding_model
 
+    vectors = None
     if cache_path is not None and Path(cache_path).exists():
         try:
             cached = load_catalog(cache_path)
         except CatalogError as exc:
             logger.warning("%s; rebuilding", exc)
         else:
-            if cached.content_hash == content_hash and cached.model == model:
+            if cached.content_hash != content_hash or cached.model != model:
+                logger.info(
+                    "catalog cache stale (model %s vs %s); rebuilding", cached.model, model
+                )
+            elif cached.vectors.dtype == _DTYPE:
                 logger.info("catalog cache hit (%d entries)", len(cached.entries))
                 return cached
-            logger.info(
-                "catalog cache stale (model %s vs %s); rebuilding", cached.model, model
-            )
+            else:
+                logger.info("catalog cache holds a %s matrix; rewriting it as %s",
+                            cached.vectors.dtype, _DTYPE)
+                vectors = cached.vectors.astype(_DTYPE)
 
     texts: list[str] = []
     meta: list[tuple[str, str, str]] = []  # (tid, name, example_id)
@@ -244,7 +265,9 @@ def build_catalog(
             texts.append(example)
             meta.append((tid, entry["name"], f"procedure-{n}"))
 
-    vectors = np.asarray(provider.embed(texts), dtype=np.float64) if texts else np.zeros((0, 0))
+    if vectors is None:
+        vectors = (np.asarray(provider.embed(texts), dtype=_DTYPE) if texts
+                   else np.zeros((0, 0), dtype=_DTYPE))
     entries = [CatalogEntry(tid, name, example_id, text)
                for (tid, name, example_id), text in zip(meta, texts)]
     catalog = TechniqueCatalog(model=model, content_hash=content_hash, entries=entries,
@@ -255,8 +278,8 @@ def build_catalog(
 
 
 def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
-    """Write *catalog* to *path* as an uncompressed ``.npz`` whose matrix data
-    starts at a multiple of 64 bytes into the file.
+    """Write *catalog* to *path* as an uncompressed ``.npz`` whose matrix data,
+    in the matrix's own dtype, starts at a multiple of 64 bytes into the file.
 
     The file is written beside *path* and then renamed over it, so *path*
     never holds a torn catalog, and processes that have the old file mapped
@@ -316,10 +339,11 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
     the catalog is returned only once that check has passed.
 
     Raises :class:`CatalogError` when the file is not a catalog, fails its
-    CRC-32 check, holds an object array, when its matrix is not
-    ``(len(entries), dim)`` as its metadata says, or when it was written by
-    an older version (a compressed member, or a matrix not 64-byte aligned):
-    ``cti2stix catalog build`` rebuilds such a file.
+    CRC-32 check, holds an object array, when its matrix is not float32 or
+    float64 (native byte order) or not ``(len(entries), dim)`` as its
+    metadata says, or when it was written by an older version (a compressed
+    member, or a matrix not 64-byte aligned): ``cti2stix catalog build``
+    rebuilds such a file.
     """
     try:
         members = _read_members(path)
@@ -373,6 +397,9 @@ def _catalog_from(members: dict[str, tuple[int, Any]],
     entries = [CatalogEntry(**item) for item in meta["entries"]]
     expected = (len(entries), meta["dim"])
     vectors = _npy_array(members["vectors.npy"][1])
+    if vectors.dtype not in _MATRIX_DTYPES:
+        raise CatalogError(f"catalog {path}: vectors have dtype {vectors.dtype}, "
+                           f"need float32 or float64")
     if vectors.shape != expected:
         raise CatalogError(
             f"catalog {path}: vectors have shape {vectors.shape}, its metadata says {expected}"

@@ -120,12 +120,16 @@ class SourcePlugin:
         return False
 
 
+_PLUGIN_KEYS = ("name", "hosts", "selectors")
+
+
 def load_plugins(path: Union[str, Path]) -> list[SourcePlugin]:
     """Read plugin definitions from a YAML list (see README for the schema).
 
-    Raises ``ValueError`` on a file that is not such a list, on ``hosts`` or
-    ``selectors`` that are not lists of strings, and on a selector that
-    :func:`select` does not support."""
+    Raises ``ValueError`` on a file that is not such a list, on a key other
+    than ``name``, ``hosts`` and ``selectors``, on ``hosts`` or ``selectors``
+    that are not lists of strings, and on a selector that :func:`select` does
+    not support."""
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or []
     except yaml.YAMLError as exc:
@@ -135,6 +139,11 @@ def load_plugins(path: Union[str, Path]) -> list[SourcePlugin]:
         raise ValueError("a plugin file is a YAML list of mappings, each with a name")
     plugins = []
     for item in raw:
+        # a misspelt key would leave a plugin that claims its hosts and selects nothing
+        unknown = [key for key in item if key not in _PLUGIN_KEYS]
+        if unknown:
+            raise ValueError(f"plugin {item['name']!r}: unknown key {unknown[0]!r}; "
+                             f"use {', '.join(_PLUGIN_KEYS)}")
         plugin = SourcePlugin(item["name"], item.get("hosts", []), item.get("selectors", []))
         for key in ("hosts", "selectors"):
             value = getattr(plugin, key)

@@ -21,7 +21,18 @@ from .stix import EntityKind, StixEntity
 _OCTET = r"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
 _DOT = r"(?:\.|\[\.\]|\(\.\))"
 
-IPV4_RE = re.compile(rf"(?<![\d.])(?:{_OCTET}{_DOT}){{3}}{_OCTET}(?!\.?\d)")
+SHA256_RE = re.compile(r"\b[a-f0-9]{64}\b", re.IGNORECASE)
+SHA1_RE = re.compile(r"\b[a-f0-9]{40}\b", re.IGNORECASE)
+MD5_RE = re.compile(r"\b[a-f0-9]{32}\b", re.IGNORECASE)
+_HASH_PATTERNS = [("sha256", SHA256_RE), ("sha1", SHA1_RE), ("md5", MD5_RE)]
+
+# an IP is not followed by a digit or by "." and a digit (a version number),
+# unless a hash follows the dot: it is masked later, and ``1.2.3.4.[sha1]``
+# in the masked text reads as an IP
+_HASH = "|".join(pattern.pattern for _, pattern in _HASH_PATTERNS)
+IPV4_RE = re.compile(
+    rf"(?<![\d.])(?:{_OCTET}{_DOT}){{3}}{_OCTET}(?!\d|\.(?!(?i:{_HASH}))\d)"
+)
 
 # a scheme follows anything but a letter or "_": a URL run on after an IP or
 # a hash (``1.2.3.4http://...``) is found whole, before its host is a domain
@@ -32,22 +43,15 @@ URL_RE = re.compile(
 
 _URL_TRAILING_JUNK = ".,;:!?\"')]}>"
 
-DOMAIN_RE = re.compile(
-    rf"\b(?:[a-z0-9](?:[a-z0-9-]{{0,61}}[a-z0-9])?{_DOT})+[a-z]{{2,24}}\b",
-    re.IGNORECASE,
-)
-
-SHA256_RE = re.compile(r"\b[a-f0-9]{64}\b", re.IGNORECASE)
-SHA1_RE = re.compile(r"\b[a-f0-9]{40}\b", re.IGNORECASE)
-MD5_RE = re.compile(r"\b[a-f0-9]{32}\b", re.IGNORECASE)
 CVE_RE = re.compile(r"\bCVE-\d{4}-\d{4,7}\b", re.IGNORECASE)
 
 _HXXP_RE = re.compile(r"hxxp", re.IGNORECASE)
 _UNTAKEN_RE = re.compile(rb"\x00+")
 
 # Domain-looking tokens whose "TLD" is really a file extension are noise in
-# CTI prose ("dropped invoice.exe"), so they are filtered out.  Deliberately
-# short: real two-letter TLDs that double as extensions (sh, py) stay in.
+# CTI prose ("dropped invoice.exe"), so they are filtered out, and so is each
+# shorter prefix (``jquery.min.js`` holds no domain).  Deliberately short:
+# real two-letter TLDs that double as extensions (sh, py) stay in.
 _FILE_EXT_TLDS = frozenset(
     {
         "apk", "bat", "bin", "bmp", "cfg", "cmd", "cpl", "dat", "dll", "dmg",
@@ -58,15 +62,21 @@ _FILE_EXT_TLDS = frozenset(
     }
 )
 
+# "cve" is no TLD: ``x.CVE-2021-44228`` holds a CVE id, not the domain ``x.cve``
+DOMAIN_RE = re.compile(
+    rf"\b(?:[a-z0-9](?:[a-z0-9-]{{0,61}}[a-z0-9])?{_DOT})+(?!cve\b)[a-z]{{2,24}}\b",
+    re.IGNORECASE,
+)
+
 # scan order doubles as overlap priority: a domain inside a matched URL is
-# not re-reported on its own (see scan_iocs).
+# not re-reported on its own (see scan_iocs).  Hashes come before domains, so
+# a file name the domain pattern refuses still yields the hash inside it, and
+# the domain scan sees the text as masking the hash leaves it.
 _IOC_PATTERNS: list[tuple[str, re.Pattern[str]]] = [
     ("url", URL_RE),
     ("ipv4", IPV4_RE),
+    *_HASH_PATTERNS,
     ("domain", DOMAIN_RE),
-    ("sha256", SHA256_RE),
-    ("sha1", SHA1_RE),
-    ("md5", MD5_RE),
     ("cve", CVE_RE),
 ]
 

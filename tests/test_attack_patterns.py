@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,26 @@ _rows = st.tuples(
 ).map(lambda kv: _row(*kv))
 
 
+def _row32(kind, values):
+    if kind == "tiny":  # squared components underflow in float32
+        return [v * 1e-25 for v in values]
+    if kind == "huge":  # squared components overflow in float32
+        return [v * 1e25 for v in values]
+    return _row(kind, values)
+
+
+_rows32 = st.tuples(
+    st.sampled_from(["normal", "normal", "zero", "tiny", "huge"]),
+    st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+).map(lambda kv: _row32(*kv))
+
+# a float32 cosine of 4-dimensional vectors against the exact one: the cast of
+# the query, the two 4-term sums of squares, the 4-term dot product, the
+# square roots and the division each round by at most 2**-24 relative, which
+# sums to about 16 * 2**-24 (1e-6) on the cosine; twice that leaves headroom
+_FLOAT32_TOL = 2e-6
+
+
 class TestClassifyVectors:
     @given(
         st.lists(st.tuples(st.sampled_from(["T1001", "T1002", "T1003"]), _rows),
@@ -345,6 +366,65 @@ class TestClassifyVectors:
         assert len(results) == len(queries)
         for hits, query in zip(results, queries):
             assert_matches_reference(hits, query, catalog, threshold)
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(["T1001", "T1002", "T1003"]), _rows32),
+                 min_size=1, max_size=12),
+        st.lists(_rows32, min_size=1, max_size=4),
+        st.floats(-0.5, 0.95),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_float32_catalog_matches_reference(self, catalog_rows, queries, threshold):
+        catalog = TechniqueCatalog(
+            model="stub", content_hash="s",
+            entries=[CatalogEntry(tid, tid, f"e{i}", f"t{i}")
+                     for i, (tid, _) in enumerate(catalog_rows)],
+            vectors=np.array([row for _, row in catalog_rows], dtype=np.float32),
+        )
+        assert catalog.vectors.dtype == np.float32
+        results = classify_vectors(np.array(queries), catalog, threshold)
+        assert len(results) == len(queries)
+        for hits, query in zip(results, queries):
+            assert_matches_reference(hits, query, catalog, threshold, tol=_FLOAT32_TOL)
+
+    @pytest.mark.parametrize("dtype, scale", [(np.float32, 1e20), (np.float64, 1e200)])
+    def test_vectors_too_large_to_square_keep_their_direction(self, dtype, scale):
+        catalog = TechniqueCatalog(
+            model="stub", content_hash="s",
+            entries=[CatalogEntry("T1001", "A", "description", "a"),
+                     CatalogEntry("T1002", "B", "description", "b")],
+            vectors=np.array([[1.0, 0.0], [0.0, scale]], dtype=dtype))
+        [hits] = classify_vectors(np.array([[scale, 0.0]]), catalog, 0.5)
+        assert [(t, e) for t, _, e in hits] == [("T1001", "description")]
+        [hits] = classify_vectors(np.array([[0.0, 1.0]]), catalog, 0.5)
+        assert [(t, e) for t, _, e in hits] == [("T1002", "description")]
+
+    def test_float32_scores_meet_the_threshold_as_float64(self):
+        # float32(1 + 1e-8) is 1.0: compared in float32, a score of 1.0 would pass
+        catalog = TechniqueCatalog(model="stub", content_hash="s",
+                                   entries=[CatalogEntry("T1001", "A", "description", "a")],
+                                   vectors=np.array([[1.0, 0.0]], dtype=np.float32))
+        assert classify_vectors(np.array([[2.0, 0.0]]), catalog, 1.0) == [
+            [("T1001", 1.0, "description")]]
+        assert classify_vectors(np.array([[2.0, 0.0]]), catalog, 1.0 + 1e-8) == [[]]
+
+    def test_float32_catalog_scores_without_a_float64_copy(self):
+        rng = np.random.default_rng(11)
+        catalog = TechniqueCatalog(
+            model="stub", content_hash="s",
+            entries=[CatalogEntry(f"T1{i % 50:03d}", "n", f"e{i}", "t") for i in range(2000)],
+            vectors=rng.standard_normal((2000, 256)).astype(np.float32),
+        )
+        query = rng.standard_normal((1, 256))
+        classify_vectors(query, catalog, 0.5)  # warm up lazily built state
+        tracemalloc.start()
+        try:
+            classify_vectors(query, catalog, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the matrix would be twice its 2 MB
+        assert peak < catalog.vectors.nbytes // 4
 
     def test_empty_catalog(self):
         empty = TechniqueCatalog(model="stub", content_hash="s", entries=[],

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cti2stix.attack_patterns import classify_vectors
 from cti2stix.catalog import (
     CatalogEntry,
     CatalogError,
@@ -111,7 +112,7 @@ class TestBuild:
     def test_entries_have_vectors(self, mini_catalog):
         assert mini_catalog.dim == 32
         assert mini_catalog.vectors.shape == (len(mini_catalog.entries), 32)
-        assert mini_catalog.vectors.dtype == np.float64
+        assert mini_catalog.vectors.dtype == np.float32
         assert np.isfinite(mini_catalog.vectors).all()
 
     def test_description_entries_present(self, mini_catalog):
@@ -287,12 +288,19 @@ def make_catalog(vectors):
     return TechniqueCatalog(model="stub", content_hash="x", entries=entries, vectors=vectors)
 
 
+def _matrices(dtype):
+    return arrays(dtype, st.tuples(st.integers(0, 5), st.integers(0, 7)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False,
+                                     width=np.dtype(dtype).itemsize * 8))
+
+
 class TestMappedFile:
-    @settings(max_examples=40, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 7)),
-                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_matrices(np.float32), _matrices(np.float64)))
     @example(np.zeros((0, 0)))
+    @example(np.zeros((0, 0), dtype=np.float32))
     @example(np.array([[-0.0, 5e-324, -2.2250738585072014e-308, 1.5]]))
+    @example(np.array([[-0.0, 1e-45, -1.1754944e-38, 1.5]], dtype=np.float32))
     def test_round_trip_is_an_aligned_read_only_view(self, vectors):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "catalog.npz"
@@ -302,6 +310,7 @@ class TestMappedFile:
                 reference = data["vectors"]
             assert npy_data_offset(path, "vectors.npy") % 64 == 0
         assert loaded.vectors.shape == vectors.shape == reference.shape
+        assert loaded.vectors.dtype == vectors.dtype == reference.dtype
         assert loaded.vectors.tobytes() == vectors.tobytes() == reference.tobytes()
         flags = loaded.vectors.flags
         assert flags.aligned and flags.c_contiguous
@@ -363,6 +372,60 @@ class TestMappedFile:
                    for r in caplog.records)
         assert npy_data_offset(path, "vectors.npy") % 64 == 0
         assert not load_catalog(path).vectors.flags.owndata
+
+
+class TestDtype:
+    def test_float64_file_maps_and_classifies_as_before(self, mini_catalog, tmp_path):
+        # older versions saved this layout with a float64 matrix
+        wide = TechniqueCatalog(model=mini_catalog.model, content_hash=mini_catalog.content_hash,
+                                entries=mini_catalog.entries,
+                                vectors=mini_catalog.vectors.astype(np.float64))
+        path = tmp_path / "catalog.npz"
+        save_catalog(wide, path)
+        loaded = load_catalog(path)
+        assert loaded.vectors.dtype == np.float64
+        assert not loaded.vectors.flags.owndata and not loaded.vectors.flags.writeable
+        np.testing.assert_array_equal(loaded.norms, wide.norms)
+        queries = np.random.default_rng(3).standard_normal((6, mini_catalog.dim))
+        queries[0] = wide.vectors[0]
+        assert classify_vectors(queries, loaded, 0.1) == classify_vectors(queries, wide, 0.1)
+
+    def test_build_rewrites_a_float64_cache_without_embedding(self, mini_catalog, tmp_path,
+                                                              caplog):
+        path = tmp_path / "catalog.npz"
+        wide = mini_catalog.vectors.astype(np.float64)
+        save_catalog(TechniqueCatalog(model=mini_catalog.model,
+                                      content_hash=mini_catalog.content_hash,
+                                      entries=mini_catalog.entries, vectors=wide), path)
+        provider = ScriptedProvider(script=[])
+        with caplog.at_level(logging.INFO, logger="cti2stix.catalog"):
+            rebuilt = build_catalog(MITRE_SAMPLE, provider, cache_path=path)
+        assert provider.embedded == []
+        assert any("rewriting it as float32" in r.message for r in caplog.records)
+        assert rebuilt.entries == mini_catalog.entries
+        np.testing.assert_array_equal(rebuilt.vectors, wide.astype(np.float32))
+        reloaded = load_catalog(path)
+        assert reloaded.vectors.dtype == np.float32 and not reloaded.vectors.flags.owndata
+        # now an ordinary cache hit
+        again = ScriptedProvider(script=[])
+        with caplog.at_level(logging.INFO, logger="cti2stix.catalog"):
+            caplog.clear()
+            build_catalog(MITRE_SAMPLE, again, cache_path=path)
+        assert again.embedded == []
+        assert any("cache hit" in r.message for r in caplog.records)
+
+    def test_catalog_keeps_float32_and_widens_the_rest(self):
+        assert make_catalog(np.ones((1, 2), dtype=np.float32)).vectors.dtype == np.float32
+        for rows in (np.ones((1, 2), dtype=np.int64), [[1.0, 2.0]], np.ones((1, 2), np.float16)):
+            assert make_catalog(rows).vectors.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, ">f4", ">f8", np.complex64])
+    def test_other_dtypes_refused(self, tmp_path, dtype):
+        path = tmp_path / "odd.npz"
+        write_catalog_file(path, ["T1001", "T1002"], 3, np.ones((2, 3), dtype=dtype))
+        with pytest.raises(CatalogError, match=f"vectors have dtype {np.dtype(dtype)}, "
+                                               "need float32 or float64"):
+            load_catalog(path)
 
 
 class TestSegments:

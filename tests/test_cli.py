@@ -1033,7 +1033,9 @@ class TestUsage:
          "plugin 'vendor-blog': hosts must be a list of strings"),
         ("- name: vendor-blog\n  hosts: [blog.example.com]\n  selectors: ['article > p']\n",
          "plugin 'vendor-blog': unsupported selector: 'article > p'"),
-    ], ids=["hosts-string", "unsupported-selector"])
+        ("- name: vendor-blog\n  hosts: [blog.example.com]\n  selector: [article]\n",
+         "plugin 'vendor-blog': unknown key 'selector'; use name, hosts, selectors"),
+    ], ids=["hosts-string", "unsupported-selector", "misspelt-key"])
     def test_plugin_that_cannot_work_is_usage_error(self, tmp_path, script_path, report_path,
                                                     capsys, plugins, message):
         plugin_file = tmp_path / "sites.yaml"

@@ -23,5 +23,7 @@ def test_demo_runs_end_to_end(tmp_path):
     for record in summary["reports"].values():
         audit = ws / "out" / f"{record['report_id']}.audit.jsonl"
         assert record["warnings"] == audit_warnings(audit)
-    assert (ws / "scores" / "scores.json").is_file()
+    scores = json.loads((ws / "scores" / "scores.json").read_text(encoding="utf-8"))
+    # the scripted run is right by construction, relations included
+    assert scores["aggregate"]["relation"]["f1"]["mean"] == 1.0
     assert (ws / "calibration" / "calibration.json").is_file()

@@ -87,10 +87,19 @@ def test_domain_inside_url_not_duplicated():
     ("hxxp://a.example/x 1.2.3.4evil.exe", [("url", "http://a.example/x"), ("ipv4", "1.2.3.4")]),
     ("1.2.3.4hxxp://update.badcdn[.]net/gate.php",
      [("ipv4", "1.2.3.4"), ("url", "http://update.badcdn.net/gate.php")]),
+    ("1.2.3.4." + "5" * 40, [("ipv4", "1.2.3.4"), ("sha1", "5" * 40)]),
+    # the hash is taken before the domain scan: the file name around it
+    # still yields no domain, and what precedes the hash does
+    ("evil.com." + "a" * 32 + ".exe", [("domain", "evil.com"), ("md5", "a" * 32)]),
 ])
 def test_iocs_run_together_are_each_found(text, expected):
     assert types_and_values(text) == expected
     assert find_iocs(mask_observables(text, scan_iocs(text))) == []
+
+
+def test_cve_after_a_dotted_word_is_not_a_domain():
+    text = "fixed in x.CVE-2021-44228, see a.b.CVE-2021-44228.exe"
+    assert [(m.ioc_type, m.value) for m in scan_iocs(text)] == [("cve", "CVE-2021-44228")] * 2
 
 
 def test_domain_wholly_inside_a_url_stays_suppressed():
@@ -111,6 +120,10 @@ def test_defanged_domain():
         "a malicious setup.msi installer",
         "see e.g. the appendix",
         "README.txt was left behind",
+        # no shorter prefix of a file name is a domain either
+        "the page loads jquery.min.js first",
+        "it loads System.Management.Automation.dll into memory",
+        "a fake Update.Flash.exe installer",
     ],
 )
 def test_file_names_and_abbreviations_are_not_domains(text):
@@ -303,6 +316,13 @@ _MARKER_RE = re.compile(r"\[(?:url|ipv4|domain|sha256|sha1|md5)\]")
 
 
 @given(_texts, _texts)
+# a hash after an IP and a dot: the marker in its place must not expose the IP
+@example("the v1.2.3.4.5000000000000000000000000000000000000000 ", "")
+@example("0.0[.]0.10.0.0.000000000000000000000000000000C2 ", "")
+# a hash inside a file name: the marker in its place must not expose a domain
+# an IP run on into a hash: why IPs are scanned before hashes
+@example("", "0.0.0.0" + "A" * 32 + " ")
+@example("", "0.0.0.256.CVE-1999-10000.0.0.00000000000000000000000000000000.0.0.0evil.exe ")
 @settings(max_examples=300, deadline=None)
 def test_masked_text_holds_only_the_cves(first, second):
     text = first + " and again " + second + " and again " + first  # repeats
