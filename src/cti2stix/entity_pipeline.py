@@ -477,10 +477,12 @@ def run_entity_pipeline(
     iocs = ioc_entities(report.text, report.ioc_spans)
     existing_ids = {e.id for e in entities}
     iocs = [e for e in iocs if e.id not in existing_ids]
+    refused = len(report.refused_domains)
     audit.record("iocs", "decision", count=len(iocs),
                  masked=sum(m.ioc_type != "cve" for m in report.ioc_spans),
                  tokens=estimate_tokens(report.text),
-                 prompt_tokens=estimate_tokens(report.prompt_text))
+                 prompt_tokens=estimate_tokens(report.prompt_text),
+                 **({"refused": refused} if refused else {}))
 
     bundle = new_bundle(report.id)
     bundle.entities = entities + iocs

@@ -90,9 +90,20 @@ class Report:
         return collapse_whitespace(self.text).casefold()
 
     @functools.cached_property
+    def _ioc_scan(self) -> tuple[list[IocMatch], list[str]]:
+        refused: list[str] = []
+        return scan_iocs(self.text, refused), refused
+
+    @property
     def ioc_spans(self) -> list[IocMatch]:
         """Every IoC span in ``text``, found once per report."""
-        return scan_iocs(self.text)
+        return self._ioc_scan[0]
+
+    @property
+    def refused_domains(self) -> list[str]:
+        """The dotted tokens in ``text`` that the scan for ``ioc_spans``
+        refused as domains: file names and AV-style malware names."""
+        return self._ioc_scan[1]
 
     @functools.cached_property
     def prompt_text(self) -> str:

@@ -48,10 +48,26 @@ CVE_RE = re.compile(r"\bCVE-\d{4}-\d{4,7}\b", re.IGNORECASE)
 _HXXP_RE = re.compile(r"hxxp", re.IGNORECASE)
 _UNTAKEN_RE = re.compile(rb"\x00+")
 
+# A dotted token is a domain only where its last label says so: a two-letter
+# label (the country codes) or one of the generic TLDs common in IoC feeds.
+# CTI prose names malware AV-style (``Trojan.Win32.Agent``, ``Cobalt.Strike``),
+# and those names are neither indicators nor masked from prompts.  A defanged
+# token is a domain under any TLD; a plain one under a rarer TLD is missed.
+# The list is in code on purpose: no IANA list is fetched.
+_GENERIC_TLDS = frozenset(
+    {
+        "app", "asia", "biz", "cloud", "club", "com", "dev", "edu", "gov", "icu",
+        "info", "int", "live", "mil", "mobi", "name", "net", "online", "onion",
+        "org", "pro", "shop", "site", "space", "store", "tech", "top", "website",
+        "xyz",
+    }
+)
+
 # Domain-looking tokens whose "TLD" is really a file extension are noise in
 # CTI prose ("dropped invoice.exe"), so they are filtered out, and so is each
-# shorter prefix (``jquery.min.js`` holds no domain).  Deliberately short:
-# real two-letter TLDs that double as extensions (sh, py) stay in.
+# shorter prefix (``jquery.min.js`` holds no domain), defanged or not.
+# Deliberately short: real two-letter TLDs that double as extensions (sh, py)
+# stay in.
 _FILE_EXT_TLDS = frozenset(
     {
         "apk", "bat", "bin", "bmp", "cfg", "cmd", "cpl", "dat", "dll", "dmg",
@@ -119,13 +135,23 @@ def _normalize(ioc_type: str, original: str) -> str:
     return value
 
 
-def scan_iocs(text: str) -> list[IocMatch]:
+def _is_domain(original: str, value: str) -> bool:
+    """Whether a token :data:`DOMAIN_RE` matched, found as *original* and
+    normalized to *value*, names a domain (see :data:`_GENERIC_TLDS`)."""
+    tld = value.rsplit(".", 1)[-1]
+    if tld in _FILE_EXT_TLDS:
+        return False
+    return len(tld) == 2 or tld in _GENERIC_TLDS or "[" in original or "(" in original
+
+
+def scan_iocs(text: str, refused: list[str] | None = None) -> list[IocMatch]:
     """Every indicator span in *text*, repeats included, in text order.
 
     Each pattern reads only the runs of text that earlier patterns left
     untaken, and a taken span bounds a run as a space would: a domain inside
     a URL is not reported on its own, and ``1.2.3.4evil.com`` holds an IP and
-    the domain ``evil.com``.
+    the domain ``evil.com``.  Each dotted token refused as a domain (a file
+    name, a malware name) is appended to *refused* when it is given.
     """
     taken = bytearray(len(text))  # 1 where an earlier match occupies the character
     found: list[IocMatch] = []
@@ -136,7 +162,9 @@ def scan_iocs(text: str) -> list[IocMatch]:
                 if ioc_type == "url":
                     original = original.rstrip(_URL_TRAILING_JUNK)
                 value = _normalize(ioc_type, original)
-                if ioc_type == "domain" and value.rsplit(".", 1)[-1] in _FILE_EXT_TLDS:
+                if ioc_type == "domain" and not _is_domain(original, value):
+                    if refused is not None:
+                        refused.append(original)
                     continue
                 start = run_start + m.start()
                 end = start + len(original)

@@ -10,6 +10,10 @@ object types).
 Identifiers are deterministic: the same (kind, normalized name) always yields
 the same STIX id, a UUIDv5 in one fixed namespace, so re-running an extraction
 produces byte-identical output.
+
+An IoC-rich report makes thousands of ids, edges and bundle members, so the
+per-object paths read an enum member's value as ``kind._value_``: on
+Python 3.11 ``kind.value`` and ``hash(kind)`` are Python-level calls.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ logger = logging.getLogger(__name__)
 
 SPEC_VERSION = "2.1"
 MITRE_SOURCE_NAME = "mitre-attack"
-# the namespace of every generated id
+# the namespace of every generated id, and a SHA-1 that has already read it
 _NAMESPACE = uuid.uuid5(uuid.NAMESPACE_DNS, "cti2stix")
+_NAMESPACE_SHA1 = hashlib.sha1(_NAMESPACE.bytes)
 
 _WS_RE = re.compile(r"\s+")
 _TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(?:\.\d{3})?$")
@@ -113,6 +118,12 @@ for _src, _rel, _dst in ADMISSIBLE_TRIPLES:
     _ADMISSIBLE_BY_PAIR[_key] = _ADMISSIBLE_BY_PAIR.get(_key, frozenset()) | {_rel}
 
 
+# the same table keyed by the kinds' JSON strings, which hash without a call
+_ADMISSIBLE_TYPES: frozenset[tuple[str, str, str]] = frozenset(
+    (src.value, rel.value, dst.value) for src, rel, dst in ADMISSIBLE_TRIPLES
+)
+
+
 def admissible_relations(source: EntityKind, target: EntityKind) -> frozenset[RelationKind]:
     """Relation kinds allowed from *source* to *target* (possibly empty)."""
     return _ADMISSIBLE_BY_PAIR.get((source, target), frozenset())
@@ -144,24 +155,27 @@ _VARIANT_DIGIT = {d: "89ab"[int(d, 16) & 3] for d in "0123456789abcdef"}
 def _uuid5(name: str) -> str:
     """``str(uuid.uuid5(_NAMESPACE, name))`` from one SHA-1 digest, formatted
     directly instead of through a ``UUID`` object."""
-    h = hashlib.sha1(_NAMESPACE.bytes + name.encode("utf-8")).hexdigest()
+    sha1 = _NAMESPACE_SHA1.copy()
+    sha1.update(name.encode("utf-8"))
+    h = sha1.hexdigest()
     return f"{h[:8]}-{h[8:12]}-5{h[13:16]}-{_VARIANT_DIGIT[h[16]]}{h[17:20]}-{h[20:32]}"
 
 
 def entity_id(kind: EntityKind, name: str) -> str:
     """Deterministic STIX id for an entity: stable across runs and processes."""
-    return f"{kind.value}--{_uuid5(f'entity|{kind.value}|{normalize_name(name)}')}"
+    kind_type = kind._value_
+    return f"{kind_type}--{_uuid5(f'entity|{kind_type}|{normalize_name(name)}')}"
 
 
 def relation_id(kind: RelationKind, source_ref: str, target_ref: str) -> str:
-    return f"relationship--{_uuid5(f'relation|{kind.value}|{source_ref}|{target_ref}')}"
+    return f"relationship--{_uuid5(f'relation|{kind._value_}|{source_ref}|{target_ref}')}"
 
 
 def bundle_id(report_id: str) -> str:
     return f"bundle--{_uuid5(f'bundle|{report_id}')}"
 
 
-@dataclass
+@dataclass(slots=True)
 class StixEntity:
     """One SDO node.  ``extra`` carries unrecognized JSON properties verbatim
     so that load → save round-trips do not lose information."""
@@ -178,7 +192,7 @@ class StixEntity:
             self.id = entity_id(self.kind, self.name)
 
 
-@dataclass
+@dataclass(slots=True)
 class StixRelation:
     """One SRO edge between two entities, referenced by id."""
 
@@ -260,13 +274,21 @@ def _entity_from_obj(obj: dict[str, Any]) -> StixEntity:
                       technique_id=technique_id, extra=data)
 
 
+# the members save_bundle writes for a relation with no extra
+_RELATION_MEMBERS = frozenset(
+    {"type", "spec_version", "id", "relationship_type", "source_ref", "target_ref"}
+)
+
+
 def _relation_from_obj(obj: dict[str, Any]) -> StixRelation | None:
-    data = dict(obj)
-    data.pop("type")
-    rel_type = data.pop("relationship_type", None)
-    kind = _RELATION_KIND_BY_TYPE.get(rel_type)
+    kind = _RELATION_KIND_BY_TYPE.get(obj.get("relationship_type"))
     if kind is None:
         return None
+    if obj.keys() == _RELATION_MEMBERS:  # no extra: nothing to copy
+        return StixRelation(kind, obj["source_ref"] or "", obj["target_ref"] or "",
+                            obj["id"] or "")
+    data = dict(obj)
+    del data["type"], data["relationship_type"]
     ident = data.pop("id", "") or ""
     source_ref = data.pop("source_ref", "") or ""
     target_ref = data.pop("target_ref", "") or ""
@@ -324,7 +346,7 @@ def load_bundle(source: Union[str, Path, dict]) -> StixBundle:
 
 def _entity_to_obj(ent: StixEntity) -> dict[str, Any]:
     obj: dict[str, Any] = {
-        "type": ent.kind.value,
+        "type": ent.kind._value_,
         "spec_version": SPEC_VERSION,
         "id": ent.id,
         "name": ent.name,
@@ -344,7 +366,7 @@ def _relation_to_obj(rel: StixRelation) -> dict[str, Any]:
         "type": "relationship",
         "spec_version": SPEC_VERSION,
         "id": rel.id,
-        "relationship_type": rel.kind.value,
+        "relationship_type": rel.kind._value_,
         "source_ref": rel.source_ref,
         "target_ref": rel.target_ref,
     }
@@ -374,26 +396,76 @@ def _nested_member(key: Any, value: Any, indent: str) -> str:
     return shift + text.replace("\n", "\n" + shift)
 
 
+# An object's members, one per line, as they sit in the bundle's "objects"
+# array.  The two common shapes go through one f-string each; any value that
+# is not a str makes _encode_str raise TypeError, and the object then takes
+# the general path, as does every other shape.
+
+# the members save_bundle always writes for an entity
+_ENTITY_HEAD = frozenset({"type", "spec_version", "id", "name"})
+
+
+def _entity_members(ent: StixEntity) -> str:
+    extra = ent.extra
+    # an indicator's shape: a fixed head, then its extras in key order
+    if not ent.aliases and ent.technique_id is None and _ENTITY_HEAD.isdisjoint(extra):
+        try:
+            return (
+                f'      "type": "{ent.kind._value_}",\n'
+                f'      "spec_version": "{SPEC_VERSION}",\n'
+                f'      "id": {_encode_str(ent.id)},\n'
+                f'      "name": {_encode_str(ent.name)}'
+            ) + "".join([f",\n      {_encode_str(key)}: {_encode_str(extra[key])}"
+                         for key in sorted(extra)])
+        except TypeError:
+            pass
+    return ",\n".join(_member_lines(_entity_to_obj(ent), "      "))
+
+
+def _relation_members(rel: StixRelation) -> str:
+    if not rel.extra:
+        try:
+            return (
+                f'      "type": "relationship",\n'
+                f'      "spec_version": "{SPEC_VERSION}",\n'
+                f'      "id": {_encode_str(rel.id)},\n'
+                f'      "relationship_type": "{rel.kind._value_}",\n'
+                f'      "source_ref": {_encode_str(rel.source_ref)},\n'
+                f'      "target_ref": {_encode_str(rel.target_ref)}'
+            )
+        except TypeError:
+            pass
+    return ",\n".join(_member_lines(_relation_to_obj(rel), "      "))
+
+
 def save_bundle(bundle: StixBundle, path: Union[str, Path, None] = None) -> str:
     """Serialize to deterministic JSON: stable key order, stable object order
     (entities first, then relations, each in list order), 2-space indent.
 
     The text equals ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the
-    bundle document plus a final newline.  It is written one member at a
-    time because any ``indent`` puts ``json.dumps`` on its pure-Python
-    encoder."""
+    bundle document plus a final newline.  It is written through json's C
+    string encoder, one template per common object shape and one member at
+    a time otherwise, because any ``indent`` puts ``json.dumps`` on its
+    pure-Python encoder."""
     doc: dict[str, Any] = {"type": "bundle", "id": bundle.id}
     for key in sorted(bundle.extra):
         doc[key] = bundle.extra[key]
     doc["objects"] = []  # written as "[]"; a non-empty array replaces its line
     members = _member_lines(doc, "  ")
-    objects = [_entity_to_obj(e) for e in bundle.entities] + [
-        _relation_to_obj(r) for r in bundle.relations
+    objects = [_entity_members(e) for e in bundle.entities] + [
+        _relation_members(r) for r in bundle.relations
     ]
     if objects:
-        body = "\n    },\n    {\n".join([",\n".join(_member_lines(obj, "      ")) for obj in objects])
-        members[list(doc).index("objects")] = f'  "objects": [\n    {{\n{body}\n    }}\n  ]'
-    text = "{\n" + ",\n".join(members) + "\n}\n"
+        # one join makes the whole text: each copy of a text this large
+        # costs about as much as writing its objects
+        at = list(doc).index("objects")
+        before = "".join(m + ",\n" for m in members[:at])
+        after = "".join(",\n" + m for m in members[at + 1:])
+        objects[0] = "{\n" + before + '  "objects": [\n    {\n' + objects[0]
+        objects[-1] += "\n    }\n  ]" + after + "\n}\n"
+        text = "\n    },\n    {\n".join(objects)
+    else:
+        text = "{\n" + ",\n".join(members) + "\n}\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
@@ -414,11 +486,11 @@ def validate_bundle(bundle: StixBundle) -> list[Violation]:
         if not ent.name.strip():
             violations.append(Violation("empty-name", f"entity {ent.id} has an empty name", ent.id))
         prefix = ent.id.split("--", 1)[0]
-        if prefix != ent.kind.value:
+        if prefix != ent.kind._value_:
             violations.append(
                 Violation(
                     "id-kind-mismatch",
-                    f"entity {ent.id} has kind {ent.kind.value} but id prefix {prefix}",
+                    f"entity {ent.id} has kind {ent.kind._value_} but id prefix {prefix}",
                     ent.id,
                 )
             )
@@ -437,13 +509,13 @@ def validate_bundle(bundle: StixBundle) -> list[Violation]:
             violations.append(
                 Violation("dangling-ref", f"relation {rel.id} target {rel.target_ref} not in bundle", rel.id)
             )
-        if src is not None and dst is not None and not is_admissible(src.kind, rel.kind, dst.kind):
+        if src is None or dst is None:
+            continue
+        triple = (src.kind._value_, rel.kind._value_, dst.kind._value_)
+        if triple not in _ADMISSIBLE_TYPES:
             violations.append(
-                Violation(
-                    "inadmissible-triple",
-                    f"{src.kind.value} -{rel.kind.value}-> {dst.kind.value} is not admissible",
-                    rel.id,
-                )
+                Violation("inadmissible-triple", "{} -{}-> {} is not admissible".format(*triple),
+                          rel.id)
             )
     return violations
 

@@ -617,6 +617,26 @@ def test_no_prompt_carries_an_observable(preprocessing):
                         "prompt_tokens": estimate_tokens(report.prompt_text)}
 
 
+def test_av_style_malware_names_reach_the_prompts_and_verify():
+    text = ("The loader drops Trojan.Win32.Agent, which pulls Cobalt.Strike beacons "
+            "from update.badcdn[.]net and invoice.exe from 92.118.188.78.")
+    report = make_report(text, report_id="r-av-names")
+    assert "Trojan.Win32.Agent" in report.prompt_text
+    assert "Cobalt.Strike" in report.prompt_text
+    provider = scripted([
+        ("Question: Who/which is the malware", "Trojan.Win32.Agent\nCobalt.Strike"),
+        ("Question:", "none"),
+    ])
+    bundle, trail = run_pipeline(report, provider, EntityPipelineConfig())
+    assert [e.name for e in bundle.entities_of_kind(EntityKind.MALWARE)] == [
+        "Trojan.Win32.Agent", "Cobalt.Strike"]
+    assert outcomes(trail, "verify") == ["literal", "literal"]
+    assert [e.name for e in bundle.entities_of_kind(EntityKind.INDICATOR)] == [
+        "update.badcdn.net", "92.118.188.78"]
+    (decision,) = decisions(trail, "iocs")
+    assert decision["count"] == 2 and decision["refused"] == 3
+
+
 def test_pipeline_without_preprocessing_unions_chunks(helloxd_report, golden_script):
     config = EntityPipelineConfig(preprocessing=False)
     provider = scripted(golden_script)

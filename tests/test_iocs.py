@@ -130,6 +130,42 @@ def test_file_names_and_abbreviations_are_not_domains(text):
     assert find_iocs(text) == []
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Trojan.Win32.Agent was seen first",
+        "it then dropped Win32.Emotet and Backdoor.Win64.Cobalt",
+        "operators staged Cobalt.Strike beacons",
+        "a Trojan.Agent sample",
+    ],
+)
+def test_av_style_malware_names_are_not_domains(text):
+    refused = []
+    assert scan_iocs(text, refused) == []
+    assert mask_observables(text, scan_iocs(text)) == text
+    assert refused and all("." in name and name in text for name in refused)
+
+
+@pytest.mark.parametrize(
+    "text,domain",
+    [
+        ("beacons to evil.ru", "evil.ru"),              # a two-letter label
+        ("beacons to Update.BadCDN.Online", "update.badcdn.online"),
+        ("beacons to c2.evil[.]monster", "c2.evil.monster"),  # defanged: any label
+        ("beacons to c2(.)evil(.)monster", "c2.evil.monster"),
+    ],
+)
+def test_domains_the_tld_rule_takes(text, domain):
+    assert types_and_values(text) == [("domain", domain)]
+
+
+def test_refused_tokens_are_counted_in_text_order():
+    refused = []
+    spans = scan_iocs("Cobalt.Strike fetched evil.com, then invoice.exe and c2.evil.monster", refused)
+    assert [(m.ioc_type, m.value) for m in spans] == [("domain", "evil.com")]
+    assert refused == ["Cobalt.Strike", "invoice.exe", "c2.evil.monster"]
+
+
 def test_duplicates_collapse_to_first_occurrence():
     text = "10.0.0.1 called twice: 10.0.0.1 and defanged 10[.]0[.]0[.]1"
     matches = find_iocs(text)
@@ -243,7 +279,7 @@ def reference_find_iocs(text):
             if any(start < t_end and end > t_start for t_start, t_end in taken):
                 continue
             value = iocs._normalize(ioc_type, original)
-            if ioc_type == "domain" and value.rsplit(".", 1)[-1] in iocs._FILE_EXT_TLDS:
+            if ioc_type == "domain" and not iocs._is_domain(original, value):
                 continue
             taken.append((start, end))
             key = (ioc_type, value)
@@ -263,7 +299,7 @@ _ips = st.builds(
     st.lists(_dots, min_size=3, max_size=3),
 )
 _labels = st.sampled_from(["evil", "cdn-7", "a", "update", "x1", "invoice", "c2"])
-_tlds = st.sampled_from(["com", "net", "ru", "exe", "dll", "sh", "io"])
+_tlds = st.sampled_from(["com", "net", "ru", "exe", "dll", "sh", "io", "agent", "online"])
 _domains = st.builds(
     lambda labels, dot, tld: dot.join(labels) + dot + tld,
     st.lists(_labels, min_size=1, max_size=3), _dots, _tlds,

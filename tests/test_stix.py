@@ -1,6 +1,9 @@
 """Model-layer tests: admissibility table, ids, load/save round-trips, validation."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import uuid
 
 import pytest
@@ -418,6 +421,13 @@ _writer_bundles = st.builds(
 )
 
 
+_INDICATOR = StixEntity(K.INDICATOR, "evil.com", extra={
+    "pattern_type": "stix", "indicator_type": "domain",
+    "pattern": "[domain-name:value = 'evil.com']"})
+_MALWARE = StixEntity(K.MALWARE, "GrimVault")
+_ODD = '\x00\x07\n\t\x1f\x7f"\\/\u2028\u00e9\U0001f600'
+
+
 @settings(max_examples=100, deadline=None)
 @given(_writer_bundles)
 @example(StixBundle(id="bundle--empty"))
@@ -425,5 +435,62 @@ _writer_bundles = st.builds(
 @example(StixBundle(id="b", entities=_sample_bundle().entities,
                     extra={"objects": "shadowed", "x_after": [{"k": [1, None, "\u00e9\U0001f600"]}],
                            "a": {}}))
+# the writer's one-template shapes: an indicator and an edge with no extra
+@example(StixBundle(id="b", entities=[_INDICATOR, _MALWARE],
+                    relations=[StixRelation(R.INDICATES, _INDICATOR.id, _MALWARE.id)]))
+# str extras that shadow written members keep their place and take its value
+@example(StixBundle(id="b", entities=[
+    StixEntity(K.INDICATOR, "x", id="indicator--x", extra={"id": "shadow", "type": "tool", "b": "c"}),
+    StixEntity(K.TOOL, "y", extra={"name": "z", "spec_version": "9", "aliases": "a"})],
+    relations=[StixRelation(R.USES, "a", "b", id="r", extra={"type": "x", "id": "y"})]))
+# a value that is not a str, in an extra or in a written member
+@example(StixBundle(id="b", entities=[
+    StixEntity(K.INDICATOR, "x", extra={"pattern": "p", "x_score": 5, "x_list": ["a"]}),
+    StixEntity(K.MALWARE, "y", id=7)],
+    relations=[StixRelation(R.USES, "a", None, id="r"), StixRelation(R.USES, "a", "b", id=3)]))
+# control and non-ASCII characters in ids, names, refs, extra keys and values
+@example(StixBundle(id=_ODD, entities=[
+    StixEntity(K.INDICATOR, _ODD, id=_ODD, extra={_ODD: _ODD, "pattern": _ODD})],
+    relations=[StixRelation(R.INDICATES, _ODD, "\u00e9" + _ODD, id="\x1f" + _ODD)]))
 def test_save_matches_json_dumps_of_the_document(bundle):
     assert save_bundle(bundle) == reference_save(bundle)
+
+
+# ---------------------------------------------------------------------------
+# the string-keyed admissibility table and the slotted objects
+
+
+def test_validate_checks_every_kind_triple_against_the_table():
+    for src_kind in K:
+        for rel_kind in R:
+            for dst_kind in K:
+                admissible = is_admissible(src_kind, rel_kind, dst_kind)
+                triple = (src_kind.value, rel_kind.value, dst_kind.value)
+                assert (triple in stix._ADMISSIBLE_TYPES) is admissible
+                src, dst = StixEntity(src_kind, "a"), StixEntity(dst_kind, "b")
+                rel = StixRelation(rel_kind, src.id, dst.id)
+                bundle = StixBundle(id="b", entities=[src, dst], relations=[rel])
+                expected = [] if admissible else [Violation(
+                    "inadmissible-triple",
+                    f"{src_kind.value} -{rel_kind.value}-> {dst_kind.value} is not admissible",
+                    rel.id)]
+                assert validate_bundle(bundle) == expected
+    assert len(stix._ADMISSIBLE_TYPES) == len(ADMISSIBLE_TRIPLES)
+
+
+@pytest.mark.parametrize("obj", [
+    StixEntity(K.ATTACK_PATTERN, "Encrypted Channel", aliases=["C2 crypto"],
+               technique_id="T1573", extra={"x": [1, {"y": None}]}),
+    StixRelation(R.USES, "threat-actor--a", "attack-pattern--b", extra={"x": {"y": [2]}}),
+], ids=["entity", "relation"])
+def test_slotted_objects_compare_copy_pickle_and_replace(obj):
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        obj.undeclared = 1
+    twin = copy.deepcopy(obj)
+    assert twin == obj and twin.extra is not obj.extra
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    assert copy.copy(obj) == obj
+    renamed = dataclasses.replace(obj, id="other--id")
+    assert renamed.id == "other--id" and renamed != obj
+    assert dataclasses.replace(renamed, id=obj.id) == obj
