@@ -44,7 +44,7 @@ def main() -> int:
         [
             "catalog", "build",
             "--attack-json", str(ws / "enterprise-attack-sample.json"),
-            "--out", str(ws / "catalog.npz"),
+            "--out", str(ws / "catalog.bin"),
             *scripted,
         ],
     )
@@ -56,7 +56,7 @@ def main() -> int:
         [
             "extract", str(ws / "reports" / "helloxd-2022.txt"),
             "--out-dir", str(ws / "out"),
-            "--catalog", str(ws / "catalog.npz"),
+            "--catalog", str(ws / "catalog.bin"),
             *scripted,
         ],
     )
@@ -80,7 +80,7 @@ def main() -> int:
         [
             "calibrate",
             "--gt", str(ws / "gt"),
-            "--catalog", str(ws / "catalog.npz"),
+            "--catalog", str(ws / "catalog.bin"),
             "--out-dir", str(ws / "calibration"),
             *scripted,
         ],

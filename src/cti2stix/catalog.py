@@ -18,33 +18,37 @@ matrix's own dtype.
 Embedding a full catalog costs real API calls, so the result is cached on
 disk, keyed by the content hash of the parsed catalog plus the embedding model
 id; a stale, foreign-model or unreadable cache is rebuilt, never trusted.  The
-file is a plain ``.npz`` (``np.load`` reads it): a JSON metadata blob and the
-matrix, both stored uncompressed, with the matrix data at a multiple of 64
-bytes into the file.  Loading maps the file read-only and uses the matrix in
-place, in whichever of float32 and float64 the file holds, so concurrent
-processes share one copy in the page cache; every member's CRC-32 is still
-checked before a catalog is returned.  Because the matrix is the file, a
+file is one flat layout, in this order:
+
+1. the magic line ``cti2stix-catalog 1``, whose number is the format version;
+2. the header's length and its CRC-32, as little-endian uint64 and uint32;
+3. the header: UTF-8 JSON with the model, dim, content hash, the matrix's
+   dtype string, shape and CRC-32, and the entries, padded with spaces so
+   that the matrix starts at a multiple of 64 bytes into the file;
+4. the matrix bytes, in C order and the matrix's own dtype.
+
+Loading maps the file read-only and uses the matrix in place, in whichever
+of float32 and float64 the file holds, so concurrent processes share one copy
+in the page cache; both CRC-32s are still checked before a catalog is
+returned, the matrix's on a helper thread.  Because the matrix is the file, a
 catalog file is replaced (written beside it, then renamed), never rewritten
 in place: truncating a mapped file would crash the processes reading it.
-Only files in this layout load: one written by an older version
-(``np.savez``, compressed or not) is refused, and ``cti2stix catalog build``
-rebuilds it.  A valid float64 cache, as older versions wrote, still loads and
-scores in float64; ``cti2stix catalog build`` rewrites it once as float32
-from its own matrix, with no embedding calls.
+Only files in this layout load: an older version's zip (``.npz``) file is
+refused, and ``cti2stix catalog build`` rebuilds it once, re-embedding through
+the provider (free when its response cache holds the embeddings).  A float64
+catalog still loads and scores in float64; ``catalog build`` rewrites it
+once as float32 from its own matrix, with no embedding calls.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
-import math
 import mmap
 import os
 import re
 import struct
-import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -58,18 +62,15 @@ logger = logging.getLogger(__name__)
 TECHNIQUE_ID_RE = re.compile(r"\bT\d{4}(?:\.\d{3})?\b")
 _MITRE_SOURCE = "mitre-attack"
 
-_ALIGN = 64  # file offset alignment of each saved .npy member, hence of the matrix
-_PAD_ID = 0xD935  # extra-field id of Android zipalign's alignment padding
-_PAD_BLOCK = struct.Struct("<HHH")  # id, data size, alignment; zero bytes follow
-_LOCAL_HEADER = struct.Struct("<4s22xHH")  # signature, ..., name length, extra length
-_ZIP64_EXTRA_SIZE = 20  # size block zipfile appends to a local header under force_zip64
-# magic, version and length field, then the longest header np.load reads by default
-_NPY_HEADER_MAX = 10 + 10_000
-_NPY_VERSION = (1, 0)  # the .npy format version save_catalog writes
+_MAGIC = b"cti2stix-catalog 1\n"  # the number is the format version
+_LENGTHS = struct.Struct("<QI")  # the header's length and CRC-32
+_HEADER_START = len(_MAGIC) + _LENGTHS.size
+_ALIGN = 64  # file offset alignment of the matrix
+_ZIP_MAGIC = b"PK\x03\x04"  # older versions wrote a zip (.npz) file
 _REBUILD = "written by an older version; rebuild it with `cti2stix catalog build`"
-# the matrix dtype build_catalog embeds into, and the dtypes a file may hold
+# the dtype build_catalog embeds into; the dtypes a file may hold, by header name
 _DTYPE = np.dtype(np.float32)
-_MATRIX_DTYPES = (_DTYPE, np.dtype(np.float64))
+_MATRIX_DTYPES = {d.str: d for d in (_DTYPE, np.dtype(np.float64))}
 
 
 class CatalogError(ValueError):
@@ -278,8 +279,7 @@ def build_catalog(
 
 
 def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
-    """Write *catalog* to *path* as an uncompressed ``.npz`` whose matrix data,
-    in the matrix's own dtype, starts at a multiple of 64 bytes into the file.
+    """Write *catalog* to *path* in the layout the module docstring gives.
 
     The file is written beside *path* and then renamed over it, so *path*
     never holds a torn catalog, and processes that have the old file mapped
@@ -287,20 +287,23 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta = {
+    matrix = np.ascontiguousarray(catalog.vectors)
+    header = json.dumps({
         "model": catalog.model,
         "dim": catalog.dim,
         "content_hash": catalog.content_hash,
+        "dtype": matrix.dtype.str,
+        "shape": matrix.shape,
+        "matrix_crc32": zlib.crc32(matrix),
         "entries": [asdict(e) for e in catalog.entries],
-    }
+    }, ensure_ascii=False).encode("utf-8")
+    # JSON ignores trailing whitespace, so spaces pad the matrix into alignment
+    header += b" " * (-(_HEADER_START + len(header)) % _ALIGN)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         with tmp.open("xb") as fh:
-            # uncompressed: embeddings barely compress, and a stored member maps
-            with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-                _write_npy_member(zf, fh, "meta.npy",
-                                  np.asarray(json.dumps(meta, ensure_ascii=False)))
-                _write_npy_member(zf, fh, "vectors.npy", catalog.vectors)
+            fh.write(_MAGIC + _LENGTHS.pack(len(header), zlib.crc32(header)) + header)
+            fh.write(matrix)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -309,118 +312,55 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
         raise
 
 
-def _write_npy_member(zf: zipfile.ZipFile, fh: Any, name: str, array: np.ndarray) -> None:
-    """Add *array* to *zf* as the stored member *name*, its ``.npy`` bytes
-    starting at a multiple of ``_ALIGN`` into the file.
-
-    The ``.npy`` header pads itself to a multiple of 64 bytes, so the array
-    data is aligned too.  The gap is closed the way Android's zipalign does
-    it: a padding block in the local header's extra field, which readers skip.
-    """
-    info = zipfile.ZipInfo(name)
-    # where the .npy bytes would start without padding: after the next local
-    # header's fixed part, the name and the size block force_zip64 appends
-    npy_start = fh.tell() + _LOCAL_HEADER.size + len(name.encode()) + _ZIP64_EXTRA_SIZE
-    pad = -npy_start % _ALIGN
-    if pad:
-        pad += _ALIGN if pad < _PAD_BLOCK.size else 0
-        info.extra = _PAD_BLOCK.pack(_PAD_ID, pad - 4, _ALIGN) + bytes(pad - _PAD_BLOCK.size)
-    # force_zip64 as np.savez does: the header length must not depend on size
-    with zf.open(info, "w", force_zip64=True) as out:
-        np.lib.format.write_array(out, array, version=_NPY_VERSION, allow_pickle=False)
-
-
 def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
-    """Read a catalog written by :func:`save_catalog`.
+    """Read a catalog written by :func:`save_catalog`, its matrix a view of a
+    read-only mapping of the file.  The matrix's CRC-32 is computed on a
+    helper thread while the header is checked and parsed and the entries,
+    norms and segments are built.
 
-    The file is mapped read-only and the matrix is a view of the mapping,
-    never a copy.  Every member's CRC-32 is checked against the zip directory
-    on a helper thread while the entries, norms and segments are built, and
-    the catalog is returned only once that check has passed.
-
-    Raises :class:`CatalogError` when the file is not a catalog, fails its
-    CRC-32 check, holds an object array, when its matrix is not float32 or
-    float64 (native byte order) or not ``(len(entries), dim)`` as its
-    metadata says, or when it was written by an older version (a compressed
-    member, or a matrix not 64-byte aligned): ``cti2stix catalog build``
-    rebuilds such a file.
+    Raises :class:`CatalogError` when the file is not a catalog, is
+    truncated, fails a CRC-32 check, when its matrix is not float32 or
+    float64 (native byte order) or not ``(len(entries), dim)`` as its header
+    says, or when it was written by an older version: ``cti2stix catalog
+    build`` rebuilds such a file.
     """
     try:
-        members = _read_members(path)
+        with open(path, "rb") as fh:
+            view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+        if view[:len(_MAGIC)] != _MAGIC:
+            if view[:len(_ZIP_MAGIC)] == _ZIP_MAGIC:
+                raise CatalogError(f"catalog {path} was {_REBUILD}")
+            raise ValueError("not a catalog file")
+        header_size, header_crc = _LENGTHS.unpack_from(view, len(_MAGIC))
+        offset = _HEADER_START + header_size
+        if offset > len(view) or offset % _ALIGN:
+            raise ValueError(f"its {header_size}-byte header runs past the end of the file "
+                             f"or leaves the matrix unaligned")
         with ThreadPoolExecutor(max_workers=1) as pool:
-            crc_check = pool.submit(_check_crcs, members, path)
-            try:
-                catalog = _catalog_from(members, path)
-            finally:
-                # a CRC failure is the root cause of any parse error it comes with
-                crc_check.result()
+            matrix_crc = pool.submit(zlib.crc32, view[offset:])
+            if zlib.crc32(view[_HEADER_START:offset]) != header_crc:
+                raise CatalogError(f"catalog {path}: header fails its CRC-32 check")
+            meta = json.loads(bytes(view[_HEADER_START:offset]))
+            entries = [CatalogEntry(**item) for item in meta["entries"]]
+            dtype = _MATRIX_DTYPES.get(meta["dtype"])
+            if dtype is None:
+                raise CatalogError(f"catalog {path}: vectors have dtype {meta['dtype']}, "
+                                   f"need float32 or float64")
+            shape = tuple(meta["shape"])
+            if shape != (len(entries), meta["dim"]):
+                raise CatalogError(f"catalog {path}: vectors have shape {shape}, "
+                                   f"its metadata says {(len(entries), meta['dim'])}")
+            count = shape[0] * shape[1]
+            if len(view) - offset != count * dtype.itemsize:
+                raise ValueError(f"its matrix holds {len(view) - offset} bytes, "
+                                 f"its header says {count * dtype.itemsize}")
+            vectors = np.frombuffer(view, dtype, count, offset).reshape(shape)
+            catalog = TechniqueCatalog(model=meta["model"], content_hash=meta["content_hash"],
+                                       entries=entries, vectors=vectors)
+            if matrix_crc.result() != meta["matrix_crc32"]:
+                raise CatalogError(f"catalog {path}: matrix fails its CRC-32 check")
         return catalog
     except CatalogError:
         raise
-    except (ValueError, KeyError, TypeError, EOFError, struct.error,
-            zipfile.BadZipFile) as exc:
+    except (ValueError, KeyError, TypeError, struct.error) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-
-
-def _read_members(path: Union[str, Path]) -> dict[str, tuple[int, Any]]:
-    """Each member's name -> (CRC-32 from the zip directory, bytes).  The
-    bytes are a view of a read-only mapping of the file, which stays mapped
-    while any view of it is alive."""
-    with open(path, "rb") as fh:
-        with zipfile.ZipFile(fh) as zf:
-            infos = zf.infolist()
-        view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
-    members = {}
-    for info in infos:
-        signature, name_len, extra_len = _LOCAL_HEADER.unpack_from(view, info.header_offset)
-        if signature != b"PK\x03\x04":
-            raise ValueError(f"member {info.filename} has no local header")
-        start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
-        if info.compress_type != zipfile.ZIP_STORED:
-            raise ValueError(f"member {info.filename} is compressed, so the file was {_REBUILD}")
-        data = view[start:start + info.compress_size]
-        if len(data) != info.file_size:
-            raise ValueError(f"member {info.filename} is truncated")
-        members[info.filename] = (info.CRC, data)
-    return members
-
-
-def _check_crcs(members: dict[str, tuple[int, Any]], path: Union[str, Path]) -> None:
-    for name, (crc, data) in members.items():
-        if zlib.crc32(data) != crc:
-            raise CatalogError(f"catalog {path}: member {name} fails its CRC-32 check")
-
-
-def _catalog_from(members: dict[str, tuple[int, Any]],
-                  path: Union[str, Path]) -> TechniqueCatalog:
-    meta = json.loads(_npy_array(members["meta.npy"][1]).item())
-    entries = [CatalogEntry(**item) for item in meta["entries"]]
-    expected = (len(entries), meta["dim"])
-    vectors = _npy_array(members["vectors.npy"][1])
-    if vectors.dtype not in _MATRIX_DTYPES:
-        raise CatalogError(f"catalog {path}: vectors have dtype {vectors.dtype}, "
-                           f"need float32 or float64")
-    if vectors.shape != expected:
-        raise CatalogError(
-            f"catalog {path}: vectors have shape {vectors.shape}, its metadata says {expected}"
-        )
-    # the mapping starts on a page boundary, so the matrix is 64-byte aligned
-    # in memory exactly when save_catalog put it there in the file
-    if vectors.ctypes.data % _ALIGN:
-        raise CatalogError(f"catalog {path} was {_REBUILD}")
-    return TechniqueCatalog(model=meta["model"], content_hash=meta["content_hash"],
-                            entries=entries, vectors=vectors)
-
-
-def _npy_array(data: Any) -> np.ndarray:
-    """The array a ``.npy`` file's bytes hold, as a read-only view of *data*.
-    Object arrays are refused, as ``np.load(..., allow_pickle=False)`` does."""
-    header = io.BytesIO(data[:_NPY_HEADER_MAX])  # copies the header, not the data
-    version = np.lib.format.read_magic(header)
-    if version != _NPY_VERSION:
-        raise ValueError(f"unsupported .npy version {version}")
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
-    if dtype.hasobject:
-        raise ValueError("object arrays are refused")
-    array = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=header.tell())
-    return array.reshape(shape, order="F" if fortran_order else "C")

@@ -4,7 +4,11 @@ Subcommands:
 
 * ``extract``        — reports (files or URLs) -> STIX bundles + audit logs
 * ``eval``           — extracted bundles vs ground truth -> scores.json/.csv
-* ``catalog build``  — ATT&CK export -> embedded technique catalog (.npz)
+* ``catalog build``  — ATT&CK export -> embedded technique catalog: a magic
+  line, a CRC-checked JSON header and a 64-byte-aligned float32 matrix.  An
+  older version's ``.npz`` zip is refused by ``extract`` and ``calibrate``
+  (exit 2); ``catalog build`` rebuilds it once, re-embedding, which costs
+  nothing when the response cache holds the embeddings
 * ``calibrate``      — sweep the similarity threshold against ground truth
 * ``config show``    — print the effective configuration
 
@@ -83,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract = sub.add_parser("extract", help="extract entities and techniques")
     p_extract.add_argument("inputs", nargs="+", metavar="FILE_OR_URL")
     p_extract.add_argument("--out-dir", required=True)
-    p_extract.add_argument("--catalog", help="technique catalog (.npz); omit to skip techniques")
+    p_extract.add_argument("--catalog",
+                           help="technique catalog file from `catalog build`; omit to skip techniques")
     p_extract.add_argument("--plugins", help="site plugin YAML for HTML extraction")
     p_extract.add_argument("--preprocessing", choices=("on", "off"))
     p_extract.add_argument("--strategies", help="comma list: vte,sbsa,ot")
@@ -102,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_catalog = sub.add_parser("catalog", help="technique catalog operations")
     catalog_sub = p_catalog.add_subparsers(dest="action", required=True)
-    p_build = catalog_sub.add_parser("build", help="embed an ATT&CK export")
+    p_build = catalog_sub.add_parser(
+        "build", help="embed an ATT&CK export into a catalog file (rebuilds an older one)")
     p_build.add_argument("--attack-json", required=True)
     p_build.add_argument("--out", required=True)
     _provider_flags(p_build)

@@ -35,9 +35,13 @@ IPV4_RE = re.compile(
 )
 
 # a scheme follows anything but a letter or "_": a URL run on after an IP or
-# a hash (``1.2.3.4http://...``) is found whole, before its host is a domain
+# a hash (``1.2.3.4http://...``) is found whole, before its host is a domain,
+# and ``sftp://`` holds no ``ftp://`` URL.  The separator is ``://`` with the
+# colon, the slashes or both bracketed, or all three (``hxxp[://]``, also
+# after a stray colon)
 URL_RE = re.compile(
-    r"(?<![^\W\d])(?:h(?:tt|xx)ps?|ftp):(?:\[:?//?\]|//)[^\s\"'<>]+",
+    r"(?<![^\W\d])(?:h(?:tt|xx)ps?|ftp)(?:(?::|\[:\])(?://|\[//\])|:?\[://\])"
+    r"[^\s\"'<>]+",
     re.IGNORECASE,
 )
 
@@ -45,7 +49,7 @@ _URL_TRAILING_JUNK = ".,;:!?\"')]}>"
 
 CVE_RE = re.compile(r"\bCVE-\d{4}-\d{4,7}\b", re.IGNORECASE)
 
-_HXXP_RE = re.compile(r"hxxp", re.IGNORECASE)
+_HXXP_RE = re.compile(r"hxxps?://", re.IGNORECASE)  # only a scheme is refanged
 _UNTAKEN_RE = re.compile(rb"\x00+")
 
 # A dotted token is a domain only where its last label says so: a two-letter
@@ -116,9 +120,11 @@ class IocMatch:
 
 
 def refang(value: str) -> str:
-    """Undo common defanging: bracketed dots/colons and hxxp schemes."""
+    """Undo common defanging: bracketed dots, colons and slashes, and an
+    ``hxxp`` scheme (not a token that merely starts ``hxxp``)."""
     out = value.replace("[.]", ".").replace("(.)", ".")
-    out = out.replace("[:]", ":").replace("[://]", "://").replace("[//]", "//")
+    out = out.replace("[:]", ":").replace(":[://]", "://").replace("[://]", "://")
+    out = out.replace("[//]", "//")
     if out.startswith(("h", "H")) and _HXXP_RE.match(out):
         out = "htt" + out[3:]
     return out

@@ -2,6 +2,8 @@
 matching technique-catalog fixture for hermetic end-to-end runs."""
 
 import json
+import struct
+import zipfile
 from dataclasses import asdict
 
 import numpy as np
@@ -129,15 +131,33 @@ def mini_catalog():
     return build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[]))
 
 
-@pytest.fixture(params=[np.savez, np.savez_compressed], ids=["savez", "savez_compressed"])
+def savez_aligned(fh, **arrays):
+    """The zip layout of the last version before the flat file: ``np.savez``'s
+    stored members, each padded, as Android's zipalign pads, with an extra
+    field so that its ``.npy`` bytes start at a multiple of 64 into the file."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+        for name, array in arrays.items():
+            info = zipfile.ZipInfo(f"{name}.npy")
+            # the local header's fixed part, the name, and force_zip64's size block
+            pad = -(fh.tell() + 30 + len(info.filename) + 20) % 64
+            if pad:
+                pad += 64 if pad < 6 else 0
+                info.extra = struct.pack("<HHH", 0xD935, pad - 4, 64) + bytes(pad - 6)
+            with zf.open(info, "w", force_zip64=True) as out:
+                np.lib.format.write_array(out, np.asarray(array), allow_pickle=False)
+
+
+@pytest.fixture(params=[savez_aligned, np.savez, np.savez_compressed],
+                ids=["aligned_zip", "savez", "savez_compressed"])
 def legacy_writer(request):
-    """How versions before the aligned layout wrote a catalog."""
+    """How versions before the flat layout wrote a catalog."""
     return request.param
 
 
 def write_legacy_catalog(path, catalog, writer):
-    """*catalog* as versions before the aligned layout wrote it: *writer*
-    (``np.savez`` or ``np.savez_compressed``) over the same two arrays."""
+    """*catalog* as versions before the flat layout wrote it: *writer*
+    (:func:`savez_aligned`, ``np.savez`` or ``np.savez_compressed``) over a
+    JSON metadata string and the matrix."""
     meta = {"model": catalog.model, "dim": catalog.dim, "content_hash": catalog.content_hash,
             "entries": [asdict(e) for e in catalog.entries]}
     with path.open("wb") as fh:

@@ -1,8 +1,12 @@
 import json
 import logging
+import os
+import re
 import struct
 import tempfile
-import zipfile
+import threading
+import zlib
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,9 +28,9 @@ from cti2stix.catalog import (
     parse_attack_export,
     save_catalog,
 )
-from cti2stix.llm import ScriptedProvider
+from cti2stix.llm import HashEmbedder, HttpProvider, ProviderConfig, ScriptedProvider
 
-from conftest import MITRE_SAMPLE, VTE_CANDIDATE, write_legacy_catalog
+from conftest import MITRE_SAMPLE, VTE_CANDIDATE, savez_aligned, write_legacy_catalog
 
 
 def test_parent_technique():
@@ -154,8 +158,12 @@ class TestCache:
     def test_saved_uncompressed(self, mini_catalog, tmp_path):
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)
-        with zipfile.ZipFile(path) as zf:
-            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        raw = path.read_bytes()
+        header, offset = read_header(path)
+        assert raw.startswith(b"cti2stix-catalog 1\n")
+        assert raw[offset:] == mini_catalog.vectors.tobytes()
+        assert header["dtype"] == "<f4" and header["shape"] == list(mini_catalog.vectors.shape)
+        assert header["dim"] == mini_catalog.dim and header["model"] == mini_catalog.model
 
     def test_second_build_uses_cache(self, tmp_path):
         path = tmp_path / "catalog.npz"
@@ -197,11 +205,10 @@ class TestCache:
         save_catalog(mini_catalog, path)
         before = path.read_bytes()
 
-        def write_part_then_fail(fp, array, *args, **kwargs):
-            fp.write(b"\x93NUMPY" + bytes(100))
+        def fail(fd):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np.lib.format, "write_array", write_part_then_fail)
+        monkeypatch.setattr(os, "fsync", fail)  # after the new file is written
         with pytest.raises(OSError, match="disk full"):
             save_catalog(mini_catalog, path)
         monkeypatch.undo()
@@ -268,18 +275,23 @@ class TestMalformedFile:
             load_catalog(path)
 
 
-def npy_data_offset(path, member):
-    """File offset of the array data of a ``.npy`` member, read with plain
-    file I/O: the zip directory, the local header and the ``.npy`` header."""
-    with zipfile.ZipFile(path) as zf:
-        header_offset = zf.getinfo(member).header_offset
-    with open(path, "rb") as fh:
-        fh.seek(header_offset)
-        name_len, extra_len = struct.unpack("<26xHH", fh.read(30))
-        fh.seek(name_len + extra_len, 1)
-        assert np.lib.format.read_magic(fh) == (1, 0)
-        np.lib.format.read_array_header_1_0(fh)
-        return fh.tell()
+def read_header(path):
+    """The parsed header of a catalog file and the file offset of its matrix,
+    read as the layout gives them: a magic line, the header's length and
+    CRC-32 (``<QI``), then the header."""
+    raw = path.read_bytes()
+    start = raw.index(b"\n") + 1 + 12
+    (length,) = struct.unpack_from("<Q", raw, start - 12)
+    return json.loads(raw[start:start + length]), start + length
+
+
+def write_raw_catalog(path, header, matrix):
+    """A file in the catalog layout around *header* and the bytes *matrix*,
+    its header CRC correct and its matrix 64-byte aligned."""
+    blob = json.dumps(header).encode()
+    blob += b" " * (-(19 + 12 + len(blob)) % 64)
+    path.write_bytes(b"cti2stix-catalog 1\n" + struct.pack("<QI", len(blob), zlib.crc32(blob))
+                     + blob + matrix)
 
 
 def make_catalog(vectors):
@@ -306,32 +318,59 @@ class TestMappedFile:
             path = Path(tmp) / "catalog.npz"
             save_catalog(make_catalog(vectors), path)
             loaded = load_catalog(path)
-            with np.load(path, allow_pickle=False) as data:
-                reference = data["vectors"]
-            assert npy_data_offset(path, "vectors.npy") % 64 == 0
-        assert loaded.vectors.shape == vectors.shape == reference.shape
-        assert loaded.vectors.dtype == vectors.dtype == reference.dtype
-        assert loaded.vectors.tobytes() == vectors.tobytes() == reference.tobytes()
+            header, offset = read_header(path)
+            assert offset % 64 == 0
+            assert path.read_bytes()[offset:] == vectors.tobytes()
+        assert header["dtype"] == vectors.dtype.str
+        assert loaded.vectors.shape == vectors.shape
+        assert loaded.vectors.dtype == vectors.dtype
+        assert loaded.vectors.tobytes() == vectors.tobytes()
+        assert loaded.vectors.ctypes.data % 64 == 0
         flags = loaded.vectors.flags
         assert flags.aligned and flags.c_contiguous
         assert not flags.writeable and not flags.owndata
 
-    @pytest.mark.parametrize("member", ["meta.npy", "vectors.npy"])
-    @pytest.mark.parametrize("where", ["header", "data"])
-    def test_flipped_byte_fails_crc(self, mini_catalog, tmp_path, member, where):
+    @pytest.mark.parametrize("part", ["header", "matrix"])
+    def test_flipped_byte_fails_crc(self, mini_catalog, tmp_path, part):
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)
-        offset = npy_data_offset(path, member)
+        _, offset = read_header(path)
         raw = bytearray(path.read_bytes())
-        raw[offset - 60 if where == "header" else offset + 3] ^= 0x10
+        raw[offset - 100 if part == "header" else offset + 3] ^= 0x10
         path.write_bytes(bytes(raw))
-        with pytest.raises(CatalogError, match=f"{member} fails its CRC-32 check"):
+        with pytest.raises(CatalogError, match=f"{part} fails its CRC-32 check"):
             load_catalog(path)
+
+    def test_matrix_crc_runs_on_a_helper_thread(self, mini_catalog, tmp_path, monkeypatch):
+        path = tmp_path / "catalog.npz"
+        save_catalog(mini_catalog, path)
+        _, offset = read_header(path)
+        crc32 = zlib.crc32
+        checked = []
+
+        def spy(data, *args):
+            checked.append((len(data), threading.current_thread() is threading.main_thread()))
+            return crc32(data, *args)
+
+        monkeypatch.setattr(zlib, "crc32", spy)
+        load_catalog(path)
+        assert sorted(checked) == sorted([(offset - 31, True),
+                                          (mini_catalog.vectors.nbytes, False)])
 
     def test_truncated_inside_vectors(self, mini_catalog, tmp_path):
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)
-        keep = npy_data_offset(path, "vectors.npy") + 100
+        _, offset = read_header(path)
+        path.write_bytes(path.read_bytes()[:offset + 100])
+        with pytest.raises(CatalogError, match="cannot read catalog.*matrix holds 100 bytes"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("cut", ["length", "header"])
+    def test_truncated_before_the_matrix(self, mini_catalog, tmp_path, cut):
+        path = tmp_path / "catalog.npz"
+        save_catalog(mini_catalog, path)
+        _, offset = read_header(path)
+        keep = len(b"cti2stix-catalog 1\n") + 5 if cut == "length" else offset - 100
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(CatalogError, match="cannot read catalog"):
             load_catalog(path)
@@ -344,6 +383,7 @@ class TestMappedFile:
 
     @pytest.mark.parametrize("member", ["meta", "vectors"])
     def test_object_array_refused(self, tmp_path, member):
+        # a pickled array is refused with the rest of the zip, never unpickled
         path = tmp_path / "pickled.npz"
         members = {"meta": json.dumps({"model": "stub", "dim": 1, "content_hash": "x",
                                        "entries": []}),
@@ -351,7 +391,19 @@ class TestMappedFile:
         members[member] = np.asarray(members[member], dtype=object)
         with path.open("wb") as fh:
             np.savez(fh, **members)  # pickles the object array
-        with pytest.raises(CatalogError, match="object arrays are refused"):
+        with pytest.raises(CatalogError, match="older version"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("dtype", ["|O", "<f2", ">f4", ">f8"])
+    def test_header_dtype_refused(self, tmp_path, dtype):
+        path = tmp_path / "odd.npz"
+        matrix = bytes(8 * 3)
+        write_raw_catalog(path, {"model": "stub", "dim": 3, "content_hash": "x",
+                                 "dtype": dtype, "shape": [1, 3],
+                                 "matrix_crc32": zlib.crc32(matrix),
+                                 "entries": [asdict(CatalogEntry("T1001", "n", "d", "t"))]},
+                          matrix)
+        with pytest.raises(CatalogError, match=re.escape(f"vectors have dtype {dtype}, ")):
             load_catalog(path)
 
     def test_older_file_refused(self, mini_catalog, tmp_path, legacy_writer):
@@ -370,8 +422,35 @@ class TestMappedFile:
         assert provider.embedded != []
         assert any("older version" in r.message and "rebuilding" in r.message
                    for r in caplog.records)
-        assert npy_data_offset(path, "vectors.npy") % 64 == 0
+        assert read_header(path)[1] % 64 == 0
         assert not load_catalog(path).vectors.flags.owndata
+
+    def test_rebuild_of_older_file_reads_the_response_cache(self, tmp_path, monkeypatch):
+        """``catalog build`` over a zip-layout file re-embeds through the
+        response cache: with the embeddings cached, no request is sent."""
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        requests = []
+
+        def transport(url, payload, headers, timeout):
+            requests.append(payload)
+            vectors = HashEmbedder().embed(payload["input"])
+            return 200, {"data": [{"index": i, "embedding": v.tolist()}
+                                  for i, v in enumerate(vectors)]}
+
+        config = ProviderConfig(cache_path=str(tmp_path / "responses.jsonl"))
+        first = build_catalog(MITRE_SAMPLE, HttpProvider(config, transport=transport))
+        assert requests
+        path = tmp_path / "catalog.npz"
+        write_legacy_catalog(path, first, savez_aligned)
+
+        requests.clear()
+        rebuilt = build_catalog(MITRE_SAMPLE, HttpProvider(config, transport=transport),
+                                cache_path=path)
+        assert requests == []
+        assert path.read_bytes().startswith(b"cti2stix-catalog 1\n")
+        loaded = load_catalog(path)
+        assert loaded.entries == rebuilt.entries == first.entries
+        np.testing.assert_array_equal(loaded.vectors, first.vectors)
 
 
 class TestDtype:
@@ -423,7 +502,7 @@ class TestDtype:
     def test_other_dtypes_refused(self, tmp_path, dtype):
         path = tmp_path / "odd.npz"
         write_catalog_file(path, ["T1001", "T1002"], 3, np.ones((2, 3), dtype=dtype))
-        with pytest.raises(CatalogError, match=f"vectors have dtype {np.dtype(dtype)}, "
+        with pytest.raises(CatalogError, match=f"vectors have dtype {np.dtype(dtype).str}, "
                                                "need float32 or float64"):
             load_catalog(path)
 

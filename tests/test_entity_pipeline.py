@@ -373,6 +373,38 @@ def test_verify_rejects_ungrounded_name(helloxd_report):
     assert [w["name"] for w in trail.warnings()] == ["SpectralKit"]
 
 
+def shared_through(prompts, context):
+    """Whether every prompt opens with the same text up to and including
+    *context*, as the first one has it."""
+    first = prompts[0]
+    prefix = first[:first.index(context) + len(context)]
+    return all(p.startswith(prefix) for p in prompts)
+
+
+def test_prompts_on_one_context_share_it_as_a_prefix(helloxd_report):
+    """An endpoint's prefix cache serves the repeated part of a prompt only
+    when nothing that varies comes before it: every entity and relation
+    prompt on one context, and every verify prompt on one chunk, is the same
+    text up to and including that context."""
+    context = helloxd_report.prompt_text
+    provider = scripted([(re.compile("Question"), "none")])
+    trail = audit()
+    for query in QUERIES:
+        extract_entities(context, query, provider, trail)
+    extract_relations([context], [StixEntity(EntityKind.THREAT_ACTOR, "x4k"),
+                                  StixEntity(EntityKind.MALWARE, "HelloXD"),
+                                  StixEntity(EntityKind.IDENTITY, "Windows users")],
+                      provider, trail)
+    assert len(provider.prompts) == len(QUERIES) + 3
+    assert shared_through(provider.prompts, context)
+
+    provider = scripted([(re.compile("Question"), "no")])
+    for name in ("SpectralKit", "a much longer unlisted name"):
+        assert not verify_entity(name, helloxd_report, provider, trail)
+    assert len(provider.prompts) == 2
+    assert shared_through(provider.prompts, helloxd_report.prompt_text)
+
+
 # ---------------------------------------------------------------------------
 # relations
 

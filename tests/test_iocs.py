@@ -183,13 +183,36 @@ def test_refang_helper():
     assert refang("10(.)0(.)0(.)1") == "10.0.0.1"
 
 
+@pytest.mark.parametrize("text,url", [
+    ("hxxp[://]evil.com/a", "http://evil.com/a"),
+    ("hxxps[:]//evil.com/a", "https://evil.com/a"),
+    ("http:[://]c.com/y", "http://c.com/y"),
+    ("http[:][//]c.com/y", "http://c.com/y"),
+    ("hxxp:[//]c[.]com/y", "http://c.com/y"),
+])
+def test_defanged_url_separators(text, url):
+    spans = scan_iocs(f"get {text} now")
+    assert [(m.ioc_type, m.value, m.original) for m in spans] == [("url", url, text)]
+    assert mask_observables(f"get {text} now", spans) == "get [url] now"
+
+
+def test_hxxp_at_the_start_of_a_domain_is_kept():
+    assert types_and_values("C2 at hxxpsrv.com and HXXPbin.net") == [
+        ("domain", "hxxpsrv.com"), ("domain", "hxxpbin.net")]
+
+
+def test_scheme_inside_a_longer_word_is_no_url():
+    # why URL_RE keeps its lookbehind: without it, the URL ftp://files.evil.com/x
+    assert types_and_values("sftp://files.evil.com/x") == [("domain", "files.evil.com")]
+
+
 def reference_refang(value):
-    """refang's former body: both scheme patterns looked up on every call."""
-    out = value.replace("[.]", ".").replace("(.)", ".")
-    out = out.replace("[:]", ":").replace("[://]", "://").replace("[//]", "//")
-    out = re.sub(r"^h(?:xx|XX|Xx|xX)(ps?)", r"htt\1", out, flags=re.IGNORECASE)
-    out = re.sub(r"^hxxp", "http", out, flags=re.IGNORECASE)
-    return out
+    """refang spelled out: each bracketed form in turn (a stray colon before
+    ``[://]`` goes with it), then ``hxx`` to ``htt`` where it opens a scheme."""
+    for defanged, plain in [("[.]", "."), ("(.)", "."), ("[:]", ":"), (":[://]", "://"),
+                            ("[://]", "://"), ("[//]", "//")]:
+        value = value.replace(defanged, plain)
+    return re.sub(r"^hxx(ps?://)", r"htt\1", value, flags=re.IGNORECASE)
 
 
 _defang_pieces = st.sampled_from(
@@ -202,6 +225,8 @@ _defang_pieces = st.sampled_from(
 @given(st.lists(_defang_pieces | st.text(max_size=2), max_size=8).map("".join))
 @example("hXXps://evil(.)example[.]com/x")
 @example("[.]hxxp")
+@example("hxxpsrv.com")
+@example("http:[://]c.com")
 def test_refang_matches_reference(value):
     assert refang(value) == reference_refang(value)
 
@@ -305,9 +330,9 @@ _domains = st.builds(
     st.lists(_labels, min_size=1, max_size=3), _dots, _tlds,
 )
 _urls = st.builds(
-    lambda scheme, sep, host, path, junk: f"{scheme}:{sep}{host}/{path}{junk}",
+    lambda scheme, sep, host, path, junk: f"{scheme}{sep}{host}/{path}{junk}",
     st.sampled_from(["http", "https", "hxxp", "hXXps", "ftp"]),
-    st.sampled_from(["//", "[://]", "[//]"]),
+    st.sampled_from(["://", ":[://]", ":[//]", "[:]//", "[://]"]),
     st.one_of(_domains, _ips),
     st.sampled_from(["", "gate.php", "a/b?id=1", "x.exe"]),
     st.sampled_from(["", ".", ")", "],", "'"]),
@@ -327,6 +352,14 @@ _joiners = st.sampled_from([" ", "", "", ".", "/", ", ", "\n", "[.]"])
 _texts = st.lists(st.tuples(_tokens, _joiners), max_size=30).map(
     lambda pairs: "".join(token + joiner for token, joiner in pairs)
 )
+
+
+@given(_urls)
+@settings(max_examples=200)
+def test_every_defanged_url_refangs_to_a_plain_scheme(url):
+    found = scan_iocs(url)
+    assert found[0].ioc_type == "url" and found[0].start == 0
+    assert re.match(r"(?:https?|ftp)://[^\[(:/]", found[0].value, re.IGNORECASE)
 
 
 @given(_texts)
