@@ -330,13 +330,28 @@ class TestMappedFile:
         assert flags.aligned and flags.c_contiguous
         assert not flags.writeable and not flags.owndata
 
-    @pytest.mark.parametrize("part", ["header", "matrix"])
-    def test_flipped_byte_fails_crc(self, mini_catalog, tmp_path, part):
+    # The cases keep the names of the older zip layout's regions; each flips a
+    # byte where that region's content now lives, under the CRC that covers it:
+    # the metadata's framing is the stored header CRC-32, the metadata is the
+    # JSON header's entries, the matrix's .npy header is the JSON header's
+    # dtype, and the matrix's data is the matrix.
+    @pytest.mark.parametrize("where, member", [
+        ("header", "meta.npy"), ("data", "meta.npy"),
+        ("header", "vectors.npy"), ("data", "vectors.npy"),
+    ], ids=["header-meta.npy", "data-meta.npy", "header-vectors.npy", "data-vectors.npy"])
+    def test_flipped_byte_fails_crc(self, mini_catalog, tmp_path, where, member):
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)
         _, offset = read_header(path)
         raw = bytearray(path.read_bytes())
-        raw[offset - 100 if part == "header" else offset + 3] ^= 0x10
+        at, part = {
+            ("header", "meta.npy"): (raw.index(b"\n") + 1 + 8, "header"),
+            ("data", "meta.npy"): (raw.index(b'"entries"') + 20, "header"),
+            ("header", "vectors.npy"): (raw.index(b'"dtype": "') + 11, "header"),
+            ("data", "vectors.npy"): (offset + 3, "matrix"),
+        }[where, member]
+        assert at < offset or part == "matrix"
+        raw[at] ^= 0x10
         path.write_bytes(bytes(raw))
         with pytest.raises(CatalogError, match=f"{part} fails its CRC-32 check"):
             load_catalog(path)
