@@ -28,12 +28,12 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from .catalog import TECHNIQUE_ID_RE, TechniqueCatalog, parent_technique, row_norms
+from .catalog import TechniqueCatalog, row_norms
 from .audit import AuditTrail, ask, is_negative_answer
-from .entity_pipeline import CHUNK_TOKENS, chunk_text
-from .ingest import Report, collapse_whitespace
+from .ingest import CHUNK_TOKENS, Report, chunk_text, collapse_whitespace
 from .ingest import segment_sentences  # noqa: F401  perfbench's traced pass wraps this binding
 from .llm import context_budget
+from .stix import TECHNIQUE_ID_RE, parent_technique
 
 logger = logging.getLogger(__name__)
 
@@ -127,7 +127,7 @@ def strategy_sbsa(report: Report, provider: Any, audit: AuditTrail) -> list[str]
 
 def strategy_ot(report: Report) -> list[str]:
     """One-sentence-at-a-time: every sentence is a candidate, no model calls."""
-    return [text for text in (s.text.strip() for s in report.sentences) if text]
+    return [text for text in (s.strip() for s in report.sentences) if text]
 
 
 # per matrix dtype, the norms below which squared components are subnormal or

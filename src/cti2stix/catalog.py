@@ -47,7 +47,6 @@ import json
 import logging
 import mmap
 import os
-import re
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -57,10 +56,9 @@ from typing import Any, Union
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
+from .stix import external_technique_id, parent_technique
 
-TECHNIQUE_ID_RE = re.compile(r"\bT\d{4}(?:\.\d{3})?\b")
-_MITRE_SOURCE = "mitre-attack"
+logger = logging.getLogger(__name__)
 
 _MAGIC = b"cti2stix-catalog 1\n"  # the number is the format version
 _LENGTHS = struct.Struct("<QI")  # the header's length and CRC-32
@@ -138,19 +136,6 @@ class TechniqueCatalog:
         return {e.technique_id: e.name for e in self.entries if e.example_id == "description"}
 
 
-def parent_technique(technique_id: str) -> str:
-    return technique_id.split(".", 1)[0]
-
-
-def _external_technique_id(obj: dict[str, Any]) -> str | None:
-    for ref in obj.get("external_references", []) or []:
-        if isinstance(ref, dict) and ref.get("source_name") == _MITRE_SOURCE:
-            ext = str(ref.get("external_id", ""))
-            if TECHNIQUE_ID_RE.fullmatch(ext):
-                return ext
-    return None
-
-
 def parse_attack_export(source: Union[str, Path, dict]) -> dict[str, dict[str, Any]]:
     """Parse an ATT&CK STIX export into ``{technique_id: {name, description,
     examples}}`` with sub-techniques collapsed into their parents.
@@ -174,7 +159,7 @@ def parse_attack_export(source: Union[str, Path, dict]) -> dict[str, dict[str, A
             continue
         if obj.get("revoked") or obj.get("x_mitre_deprecated"):
             continue
-        tid = _external_technique_id(obj)
+        tid = external_technique_id(obj)
         if tid is None:
             logger.warning("attack-pattern %s has no technique id; skipped", obj.get("id"))
             continue

@@ -38,10 +38,12 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .audit import AuditTrail, ask, is_negative_answer
-from .ingest import Report, collapse_whitespace, segment_sentences
+from .ingest import CHUNK_TOKENS, Report, chunk_text, collapse_whitespace
+from .ingest import segment_sentences  # noqa: F401  perfbench's traced pass wraps this binding
 from .iocs import ioc_entities
-from .llm import ProviderConfig, context_budget, estimate_tokens, tokens_for_counts
+from .llm import ProviderConfig, context_budget, estimate_tokens
 from .stix import (
+    PRINCIPAL_KINDS,
     EntityKind,
     RelationKind,
     StixBundle,
@@ -76,11 +78,10 @@ RELATION_PROMPT = (
     "Answer with one of: {options}, or none."
 )
 
-# prompt shapes, sized for a GPT-3.5-class window: the largest chunk any
-# prompt carries, the tokens reserved for a summary and for a short answer,
-# how many summarization rounds condensation may take, and the context held
-# back from the extraction budget for the longer relation wording
-CHUNK_TOKENS = 1024
+# prompt shapes, sized for a GPT-3.5-class window: the tokens reserved for a
+# summary and for a short answer, how many summarization rounds condensation
+# may take, and the context held back from the extraction budget for the
+# longer relation wording
 SUMMARY_OUTPUT_TOKENS = 512
 ANSWER_OUTPUT_TOKENS = 256
 CONDENSE_ITERATION_CAP = 3
@@ -143,79 +144,6 @@ QUERIES: tuple[EntityQuery, ...] = (
 @dataclass
 class EntityPipelineConfig:
     preprocessing: bool = True
-
-
-# ---------------------------------------------------------------------------
-# chunking
-
-
-def _split_oversized(piece: str, budget: int) -> list[str]:
-    """Split one over-budget sentence at word boundaries (whitespace stays
-    attached to the preceding word so concatenation is lossless)."""
-    out: list[str] = []
-    current: list[str] = []
-    words = chars = 0
-    # every token but a leading blank one is one word and follows
-    # whitespace, so joining tokens never merges two words
-    for token in re.findall(r"\S+\s*|\s+", piece):
-        token_words = 0 if token[0].isspace() else 1
-        if current and tokens_for_counts(words + token_words, chars + len(token)) > budget:
-            out.append("".join(current))
-            current, words, chars = [], 0, 0
-        current.append(token)
-        words += token_words
-        chars += len(token)
-    if current:
-        out.append("".join(current))
-    # a single word can still exceed the budget; cut it into runs of
-    # 8 * budget characters, which hold at most one word and so estimate at
-    # most max(2, budget) tokens
-    step = 8 * budget
-    final: list[str] = []
-    for part in out:
-        if estimate_tokens(part) > budget:
-            final.extend(part[i:i + step] for i in range(0, len(part), step))
-        else:
-            final.append(part)
-    return [p for p in final if p]
-
-
-def chunk_text(text: str, budget: int) -> list[str]:
-    """Greedy sentence-boundary chunks of at most *budget* estimated tokens.
-
-    Chunks concatenate back to the input exactly.  A single sentence larger
-    than the budget is split at word boundaries as a last resort.  Word and
-    character counts of the chunk being built are kept as it grows, so the
-    cost is linear in the length of *text*.
-    """
-    if budget <= 0:
-        raise ValueError("chunk budget must be positive")
-    if not text:
-        return []
-    chunks: list[str] = []
-    current: list[str] = []
-    words = chars = 0
-    # every sentence but the first starts after whitespace, so joining
-    # sentences never merges two words and the counts simply add up
-    for sentence in segment_sentences(text):
-        piece = sentence.text
-        piece_words = len(piece.split())
-        if tokens_for_counts(piece_words, len(piece)) > budget:
-            if current:
-                chunks.append("".join(current))
-                current, words, chars = [], 0, 0
-            chunks.extend(_split_oversized(piece, budget))
-            continue
-        if current and tokens_for_counts(words + piece_words, chars + len(piece)) > budget:
-            chunks.append("".join(current))
-            current, words, chars = [piece], piece_words, len(piece)
-        else:
-            current.append(piece)
-            words += piece_words
-            chars += len(piece)
-    if current:
-        chunks.append("".join(current))
-    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +380,7 @@ def run_entity_pipeline(
                 unique.setdefault(entity.id, entity)
 
     entities = list(unique.values())
-    principals = [e for e in entities if e.kind in (EntityKind.MALWARE, EntityKind.THREAT_ACTOR)]
+    principals = [e for e in entities if e.kind in PRINCIPAL_KINDS]
     target_identities = [e for e in entities if e.kind is EntityKind.IDENTITY]
 
     relations: list[StixRelation] = []

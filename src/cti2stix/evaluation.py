@@ -22,12 +22,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .attack_patterns import detect_explicit_techniques
-from .catalog import parent_technique
 from .stix import (
     EntityKind,
     RelationKind,
     StixBundle,
     normalize_name,
+    parent_technique,
 )
 
 # entity kinds a ground-truth file lists names for

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .attack_patterns import TechniqueMatch
 from .stix import (
+    PRINCIPAL_KINDS,
     EntityKind,
     RelationKind,
     StixBundle,
@@ -28,9 +29,6 @@ from .stix import (
 )
 
 logger = logging.getLogger(__name__)
-
-_PRINCIPAL_KINDS = (EntityKind.MALWARE, EntityKind.THREAT_ACTOR)
-
 
 def _add_entity(bundle: StixBundle, ids: set[str], entity: StixEntity) -> None:
     if entity.id not in ids:
@@ -76,7 +74,7 @@ def assemble_bundle(
             _add_relation(bundle, relation_ids,
                           StixRelation(RelationKind.INDICATES, indicator.id, mal.id))
 
-    principals = [e for e in bundle.entities if e.kind in _PRINCIPAL_KINDS]
+    principals = [e for e in bundle.entities if e.kind in PRINCIPAL_KINDS]
     for match in matches:
         ap = technique_entity(match.technique_id, match.name)
         _add_entity(bundle, entity_ids, ap)

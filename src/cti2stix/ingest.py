@@ -1,4 +1,5 @@
-"""Report ingestion: fetch, HTML-to-text extraction, sentence segmentation.
+"""Report ingestion: fetch, HTML-to-text extraction, sentence segmentation
+and chunking.
 
 Vendor blogs wrap the useful prose in very different markup, so extraction is
 plugin-driven: a source plugin is pure configuration (URL pattern plus a
@@ -6,11 +7,11 @@ selector list), never per-source code.  When no plugin claims a URL, a
 generic boilerplate stripper keeps headings, paragraphs, list items, and
 table cells in document order and drops script/style/nav subtrees.
 
-Sentence segmentation is deliberately rule-based and deterministic — the rest
-of the pipeline (chunking, the one-sentence candidate strategy) needs stable
-sentence ids across runs.  Spans tile the source text exactly: every
-character belongs to exactly one sentence span, so joining spans in order
-reproduces the input byte for byte.
+This module is the one owner of splitting report text.  Sentence
+segmentation is deliberately rule-based and deterministic, and the sentences
+tile the source text exactly: joining them in order reproduces the input
+byte for byte.  Chunking packs whole sentences greedily into the chunks that
+prompts carry, so both pipelines split a report the same way.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import string
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Container, Iterable, Union
+from typing import Callable, Container, Iterable, Union
 from urllib.parse import urlparse
 
 import requests
 import yaml
 
 from .iocs import IocMatch, mask_observables, scan_iocs
+from .llm import tokens_for_counts
 
 logger = logging.getLogger(__name__)
 
@@ -63,14 +65,6 @@ class FetchError(Exception):
 
 
 @dataclass
-class Sentence:
-    index: int
-    start: int
-    end: int
-    text: str
-
-
-@dataclass
 class Report:
     """One source document; what the pipelines derive from its text is
     worked out on first use, once."""
@@ -79,7 +73,7 @@ class Report:
     text: str
 
     @functools.cached_property
-    def sentences(self) -> list[Sentence]:
+    def sentences(self) -> list[str]:
         """``text`` segmented, worked out on first use."""
         return segment_sentences(self.text)
 
@@ -648,8 +642,8 @@ def _blank_line_starts(text: str) -> list[int]:
     return starts
 
 
-def segment_sentences(text: str) -> list[Sentence]:
-    """Deterministic sentence segmentation whose spans tile the input.
+def segment_sentences(text: str) -> list[str]:
+    """Deterministic sentence segmentation whose sentences tile the input.
 
     Boundaries fall after terminal punctuation followed by whitespace and an
     upper-case/digit/opening-quote start, with guards for decimals,
@@ -670,10 +664,68 @@ def segment_sentences(text: str) -> list[Sentence]:
 
     ordered = sorted(s for s in starts if 0 < s < len(text))
     bounds = [0] + ordered + [len(text)]
-    sentences = []
-    for index, (start, end) in enumerate(zip(bounds, bounds[1:])):
-        sentences.append(Sentence(index=index, start=start, end=end, text=text[start:end]))
-    return sentences
+    return [text[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+# ---------------------------------------------------------------------------
+# chunking
+
+# the largest chunk any prompt carries, sized for a GPT-3.5-class window
+CHUNK_TOKENS = 1024
+
+
+def _pack(pieces: Iterable[str], budget: int,
+          oversized: Callable[[str], list[str]]) -> list[str]:
+    """Greedy chunks of consecutive *pieces*, each of at most *budget*
+    estimated tokens.  A piece over the budget on its own ends the chunk
+    being built and is replaced by ``oversized(piece)``.  Word and character
+    counts of the chunk being built are kept as it grows, so the cost is
+    linear in the total length of the pieces."""
+    chunks: list[str] = []
+    current: list[str] = []
+    words = chars = 0
+    for piece in pieces:
+        piece_words = len(piece.split())
+        if tokens_for_counts(piece_words, len(piece)) > budget:
+            if current:
+                chunks.append("".join(current))
+                current, words, chars = [], 0, 0
+            chunks.extend(oversized(piece))
+            continue
+        if current and tokens_for_counts(words + piece_words, chars + len(piece)) > budget:
+            chunks.append("".join(current))
+            current, words, chars = [], 0, 0
+        current.append(piece)
+        words += piece_words
+        chars += len(piece)
+    if current:
+        chunks.append("".join(current))
+    return chunks
+
+
+def _split_oversized(piece: str, budget: int) -> list[str]:
+    """Split one over-budget sentence at word boundaries (whitespace stays
+    attached to the preceding word so concatenation is lossless)."""
+    # every token but a leading blank one is one word and follows
+    # whitespace, so joining tokens never merges two words; a single word
+    # over the budget is cut into runs of 8 * budget characters, which hold
+    # at most one word and so estimate at most max(2, budget) tokens
+    step = 8 * budget
+    return _pack(re.findall(r"\S+\s*|\s+", piece), budget,
+                 lambda word: [word[i:i + step] for i in range(0, len(word), step)])
+
+
+def chunk_text(text: str, budget: int) -> list[str]:
+    """Greedy sentence-boundary chunks of at most *budget* estimated tokens.
+
+    Chunks concatenate back to the input exactly.  A single sentence larger
+    than the budget is split at word boundaries as a last resort.
+    """
+    if budget <= 0:
+        raise ValueError("chunk budget must be positive")
+    # every sentence but the first starts after whitespace, so joining
+    # sentences never merges two words and the counts simply add up
+    return _pack(segment_sentences(text), budget, lambda piece: _split_oversized(piece, budget))
 
 
 def make_report(text: str, report_id: str | None = None) -> Report:

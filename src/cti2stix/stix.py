@@ -38,7 +38,9 @@ _NAMESPACE = uuid.uuid5(uuid.NAMESPACE_DNS, "cti2stix")
 _NAMESPACE_SHA1 = hashlib.sha1(_NAMESPACE.bytes)
 
 _WS_RE = re.compile(r"\s+")
-_TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(?:\.\d{3})?$")
+# an ATT&CK technique or sub-technique id, such as T1059 or T1027.002; the
+# digits are ASCII (``\d`` would also take other scripts' digits)
+TECHNIQUE_ID_RE = re.compile(r"\bT[0-9]{4}(?:\.[0-9]{3})?\b")
 
 
 class EntityKind(Enum):
@@ -67,6 +69,10 @@ class RelationKind(Enum):
 
 _K = EntityKind
 _R = RelationKind
+
+# the kinds that act in a report: each receives a targets edge to every
+# target identity and a uses edge to every attack pattern
+PRINCIPAL_KINDS = (EntityKind.MALWARE, EntityKind.THREAT_ACTOR)
 
 # Admissible (source, relation, target) triples.  This is data, not code: the
 # table enumerates which edges a bundle may carry, restricted to the entity
@@ -242,6 +248,21 @@ def _minimal_technique_ref(technique_id: str) -> dict[str, str]:
     return {"source_name": MITRE_SOURCE_NAME, "external_id": technique_id}
 
 
+def parent_technique(technique_id: str) -> str:
+    return technique_id.split(".", 1)[0]
+
+
+def external_technique_id(obj: dict[str, Any]) -> str | None:
+    """The first ATT&CK technique id among *obj*'s external references."""
+    refs = obj.get("external_references")
+    for ref in refs if isinstance(refs, list) else ():
+        if isinstance(ref, dict) and ref.get("source_name") == MITRE_SOURCE_NAME:
+            ext = str(ref.get("external_id", ""))
+            if TECHNIQUE_ID_RE.fullmatch(ext):
+                return ext
+    return None
+
+
 def _entity_from_obj(obj: dict[str, Any]) -> StixEntity:
     data = dict(obj)
     kind = _ENTITY_KIND_BY_TYPE[data.pop("type")]
@@ -250,24 +271,12 @@ def _entity_from_obj(obj: dict[str, Any]) -> StixEntity:
     aliases = list(data.pop("aliases", []) or [])
     data.pop("spec_version", None)
 
-    technique_id: str | None = None
-    refs = data.get("external_references")
-    if isinstance(refs, list):
-        for ref in refs:
-            if (
-                isinstance(ref, dict)
-                and ref.get("source_name") == MITRE_SOURCE_NAME
-                and _TECHNIQUE_ID_RE.match(str(ref.get("external_id", "")))
-            ):
-                technique_id = str(ref["external_id"])
-                break
-        # Drop the reference list from extra only when it carries nothing
-        # beyond the technique id we just lifted out; save() regenerates it.
-        if (
-            technique_id is not None
-            and len(refs) == 1
-            and set(refs[0]) <= {"source_name", "external_id"}
-        ):
+    technique_id = external_technique_id(data)
+    # Drop the reference list from extra only when it carries nothing
+    # beyond the technique id we just lifted out; save() regenerates it.
+    if technique_id is not None:
+        refs = data["external_references"]
+        if len(refs) == 1 and set(refs[0]) <= {"source_name", "external_id"}:
             data.pop("external_references")
 
     return StixEntity(kind=kind, name=name, id=ident, aliases=aliases,

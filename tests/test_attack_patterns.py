@@ -472,6 +472,8 @@ class TestExplicitIds:
 
     def test_no_ids(self):
         assert detect_explicit_techniques("nothing numeric here, not even T99.") == []
+        # digits of other scripts are not ATT&CK ids
+        assert detect_explicit_techniques("T\u0661\u0660\u0665\u0669 T\uff11\uff10\uff12\uff17") == []
 
     def test_requires_word_boundary(self):
         assert detect_explicit_techniques("AT1059 T10590") == []

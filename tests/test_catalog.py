@@ -24,11 +24,11 @@ from cti2stix.catalog import (
     build_catalog,
     catalog_content_hash,
     load_catalog,
-    parent_technique,
     parse_attack_export,
     save_catalog,
 )
 from cti2stix.llm import HashEmbedder, HttpProvider, ProviderConfig, ScriptedProvider
+from cti2stix.stix import parent_technique
 
 from conftest import MITRE_SAMPLE, VTE_CANDIDATE, savez_aligned, write_legacy_catalog
 

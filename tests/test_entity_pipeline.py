@@ -4,6 +4,7 @@ relation queries, and the assembled partial bundle."""
 import hashlib
 import re
 import time
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from cti2stix.entity_pipeline import (
     RELATION_PROMPT,
     SUMMARY_PROMPT,
     VERIFY_PROMPT,
-    chunk_text,
     condense,
     extract_entities,
     extract_relations,
@@ -31,7 +31,7 @@ from cti2stix.entity_pipeline import (
     verify_entity,
 )
 from cti2stix.exporter import assemble_bundle
-from cti2stix.ingest import make_report, segment_sentences
+from cti2stix.ingest import chunk_text, make_report, segment_sentences
 from cti2stix.iocs import ioc_entities, scan_iocs
 from cti2stix.llm import ProviderConfig, ScriptedProvider, estimate_tokens
 from cti2stix.stix import (
@@ -78,9 +78,8 @@ TEN_SENTENCES = " ".join(
 def brute_force_chunk_boundaries(text: str, budget: int) -> list[str]:
     """Independent greedy reference: extend the current chunk sentence by
     sentence while the estimate stays within budget."""
-    sentences = [s.text for s in segment_sentences(text)]
     chunks, current = [], ""
-    for piece in sentences:
+    for piece in segment_sentences(text):
         if current and estimate_tokens(current + piece) > budget:
             chunks.append(current)
             current = piece
@@ -97,7 +96,7 @@ def test_ten_sentences_pack_into_three_chunks():
     assert chunks == brute_force_chunk_boundaries(TEN_SENTENCES, budget)
     assert len(chunks) == 3
     assert "".join(chunks) == TEN_SENTENCES
-    sentence_ends = {s.end for s in segment_sentences(TEN_SENTENCES)}
+    sentence_ends = set(accumulate(map(len, segment_sentences(TEN_SENTENCES))))
     cursor = 0
     for chunk in chunks:
         assert estimate_tokens(chunk) <= budget
@@ -195,8 +194,7 @@ def reference_chunk_text(text: str, budget: int) -> list[str]:
         return []
     chunks: list[str] = []
     current = ""
-    for sentence in segment_sentences(text):
-        piece = sentence.text
+    for piece in segment_sentences(text):
         if reference_estimate_tokens(piece) > budget:
             if current:
                 chunks.append(current)

@@ -6,6 +6,7 @@ import re
 import time
 from html import unescape
 from html.parser import HTMLParser
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -91,21 +92,15 @@ FIFTY_SENTENCES = [
 def test_fifty_sentence_oracle():
     assert len(FIFTY_SENTENCES) == 50
     text = " ".join(FIFTY_SENTENCES)
-    recovered = [s.text.strip() for s in segment_sentences(text)]
+    recovered = [s.strip() for s in segment_sentences(text)]
     assert recovered == FIFTY_SENTENCES
 
 
 def test_segmentation_is_a_partition():
     text = " ".join(FIFTY_SENTENCES)
     sentences = segment_sentences(text)
-    assert "".join(s.text for s in sentences) == text
-    cursor = 0
-    for i, s in enumerate(sentences):
-        assert s.index == i
-        assert s.start == cursor
-        assert s.text == text[s.start : s.end]
-        cursor = s.end
-    assert cursor == len(text)
+    assert "".join(sentences) == text
+    assert all(sentences)
 
 
 @pytest.mark.parametrize(
@@ -132,18 +127,13 @@ def test_boundary_cases(text, expected):
 @given(st.text(max_size=600))
 def test_partition_property(text):
     sentences = segment_sentences(text)
-    assert "".join(s.text for s in sentences) == text
+    assert "".join(sentences) == text
     cursor = 0
-    for i, s in enumerate(sentences):
-        assert (s.index, s.start) == (i, cursor)
-        assert s.end > s.start
+    for s in sentences:
+        assert s
         # chunk_text adds word counts of sentences: no word spans two of them
-        assert i == 0 or text[s.start - 1].isspace()
-        cursor = s.end
-    if text:
-        assert cursor == len(text)
-    else:
-        assert sentences == []
+        assert cursor == 0 or text[cursor - 1].isspace()
+        cursor += len(s)
 
 
 def reference_segment_starts(text: str) -> list[int]:
@@ -174,7 +164,8 @@ _PUNCTUATED = st.lists(
 @given(_PUNCTUATED | st.text(max_size=200))
 @example(" ".join(FIFTY_SENTENCES))
 def test_segmentation_matches_character_scan(text):
-    assert [s.start for s in segment_sentences(text)][1:] == reference_segment_starts(text)
+    ends = list(accumulate(map(len, segment_sentences(text))))
+    assert ends[:-1] == reference_segment_starts(text)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +583,79 @@ def test_no_module_imports_html_parser():
 def test_html_parser_guard_finds_imports():
     source = "import html\nimport html.parser\nfrom html import parser\nfrom html.parser import HTMLParser\n"
     assert html_parser_imports(ast.parse(source)) == [2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# tooling guard: ingest alone splits report text, and the pipelines stay apart
+
+PIPELINES = ("entity_pipeline", "attack_patterns")
+CHUNKING_NAMES = ("chunk_text", "CHUNK_TOKENS")
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """Modules of the ``cti2stix`` package that *tree* imports, by name."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("cti2stix.")}
+        elif isinstance(node, ast.ImportFrom):
+            # the package has no subpackages, so a relative import is level 1
+            module = ".".join(["cti2stix", node.module or ""]) if node.level else node.module
+            if module in ("cti2stix", "cti2stix."):
+                modules |= {a.name for a in node.names}
+            elif (module or "").startswith("cti2stix."):
+                modules.add(module.split(".")[1])
+    return modules
+
+
+def definitions(tree: ast.AST, names: tuple[str, ...]) -> list[int]:
+    """Lines of *tree* that define or assign one of *names*."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in names:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_pipelines_do_not_import_each_other():
+    package = Path(ingest.__file__).resolve().parent
+    for name, other in (PIPELINES, PIPELINES[::-1]):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        assert other not in package_imports(tree), name
+
+
+def test_chunking_is_defined_only_in_ingest():
+    package = Path(ingest.__file__).resolve().parent
+    offenders = {}
+    for path in sorted(package.rglob("*.py")):
+        lines = definitions(ast.parse(path.read_text(encoding="utf-8")), CHUNKING_NAMES)
+        if lines:
+            offenders[path.name] = lines
+    assert list(offenders) == ["ingest.py"]
+    assert len(offenders["ingest.py"]) == len(CHUNKING_NAMES)
+
+
+def test_chunking_guards_find_imports_and_definitions():
+    source = (
+        "import cti2stix.llm\n"
+        "from cti2stix import audit\n"
+        "from cti2stix.stix import EntityKind\n"
+        "from . import iocs\n"
+        "from .entity_pipeline import chunk_text\n"
+        "from .catalog.sub import x\n"
+        "import numpy\n"
+        "from typing import Any\n"
+        "CHUNK_TOKENS = 1024\n"
+        "def chunk_text(text, budget):\n"
+        "    pass\n"
+    )
+    tree = ast.parse(source)
+    assert package_imports(tree) == {"llm", "audit", "stix", "iocs", "entity_pipeline", "catalog"}
+    assert definitions(tree, CHUNKING_NAMES) == [9, 10]
 
 
 _WHITESPACE_HEAVY = st.text(

@@ -22,6 +22,7 @@ from cti2stix.stix import (
     admissible_relations,
     bundle_id,
     entity_id,
+    external_technique_id,
     is_admissible,
     load_bundle,
     normalize_name,
@@ -195,6 +196,37 @@ def test_technique_external_reference_round_trip():
     ap = [o for o in raw["objects"] if o["type"] == "attack-pattern"][0]
     assert ap["external_references"] == [{"source_name": "mitre-attack", "external_id": "T1573"}]
     assert load_bundle(raw).entities_of_kind(K.ATTACK_PATTERN)[0].technique_id == "T1573"
+
+
+def test_technique_id_with_trailing_newline_is_not_an_id():
+    # the catalog refuses this id; the bundle reader must read it the same way
+    refs = [{"source_name": "mitre-attack", "external_id": "T1059\n"}]
+    doc = {
+        "type": "bundle",
+        "id": "bundle--00000000-0000-5000-8000-000000000000",
+        "objects": [{"type": "attack-pattern", "spec_version": "2.1",
+                     "id": "attack-pattern--00000000-0000-5000-8000-000000000001",
+                     "name": "Command and Scripting Interpreter",
+                     "external_references": refs}],
+    }
+    bundle = load_bundle(doc)
+    ap = bundle.entities[0]
+    assert ap.technique_id is None
+    assert ap.extra == {"external_references": refs}
+    text = save_bundle(bundle)
+    assert json.loads(text) == doc
+    assert save_bundle(load_bundle(json.loads(text))) == text
+
+
+@pytest.mark.parametrize("external_id,expected", [
+    ("T1059", "T1059"), ("T1027.002", "T1027.002"), ("T1059\n", None), (" T1059", None),
+    ("T1059.1", None), ("T10590", None), ("T\uff11\uff10\uff15\uff19", None),
+    ("T\u0661\u0660\u0665\u0669", None),
+])
+def test_external_technique_id(external_id, expected):
+    obj = {"external_references": [{"source_name": "other", "external_id": "T1000"},
+                                   {"source_name": "mitre-attack", "external_id": external_id}]}
+    assert external_technique_id(obj) == expected
 
 
 def test_unknown_object_types_skipped_with_warning(caplog):
