@@ -3,7 +3,9 @@
 The flow for one report.  Prompts carry the report's *prompt text*
 (:attr:`cti2stix.ingest.Report.prompt_text`): the original with every
 observable the IoC regexes find replaced by a type marker such as
-``[ipv4]``, since those values become entities without the model.
+``[ipv4]``, since those values become entities without the model, and each
+run of lines with nothing but markers and type labels (a masked IoC table)
+folded into one count line such as ``[2000 observables: 1600 sha256, ...]``.
 
 1. **Condense** — if the report does not fit the prompt budget, summarize it
    chunk by chunk and re-join, repeating until it fits (iterative
@@ -406,11 +408,13 @@ def run_entity_pipeline(
     existing_ids = {e.id for e in entities}
     iocs = [e for e in iocs if e.id not in existing_ids]
     refused = len(report.refused_domains)
+    folded = report.folded_observables
     audit.record("iocs", "decision", count=len(iocs),
                  masked=sum(m.ioc_type != "cve" for m in report.ioc_spans),
                  tokens=estimate_tokens(report.text),
                  prompt_tokens=estimate_tokens(report.prompt_text),
-                 **({"refused": refused} if refused else {}))
+                 **({"refused": refused} if refused else {}),
+                 **({"folded": folded} if folded else {}))
 
     bundle = new_bundle(report.id)
     bundle.entities = entities + iocs

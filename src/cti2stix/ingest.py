@@ -11,7 +11,10 @@ This module is the one owner of splitting report text.  Sentence
 segmentation is deliberately rule-based and deterministic, and the sentences
 tile the source text exactly: joining them in order reproduces the input
 byte for byte.  Chunking packs whole sentences greedily into the chunks that
-prompts carry, so both pipelines split a report the same way.
+prompts carry, so both pipelines split a report the same way.  The text those
+prompts carry is made in one place too, :attr:`Report.prompt_text`: the
+report with its observables masked and its IoC tables folded by
+:mod:`cti2stix.iocs`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from urllib.parse import urlparse
 import requests
 import yaml
 
-from .iocs import IocMatch, mask_observables, scan_iocs
+from .iocs import IocMatch, fold_observables, mask_observables, scan_iocs
 from .llm import tokens_for_counts
 
 logger = logging.getLogger(__name__)
@@ -100,10 +103,21 @@ class Report:
         return self._ioc_scan[1]
 
     @functools.cached_property
+    def _prompt(self) -> tuple[str, int]:
+        return fold_observables(mask_observables(self.text, self.ioc_spans))
+
+    @property
     def prompt_text(self) -> str:
         """``text`` as model prompts carry it: each observable the regexes
-        found is a type marker, as the IoC entities already hold it."""
-        return mask_observables(self.text, self.ioc_spans)
+        found is a type marker, as the IoC entities already hold it, and each
+        run of lines with only markers and type labels (a masked IoC table)
+        is one count line."""
+        return self._prompt[0]
+
+    @property
+    def folded_observables(self) -> int:
+        """How many observables ``prompt_text`` carries in count lines."""
+        return self._prompt[1]
 
 
 @dataclass

@@ -574,12 +574,14 @@ def test_same_malware_from_two_contexts_is_one_entity():
 # prompts carry the observables as type markers
 
 
-def ioc_table_report():
-    """An HTML report whose IoC table outweighs its prose, as vendors publish."""
+def ioc_table_report(rows=500):
+    """An HTML report whose IoC table of *rows* rows (four fifths hashes, the
+    rest addresses and domains) outweighs its prose, as vendors publish."""
     rows = (
-        [("SHA-256", hashlib.sha256(f"sample {i}".encode()).hexdigest()) for i in range(400)]
-        + [("IP", f"45.61.{i}.{i + 7}") for i in range(50)]
-        + [("Domain", f"cdn{i}.grimvault-c2[.]net") for i in range(50)]
+        [("SHA-256", hashlib.sha256(f"sample {i}".encode()).hexdigest())
+         for i in range(rows * 4 // 5)]
+        + [("IP", f"45.61.{i}.{i + 7}") for i in range(rows // 10)]
+        + [("Domain", f"cdn{i}.grimvault-c2[.]net") for i in range(rows // 10)]
     )
     table = "".join(f"<tr><td>{kind}</td><td>{value}</td></tr>" for kind, value in rows)
     html = (
@@ -612,6 +614,26 @@ def test_ioc_table_report_fits_the_default_window_unsummarized():
     assert not [p for p in provider.prompts if p.startswith("Write a concise summary")]
     indicators = bundle.entities_of_kind(EntityKind.INDICATOR)
     assert len(indicators) == 500
+
+
+def test_ioc_table_of_2000_rows_folds_and_makes_no_condense_call():
+    # masked, the table alone is over the default extraction budget; folded,
+    # it is one count line
+    report = ioc_table_report(rows=2000)
+    budget = extraction_budget(ProviderConfig())
+    assert report.folded_observables == 2000
+    assert estimate_tokens(report.prompt_text) < 100 < budget
+
+    provider = scripted(GRIMVAULT_SCRIPT)
+    bundle, trail = run_pipeline(report, provider, EntityPipelineConfig())
+    assert outcomes(trail, "condense") == ["pass-through"]
+    assert not [p for p in provider.prompts if p.startswith("Write a concise summary")]
+    assert all("[2000 observables: 1600 sha256, 200 ipv4, 200 domain]" in prompt
+               for prompt in provider.prompts)
+    assert len(bundle.entities_of_kind(EntityKind.INDICATOR)) == 2000
+    (decision,) = decisions(trail, "iocs")
+    assert decision["folded"] == 2000 and decision["masked"] == 2001
+    assert decision["prompt_tokens"] == estimate_tokens(report.prompt_text)
 
 
 GRIMVAULT_TEXT = (

@@ -658,6 +658,44 @@ def test_chunking_guards_find_imports_and_definitions():
     assert definitions(tree, CHUNKING_NAMES) == [9, 10]
 
 
+PROMPT_TEXT_MAKERS = ("mask_observables", "fold_observables")
+
+
+def prompt_text_calls(tree: ast.AST) -> list[int]:
+    """Lines of *tree* that call one of :data:`PROMPT_TEXT_MAKERS`, by name
+    or as an attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in PROMPT_TEXT_MAKERS:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_ingest_makes_prompt_text():
+    # Report.prompt_text is the one place the masked, folded text is made
+    package = Path(ingest.__file__).resolve().parent
+    offenders = {}
+    for path in sorted(package.rglob("*.py")):
+        lines = prompt_text_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if lines:
+            offenders[path.name] = lines
+    assert list(offenders) == ["ingest.py"]
+
+
+def test_prompt_text_guard_finds_calls():
+    source = (
+        "from cti2stix import iocs\n"
+        "from cti2stix.iocs import fold_observables, mask_observables\n"
+        "text = fold_observables(mask_observables(t, spans))\n"
+        "iocs.mask_observables(t, spans)\n"
+        "masked = mask_observables\n"
+    )
+    assert prompt_text_calls(ast.parse(source)) == [3, 3, 4]
+
+
 _WHITESPACE_HEAVY = st.text(
     st.characters()
     | st.sampled_from(list(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u200b\u2028\u3000\ufeff"))

@@ -1,13 +1,23 @@
 """IoC extractor tests: defanging, hash classing, overlap and dedup rules."""
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cti2stix import iocs
-from cti2stix.iocs import IocMatch, find_iocs, ioc_entities, mask_observables, refang, scan_iocs
+from cti2stix.iocs import (
+    IocMatch,
+    find_iocs,
+    fold_observables,
+    ioc_entities,
+    mask_observables,
+    refang,
+    scan_iocs,
+)
+from cti2stix.llm import estimate_tokens
 from cti2stix.stix import EntityKind
 
 
@@ -204,6 +214,21 @@ def test_hxxp_at_the_start_of_a_domain_is_kept():
 def test_scheme_inside_a_longer_word_is_no_url():
     # why URL_RE keeps its lookbehind: without it, the URL ftp://files.evil.com/x
     assert types_and_values("sftp://files.evil.com/x") == [("domain", "files.evil.com")]
+
+
+@pytest.mark.parametrize("text,url", [
+    ("see xhttp://a.com/x now", "http://a.com/x"),
+    ("see _https://b.org/y now", "https://b.org/y"),
+    ("see URLhxxp://evil[.]com/a now", "http://evil.com/a"),
+])
+def test_http_scheme_after_a_letter_or_underscore_is_a_url(text, url):
+    spans = scan_iocs(text)
+    assert [(m.ioc_type, m.value) for m in spans] == [("url", url)]
+    assert "[url]" in mask_observables(text, spans)
+
+
+def test_ftp_scheme_inside_a_longer_word_is_no_url():
+    assert types_and_values("tftp://boot.evil.com/x") == [("domain", "boot.evil.com")]
 
 
 def reference_refang(value):
@@ -407,3 +432,137 @@ def test_masked_text_holds_only_the_cves(first, second):
         pos = m.end
     kept.append(text[pos:])
     assert _MARKER_RE.sub("", masked) == "".join(kept)
+
+
+# ---------------------------------------------------------------------------
+# folding: a masked IoC table becomes one count line
+
+
+def test_masked_table_folds_into_one_count_line():
+    masked = ("GrimVault beacons to [ipv4].\n\ntype\n\nvalue\n\n"
+              + "SHA-256\n\n[sha256]\n\nIP\n\n[ipv4]\n\n" * 3 + "Domain: [domain]\n\nEnd.")
+    assert fold_observables(masked) == (
+        "GrimVault beacons to [ipv4].\n\ntype\n\nvalue\n\n"
+        "[7 observables: 3 sha256, 3 ipv4, 1 domain]\n\nEnd.", 7)
+
+
+@pytest.mark.parametrize("line,ioc_type,n", [
+    ("sha256 | [sha256]", "sha256", 1), ("SHA-1, [sha1]", "sha1", 1), ("md5; [md5]", "md5", 1),
+    ("IPv4 [ipv4]", "ipv4", 1), ("ip: [ipv4]", "ipv4", 1), ("URL [url]", "url", 1),
+    ("  DOMAIN  [domain]", "domain", 1), ("[url][url]", "url", 2),
+])
+def test_the_labels_vendors_print_fold(line, ioc_type, n):
+    assert fold_observables("\n".join([line] * 4)) == (
+        f"[{4 * n} observables: {4 * n} {ioc_type}]", 4 * n)
+
+
+@pytest.mark.parametrize("masked", [
+    "[sha256]",  # the count line would be longer
+    "sha256\n[sha256]",
+    "sha256 sums of [sha256] and [sha256]",  # a line with another word
+    "IPs\n[ipv4]\nIPs\n[ipv4]",
+    "sha256sum\n\n[sha256] [sha256]",
+    "[ipv4].\n[ipv4].\n[ipv4].",  # a period is no separator
+    "[SHA256]\n[SHA256]\n[SHA256]",  # markers are lower case
+    "IP\nURL\nDomain\nSHA-256\nmd5",  # no marker
+])
+def test_what_does_not_fold(masked):
+    assert fold_observables(masked) == (masked, 0)
+
+
+_MARKERS = st.sampled_from(["[url]", "[ipv4]", "[domain]", "[sha256]", "[sha1]", "[md5]"])
+_TYPE_LABELS = st.sampled_from(["sha256", "SHA-256", "Sha-1", "sha1", "MD5", "md5", "IPv4",
+                                "IP", "ip", "Domain", "URL", "url"])
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " | ", ", ", ": ", ";", "|", ""])
+_table_lines = st.builds(
+    lambda lead, cells, seps: lead + "".join(c + s for c, s in zip(cells, seps)),
+    st.sampled_from(["", " ", "| "]),
+    st.lists(_MARKERS | _TYPE_LABELS, min_size=1, max_size=4),
+    st.lists(_SEPARATORS, min_size=4, max_size=4),
+)
+_prose_lines = st.sampled_from([
+    "GrimVault beacons to [ipv4] for tasking.",
+    "The IP was blocked at the border.",
+    "Indicators of compromise",
+    "type | value",
+    "URL shortener abuse",
+    "sha256sum [sha256]",
+    "IPs: [ipv4], [ipv4]",
+    "[sha256].",
+    "[12 observables: 12 md5]",
+    "The operators exploit CVE-2023-1234.",
+    "Domain-wide policy",
+    "ſha256 [sha256]",
+    "Type",
+    "Hashes",
+    "IPs",
+])
+_blank_lines = st.sampled_from(["", " ", "\t"])
+_tables = st.builds(lambda lines, gap: gap.join(lines),
+                    st.lists(_table_lines, min_size=1, max_size=12), st.sampled_from(["\n", "\n\n"]))
+_masked_texts = st.lists(_tables | _prose_lines | _blank_lines, max_size=12).map("\n".join)
+_FOLD_LABELS = {"sha256", "sha-256", "sha1", "sha-1", "md5", "ipv4", "ip", "domain", "url"}
+_COUNT_LINE_RE = re.compile(r"\[\d+ observables?: \d+ \w+(?:, \d+ \w+)*\]")
+
+
+def has_other_word(line):
+    """Whether *line* holds a word besides markers and type labels, by a
+    split on the separators the fold allows."""
+    pieces = re.split(r"[\s,;:|]+", _MARKER_RE.sub(" ", line))
+    return any(piece and piece.casefold() not in _FOLD_LABELS for piece in pieces)
+
+
+def marker_counts(text):
+    """Markers in *text* per type, plus those its count-shaped lines carry:
+    (markers, carried, count lines)."""
+    markers, carried, lines = Counter(), Counter(), Counter()
+    markers.update(marker[1:-1] for marker in _MARKER_RE.findall(text))
+    for line in text.split("\n"):
+        if _COUNT_LINE_RE.fullmatch(line):
+            lines[line] += 1
+            total, _, parts = line[1:-1].partition(": ")
+            assert int(total.split()[0]) == sum(int(p.split()[0]) for p in parts.split(", "))
+            for part in parts.split(", "):
+                n, ioc_type = part.split()
+                carried[ioc_type] += int(n)
+    return markers, carried, lines
+
+
+@given(_masked_texts)
+@example("[sha256]\n" * 3)
+@example("sha256\n\n[sha256]\n\nIP: [ipv4]")
+@example("ip[ipv4]ip\n[ipv4]ip")
+@settings(max_examples=300, deadline=None)
+def test_fold_properties(masked):
+    folded, count = fold_observables(masked)
+    # idempotent
+    assert fold_observables(folded) == (folded, 0)
+    # never more estimated tokens
+    assert estimate_tokens(folded) <= estimate_tokens(masked)
+    # every line with another word survives, in order; only count lines are new
+    lines = folded.split("\n")
+    assert all(_COUNT_LINE_RE.fullmatch(line) for line in set(lines) - set(masked.split("\n")))
+    kept = [line for line in lines if has_other_word(line) and not _COUNT_LINE_RE.fullmatch(line)]
+    assert kept == [line for line in masked.split("\n")
+                    if has_other_word(line) and not _COUNT_LINE_RE.fullmatch(line)]
+    # the new count lines' totals are the markers they replaced, per type
+    markers_before, carried_before, lines_before = marker_counts(masked)
+    markers_after, carried_after, lines_after = marker_counts(folded)
+    assert lines_after >= lines_before
+    assert carried_after - carried_before == markers_before - markers_after
+    assert count == (markers_before - markers_after).total()
+
+
+@given(_masked_texts)
+@settings(max_examples=200, deadline=None)
+def test_possessive_runs_are_the_greedy_runs(masked):
+    # iocs makes the run repeat possessive where Python has it (3.11+)
+    greedy = re.compile(iocs._FOLD_RUN_RE.pattern.replace(")*+$", ")*$"), re.MULTILINE)
+    assert ([m.span() for m in iocs._FOLD_RUN_RE.finditer(masked)]
+            == [m.span() for m in greedy.finditer(masked)])
+
+
+@given(st.lists(_TYPE_LABELS | _prose_lines.filter(lambda line: "[" not in line)
+                | _blank_lines, max_size=20).map("\n".join))
+def test_fold_is_the_identity_without_markers(text):
+    assert fold_observables(text) == (text, 0)
