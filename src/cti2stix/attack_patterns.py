@@ -64,7 +64,6 @@ _STEP_PREFIX_RE = re.compile(r"^\s*(?:\d+[.):]\s*|[-*•]\s+|step\s+\d+\s*[:.]\s
 class AttackPatternConfig:
     strategies: tuple[str, ...] = STRATEGIES
     threshold: float = 0.80
-    include_explicit: bool = True
 
     def __post_init__(self) -> None:
         # a repeat would ask every vte or sbsa prompt again
@@ -264,10 +263,9 @@ def run_attack_pattern_pipeline(
                 if tid not in best or score > best[tid]:
                     best[tid] = score
 
-    if config.include_explicit:
-        for tid in detect_explicit_techniques(report.text):
-            best.setdefault(tid, None)
-            audit.record("attack-pattern", "decision", rule="explicit-id", technique=tid)
+    for tid in detect_explicit_techniques(report.text):
+        best.setdefault(tid, None)
+        audit.record("attack-pattern", "decision", rule="explicit-id", technique=tid)
 
     names = catalog.technique_names()
     return [TechniqueMatch(tid, names.get(tid), best[tid]) for tid in sorted(best)]

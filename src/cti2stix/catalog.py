@@ -27,17 +27,15 @@ file is one flat layout, in this order:
    that the matrix starts at a multiple of 64 bytes into the file;
 4. the matrix bytes, in C order and the matrix's own dtype.
 
-Loading maps the file read-only and uses the matrix in place, in whichever
-of float32 and float64 the file holds, so concurrent processes share one copy
-in the page cache; both CRC-32s are still checked before a catalog is
-returned, the matrix's on a helper thread.  Because the matrix is the file, a
-catalog file is replaced (written beside it, then renamed), never rewritten
-in place: truncating a mapped file would crash the processes reading it.
-Only files in this layout load: an older version's zip (``.npz``) file is
-refused, and ``cti2stix catalog build`` rebuilds it once, re-embedding through
-the provider (free when its response cache holds the embeddings).  A float64
-catalog still loads and scores in float64; ``catalog build`` rewrites it
-once as float32 from its own matrix, with no embedding calls.
+Loading maps the file read-only and uses the matrix in place, so concurrent
+processes share one copy in the page cache; both CRC-32s are still checked
+before a catalog is returned, the matrix's on a helper thread.  Because the
+matrix is the file, a catalog file is replaced (written beside it, then
+renamed), never rewritten in place: truncating a mapped file would crash the
+processes reading it.  Only float32 files in this layout load: an older
+version's zip (``.npz``) file or a matrix of any other dtype is refused, and
+``cti2stix catalog build`` rebuilds it once, re-embedding through the
+provider (free when its response cache holds the embeddings).
 """
 
 from __future__ import annotations
@@ -66,9 +64,7 @@ _HEADER_START = len(_MAGIC) + _LENGTHS.size
 _ALIGN = 64  # file offset alignment of the matrix
 _ZIP_MAGIC = b"PK\x03\x04"  # older versions wrote a zip (.npz) file
 _REBUILD = "written by an older version; rebuild it with `cti2stix catalog build`"
-# the dtype build_catalog embeds into; the dtypes a file may hold, by header name
-_DTYPE = np.dtype(np.float32)
-_MATRIX_DTYPES = {d.str: d for d in (_DTYPE, np.dtype(np.float64))}
+_DTYPE = np.dtype(np.float32)  # the one dtype a catalog file holds
 
 
 class CatalogError(ValueError):
@@ -213,15 +209,12 @@ def build_catalog(
     """Parse, embed, and return the catalog, reusing a valid cache if given.
 
     The cache is valid only when both the embedding model id and the content
-    hash of the parsed export match; an unreadable cache is rebuilt too.  A
-    valid cache that holds a float64 matrix is rewritten as float32 from its
-    own rows, with no embedding calls.
+    hash of the parsed export match; an unreadable cache is rebuilt too.
     """
     techniques = parse_attack_export(source)
     content_hash = catalog_content_hash(techniques)
     model = provider.config.embedding_model
 
-    vectors = None
     if cache_path is not None and Path(cache_path).exists():
         try:
             cached = load_catalog(cache_path)
@@ -232,13 +225,9 @@ def build_catalog(
                 logger.info(
                     "catalog cache stale (model %s vs %s); rebuilding", cached.model, model
                 )
-            elif cached.vectors.dtype == _DTYPE:
+            else:
                 logger.info("catalog cache hit (%d entries)", len(cached.entries))
                 return cached
-            else:
-                logger.info("catalog cache holds a %s matrix; rewriting it as %s",
-                            cached.vectors.dtype, _DTYPE)
-                vectors = cached.vectors.astype(_DTYPE)
 
     texts: list[str] = []
     meta: list[tuple[str, str, str]] = []  # (tid, name, example_id)
@@ -251,9 +240,8 @@ def build_catalog(
             texts.append(example)
             meta.append((tid, entry["name"], f"procedure-{n}"))
 
-    if vectors is None:
-        vectors = (np.asarray(provider.embed(texts), dtype=_DTYPE) if texts
-                   else np.zeros((0, 0), dtype=_DTYPE))
+    vectors = (np.asarray(provider.embed(texts), dtype=_DTYPE) if texts
+               else np.zeros((0, 0), dtype=_DTYPE))
     entries = [CatalogEntry(tid, name, example_id, text)
                for (tid, name, example_id), text in zip(meta, texts)]
     catalog = TechniqueCatalog(model=model, content_hash=content_hash, entries=entries,
@@ -268,8 +256,11 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
 
     The file is written beside *path* and then renamed over it, so *path*
     never holds a torn catalog, and processes that have the old file mapped
-    keep reading it.
+    keep reading it.  Raises :class:`CatalogError` when the matrix is not
+    float32: a cast could turn values beyond float32's range into ``inf``.
     """
+    if catalog.vectors.dtype != _DTYPE:
+        raise CatalogError(f"cannot save a {catalog.vectors.dtype} matrix, need {_DTYPE}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     matrix = np.ascontiguousarray(catalog.vectors)
@@ -304,10 +295,10 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
     norms and segments are built.
 
     Raises :class:`CatalogError` when the file is not a catalog, is
-    truncated, fails a CRC-32 check, when its matrix is not float32 or
-    float64 (native byte order) or not ``(len(entries), dim)`` as its header
-    says, or when it was written by an older version: ``cti2stix catalog
-    build`` rebuilds such a file.
+    truncated, fails a CRC-32 check, when its matrix is not float32 (native
+    byte order) or not ``(len(entries), dim)`` as its header says, or when
+    it was written by an older version: ``cti2stix catalog build`` rebuilds
+    such a file.
     """
     try:
         with open(path, "rb") as fh:
@@ -327,19 +318,18 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
                 raise CatalogError(f"catalog {path}: header fails its CRC-32 check")
             meta = json.loads(bytes(view[_HEADER_START:offset]))
             entries = [CatalogEntry(**item) for item in meta["entries"]]
-            dtype = _MATRIX_DTYPES.get(meta["dtype"])
-            if dtype is None:
+            if meta["dtype"] != _DTYPE.str:
                 raise CatalogError(f"catalog {path}: vectors have dtype {meta['dtype']}, "
-                                   f"need float32 or float64")
+                                   f"need float32 ({_DTYPE.str})")
             shape = tuple(meta["shape"])
             if shape != (len(entries), meta["dim"]):
                 raise CatalogError(f"catalog {path}: vectors have shape {shape}, "
                                    f"its metadata says {(len(entries), meta['dim'])}")
             count = shape[0] * shape[1]
-            if len(view) - offset != count * dtype.itemsize:
+            if len(view) - offset != count * _DTYPE.itemsize:
                 raise ValueError(f"its matrix holds {len(view) - offset} bytes, "
-                                 f"its header says {count * dtype.itemsize}")
-            vectors = np.frombuffer(view, dtype, count, offset).reshape(shape)
+                                 f"its header says {count * _DTYPE.itemsize}")
+            vectors = np.frombuffer(view, _DTYPE, count, offset).reshape(shape)
             catalog = TechniqueCatalog(model=meta["model"], content_hash=meta["content_hash"],
                                        entries=entries, vectors=vectors)
             if matrix_crc.result() != meta["matrix_crc32"]:

@@ -428,8 +428,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if not eligible:
         raise ConfigError("no ground-truth reports with text and technique labels")
 
-    # score candidates once per report at threshold 0; re-threshold in memory
-    zero = dataclasses.replace(config.attack_patterns, threshold=0.0, include_explicit=False)
+    # score candidates once per report at threshold 0; re-threshold in memory.
+    # An id only written in the text carries no score, so it is left out.
+    zero = dataclasses.replace(config.attack_patterns, threshold=0.0)
     best_scores: dict[str, dict[str, float]] = {}
     for report_id in sorted(eligible):
         report = make_report(eligible[report_id].text, report_id=report_id)

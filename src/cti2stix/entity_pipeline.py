@@ -262,7 +262,7 @@ def verify_entity(name: str, report: Report, provider: Any, audit: AuditTrail) -
     audit's ``verify`` decision records which (``literal``, ``llm`` or
     ``unverified``)."""
     squashed = collapse_whitespace(name).casefold()
-    if squashed and squashed in report.folded_text:
+    if squashed and squashed in report.squashed_text:
         audit.record("verify", "decision", name=name, outcome="literal")
         return True
 
@@ -404,7 +404,7 @@ def run_entity_pipeline(
 
     # IoCs from the spans found in the original text; assembly draws their
     # indicates edges
-    iocs = ioc_entities(report.text, report.ioc_spans)
+    iocs = ioc_entities(report.ioc_spans)
     existing_ids = {e.id for e in entities}
     iocs = [e for e in iocs if e.id not in existing_ids]
     refused = len(report.refused_domains)

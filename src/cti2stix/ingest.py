@@ -42,7 +42,8 @@ logger = logging.getLogger(__name__)
 _SENTENCE_PUNCT = ".!?"
 _CLOSER_CHARS = "\"')]”’»"
 # a punctuation run that whitespace or the end of the text follows, maybe
-# after closers; at any other run _is_boundary finds a mid-token period
+# after closers; a run inside a token (decimals, versions, domains, defanged
+# IPs) never matches, so _is_boundary sees only runs that end a token
 _PUNCT_RUN = re.compile(f"[{re.escape(_SENTENCE_PUNCT)}]+[{re.escape(_CLOSER_CHARS)}]*(?!\\S)")
 _BLANK_LINE = re.compile(r"\n[ \t\r]*\n\s*")
 _OPENER_CHARS = "\"'“‘([«"
@@ -81,7 +82,7 @@ class Report:
         return segment_sentences(self.text)
 
     @functools.cached_property
-    def folded_text(self) -> str:
+    def squashed_text(self) -> str:
         """``text`` whitespace-squashed and casefolded, worked out once per
         report for case- and spacing-insensitive substring checks."""
         return collapse_whitespace(self.text).casefold()
@@ -617,16 +618,14 @@ def _prev_token(text: str, dot: int) -> str:
 
 
 def _is_boundary(text: str, i: int) -> int:
-    """If a sentence ends at punctuation index *i*, return the index where
-    the next sentence starts; else -1."""
+    """If a sentence ends at the start *i* of a ``_PUNCT_RUN`` match, return
+    the index where the next sentence starts; else -1."""
     j = i
     while j < len(text) and text[j] in _SENTENCE_PUNCT:
         j += 1
     run = text[i:j]
     while j < len(text) and text[j] in _CLOSER_CHARS:
         j += 1
-    if j < len(text) and not text[j].isspace():
-        return -1  # mid-token period: decimals, versions, domains, defanged IPs
 
     if run == ".":
         token = _prev_token(text, i).rstrip(".")

@@ -273,11 +273,11 @@ def _stix_pattern(ioc_type: str, value: str) -> str:
     return f"[{field} = '{escaped}']"
 
 
-def ioc_entities(text: str, spans: Sequence[IocMatch] | None = None) -> list[StixEntity]:
-    """Indicator/Vulnerability entities for every IoC in *text*; *spans* is
-    ``scan_iocs(text)`` when the caller already has it."""
+def ioc_entities(spans: Sequence[IocMatch]) -> list[StixEntity]:
+    """Indicator/Vulnerability entities for every IoC in *spans*, a text's
+    ``scan_iocs``."""
     entities = []
-    for match in unique_iocs(scan_iocs(text) if spans is None else spans):
+    for match in unique_iocs(spans):
         if match.ioc_type == "cve":
             entities.append(StixEntity(EntityKind.VULNERABILITY, match.value))
             continue

@@ -297,10 +297,6 @@ class HttpProvider:
         self._sleep = sleep
         self._semaphore = threading.Semaphore(config.max_concurrent)
         self._cache = ResponseCache(config.cache_path) if config.cache_path else None
-        # the semaphore admits max_concurrent holders, so counters need a lock
-        self._counter_lock = threading.Lock()
-        self.retries_total = 0
-        self.calls_total = 0
 
     def _headers(self) -> dict[str, str]:
         key = os.environ.get(self.config.api_key_env, "")
@@ -317,13 +313,9 @@ class HttpProvider:
         for attempt in range(self.config.retry_attempts):
             if attempt:
                 wait = min(self.config.retry_backoff * (2 ** (attempt - 1)), 60.0)
-                with self._counter_lock:
-                    self.retries_total += 1
                 logger.warning("retrying %s after %s (wait %.1fs)", path, last_error, wait)
                 self._sleep(wait)
             with self._semaphore:
-                with self._counter_lock:
-                    self.calls_total += 1
                 try:
                     status, body = self._transport(url, payload, headers, self.config.timeout)
                 except (requests.ConnectionError, requests.Timeout, OSError) as exc:

@@ -4,6 +4,7 @@ matching technique-catalog fixture for hermetic end-to-end runs."""
 import json
 import struct
 import zipfile
+import zlib
 from dataclasses import asdict
 
 import numpy as np
@@ -162,6 +163,28 @@ def write_legacy_catalog(path, catalog, writer):
             "entries": [asdict(e) for e in catalog.entries]}
     with path.open("wb") as fh:
         writer(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=catalog.vectors)
+
+
+def write_raw_catalog(path, header, matrix):
+    """A file in the catalog layout around *header* and the bytes *matrix*,
+    its header CRC correct and its matrix 64-byte aligned."""
+    blob = json.dumps(header).encode()
+    blob += b" " * (-(19 + 12 + len(blob)) % 64)
+    path.write_bytes(b"cti2stix-catalog 1\n" + struct.pack("<QI", len(blob), zlib.crc32(blob))
+                     + blob + matrix)
+
+
+def write_unchecked_catalog(path, catalog):
+    """The file :func:`save_catalog` writes for *catalog*, in the matrix's own
+    dtype and shape: save_catalog refuses a matrix that is not float32, and a
+    ``TechniqueCatalog`` one whose shape disagrees with its entries."""
+    matrix = np.ascontiguousarray(catalog.vectors)
+    write_raw_catalog(path, {"model": catalog.model, "dim": catalog.dim,
+                             "content_hash": catalog.content_hash,
+                             "dtype": matrix.dtype.str, "shape": list(matrix.shape),
+                             "matrix_crc32": zlib.crc32(matrix),
+                             "entries": [asdict(e) for e in catalog.entries]},
+                      matrix.tobytes())
 
 
 def cosine(a, b):

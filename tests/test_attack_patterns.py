@@ -581,7 +581,7 @@ class TestPipeline:
             vectors=np.array([0.9 * e1 + 0.3 * e2, e2, e1, 0.8 * e3 + 0.5 * e1,
                               0.7 * e2 + 0.7 * e3]),
         )
-        config = AttackPatternConfig(threshold=0.5, include_explicit=False)
+        config = AttackPatternConfig(threshold=0.5)
         ids, matches, _ = run_pipeline(report, catalog, ScriptedProvider(script), config)
 
         # reference: classify each candidate on its own, keep each

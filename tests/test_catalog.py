@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cti2stix.attack_patterns import classify_vectors
 from cti2stix.catalog import (
     CatalogEntry,
     CatalogError,
@@ -30,7 +29,14 @@ from cti2stix.catalog import (
 from cti2stix.llm import HashEmbedder, HttpProvider, ProviderConfig, ScriptedProvider
 from cti2stix.stix import parent_technique
 
-from conftest import MITRE_SAMPLE, VTE_CANDIDATE, savez_aligned, write_legacy_catalog
+from conftest import (
+    MITRE_SAMPLE,
+    VTE_CANDIDATE,
+    savez_aligned,
+    write_legacy_catalog,
+    write_raw_catalog,
+    write_unchecked_catalog,
+)
 
 
 def test_parent_technique():
@@ -242,29 +248,28 @@ class TestCache:
 
     def test_empty_catalog_round_trips(self, tmp_path):
         empty = TechniqueCatalog(model="hash-32", content_hash="x", entries=[],
-                                 vectors=np.zeros((0, 0)))
+                                 vectors=np.zeros((0, 0), dtype=np.float32))
         path = tmp_path / "empty.npz"
         save_catalog(empty, path)
         assert load_catalog(path).entries == []
 
 
 def write_catalog_file(path, entries, dim, vectors):
-    # save_catalog writes what it is given; a TechniqueCatalog would refuse the shape
-    save_catalog(SimpleNamespace(
+    write_unchecked_catalog(path, SimpleNamespace(
         model="stub", dim=dim, content_hash="x", vectors=vectors,
-        entries=[CatalogEntry(tid, "n", "description", tid) for tid in entries]), path)
+        entries=[CatalogEntry(tid, "n", "description", tid) for tid in entries]))
 
 
 class TestMalformedFile:
     def test_fewer_rows_than_entries(self, tmp_path):
         path = tmp_path / "short.npz"
-        write_catalog_file(path, ["T1001", "T1002", "T1003"], 3, np.ones((2, 3)))
+        write_catalog_file(path, ["T1001", "T1002", "T1003"], 3, np.ones((2, 3), np.float32))
         with pytest.raises(CatalogError, match=r"shape \(2, 3\).*\(3, 3\)"):
             load_catalog(path)
 
     def test_rows_wider_than_metadata_dim(self, tmp_path):
         path = tmp_path / "wide.npz"
-        write_catalog_file(path, ["T1001", "T1002"], 3, np.ones((2, 5)))
+        write_catalog_file(path, ["T1001", "T1002"], 3, np.ones((2, 5), np.float32))
         with pytest.raises(CatalogError, match=r"shape \(2, 5\).*\(2, 3\)"):
             load_catalog(path)
 
@@ -285,33 +290,17 @@ def read_header(path):
     return json.loads(raw[start:start + length]), start + length
 
 
-def write_raw_catalog(path, header, matrix):
-    """A file in the catalog layout around *header* and the bytes *matrix*,
-    its header CRC correct and its matrix 64-byte aligned."""
-    blob = json.dumps(header).encode()
-    blob += b" " * (-(19 + 12 + len(blob)) % 64)
-    path.write_bytes(b"cti2stix-catalog 1\n" + struct.pack("<QI", len(blob), zlib.crc32(blob))
-                     + blob + matrix)
-
-
 def make_catalog(vectors):
     entries = [CatalogEntry(f"T{1000 + i}", "n", "description", f"text {i}")
                for i in range(len(vectors))]
     return TechniqueCatalog(model="stub", content_hash="x", entries=entries, vectors=vectors)
 
 
-def _matrices(dtype):
-    return arrays(dtype, st.tuples(st.integers(0, 5), st.integers(0, 7)),
-                  elements=st.floats(allow_nan=False, allow_infinity=False,
-                                     width=np.dtype(dtype).itemsize * 8))
-
-
 class TestMappedFile:
     @settings(max_examples=80, deadline=None)
-    @given(st.one_of(_matrices(np.float32), _matrices(np.float64)))
-    @example(np.zeros((0, 0)))
+    @given(arrays(np.float32, st.tuples(st.integers(0, 5), st.integers(0, 7)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False, width=32)))
     @example(np.zeros((0, 0), dtype=np.float32))
-    @example(np.array([[-0.0, 5e-324, -2.2250738585072014e-308, 1.5]]))
     @example(np.array([[-0.0, 1e-45, -1.1754944e-38, 1.5]], dtype=np.float32))
     def test_round_trip_is_an_aligned_read_only_view(self, vectors):
         with tempfile.TemporaryDirectory() as tmp:
@@ -469,56 +458,43 @@ class TestMappedFile:
 
 
 class TestDtype:
-    def test_float64_file_maps_and_classifies_as_before(self, mini_catalog, tmp_path):
-        # older versions saved this layout with a float64 matrix
-        wide = TechniqueCatalog(model=mini_catalog.model, content_hash=mini_catalog.content_hash,
-                                entries=mini_catalog.entries,
-                                vectors=mini_catalog.vectors.astype(np.float64))
+    def test_build_rebuilds_a_float64_file_as_float32(self, mini_catalog, tmp_path, caplog):
+        """Older versions saved this layout with a float64 matrix; ``catalog
+        build`` re-embeds it once, as it does an older zip file."""
         path = tmp_path / "catalog.npz"
-        save_catalog(wide, path)
-        loaded = load_catalog(path)
-        assert loaded.vectors.dtype == np.float64
-        assert not loaded.vectors.flags.owndata and not loaded.vectors.flags.writeable
-        np.testing.assert_array_equal(loaded.norms, wide.norms)
-        queries = np.random.default_rng(3).standard_normal((6, mini_catalog.dim))
-        queries[0] = wide.vectors[0]
-        assert classify_vectors(queries, loaded, 0.1) == classify_vectors(queries, wide, 0.1)
-
-    def test_build_rewrites_a_float64_cache_without_embedding(self, mini_catalog, tmp_path,
-                                                              caplog):
-        path = tmp_path / "catalog.npz"
-        wide = mini_catalog.vectors.astype(np.float64)
-        save_catalog(TechniqueCatalog(model=mini_catalog.model,
-                                      content_hash=mini_catalog.content_hash,
-                                      entries=mini_catalog.entries, vectors=wide), path)
+        write_unchecked_catalog(path, TechniqueCatalog(
+            model=mini_catalog.model, content_hash=mini_catalog.content_hash,
+            entries=mini_catalog.entries, vectors=mini_catalog.vectors.astype(np.float64)))
         provider = ScriptedProvider(script=[])
-        with caplog.at_level(logging.INFO, logger="cti2stix.catalog"):
+        with caplog.at_level(logging.WARNING, logger="cti2stix.catalog"):
             rebuilt = build_catalog(MITRE_SAMPLE, provider, cache_path=path)
-        assert provider.embedded == []
-        assert any("rewriting it as float32" in r.message for r in caplog.records)
-        assert rebuilt.entries == mini_catalog.entries
-        np.testing.assert_array_equal(rebuilt.vectors, wide.astype(np.float32))
+        assert provider.embedded == [e.text for e in mini_catalog.entries]
+        assert any("dtype <f8" in r.message and "rebuilding" in r.message
+                   for r in caplog.records)
         reloaded = load_catalog(path)
         assert reloaded.vectors.dtype == np.float32 and not reloaded.vectors.flags.owndata
-        # now an ordinary cache hit
-        again = ScriptedProvider(script=[])
-        with caplog.at_level(logging.INFO, logger="cti2stix.catalog"):
-            caplog.clear()
-            build_catalog(MITRE_SAMPLE, again, cache_path=path)
-        assert again.embedded == []
-        assert any("cache hit" in r.message for r in caplog.records)
+        assert reloaded.entries == rebuilt.entries == mini_catalog.entries
+        np.testing.assert_array_equal(reloaded.vectors, mini_catalog.vectors)
+
+    @pytest.mark.parametrize("vectors", [np.ones((1, 3)), np.array([[1e300, 0.0, 0.0]])])
+    def test_save_refuses_a_float64_matrix(self, tmp_path, vectors):
+        # a cast would write 1e300 as inf
+        path = tmp_path / "catalog.npz"
+        with pytest.raises(CatalogError, match="cannot save a float64 matrix, need float32"):
+            save_catalog(make_catalog(vectors), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_catalog_keeps_float32_and_widens_the_rest(self):
         assert make_catalog(np.ones((1, 2), dtype=np.float32)).vectors.dtype == np.float32
         for rows in (np.ones((1, 2), dtype=np.int64), [[1.0, 2.0]], np.ones((1, 2), np.float16)):
             assert make_catalog(rows).vectors.dtype == np.float64
 
-    @pytest.mark.parametrize("dtype", [np.float16, np.int32, ">f4", ">f8", np.complex64])
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, "<f8", ">f4", ">f8", np.complex64])
     def test_other_dtypes_refused(self, tmp_path, dtype):
         path = tmp_path / "odd.npz"
         write_catalog_file(path, ["T1001", "T1002"], 3, np.ones((2, 3), dtype=dtype))
         with pytest.raises(CatalogError, match=f"vectors have dtype {np.dtype(dtype).str}, "
-                                               "need float32 or float64"):
+                                               r"need float32 \(<f4\)"):
             load_catalog(path)
 
 

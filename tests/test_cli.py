@@ -3,7 +3,9 @@ import logging
 import threading
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+import yaml
 
 from cti2stix.catalog import load_catalog
 from cti2stix.cli import main
@@ -17,6 +19,7 @@ from conftest import (
     VTE_CANDIDATE,
     cosine,
     write_legacy_catalog,
+    write_unchecked_catalog,
 )
 
 
@@ -715,11 +718,29 @@ class TestCalibrate:
         assert payload["best_mean_f1"] == 1.0
         assert payload["thresholds"]["0.70"] == 1.0
 
+    def test_explicit_only_id_leaves_calibration_unchanged(self, tmp_path, catalog_path):
+        """An id the text writes but no candidate scores carries no score, so
+        it changes no threshold's F1: the output equals that of the same text
+        without the id."""
+        script = write_script(tmp_path / "vte.json",
+                              [("Return any relevant text verbatim", VTE_CANDIDATE)])
+        outputs = []
+        for name, tail in (("with-id", " Scripts ran through T1059."),
+                           ("without-id", " Scripts ran through.")):
+            gt_dir, out_dir = tmp_path / name / "gt", tmp_path / name / "cal"
+            write_ground_truth(gt_dir, "helloxd-2022", HELLOXD_TEXT + tail)
+            assert main([
+                "calibrate", "--gt", str(gt_dir), "--catalog", str(catalog_path),
+                "--out-dir", str(out_dir), "--provider", "scripted", "--script", str(script),
+                "--set", "attack_patterns.strategies=vte", "--set", "eval.subset_rule=false",
+            ]) == 0
+            outputs.append((out_dir / "calibration.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["best_mean_f1"] == 1.0
+
     def test_unique_argmax_reported(self, tmp_path):
         """With a true match at cosine ~0.80 and a spurious one at ~0.79,
         0.80 is the only threshold on the grid that scores F1=1."""
-        import numpy as np
-
         from cti2stix.attack_patterns import strategy_ot
         from cti2stix.catalog import CatalogEntry, TechniqueCatalog, save_catalog
         from cti2stix.ingest import make_report
@@ -752,7 +773,7 @@ class TestCalibrate:
         catalog = TechniqueCatalog(model="hash-32", content_hash="fixture", entries=[
             CatalogEntry("T1001", "Alpha", "description", "alpha"),
             CatalogEntry("T1002", "Beta", "description", "beta"),
-        ], vectors=np.array([e1, e2]))
+        ], vectors=np.array([e1, e2], dtype=np.float32))
         catalog_file = tmp_path / "argmax-catalog.npz"
         save_catalog(catalog, catalog_file)
 
@@ -863,6 +884,16 @@ class TestMalformedCatalog:
         write_legacy_catalog(path, mini_catalog, legacy_writer)
         return path
 
+    @pytest.fixture
+    def float64_catalog(self, tmp_path, mini_catalog):
+        # the flat layout as versions before float32 files wrote it
+        path = tmp_path / "float64.npz"
+        write_unchecked_catalog(path, SimpleNamespace(
+            model=mini_catalog.model, dim=mini_catalog.dim,
+            content_hash=mini_catalog.content_hash, entries=mini_catalog.entries,
+            vectors=mini_catalog.vectors.astype(np.float64)))
+        return path
+
     def assert_usage_error(self, code, capsys, says=("error: catalog", "shape")):
         err = capsys.readouterr().err
         assert code == 2
@@ -895,6 +926,15 @@ class TestMalformedCatalog:
     def test_calibrate_older_file(self, tmp_path, legacy_catalog, capsys):
         self.assert_usage_error(self.run_calibrate(tmp_path, legacy_catalog), capsys,
                                 says=("older version", "catalog build"))
+
+    def test_extract_float64_file(self, tmp_path, script_path, float64_catalog, report_path,
+                                  capsys):
+        code, _ = run_extract(tmp_path, script_path, float64_catalog, [report_path])
+        self.assert_usage_error(code, capsys, says=("error: catalog", "dtype <f8, need float32"))
+
+    def test_calibrate_float64_file(self, tmp_path, float64_catalog, capsys):
+        self.assert_usage_error(self.run_calibrate(tmp_path, float64_catalog), capsys,
+                                says=("error: catalog", "dtype <f8, need float32"))
 
     def test_extract_truncated(self, tmp_path, script_path, short_catalog, report_path,
                                capsys):
@@ -931,6 +971,13 @@ class TestMalformedCatalog:
         flags = load_catalog(legacy_catalog).vectors.flags
         assert flags.aligned and not flags.writeable and not flags.owndata
 
+    def test_catalog_build_rebuilds_float64_file(self, tmp_path, mitre_sample_path,
+                                                 float64_catalog, mini_catalog):
+        self.assert_rebuilds(tmp_path, mitre_sample_path, float64_catalog)
+        rebuilt = load_catalog(float64_catalog)
+        assert rebuilt.vectors.dtype == np.float32
+        np.testing.assert_array_equal(rebuilt.vectors, mini_catalog.vectors)
+
 
 class TestConfigShow:
     def test_prints_effective_config(self, capsys):
@@ -946,6 +993,16 @@ class TestConfigShow:
         code = main(["config", "show", "--config", str(config_file)])
         assert code == 0
         assert "threshold: 0.33" in capsys.readouterr().out
+
+
+    def test_prints_twenty_keys(self, capsys):
+        assert main(["config", "show"]) == 0
+        data = yaml.safe_load(capsys.readouterr().out)
+        assert sum(len(v) if isinstance(v, dict) else 1 for v in data.values()) == 20
+
+    def test_include_explicit_is_unknown(self, capsys):
+        assert main(["config", "show", "--set", "attack_patterns.include_explicit=true"]) == 2
+        assert "unknown config key: attack_patterns.include_explicit" in capsys.readouterr().err
 
 
 class TestUsage:

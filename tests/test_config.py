@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,10 @@ from cti2stix.config import (
 from cti2stix.llm import HttpProvider, ReplayProvider, ScriptedProvider
 
 # prompt shapes, the id namespace and the budget margin are module constants,
-# so these keys are refused as unknown
+# and explicit technique ids are always unioned, so these keys are refused as
+# unknown
 FIXED_KEYS = (
+    "attack_patterns.include_explicit",
     "provider.budget_margin",
     "pipeline.chunk_tokens",
     "pipeline.summary_output_tokens",
@@ -245,12 +248,29 @@ class TestDump:
         assert "queries" not in text
 
     def test_dump_holds_every_key(self):
-        data = yaml.safe_load(dump_config(AppConfig()))
-        keys = [f"{section}.{key}" if isinstance(content, dict) else section
-                for section, content in data.items()
-                for key in (content if isinstance(content, dict) else [None])]
-        assert len(keys) == 21
+        keys = dotted_keys(yaml.safe_load(dump_config(AppConfig())))
+        assert len(keys) == 20
         assert not set(FIXED_KEYS) & set(keys)
+
+    def test_readme_shows_the_default_config(self):
+        """README's default-config block, comments and all, loads as the
+        dump of the defaults, and has as many keys as the sentence above it
+        says."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        found = re.search(r"printed by `config show`, has (\d+) keys:\n\n```yaml\n(.*?)```",
+                          readme, re.DOTALL)
+        assert found, "README has no default-config block"
+        stated, block = int(found.group(1)), yaml.safe_load(found.group(2))
+        assert block == yaml.safe_load(dump_config(AppConfig()))
+        assert len(dotted_keys(block)) == stated
+
+
+def dotted_keys(data: dict) -> list[str]:
+    """``section.key`` for each key of a dumped config, and the bare name of
+    each top-level scalar."""
+    return [f"{section}.{key}" if isinstance(content, dict) else section
+            for section, content in data.items()
+            for key in (content if isinstance(content, dict) else [None])]
 
 
 def _attributes_read_in_src() -> set[str]:

@@ -340,19 +340,19 @@ def test_verify_literal_is_case_and_whitespace_insensitive(helloxd_report):
 
 
 def test_report_text_is_folded_once_for_all_names(helloxd_report, golden_script, monkeypatch):
-    folds = []
+    squashes = []
     squash = ingest.collapse_whitespace
 
     def counting(text):
         if text == helloxd_report.text:
-            folds.append(text)
+            squashes.append(text)
         return squash(text)
 
     monkeypatch.setattr(ingest, "collapse_whitespace", counting)
     bundle, trail = run_pipeline(helloxd_report, scripted(golden_script), EntityPipelineConfig())
     verified = [o for o in outcomes(trail, "verify") if o != "unverified"]
     assert len(verified) >= 3
-    assert len(folds) == 1
+    assert len(squashes) == 1
 
 
 def test_verify_falls_back_to_llm_confirmation(helloxd_report):
@@ -663,7 +663,7 @@ def test_no_prompt_carries_an_observable(preprocessing):
     assert any("CVE-2021-44228" in prompt for prompt in prompts)
 
     kinds = (EntityKind.INDICATOR, EntityKind.VULNERABILITY)
-    assert [e for e in bundle.entities if e.kind in kinds] == ioc_entities(report.text)
+    assert [e for e in bundle.entities if e.kind in kinds] == ioc_entities(scan_iocs(report.text))
     (decision,) = decisions(trail, "iocs")
     assert decision == {"count": 6, "masked": 6, "tokens": estimate_tokens(report.text),
                         "prompt_tokens": estimate_tokens(report.prompt_text)}

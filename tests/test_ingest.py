@@ -138,12 +138,18 @@ def test_partition_property(text):
 
 def reference_segment_starts(text: str) -> list[int]:
     """Sentence starts from the character-by-character scan the segmenter
-    first used: every punctuation run is offered to ``_is_boundary``."""
+    first used: every punctuation run that, after any closers, whitespace or
+    the end of the text follows is offered to ``_is_boundary``."""
     starts = set(ingest._blank_line_starts(text))
     i = 0
     while i < len(text):
         if text[i] in ingest._SENTENCE_PUNCT:
-            nxt = ingest._is_boundary(text, i)
+            j = i
+            while j < len(text) and text[j] in ingest._SENTENCE_PUNCT:
+                j += 1
+            while j < len(text) and text[j] in ingest._CLOSER_CHARS:
+                j += 1
+            nxt = -1 if j < len(text) and not text[j].isspace() else ingest._is_boundary(text, i)
             if nxt > 0:
                 starts.add(nxt)
                 i = nxt

@@ -261,14 +261,14 @@ def test_refang_matches_reference(value):
 
 
 def test_cve_becomes_vulnerability_entity():
-    ents = ioc_entities("abuses CVE-2021-44228 remotely")
+    ents = ioc_entities(scan_iocs("abuses CVE-2021-44228 remotely"))
     assert len(ents) == 1
     assert ents[0].kind is EntityKind.VULNERABILITY
     assert ents[0].name == "CVE-2021-44228"
 
 
 def test_indicator_entities_carry_stix_patterns():
-    ents = ioc_entities("C2 at 92.118.188[.]78")
+    ents = ioc_entities(scan_iocs("C2 at 92.118.188[.]78"))
     assert ents[0].kind is EntityKind.INDICATOR
     assert ents[0].name == "92.118.188.78"
     assert ents[0].extra["pattern"] == "[ipv4-addr:value = '92.118.188.78']"
@@ -277,24 +277,25 @@ def test_indicator_entities_carry_stix_patterns():
 
 
 def test_clean_indicator_has_no_original_field():
-    ents = ioc_entities("C2 at 10.0.0.1")
+    ents = ioc_entities(scan_iocs("C2 at 10.0.0.1"))
     assert "original" not in ents[0].extra
 
 
 def test_hash_entity_pattern_field():
     sha256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    ents = ioc_entities(f"sample {sha256}")
+    ents = ioc_entities(scan_iocs(f"sample {sha256}"))
     assert ents[0].extra["pattern"] == f"[file:hashes.'SHA-256' = '{sha256}']"
 
 
 def test_entity_ids_deterministic_across_calls():
-    a = ioc_entities("beacons to badcdn.net")[0]
-    b = ioc_entities("it resolved badcdn.net again")[0]
+    a = ioc_entities(scan_iocs("beacons to badcdn.net"))[0]
+    b = ioc_entities(scan_iocs("it resolved badcdn.net again"))[0]
     assert a.id == b.id
 
 
 def test_no_iocs_in_clean_prose():
-    assert ioc_entities("The actor moved laterally and staged archives for exfiltration.") == []
+    text = "The actor moved laterally and staged archives for exfiltration."
+    assert ioc_entities(scan_iocs(text)) == []
 
 
 # ---------------------------------------------------------------------------
