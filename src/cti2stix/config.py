@@ -157,15 +157,20 @@ def make_provider(config: AppConfig) -> Any:
     """Build the provider the run will talk to.
 
     Scripted runs default the embedding model id to the hash embedder's so a
-    shared catalog cache can never mix stub vectors with real ones.
+    shared catalog cache can never mix stub vectors with real ones.  A
+    response cache or script that cannot be read raises :class:`ConfigError`.
     """
     kind = config.provider_kind
-    if kind == "live":
-        return HttpProvider(config.provider)
-    if kind == "replay":
-        if not config.provider.cache_path:
+    if kind in ("live", "replay"):
+        path = config.provider.cache_path
+        if kind == "replay" and not path:
             raise ConfigError("replay provider needs provider.cache_path")
-        return ReplayProvider(config.provider.cache_path, config.provider)
+        try:  # the response cache loads here
+            if kind == "live":
+                return HttpProvider(config.provider)
+            return ReplayProvider(path, config.provider)
+        except ValueError as exc:  # JSON syntax errors included
+            raise ConfigError(f"response cache {path}: {exc}") from exc
     if kind == "scripted":
         if not config.paths.script:
             raise ConfigError("scripted provider needs paths.script")

@@ -16,6 +16,8 @@ Only a cache miss reaches ``_post``, which answers in one of three ways:
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import fcntl
 import hashlib
@@ -175,13 +177,18 @@ class ResponseCache:
     live and replay runs alike.  Several processes may append to one file:
     each record is one write on an ``O_APPEND`` descriptor, made under an
     advisory ``flock`` of the file.
+
+    An embedding record holds its vector in ``vector_f64``, the base64 of the
+    vector's little-endian float64 bytes, so it round-trips bit for bit.
+    Records that older versions wrote hold a ``vector`` list of numbers
+    instead; both load, into one read-only float64 array per vector.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._completions: dict[str, str] = {}
-        self._embeddings: dict[str, list[float]] = {}
+        self._embeddings: dict[str, np.ndarray] = {}
         self._torn_at: int | None = None  # byte offset of an unparseable last line
         self._torn_tail = b""  # the file's bytes from there on, as loaded
         self._fd: int | None = None  # opened by the first append
@@ -192,11 +199,12 @@ class ResponseCache:
         """Read every record.  An unparseable *last* line is what a crash in
         the middle of an append leaves behind: it is skipped with a warning and
         cut off before the next append.  A corrupt line followed by more
-        records is real damage and raises."""
+        records is real damage and raises.  So does a record that parses but
+        lacks a field it needs: ``ValueError`` naming the line."""
         offset = 0
         torn: ValueError | None = None
         with self.path.open("rb") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, 1):
                 line_start, offset = offset, offset + len(raw)
                 line = raw.strip()
                 if not line:
@@ -205,23 +213,50 @@ class ResponseCache:
                     raise torn
                 try:
                     record = json.loads(line)
-                except ValueError as exc:
+                except json.JSONDecodeError as exc:
+                    exc.args = (f"line {lineno}, column {exc.colno}: {exc.msg}",)
                     torn, self._torn_at = exc, line_start
                     continue
-                if record.get("kind") == "completion":
-                    self._completions[record["key"]] = record["response"]
-                elif record.get("kind") == "embedding":
-                    self._embeddings[record["key"]] = record["vector"]
+                except ValueError as exc:  # bytes that are not UTF-8
+                    torn, self._torn_at = ValueError(f"line {lineno}: {exc}"), line_start
+                    continue
+                try:
+                    self._add(record)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
             if torn is not None:
                 fh.seek(self._torn_at)
                 self._torn_tail = fh.read()
         if torn is not None:
             logger.warning("%s: skipping unparseable last line (%s)", self.path, torn)
 
+    def _add(self, record: Any) -> None:
+        """Hold one parsed record; ``ValueError`` on one that is not whole."""
+        if not isinstance(record, dict):
+            raise ValueError("not a JSON object")
+        kind = record.get("kind")
+        if kind not in ("completion", "embedding"):
+            return
+        key = record.get("key")
+        if not isinstance(key, str):
+            raise ValueError(f"{kind} record without a string 'key'")
+        if kind == "completion":
+            response = record.get("response")
+            if not isinstance(response, str):
+                raise ValueError("completion record without a string 'response'")
+            self._completions[key] = response
+        elif "vector_f64" in record:
+            self._embeddings[key] = _vector_from_base64(record["vector_f64"])
+        elif "vector" in record:
+            self._embeddings[key] = _vector_from_list(record["vector"])
+        else:
+            raise ValueError("embedding record without 'vector_f64' or 'vector'")
+
     def get_completion(self, key: str) -> str | None:
         return self._completions.get(key)
 
-    def get_embedding(self, key: str) -> list[float] | None:
+    def get_embedding(self, key: str) -> np.ndarray | None:
+        """The cached vector, a read-only float64 array, or ``None``."""
         return self._embeddings.get(key)
 
     def put_completion(self, key: str, model: str, prompt: str, response: str) -> None:
@@ -233,12 +268,13 @@ class ResponseCache:
             self._append(record)
 
     def put_embedding(self, key: str, model: str, text: str, vector: Sequence[float]) -> None:
-        record = {"kind": "embedding", "key": key, "model": model, "text": text, "vector": list(vector)}
+        data = np.asarray(vector, dtype="<f8").tobytes()
         with self._lock:
             if key in self._embeddings:
                 return
-            self._embeddings[key] = list(vector)
-            self._append(record)
+            self._embeddings[key] = np.frombuffer(data, dtype="<f8")
+            self._append({"kind": "embedding", "key": key, "model": model, "text": text,
+                          "vector_f64": base64.b64encode(data).decode("ascii")})
 
     def _append(self, record: dict) -> None:
         data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
@@ -259,6 +295,30 @@ class ResponseCache:
                 data = data[os.write(self._fd, data):]
         finally:
             fcntl.flock(self._fd, fcntl.LOCK_UN)
+
+
+def _vector_from_base64(encoded: Any) -> np.ndarray:
+    """A ``vector_f64`` field as a read-only float64 array."""
+    try:
+        data = base64.b64decode(encoded, validate=True)
+    except (binascii.Error, TypeError, ValueError) as exc:
+        raise ValueError(f"'vector_f64' is not base64: {exc}") from None
+    if len(data) % 8:
+        raise ValueError(f"'vector_f64' holds {len(data)} bytes, not a whole number of float64s")
+    return np.frombuffer(data, dtype="<f8")
+
+
+def _vector_from_list(values: Any) -> np.ndarray:
+    """An older record's ``vector`` list as a read-only float64 array."""
+    try:
+        array = np.array(values)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise ValueError("'vector' is not a list of numbers")
+    array = array.astype(np.float64, copy=False)
+    array.flags.writeable = False
+    return array
 
 
 # one session for every request to the model endpoint, so calls reuse open
@@ -355,19 +415,24 @@ class HttpProvider:
         return text
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """One float64 vector per text, in input order; a cache hit is the
+        cache's read-only array.  Every vector of one call, cached or fresh,
+        has one length."""
         model = self.config.embedding_model
         out: list[np.ndarray | None] = [None] * len(texts)
         pending: list[int] = []
+        dims: set[int] = set()
         for i, text in enumerate(texts):
             if self._cache is not None:
                 hit = self._cache.get_embedding(_cache_key("embedding", model, text))
                 if hit is not None:
-                    out[i] = np.asarray(hit, dtype=np.float64)
+                    out[i] = hit
+                    dims.add(len(hit))
                     continue
             pending.append(i)
+        _check_one_length(dims)
 
         batch = self.config.embed_batch_size
-        dims: set[int] = set()
         for start in range(0, len(pending), batch):
             idxs = pending[start : start + batch]
             body = self._post("/embeddings", {"model": model, "input": [texts[i] for i in idxs]})
@@ -380,20 +445,23 @@ class HttpProvider:
                 raise TransportError(
                     f"embedding response returned {len(vectors)} vectors for {len(idxs)} inputs"
                 )
-            # callers stack the rows into one matrix
             if any(vec.ndim != 1 for vec in vectors):
                 raise TransportError("malformed embedding response: a row is not a 1-D array")
             dims.update(len(vec) for vec in vectors)
-            if len(dims) > 1:
-                raise TransportError(
-                    f"malformed embedding response: rows of lengths {sorted(dims)} in one call"
-                )
+            _check_one_length(dims)
             for i, vec in zip(idxs, vectors):
                 out[i] = vec
                 if self._cache is not None:
                     key = _cache_key("embedding", model, texts[i])
                     self._cache.put_embedding(key, model, texts[i], vec)
         return out  # every slot is filled, or a call above raised
+
+
+def _check_one_length(dims: set[int]) -> None:
+    # callers stack one call's vectors into one matrix
+    if len(dims) > 1:
+        raise TransportError(
+            f"malformed embedding response: rows of lengths {sorted(dims)} in one call")
 
 
 class ReplayProvider(HttpProvider):

@@ -1,3 +1,4 @@
+import base64
 import json
 import logging
 import threading
@@ -416,35 +417,41 @@ class TestCatalogOverlap:
         assert one_report and spy.prompts == one_report  # the first report's prompts only
 
 
+def golden_transport(calls):
+    """An endpoint that answers completions from GOLDEN_SCRIPT and embeds with
+    the hash embedder, counting each request in ``calls["n"]``."""
+    from cti2stix.llm import HashEmbedder
+
+    embedder = HashEmbedder()
+
+    def transport(url, payload, headers, timeout):
+        calls["n"] += 1
+        if url.endswith("/chat/completions"):
+            prompt = payload["messages"][0]["content"]
+            for needle, response in GOLDEN_SCRIPT:
+                if needle in prompt:
+                    return 200, {"choices": [{"message": {"content": response}}]}
+            return 200, {"choices": [{"message": {"content": "none"}}]}
+        assert url.endswith("/embeddings")
+        data = [{"index": i, "embedding": [float(x) for x in embedder.embed_one(t)]}
+                for i, t in enumerate(payload["input"])]
+        return 200, {"data": data}
+
+    return transport
+
+
 class TestReplay:
     def test_replay_performs_zero_network_calls(self, tmp_path, monkeypatch,
                                                 catalog_path, report_path):
         """A cached live run replays byte-for-byte without touching the network."""
         import cti2stix.config as config_mod
-        from cti2stix.llm import HashEmbedder, HttpProvider
+        from cti2stix.llm import HttpProvider
 
         monkeypatch.setenv("OPENAI_API_KEY", "test-key")
         calls = {"n": 0}
-        embedder = HashEmbedder()
-
-        def counting_transport(url, payload, headers, timeout):
-            calls["n"] += 1
-            if url.endswith("/chat/completions"):
-                prompt = payload["messages"][0]["content"]
-                for needle, response in GOLDEN_SCRIPT:
-                    if needle in prompt:
-                        return 200, {"choices": [{"message": {"content": response}}]}
-                return 200, {"choices": [{"message": {"content": "none"}}]}
-            assert url.endswith("/embeddings")
-            data = [
-                {"index": i, "embedding": [float(x) for x in embedder.embed_one(t)]}
-                for i, t in enumerate(payload["input"])
-            ]
-            return 200, {"data": data}
-
         monkeypatch.setattr(
             config_mod, "HttpProvider",
-            lambda cfg: HttpProvider(cfg, transport=counting_transport),
+            lambda cfg: HttpProvider(cfg, transport=golden_transport(calls)),
         )
         cache = tmp_path / "cache.jsonl"
         live_dir = tmp_path / "live"
@@ -478,6 +485,130 @@ class TestReplay:
         assert calls["n"] == 0
         replay_bundle = (replay_dir / "helloxd-2022.bundle.json").read_bytes()
         assert replay_bundle == live_bundle
+
+
+class TestResponseCacheFormat:
+    def test_list_form_cache_replays_byte_for_byte(self, tmp_path, monkeypatch, catalog_path,
+                                                   report_path):
+        """A cache whose embeddings are JSON lists, as versions before base64
+        records wrote them, replays a run with a catalog as its own cache does."""
+        import cti2stix.llm as llm
+
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        calls = {"n": 0}
+        monkeypatch.setattr(llm, "_requests_transport", golden_transport(calls))
+        cache = tmp_path / "cache.jsonl"
+        live = tmp_path / "live"
+        assert main(["extract", str(report_path), "--out-dir", str(live),
+                     "--catalog", str(catalog_path),
+                     "--set", f"provider.cache_path={cache}"]) == 0
+        records = [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()]
+        embeddings = [r for r in records if r["kind"] == "embedding"]
+        assert embeddings and all("vector_f64" in r and "vector" not in r for r in embeddings)
+
+        # the record each older version wrote: list() of the float64 vector
+        legacy = tmp_path / "legacy.jsonl"
+        with legacy.open("w", encoding="utf-8") as fh:
+            for r in records:
+                if r["kind"] == "embedding":
+                    vector = np.frombuffer(base64.b64decode(r.pop("vector_f64")), dtype="<f8")
+                    r["vector"] = list(vector)
+                fh.write(json.dumps(r, ensure_ascii=False) + "\n")
+
+        calls["n"] = 0
+        outputs = {}
+        for name, path in (("replay", cache), ("legacy", legacy)):
+            out = tmp_path / name
+            assert main(["extract", str(report_path), "--out-dir", str(out),
+                         "--catalog", str(catalog_path),
+                         "--provider", "replay", "--replay-cache", str(path)]) == 0
+            outputs[name] = {f: (out / f).read_bytes()
+                             for f in ("helloxd-2022.bundle.json", "helloxd-2022.audit.jsonl")}
+        assert calls["n"] == 0
+        assert outputs["legacy"] == outputs["replay"] == {
+            f: (live / f).read_bytes() for f in outputs["replay"]}
+
+    def test_catalog_build_with_cached_vectors_of_another_length(self, tmp_path, monkeypatch,
+                                                                 mitre_sample_path,
+                                                                 mini_catalog, capsys):
+        import cti2stix.llm as llm
+        from cti2stix.llm import ProviderConfig, ResponseCache, _cache_key
+
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        cache = tmp_path / "cache.jsonl"
+        model, text = ProviderConfig.embedding_model, mini_catalog.entries[0].text
+        ResponseCache(cache).put_embedding(_cache_key("embedding", model, text), model, text,
+                                           [1.0, 0.0])
+        monkeypatch.setattr(llm, "_requests_transport", lambda url, payload, *a: (200, {
+            "data": [{"index": i, "embedding": [1.0, 0.0, 0.0]}
+                     for i in range(len(payload["input"]))]}))
+        out = tmp_path / "catalog.npz"
+        code = main(["catalog", "build", "--attack-json", str(mitre_sample_path),
+                     "--out", str(out), "--set", f"provider.cache_path={cache}"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: TransportError: malformed embedding response: "
+            "rows of lengths [2, 3] in one call\n")
+        assert not out.exists()
+
+
+_GOOD_RECORD = json.dumps({"kind": "completion", "key": "k0", "model": "m", "prompt": "p",
+                           "response": "r"})
+
+
+class TestDamagedResponseCache:
+    """A response cache that cannot be read is a usage error for every command
+    that opens one, live or replay: one ``error:`` line and exit 2."""
+
+    @pytest.fixture(params=[
+        ("[1]", "line 2: not a JSON object"),
+        ('{"kind": "completion"}', "line 2: completion record without a string 'key'"),
+        (None, "line 1, column 66: Unterminated string"),
+        ('{"kind": "embedding", "key": "k", "model": "m", "text": "t", "vector": "0.5"}',
+         "line 2: 'vector' is not a list of numbers"),
+    ], ids=["array", "no-key", "corrupt-middle-line", "vector-string"])
+    def damaged(self, request, tmp_path):
+        line, message = request.param
+        lines = [_GOOD_RECORD[:-12], _GOOD_RECORD] if line is None else [_GOOD_RECORD, line]
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path, message
+
+    @pytest.fixture(params=["extract-live", "extract-replay", "catalog-build-live",
+                            "calibrate-replay"])
+    def argv(self, request, tmp_path, damaged, report_path, catalog_path, mitre_sample_path):
+        cache = str(damaged[0])
+        gt_dir = tmp_path / "gt"
+        write_ground_truth(gt_dir, "helloxd-2022", HELLOXD_TEXT)
+        out = str(tmp_path / "out")
+        return {
+            "extract-live": ["extract", str(report_path), "--out-dir", out,
+                             "--set", f"provider.cache_path={cache}"],
+            "extract-replay": ["extract", str(report_path), "--out-dir", out,
+                               "--provider", "replay", "--replay-cache", cache],
+            "catalog-build-live": ["catalog", "build", "--attack-json", str(mitre_sample_path),
+                                   "--out", str(tmp_path / "built.npz"),
+                                   "--set", f"provider.cache_path={cache}"],
+            "calibrate-replay": ["calibrate", "--gt", str(gt_dir), "--catalog", str(catalog_path),
+                                 "--out-dir", out, "--provider", "replay",
+                                 "--replay-cache", cache],
+        }[request.param]
+
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, damaged, argv):
+        import cti2stix.llm as llm
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("the endpoint must not be contacted")
+
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(llm, "_requests_transport", no_network)
+        path, message = damaged
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: response cache {path}: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "built.npz").exists()
 
 
 def write_ground_truth(gt_dir, report_id, text, attack_pattern=("T1573",)):

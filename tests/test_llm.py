@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cti2stix
@@ -281,6 +281,60 @@ def test_embedding_rows_of_different_lengths_rejected(monkeypatch, batch_size):
         provider.embed(["a", "b"])
 
 
+def _length_transport(sent, dim=2):
+    """An embeddings endpoint that records each request's texts and answers
+    each text with ``[len(text), 1.0, ...]`` of *dim* values."""
+    def transport(url, payload, headers, timeout):
+        sent.append(list(payload["input"]))
+        data = [{"index": i, "embedding": [float(len(t))] + [1.0] * (dim - 1)}
+                for i, t in enumerate(payload["input"])]
+        return 200, {"data": data}
+    return transport
+
+
+def test_cache_hit_is_returned_as_it_is(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    sent = []
+    provider = HttpProvider(ProviderConfig(cache_path=str(tmp_path / "cache.jsonl")),
+                            transport=_length_transport(sent))
+    first = provider.embed(["a"])[0]
+    again = provider.embed(["a", "a"])
+    assert again[0] is again[1] and again[0].tobytes() == first.tobytes()
+    assert provider.embed(["a"])[0] is again[0]
+    assert not again[0].flags.writeable and sent == [["a"]]
+
+
+def test_cached_and_fresh_vectors_of_different_lengths_rejected(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    path = tmp_path / "cache.jsonl"
+    model = ProviderConfig.embedding_model
+    ResponseCache(path).put_embedding(_cache_key("embedding", model, "old"), model, "old",
+                                      [1.0, 0.0])
+    sent = []
+    provider = HttpProvider(ProviderConfig(cache_path=str(path)),
+                            transport=_length_transport(sent, dim=3))
+    with pytest.raises(TransportError, match=re.escape("rows of lengths [2, 3] in one call")):
+        provider.embed(["old", "new"])
+    assert sent == [["new"]]
+    # the refused vector is not cached, so the next call asks again
+    assert ResponseCache(path).get_embedding(_cache_key("embedding", model, "new")) is None
+    assert provider.embed(["new"])[0].tolist() == [3.0, 1.0, 1.0]
+
+
+def test_cached_vectors_of_different_lengths_rejected_before_any_request(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    path = tmp_path / "cache.jsonl"
+    model = ProviderConfig.embedding_model
+    cache = ResponseCache(path)
+    for text, vector in (("two", [1.0, 0.0]), ("three", [1.0, 0.0, 0.0])):
+        cache.put_embedding(_cache_key("embedding", model, text), model, text, vector)
+    sent = []
+    provider = HttpProvider(ProviderConfig(cache_path=str(path)), transport=_length_transport(sent))
+    with pytest.raises(TransportError, match=re.escape("rows of lengths [2, 3] in one call")):
+        provider.embed(["two", "three", "fresh"])
+    assert sent == []
+
+
 def test_embeddings_batched(monkeypatch):
     monkeypatch.setenv("OPENAI_API_KEY", "k")
     batches = []
@@ -472,7 +526,139 @@ def test_cache_survives_reload(tmp_path):
     cache.put_embedding("k2", "m", "t", [1.0, 2.0])
     again = ResponseCache(path)
     assert again.get_completion("k1") == "r"
-    assert again.get_embedding("k2") == [1.0, 2.0]
+    vector = again.get_embedding("k2")
+    assert vector.tolist() == [1.0, 2.0] and vector.dtype == np.float64
+
+
+def test_cache_mixes_list_and_base64_records(tmp_path):
+    # "old" is an embedding record as versions before base64 records wrote it
+    vector = np.array([0.1, -2.5e-300, 1e308, -0.0, 3.0, float("inf")])
+    path = tmp_path / "cache.jsonl"
+    ResponseCache(path).put_embedding("new", "m", "t", vector)
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"kind": "embedding", "key": "old", "model": "m", "text": "t",
+                             "vector": list(vector)}, ensure_ascii=False) + "\n")
+        fh.write(json.dumps({"kind": "embedding", "key": "ints", "model": "m", "text": "t",
+                             "vector": [1, -2]}) + "\n")
+    ResponseCache(path).put_embedding("newer", "m", "t", vector)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [sorted(r) for r in records if r["key"].startswith("new")] == [
+        ["key", "kind", "model", "text", "vector_f64"]] * 2
+
+    cache = ResponseCache(path)
+    for key in ("new", "old", "newer"):
+        loaded = cache.get_embedding(key)
+        assert loaded.tobytes() == vector.tobytes()
+        assert loaded.dtype == np.float64 and not loaded.flags.writeable
+    assert cache.get_embedding("ints").tolist() == [1.0, -2.0]
+
+
+# every float64 bit pattern: signed zeros, subnormals, infinities, NaN payloads
+_FLOAT64_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.floats().map(lambda f: int(np.float64(f).view(np.uint64))),
+)
+
+_EMBEDDING_READER = """
+import sys
+from cti2stix.llm import ResponseCache
+
+for path in sys.stdin:
+    print(ResponseCache(path.strip()).get_embedding("k").tobytes().hex(), flush=True)
+"""
+
+
+def _child_env():
+    """The environment of a child process that imports this checkout's cti2stix."""
+    src = str(Path(cti2stix.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture(scope="module")
+def embedding_reader():
+    """A child process that prints, for each cache path it reads on stdin,
+    the hex bytes of the embedding under key ``k``."""
+    child = subprocess.Popen([sys.executable, "-c", _EMBEDDING_READER], env=_child_env(),
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    yield child
+    child.stdin.close()
+    assert child.wait(timeout=60) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(_FLOAT64_BITS, max_size=24))
+@example(bits=[])
+@example(bits=[0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+               0x7FF0000000000000, 0xFFF0000000000000, 0x7FF0000000000001,
+               0xFFF8000000000123])
+def test_embedding_bytes_survive_reload_in_two_processes(embedding_reader, tmp_path_factory, bits):
+    vector = np.array(bits, dtype=np.uint64).view(np.float64)
+    path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put_embedding("k", "m", "t", vector)
+    for held in (cache.get_embedding("k"), ResponseCache(path).get_embedding("k")):
+        assert held.tobytes() == vector.tobytes()
+        assert held.dtype == np.float64 and not held.flags.writeable
+    embedding_reader.stdin.write(f"{path}\n")
+    embedding_reader.stdin.flush()
+    assert embedding_reader.stdout.readline().strip() == vector.tobytes().hex()
+
+
+_GOOD_LINE = json.dumps({"kind": "completion", "key": "k0", "model": "m", "prompt": "p",
+                         "response": "r"})
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1]", "line 2: not a JSON object"),
+    ('"completion"', "line 2: not a JSON object"),
+    ('{"kind": "completion"}', "line 2: completion record without a string 'key'"),
+    ('{"kind": "completion", "key": "k"}',
+     "line 2: completion record without a string 'response'"),
+    ('{"kind": "completion", "key": "k", "response": null}',
+     "line 2: completion record without a string 'response'"),
+    ('{"kind": "embedding", "key": ["k"], "vector": [0.5]}',
+     "line 2: embedding record without a string 'key'"),
+    ('{"kind": "embedding", "key": "k"}',
+     "line 2: embedding record without 'vector_f64' or 'vector'"),
+    ('{"kind": "embedding", "key": "k", "vector": "0.5"}',
+     "line 2: 'vector' is not a list of numbers"),
+    ('{"kind": "embedding", "key": "k", "vector": [0.5, "1.5"]}',
+     "line 2: 'vector' is not a list of numbers"),
+    ('{"kind": "embedding", "key": "k", "vector": [true]}',
+     "line 2: 'vector' is not a list of numbers"),
+    ('{"kind": "embedding", "key": "k", "vector": [null]}',
+     "line 2: 'vector' is not a list of numbers"),
+    ('{"kind": "embedding", "key": "k", "vector": [[0.5]]}',
+     "line 2: 'vector' is not a list of numbers"),
+    ('{"kind": "embedding", "key": "k", "vector": [[0.5], [0.5, 1.0]]}',
+     "line 2: 'vector' is not a list of numbers"),
+    ('{"kind": "embedding", "key": "k", "vector_f64": "not base64!"}',
+     "line 2: 'vector_f64' is not base64"),
+    ('{"kind": "embedding", "key": "k", "vector_f64": "AAAA AAAAAAA="}',
+     "line 2: 'vector_f64' is not base64"),
+    ('{"kind": "embedding", "key": "k", "vector_f64": 7}', "line 2: 'vector_f64' is not base64"),
+    ('{"kind": "embedding", "key": "k", "vector_f64": "AAAA"}',
+     "line 2: 'vector_f64' holds 3 bytes, not a whole number of float64s"),
+], ids=[
+    "array", "string", "no-key", "no-response", "null-response", "list-key", "no-vector",
+    "vector-string", "vector-mixed", "vector-bool", "vector-null", "vector-nested",
+    "vector-ragged", "f64-not-base64", "f64-stray-space", "f64-number", "f64-partial",
+])
+@pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
+def test_cache_record_that_is_not_whole_raises(tmp_path, line, message, last):
+    path = tmp_path / "cache.jsonl"
+    path.write_text("\n".join([_GOOD_LINE, line] + ([] if last else [_GOOD_LINE])) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ResponseCache(path)
+
+
+def test_cache_ignores_records_of_other_kinds(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_GOOD_LINE + '\n{"kind": "usage", "tokens": 3}\n{"key": "x"}\n',
+                    encoding="utf-8")
+    assert ResponseCache(path).get_completion("k0") == "r"
 
 
 def _torn_cache(path):
@@ -657,11 +843,8 @@ for i in range(200):
 def test_two_processes_append_to_one_cache(tmp_path):
     path = tmp_path / "cache.jsonl"
     go = tmp_path / "go"
-    src = str(Path(cti2stix.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     children = [subprocess.Popen([sys.executable, "-c", _APPENDER, str(path), tag, str(go)],
-                                 env=env, stderr=subprocess.PIPE, text=True)
+                                 env=_child_env(), stderr=subprocess.PIPE, text=True)
                 for tag in ("a", "b")]
     go.touch()
     for child in children:
