@@ -190,18 +190,19 @@ def classify_vectors(
     queries = np.asarray(vectors, dtype=np.float64)
     if not catalog.entries:
         return [[] for _ in range(len(queries))]
-    ends = np.append(catalog.starts[1:], len(catalog.order))
+    starts = catalog.starts
+    ends = np.append(starts[1:], len(catalog.entries))
     out: list[list[tuple[str, float, str]]] = []
     for lo in range(0, len(queries), _QUERY_BLOCK):
         block = queries[lo:lo + _QUERY_BLOCK]
-        scores = cosine_scores(block, catalog.vectors, catalog.norms)[:, catalog.order]
-        best = np.maximum.reduceat(scores, catalog.starts, axis=1)
+        scores = cosine_scores(block, catalog.vectors, catalog.norms)
+        best = np.maximum.reduceat(scores, starts, axis=1)
         for row_scores, row_best in zip(scores, best):
             hits = []
             # as float64: against float32 scores a Python float is rounded
             for s in np.flatnonzero(row_best.astype(np.float64) >= threshold):
-                j = catalog.starts[s] + int(np.argmax(row_scores[catalog.starts[s]:ends[s]]))
-                entry = catalog.entries[catalog.order[j]]
+                j = starts[s] + int(np.argmax(row_scores[starts[s]:ends[s]]))
+                entry = catalog.entries[j]
                 hits.append((entry.technique_id, float(row_scores[j]), entry.example_id))
             out.append(hits)
     return out

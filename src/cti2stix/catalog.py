@@ -10,32 +10,41 @@ pipeline classifies at technique granularity.
 The embeddings form one matrix, row i embedding ``entries[i].text``; it is
 held, saved and loaded whole.  :func:`build_catalog` makes it float32, the
 precision embedding endpoints return, so the file, its CRC pass and every
-scoring product read half the bytes float64 would.  Scoring takes its row
-norms and its technique segments (entries grouped by technique id), so the
-catalog works them out once, when it is built or loaded, and scores in the
-matrix's own dtype.
+scoring product read half the bytes float64 would.  Rows are kept stably
+sorted by technique id, so each technique's rows form one segment.  Scoring
+takes the row norms and the segment starts, which the catalog works out when
+it is built and the file stores, and scores in the matrix's own dtype.
 
 Embedding a full catalog costs real API calls, so the result is cached on
 disk, keyed by the content hash of the parsed catalog plus the embedding model
 id; a stale, foreign-model or unreadable cache is rebuilt, never trusted.  The
 file is one flat layout, in this order:
 
-1. the magic line ``cti2stix-catalog 1``, whose number is the format version;
+1. the magic line ``cti2stix-catalog 2``, whose number is the format version;
 2. the header's length and its CRC-32, as little-endian uint64 and uint32;
 3. the header: UTF-8 JSON with the model, dim, content hash, the matrix's
-   dtype string, shape and CRC-32, and the entries, padded with spaces so
-   that the matrix starts at a multiple of 64 bytes into the file;
-4. the matrix bytes, in C order and the matrix's own dtype.
+   dtype string and shape, the entry count, each technique's id and name in
+   id order, and each part's byte length and CRC-32, padded with spaces so
+   that the first part starts at a multiple of 64 bytes into the file;
+4. the parts, each starting at the next multiple of 64 bytes after the one
+   before, zero bytes between them: the matrix (C order, its own dtype), the
+   row norms (the matrix's dtype), the segment starts (int64), then the
+   entries' texts and example ids, each as the int64 offsets of every string
+   followed by the strings' UTF-8 bytes end to end.
 
-Loading maps the file read-only and uses the matrix in place, so concurrent
-processes share one copy in the page cache; both CRC-32s are still checked
-before a catalog is returned, the matrix's on a helper thread.  Because the
-matrix is the file, a catalog file is replaced (written beside it, then
-renamed), never rewritten in place: truncating a mapped file would crash the
-processes reading it.  Only float32 files in this layout load: an older
-version's zip (``.npz``) file or a matrix of any other dtype is refused, and
-``cti2stix catalog build`` rebuilds it once, re-embedding through the
-provider (free when its response cache holds the embeddings).
+Loading maps the file read-only and uses every part in place, so concurrent
+processes share one copy in the page cache and a load does Python work per
+technique, not per entry: ``entries`` is a read-only sequence that builds a
+:class:`CatalogEntry` only when one is indexed.  Every CRC-32 is still
+checked before a catalog is returned, the parts' on a helper thread, and the
+parts are checked against the header and each other with whole-array numpy
+operations.  Because the parts are the file, a catalog file is replaced
+(written beside it, then renamed), never rewritten in place: truncating a
+mapped file would crash the processes reading it.  Only float32 files in this
+layout load: an older version's file (a zip, ``.npz``, or version 1 of this
+layout, which kept the entries in its header) or a matrix of any other dtype
+is refused, and ``cti2stix catalog build`` rebuilds it once, re-embedding
+through the provider (free when its response cache holds the embeddings).
 """
 
 from __future__ import annotations
@@ -44,13 +53,17 @@ import hashlib
 import json
 import logging
 import mmap
+import operator
 import os
 import struct
 import zlib
+from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Union
+from types import MappingProxyType
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -58,17 +71,22 @@ from .stix import external_technique_id, parent_technique
 
 logger = logging.getLogger(__name__)
 
-_MAGIC = b"cti2stix-catalog 1\n"  # the number is the format version
+_MAGIC = b"cti2stix-catalog 2\n"  # the number is the format version
+# older versions wrote a zip (.npz) file, then version 1 of this layout
+_OLDER_MAGICS = (b"PK\x03\x04", b"cti2stix-catalog 1\n")
 _LENGTHS = struct.Struct("<QI")  # the header's length and CRC-32
 _HEADER_START = len(_MAGIC) + _LENGTHS.size
-_ALIGN = 64  # file offset alignment of the matrix
-_ZIP_MAGIC = b"PK\x03\x04"  # older versions wrote a zip (.npz) file
+_ALIGN = 64  # file offset alignment of every part
+_PARTS = ("matrix", "norms", "starts", "text_offsets", "texts",
+          "example_offsets", "example_ids")  # in file order
 _REBUILD = "written by an older version; rebuild it with `cti2stix catalog build`"
 _DTYPE = np.dtype(np.float32)  # the one dtype a catalog file holds
+_INDEX = np.dtype("<i8")  # segment starts and string offsets
+_BYTE = np.dtype(np.uint8)
 
 
 class CatalogError(ValueError):
-    """A catalog file that cannot be read, or whose matrix disagrees with its
+    """A catalog file that cannot be read, or whose parts disagree with its
     metadata."""
 
 
@@ -87,49 +105,181 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
+@dataclass(frozen=True)
+class _Strings:
+    """Strings stored end to end as UTF-8 bytes: string i is
+    ``data[offsets[i]:offsets[i + 1]]``, decoded when it is read."""
+
+    data: np.ndarray  # uint8
+    offsets: np.ndarray  # int64, one more than there are strings
+
+    @classmethod
+    def pack(cls, strings: Sequence[str]) -> _Strings:
+        encoded = [s.encode("utf-8") for s in strings]
+        offsets = np.zeros(len(encoded) + 1, dtype=_INDEX)
+        offsets[1:] = np.cumsum([len(b) for b in encoded], dtype=_INDEX)
+        return cls(np.frombuffer(b"".join(encoded), dtype=_BYTE), offsets)
+
+    def __getitem__(self, i: int) -> str:
+        return str(self.data[self.offsets[i]:self.offsets[i + 1]], "utf-8")
+
+    def indices_of(self, value: str) -> np.ndarray:
+        """The indices of the strings equal to *value*, found without decoding
+        any."""
+        target = np.frombuffer(value.encode("utf-8"), dtype=_BYTE)
+        found = np.flatnonzero(np.diff(self.offsets) == len(target))
+        at = self.offsets[found, np.newaxis] + np.arange(len(target))
+        return found[(self.data[at] == target).all(axis=1)]
+
+    def check(self, name: str) -> None:
+        """Raise ValueError unless the offsets run from 0 to the end of the
+        data without going back, and each string is whole UTF-8."""
+        offsets = self.offsets
+        if offsets[0] != 0 or offsets[-1] != len(self.data) or (np.diff(offsets) < 0).any():
+            raise ValueError(f"its {name} offsets do not rise from 0 to its "
+                             f"{len(self.data)} bytes of strings")
+        str(self.data, "utf-8")  # raises UnicodeDecodeError, a ValueError
+        inside = offsets[offsets < len(self.data)]
+        if ((self.data[inside] & 0xC0) == 0x80).any():
+            raise ValueError(f"its {name} offsets split a UTF-8 character")
+
+
+class CatalogEntries(Sequence):
+    """A catalog's entries, grouped by technique, each built as a
+    :class:`CatalogEntry` only when it is indexed.
+
+    ``techniques`` lists each technique's ``(id, name)`` in id order, and
+    ``starts`` the index of its first entry; the entries' example ids and
+    texts are stored as packed strings.
+    """
+
+    def __init__(self, techniques: Sequence[Sequence[str]], starts: np.ndarray,
+                 example_ids: _Strings, texts: _Strings) -> None:
+        self.techniques = techniques
+        self.starts = starts
+        self._starts = starts.tolist()
+        self.example_ids = example_ids
+        self.texts = texts
+
+    @classmethod
+    def pack(cls, entries: Sequence[CatalogEntry]) -> CatalogEntries:
+        """*entries*, which must be grouped by technique id in id order.
+
+        Raises :class:`CatalogError` when one technique's entries carry two
+        names: a technique has one name.
+        """
+        techniques: list[tuple[str, str]] = []
+        starts: list[int] = []
+        for i, entry in enumerate(entries):
+            if not techniques or techniques[-1][0] != entry.technique_id:
+                techniques.append((entry.technique_id, entry.name))
+                starts.append(i)
+            elif techniques[-1][1] != entry.name:
+                raise CatalogError(f"technique {entry.technique_id} has entries named "
+                                   f"{techniques[-1][1]!r} and {entry.name!r}")
+        return cls(techniques, np.array(starts, dtype=_INDEX),
+                   _Strings.pack([e.example_id for e in entries]),
+                   _Strings.pack([e.text for e in entries]))
+
+    def __len__(self) -> int:
+        return len(self.texts.offsets) - 1
+
+    def __getitem__(self, i: int) -> CatalogEntry:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("catalog entry index out of range")
+        technique_id, name = self.techniques[bisect_right(self._starts, i) - 1]
+        return CatalogEntry(technique_id, name, self.example_ids[i], self.texts[i])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def check(self) -> None:
+        """Raise ValueError unless the technique ids strictly increase, the
+        segment starts begin at 0 and strictly increase below the entry count,
+        and the packed strings are whole (:meth:`_Strings.check`)."""
+        ids = [technique_id for technique_id, _ in self.techniques]
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("its technique ids do not strictly increase")
+        starts = self.starts
+        if len(starts) == 0:
+            segmented = len(self) == 0
+        else:
+            segmented = (starts[0] == 0 and starts[-1] < len(self)
+                         and bool((np.diff(starts) > 0).all()))
+        if not segmented:
+            raise ValueError(f"its segment starts do not begin at 0 and strictly "
+                             f"increase below its {len(self)} entries")
+        self.example_ids.check("example id")
+        self.texts.check("text")
+
+    def technique_names(self) -> dict[str, str]:
+        """``{technique id: name}`` over the techniques with a
+        ``description`` entry."""
+        rows = self.example_ids.indices_of("description")
+        found = np.unique(np.searchsorted(self.starts, rows, side="right") - 1)
+        return dict(self.techniques[s] for s in found.tolist())
+
+
 @dataclass(eq=False)
 class TechniqueCatalog:
-    """Catalog entries and their embedding matrix.
+    """Catalog entries and their embedding matrix, in technique order.
 
-    ``norms`` holds the row norms.  ``order`` lists the row indices stably
-    sorted by technique id, so each technique's rows form one segment in
-    catalog order; ``starts`` gives where each segment begins in ``order``.
+    Entries given in another order are stably sorted by technique id, their
+    rows with them, so each technique's rows form one segment in catalog
+    order; ``starts`` gives where each segment begins.  ``entries`` becomes a
+    :class:`CatalogEntries`.  ``norms`` holds the row norms, computed unless
+    given with entries already in that form, as :func:`load_catalog` does.
     """
 
     model: str
     content_hash: str
-    entries: list[CatalogEntry]
+    entries: Sequence[CatalogEntry]
     vectors: np.ndarray  # float32 or float64 (len(entries), dim); row i embeds entries[i].text
-    norms: np.ndarray = field(init=False, repr=False)
-    order: np.ndarray = field(init=False, repr=False)
-    starts: np.ndarray = field(init=False, repr=False)
+    norms: Optional[np.ndarray] = field(default=None, repr=False)
+    _names: Mapping[str, str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # float32 stays float32; anything else is taken as float64
         vectors = np.asarray(self.vectors)
         if vectors.dtype != _DTYPE:
             vectors = vectors.astype(np.float64, copy=False)
-        self.vectors = vectors
-        if self.vectors.ndim != 2 or len(self.vectors) != len(self.entries):
+        if vectors.ndim != 2 or len(vectors) != len(self.entries):
             raise CatalogError(
-                f"vectors have shape {self.vectors.shape}, "
+                f"vectors have shape {vectors.shape}, "
                 f"need one row per entry ({len(self.entries)})"
             )
-        self.norms = row_norms(self.vectors)
-        ids = [e.technique_id for e in self.entries]
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.order = np.array(order, dtype=np.intp)
-        self.starts = np.array(
-            [k for k, i in enumerate(order) if k == 0 or ids[i] != ids[order[k - 1]]],
-            dtype=np.intp,
-        )
+        if not isinstance(self.entries, CatalogEntries):
+            entries = list(self.entries)
+            order = sorted(range(len(entries)), key=lambda i: entries[i].technique_id)
+            if order != list(range(len(entries))):
+                entries = [entries[i] for i in order]
+                vectors = vectors[order]
+            self.entries = CatalogEntries.pack(entries)
+            self.norms = None
+        self.vectors = vectors
+        if self.norms is None:
+            self.norms = row_norms(vectors)
+        self._names = MappingProxyType(self.entries.technique_names())
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def technique_names(self) -> dict[str, str]:
-        return {e.technique_id: e.name for e in self.entries if e.example_id == "description"}
+    @property
+    def starts(self) -> np.ndarray:
+        return self.entries.starts
+
+    def technique_names(self) -> Mapping[str, str]:
+        """``{technique id: name}`` over the techniques with a
+        ``description`` entry, worked out once per catalog."""
+        return self._names
 
 
 def parse_attack_export(source: Union[str, Path, dict]) -> dict[str, dict[str, Any]]:
@@ -263,23 +413,31 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
         raise CatalogError(f"cannot save a {catalog.vectors.dtype} matrix, need {_DTYPE}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    matrix = np.ascontiguousarray(catalog.vectors)
+    entries = catalog.entries
+    parts = [np.ascontiguousarray(part).reshape(-1).view(_BYTE) for part in (
+        catalog.vectors, catalog.norms, entries.starts,
+        entries.texts.offsets, entries.texts.data,
+        entries.example_ids.offsets, entries.example_ids.data,
+    )]
     header = json.dumps({
         "model": catalog.model,
         "dim": catalog.dim,
         "content_hash": catalog.content_hash,
-        "dtype": matrix.dtype.str,
-        "shape": matrix.shape,
-        "matrix_crc32": zlib.crc32(matrix),
-        "entries": [asdict(e) for e in catalog.entries],
+        "dtype": catalog.vectors.dtype.str,
+        "shape": catalog.vectors.shape,
+        "entries": len(entries),
+        "techniques": entries.techniques,
+        "parts": {name: [len(part), zlib.crc32(part)] for name, part in zip(_PARTS, parts)},
     }, ensure_ascii=False).encode("utf-8")
-    # JSON ignores trailing whitespace, so spaces pad the matrix into alignment
+    # JSON ignores trailing whitespace, so spaces pad the first part into alignment
     header += b" " * (-(_HEADER_START + len(header)) % _ALIGN)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         with tmp.open("xb") as fh:
             fh.write(_MAGIC + _LENGTHS.pack(len(header), zlib.crc32(header)) + header)
-            fh.write(matrix)
+            for part in parts:
+                fh.write(bytes(-fh.tell() % _ALIGN))
+                fh.write(part)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -289,14 +447,14 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
 
 
 def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
-    """Read a catalog written by :func:`save_catalog`, its matrix a view of a
-    read-only mapping of the file.  The matrix's CRC-32 is computed on a
-    helper thread while the header is checked and parsed and the entries,
-    norms and segments are built.
+    """Read a catalog written by :func:`save_catalog`, each of its parts a
+    view of a read-only mapping of the file.  The parts' CRC-32s are computed
+    on a helper thread while the header is checked.
 
     Raises :class:`CatalogError` when the file is not a catalog, is
     truncated, fails a CRC-32 check, when its matrix is not float32 (native
-    byte order) or not ``(len(entries), dim)`` as its header says, or when
+    byte order) or not ``(entries, dim)`` as its header says, when a part's
+    size or content disagrees with the header or with another part, or when
     it was written by an older version: ``cti2stix catalog build`` rebuilds
     such a file.
     """
@@ -304,37 +462,66 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
         with open(path, "rb") as fh:
             view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
         if view[:len(_MAGIC)] != _MAGIC:
-            if view[:len(_ZIP_MAGIC)] == _ZIP_MAGIC:
+            if any(view[:len(magic)] == magic for magic in _OLDER_MAGICS):
                 raise CatalogError(f"catalog {path} was {_REBUILD}")
             raise ValueError("not a catalog file")
         header_size, header_crc = _LENGTHS.unpack_from(view, len(_MAGIC))
-        offset = _HEADER_START + header_size
-        if offset > len(view) or offset % _ALIGN:
+        at = _HEADER_START + header_size
+        if at > len(view) or at % _ALIGN:
             raise ValueError(f"its {header_size}-byte header runs past the end of the file "
-                             f"or leaves the matrix unaligned")
+                             f"or leaves its parts unaligned")
+        if zlib.crc32(view[_HEADER_START:at]) != header_crc:
+            raise CatalogError(f"catalog {path}: header fails its CRC-32 check")
+        meta = json.loads(bytes(view[_HEADER_START:at]))
+        if list(meta["parts"]) != list(_PARTS):
+            raise ValueError(f"its parts are {list(meta['parts'])}, need {list(_PARTS)}")
+        spans = {}  # part name -> (file offset, byte length)
+        for name in _PARTS:
+            size = meta["parts"][name][0]
+            at += -at % _ALIGN
+            if at + size > len(view):
+                raise ValueError(f"its {name} holds {max(0, len(view) - at)} bytes, "
+                                 f"its header says {size}")
+            spans[name] = (at, size)
+            at += size
+        if at != len(view):
+            raise ValueError(f"it holds {len(view) - at} bytes past its last part")
         with ThreadPoolExecutor(max_workers=1) as pool:
-            matrix_crc = pool.submit(zlib.crc32, view[offset:])
-            if zlib.crc32(view[_HEADER_START:offset]) != header_crc:
-                raise CatalogError(f"catalog {path}: header fails its CRC-32 check")
-            meta = json.loads(bytes(view[_HEADER_START:offset]))
-            entries = [CatalogEntry(**item) for item in meta["entries"]]
+            crcs = pool.submit(lambda: [zlib.crc32(view[a:a + n]) for a, n in spans.values()])
             if meta["dtype"] != _DTYPE.str:
                 raise CatalogError(f"catalog {path}: vectors have dtype {meta['dtype']}, "
                                    f"need float32 ({_DTYPE.str})")
+            rows, techniques = meta["entries"], meta["techniques"]
             shape = tuple(meta["shape"])
-            if shape != (len(entries), meta["dim"]):
+            if shape != (rows, meta["dim"]):
                 raise CatalogError(f"catalog {path}: vectors have shape {shape}, "
-                                   f"its metadata says {(len(entries), meta['dim'])}")
-            count = shape[0] * shape[1]
-            if len(view) - offset != count * _DTYPE.itemsize:
-                raise ValueError(f"its matrix holds {len(view) - offset} bytes, "
-                                 f"its header says {count * _DTYPE.itemsize}")
-            vectors = np.frombuffer(view, _DTYPE, count, offset).reshape(shape)
-            catalog = TechniqueCatalog(model=meta["model"], content_hash=meta["content_hash"],
-                                       entries=entries, vectors=vectors)
-            if matrix_crc.result() != meta["matrix_crc32"]:
-                raise CatalogError(f"catalog {path}: matrix fails its CRC-32 check")
-        return catalog
+                                   f"its metadata says {(rows, meta['dim'])}")
+            need = {"matrix": shape[0] * shape[1] * _DTYPE.itemsize,
+                    "norms": rows * _DTYPE.itemsize,
+                    "starts": len(techniques) * _INDEX.itemsize,
+                    "text_offsets": (rows + 1) * _INDEX.itemsize,
+                    "example_offsets": (rows + 1) * _INDEX.itemsize}
+            for name, size in need.items():
+                if spans[name][1] != size:
+                    raise CatalogError(f"catalog {path}: its {name} part holds "
+                                       f"{spans[name][1]} bytes, need {size}")
+            for name, crc in zip(_PARTS, crcs.result()):
+                if crc != meta["parts"][name][1]:
+                    raise CatalogError(f"catalog {path}: {name} fails its CRC-32 check")
+
+        def part(name: str, dtype: np.dtype) -> np.ndarray:
+            at, size = spans[name]
+            return np.frombuffer(view, dtype, size // dtype.itemsize, at)
+
+        entries = CatalogEntries(
+            [(technique_id, name) for technique_id, name in techniques],
+            part("starts", _INDEX),
+            _Strings(part("example_ids", _BYTE), part("example_offsets", _INDEX)),
+            _Strings(part("texts", _BYTE), part("text_offsets", _INDEX)))
+        entries.check()
+        return TechniqueCatalog(model=meta["model"], content_hash=meta["content_hash"],
+                                entries=entries, vectors=part("matrix", _DTYPE).reshape(shape),
+                                norms=part("norms", _DTYPE))
     except CatalogError:
         raise
     except (ValueError, KeyError, TypeError, struct.error) as exc:

@@ -5,10 +5,12 @@ Subcommands:
 * ``extract``        — reports (files or URLs) -> STIX bundles + audit logs
 * ``eval``           — extracted bundles vs ground truth -> scores.json/.csv
 * ``catalog build``  — ATT&CK export -> embedded technique catalog: a magic
-  line, a CRC-checked JSON header and a 64-byte-aligned float32 matrix.  An
-  older version's ``.npz`` zip is refused by ``extract`` and ``calibrate``
-  (exit 2); ``catalog build`` rebuilds it once, re-embedding, which costs
-  nothing when the response cache holds the embeddings
+  line, a CRC-checked JSON header, then 64-byte-aligned parts: the float32
+  matrix, its row norms, the technique segments and the entries' packed
+  strings.  An older version's file (an ``.npz`` zip, or version 1 of this
+  layout) is refused by ``extract`` and ``calibrate`` (exit 2); ``catalog
+  build`` rebuilds it once, re-embedding, which costs nothing when the
+  response cache holds the embeddings
 * ``calibrate``      — sweep the similarity threshold against ground truth
 * ``config show``    — print the effective configuration
 

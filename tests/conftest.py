@@ -148,16 +148,31 @@ def savez_aligned(fh, **arrays):
                 np.lib.format.write_array(out, np.asarray(array), allow_pickle=False)
 
 
-@pytest.fixture(params=[savez_aligned, np.savez, np.savez_compressed],
-                ids=["aligned_zip", "savez", "savez_compressed"])
+def write_flat_v1(fh, meta, vectors):
+    """Version 1 of the flat layout, which came after the zip: a magic line,
+    the header's length and CRC-32, a JSON header that holds every entry and
+    the matrix's CRC-32, padded to 64 bytes, then the matrix."""
+    matrix = np.ascontiguousarray(vectors)
+    meta = json.loads(meta)
+    header = json.dumps({"model": meta["model"], "dim": meta["dim"],
+                         "content_hash": meta["content_hash"], "dtype": matrix.dtype.str,
+                         "shape": list(matrix.shape), "matrix_crc32": zlib.crc32(matrix),
+                         "entries": meta["entries"]}).encode()
+    header += b" " * (-(19 + 12 + len(header)) % 64)
+    fh.write(b"cti2stix-catalog 1\n" + struct.pack("<QI", len(header), zlib.crc32(header))
+             + header + matrix.tobytes())
+
+
+@pytest.fixture(params=[savez_aligned, np.savez, np.savez_compressed, write_flat_v1],
+                ids=["aligned_zip", "savez", "savez_compressed", "flat_v1"])
 def legacy_writer(request):
-    """How versions before the flat layout wrote a catalog."""
+    """How older versions wrote a catalog."""
     return request.param
 
 
 def write_legacy_catalog(path, catalog, writer):
-    """*catalog* as versions before the flat layout wrote it: *writer*
-    (:func:`savez_aligned`, ``np.savez`` or ``np.savez_compressed``) over a
+    """*catalog* as older versions wrote it: *writer* (:func:`savez_aligned`,
+    ``np.savez``, ``np.savez_compressed`` or :func:`write_flat_v1`) over a
     JSON metadata string and the matrix."""
     meta = {"model": catalog.model, "dim": catalog.dim, "content_hash": catalog.content_hash,
             "entries": [asdict(e) for e in catalog.entries]}
@@ -165,26 +180,56 @@ def write_legacy_catalog(path, catalog, writer):
         writer(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=catalog.vectors)
 
 
-def write_raw_catalog(path, header, matrix):
-    """A file in the catalog layout around *header* and the bytes *matrix*,
-    its header CRC correct and its matrix 64-byte aligned."""
+def write_raw_catalog(path, header, parts):
+    """A file in the catalog layout around *header* and *parts* (part name ->
+    bytes, in file order): the header gains each part's length and CRC-32,
+    its own CRC-32 is correct and every part starts 64-byte aligned."""
+    header = dict(header, parts={name: [len(data), zlib.crc32(data)]
+                                 for name, data in parts.items()})
     blob = json.dumps(header).encode()
     blob += b" " * (-(19 + 12 + len(blob)) % 64)
-    path.write_bytes(b"cti2stix-catalog 1\n" + struct.pack("<QI", len(blob), zlib.crc32(blob))
-                     + blob + matrix)
+    out = b"cti2stix-catalog 2\n" + struct.pack("<QI", len(blob), zlib.crc32(blob)) + blob
+    for data in parts.values():
+        out += bytes(-len(out) % 64) + data
+    path.write_bytes(out)
+
+
+def packed_strings(values):
+    """Strings as a catalog file stores them: their int64 offsets, then
+    their UTF-8 bytes end to end."""
+    encoded = [v.encode() for v in values]
+    offsets = [0]
+    for data in encoded:
+        offsets.append(offsets[-1] + len(data))
+    return struct.pack(f"<{len(offsets)}q", *offsets), b"".join(encoded)
+
+
+def catalog_file_contents(catalog):
+    """The header (less its parts) and the parts that :func:`save_catalog`
+    writes for *catalog*, whose entries are grouped by technique id in id
+    order, in its matrix's own dtype and shape."""
+    matrix = np.ascontiguousarray(catalog.vectors)
+    entries = list(catalog.entries)
+    starts = [i for i, e in enumerate(entries)
+              if i == 0 or e.technique_id != entries[i - 1].technique_id]
+    text_offsets, texts = packed_strings([e.text for e in entries])
+    example_offsets, example_ids = packed_strings([e.example_id for e in entries])
+    header = {"model": catalog.model, "dim": catalog.dim, "content_hash": catalog.content_hash,
+              "dtype": matrix.dtype.str, "shape": list(matrix.shape), "entries": len(entries),
+              "techniques": [[entries[i].technique_id, entries[i].name] for i in starts]}
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix)).astype(matrix.dtype)
+    parts = {"matrix": matrix.tobytes(), "norms": norms.tobytes(),
+             "starts": struct.pack(f"<{len(starts)}q", *starts),
+             "text_offsets": text_offsets, "texts": texts,
+             "example_offsets": example_offsets, "example_ids": example_ids}
+    return header, parts
 
 
 def write_unchecked_catalog(path, catalog):
     """The file :func:`save_catalog` writes for *catalog*, in the matrix's own
     dtype and shape: save_catalog refuses a matrix that is not float32, and a
     ``TechniqueCatalog`` one whose shape disagrees with its entries."""
-    matrix = np.ascontiguousarray(catalog.vectors)
-    write_raw_catalog(path, {"model": catalog.model, "dim": catalog.dim,
-                             "content_hash": catalog.content_hash,
-                             "dtype": matrix.dtype.str, "shape": list(matrix.shape),
-                             "matrix_crc32": zlib.crc32(matrix),
-                             "entries": [asdict(e) for e in catalog.entries]},
-                      matrix.tobytes())
+    write_raw_catalog(path, *catalog_file_contents(catalog))
 
 
 def cosine(a, b):

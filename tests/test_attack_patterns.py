@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cti2stix.attack_patterns import (
@@ -181,10 +181,22 @@ class TestCosine:
         st.lists(st.floats(-10, 10), min_size=3, max_size=3),
         st.floats(0.1, 7.0),
     )
+    @example(a=[5e-324, 0.0, 0.0], b=[1.0, 0.0, 0.0], scale=0.5)
     def test_symmetric_and_scale_invariant(self, a, b, scale):
         va, vb = np.array(a), np.array(b)
         assert cosine(va, vb) == pytest.approx(cosine(vb, va))
+        # scaling keeps a vector's direction only while its nonzero components
+        # stay normal floats: below that they lose bits, or vanish as
+        # 5e-324 * 0.5 does (test_vector_scaled_to_zero_scores_zero)
+        assume(((va == 0) | (np.abs(va * scale) >= np.finfo(np.float64).tiny)).all())
         assert cosine(va * scale, vb) == pytest.approx(cosine(va, vb), abs=1e-9)
+
+    def test_vector_scaled_to_zero_scores_zero(self):
+        a = np.array([5e-324, 0.0, 0.0])
+        b = np.array([1.0, 0.0, 0.0])
+        assert cosine(a, b) == 1.0
+        assert not (a * 0.5).any()
+        assert cosine(a * 0.5, b) == 0.0
 
 
 def geometry_catalog():

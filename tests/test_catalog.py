@@ -6,7 +6,6 @@ import struct
 import tempfile
 import threading
 import zlib
-from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,6 +31,7 @@ from cti2stix.stix import parent_technique
 from conftest import (
     MITRE_SAMPLE,
     VTE_CANDIDATE,
+    catalog_file_contents,
     savez_aligned,
     write_legacy_catalog,
     write_raw_catalog,
@@ -166,8 +166,8 @@ class TestCache:
         save_catalog(mini_catalog, path)
         raw = path.read_bytes()
         header, offset = read_header(path)
-        assert raw.startswith(b"cti2stix-catalog 1\n")
-        assert raw[offset:] == mini_catalog.vectors.tobytes()
+        assert raw.startswith(b"cti2stix-catalog 2\n")
+        assert raw[offset:offset + mini_catalog.vectors.nbytes] == mini_catalog.vectors.tobytes()
         assert header["dtype"] == "<f4" and header["shape"] == list(mini_catalog.vectors.shape)
         assert header["dim"] == mini_catalog.dim and header["model"] == mini_catalog.model
 
@@ -309,7 +309,7 @@ class TestMappedFile:
             loaded = load_catalog(path)
             header, offset = read_header(path)
             assert offset % 64 == 0
-            assert path.read_bytes()[offset:] == vectors.tobytes()
+            assert path.read_bytes()[offset:offset + vectors.nbytes] == vectors.tobytes()
         assert header["dtype"] == vectors.dtype.str
         assert loaded.vectors.shape == vectors.shape
         assert loaded.vectors.dtype == vectors.dtype
@@ -346,9 +346,11 @@ class TestMappedFile:
             load_catalog(path)
 
     def test_matrix_crc_runs_on_a_helper_thread(self, mini_catalog, tmp_path, monkeypatch):
+        """The header's CRC-32 is checked on the calling thread, the matrix's
+        and every other part's on the helper."""
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)
-        _, offset = read_header(path)
+        header, offset = read_header(path)
         crc32 = zlib.crc32
         checked = []
 
@@ -358,8 +360,9 @@ class TestMappedFile:
 
         monkeypatch.setattr(zlib, "crc32", spy)
         load_catalog(path)
-        assert sorted(checked) == sorted([(offset - 31, True),
-                                          (mini_catalog.vectors.nbytes, False)])
+        parts = [(size, False) for size, _ in header["parts"].values()]
+        assert (mini_catalog.vectors.nbytes, False) in parts
+        assert sorted(checked) == sorted([(offset - 31, True)] + parts)
 
     def test_truncated_inside_vectors(self, mini_catalog, tmp_path):
         path = tmp_path / "catalog.npz"
@@ -401,12 +404,10 @@ class TestMappedFile:
     @pytest.mark.parametrize("dtype", ["|O", "<f2", ">f4", ">f8"])
     def test_header_dtype_refused(self, tmp_path, dtype):
         path = tmp_path / "odd.npz"
-        matrix = bytes(8 * 3)
-        write_raw_catalog(path, {"model": "stub", "dim": 3, "content_hash": "x",
-                                 "dtype": dtype, "shape": [1, 3],
-                                 "matrix_crc32": zlib.crc32(matrix),
-                                 "entries": [asdict(CatalogEntry("T1001", "n", "d", "t"))]},
-                          matrix)
+        header, parts = catalog_file_contents(SimpleNamespace(
+            model="stub", dim=3, content_hash="x", vectors=np.zeros((1, 3)),
+            entries=[CatalogEntry("T1001", "n", "d", "t")]))
+        write_raw_catalog(path, dict(header, dtype=dtype), parts)
         with pytest.raises(CatalogError, match=re.escape(f"vectors have dtype {dtype}, ")):
             load_catalog(path)
 
@@ -451,7 +452,7 @@ class TestMappedFile:
         rebuilt = build_catalog(MITRE_SAMPLE, HttpProvider(config, transport=transport),
                                 cache_path=path)
         assert requests == []
-        assert path.read_bytes().startswith(b"cti2stix-catalog 1\n")
+        assert path.read_bytes().startswith(b"cti2stix-catalog 2\n")
         loaded = load_catalog(path)
         assert loaded.entries == rebuilt.entries == first.entries
         np.testing.assert_array_equal(loaded.vectors, first.vectors)
@@ -506,7 +507,10 @@ class TestSegments:
             entries=[CatalogEntry(tid, "n", f"e{i}", "t") for i, tid in enumerate(ids)],
             vectors=np.eye(5),
         )
-        assert catalog.order.tolist() == [1, 4, 0, 2, 3]
+        # the rows are sorted with their entries
+        assert [(e.technique_id, e.example_id) for e in catalog.entries] == [
+            ("T1001", "e1"), ("T1001", "e4"), ("T1002", "e0"), ("T1002", "e2"), ("T1003", "e3")]
+        np.testing.assert_array_equal(catalog.vectors, np.eye(5)[[1, 4, 0, 2, 3]])
         assert catalog.starts.tolist() == [0, 2, 4]
 
     def test_row_count_must_match_entries(self):
@@ -514,3 +518,164 @@ class TestSegments:
             TechniqueCatalog(model="stub", content_hash="x",
                              entries=[CatalogEntry("T1001", "n", "description", "t")],
                              vectors=np.ones((2, 3)))
+
+
+def four_entry_catalog():
+    return TechniqueCatalog(
+        model="stub", content_hash="x",
+        entries=[CatalogEntry("T1001", "Alpha", "description", "alpha"),
+                 CatalogEntry("T1001", "Alpha", "procedure-0", "alpha two"),
+                 CatalogEntry("T1002", "Bravo", "description", "bravo"),
+                 CatalogEntry("T1003", "Charlie", "procedure-0", "charlie")],
+        vectors=np.arange(12, dtype=np.float32).reshape(4, 3))
+
+
+def int64s(*values):
+    return struct.pack(f"<{len(values)}q", *values)
+
+
+class TestDerivedParts:
+    """A file whose every CRC-32 holds but whose parts disagree with its
+    header or with each other is refused."""
+
+    def write(self, path, header_changes=None, **part_changes):
+        header, parts = catalog_file_contents(four_entry_catalog())
+        write_raw_catalog(path, dict(header, **(header_changes or {})),
+                          dict(parts, **part_changes))
+
+    def test_unchanged_parts_load(self, tmp_path):
+        path = tmp_path / "catalog.bin"
+        self.write(path)
+        assert load_catalog(path).entries == four_entry_catalog().entries
+
+    @pytest.mark.parametrize("starts", [(1, 2, 3), (0, 2, 2), (0, 3, 2), (0, 2, 4)],
+                             ids=["not-from-0", "repeated", "decreasing", "past-the-entries"])
+    def test_bad_segment_starts(self, tmp_path, starts):
+        path = tmp_path / "catalog.bin"
+        self.write(path, starts=int64s(*starts))
+        with pytest.raises(CatalogError, match="segment starts do not begin at 0"):
+            load_catalog(path)
+
+    def test_starts_without_techniques(self, tmp_path):
+        path = tmp_path / "catalog.bin"
+        self.write(path, {"techniques": []}, starts=b"")
+        with pytest.raises(CatalogError, match="segment starts"):
+            load_catalog(path)
+
+    def test_technique_ids_out_of_order(self, tmp_path):
+        path = tmp_path / "catalog.bin"
+        self.write(path, {"techniques": [["T1002", "Bravo"], ["T1001", "Alpha"],
+                                         ["T1003", "Charlie"]]})
+        with pytest.raises(CatalogError, match="technique ids do not strictly increase"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("part, offsets", [
+        ("text_offsets", (0, 9, 5, 19, 26)),  # rises to 9, then falls back to 5
+        ("text_offsets", (0, 5, 14, 19, 25)),  # one byte short of the texts
+        ("text_offsets", (1, 5, 14, 19, 26)),
+        ("example_offsets", (0, 11, 22, 33, 45)),  # one byte past the example ids
+    ], ids=["text-going-back", "text-short-of-the-end", "text-not-from-0", "example-past-the-end"])
+    def test_bad_offsets(self, tmp_path, part, offsets):
+        path = tmp_path / "catalog.bin"
+        self.write(path, **{part: int64s(*offsets)})
+        with pytest.raises(CatalogError, match="offsets do not rise from 0"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("part, data", [
+        ("matrix", bytes(4 * 13)), ("norms", bytes(4 * 5)), ("starts", int64s(0, 2, 3, 4)),
+        ("text_offsets", int64s(0, 5, 14, 19)), ("example_offsets", int64s(0, 11, 22, 33, 44, 44)),
+    ])
+    def test_part_of_the_wrong_size(self, tmp_path, part, data):
+        path = tmp_path / "catalog.bin"
+        self.write(path, **{part: data})
+        with pytest.raises(CatalogError, match=f"its {part} part holds {len(data)} bytes, need "):
+            load_catalog(path)
+
+    def test_offsets_that_split_a_character(self, tmp_path):
+        path = tmp_path / "catalog.bin"
+        texts = "alphaé".encode() + b"alpha two" + b"bravo" + b"charlie"
+        # the first text ends inside the two bytes of "é"
+        self.write(path, texts=texts, text_offsets=int64s(0, 6, 16, 21, 28))
+        with pytest.raises(CatalogError, match="split a UTF-8 character"):
+            load_catalog(path)
+
+    def test_texts_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "catalog.bin"
+        self.write(path, texts=b"alph\xff" + b"alpha two" + b"bravo" + b"charlie")
+        with pytest.raises(CatalogError, match="cannot read catalog.*utf-8"):
+            load_catalog(path)
+
+    def test_bytes_past_the_last_part(self, tmp_path):
+        path = tmp_path / "catalog.bin"
+        self.write(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CatalogError, match="1 bytes past its last part"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("part", ["norms", "starts", "text_offsets", "texts",
+                                      "example_offsets", "example_ids"])
+    def test_flipped_byte_fails_its_part_crc(self, tmp_path, part):
+        path = tmp_path / "catalog.bin"
+        save_catalog(four_entry_catalog(), path)
+        header, offset = read_header(path)
+        raw = bytearray(path.read_bytes())
+        for name, (size, _) in header["parts"].items():
+            offset += -offset % 64
+            if name == part:
+                raw[offset + size - 1] ^= 0x01
+                break
+            offset += size
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CatalogError, match=f": {part} fails its CRC-32 check"):
+            load_catalog(path)
+
+
+class TestLazyEntries:
+    def test_load_builds_no_entry_until_one_is_indexed(self, tmp_path, monkeypatch):
+        """Loading does per-technique work, not per-entry: a 6,000-entry
+        catalog loads without building one ``CatalogEntry``, and its
+        technique names equal the ones worked out entry by entry."""
+        entries = [CatalogEntry(f"T{1000 + i // 30}", f"Name {i // 30}",
+                                "description" if i % 30 == 0 else f"procedure-{i % 30}",
+                                f"text {i} é")
+                   for i in range(6000) if i % 60 != 0 or i % 120 == 0]
+        path = tmp_path / "catalog.bin"
+        save_catalog(TechniqueCatalog(model="stub", content_hash="x", entries=entries,
+                                      vectors=np.ones((len(entries), 4), np.float32)), path)
+        built = []
+        init = CatalogEntry.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CatalogEntry, "__init__", counting_init)
+        loaded = load_catalog(path)
+        assert built == []
+        eager = {e.technique_id: e.name for e in entries if e.example_id == "description"}
+        assert len(eager) < len({e.technique_id for e in entries})  # some have none
+        assert dict(loaded.technique_names()) == eager
+        assert loaded.technique_names() is loaded.technique_names()
+        assert len(loaded.entries) == len(entries) and built == []
+        assert loaded.entries[1234] == entries[1234] and len(built) == 1
+
+    def test_entries_index_like_a_list(self):
+        catalog = four_entry_catalog()
+        listed = [CatalogEntry("T1001", "Alpha", "description", "alpha"),
+                  CatalogEntry("T1001", "Alpha", "procedure-0", "alpha two"),
+                  CatalogEntry("T1002", "Bravo", "description", "bravo"),
+                  CatalogEntry("T1003", "Charlie", "procedure-0", "charlie")]
+        assert list(catalog.entries) == listed and catalog.entries == listed
+        assert catalog.entries[-1] == listed[-1] and catalog.entries[-4] == listed[0]
+        assert catalog.entries != listed[:3]
+        with pytest.raises(IndexError):
+            catalog.entries[4]
+        with pytest.raises(TypeError):
+            catalog.entries[1] = listed[0]
+
+    def test_one_technique_has_one_name(self):
+        with pytest.raises(CatalogError, match="T1001 has entries named 'A' and 'B'"):
+            TechniqueCatalog(model="stub", content_hash="x",
+                             entries=[CatalogEntry("T1001", "A", "description", "a"),
+                                      CatalogEntry("T1001", "B", "procedure-0", "b")],
+                             vectors=np.ones((2, 2)))

@@ -999,14 +999,13 @@ class TestMalformedCatalog:
 
     @pytest.fixture
     def short_catalog(self, tmp_path, mini_catalog):
-        from cti2stix.catalog import save_catalog
-
         path = tmp_path / "short.npz"
-        # save_catalog writes what it is given; a TechniqueCatalog would refuse the shape
-        save_catalog(SimpleNamespace(model=mini_catalog.model, dim=mini_catalog.dim,
-                                     content_hash=mini_catalog.content_hash,
-                                     entries=mini_catalog.entries,
-                                     vectors=mini_catalog.vectors[:-1]), path)
+        # a TechniqueCatalog would refuse the shape
+        write_unchecked_catalog(path, SimpleNamespace(model=mini_catalog.model,
+                                                      dim=mini_catalog.dim,
+                                                      content_hash=mini_catalog.content_hash,
+                                                      entries=mini_catalog.entries,
+                                                      vectors=mini_catalog.vectors[:-1]))
         return path
 
     @pytest.fixture
