@@ -177,43 +177,38 @@ def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> n
 
 def classify_vectors(
     vectors: np.ndarray, catalog: TechniqueCatalog, threshold: float
-) -> list[list[tuple[str, float, str]]]:
-    """For each row of ``vectors``, all techniques whose best catalog example
-    scores >= threshold.
+) -> dict[str, float]:
+    """``{technique_id: best score}`` over every technique whose best catalog
+    example scores >= threshold against any row of ``vectors``, in
+    technique-id order.
 
-    Each row's hits are ``(technique_id, best_score, best_example_id)`` tuples
-    sorted by technique id; the best example is the first of a technique's
-    top scorers in catalog order.  Multi-label on purpose: one sentence can
-    exhibit several techniques.  A score is compared with the threshold as a
-    float64, the value the hit carries.
+    Multi-label on purpose: one sentence can exhibit several techniques.  A
+    row whose scores are NaN (a NaN embedding) scores nothing and hides no
+    other row's hits.  A score is compared with the threshold as a float64,
+    the value returned.
     """
     queries = np.asarray(vectors, dtype=np.float64)
-    if not catalog.entries:
-        return [[] for _ in range(len(queries))]
-    starts = catalog.starts
-    ends = np.append(starts[1:], len(catalog.entries))
-    out: list[list[tuple[str, float, str]]] = []
+    if not len(catalog.entries) or not len(queries):
+        return {}
+    best = None
     for lo in range(0, len(queries), _QUERY_BLOCK):
-        block = queries[lo:lo + _QUERY_BLOCK]
-        scores = cosine_scores(block, catalog.vectors, catalog.norms)
-        best = np.maximum.reduceat(scores, starts, axis=1)
-        for row_scores, row_best in zip(scores, best):
-            hits = []
-            # as float64: against float32 scores a Python float is rounded
-            for s in np.flatnonzero(row_best.astype(np.float64) >= threshold):
-                j = starts[s] + int(np.argmax(row_scores[starts[s]:ends[s]]))
-                entry = catalog.entries[j]
-                hits.append((entry.technique_id, float(row_scores[j]), entry.example_id))
-            out.append(hits)
-    return out
+        scores = cosine_scores(queries[lo:lo + _QUERY_BLOCK], catalog.vectors, catalog.norms)
+        # each technique's best row, then its best query; fmax skips a NaN
+        # query, where a plain maximum would wipe out every hit
+        block_best = np.fmax.reduce(np.maximum.reduceat(scores, catalog.starts, axis=1), axis=0)
+        best = block_best if best is None else np.fmax(best, block_best)
+    # as float64: against float32 scores a Python float is rounded
+    return {tid: score for tid, score in zip(catalog.technique_names(),
+                                             best.astype(np.float64).tolist())
+            if score >= threshold}
 
 
 def classify_vector(
     vector: np.ndarray, catalog: TechniqueCatalog, threshold: float
-) -> list[tuple[str, float, str]]:
+) -> dict[str, float]:
     """The one-vector case of :func:`classify_vectors`."""
     return classify_vectors(np.asarray(vector, dtype=np.float64)[np.newaxis], catalog,
-                            threshold)[0]
+                            threshold)
 
 
 def detect_explicit_techniques(text: str) -> list[str]:
@@ -259,10 +254,7 @@ def run_attack_pattern_pipeline(
     # each technique's best score over the unique candidate texts
     best: dict[str, Optional[float]] = {}
     if unique_texts:
-        for hits in classify_vectors(vectors, catalog, config.threshold):
-            for tid, score, _ in hits:
-                if tid not in best or score > best[tid]:
-                    best[tid] = score
+        best.update(classify_vectors(vectors, catalog, config.threshold))
 
     for tid in detect_explicit_techniques(report.text):
         best.setdefault(tid, None)

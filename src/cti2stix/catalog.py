@@ -58,11 +58,10 @@ import os
 import struct
 import zlib
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
 from typing import Any, Optional, Union
 
 import numpy as np
@@ -122,14 +121,6 @@ class _Strings:
 
     def __getitem__(self, i: int) -> str:
         return str(self.data[self.offsets[i]:self.offsets[i + 1]], "utf-8")
-
-    def indices_of(self, value: str) -> np.ndarray:
-        """The indices of the strings equal to *value*, found without decoding
-        any."""
-        target = np.frombuffer(value.encode("utf-8"), dtype=_BYTE)
-        found = np.flatnonzero(np.diff(self.offsets) == len(target))
-        at = self.offsets[found, np.newaxis] + np.arange(len(target))
-        return found[(self.data[at] == target).all(axis=1)]
 
     def check(self, name: str) -> None:
         """Raise ValueError unless the offsets run from 0 to the end of the
@@ -193,13 +184,6 @@ class CatalogEntries(Sequence):
         technique_id, name = self.techniques[bisect_right(self._starts, i) - 1]
         return CatalogEntry(technique_id, name, self.example_ids[i], self.texts[i])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
     def check(self) -> None:
         """Raise ValueError unless the technique ids strictly increase, the
         segment starts begin at 0 and strictly increase below the entry count,
@@ -219,13 +203,6 @@ class CatalogEntries(Sequence):
         self.example_ids.check("example id")
         self.texts.check("text")
 
-    def technique_names(self) -> dict[str, str]:
-        """``{technique id: name}`` over the techniques with a
-        ``description`` entry."""
-        rows = self.example_ids.indices_of("description")
-        found = np.unique(np.searchsorted(self.starts, rows, side="right") - 1)
-        return dict(self.techniques[s] for s in found.tolist())
-
 
 @dataclass(eq=False)
 class TechniqueCatalog:
@@ -243,7 +220,6 @@ class TechniqueCatalog:
     entries: Sequence[CatalogEntry]
     vectors: np.ndarray  # float32 or float64 (len(entries), dim); row i embeds entries[i].text
     norms: Optional[np.ndarray] = field(default=None, repr=False)
-    _names: Mapping[str, str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # float32 stays float32; anything else is taken as float64
@@ -266,7 +242,6 @@ class TechniqueCatalog:
         self.vectors = vectors
         if self.norms is None:
             self.norms = row_norms(vectors)
-        self._names = MappingProxyType(self.entries.technique_names())
 
     @property
     def dim(self) -> int:
@@ -276,10 +251,9 @@ class TechniqueCatalog:
     def starts(self) -> np.ndarray:
         return self.entries.starts
 
-    def technique_names(self) -> Mapping[str, str]:
-        """``{technique id: name}`` over the techniques with a
-        ``description`` entry, worked out once per catalog."""
-        return self._names
+    def technique_names(self) -> dict[str, str]:
+        """``{technique id: name}`` over every technique, in id order."""
+        return dict(self.entries.techniques)
 
 
 def parse_attack_export(source: Union[str, Path, dict]) -> dict[str, dict[str, Any]]:

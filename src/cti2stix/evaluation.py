@@ -284,8 +284,8 @@ def load_ground_truth_file(path: Union[str, Path]) -> GroundTruth:
     """Read one ground-truth file, and the report text beside it if any.
 
     Raises ``ValueError`` naming *path*, and the bad entry if one is at
-    fault, on a file that is not JSON, not a mapping, or lists an entity or
-    relation that does not parse."""
+    fault, on a file that is not JSON, not a mapping, gives a report id that
+    is not a string, or lists an entity or relation that does not parse."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -297,6 +297,8 @@ def load_ground_truth_file(path: Union[str, Path]) -> GroundTruth:
                 for kind in _ENTITY_KINDS if raw.get(kind)}
     relations = _parse_gt_list(path, raw, "relations", _parse_gt_relation)
     report_id = raw.get("report_id", path.stem)
+    if not isinstance(report_id, str):
+        raise ValueError(f"ground truth {path}: report_id {report_id!r} is not a string")
     gt = GroundTruth(report_id=report_id, entities=entities, relations=relations)
     text_path = path.with_suffix(".txt")
     if text_path.exists():
@@ -305,11 +307,20 @@ def load_ground_truth_file(path: Union[str, Path]) -> GroundTruth:
 
 
 def load_ground_truth_dir(path: Union[str, Path]) -> dict[str, GroundTruth]:
+    """Every ground-truth file in *path* but ``index.json``, by report id.
+
+    Raises ``ValueError`` as :func:`load_ground_truth_file` does, and naming
+    both files when two give the same report id."""
     out: dict[str, GroundTruth] = {}
+    files: dict[str, Path] = {}
     for json_path in sorted(Path(path).glob("*.json")):
         if json_path.name == "index.json":
             continue
         gt = load_ground_truth_file(json_path)
+        if gt.report_id in files:
+            raise ValueError(f"ground truth {json_path}: report id {gt.report_id!r} "
+                             f"is already taken by {files[gt.report_id]}")
+        files[gt.report_id] = json_path
         out[gt.report_id] = gt
     return out
 

@@ -130,7 +130,7 @@ class SourcePlugin:
     selectors: list[str]
 
     def claims(self, url: str) -> bool:
-        host = urlparse(url).netloc.lower()
+        host = urlparse(url).hostname  # lower case, without port or user info
         if not host:
             return False
         for pattern in self.hosts:
@@ -194,23 +194,22 @@ class FetchResult:
 
 
 FETCH_MAX_BYTES = 16 * 1024 * 1024
+FETCH_TIMEOUT_S = 30.0
+FETCH_MAX_REDIRECTS = 10
+FETCH_USER_AGENT = "cti2stix/0.1"
 
 
-def fetch(
-    url: str,
-    timeout: float = 30.0,
-    max_redirects: int = 10,
-    user_agent: str = "cti2stix/0.1",
-) -> FetchResult:
-    """GET a report URL with bounded redirects, a strict timeout and a cap
-    of ``FETCH_MAX_BYTES`` on the (decompressed) body."""
+def fetch(url: str) -> FetchResult:
+    """GET a report URL with at most ``FETCH_MAX_REDIRECTS`` redirects, a
+    ``FETCH_TIMEOUT_S`` timeout and a cap of ``FETCH_MAX_BYTES`` on the
+    (decompressed) body."""
     try:
         with requests.Session() as session:
-            session.max_redirects = max_redirects
+            session.max_redirects = FETCH_MAX_REDIRECTS
             with session.get(
                 url,
-                timeout=timeout,
-                headers={"User-Agent": user_agent},
+                timeout=FETCH_TIMEOUT_S,
+                headers={"User-Agent": FETCH_USER_AGENT},
                 allow_redirects=True,
                 stream=True,
             ) as resp:
@@ -227,7 +226,7 @@ def fetch(
                     text=_decode_body(bytes(body), resp.encoding),
                 )
     except requests.TooManyRedirects:
-        raise FetchError(url, f"more than {max_redirects} redirects")
+        raise FetchError(url, f"more than {FETCH_MAX_REDIRECTS} redirects")
     except requests.RequestException as exc:
         raise FetchError(url, str(exc))
 
@@ -756,14 +755,10 @@ def report_from_path(path: Union[str, Path], plugins: Iterable[SourcePlugin] = (
     return make_report(text, report_id=p.stem)
 
 
-def report_from_url(
-    url: str,
-    plugins: Iterable[SourcePlugin] = (),
-    timeout: float = 30.0,
-    report_id: str | None = None,
-) -> Report:
-    result = fetch(url, timeout=timeout)
+def report_from_url(url: str, plugins: Iterable[SourcePlugin] = ()) -> Report:
+    """Build a report from a fetched page; the id is a hash of its text."""
+    result = fetch(url)
     body = result.text
     if "html" in result.content_type.lower() or body.lstrip()[:1] == "<":
         body = extract_article(body, url=result.final_url, plugins=plugins)
-    return make_report(body, report_id=report_id)
+    return make_report(body)

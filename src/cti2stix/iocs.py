@@ -197,12 +197,6 @@ def unique_iocs(spans: Iterable[IocMatch]) -> list[IocMatch]:
     return found
 
 
-def find_iocs(text: str) -> list[IocMatch]:
-    """All indicator matches in first-occurrence order, deduplicated by
-    (type, normalized value)."""
-    return unique_iocs(scan_iocs(text))
-
-
 def mask_observables(text: str, spans: Iterable[IocMatch]) -> str:
     """*text* with each observable among *spans*, as :func:`scan_iocs` found
     them, replaced by a type marker such as ``[sha256]``; CVE ids are kept."""

@@ -441,10 +441,12 @@ class HttpProvider:
                 vectors = [np.asarray(r["embedding"], dtype=np.float64) for r in rows]
             except (KeyError, TypeError, ValueError) as exc:
                 raise TransportError(f"malformed embedding response: {exc}") from exc
-            if len(vectors) != len(idxs):
-                raise TransportError(
-                    f"embedding response returned {len(vectors)} vectors for {len(idxs)} inputs"
-                )
+            # each vector goes to the text at its index: a repeated index
+            # would give one text two vectors and another none
+            if [r["index"] for r in rows] != list(range(len(idxs))):
+                raise TransportError(f"embedding response returned {len(vectors)} vectors for "
+                                     f"{len(idxs)} inputs, not one at each index 0 to "
+                                     f"{len(idxs) - 1}")
             if any(vec.ndim != 1 for vec in vectors):
                 raise TransportError("malformed embedding response: a row is not a 1-D array")
             dims.update(len(vec) for vec in vectors)

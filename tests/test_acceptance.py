@@ -146,14 +146,11 @@ def test_c3_classification_oracle():
 
         fast = classify_vector(candidate, catalog, threshold)
         slow = brute_force_classify(candidate, catalog, threshold)
-        assert [(t, e) for t, _, e in fast] == [(t, e) for t, _, e in slow]
-        for (_, a, _), (_, b, _) in zip(fast, slow):
+        assert list(fast) == list(slow)
+        for a, b in zip(fast.values(), slow.values()):
             assert math.isclose(a, b, rel_tol=0, abs_tol=1e-9)
 
-        sets = [
-            {t for t, _, _ in classify_vector(candidate, catalog, t0)}
-            for t0 in (0.2, 0.4, 0.6, 0.8)
-        ]
+        sets = [set(classify_vector(candidate, catalog, t0)) for t0 in (0.2, 0.4, 0.6, 0.8)]
         for looser, stricter in zip(sets, sets[1:]):
             assert stricter <= looser
     # 500 instances checked; any failure would have asserted above

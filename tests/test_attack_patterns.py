@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cti2stix.attack_patterns import (
+    _QUERY_BLOCK,
     SBSA_PROMPT,
     VTE_PROMPT,
     AttackPatternConfig,
@@ -199,7 +200,7 @@ class TestCosine:
         assert cosine(a * 0.5, b) == 0.0
 
 
-def geometry_catalog():
+def geometry_catalog(dtype=np.float64):
     return TechniqueCatalog(
         model="stub",
         content_hash="stub",
@@ -209,7 +210,7 @@ def geometry_catalog():
             CatalogEntry("T1002", "Bravo", "description", "b"),
             CatalogEntry("T1003", "Charlie", "description", "c"),
         ],
-        vectors=np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0], [0.0, 1.0]]),
+        vectors=np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0], [0.0, 1.0]], dtype=dtype),
     )
 
 
@@ -218,35 +219,26 @@ def brute_force_classify(vector, catalog, threshold):
     best = {}
     for entry, row in zip(catalog.entries, catalog.vectors):
         score = reference_cosine(vector, row)
-        prev = best.get(entry.technique_id)
-        if prev is None or score > prev[0]:
-            best[entry.technique_id] = (score, entry.example_id)
-    return sorted(
-        (tid, score, eid) for tid, (score, eid) in best.items() if score >= threshold
-    )
+        best[entry.technique_id] = max(score, best.get(entry.technique_id, score))
+    return {tid: score for tid, score in sorted(best.items()) if score >= threshold}
 
 
 class TestClassify:
     def test_single_match_at_high_threshold(self):
         hits = classify_vector(np.array([1.0, 0.0]), geometry_catalog(), 0.9)
-        assert [(t, e) for t, _, e in hits] == [("T1001", "description")]
-        assert hits[0][1] == pytest.approx(1.0)
+        assert list(hits) == ["T1001"]
+        assert hits["T1001"] == pytest.approx(1.0)
 
     def test_multi_label(self):
         hits = classify_vector(np.array([1.0, 0.3]), geometry_catalog(), 0.85)
-        assert [t for t, _, _ in hits] == ["T1001", "T1002"]
-
-    def test_best_example_per_technique(self):
-        hits = classify_vector(np.array([0.6, 0.8]), geometry_catalog(), 0.95)
-        t1001 = [h for h in hits if h[0] == "T1001"]
-        assert t1001 and t1001[0][2] == "procedure-0"
+        assert list(hits) == ["T1001", "T1002"]
 
     def test_threshold_monotonic(self):
         vec = np.array([0.9, 0.45])
         catalog = geometry_catalog()
         previous = None
         for threshold in (0.5, 0.7, 0.8, 0.9, 0.99):
-            now = {t for t, _, _ in classify_vector(vec, catalog, threshold)}
+            now = set(classify_vector(vec, catalog, threshold))
             if previous is not None:
                 assert now <= previous
             previous = now
@@ -275,8 +267,8 @@ class TestClassify:
         vec = np.array(candidate, dtype=np.float64)
         fast = classify_vector(vec, catalog, threshold)
         slow = brute_force_classify(vec, catalog, threshold)
-        assert [(t, e) for t, _, e in fast] == [(t, e) for t, _, e in slow]
-        assert [s for _, s, _ in fast] == pytest.approx([s for _, s, _ in slow])
+        assert list(fast) == list(slow)
+        assert list(fast.values()) == pytest.approx(list(slow.values()))
 
 
 # smallest norm whose square is still a normal float
@@ -302,27 +294,29 @@ def reference_cosine(a, b):
     return sum(x * y for x, y in zip(a, b)) / (na * nb)
 
 
-def assert_matches_reference(hits, vector, catalog, threshold, tol=1e-9):
-    """``hits`` agree with per-entry reference cosines: every technique whose
-    best score clears (misses) the threshold by more than ``tol`` is in (out of)
-    ``hits``, and each hit carries its best score and a best example, the
-    reference's own choice whenever that best is unique by more than ``tol``."""
-    scores = {}
-    for entry, row in zip(catalog.entries, catalog.vectors):
-        scores.setdefault(entry.technique_id, []).append(
-            (reference_cosine(vector, row), entry.example_id))
-    got = {tid: (score, example_id) for tid, score, example_id in hits}
-    assert [tid for tid, _, _ in hits] == sorted(got)
-    for tid, examples in scores.items():
-        best = max(score for score, _ in examples)
-        if best >= threshold + tol:
-            assert tid in got
-        elif best < threshold - tol:
-            assert tid not in got
-        if tid in got:
-            score, example_id = got[tid]
-            assert math.isclose(score, best, rel_tol=0, abs_tol=tol)
-            assert dict((e, s) for s, e in examples)[example_id] >= best - tol
+def assert_matches_reference(hits, queries, catalog, threshold, tol=1e-9):
+    """``hits`` agree with reference cosines of every query with every entry:
+    every technique whose best score clears (misses) the threshold by more than
+    ``tol`` is in (out of) ``hits``, which runs in technique-id order and maps
+    each technique to its best score as a float.  A query holding a NaN
+    scores nothing."""
+    best = {}
+    for query in queries:
+        if any(math.isnan(x) for x in query):
+            continue
+        for entry, row in zip(catalog.entries, catalog.vectors):
+            score = reference_cosine(query, row)
+            best[entry.technique_id] = max(score, best.get(entry.technique_id, score))
+    assert list(hits) == sorted(hits)
+    assert set(hits) <= set(best)
+    for tid, score in best.items():
+        if score >= threshold + tol:
+            assert tid in hits
+        elif score < threshold - tol:
+            assert tid not in hits
+        if tid in hits:
+            assert type(hits[tid]) is float
+            assert math.isclose(hits[tid], score, rel_tol=0, abs_tol=tol)
 
 
 def _row(kind, values):
@@ -374,10 +368,11 @@ class TestClassifyVectors:
                      for i, (tid, _) in enumerate(catalog_rows)],
             vectors=np.array([row for _, row in catalog_rows]),
         )
-        results = classify_vectors(np.array(queries), catalog, threshold)
-        assert len(results) == len(queries)
-        for hits, query in zip(results, queries):
-            assert_matches_reference(hits, query, catalog, threshold)
+        for query in queries:
+            hits = classify_vectors(np.array([query]), catalog, threshold)
+            assert_matches_reference(hits, [query], catalog, threshold)
+        hits = classify_vectors(np.array(queries), catalog, threshold)
+        assert_matches_reference(hits, queries, catalog, threshold)
 
     @given(
         st.lists(st.tuples(st.sampled_from(["T1001", "T1002", "T1003"]), _rows32),
@@ -394,10 +389,8 @@ class TestClassifyVectors:
             vectors=np.array([row for _, row in catalog_rows], dtype=np.float32),
         )
         assert catalog.vectors.dtype == np.float32
-        results = classify_vectors(np.array(queries), catalog, threshold)
-        assert len(results) == len(queries)
-        for hits, query in zip(results, queries):
-            assert_matches_reference(hits, query, catalog, threshold, tol=_FLOAT32_TOL)
+        hits = classify_vectors(np.array(queries), catalog, threshold)
+        assert_matches_reference(hits, queries, catalog, threshold, tol=_FLOAT32_TOL)
 
     @pytest.mark.parametrize("dtype, scale", [(np.float32, 1e20), (np.float64, 1e200)])
     def test_vectors_too_large_to_square_keep_their_direction(self, dtype, scale):
@@ -406,19 +399,16 @@ class TestClassifyVectors:
             entries=[CatalogEntry("T1001", "A", "description", "a"),
                      CatalogEntry("T1002", "B", "description", "b")],
             vectors=np.array([[1.0, 0.0], [0.0, scale]], dtype=dtype))
-        [hits] = classify_vectors(np.array([[scale, 0.0]]), catalog, 0.5)
-        assert [(t, e) for t, _, e in hits] == [("T1001", "description")]
-        [hits] = classify_vectors(np.array([[0.0, 1.0]]), catalog, 0.5)
-        assert [(t, e) for t, _, e in hits] == [("T1002", "description")]
+        assert list(classify_vectors(np.array([[scale, 0.0]]), catalog, 0.5)) == ["T1001"]
+        assert list(classify_vectors(np.array([[0.0, 1.0]]), catalog, 0.5)) == ["T1002"]
 
     def test_float32_scores_meet_the_threshold_as_float64(self):
         # float32(1 + 1e-8) is 1.0: compared in float32, a score of 1.0 would pass
         catalog = TechniqueCatalog(model="stub", content_hash="s",
                                    entries=[CatalogEntry("T1001", "A", "description", "a")],
                                    vectors=np.array([[1.0, 0.0]], dtype=np.float32))
-        assert classify_vectors(np.array([[2.0, 0.0]]), catalog, 1.0) == [
-            [("T1001", 1.0, "description")]]
-        assert classify_vectors(np.array([[2.0, 0.0]]), catalog, 1.0 + 1e-8) == [[]]
+        assert classify_vectors(np.array([[2.0, 0.0]]), catalog, 1.0) == {"T1001": 1.0}
+        assert classify_vectors(np.array([[2.0, 0.0]]), catalog, 1.0 + 1e-8) == {}
 
     def test_float32_catalog_scores_without_a_float64_copy(self):
         rng = np.random.default_rng(11)
@@ -441,24 +431,23 @@ class TestClassifyVectors:
     def test_empty_catalog(self):
         empty = TechniqueCatalog(model="stub", content_hash="s", entries=[],
                                  vectors=np.zeros((0, 0)))
-        assert classify_vectors(np.ones((3, 4)), empty, 0.5) == [[], [], []]
-        assert classify_vector(np.ones(4), empty, 0.5) == []
+        assert classify_vectors(np.ones((3, 4)), empty, 0.5) == {}
+        assert classify_vector(np.ones(4), empty, 0.5) == {}
 
-    def test_tie_goes_to_first_example_in_catalog_order(self):
-        catalog = TechniqueCatalog(
-            model="stub", content_hash="s",
-            entries=[CatalogEntry("T1002", "B", "description", "b"),
-                     CatalogEntry("T1001", "A", "procedure-0", "a0"),
-                     CatalogEntry("T1002", "B", "procedure-0", "b0"),
-                     CatalogEntry("T1001", "A", "procedure-1", "a1")],
-            vectors=np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 2.0], [1.0, 1.0]]),
-        )
-        [hits] = classify_vectors(np.array([[1.0, 1.0]]), catalog, 0.5)
-        assert [(t, e) for t, _, e in hits] == [("T1001", "procedure-0"),
-                                                ("T1002", "description")]
-        [hits] = classify_vectors(np.array([[0.0, 3.0]]), catalog, 0.5)
-        assert [(t, e) for t, _, e in hits] == [("T1001", "procedure-0"),
-                                                ("T1002", "description")]
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_row_scores_nothing(self, dtype):
+        # a NaN embedding neither matches nor hides another row's hits, in a
+        # block of queries with other rows or in a block of NaN rows only
+        catalog = geometry_catalog(dtype)
+        assert classify_vectors(np.full((1, 2), math.nan), catalog, -1.0) == {}
+        queries = np.random.default_rng(3).standard_normal((300, 2))
+        nan_rows = [0, *range(_QUERY_BLOCK, 2 * _QUERY_BLOCK)]
+        queries[nan_rows] = math.nan
+        hits = classify_vectors(queries, catalog, 0.9)
+        expected = classify_vectors(np.delete(queries, nan_rows, axis=0), catalog, 0.9)
+        assert list(hits) == list(expected) == ["T1001", "T1002", "T1003"]
+        assert list(hits.values()) == pytest.approx(list(expected.values()))
+        assert_matches_reference(hits, queries, catalog, 0.9, tol=_FLOAT32_TOL)
 
     def test_rows_beyond_one_product_block(self):
         rng = np.random.default_rng(5)
@@ -468,10 +457,13 @@ class TestClassifyVectors:
             vectors=rng.standard_normal((40, 6)),
         )
         queries = rng.standard_normal((300, 6))
-        results = classify_vectors(queries, catalog, 0.3)
-        assert len(results) == len(queries)
-        for hits, query in zip(results, queries):
-            assert_matches_reference(hits, query, catalog, 0.3)
+        hits = classify_vectors(queries, catalog, 0.3)
+        assert_matches_reference(hits, queries, catalog, 0.3)
+        # at threshold -1 every technique is kept, with its best over all blocks
+        first, rest = (classify_vectors(q, catalog, -1.0)
+                       for q in (queries[:_QUERY_BLOCK], queries[_QUERY_BLOCK:]))
+        assert classify_vectors(queries, catalog, -1.0) == {
+            tid: max(first[tid], rest[tid]) for tid in first}
 
 
 class TestExplicitIds:
@@ -615,6 +607,18 @@ class TestPipeline:
         assert ids == sorted(expected) == ["T1001", "T1002", "T1003"]
         for m in matches:
             assert m.score == pytest.approx(expected[m.technique_id], abs=1e-9)
+
+    def test_technique_without_description_match_is_named(self):
+        sentence = "The group mailed lures to staff."
+        catalog = TechniqueCatalog(
+            model="stub", content_hash="s",
+            entries=[CatalogEntry("T1566", "Phishing", "procedure-0", sentence)],
+            vectors=np.array([HashEmbedder().embed_one(sentence)]))
+        _, matches, _ = run_pipeline(make_report(sentence, report_id="r"), catalog,
+                                     ScriptedProvider(script=[]),
+                                     AttackPatternConfig(strategies=("ot",)))
+        assert [(m.technique_id, m.name) for m in matches] == [("T1566", "Phishing")]
+        assert matches[0].score == pytest.approx(1.0)
 
     def test_higher_threshold_prunes(self, helloxd_report, golden_script, mini_catalog):
         loose, _, _ = run_pipeline(

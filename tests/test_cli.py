@@ -766,6 +766,10 @@ MALFORMED_TRUTH = {
         "has no key 'target'"),
     "entity-without-name": (json.dumps({"malware": [{"aliases": ["HXD"]}]}),
                             "malware entry {'aliases': ['HXD']} has no key 'name'"),
+    "report-id-not-a-string": (json.dumps({"report_id": ["r1"]}),
+                               "report_id ['r1'] is not a string"),
+    "repeated-report-id": (json.dumps({"report_id": "a-good-one", "malware": ["HelloXD"]}),
+                           "report id 'a-good-one' is already taken by "),
 }
 
 

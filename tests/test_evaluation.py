@@ -276,6 +276,15 @@ class TestGroundTruthIO:
         loaded = load_ground_truth_dir(tmp_path)
         assert sorted(loaded) == ["a", "b"]
 
+    def test_dir_load_refuses_a_repeated_report_id(self, tmp_path):
+        for name in ("first", "second"):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({"report_id": "r1", "malware": [name]}), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_ground_truth_dir(tmp_path)
+        assert str(err.value) == (f"ground truth {tmp_path / 'second.json'}: report id 'r1' "
+                                  f"is already taken by {tmp_path / 'first.json'}")
+
 
 class TestSubsetFilter:
     def test_drops_reports_with_written_ids(self):

@@ -10,24 +10,24 @@ from hypothesis import strategies as st
 from cti2stix import iocs
 from cti2stix.iocs import (
     IocMatch,
-    find_iocs,
     fold_observables,
     ioc_entities,
     mask_observables,
     refang,
     scan_iocs,
+    unique_iocs,
 )
 from cti2stix.llm import estimate_tokens
 from cti2stix.stix import EntityKind
 
 
 def types_and_values(text):
-    return [(m.ioc_type, m.value) for m in find_iocs(text)]
+    return [(m.ioc_type, m.value) for m in unique_iocs(scan_iocs(text))]
 
 
 def test_defanged_ipv4_normalized_with_original_kept():
     text = "the C2 server at 92.118.188[.]78 stayed online"
-    matches = find_iocs(text)
+    matches = unique_iocs(scan_iocs(text))
     assert [(m.ioc_type, m.value, m.original) for m in matches] == [
         ("ipv4", "92.118.188.78", "92.118.188[.]78")
     ]
@@ -49,7 +49,7 @@ def test_plain_and_paren_defanged_ipv4():
     ],
 )
 def test_ipv4_rejects_versions_and_overflow(text):
-    assert all(m.ioc_type != "ipv4" for m in find_iocs(text))
+    assert all(m.ioc_type != "ipv4" for m in unique_iocs(scan_iocs(text)))
 
 
 def test_sentence_final_ip_still_matches():
@@ -75,7 +75,7 @@ def test_cve_extraction_case_insensitive():
 
 
 def test_defanged_url_and_scheme():
-    matches = find_iocs("payload at hxxp://update.badcdn[.]net/stage2.bin here")
+    matches = unique_iocs(scan_iocs("payload at hxxp://update.badcdn[.]net/stage2.bin here"))
     assert [(m.ioc_type, m.value) for m in matches] == [
         ("url", "http://update.badcdn.net/stage2.bin")
     ]
@@ -104,7 +104,7 @@ def test_domain_inside_url_not_duplicated():
 ])
 def test_iocs_run_together_are_each_found(text, expected):
     assert types_and_values(text) == expected
-    assert find_iocs(mask_observables(text, scan_iocs(text))) == []
+    assert unique_iocs(scan_iocs(mask_observables(text, scan_iocs(text)))) == []
 
 
 def test_cve_after_a_dotted_word_is_not_a_domain():
@@ -137,7 +137,7 @@ def test_defanged_domain():
     ],
 )
 def test_file_names_and_abbreviations_are_not_domains(text):
-    assert find_iocs(text) == []
+    assert unique_iocs(scan_iocs(text)) == []
 
 
 @pytest.mark.parametrize(
@@ -178,14 +178,14 @@ def test_refused_tokens_are_counted_in_text_order():
 
 def test_duplicates_collapse_to_first_occurrence():
     text = "10.0.0.1 called twice: 10.0.0.1 and defanged 10[.]0[.]0[.]1"
-    matches = find_iocs(text)
+    matches = unique_iocs(scan_iocs(text))
     assert len(matches) == 1
     assert matches[0].original == "10.0.0.1"
 
 
 def test_matches_ordered_by_position():
     text = "CVE-2020-0601 then badcdn.net then 10.0.0.5"
-    assert [m.ioc_type for m in find_iocs(text)] == ["cve", "domain", "ipv4"]
+    assert [m.ioc_type for m in unique_iocs(scan_iocs(text))] == ["cve", "domain", "ipv4"]
 
 
 def test_refang_helper():
@@ -314,9 +314,9 @@ def reference_spans(pattern, text, taken):
 
 
 def reference_find_iocs(text):
-    """find_iocs with a list of taken spans in place of the occupancy map:
-    the gaps come from the sorted spans, and every match is tested against
-    every span taken before it."""
+    """``unique_iocs(scan_iocs(text))`` with a list of taken spans in place
+    of the occupancy map: the gaps come from the sorted spans, and every
+    match is tested against every span taken before it."""
     taken = []
     found = []
     seen = set()
@@ -392,7 +392,7 @@ def test_every_defanged_url_refangs_to_a_plain_scheme(url):
 @example("C2 10.0.0.4" + "b" * 63 + " and 10.0.0.1" + "a" * 31)  # one shared character
 @settings(max_examples=300, deadline=None)
 def test_find_iocs_matches_pairwise_reference(text):
-    assert find_iocs(text) == reference_find_iocs(text)
+    assert unique_iocs(scan_iocs(text)) == reference_find_iocs(text)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,7 @@ def test_mask_replaces_every_occurrence_and_keeps_cves():
     text = "C2 92.118.188[.]78, CVE-2021-44228, then 92.118.188.78 and evil.com again"
     spans = scan_iocs(text)
     assert [m.ioc_type for m in spans] == ["ipv4", "cve", "ipv4", "domain"]
-    assert [m.ioc_type for m in find_iocs(text)] == ["ipv4", "cve", "domain"]
+    assert [m.ioc_type for m in unique_iocs(scan_iocs(text))] == ["ipv4", "cve", "domain"]
     assert mask_observables(text, spans) == "C2 [ipv4], CVE-2021-44228, then [ipv4] and [domain] again"
 
 
@@ -423,8 +423,8 @@ def test_masked_text_holds_only_the_cves(first, second):
     text = first + " and again " + second + " and again " + first  # repeats
     spans = scan_iocs(text)
     masked = mask_observables(text, spans)
-    cves = [(m.ioc_type, m.value) for m in find_iocs(text) if m.ioc_type == "cve"]
-    assert [(m.ioc_type, m.value) for m in find_iocs(masked)] == cves
+    cves = [(m.ioc_type, m.value) for m in unique_iocs(scan_iocs(text)) if m.ioc_type == "cve"]
+    assert [(m.ioc_type, m.value) for m in unique_iocs(scan_iocs(masked))] == cves
     observables = [m for m in spans if m.ioc_type != "cve"]
     assert len(_MARKER_RE.findall(masked)) == len(observables)
     kept, pos = [], 0

@@ -254,6 +254,19 @@ def test_embeddings_restore_request_order(monkeypatch):
     assert [v[0] for v in vectors] == [0.0, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("indices", [[1, 1], [0, 0], [1, 2], [-1, 0], [0], [0, 1, 2]])
+def test_embedding_indices_other_than_each_input_once_rejected(monkeypatch, indices):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+
+    def transport(url, payload, headers, timeout):
+        return 200, {"data": [{"index": i, "embedding": [float(i), 0.0]} for i in indices]}
+
+    provider = HttpProvider(ProviderConfig(), transport=transport)
+    with pytest.raises(TransportError, match=f"returned {len(indices)} vectors for 2 inputs, "
+                                             f"not one at each index 0 to 1"):
+        provider.embed(["a", "b"])
+
+
 @pytest.mark.parametrize("embedding", [None, [[1.0, 2.0]], ["x", "y"]])
 def test_embedding_row_not_a_numeric_vector_rejected(monkeypatch, embedding):
     monkeypatch.setenv("OPENAI_API_KEY", "k")
