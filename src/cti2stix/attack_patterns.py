@@ -188,7 +188,7 @@ def classify_vectors(
     the value returned.
     """
     queries = np.asarray(vectors, dtype=np.float64)
-    if not len(catalog.entries) or not len(queries):
+    if not len(catalog.vectors) or not len(queries):
         return {}
     best = None
     for lo in range(0, len(queries), _QUERY_BLOCK):

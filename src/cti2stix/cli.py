@@ -5,12 +5,13 @@ Subcommands:
 * ``extract``        — reports (files or URLs) -> STIX bundles + audit logs
 * ``eval``           — extracted bundles vs ground truth -> scores.json/.csv
 * ``catalog build``  — ATT&CK export -> embedded technique catalog: a magic
-  line, a CRC-checked JSON header, then 64-byte-aligned parts: the float32
-  matrix, its row norms, the technique segments and the entries' packed
-  strings.  An older version's file (an ``.npz`` zip, or version 1 of this
-  layout) is refused by ``extract`` and ``calibrate`` (exit 2); ``catalog
-  build`` rebuilds it once, re-embedding, which costs nothing when the
-  response cache holds the embeddings
+  line, a CRC-checked JSON header that names each technique, then three
+  64-byte-aligned parts: the float32 matrix, its row norms and the technique
+  segment starts.  The file does not keep the texts it embedded; the export
+  stays their source.  An older version's file (an ``.npz`` zip, or version
+  1 or 2 of this layout) is refused by ``extract`` and ``calibrate`` (exit
+  2); ``catalog build`` rebuilds it once, re-embedding, which costs nothing
+  when the response cache holds the embeddings
 * ``calibrate``      — sweep the similarity threshold against ground truth
 * ``config show``    — print the effective configuration
 
@@ -362,7 +363,7 @@ def cmd_catalog_build(args: argparse.Namespace) -> int:
     provider = make_provider(config)
     catalog = build_catalog(attack_json, provider, cache_path=args.out)
     techniques = len(catalog.technique_names())
-    print(f"catalog: {techniques} techniques, {len(catalog.entries)} embedded texts "
+    print(f"catalog: {techniques} techniques, {len(catalog.vectors)} embedded texts "
           f"-> {args.out}")
     return OK
 

@@ -5,7 +5,7 @@ import json
 import struct
 import zipfile
 import zlib
-from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -163,40 +163,80 @@ def write_flat_v1(fh, meta, vectors):
              + header + matrix.tobytes())
 
 
-@pytest.fixture(params=[savez_aligned, np.savez, np.savez_compressed, write_flat_v1],
-                ids=["aligned_zip", "savez", "savez_compressed", "flat_v1"])
+def write_flat_v2(fh, meta, vectors):
+    """Version 2 of the flat layout: the magic line, the header's length and
+    CRC-32, a JSON header that names each technique, then seven 64-byte-aligned
+    parts: the matrix, the row norms, the segment starts, and the entries'
+    texts and example ids, each as int64 offsets then UTF-8 bytes end to end."""
+    meta = json.loads(meta)
+    entries = meta["entries"]
+    starts = [i for i, e in enumerate(entries)
+              if i == 0 or e["technique_id"] != entries[i - 1]["technique_id"]]
+    header, parts = catalog_file_contents(SimpleNamespace(
+        model=meta["model"], dim=meta["dim"], content_hash=meta["content_hash"],
+        vectors=vectors, starts=starts,
+        techniques=[(entries[i]["technique_id"], entries[i]["name"]) for i in starts]))
+    text_offsets, texts = packed_strings([e["text"] for e in entries])
+    example_offsets, example_ids = packed_strings([e["example_id"] for e in entries])
+    parts.update(text_offsets=text_offsets, texts=texts,
+                 example_offsets=example_offsets, example_ids=example_ids)
+    fh.write(raw_catalog_bytes(dict(header, entries=len(entries)), parts,
+                               magic=b"cti2stix-catalog 2\n"))
+
+
+@pytest.fixture(params=[savez_aligned, np.savez, np.savez_compressed, write_flat_v1,
+                        write_flat_v2],
+                ids=["aligned_zip", "savez", "savez_compressed", "flat_v1", "flat_v2"])
 def legacy_writer(request):
     """How older versions wrote a catalog."""
     return request.param
 
 
+def row_technique_ids(catalog):
+    """Each row's technique id, read from the catalog's segments."""
+    ends = [*catalog.starts[1:], len(catalog.vectors)]
+    return [tid for (tid, _), start, end in zip(catalog.techniques, catalog.starts, ends)
+            for _ in range(start, end)]
+
+
 def write_legacy_catalog(path, catalog, writer):
     """*catalog* as older versions wrote it: *writer* (:func:`savez_aligned`,
-    ``np.savez``, ``np.savez_compressed`` or :func:`write_flat_v1`) over a
-    JSON metadata string and the matrix."""
+    ``np.savez``, ``np.savez_compressed``, :func:`write_flat_v1` or
+    :func:`write_flat_v2`) over a JSON metadata string, which lists one entry
+    per row, and the matrix.  The entries' texts and example ids are left
+    empty: a catalog no longer keeps them, and a loader refuses these files
+    by their first bytes."""
+    names = catalog.technique_names()
+    entries = [{"technique_id": tid, "name": names[tid], "example_id": "", "text": ""}
+               for tid in row_technique_ids(catalog)]
     meta = {"model": catalog.model, "dim": catalog.dim, "content_hash": catalog.content_hash,
-            "entries": [asdict(e) for e in catalog.entries]}
+            "entries": entries}
     with path.open("wb") as fh:
         writer(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=catalog.vectors)
 
 
-def write_raw_catalog(path, header, parts):
-    """A file in the catalog layout around *header* and *parts* (part name ->
-    bytes, in file order): the header gains each part's length and CRC-32,
-    its own CRC-32 is correct and every part starts 64-byte aligned."""
+def raw_catalog_bytes(header, parts, magic=b"cti2stix-catalog 3\n"):
+    """A file in the flat catalog layout around *header* and *parts* (part
+    name -> bytes, in file order): the header gains each part's length and
+    CRC-32, its own CRC-32 is correct and every part starts 64-byte aligned."""
     header = dict(header, parts={name: [len(data), zlib.crc32(data)]
                                  for name, data in parts.items()})
     blob = json.dumps(header).encode()
-    blob += b" " * (-(19 + 12 + len(blob)) % 64)
-    out = b"cti2stix-catalog 2\n" + struct.pack("<QI", len(blob), zlib.crc32(blob)) + blob
+    blob += b" " * (-(len(magic) + 12 + len(blob)) % 64)
+    out = magic + struct.pack("<QI", len(blob), zlib.crc32(blob)) + blob
     for data in parts.values():
         out += bytes(-len(out) % 64) + data
-    path.write_bytes(out)
+    return out
+
+
+def write_raw_catalog(path, header, parts):
+    """:func:`raw_catalog_bytes` written to *path*."""
+    path.write_bytes(raw_catalog_bytes(header, parts))
 
 
 def packed_strings(values):
-    """Strings as a catalog file stores them: their int64 offsets, then
-    their UTF-8 bytes end to end."""
+    """Strings as version 2 of the catalog file stored them: their int64
+    offsets, then their UTF-8 bytes end to end."""
     encoded = [v.encode() for v in values]
     offsets = [0]
     for data in encoded:
@@ -206,29 +246,23 @@ def packed_strings(values):
 
 def catalog_file_contents(catalog):
     """The header (less its parts) and the parts that :func:`save_catalog`
-    writes for *catalog*, whose entries are grouped by technique id in id
-    order, in its matrix's own dtype and shape."""
+    writes for *catalog* (anything with a model, dim, content hash, matrix,
+    techniques and segment starts), in its matrix's own dtype and shape."""
     matrix = np.ascontiguousarray(catalog.vectors)
-    entries = list(catalog.entries)
-    starts = [i for i, e in enumerate(entries)
-              if i == 0 or e.technique_id != entries[i - 1].technique_id]
-    text_offsets, texts = packed_strings([e.text for e in entries])
-    example_offsets, example_ids = packed_strings([e.example_id for e in entries])
+    starts = [int(start) for start in catalog.starts]
     header = {"model": catalog.model, "dim": catalog.dim, "content_hash": catalog.content_hash,
-              "dtype": matrix.dtype.str, "shape": list(matrix.shape), "entries": len(entries),
-              "techniques": [[entries[i].technique_id, entries[i].name] for i in starts]}
+              "dtype": matrix.dtype.str, "shape": list(matrix.shape),
+              "techniques": [list(t) for t in catalog.techniques]}
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix)).astype(matrix.dtype)
     parts = {"matrix": matrix.tobytes(), "norms": norms.tobytes(),
-             "starts": struct.pack(f"<{len(starts)}q", *starts),
-             "text_offsets": text_offsets, "texts": texts,
-             "example_offsets": example_offsets, "example_ids": example_ids}
+             "starts": struct.pack(f"<{len(starts)}q", *starts)}
     return header, parts
 
 
 def write_unchecked_catalog(path, catalog):
     """The file :func:`save_catalog` writes for *catalog*, in the matrix's own
-    dtype and shape: save_catalog refuses a matrix that is not float32, and a
-    ``TechniqueCatalog`` one whose shape disagrees with its entries."""
+    dtype and shape: save_catalog refuses a matrix that is not float32, and
+    ``TechniqueCatalog.from_rows`` one whose row count disagrees with its rows."""
     write_raw_catalog(path, *catalog_file_contents(catalog))
 
 

@@ -22,7 +22,7 @@ from cti2stix.attack_patterns import (
     run_attack_pattern_pipeline,
 )
 from cti2stix.audit import AuditTrail
-from cti2stix.catalog import CatalogEntry, TechniqueCatalog
+from cti2stix.catalog import TechniqueCatalog
 from cti2stix.cli import main
 from cti2stix.entity_pipeline import (
     EntityPipelineConfig,
@@ -129,18 +129,12 @@ def test_c3_classification_oracle():
     dim = 8
     for _ in range(500):
         n_entries = rng.randint(1, 50)
-        entries = []
+        rows = []
         vectors = []
-        for j in range(n_entries):
-            entries.append(CatalogEntry(
-                technique_id=f"T1{rng.randint(0, 9):03d}",
-                name="stub",
-                example_id=f"e{j}",
-                text=f"t{j}",
-            ))
+        for _ in range(n_entries):
+            rows.append((f"T1{rng.randint(0, 9):03d}", "stub"))
             vectors.append([rng.gauss(0, 1) for _ in range(dim)])
-        catalog = TechniqueCatalog(model="stub", content_hash="s", entries=entries,
-                                   vectors=np.array(vectors))
+        catalog = TechniqueCatalog.from_rows("stub", "s", rows, np.array(vectors))
         candidate = np.array([rng.gauss(0, 1) for _ in range(dim)])
         threshold = rng.uniform(0.1, 0.9)
 

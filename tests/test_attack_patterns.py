@@ -20,12 +20,12 @@ from cti2stix.attack_patterns import (
     strategy_sbsa,
     strategy_vte,
 )
-from cti2stix.catalog import CatalogEntry, TechniqueCatalog
+from cti2stix.catalog import TechniqueCatalog
 from cti2stix.audit import AuditTrail
 from cti2stix.ingest import make_report
 from cti2stix.llm import HashEmbedder, ScriptedProvider
 
-from conftest import SBSA_RESPONSE, VTE_CANDIDATE, cosine
+from conftest import SBSA_RESPONSE, VTE_CANDIDATE, cosine, row_technique_ids
 
 
 def vte_provider(response):
@@ -200,26 +200,27 @@ class TestCosine:
         assert cosine(a * 0.5, b) == 0.0
 
 
+def catalog_of(technique_ids, vectors):
+    """A catalog whose row i, ``vectors[i]``, belongs to ``technique_ids[i]``,
+    each technique named by its id."""
+    return TechniqueCatalog.from_rows("stub", "s", [(tid, tid) for tid in technique_ids],
+                                      vectors)
+
+
 def geometry_catalog(dtype=np.float64):
-    return TechniqueCatalog(
-        model="stub",
-        content_hash="stub",
-        entries=[
-            CatalogEntry("T1001", "Alpha", "description", "a"),
-            CatalogEntry("T1001", "Alpha", "procedure-0", "a2"),
-            CatalogEntry("T1002", "Bravo", "description", "b"),
-            CatalogEntry("T1003", "Charlie", "description", "c"),
-        ],
-        vectors=np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0], [0.0, 1.0]], dtype=dtype),
+    return TechniqueCatalog.from_rows(
+        "stub", "stub",
+        [("T1001", "Alpha"), ("T1001", "Alpha"), ("T1002", "Bravo"), ("T1003", "Charlie")],
+        np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0], [0.0, 1.0]], dtype=dtype),
     )
 
 
 def brute_force_classify(vector, catalog, threshold):
     """Reference classifier: pure-python cosines, no numpy reductions."""
     best = {}
-    for entry, row in zip(catalog.entries, catalog.vectors):
+    for tid, row in zip(row_technique_ids(catalog), catalog.vectors):
         score = reference_cosine(vector, row)
-        best[entry.technique_id] = max(score, best.get(entry.technique_id, score))
+        best[tid] = max(score, best.get(tid, score))
     return {tid: score for tid, score in sorted(best.items()) if score >= threshold}
 
 
@@ -258,12 +259,8 @@ class TestClassify:
     @example(entry_vecs=[[0.0, 0.0, 0.0, 1.9e-226]], candidate=[0.0, 0.0, 0.0, 1.0],
              threshold=0.5)
     def test_matches_brute_force(self, entry_vecs, candidate, threshold):
-        entries = [
-            CatalogEntry(f"T10{i:02d}", f"N{i}", "description", f"t{i}")
-            for i in range(len(entry_vecs))
-        ]
-        catalog = TechniqueCatalog(model="stub", content_hash="s", entries=entries,
-                                   vectors=np.array(entry_vecs, dtype=np.float64))
+        catalog = catalog_of([f"T10{i:02d}" for i in range(len(entry_vecs))],
+                             np.array(entry_vecs, dtype=np.float64))
         vec = np.array(candidate, dtype=np.float64)
         fast = classify_vector(vec, catalog, threshold)
         slow = brute_force_classify(vec, catalog, threshold)
@@ -304,9 +301,9 @@ def assert_matches_reference(hits, queries, catalog, threshold, tol=1e-9):
     for query in queries:
         if any(math.isnan(x) for x in query):
             continue
-        for entry, row in zip(catalog.entries, catalog.vectors):
+        for tid, row in zip(row_technique_ids(catalog), catalog.vectors):
             score = reference_cosine(query, row)
-            best[entry.technique_id] = max(score, best.get(entry.technique_id, score))
+            best[tid] = max(score, best.get(tid, score))
     assert list(hits) == sorted(hits)
     assert set(hits) <= set(best)
     for tid, score in best.items():
@@ -362,12 +359,8 @@ class TestClassifyVectors:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_row_by_row(self, catalog_rows, queries, threshold):
-        catalog = TechniqueCatalog(
-            model="stub", content_hash="s",
-            entries=[CatalogEntry(tid, tid, f"e{i}", f"t{i}")
-                     for i, (tid, _) in enumerate(catalog_rows)],
-            vectors=np.array([row for _, row in catalog_rows]),
-        )
+        catalog = catalog_of([tid for tid, _ in catalog_rows],
+                             np.array([row for _, row in catalog_rows]))
         for query in queries:
             hits = classify_vectors(np.array([query]), catalog, threshold)
             assert_matches_reference(hits, [query], catalog, threshold)
@@ -382,41 +375,29 @@ class TestClassifyVectors:
     )
     @settings(max_examples=150, deadline=None)
     def test_float32_catalog_matches_reference(self, catalog_rows, queries, threshold):
-        catalog = TechniqueCatalog(
-            model="stub", content_hash="s",
-            entries=[CatalogEntry(tid, tid, f"e{i}", f"t{i}")
-                     for i, (tid, _) in enumerate(catalog_rows)],
-            vectors=np.array([row for _, row in catalog_rows], dtype=np.float32),
-        )
+        catalog = catalog_of([tid for tid, _ in catalog_rows],
+                             np.array([row for _, row in catalog_rows], dtype=np.float32))
         assert catalog.vectors.dtype == np.float32
         hits = classify_vectors(np.array(queries), catalog, threshold)
         assert_matches_reference(hits, queries, catalog, threshold, tol=_FLOAT32_TOL)
 
     @pytest.mark.parametrize("dtype, scale", [(np.float32, 1e20), (np.float64, 1e200)])
     def test_vectors_too_large_to_square_keep_their_direction(self, dtype, scale):
-        catalog = TechniqueCatalog(
-            model="stub", content_hash="s",
-            entries=[CatalogEntry("T1001", "A", "description", "a"),
-                     CatalogEntry("T1002", "B", "description", "b")],
-            vectors=np.array([[1.0, 0.0], [0.0, scale]], dtype=dtype))
+        catalog = catalog_of(["T1001", "T1002"],
+                             np.array([[1.0, 0.0], [0.0, scale]], dtype=dtype))
         assert list(classify_vectors(np.array([[scale, 0.0]]), catalog, 0.5)) == ["T1001"]
         assert list(classify_vectors(np.array([[0.0, 1.0]]), catalog, 0.5)) == ["T1002"]
 
     def test_float32_scores_meet_the_threshold_as_float64(self):
         # float32(1 + 1e-8) is 1.0: compared in float32, a score of 1.0 would pass
-        catalog = TechniqueCatalog(model="stub", content_hash="s",
-                                   entries=[CatalogEntry("T1001", "A", "description", "a")],
-                                   vectors=np.array([[1.0, 0.0]], dtype=np.float32))
+        catalog = catalog_of(["T1001"], np.array([[1.0, 0.0]], dtype=np.float32))
         assert classify_vectors(np.array([[2.0, 0.0]]), catalog, 1.0) == {"T1001": 1.0}
         assert classify_vectors(np.array([[2.0, 0.0]]), catalog, 1.0 + 1e-8) == {}
 
     def test_float32_catalog_scores_without_a_float64_copy(self):
         rng = np.random.default_rng(11)
-        catalog = TechniqueCatalog(
-            model="stub", content_hash="s",
-            entries=[CatalogEntry(f"T1{i % 50:03d}", "n", f"e{i}", "t") for i in range(2000)],
-            vectors=rng.standard_normal((2000, 256)).astype(np.float32),
-        )
+        catalog = catalog_of([f"T1{i % 50:03d}" for i in range(2000)],
+                             rng.standard_normal((2000, 256)).astype(np.float32))
         query = rng.standard_normal((1, 256))
         classify_vectors(query, catalog, 0.5)  # warm up lazily built state
         tracemalloc.start()
@@ -429,8 +410,7 @@ class TestClassifyVectors:
         assert peak < catalog.vectors.nbytes // 4
 
     def test_empty_catalog(self):
-        empty = TechniqueCatalog(model="stub", content_hash="s", entries=[],
-                                 vectors=np.zeros((0, 0)))
+        empty = catalog_of([], np.zeros((0, 0)))
         assert classify_vectors(np.ones((3, 4)), empty, 0.5) == {}
         assert classify_vector(np.ones(4), empty, 0.5) == {}
 
@@ -451,11 +431,8 @@ class TestClassifyVectors:
 
     def test_rows_beyond_one_product_block(self):
         rng = np.random.default_rng(5)
-        catalog = TechniqueCatalog(
-            model="stub", content_hash="s",
-            entries=[CatalogEntry(f"T10{i % 7:02d}", "n", f"e{i}", "t") for i in range(40)],
-            vectors=rng.standard_normal((40, 6)),
-        )
+        catalog = catalog_of([f"T10{i % 7:02d}" for i in range(40)],
+                             rng.standard_normal((40, 6)))
         queries = rng.standard_normal((300, 6))
         hits = classify_vectors(queries, catalog, 0.3)
         assert_matches_reference(hits, queries, catalog, 0.3)
@@ -575,16 +552,9 @@ class TestPipeline:
                   ("Describe step by step", f"1. {s1}\n2. {s3}")]
         embed = HashEmbedder().embed_one
         e1, e2, e3 = embed(s1), embed(s2), embed(s3)
-        catalog = TechniqueCatalog(
-            model="stub", content_hash="s",
-            entries=[CatalogEntry("T1001", "A", "description", "a"),
-                     CatalogEntry("T1002", "B", "description", "b"),
-                     CatalogEntry("T1001", "A", "procedure-0", "a0"),
-                     CatalogEntry("T1003", "C", "description", "c"),
-                     CatalogEntry("T1002", "B", "procedure-0", "b0")],
-            vectors=np.array([0.9 * e1 + 0.3 * e2, e2, e1, 0.8 * e3 + 0.5 * e1,
-                              0.7 * e2 + 0.7 * e3]),
-        )
+        catalog = catalog_of(["T1001", "T1002", "T1001", "T1003", "T1002"],
+                             np.array([0.9 * e1 + 0.3 * e2, e2, e1, 0.8 * e3 + 0.5 * e1,
+                                       0.7 * e2 + 0.7 * e3]))
         config = AttackPatternConfig(threshold=0.5)
         ids, matches, _ = run_pipeline(report, catalog, ScriptedProvider(script), config)
 
@@ -597,9 +567,9 @@ class TestPipeline:
         expected = {}
         for c in candidates:
             best = {}
-            for entry, row in zip(catalog.entries, catalog.vectors):
+            for tid, row in zip(row_technique_ids(catalog), catalog.vectors):
                 score = reference_cosine(embed(c), row)
-                best[entry.technique_id] = max(score, best.get(entry.technique_id, score))
+                best[tid] = max(score, best.get(tid, score))
             for tid, score in best.items():
                 if score >= config.threshold:
                     expected[tid] = max(score, expected.get(tid, score))
@@ -610,10 +580,8 @@ class TestPipeline:
 
     def test_technique_without_description_match_is_named(self):
         sentence = "The group mailed lures to staff."
-        catalog = TechniqueCatalog(
-            model="stub", content_hash="s",
-            entries=[CatalogEntry("T1566", "Phishing", "procedure-0", sentence)],
-            vectors=np.array([HashEmbedder().embed_one(sentence)]))
+        catalog = TechniqueCatalog.from_rows("stub", "s", [("T1566", "Phishing")],
+                                             np.array([HashEmbedder().embed_one(sentence)]))
         _, matches, _ = run_pipeline(make_report(sentence, report_id="r"), catalog,
                                      ScriptedProvider(script=[]),
                                      AttackPatternConfig(strategies=("ot",)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cti2stix.catalog import (
-    CatalogEntry,
     CatalogError,
     TechniqueCatalog,
     build_catalog,
@@ -32,11 +32,29 @@ from conftest import (
     MITRE_SAMPLE,
     VTE_CANDIDATE,
     catalog_file_contents,
+    row_technique_ids,
     savez_aligned,
     write_legacy_catalog,
     write_raw_catalog,
     write_unchecked_catalog,
 )
+
+
+def export_texts(export):
+    """The texts ``build_catalog`` embeds for *export*, in row order, taken
+    from the export: each technique's description, if it has one, then its
+    procedure examples, techniques in id order."""
+    parsed = parse_attack_export(export)
+    return [text for tid in sorted(parsed)
+            for text in [parsed[tid]["description"]] + parsed[tid]["examples"] if text]
+
+
+def assert_same_catalog(a, b):
+    assert (a.model, a.content_hash, list(a.techniques)) == (
+        b.model, b.content_hash, list(b.techniques))
+    np.testing.assert_array_equal(a.starts, b.starts)
+    np.testing.assert_array_equal(a.vectors, b.vectors)
+    np.testing.assert_array_equal(a.norms, b.norms)
 
 
 def test_parent_technique():
@@ -117,11 +135,36 @@ class TestParse:
     def test_reads_from_path(self, mitre_sample_path):
         assert parse_attack_export(mitre_sample_path) == parse_attack_export(MITRE_SAMPLE)
 
+    def test_null_name_reads_as_empty(self):
+        export = json.loads(json.dumps(MITRE_SAMPLE))
+        export["objects"][0]["name"] = None
+        assert parse_attack_export(export)["T1573"]["name"] == ""
+        catalog = build_catalog(export, ScriptedProvider(script=[]))
+        assert catalog.technique_names() == {"T1027": "Obfuscated Files or Information",
+                                             "T1573": ""}
+
+    @pytest.mark.parametrize("index, key", [(0, "name"), (0, "description"), (3, "description")],
+                             ids=["technique-name", "technique-description", "example"])
+    def test_text_that_is_not_a_string_refused(self, index, key):
+        # a name of 5 would be written into the header, whose load refuses it
+        export = json.loads(json.dumps(MITRE_SAMPLE))
+        export["objects"][index][key] = 5
+        with pytest.raises(CatalogError, match=f"has a {key} that is not a string"):
+            parse_attack_export(export)
+
+    @pytest.mark.parametrize("text", ["{oops", "[]", '"objects"', '{"type": "bundle"}',
+                                      '{"objects": {}}', '{"objects": [1]}'])
+    def test_malformed_export_refused(self, tmp_path, text):
+        path = tmp_path / "export.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CatalogError, match=f"ATT&CK export {re.escape(str(path))} is not"):
+            parse_attack_export(path)
+
 
 class TestBuild:
     def test_entries_have_vectors(self, mini_catalog):
         assert mini_catalog.dim == 32
-        assert mini_catalog.vectors.shape == (len(mini_catalog.entries), 32)
+        assert mini_catalog.vectors.shape == (len(export_texts(MITRE_SAMPLE)), 32)
         assert mini_catalog.vectors.dtype == np.float32
         assert np.isfinite(mini_catalog.vectors).all()
 
@@ -143,23 +186,28 @@ class TestBuild:
              "source_ref": "intrusion-set--1", "target_ref": "attack-pattern--1",
              "description": "The group mailed lures to staff."},
         ]}
-        catalog = build_catalog(export, ScriptedProvider(script=[]))
-        assert [(e.technique_id, e.example_id) for e in catalog.entries] == [
-            ("T1566", "procedure-0")]
+        provider = ScriptedProvider(script=[])
+        catalog = build_catalog(export, provider)
+        assert provider.embedded == ["The group mailed lures to staff."]
+        assert catalog.techniques == [("T1566", "Phishing")]
+        assert catalog.starts.tolist() == [0] and len(catalog.vectors) == 1
         assert catalog.technique_names() == {"T1566": "Phishing"}
         assert four_entry_catalog().technique_names() == {
             "T1001": "Alpha", "T1002": "Bravo", "T1003": "Charlie"}
 
     def test_t1573_example_is_fixture_sentence(self, mini_catalog):
-        texts = [e.text for e in mini_catalog.entries if e.technique_id == "T1573"]
-        assert VTE_CANDIDATE in texts
+        # the one row embedding the fixture sentence lies in T1573's segment
+        fixture = HashEmbedder().embed_one(VTE_CANDIDATE).astype(np.float32)
+        assert [tid for tid, row in zip(row_technique_ids(mini_catalog), mini_catalog.vectors)
+                if np.array_equal(row, fixture)] == ["T1573"]
+        assert VTE_CANDIDATE in export_texts(MITRE_SAMPLE)
 
     def test_deterministic_order(self):
-        a = build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[]))
-        b = build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[]))
-        assert [e.technique_id for e in a.entries] == [e.technique_id for e in b.entries]
-        assert list(a.entries) == list(b.entries)
-        np.testing.assert_array_equal(a.vectors, b.vectors)
+        first, second = ScriptedProvider(script=[]), ScriptedProvider(script=[])
+        a = build_catalog(MITRE_SAMPLE, first)
+        b = build_catalog(MITRE_SAMPLE, second)
+        assert first.embedded == second.embedded == export_texts(MITRE_SAMPLE)
+        assert_same_catalog(a, b)
 
     def test_content_hash_changes_with_content(self):
         parsed = parse_attack_export(MITRE_SAMPLE)
@@ -176,15 +224,15 @@ class TestCache:
         assert loaded.model == mini_catalog.model
         assert loaded.dim == mini_catalog.dim
         assert loaded.content_hash == mini_catalog.content_hash
-        assert list(loaded.entries) == list(mini_catalog.entries)
-        np.testing.assert_array_equal(loaded.vectors, mini_catalog.vectors)
+        assert_same_catalog(loaded, mini_catalog)
+        assert loaded.entries == range(len(mini_catalog.vectors))
 
     def test_saved_uncompressed(self, mini_catalog, tmp_path):
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)
         raw = path.read_bytes()
         header, offset = read_header(path)
-        assert raw.startswith(b"cti2stix-catalog 2\n")
+        assert raw.startswith(b"cti2stix-catalog 3\n")
         assert raw[offset:offset + mini_catalog.vectors.nbytes] == mini_catalog.vectors.tobytes()
         assert header["dtype"] == "<f4" and header["shape"] == list(mini_catalog.vectors.shape)
         assert header["dim"] == mini_catalog.dim and header["model"] == mini_catalog.model
@@ -198,7 +246,7 @@ class TestCache:
         second = ScriptedProvider(script=[])
         catalog = build_catalog(MITRE_SAMPLE, second, cache_path=path)
         assert second.embedded == []
-        assert len(catalog.entries) == len(first.embedded)
+        assert len(catalog.vectors) == len(first.embedded)
 
     def test_stale_content_rebuilds(self, tmp_path):
         path = tmp_path / "catalog.npz"
@@ -237,7 +285,7 @@ class TestCache:
             save_catalog(mini_catalog, path)
         monkeypatch.undo()
         assert path.read_bytes() == before
-        assert list(load_catalog(path).entries) == list(mini_catalog.entries)
+        assert_same_catalog(load_catalog(path), mini_catalog)
         assert [p.name for p in tmp_path.iterdir()] == ["catalog.npz"]
 
     def test_loaded_catalog_survives_resave(self, mini_catalog, tmp_path):
@@ -245,9 +293,9 @@ class TestCache:
         save_catalog(mini_catalog, path)
         loaded = load_catalog(path)
         old_rows = mini_catalog.vectors.copy()
-        replacement = TechniqueCatalog(model="other", content_hash="y",
-                                       entries=mini_catalog.entries,
-                                       vectors=-2 * mini_catalog.vectors)
+        replacement = dataclasses.replace(mini_catalog, model="other", content_hash="y",
+                                          vectors=-2 * mini_catalog.vectors,
+                                          norms=2 * mini_catalog.norms)
         save_catalog(replacement, path)
         np.testing.assert_array_equal(loaded.vectors, old_rows)
         np.testing.assert_array_equal(load_catalog(path).vectors, replacement.vectors)
@@ -262,27 +310,31 @@ class TestCache:
             catalog = build_catalog(MITRE_SAMPLE, provider, cache_path=path)
         assert provider.embedded != []
         assert any("rebuilding" in r.message for r in caplog.records)
-        assert list(load_catalog(path).entries) == list(catalog.entries)
+        assert_same_catalog(load_catalog(path), catalog)
 
     def test_empty_catalog_round_trips(self, tmp_path):
-        empty = TechniqueCatalog(model="hash-32", content_hash="x", entries=[],
-                                 vectors=np.zeros((0, 0), dtype=np.float32))
+        empty = TechniqueCatalog.from_rows("hash-32", "x", [],
+                                           np.zeros((0, 0), dtype=np.float32))
         path = tmp_path / "empty.npz"
         save_catalog(empty, path)
-        assert list(load_catalog(path).entries) == []
+        loaded = load_catalog(path)
+        assert loaded.techniques == [] and loaded.vectors.shape == (0, 0)
+        assert_same_catalog(loaded, empty)
 
 
-def write_catalog_file(path, entries, dim, vectors):
+def write_catalog_file(path, technique_ids, dim, vectors):
+    """A file whose technique i has one row, starting at row i."""
     write_unchecked_catalog(path, SimpleNamespace(
         model="stub", dim=dim, content_hash="x", vectors=vectors,
-        entries=[CatalogEntry(tid, "n", "description", tid) for tid in entries]))
+        techniques=[(tid, "n") for tid in technique_ids], starts=range(len(technique_ids))))
 
 
 class TestMalformedFile:
     def test_fewer_rows_than_entries(self, tmp_path):
+        # three one-row techniques, two rows: the last segment starts past them
         path = tmp_path / "short.npz"
         write_catalog_file(path, ["T1001", "T1002", "T1003"], 3, np.ones((2, 3), np.float32))
-        with pytest.raises(CatalogError, match=r"shape \(2, 3\).*\(3, 3\)"):
+        with pytest.raises(CatalogError, match="segment starts .* below its 2 rows"):
             load_catalog(path)
 
     def test_rows_wider_than_metadata_dim(self, tmp_path):
@@ -297,6 +349,12 @@ class TestMalformedFile:
         with pytest.raises(CatalogError, match="cannot read catalog"):
             load_catalog(path)
 
+    def test_unopenable_path(self, tmp_path):
+        with pytest.raises(CatalogError, match="cannot read catalog.*Is a directory"):
+            load_catalog(tmp_path)
+        with pytest.raises(CatalogError, match="cannot read catalog.*No such file"):
+            load_catalog(tmp_path / "missing.bin")
+
 
 def read_header(path):
     """The parsed header of a catalog file and the file offset of its matrix,
@@ -309,9 +367,8 @@ def read_header(path):
 
 
 def make_catalog(vectors):
-    entries = [CatalogEntry(f"T{1000 + i}", "n", "description", f"text {i}")
-               for i in range(len(vectors))]
-    return TechniqueCatalog(model="stub", content_hash="x", entries=entries, vectors=vectors)
+    return TechniqueCatalog.from_rows("stub", "x", [(f"T{1000 + i}", "n")
+                                                     for i in range(len(vectors))], vectors)
 
 
 class TestMappedFile:
@@ -340,8 +397,8 @@ class TestMappedFile:
     # The cases keep the names of the older zip layout's regions; each flips a
     # byte where that region's content now lives, under the CRC that covers it:
     # the metadata's framing is the stored header CRC-32, the metadata is the
-    # JSON header's entries, the matrix's .npy header is the JSON header's
-    # dtype, and the matrix's data is the matrix.
+    # JSON header's technique names, the matrix's .npy header is the JSON
+    # header's dtype, and the matrix's data is the matrix.
     @pytest.mark.parametrize("where, member", [
         ("header", "meta.npy"), ("data", "meta.npy"),
         ("header", "vectors.npy"), ("data", "vectors.npy"),
@@ -353,7 +410,7 @@ class TestMappedFile:
         raw = bytearray(path.read_bytes())
         at, part = {
             ("header", "meta.npy"): (raw.index(b"\n") + 1 + 8, "header"),
-            ("data", "meta.npy"): (raw.index(b'"entries"') + 20, "header"),
+            ("data", "meta.npy"): (raw.index(b'"techniques"') + 20, "header"),
             ("header", "vectors.npy"): (raw.index(b'"dtype": "') + 11, "header"),
             ("data", "vectors.npy"): (offset + 3, "matrix"),
         }[where, member]
@@ -424,7 +481,7 @@ class TestMappedFile:
         path = tmp_path / "odd.npz"
         header, parts = catalog_file_contents(SimpleNamespace(
             model="stub", dim=3, content_hash="x", vectors=np.zeros((1, 3)),
-            entries=[CatalogEntry("T1001", "n", "d", "t")]))
+            techniques=[("T1001", "n")], starts=[0]))
         write_raw_catalog(path, dict(header, dtype=dtype), parts)
         with pytest.raises(CatalogError, match=re.escape(f"vectors have dtype {dtype}, ")):
             load_catalog(path)
@@ -470,10 +527,10 @@ class TestMappedFile:
         rebuilt = build_catalog(MITRE_SAMPLE, HttpProvider(config, transport=transport),
                                 cache_path=path)
         assert requests == []
-        assert path.read_bytes().startswith(b"cti2stix-catalog 2\n")
+        assert path.read_bytes().startswith(b"cti2stix-catalog 3\n")
         loaded = load_catalog(path)
-        assert list(loaded.entries) == list(rebuilt.entries) == list(first.entries)
-        np.testing.assert_array_equal(loaded.vectors, first.vectors)
+        assert_same_catalog(loaded, rebuilt)
+        assert_same_catalog(loaded, first)
 
 
 class TestDtype:
@@ -481,19 +538,18 @@ class TestDtype:
         """Older versions saved this layout with a float64 matrix; ``catalog
         build`` re-embeds it once, as it does an older zip file."""
         path = tmp_path / "catalog.npz"
-        write_unchecked_catalog(path, TechniqueCatalog(
-            model=mini_catalog.model, content_hash=mini_catalog.content_hash,
-            entries=mini_catalog.entries, vectors=mini_catalog.vectors.astype(np.float64)))
+        write_unchecked_catalog(path, dataclasses.replace(
+            mini_catalog, vectors=mini_catalog.vectors.astype(np.float64)))
         provider = ScriptedProvider(script=[])
         with caplog.at_level(logging.WARNING, logger="cti2stix.catalog"):
             rebuilt = build_catalog(MITRE_SAMPLE, provider, cache_path=path)
-        assert provider.embedded == [e.text for e in mini_catalog.entries]
+        assert provider.embedded == export_texts(MITRE_SAMPLE)
         assert any("dtype <f8" in r.message and "rebuilding" in r.message
                    for r in caplog.records)
         reloaded = load_catalog(path)
         assert reloaded.vectors.dtype == np.float32 and not reloaded.vectors.flags.owndata
-        assert list(reloaded.entries) == list(rebuilt.entries) == list(mini_catalog.entries)
-        np.testing.assert_array_equal(reloaded.vectors, mini_catalog.vectors)
+        assert_same_catalog(reloaded, rebuilt)
+        assert_same_catalog(reloaded, mini_catalog)
 
     @pytest.mark.parametrize("vectors", [np.ones((1, 3)), np.array([[1e300, 0.0, 0.0]])])
     def test_save_refuses_a_float64_matrix(self, tmp_path, vectors):
@@ -520,32 +576,24 @@ class TestDtype:
 class TestSegments:
     def test_interleaved_ids_group_stably(self):
         ids = ["T1002", "T1001", "T1002", "T1003", "T1001"]
-        catalog = TechniqueCatalog(
-            model="stub", content_hash="x",
-            entries=[CatalogEntry(tid, "n", f"e{i}", "t") for i, tid in enumerate(ids)],
-            vectors=np.eye(5),
-        )
-        # the rows are sorted with their entries
-        assert [(e.technique_id, e.example_id) for e in catalog.entries] == [
-            ("T1001", "e1"), ("T1001", "e4"), ("T1002", "e0"), ("T1002", "e2"), ("T1003", "e3")]
+        catalog = TechniqueCatalog.from_rows("stub", "x", [(tid, "n") for tid in ids],
+                                             np.eye(5))
+        # the rows are sorted stably by technique id
         np.testing.assert_array_equal(catalog.vectors, np.eye(5)[[1, 4, 0, 2, 3]])
+        np.testing.assert_array_equal(catalog.norms, np.ones(5))
+        assert catalog.techniques == [("T1001", "n"), ("T1002", "n"), ("T1003", "n")]
         assert catalog.starts.tolist() == [0, 2, 4]
 
     def test_row_count_must_match_entries(self):
-        with pytest.raises(CatalogError):
-            TechniqueCatalog(model="stub", content_hash="x",
-                             entries=[CatalogEntry("T1001", "n", "description", "t")],
-                             vectors=np.ones((2, 3)))
+        with pytest.raises(CatalogError, match=r"need one row per \(id, name\) pair \(1\)"):
+            TechniqueCatalog.from_rows("stub", "x", [("T1001", "n")], np.ones((2, 3)))
 
 
 def four_entry_catalog():
-    return TechniqueCatalog(
-        model="stub", content_hash="x",
-        entries=[CatalogEntry("T1001", "Alpha", "description", "alpha"),
-                 CatalogEntry("T1001", "Alpha", "procedure-0", "alpha two"),
-                 CatalogEntry("T1002", "Bravo", "description", "bravo"),
-                 CatalogEntry("T1003", "Charlie", "procedure-0", "charlie")],
-        vectors=np.arange(12, dtype=np.float32).reshape(4, 3))
+    return TechniqueCatalog.from_rows(
+        "stub", "x",
+        [("T1001", "Alpha"), ("T1001", "Alpha"), ("T1002", "Bravo"), ("T1003", "Charlie")],
+        np.arange(12, dtype=np.float32).reshape(4, 3))
 
 
 def int64s(*values):
@@ -564,7 +612,19 @@ class TestDerivedParts:
     def test_unchanged_parts_load(self, tmp_path):
         path = tmp_path / "catalog.bin"
         self.write(path)
-        assert list(load_catalog(path).entries) == list(four_entry_catalog().entries)
+        assert_same_catalog(load_catalog(path), four_entry_catalog())
+
+    def test_saved_file_holds_matrix_norms_and_starts(self, tmp_path):
+        path = tmp_path / "catalog.bin"
+        save_catalog(four_entry_catalog(), path)
+        header, offset = read_header(path)
+        assert list(header["parts"]) == ["matrix", "norms", "starts"]
+        assert header["techniques"] == [["T1001", "Alpha"], ["T1002", "Bravo"],
+                                        ["T1003", "Charlie"]]
+        # the parts are each 64-byte aligned and end the file
+        for size, _ in header["parts"].values():
+            offset += -offset % 64 + size
+        assert offset == path.stat().st_size
 
     @pytest.mark.parametrize("starts", [(1, 2, 3), (0, 2, 2), (0, 3, 2), (0, 2, 4)],
                              ids=["not-from-0", "repeated", "decreasing", "past-the-entries"])
@@ -587,40 +647,27 @@ class TestDerivedParts:
         with pytest.raises(CatalogError, match="technique ids do not strictly increase"):
             load_catalog(path)
 
-    @pytest.mark.parametrize("part, offsets", [
-        ("text_offsets", (0, 9, 5, 19, 26)),  # rises to 9, then falls back to 5
-        ("text_offsets", (0, 5, 14, 19, 25)),  # one byte short of the texts
-        ("text_offsets", (1, 5, 14, 19, 26)),
-        ("example_offsets", (0, 11, 22, 33, 45)),  # one byte past the example ids
-    ], ids=["text-going-back", "text-short-of-the-end", "text-not-from-0", "example-past-the-end"])
-    def test_bad_offsets(self, tmp_path, part, offsets):
+    @pytest.mark.parametrize("technique", [["T1001", None], ["T1001"], ["T1001", "A", "x"],
+                                           "T1001", {"T1001": "Alpha"}])
+    def test_technique_that_is_not_a_pair_of_strings(self, tmp_path, technique):
         path = tmp_path / "catalog.bin"
-        self.write(path, **{part: int64s(*offsets)})
-        with pytest.raises(CatalogError, match="offsets do not rise from 0"):
+        self.write(path, {"techniques": [technique, ["T1002", "Bravo"], ["T1003", "Charlie"]]})
+        with pytest.raises(CatalogError, match="not all \\[id, name\\] pairs of strings"):
+            load_catalog(path)
+
+    def test_a_part_of_an_older_layout(self, tmp_path):
+        path = tmp_path / "catalog.bin"
+        self.write(path, texts=b"alpha")
+        with pytest.raises(CatalogError, match="its parts are .*'texts'.*, need"):
             load_catalog(path)
 
     @pytest.mark.parametrize("part, data", [
         ("matrix", bytes(4 * 13)), ("norms", bytes(4 * 5)), ("starts", int64s(0, 2, 3, 4)),
-        ("text_offsets", int64s(0, 5, 14, 19)), ("example_offsets", int64s(0, 11, 22, 33, 44, 44)),
     ])
     def test_part_of_the_wrong_size(self, tmp_path, part, data):
         path = tmp_path / "catalog.bin"
         self.write(path, **{part: data})
         with pytest.raises(CatalogError, match=f"its {part} part holds {len(data)} bytes, need "):
-            load_catalog(path)
-
-    def test_offsets_that_split_a_character(self, tmp_path):
-        path = tmp_path / "catalog.bin"
-        texts = "alphaé".encode() + b"alpha two" + b"bravo" + b"charlie"
-        # the first text ends inside the two bytes of "é"
-        self.write(path, texts=texts, text_offsets=int64s(0, 6, 16, 21, 28))
-        with pytest.raises(CatalogError, match="split a UTF-8 character"):
-            load_catalog(path)
-
-    def test_texts_that_are_not_utf8(self, tmp_path):
-        path = tmp_path / "catalog.bin"
-        self.write(path, texts=b"alph\xff" + b"alpha two" + b"bravo" + b"charlie")
-        with pytest.raises(CatalogError, match="cannot read catalog.*utf-8"):
             load_catalog(path)
 
     def test_bytes_past_the_last_part(self, tmp_path):
@@ -630,13 +677,14 @@ class TestDerivedParts:
         with pytest.raises(CatalogError, match="1 bytes past its last part"):
             load_catalog(path)
 
-    @pytest.mark.parametrize("part", ["norms", "starts", "text_offsets", "texts",
-                                      "example_offsets", "example_ids"])
+    @pytest.mark.parametrize("part", ["header", "matrix", "norms", "starts"])
     def test_flipped_byte_fails_its_part_crc(self, tmp_path, part):
         path = tmp_path / "catalog.bin"
         save_catalog(four_entry_catalog(), path)
         header, offset = read_header(path)
         raw = bytearray(path.read_bytes())
+        if part == "header":
+            raw[offset - 1] ^= 0x01  # its last byte
         for name, (size, _) in header["parts"].items():
             offset += -offset % 64
             if name == part:
@@ -649,47 +697,36 @@ class TestDerivedParts:
 
 
 class TestLazyEntries:
-    def test_load_builds_no_entry_until_one_is_indexed(self, tmp_path, monkeypatch):
-        """Loading does per-technique work, not per-entry: a 6,000-entry
-        catalog loads without building one ``CatalogEntry``, and its
-        technique names equal the ones worked out entry by entry."""
-        entries = [CatalogEntry(f"T{1000 + i // 30}", f"Name {i // 30}",
-                                "description" if i % 30 == 0 else f"procedure-{i % 30}",
-                                f"text {i} é")
-                   for i in range(6000) if i % 60 != 0 or i % 120 == 0]
+    """A catalog keeps nothing per row but its matrix and norms: names are
+    kept once per technique, and ``entries`` is a range of row numbers, kept
+    only so that the benchmark's traced pass can count rows."""
+
+    def test_load_builds_no_entry_until_one_is_indexed(self, tmp_path):
+        """Loading does per-technique work, not per-row: a 6,000-row catalog
+        loads the technique names its rows were built with, and its entries
+        are a range, whose items are row numbers made when indexed."""
+        rows = [(f"T{1000 + i // 30}", f"Name {i // 30} é")
+                for i in range(6000) if i % 60 != 0 or i % 120 == 0]
         path = tmp_path / "catalog.bin"
-        save_catalog(TechniqueCatalog(model="stub", content_hash="x", entries=entries,
-                                      vectors=np.ones((len(entries), 4), np.float32)), path)
-        built = []
-        init = CatalogEntry.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CatalogEntry, "__init__", counting_init)
+        save_catalog(TechniqueCatalog.from_rows("stub", "x", rows,
+                                                np.ones((len(rows), 4), np.float32)), path)
         loaded = load_catalog(path)
-        assert built == []
-        assert loaded.technique_names() == {e.technique_id: e.name for e in entries}
-        assert len(loaded.entries) == len(entries) and built == []
-        assert loaded.entries[1234] == entries[1234] and len(built) == 1
+        assert loaded.technique_names() == dict(rows)
+        assert len(loaded.techniques) == 200
+        assert loaded.entries == range(len(rows)) and loaded.entries[1234] == 1234
 
     def test_entries_index_like_a_list(self):
         catalog = four_entry_catalog()
-        listed = [CatalogEntry("T1001", "Alpha", "description", "alpha"),
-                  CatalogEntry("T1001", "Alpha", "procedure-0", "alpha two"),
-                  CatalogEntry("T1002", "Bravo", "description", "bravo"),
-                  CatalogEntry("T1003", "Charlie", "procedure-0", "charlie")]
-        assert list(catalog.entries) == listed
-        assert catalog.entries[-1] == listed[-1] and catalog.entries[-4] == listed[0]
+        assert list(catalog.entries) == [0, 1, 2, 3]
+        assert catalog.entries[-1] == 3 and catalog.entries[-4] == 0
         with pytest.raises(IndexError):
             catalog.entries[4]
         with pytest.raises(TypeError):
-            catalog.entries[1] = listed[0]
+            catalog.entries[1] = 0
+        with pytest.raises(AttributeError):
+            catalog.entries = range(4)
 
     def test_one_technique_has_one_name(self):
-        with pytest.raises(CatalogError, match="T1001 has entries named 'A' and 'B'"):
-            TechniqueCatalog(model="stub", content_hash="x",
-                             entries=[CatalogEntry("T1001", "A", "description", "a"),
-                                      CatalogEntry("T1001", "B", "procedure-0", "b")],
-                             vectors=np.ones((2, 2)))
+        with pytest.raises(CatalogError, match="T1001 has rows named 'A' and 'B'"):
+            TechniqueCatalog.from_rows("stub", "x", [("T1001", "A"), ("T1001", "B")],
+                                       np.ones((2, 2)))

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import logging
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cti2stix.catalog import load_catalog
+from cti2stix.catalog import load_catalog, parse_attack_export
 from cti2stix.cli import main
 from cti2stix.stix import EntityKind, load_bundle
 
@@ -529,14 +530,15 @@ class TestResponseCacheFormat:
             f: (live / f).read_bytes() for f in outputs["replay"]}
 
     def test_catalog_build_with_cached_vectors_of_another_length(self, tmp_path, monkeypatch,
-                                                                 mitre_sample_path,
-                                                                 mini_catalog, capsys):
+                                                                 mitre_sample_path, capsys):
         import cti2stix.llm as llm
         from cti2stix.llm import ProviderConfig, ResponseCache, _cache_key
 
         monkeypatch.setenv("OPENAI_API_KEY", "test-key")
         cache = tmp_path / "cache.jsonl"
-        model, text = ProviderConfig.embedding_model, mini_catalog.entries[0].text
+        # the first text the catalog embeds
+        text = parse_attack_export(MITRE_SAMPLE)["T1027"]["description"]
+        model = ProviderConfig.embedding_model
         ResponseCache(cache).put_embedding(_cache_key("embedding", model, text), model, text,
                                            [1.0, 0.0])
         monkeypatch.setattr(llm, "_requests_transport", lambda url, payload, *a: (200, {
@@ -827,6 +829,22 @@ class TestCatalogBuild:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["{oops", "[]", '{"objects": null}', '{"objects": [[]]}'])
+    def test_malformed_export_is_usage_error(self, tmp_path, capsys, text):
+        export = tmp_path / "export.json"
+        export.write_text(text, encoding="utf-8")
+        script = tmp_path / "empty.json"
+        script.write_text("[]", encoding="utf-8")
+        code = main([
+            "catalog", "build", "--attack-json", str(export),
+            "--out", str(tmp_path / "catalog.npz"),
+            "--provider", "scripted", "--script", str(script),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: ATT&CK export {export} is not") and err.count("\n") == 1
+        assert not (tmp_path / "catalog.npz").exists()
+
 
 class TestCalibrate:
     def test_sweep_picks_strictest_tied_threshold(self, tmp_path, catalog_path):
@@ -877,7 +895,7 @@ class TestCalibrate:
         """With a true match at cosine ~0.80 and a spurious one at ~0.79,
         0.80 is the only threshold on the grid that scores F1=1."""
         from cti2stix.attack_patterns import strategy_ot
-        from cti2stix.catalog import CatalogEntry, TechniqueCatalog, save_catalog
+        from cti2stix.catalog import TechniqueCatalog, save_catalog
         from cti2stix.ingest import make_report
         from cti2stix.llm import HashEmbedder
 
@@ -905,10 +923,9 @@ class TestCalibrate:
         assert abs(cosine(e1, h[1])) < 0.65
         assert abs(cosine(e2, h[0])) < 0.65
 
-        catalog = TechniqueCatalog(model="hash-32", content_hash="fixture", entries=[
-            CatalogEntry("T1001", "Alpha", "description", "alpha"),
-            CatalogEntry("T1002", "Beta", "description", "beta"),
-        ], vectors=np.array([e1, e2], dtype=np.float32))
+        catalog = TechniqueCatalog.from_rows("hash-32", "fixture",
+                                             [("T1001", "Alpha"), ("T1002", "Beta")],
+                                             np.array([e1, e2], dtype=np.float32))
         catalog_file = tmp_path / "argmax-catalog.npz"
         save_catalog(catalog, catalog_file)
 
@@ -997,19 +1014,18 @@ class TestCalibrate:
 
 
 class TestMalformedCatalog:
-    """A catalog whose matrix has fewer rows than entries, or a torn file, is a
-    usage error for every command that reads one, reported without a
-    traceback; ``catalog build`` rebuilds it."""
+    """A catalog whose matrix has fewer rows than its technique segments
+    need, a torn file or a path that cannot be opened is a usage error for
+    every command that reads one, reported without a traceback; ``catalog
+    build`` rebuilds such a file."""
 
     @pytest.fixture
     def short_catalog(self, tmp_path, mini_catalog):
         path = tmp_path / "short.npz"
-        # a TechniqueCatalog would refuse the shape
-        write_unchecked_catalog(path, SimpleNamespace(model=mini_catalog.model,
-                                                      dim=mini_catalog.dim,
-                                                      content_hash=mini_catalog.content_hash,
-                                                      entries=mini_catalog.entries,
-                                                      vectors=mini_catalog.vectors[:-1]))
+        # the last technique's segment starts at the row the matrix ends
+        last = int(mini_catalog.starts[-1])
+        write_unchecked_catalog(path, dataclasses.replace(mini_catalog,
+                                                          vectors=mini_catalog.vectors[:last]))
         return path
 
     @pytest.fixture
@@ -1022,13 +1038,12 @@ class TestMalformedCatalog:
     def float64_catalog(self, tmp_path, mini_catalog):
         # the flat layout as versions before float32 files wrote it
         path = tmp_path / "float64.npz"
-        write_unchecked_catalog(path, SimpleNamespace(
-            model=mini_catalog.model, dim=mini_catalog.dim,
-            content_hash=mini_catalog.content_hash, entries=mini_catalog.entries,
-            vectors=mini_catalog.vectors.astype(np.float64)))
+        write_unchecked_catalog(path, dataclasses.replace(
+            mini_catalog, vectors=mini_catalog.vectors.astype(np.float64)))
         return path
 
-    def assert_usage_error(self, code, capsys, says=("error: catalog", "shape")):
+    def assert_usage_error(self, code, capsys,
+                           says=("error: cannot read catalog", "segment starts", "rows")):
         err = capsys.readouterr().err
         assert code == 2
         assert all(words in err for words in says)
@@ -1051,6 +1066,15 @@ class TestMalformedCatalog:
 
     def test_calibrate(self, tmp_path, short_catalog, capsys):
         self.assert_usage_error(self.run_calibrate(tmp_path, short_catalog), capsys)
+
+    def test_extract_directory(self, tmp_path, script_path, report_path, capsys):
+        code, _ = run_extract(tmp_path, script_path, tmp_path, [report_path])
+        self.assert_usage_error(code, capsys,
+                                says=("error: cannot read catalog", "Is a directory"))
+
+    def test_calibrate_directory(self, tmp_path, capsys):
+        self.assert_usage_error(self.run_calibrate(tmp_path, tmp_path), capsys,
+                                says=("error: cannot read catalog", "Is a directory"))
 
     def test_extract_older_file(self, tmp_path, script_path, legacy_catalog, report_path,
                                 capsys):
