@@ -27,6 +27,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
@@ -176,6 +177,17 @@ def _load_report(source: str, plugins: Sequence) -> Any:
     return report_from_path(path, plugins=plugins)
 
 
+def _size_class(source: str) -> float:
+    """The bit length of a local file's size in bytes; infinite for a URL or
+    a path that cannot be stat-ed, whose size is unknown."""
+    if source.startswith(_URL_PREFIXES):
+        return math.inf
+    try:
+        return os.stat(source).st_size.bit_length()
+    except OSError:
+        return math.inf
+
+
 def _extract_one(source: str, config: AppConfig, provider: Any,
                  catalog: Optional[Future[TechniqueCatalog]], plugins: Sequence,
                  out_dir: Path) -> dict[str, Any]:
@@ -246,6 +258,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 failures[source] = f"report id collision with {owner}"
                 continue
         inputs.append(source)
+    # largest first, so that no long report starts last and runs alone
+    # (Graham's LPT rule).  Sorting by size class, not size, keeps input order
+    # among reports of about the same cost: a plain size sort would put
+    # byte-identical inputs side by side, to run at once and both miss the
+    # response cache.  The sort is stable, also under reverse.
+    inputs.sort(key=_size_class, reverse=True)
 
     def run(source: str) -> None:
         try:
@@ -360,6 +378,9 @@ def cmd_catalog_build(args: argparse.Namespace) -> int:
     attack_json = Path(args.attack_json)
     if not attack_json.exists():
         raise ConfigError(f"no such file: {attack_json}")
+    # before any embedding: save_catalog cannot replace a directory
+    if Path(args.out).is_dir():
+        raise ConfigError(f"--out {args.out} is a directory")
     provider = make_provider(config)
     catalog = build_catalog(attack_json, provider, cache_path=args.out)
     techniques = len(catalog.technique_names())

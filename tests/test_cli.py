@@ -3,6 +3,7 @@ import dataclasses
 import json
 import logging
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -488,6 +489,120 @@ class TestReplay:
         assert replay_bundle == live_bundle
 
 
+def write_report(path, size, text=HELLOXD_TEXT):
+    """*text* cut or padded with filler sentences to exactly *size* bytes."""
+    filler = " Nothing further is known about the campaign."
+    body = text + filler * (size // len(filler) + 1)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(body[:size], encoding="ascii")
+    return path
+
+
+class TestDispatchOrder:
+    """``extract`` starts the largest size class (the bit length of a file's
+    size) first; a URL or a path it cannot stat goes before every class, and
+    inputs of one class keep their input order."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Records each source ``_extract_one`` starts, in order, and keeps the
+        one each worker thread runs in ``spy.current.source``; URLs fetch
+        HELLOXD_TEXT."""
+        import cti2stix.cli as cli
+        from cti2stix.ingest import make_report
+
+        spy = SimpleNamespace(started=[], current=threading.local())
+        real = cli._extract_one
+
+        def extract_one(source, *args):
+            spy.started.append(source)
+            spy.current.source = source
+            return real(source, *args)
+
+        monkeypatch.setattr(cli, "_extract_one", extract_one)
+        monkeypatch.setattr(cli, "report_from_url",
+                            lambda url, plugins=(): make_report(HELLOXD_TEXT, report_id="fetched"))
+        return spy
+
+    def test_unknown_sizes_then_largest_class_first(self, tmp_path, script_path, catalog_path,
+                                                    spy):
+        small = write_report(tmp_path / "small.txt", 700)    # class 10
+        mid_1 = write_report(tmp_path / "mid-1.txt", 1100)   # class 11
+        mid_2 = write_report(tmp_path / "mid-2.txt", 1900)   # class 11, larger but later
+        large = write_report(tmp_path / "large.txt", 5000)   # class 13
+        url = "https://reports.example/helloxd"
+        missing = tmp_path / "missing.txt"
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path,
+                                    [small, missing, mid_1, url, large, mid_2], "--jobs", "1")
+        assert spy.started == [str(p) for p in (missing, url, large, mid_1, mid_2, small)]
+        assert code == 1
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["failed"] == {
+            str(missing): f"FileNotFoundError: no such report file: {missing}"}
+        assert summary["ok"] == sorted(str(p) for p in (small, mid_1, url, large, mid_2))
+
+    def test_stem_stays_with_the_earlier_input_when_the_later_is_larger(
+            self, tmp_path, script_path, catalog_path, spy):
+        earlier = write_report(tmp_path / "a" / "r.txt", 700)
+        later = write_report(tmp_path / "b" / "r.txt", 5000)
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path, [earlier, later])
+        assert code == 1
+        assert spy.started == [str(earlier)]
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["ok"] == [str(earlier)]
+        assert summary["failed"] == {str(later): f"report id collision with {earlier}"}
+
+    def test_later_duplicate_is_answered_from_the_response_cache(self, tmp_path, monkeypatch,
+                                                                 spy):
+        import cti2stix.llm as llm
+
+        # the duplicates share class 10 with a larger report; a plain size sort
+        # would start them back to back, the second while the first still runs
+        first = write_report(tmp_path / "dup-1.txt", 700)
+        same_class = write_report(tmp_path / "same-class.txt", 1000)
+        larger = write_report(tmp_path / "larger.txt", 1300)   # class 11
+        smaller = write_report(tmp_path / "smaller.txt", 400)  # class 9
+        last = tmp_path / "dup-2.txt"
+        last.write_bytes(first.read_bytes())
+        inputs = [first, same_class, larger, smaller, last]
+        sizes = {str(p): p.stat().st_size for p in inputs}
+
+        calls = {str(p): 0 for p in inputs}
+        golden = golden_transport({"n": 0})
+
+        def transport(url, payload, headers, timeout):
+            source = spy.current.source
+            calls[source] += 1
+            time.sleep(sizes[source] * 5e-5)  # model time grows with the report
+            return golden(url, payload, headers, timeout)
+
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(llm, "_requests_transport", transport)
+        code = main(["extract", *map(str, inputs), "--out-dir", str(tmp_path / "out"),
+                     "--jobs", "2", "--set", f"provider.cache_path={tmp_path / 'cache.jsonl'}"])
+        assert code == 0
+        assert spy.started == [str(p) for p in (larger, first, same_class, last, smaller)]
+        assert calls[str(first)] > 0
+        assert calls[str(last)] == 0
+
+    def test_outputs_do_not_depend_on_input_order_or_jobs(self, tmp_path, script_path,
+                                                          catalog_path):
+        inputs = [write_report(tmp_path / "small.txt", 700),
+                  write_report(tmp_path / "mid-1.txt", 1100),
+                  tmp_path / "missing.txt",
+                  write_report(tmp_path / "large.txt", 5000),
+                  write_report(tmp_path / "mid-2.txt", 1900)]
+        outputs = []
+        for jobs in ("1", "2"):
+            for order, sources in (("forward", inputs), ("reverse", inputs[::-1])):
+                code, out_dir = run_extract(tmp_path / jobs / order, script_path, catalog_path,
+                                            sources, "--jobs", jobs)
+                assert code == 1  # the missing path
+                outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert len(outputs[0]) == 9  # a bundle and an audit file per report, one summary
+        assert all(output == outputs[0] for output in outputs)
+
+
 class TestResponseCacheFormat:
     def test_list_form_cache_replays_byte_for_byte(self, tmp_path, monkeypatch, catalog_path,
                                                    report_path):
@@ -844,6 +959,22 @@ class TestCatalogBuild:
         assert code == 2
         assert err.startswith(f"error: ATT&CK export {export} is not") and err.count("\n") == 1
         assert not (tmp_path / "catalog.npz").exists()
+
+    def test_directory_out_is_usage_error_before_any_embedding(self, tmp_path, monkeypatch,
+                                                               mitre_sample_path, capsys):
+        import cti2stix.llm as llm
+
+        calls = {"n": 0}
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(llm, "_requests_transport", golden_transport(calls))
+        out = tmp_path / "catalogs"
+        out.mkdir()
+        code = main(["catalog", "build", "--attack-json", str(mitre_sample_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
+        assert calls["n"] == 0
+        assert list(out.iterdir()) == []
 
 
 class TestCalibrate:
