@@ -73,6 +73,9 @@ class AttackPatternConfig:
                                  f"choose from {', '.join(STRATEGIES)}")
             if strategy in self.strategies[:i]:
                 raise ValueError(f"attack_patterns.strategies: {strategy!r} is named twice")
+        if not (isinstance(self.threshold, (int, float)) and -1.0 <= self.threshold <= 1.0):
+            raise ValueError(f"attack_patterns.threshold: {self.threshold!r} is not a "
+                             f"cosine in [-1, 1]")
 
 
 @dataclass
@@ -129,10 +132,10 @@ def strategy_ot(report: Report) -> list[str]:
     return [text for text in (s.strip() for s in report.sentences) if text]
 
 
-# per matrix dtype, the norms below which squared components are subnormal or
-# zero, so the norm has lost precision, and above which their sum overflows
-_TINY_NORM = {np.dtype(t): float(np.sqrt(np.finfo(t).tiny)) for t in (np.float32, np.float64)}
-_HUGE_NORM = {np.dtype(t): float(np.sqrt(np.finfo(t).max)) for t in (np.float32, np.float64)}
+# the float32 norms below which squared components are subnormal or zero, so
+# the norm has lost precision, and above which their sum overflows
+_TINY_NORM = float(np.sqrt(np.finfo(np.float32).tiny))
+_HUGE_NORM = float(np.sqrt(np.finfo(np.float32).max))
 
 
 # queries scored per matrix product: bounds the (queries, catalog rows) score
@@ -149,25 +152,24 @@ def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> n
     """Cosine of each query with each row, as a ``(len(queries), len(rows))``
     array; 0.0 where either has zero norm.
 
-    ``rows`` are float32 or float64, and ``norms`` their norms from
-    :func:`row_norms`, computed once per catalog.  Scores are computed in the
-    rows' dtype: only the queries are cast, since a mixed-dtype product would
+    ``rows`` are a catalog's float32 matrix, and ``norms`` their norms from
+    :func:`row_norms`, computed once per catalog.  Scores are computed in
+    float32: only the queries are cast, since a mixed-dtype product would
     copy the whole of ``rows``.  A query or row too small or too large for an
-    exact norm in that dtype is first divided by its largest magnitude, which
-    keeps its direction.
+    exact float32 norm is first divided by its largest magnitude, which keeps
+    its direction.
     """
-    tiny_norm, huge_norm = _TINY_NORM[rows.dtype], _HUGE_NORM[rows.dtype]
     q = np.asarray(queries, dtype=np.float64)
     q_norms = row_norms(q)
-    inexact_q = (q_norms < tiny_norm) | (q_norms > huge_norm)
+    inexact_q = (q_norms < _TINY_NORM) | (q_norms > _HUGE_NORM)
     if inexact_q.any():
         q = np.where(inexact_q[:, np.newaxis], _peak_scaled(q), q)
-    q = q.astype(rows.dtype, copy=False)
+    q = q.astype(np.float32)
     q_norms = row_norms(q)
     dots = q @ rows.T
     with np.errstate(invalid="ignore"):  # 0 * inf, in columns replaced below
         denominators = np.multiply.outer(q_norms, norms)
-    inexact = np.flatnonzero((norms < tiny_norm) | (norms > huge_norm))
+    inexact = np.flatnonzero((norms < _TINY_NORM) | (norms > _HUGE_NORM))
     if inexact.size:
         scaled = _peak_scaled(rows[inexact])  # copies only those rows
         dots[:, inexact] = q @ scaled.T

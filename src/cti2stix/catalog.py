@@ -7,15 +7,15 @@ procedure-example texts.  Sub-techniques are collapsed into their parent —
 T1027.002's description and examples all land under T1027 — because the
 pipeline classifies at technique granularity.
 
-The embeddings form one matrix, each row embedding one text of one technique;
-it is held, saved and loaded whole.  :func:`build_catalog` makes it float32,
-the precision embedding endpoints return, so the file, its CRC pass and every
-scoring product read half the bytes float64 would.  Rows are kept stably
-sorted by technique id, so each technique's rows form one segment.  Scoring
-takes the row norms and the segment starts, which the catalog works out when
-it is built and the file stores, and scores in the matrix's own dtype.  The
-catalog keeps only what scoring reads, so it cannot list the texts it
-embedded: ``catalog build`` counts them, and the export stays their source.
+The embeddings form one float32 matrix, each row embedding one text of one
+technique; it is held, saved and loaded whole.  float32 is the precision
+embedding endpoints return and the one dtype a catalog holds, so the file,
+its CRC pass and every scoring product read half the bytes float64 would.
+Rows are kept stably sorted by technique id, so each technique's rows form
+one segment.  Scoring takes the row norms and the segment starts, which the
+catalog works out when it is built and the file stores.  The catalog keeps
+only what scoring reads, so it cannot list the texts it embedded: ``catalog
+build`` counts them, and the export stays their source.
 
 Embedding a full catalog costs real API calls, so the result is cached on
 disk, keyed by the content hash of the parsed catalog plus the embedding model
@@ -29,22 +29,22 @@ file is one flat layout, in this order:
    part's byte length and CRC-32, padded with spaces so that the first part
    starts at a multiple of 64 bytes into the file;
 4. the parts, each starting at the next multiple of 64 bytes after the one
-   before, zero bytes between them: the matrix (C order, its own dtype), the
-   row norms (the matrix's dtype) and the segment starts (int64).
+   before, zero bytes between them: the matrix (C order, float32), the row
+   norms (float32) and the segment starts (int64).
 
 Loading maps the file read-only and uses every part in place, so concurrent
 processes share one copy in the page cache and a load does Python work per
-technique, not per row.  Every CRC-32 is still checked before a catalog is
-returned, the parts' on a helper thread, and the parts are checked against
-the header and each other with whole-array numpy operations.  Because the
-parts are the file, a catalog file is replaced (written beside it, then
-renamed), never rewritten in place: truncating a mapped file would crash the
-processes reading it.  Only float32 files in this layout load: an older
-version's file (a zip, ``.npz``, version 1 of this layout, which kept the
-entries in its header, or version 2, which also stored every text and example
-id) or a matrix of any other dtype is refused, and ``cti2stix catalog build``
-rebuilds it once, re-embedding through the provider (free when its response
-cache holds the embeddings).
+technique, not per row.  Every CRC-32 is checked, on the calling thread,
+before a catalog is returned, and the parts are checked against the header
+and each other with whole-array numpy operations.  Because the parts are the
+file, a catalog file is replaced (written beside it, then renamed), never
+rewritten in place: truncating a mapped file would crash the processes
+reading it.  Only float32 files in this layout load: an older version's file
+(a zip, ``.npz``, version 1 of this layout, which kept the entries in its
+header, or version 2, which also stored every text and example id) or a
+matrix of any other dtype is refused, and ``cti2stix catalog build`` rebuilds
+it once, re-embedding through the provider (free when its response cache
+holds the embeddings).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import os
 import struct
 import zlib
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
@@ -76,7 +75,7 @@ _HEADER_START = len(_MAGIC) + _LENGTHS.size
 _ALIGN = 64  # file offset alignment of every part
 _PARTS = ("matrix", "norms", "starts")  # in file order
 _REBUILD = "written by an older version; rebuild it with `cti2stix catalog build`"
-_DTYPE = np.dtype(np.float32)  # the one dtype a catalog file holds
+_DTYPE = np.dtype(np.float32)  # the one dtype a catalog holds
 _INDEX = np.dtype("<i8")  # segment starts
 
 
@@ -105,8 +104,8 @@ class TechniqueCatalog:
     content_hash: str
     techniques: Sequence[tuple[str, str]]
     starts: np.ndarray  # int64, one per technique
-    vectors: np.ndarray  # float32 or float64 (rows, dim)
-    norms: np.ndarray  # each row's norm, in the matrix's dtype
+    vectors: np.ndarray  # float32 (rows, dim)
+    norms: np.ndarray  # float32, each row's norm
 
     @classmethod
     def from_rows(cls, model: str, content_hash: str, rows: Sequence[tuple[str, str]],
@@ -114,19 +113,24 @@ class TechniqueCatalog:
         """A catalog whose row i embeds a text of technique ``rows[i]``, an
         ``(id, name)`` pair.  The rows are stably sorted by technique id.
 
-        A float32 matrix stays float32; any other is taken as float64.
-        Raises :class:`CatalogError` when there is not one row per pair, or
-        when one technique has two names.
+        The matrix is stored as float32 (a float32 one is not copied).
+        Raises :class:`CatalogError` when there is not one row per pair, a
+        finite value lies beyond float32's range, or one technique has two
+        names.
         """
-        vectors = np.asarray(vectors)
-        if vectors.dtype != _DTYPE:
-            vectors = vectors.astype(np.float64, copy=False)
-        if vectors.ndim != 2 or len(vectors) != len(rows):
-            raise CatalogError(f"vectors have shape {vectors.shape}, "
+        with np.errstate(over="ignore"):  # numpy >= 1.24 warns; the loop below checks
+            matrix = np.asarray(vectors, dtype=_DTYPE)
+        if matrix.ndim != 2 or len(matrix) != len(rows):
+            raise CatalogError(f"vectors have shape {matrix.shape}, "
                                f"need one row per (id, name) pair ({len(rows)})")
+        for i in np.flatnonzero(np.isinf(matrix).any(axis=1)):  # an inf may be an overflow
+            given = np.asarray(vectors[i])
+            beyond = given[np.isfinite(given) & np.isinf(matrix[i])]
+            if beyond.size:
+                raise CatalogError(f"vectors hold {float(beyond[0])!r}, beyond float32's range")
         order = sorted(range(len(rows)), key=lambda i: rows[i][0])
         if order != list(range(len(rows))):
-            vectors = vectors[order]
+            matrix = matrix[order]
         techniques: list[tuple[str, str]] = []
         starts: list[int] = []
         for row, i in enumerate(order):
@@ -138,7 +142,7 @@ class TechniqueCatalog:
                 raise CatalogError(f"technique {technique_id} has rows named "
                                    f"{techniques[-1][1]!r} and {name!r}")
         return cls(model, content_hash, techniques, np.array(starts, dtype=_INDEX),
-                   vectors, row_norms(vectors))
+                   matrix, row_norms(matrix))
 
     @property
     def dim(self) -> int:
@@ -277,8 +281,7 @@ def build_catalog(
             texts.append(text)
             rows.append((tid, entry["name"]))
 
-    vectors = (np.asarray(provider.embed(texts), dtype=_DTYPE) if texts
-               else np.zeros((0, 0), dtype=_DTYPE))
+    vectors = provider.embed(texts) if texts else np.zeros((0, 0), dtype=_DTYPE)
     catalog = TechniqueCatalog.from_rows(model, content_hash, rows, vectors)
     if cache_path is not None:
         save_catalog(catalog, cache_path)
@@ -290,11 +293,8 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
 
     The file is written beside *path* and then renamed over it, so *path*
     never holds a torn catalog, and processes that have the old file mapped
-    keep reading it.  Raises :class:`CatalogError` when the matrix is not
-    float32: a cast could turn values beyond float32's range into ``inf``.
+    keep reading it.
     """
-    if catalog.vectors.dtype != _DTYPE:
-        raise CatalogError(f"cannot save a {catalog.vectors.dtype} matrix, need {_DTYPE}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     parts = [np.ascontiguousarray(part).reshape(-1).view(np.uint8) for part in (
@@ -327,8 +327,7 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
 
 def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
     """Read a catalog written by :func:`save_catalog`, each of its parts a
-    view of a read-only mapping of the file.  The parts' CRC-32s are computed
-    on a helper thread while the header is checked.
+    view of a read-only mapping of the file.
 
     Raises :class:`CatalogError` when the file cannot be opened or mapped, is
     not a catalog, is truncated, fails a CRC-32 check, when its matrix is not
@@ -365,29 +364,27 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
             at += size
         if at != len(view):
             raise ValueError(f"it holds {len(view) - at} bytes past its last part")
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            crcs = pool.submit(lambda: [zlib.crc32(view[a:a + n]) for a, n in spans.values()])
-            if meta["dtype"] != _DTYPE.str:
-                raise CatalogError(f"catalog {path}: vectors have dtype {meta['dtype']}, "
-                                   f"need float32 ({_DTYPE.str})")
-            shape, techniques = tuple(meta["shape"]), meta["techniques"]
-            if len(shape) != 2 or shape[1] != meta["dim"]:
-                raise CatalogError(f"catalog {path}: vectors have shape {shape}, "
-                                   f"its metadata says {(shape[0], meta['dim'])}")
-            if not all(isinstance(t, list) and len(t) == 2 and all(isinstance(s, str) for s in t)
-                       for t in techniques):
-                raise ValueError("its techniques are not all [id, name] pairs of strings")
-            rows = shape[0]
-            need = {"matrix": rows * shape[1] * _DTYPE.itemsize,
-                    "norms": rows * _DTYPE.itemsize,
-                    "starts": len(techniques) * _INDEX.itemsize}
-            for name, size in need.items():
-                if spans[name][1] != size:
-                    raise CatalogError(f"catalog {path}: its {name} part holds "
-                                       f"{spans[name][1]} bytes, need {size}")
-            for name, crc in zip(_PARTS, crcs.result()):
-                if crc != meta["parts"][name][1]:
-                    raise CatalogError(f"catalog {path}: {name} fails its CRC-32 check")
+        if meta["dtype"] != _DTYPE.str:
+            raise CatalogError(f"catalog {path}: vectors have dtype {meta['dtype']}, "
+                               f"need float32 ({_DTYPE.str})")
+        shape, techniques = tuple(meta["shape"]), meta["techniques"]
+        if len(shape) != 2 or shape[1] != meta["dim"]:
+            raise CatalogError(f"catalog {path}: vectors have shape {shape}, "
+                               f"its metadata says {(shape[0], meta['dim'])}")
+        if not all(isinstance(t, list) and len(t) == 2 and all(isinstance(s, str) for s in t)
+                   for t in techniques):
+            raise ValueError("its techniques are not all [id, name] pairs of strings")
+        rows = shape[0]
+        need = {"matrix": rows * shape[1] * _DTYPE.itemsize,
+                "norms": rows * _DTYPE.itemsize,
+                "starts": len(techniques) * _INDEX.itemsize}
+        for name, size in need.items():
+            if spans[name][1] != size:
+                raise CatalogError(f"catalog {path}: its {name} part holds "
+                                   f"{spans[name][1]} bytes, need {size}")
+        for name, (at, size) in spans.items():
+            if zlib.crc32(view[at:at + size]) != meta["parts"][name][1]:
+                raise CatalogError(f"catalog {path}: {name} fails its CRC-32 check")
 
         def part(name: str, dtype: np.dtype) -> np.ndarray:
             at, size = spans[name]

@@ -136,6 +136,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (argparse dest, config key) of each flag that overrides a config key; a
+# flag wins over --set
+_FLAG_KEYS = (
+    ("provider", "provider_kind"),
+    ("script", "paths.script"),
+    ("replay_cache", "provider.cache_path"),
+    ("catalog", "paths.catalog"),
+    ("plugins", "paths.plugins"),
+    ("preprocessing", "pipeline.preprocessing"),
+    ("strategies", "attack_patterns.strategies"),
+    ("threshold", "attack_patterns.threshold"),
+    ("subset_rule", "eval.subset_rule"),
+    ("kinds", "eval.kinds"),
+)
+
+
 def _config_from_args(args: argparse.Namespace) -> AppConfig:
     overrides: dict[str, Any] = {}
     for item in args.overrides:
@@ -144,26 +160,10 @@ def _config_from_args(args: argparse.Namespace) -> AppConfig:
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
 
-    if getattr(args, "provider", None):
-        overrides["provider_kind"] = args.provider
-    if getattr(args, "script", None):
-        overrides["paths.script"] = args.script
-    if getattr(args, "replay_cache", None):
-        overrides["provider.cache_path"] = args.replay_cache
-    if getattr(args, "catalog", None):
-        overrides["paths.catalog"] = args.catalog
-    if getattr(args, "plugins", None):
-        overrides["paths.plugins"] = args.plugins
-    if getattr(args, "preprocessing", None):
-        overrides["pipeline.preprocessing"] = args.preprocessing
-    if getattr(args, "strategies", None):
-        overrides["attack_patterns.strategies"] = args.strategies
-    if getattr(args, "threshold", None) is not None:
-        overrides["attack_patterns.threshold"] = args.threshold
-    if getattr(args, "subset_rule", None):
-        overrides["eval.subset_rule"] = args.subset_rule
-    if getattr(args, "kinds", None):
-        overrides["eval.kinds"] = args.kinds
+    for dest, key in _FLAG_KEYS:
+        value = getattr(args, dest, None)
+        if value is not None and value != "":  # an empty flag is ignored; 0 applies
+            overrides[key] = value
 
     return load_config(args.config, overrides)
 
@@ -337,7 +337,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     bundles = {}
     for path in sorted(extracted_dir.glob("*.bundle.json")):
         report_id = path.name[: -len(".bundle.json")]
-        bundles[report_id] = load_bundle(path)
+        try:
+            bundles[report_id] = load_bundle(path)
+        except ValueError as exc:  # JSON syntax errors included
+            raise ConfigError(f"bundle {path}: {exc}") from exc
     overlap = sorted(set(bundles) & set(truth))
     if not overlap:
         raise ConfigError("no report ids shared between extracted bundles and ground truth")

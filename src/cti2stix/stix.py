@@ -268,7 +268,10 @@ def _entity_from_obj(obj: dict[str, Any]) -> StixEntity:
     kind = _ENTITY_KIND_BY_TYPE[data.pop("type")]
     ident = data.pop("id", "") or ""
     name = data.pop("name", "") or ""
-    aliases = list(data.pop("aliases", []) or [])
+    aliases = data.pop("aliases", []) or []
+    if not isinstance(aliases, list) or not all(
+            isinstance(value, str) for value in (ident, name, *aliases)):
+        raise ValueError(f"{kind.value} {ident!r} has an id, name or alias that is not a string")
     data.pop("spec_version", None)
 
     technique_id = external_technique_id(data)
@@ -279,7 +282,7 @@ def _entity_from_obj(obj: dict[str, Any]) -> StixEntity:
         if len(refs) == 1 and set(refs[0]) <= {"source_name", "external_id"}:
             data.pop("external_references")
 
-    return StixEntity(kind=kind, name=name, id=ident, aliases=aliases,
+    return StixEntity(kind=kind, name=name, id=ident, aliases=list(aliases),
                       technique_id=technique_id, extra=data)
 
 
@@ -293,6 +296,9 @@ def _relation_from_obj(obj: dict[str, Any]) -> StixRelation | None:
     kind = _RELATION_KIND_BY_TYPE.get(obj.get("relationship_type"))
     if kind is None:
         return None
+    refs = (obj.get("id"), obj.get("source_ref"), obj.get("target_ref"))
+    if not all(isinstance(ref or "", str) for ref in refs):
+        raise ValueError(f"relationship {refs[0]!r} has an id or ref that is not a string")
     if obj.keys() == _RELATION_MEMBERS:  # no extra: nothing to copy
         return StixRelation(kind, obj["source_ref"] or "", obj["target_ref"] or "",
                             obj["id"] or "")
@@ -310,7 +316,10 @@ def load_bundle(source: Union[str, Path, dict]) -> StixBundle:
     """Parse a STIX bundle from a dict, JSON string, or file path.
 
     Objects of unknown type (and relationships of unknown relationship_type)
-    are skipped with a warning and collected on ``bundle.skipped``.
+    are skipped with a warning and collected on ``bundle.skipped``.  Raises
+    :class:`ValueError` when the text is not JSON, the document is not an
+    object whose ``objects`` is a list, or an entity's id, name or alias, or a
+    relationship's id or ref, is not a string.
     """
     if isinstance(source, Path):
         raw: dict = json.loads(source.read_text(encoding="utf-8"))
@@ -323,8 +332,12 @@ def load_bundle(source: Union[str, Path, dict]) -> StixBundle:
     else:
         raw = source
 
+    if not isinstance(raw, dict):
+        raise ValueError("the bundle is not a JSON object")
     data = dict(raw)
     objects = data.pop("objects", []) or []
+    if not isinstance(objects, list):
+        raise ValueError('the bundle\'s "objects" is not a list')
     data.pop("type", None)
     ident = data.pop("id", "") or bundle_id("")
     bundle = StixBundle(id=ident, extra=data)

@@ -261,16 +261,17 @@ def catalog_file_contents(catalog):
 
 def write_unchecked_catalog(path, catalog):
     """The file :func:`save_catalog` writes for *catalog*, in the matrix's own
-    dtype and shape: save_catalog refuses a matrix that is not float32, and
-    ``TechniqueCatalog.from_rows`` one whose row count disagrees with its rows."""
+    dtype and shape: ``TechniqueCatalog.from_rows`` stores only float32, and
+    refuses a row count that disagrees with its rows."""
     write_raw_catalog(path, *catalog_file_contents(catalog))
 
 
 def cosine(a, b):
-    """Cosine of two vectors: the one-by-one case of ``cosine_scores``."""
+    """Cosine of two vectors: the one-by-one case of ``cosine_scores``, *a*
+    the query and *b* a catalog row, which is float32."""
     from cti2stix.attack_patterns import cosine_scores
     from cti2stix.catalog import row_norms
 
-    rows = np.asarray(b, dtype=np.float64)[np.newaxis]
+    rows = np.asarray(b, dtype=np.float32)[np.newaxis]
     return float(cosine_scores(np.asarray(a, dtype=np.float64)[np.newaxis], rows,
                                row_norms(rows))[0, 0])

@@ -7,7 +7,6 @@ a live endpoint and only runs when CTI2STIX_LIVE_SMOKE=1.
 
 import functools
 import json
-import math
 import os
 import random
 import time
@@ -54,7 +53,7 @@ from cti2stix.stix import (
 )
 
 from conftest import GOLDEN_SCRIPT, HELLOXD_TEXT
-from test_attack_patterns import brute_force_classify
+from test_attack_patterns import assert_matches_reference
 from test_cli import write_ground_truth
 from test_evaluation import benchmark_truth, brute_force_match
 
@@ -134,15 +133,13 @@ def test_c3_classification_oracle():
         for _ in range(n_entries):
             rows.append((f"T1{rng.randint(0, 9):03d}", "stub"))
             vectors.append([rng.gauss(0, 1) for _ in range(dim)])
-        catalog = TechniqueCatalog.from_rows("stub", "s", rows, np.array(vectors))
+        catalog = TechniqueCatalog.from_rows("stub", "s", rows,
+                                             np.array(vectors, dtype=np.float32))
         candidate = np.array([rng.gauss(0, 1) for _ in range(dim)])
         threshold = rng.uniform(0.1, 0.9)
 
-        fast = classify_vector(candidate, catalog, threshold)
-        slow = brute_force_classify(candidate, catalog, threshold)
-        assert list(fast) == list(slow)
-        for a, b in zip(fast.values(), slow.values()):
-            assert math.isclose(a, b, rel_tol=0, abs_tol=1e-9)
+        hits = classify_vector(candidate, catalog, threshold)
+        assert_matches_reference(hits, [candidate], catalog, threshold)
 
         sets = [set(classify_vector(candidate, catalog, t0)) for t0 in (0.2, 0.4, 0.6, 0.8)]
         for looser, stricter in zip(sets, sets[1:]):

@@ -6,6 +6,7 @@ import re
 import struct
 import tempfile
 import threading
+import warnings
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -420,23 +421,27 @@ class TestMappedFile:
         with pytest.raises(CatalogError, match=f"{part} fails its CRC-32 check"):
             load_catalog(path)
 
-    def test_matrix_crc_runs_on_a_helper_thread(self, mini_catalog, tmp_path, monkeypatch):
-        """The header's CRC-32 is checked on the calling thread, the matrix's
-        and every other part's on the helper."""
+    def test_every_crc_is_checked_on_the_calling_thread(self, mini_catalog, tmp_path,
+                                                        monkeypatch):
+        """The header's CRC-32 and every part's are checked on the calling
+        thread before ``load_catalog`` returns, and the load starts no thread."""
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)
         header, offset = read_header(path)
-        crc32 = zlib.crc32
-        checked = []
+        crc32, start, caller = zlib.crc32, threading.Thread.start, threading.current_thread()
+        checked, started = [], []
 
         def spy(data, *args):
-            checked.append((len(data), threading.current_thread() is threading.main_thread()))
+            checked.append((len(data), threading.current_thread() is caller))
             return crc32(data, *args)
 
         monkeypatch.setattr(zlib, "crc32", spy)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
         load_catalog(path)
-        parts = [(size, False) for size, _ in header["parts"].values()]
-        assert (mini_catalog.vectors.nbytes, False) in parts
+        assert started == []
+        parts = [(size, True) for size, _ in header["parts"].values()]
+        assert (mini_catalog.vectors.nbytes, True) in parts
         assert sorted(checked) == sorted([(offset - 31, True)] + parts)
 
     def test_truncated_inside_vectors(self, mini_catalog, tmp_path):
@@ -551,18 +556,30 @@ class TestDtype:
         assert_same_catalog(reloaded, rebuilt)
         assert_same_catalog(reloaded, mini_catalog)
 
-    @pytest.mark.parametrize("vectors", [np.ones((1, 3)), np.array([[1e300, 0.0, 0.0]])])
-    def test_save_refuses_a_float64_matrix(self, tmp_path, vectors):
-        # a cast would write 1e300 as inf
-        path = tmp_path / "catalog.npz"
-        with pytest.raises(CatalogError, match="cannot save a float64 matrix, need float32"):
-            save_catalog(make_catalog(vectors), path)
-        assert list(tmp_path.iterdir()) == []
+    def test_catalog_stores_float32(self):
+        given = np.ones((1, 2), dtype=np.float32)
+        assert make_catalog(given).vectors is given  # not copied
+        for rows in (np.ones((1, 2), dtype=np.int64), [[1.0, 2.0]], np.ones((1, 2), np.float16),
+                     np.array([[3.4e38, -np.inf, np.nan]])):
+            catalog = make_catalog(rows)
+            assert catalog.vectors.dtype == catalog.norms.dtype == np.float32
+            np.testing.assert_array_equal(catalog.vectors, np.asarray(rows, np.float32))
 
-    def test_catalog_keeps_float32_and_widens_the_rest(self):
-        assert make_catalog(np.ones((1, 2), dtype=np.float32)).vectors.dtype == np.float32
-        for rows in (np.ones((1, 2), dtype=np.int64), [[1.0, 2.0]], np.ones((1, 2), np.float16)):
-            assert make_catalog(rows).vectors.dtype == np.float64
+    @pytest.mark.parametrize("value", [3.5e38, -1e300])
+    def test_value_beyond_float32_refused(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning
+            with pytest.raises(CatalogError, match=re.escape(
+                    f"vectors hold {value!r}, beyond float32's range")):
+                make_catalog(np.array([[0.0, np.inf], [value, 1.0]]))
+
+    def test_build_refuses_an_embedding_beyond_float32(self, tmp_path):
+        # a cast would write 1e300 as inf, in the rows and in their norms
+        provider = ScriptedProvider(script=[], embedder=SimpleNamespace(
+            embed=lambda texts: [np.array([1e300, 0.0]) for _ in texts]))
+        with pytest.raises(CatalogError, match=r"1e\+300, beyond float32's range"):
+            build_catalog(MITRE_SAMPLE, provider, cache_path=tmp_path / "catalog.npz")
+        assert provider.embedded and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int32, "<f8", ">f4", ">f8", np.complex64])
     def test_other_dtypes_refused(self, tmp_path, dtype):

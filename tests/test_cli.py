@@ -916,6 +916,41 @@ def test_malformed_ground_truth_is_usage_error(tmp_path, catalog_path, no_model_
     assert not (tmp_path / "out").exists()
 
 
+class TestMalformedBundle:
+    @pytest.mark.parametrize("text, message", [
+        ('{"type": "bundle", "objects": [', "Expecting value"),
+        ("[1, 2]", "the bundle is not a JSON object"),
+        ('{"type": "bundle", "objects": 5}', 'the bundle\'s "objects" is not a list'),
+        (json.dumps({"type": "bundle", "objects": [
+            {"type": "malware", "id": "malware--1", "name": 5}]}),
+         "malware 'malware--1' has an id, name or alias that is not a string"),
+        (json.dumps({"type": "bundle", "objects": [
+            {"type": "malware", "id": "malware--1", "name": "HelloXD", "aliases": [5]}]}),
+         "malware 'malware--1' has an id, name or alias that is not a string"),
+        (json.dumps({"type": "bundle", "objects": [
+            {"type": "malware", "id": ["malware--1"], "name": "HelloXD"}]}),
+         "malware ['malware--1'] has an id, name or alias that is not a string"),
+        (json.dumps({"type": "bundle", "objects": [
+            {"type": "relationship", "id": "relationship--1", "relationship_type": "uses",
+             "source_ref": ["threat-actor--1"], "target_ref": "malware--1"}]}),
+         "relationship 'relationship--1' has an id or ref that is not a string"),
+    ], ids=["torn", "array", "objects-not-a-list", "name-not-a-string", "alias-not-a-string",
+            "id-not-a-string", "ref-not-a-string"])
+    def test_is_usage_error(self, tmp_path, capsys, text, message):
+        extracted = tmp_path / "extracted"
+        extracted.mkdir()
+        bundle = extracted / "r1.bundle.json"
+        bundle.write_text(text, encoding="utf-8")
+        write_ground_truth(tmp_path / "gt", "r1", "Plain prose.")
+        code = main(["eval", "--extracted", str(extracted), "--gt", str(tmp_path / "gt"),
+                     "--out-dir", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: bundle {bundle}: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "eval").exists()
+
+
 class TestCatalogBuild:
     def test_builds_npz(self, tmp_path, mitre_sample_path):
         script = tmp_path / "empty.json"
@@ -975,6 +1010,23 @@ class TestCatalogBuild:
         assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
         assert calls["n"] == 0
         assert list(out.iterdir()) == []
+
+    def test_embedding_beyond_float32_is_usage_error(self, tmp_path, monkeypatch,
+                                                     mitre_sample_path, capsys):
+        import cti2stix.llm as llm
+
+        def transport(url, payload, headers, timeout):
+            return 200, {"data": [{"index": i, "embedding": [1e300, 0.0]}
+                                  for i in range(len(payload["input"]))]}
+
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(llm, "_requests_transport", transport)
+        out = tmp_path / "catalog.npz"
+        code = main(["catalog", "build", "--attack-json", str(mitre_sample_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: vectors hold 1e+300, beyond float32's range\n"
+        assert not out.exists()
 
 
 class TestCalibrate:
@@ -1289,6 +1341,45 @@ class TestConfigShow:
         data = yaml.safe_load(capsys.readouterr().out)
         assert sum(len(v) if isinstance(v, dict) else 1 for v in data.values()) == 20
 
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("extract", "--provider", "scripted", "provider_kind"),
+        ("extract", "--script", "rules.json", "paths.script"),
+        ("extract", "--replay-cache", "cache.jsonl", "provider.cache_path"),
+        ("extract", "--catalog", "catalog.npz", "paths.catalog"),
+        ("extract", "--plugins", "sites.yaml", "paths.plugins"),
+        ("extract", "--preprocessing", "off", "pipeline.preprocessing"),
+        ("extract", "--strategies", "ot", "attack_patterns.strategies"),
+        ("extract", "--threshold", "0", "attack_patterns.threshold"),
+        ("eval", "--subset-rule", "off", "eval.subset_rule"),
+        ("eval", "--kinds", "malware", "eval.kinds"),
+    ])
+    def test_each_flag_sets_its_key(self, capsys, command, flag, value, key):
+        from cti2stix.cli import _config_from_args, build_parser
+        from cti2stix.config import AppConfig, dump_config
+
+        required = {"extract": ["r.txt", "--out-dir", "out"],
+                    "eval": ["--extracted", "x", "--gt", "gt", "--out-dir", "out"]}[command]
+        from_flag = dump_config(_config_from_args(
+            build_parser().parse_args([command, *required, flag, value])))
+        assert from_flag != dump_config(AppConfig())
+        assert main(["config", "show", "--set", f"{key}={value}"]) == 0
+        assert capsys.readouterr().out == from_flag
+
+    @pytest.mark.parametrize("flag", ["--script", "--replay-cache", "--catalog", "--plugins",
+                                      "--strategies"])
+    def test_empty_flag_is_ignored(self, flag):
+        from cti2stix.cli import _config_from_args, build_parser
+        from cti2stix.config import AppConfig, dump_config
+
+        args = build_parser().parse_args(["extract", "r.txt", "--out-dir", "out", flag, ""])
+        assert dump_config(_config_from_args(args)) == dump_config(AppConfig())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "7", "-1.5"])
+    def test_threshold_outside_the_cosine_range_is_usage_error(self, capsys, value):
+        assert main(["config", "show", "--set", f"attack_patterns.threshold={value}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: attack_patterns.threshold: {float(value)!r} is not a cosine in [-1, 1]\n")
+
     def test_include_explicit_is_unknown(self, capsys):
         assert main(["config", "show", "--set", "attack_patterns.include_explicit=true"]) == 2
         assert "unknown config key: attack_patterns.include_explicit" in capsys.readouterr().err
@@ -1315,6 +1406,18 @@ class TestUsage:
         assert code == 2
         assert f"error: --jobs must be at least 1, got {jobs}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threshold", ["7", "nan"])
+    def test_threshold_outside_the_cosine_range_is_usage_error(self, tmp_path, script_path,
+                                                                report_path, capsys, threshold):
+        code = main([
+            "extract", str(report_path), "--out-dir", str(tmp_path / "out"),
+            "--provider", "scripted", "--script", str(script_path), "--threshold", threshold,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: attack_patterns.threshold: "
+                                           f"{float(threshold)!r} is not a cosine in [-1, 1]\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unparseable_override_is_usage_error(self, capsys):
         code = main(["config", "show", "--set", "provider.context_window=abc"])
