@@ -166,7 +166,10 @@ def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> n
         q = np.where(inexact_q[:, np.newaxis], _peak_scaled(q), q)
     q = q.astype(np.float32)
     q_norms = row_norms(q)
-    dots = q @ rows.T
+    # a product with a row of norm above _HUGE_NORM may overflow; that
+    # column is recomputed from the scaled row below
+    with np.errstate(over="ignore"):
+        dots = q @ rows.T
     with np.errstate(invalid="ignore"):  # 0 * inf, in columns replaced below
         denominators = np.multiply.outer(q_norms, norms)
     inexact = np.flatnonzero((norms < _TINY_NORM) | (norms > _HUGE_NORM))
@@ -228,14 +231,23 @@ def run_attack_pattern_pipeline(
     config: Optional[AttackPatternConfig] = None,
 ) -> list[TechniqueMatch]:
     """Gather, embed and score *report*'s technique candidates, recording on
-    *audit*, and return the matches in technique-id order.
+    *audit*, and return the matches in technique-id order: the model stage
+    :func:`embed_candidates`, then the scoring stage :func:`score_candidates`.
 
     *catalog* may be a future of one still loading: the pipeline waits for it
     only after the candidates are gathered and embedded, just before scoring,
     and re-raises the load's exception.
     """
     config = config or AttackPatternConfig()
+    vectors = embed_candidates(report, provider, audit, config)
+    return score_candidates(report, vectors, catalog, audit, config)
 
+
+def embed_candidates(report: Report, provider: Any, audit: AuditTrail,
+                     config: AttackPatternConfig) -> Optional[np.ndarray]:
+    """The model stage: gather *report*'s candidates with each configured
+    strategy and embed each unique candidate text once, recording on *audit*.
+    Returns the ``(texts, dim)`` float64 vectors, or None for no candidate."""
     candidates: list[str] = []
     counts: dict[str, int] = {}
     for strategy in config.strategies:
@@ -250,12 +262,26 @@ def run_attack_pattern_pipeline(
     audit.record("attack-pattern", "decision", rule="candidates", counts=counts)
 
     unique_texts = list(dict.fromkeys(candidates))
-    vectors = np.asarray(provider.embed(unique_texts), dtype=np.float64) if unique_texts else None
+    return np.asarray(provider.embed(unique_texts), dtype=np.float64) if unique_texts else None
+
+
+def score_candidates(
+    report: Report,
+    vectors: Optional[np.ndarray],
+    catalog: Union[TechniqueCatalog, Future[TechniqueCatalog]],
+    audit: AuditTrail,
+    config: AttackPatternConfig,
+) -> list[TechniqueMatch]:
+    """The scoring stage: score the candidate *vectors* from
+    :func:`embed_candidates` against *catalog*, waiting for it when it is a
+    future, union in the technique ids written in *report*, recording each
+    on *audit*, and return the matches in technique-id order.  It asks the
+    model nothing."""
     if isinstance(catalog, Future):
         catalog = catalog.result()
     # each technique's best score over the unique candidate texts
     best: dict[str, Optional[float]] = {}
-    if unique_texts:
+    if vectors is not None:
         best.update(classify_vectors(vectors, catalog, config.threshold))
 
     for tid in detect_explicit_techniques(report.text):

@@ -28,7 +28,8 @@ class AuditEvent:
 class AuditTrail:
     """Ordered record of everything a report's pipeline runs did,
     JSONL-serializable.  The caller creates one per report and hands it to
-    each pipeline."""
+    each pipeline, or gives a pipeline that runs beside another a trail of
+    its own and appends it with :meth:`extend`."""
 
     def __init__(self, report_id: str):
         self.report_id = report_id
@@ -36,6 +37,11 @@ class AuditTrail:
 
     def record(self, stage: str, event: str, **data: Any) -> None:
         self.events.append(AuditEvent(len(self.events), stage, event, data))
+
+    def extend(self, other: AuditTrail) -> None:
+        """Append *other*'s events, renumbered to follow this trail's."""
+        for e in other.events:
+            self.record(e.stage, e.event, **e.data)
 
     def prompts(self) -> list[tuple[str, int]]:
         """(prompt text, reserved output tokens) for every issued prompt."""

@@ -29,11 +29,16 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .attack_patterns import run_attack_pattern_pipeline
+from .attack_patterns import (
+    TechniqueMatch,
+    embed_candidates,
+    run_attack_pattern_pipeline,
+    score_candidates,
+)
 from .audit import AuditTrail
 from .catalog import CatalogError, TechniqueCatalog, build_catalog, load_catalog
 from .config import PROVIDER_KINDS, AppConfig, ConfigError, dump_config, load_config, make_provider
@@ -189,16 +194,26 @@ def _size_class(source: str) -> float:
 
 
 def _extract_one(source: str, config: AppConfig, provider: Any,
-                 catalog: Optional[Future[TechniqueCatalog]], plugins: Sequence,
-                 out_dir: Path) -> dict[str, Any]:
+                 catalog: Optional[Future[TechniqueCatalog]], scoring: Executor,
+                 plugins: Sequence, out_dir: Path) -> dict[str, Any]:
     report = _load_report(source, plugins)
     # one trail holds both pipelines' events, numbered once
     audit = AuditTrail(report.id)
+    scored: Optional[Future[list[TechniqueMatch]]] = None
+    if catalog is not None:
+        # every model call stays on this thread: the technique prompts and
+        # embedding come first, then *scoring* scores the candidates while
+        # the entity pipeline runs.  The technique events go on a trail of
+        # their own, appended after the entity pipeline's
+        techniques = AuditTrail(report.id)
+        vectors = embed_candidates(report, provider, techniques, config.attack_patterns)
+        scored = scoring.submit(score_candidates, report, vectors, catalog, techniques,
+                                config.attack_patterns)
     entity_bundle = run_entity_pipeline(report, provider, audit, config.pipeline)
     matches = []
-    if catalog is not None:
-        matches = run_attack_pattern_pipeline(report, catalog, provider, audit,
-                                              config.attack_patterns)
+    if scored is not None:
+        matches = scored.result()
+        audit.extend(techniques)
 
     bundle, violations = assemble_and_validate(entity_bundle, matches)
 
@@ -267,7 +282,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     def run(source: str) -> None:
         try:
-            results[source] = _extract_one(source, config, provider, catalog,
+            results[source] = _extract_one(source, config, provider, catalog, scoring,
                                            plugins, out_dir)
         except Exception as exc:  # one bad report must not sink the batch
             if catalog is not None and catalog.done() and catalog.exception():
@@ -275,7 +290,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
             logger.exception("extraction failed for %s: %s", source, exc)
             failures[source] = f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    # a report waits for its scoring unless its entity pipeline failed, so
+    # one scoring thread per report thread seldom queues; the reports end
+    # first, and a failed report's scoring is drained last
+    with ThreadPoolExecutor(max_workers=args.jobs) as scoring, \
+            ThreadPoolExecutor(max_workers=args.jobs) as pool:
         reports = [pool.submit(run, source) for source in inputs]
         if catalog is not None:
             try:
@@ -457,19 +476,34 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     # score candidates once per report at threshold 0; re-threshold in memory.
     # An id only written in the text carries no score, so it is left out.
+    # A report that fails is left out of the sweep and named, as in extract
     zero = dataclasses.replace(config.attack_patterns, threshold=0.0)
     best_scores: dict[str, dict[str, float]] = {}
+    failures: dict[str, str] = {}
     for report_id in sorted(eligible):
         report = make_report(eligible[report_id].text, report_id=report_id)
-        matches = run_attack_pattern_pipeline(report, catalog, provider,
-                                              AuditTrail(report_id), zero)
+        try:
+            matches = run_attack_pattern_pipeline(report, catalog, provider,
+                                                  AuditTrail(report_id), zero)
+        except Exception as exc:  # one bad report must not sink the sweep
+            logger.exception("scoring failed for %s: %s", report_id, exc)
+            failures[report_id] = f"{type(exc).__name__}: {exc}"
+            continue
         best_scores[report_id] = {m.technique_id: m.score for m in matches
                                   if m.score is not None}
+
+    for report_id, error in failures.items():
+        print(f"FAILED {report_id}: {error}")
+    if not best_scores:
+        logger.error("no report was scored; calibration.json not written")
+        return PARTIAL
 
     means: dict[float, float] = {}
     for threshold in thresholds:
         f1s = []
         for report_id, gt in eligible.items():
+            if report_id in failures:
+                continue
             predicted = [tid for tid, score in best_scores[report_id].items()
                          if score >= threshold]
             match = match_entities(predicted, truth_for_kind(gt, "attack_pattern"))
@@ -481,18 +515,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "reports": sorted(eligible),
+        "reports": sorted(best_scores),
         "thresholds": {_threshold_key(t): means[t] for t in thresholds},
         "best_threshold": best,
         "best_mean_f1": means[best],
         "summary": summarize(list(means.values())),
     }
+    if failures:
+        payload["failed"] = failures
     (out_dir / "calibration.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"best threshold {best:.2f} (mean F1 {means[best]:.3f} "
-          f"over {len(eligible)} reports)")
-    return OK
+          f"over {len(best_scores)} reports)")
+    return PARTIAL if failures else OK
 
 
 def cmd_config_show(args: argparse.Namespace) -> int:

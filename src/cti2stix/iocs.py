@@ -32,11 +32,14 @@ _HASH_PATTERNS = [("sha256", SHA256_RE), ("sha1", SHA1_RE), ("md5", MD5_RE)]
 
 # an IP is not followed by a digit or by "." and a digit (a version number),
 # unless a hash follows the dot: it is masked later, and ``1.2.3.4.[sha1]``
-# in the masked text reads as an IP
-_HASH = "|".join(pattern.pattern for _, pattern in _HASH_PATTERNS)
-IPV4_RE = re.compile(
-    rf"(?<![\d.])(?:{_OCTET}{_DOT}){{3}}{_OCTET}(?!\d|\.(?!(?i:{_HASH}))\d)"
-)
+# in the masked text reads as an IP.  The hash scan runs after the IP scan,
+# and an IP it took bounds a hex run as a space would, so here a hash ends
+# at a word boundary or where an IP starts.  That IP is not itself checked
+# for a version number after it: a wrong guess takes the first IP, where a
+# miss would leave it beside the hash's marker.
+_IP = rf"(?<![\d.])(?:{_OCTET}{_DOT}){{3}}{_OCTET}"
+_HASH = "|".join(rf"\b[a-f0-9]{{{n}}}(?:\b|(?={_IP}(?!\d)))" for n in (64, 40, 32))
+IPV4_RE = re.compile(rf"{_IP}(?!\d|\.(?!(?i:{_HASH}))\d)")
 
 # an http, https or hxxp scheme may follow anything: a URL run on after an
 # IP, a hash or a word (``1.2.3.4http://...``, ``URLhxxp://...``) is found

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,16 @@ class TestClassifyVectors:
                              np.array([[1.0, 0.0], [0.0, scale]], dtype=dtype))
         assert list(classify_vectors(np.array([[scale, 0.0]]), catalog, 0.5)) == ["T1001"]
         assert list(classify_vectors(np.array([[0.0, 1.0]]), catalog, 0.5)) == ["T1002"]
+
+    def test_product_overflow_scores_without_a_warning(self):
+        # the row's norm is above float32's _HUGE_NORM, and its float32 product
+        # with the query overflows: that column is recomputed from the scaled
+        # row, and the overflow must not reach the caller
+        catalog = catalog_of(["T1001", "T1002"],
+                             np.array([[1e25, 0.0], [0.0, 1.0]], dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify_vectors(np.array([[1e15, 0.0]]), catalog, 0.5) == {"T1001": 1.0}
 
     def test_float32_scores_meet_the_threshold_as_float64(self):
         # float32(1 + 1e-8) is 1.0: compared in float32, a score of 1.0 would pass

@@ -77,6 +77,21 @@ def test_trail_holds_every_prompt_in_order(helloxd_report, mini_catalog, preproc
     assert sites == expected
 
 
+def test_extend_appends_another_trail_renumbered():
+    trail, other = AuditTrail("r"), AuditTrail("r")
+    trail.record("extract", "decision", name="HelloXD")
+    other.record("attack-pattern", "decision", rule="explicit-id", technique="T1059")
+    other.record("attack-pattern", "decision", rule="non-verbatim", warning="not verbatim")
+    one = AuditTrail("r")
+    for e in trail.events + other.events:
+        one.record(e.stage, e.event, **e.data)
+    trail.extend(other)
+    assert trail.to_jsonl() == one.to_jsonl()
+    assert [e.seq for e in trail.events] == [0, 1, 2]
+    assert trail.warnings() == [{"seq": 2, "stage": "attack-pattern", "rule": "non-verbatim",
+                                 "warning": "not verbatim"}]
+
+
 # the margined window (180 tokens) is smaller than any stage's reserved answer
 TINY = ProviderConfig(context_window=200)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cti2stix.catalog import load_catalog, parse_attack_export
+from cti2stix.catalog import CatalogError, load_catalog, parse_attack_export
 from cti2stix.cli import main
 from cti2stix.stix import EntityKind, load_bundle
 
@@ -603,6 +603,197 @@ class TestDispatchOrder:
         assert all(output == outputs[0] for output in outputs)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+class TestScoringBesideEntities:
+    """With a catalog, ``extract`` asks the technique prompts and embeds the
+    candidates first, then scores them on another thread while the entity
+    pipeline runs; every model call stays on the report's thread."""
+
+    @staticmethod
+    def reports(tmp_path):
+        return [write_report(tmp_path / "in" / "large.txt", 5000),
+                write_report(tmp_path / "in" / "ids.txt", 1900,
+                             HELLOXD_TEXT + " It also ran scripts (T1059, T1027.002)."),
+                write_report(tmp_path / "in" / "small.txt", 700)]
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Keeps the source each report thread runs in ``spy.current.source``
+        and the ids of the threads that score candidates in ``spy.scorers``."""
+        import cti2stix.cli as cli
+
+        spy = SimpleNamespace(current=threading.local(), scorers=set(), reporters=set())
+        real_extract_one, real_score = cli._extract_one, cli.score_candidates
+
+        def extract_one(source, *args):
+            spy.current.source = source
+            spy.reporters.add(threading.get_ident())
+            try:
+                return real_extract_one(source, *args)
+            finally:
+                spy.current.source = None
+
+        def score_candidates(*args):
+            spy.scorers.add(threading.get_ident())
+            return real_score(*args)
+
+        monkeypatch.setattr(cli, "_extract_one", extract_one)
+        monkeypatch.setattr(cli, "score_candidates", score_candidates)
+        return spy
+
+    def test_model_calls_stay_on_the_report_thread(self, tmp_path, monkeypatch, catalog_path,
+                                                   spy, jobs):
+        import cti2stix.llm as llm
+
+        golden = golden_transport({"n": 0})
+        calls = []  # the report the calling thread runs, per request
+
+        def transport(url, payload, headers, timeout):
+            calls.append(getattr(spy.current, "source", None))
+            return golden(url, payload, headers, timeout)
+
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(llm, "_requests_transport", transport)
+        inputs = self.reports(tmp_path)
+        code = main(["extract", *map(str, inputs), "--out-dir", str(tmp_path / "out"),
+                     "--catalog", str(catalog_path), "--jobs", jobs])
+        assert code == 0
+        assert calls and None not in calls
+        assert set(calls) == {str(p) for p in inputs}
+        assert spy.scorers and not spy.scorers & spy.reporters
+
+    def test_outputs_equal_the_sequential_pipelines(self, tmp_path, script_path, catalog_path,
+                                                    jobs):
+        from cti2stix.attack_patterns import run_attack_pattern_pipeline
+        from cti2stix.audit import AuditTrail
+        from cti2stix.config import load_config, make_provider
+        from cti2stix.entity_pipeline import run_entity_pipeline
+        from cti2stix.exporter import assemble_and_validate
+        from cti2stix.ingest import report_from_path
+        from cti2stix.stix import save_bundle
+
+        inputs = self.reports(tmp_path)
+        config = load_config(None, {"provider_kind": "scripted", "paths.script": str(script_path)})
+        provider, catalog = make_provider(config), load_catalog(catalog_path)
+        expected = {}
+        for path in inputs:
+            report = report_from_path(path)
+            trail = AuditTrail(report.id)
+            entity_bundle = run_entity_pipeline(report, provider, trail, config.pipeline)
+            matches = run_attack_pattern_pipeline(report, catalog, provider, trail,
+                                                  config.attack_patterns)
+            bundle, _ = assemble_and_validate(entity_bundle, matches)
+            expected[f"{report.id}.bundle.json"] = save_bundle(bundle).encode()
+            expected[f"{report.id}.audit.jsonl"] = trail.to_jsonl().encode()
+        assert b'"rule": "explicit-id"' in expected["ids.audit.jsonl"]
+
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path, inputs, "--jobs", jobs)
+        assert code == 0
+        written = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "summary.json"}
+        assert written == expected
+
+    def test_failed_catalog_load_ends_the_run_once(self, tmp_path, script_path, catalog_path,
+                                                   monkeypatch, spy, capsys, jobs):
+        import cti2stix.cli as cli
+        import cti2stix.llm as llm
+
+        # ("start", source) per report, ("call", source) per model request and
+        # ("failed", None) at the failure
+        events = []
+        first_call = threading.Event()
+        real_extract_one, real_post = cli._extract_one, llm.ScriptedProvider._post
+
+        def extract_one(source, *args):
+            events.append(("start", source))
+            return real_extract_one(source, *args)
+
+        def post(self, path, payload):
+            events.append(("call", spy.current.source))
+            first_call.set()
+            return real_post(self, path, payload)
+
+        def load_catalog(path):
+            assert first_call.wait(timeout=10)
+            events.append(("failed", None))
+            raise CatalogError(f"catalog {path}: damaged")
+
+        monkeypatch.setattr(cli, "_extract_one", extract_one)
+        monkeypatch.setattr(llm.ScriptedProvider, "_post", post)
+        monkeypatch.setattr(cli, "load_catalog", load_catalog)
+        capsys.readouterr()
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path, self.reports(tmp_path),
+                                    "--jobs", jobs)
+        assert code == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert list(out_dir.iterdir()) == []
+        failed_at = events.index(("failed", None))
+        started = {source for event, source in events[:failed_at] if event == "start"}
+        # no report starts after the failure; those running finish their calls
+        assert {source for _, source in events[failed_at + 1:]} <= started
+        assert 1 <= len(started) <= int(jobs)
+
+    def test_entity_failure_while_scoring_fails_only_that_report(
+            self, tmp_path, script_path, catalog_path, monkeypatch, jobs):
+        import cti2stix.cli as cli
+
+        failed, scored = threading.Event(), []
+        real_entities, real_score = cli.run_entity_pipeline, cli.score_candidates
+
+        def score_candidates(report, *args):
+            if report.id == "large":  # still scoring when its entity pipeline fails
+                assert failed.wait(timeout=10)
+            matches = real_score(report, *args)
+            scored.append(report.id)
+            return matches
+
+        def run_entity_pipeline(report, *args):
+            if report.id == "large":
+                failed.set()
+                raise KeyError("boom")
+            return real_entities(report, *args)
+
+        monkeypatch.setattr(cli, "score_candidates", score_candidates)
+        monkeypatch.setattr(cli, "run_entity_pipeline", run_entity_pipeline)
+        inputs = self.reports(tmp_path)
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path, inputs, "--jobs", jobs)
+        assert code == 1
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["failed"] == {str(inputs[0]): "KeyError: 'boom'"}
+        assert summary["ok"] == sorted(str(p) for p in inputs[1:])
+        assert sorted(scored) == ["ids", "large", "small"]  # drained before extract returned
+
+    def test_vte_miss_fails_only_that_report(self, tmp_path, catalog_path, monkeypatch, jobs):
+        import re
+
+        import cti2stix.cli as cli
+
+        rules = [(m, r) for m, r in GOLDEN_SCRIPT if m != "Return any relevant text verbatim"]
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            [{"match": m, "response": r} for m, r in rules]
+            # the vte prompt of each report but the one that mentions Zebra
+            + [{"regex": r"(?s)verbatim\.\n(?!.*Zebra)", "response": VTE_CANDIDATE}]),
+            encoding="utf-8")
+        entity_runs = []
+        real_entities = cli.run_entity_pipeline
+
+        def run_entity_pipeline(report, *args):
+            entity_runs.append(report.id)
+            return real_entities(report, *args)
+
+        monkeypatch.setattr(cli, "run_entity_pipeline", run_entity_pipeline)
+        inputs = self.reports(tmp_path)
+        zebra = write_report(tmp_path / "in" / "zebra.txt", 1300, HELLOXD_TEXT + " Zebra.")
+        code, out_dir = run_extract(tmp_path, script, catalog_path, [*inputs, zebra],
+                                    "--jobs", jobs)
+        assert code == 1
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert list(summary["failed"]) == [str(zebra)]
+        assert re.match("ScriptedMissError: no scripted rule matches", summary["failed"][str(zebra)])
+        assert summary["ok"] == sorted(str(p) for p in inputs)
+        assert sorted(entity_runs) == ["ids", "large", "small"]  # not run after the miss
+
+
 class TestResponseCacheFormat:
     def test_list_form_cache_replays_byte_for_byte(self, tmp_path, monkeypatch, catalog_path,
                                                    report_path):
@@ -1073,6 +1264,35 @@ class TestCalibrate:
             outputs.append((out_dir / "calibration.json").read_bytes())
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["best_mean_f1"] == 1.0
+
+    def test_failed_report_leaves_the_sweep(self, tmp_path, catalog_path, capsys):
+        # the script answers the vte prompt of the HelloXD report only
+        script = write_script(tmp_path / "vte.json", [("HelloXD", VTE_CANDIDATE)])
+        other = "Another intrusion set was seen this spring. Its tooling is unknown."
+
+        def calibrate(name, reports):
+            gt_dir, out_dir = tmp_path / name / "gt", tmp_path / name / "cal"
+            for report_id, text in reports:
+                write_ground_truth(gt_dir, report_id, text)
+            code = main(["calibrate", "--gt", str(gt_dir), "--catalog", str(catalog_path),
+                         "--out-dir", str(out_dir), "--provider", "scripted",
+                         "--script", str(script), "--set", "attack_patterns.strategies=vte"])
+            return code, out_dir / "calibration.json"
+
+        code, path = calibrate("alone", [("helloxd-2022", HELLOXD_TEXT)])
+        alone = json.loads(path.read_text(encoding="utf-8"))
+        assert code == 0 and "failed" not in alone
+        capsys.readouterr()
+        code, path = calibrate("both", [("helloxd-2022", HELLOXD_TEXT), ("other", other)])
+        both = json.loads(path.read_text(encoding="utf-8"))
+        assert code == 1
+        assert list(both.pop("failed")) == ["other"]
+        assert both == alone
+        assert "FAILED other: ScriptedMissError: no scripted rule matches" in (
+            capsys.readouterr().out)
+        # with no report left to sweep, no file is written
+        code, path = calibrate("none", [("other", other)])
+        assert code == 1 and not path.exists()
 
     def test_unique_argmax_reported(self, tmp_path):
         """With a true match at cosine ~0.80 and a spurious one at ~0.79,

@@ -414,6 +414,8 @@ _MARKER_RE = re.compile(r"\[(?:url|ipv4|domain|sha256|sha1|md5)\]")
 # a hash after an IP and a dot: the marker in its place must not expose the IP
 @example("the v1.2.3.4.5000000000000000000000000000000000000000 ", "")
 @example("0.0[.]0.10.0.0.000000000000000000000000000000C2 ", "")
+# ... and a hash that only the IP after it bounds
+@example("", "0.0.0.0." + "000A" * 16 + "0.0.0.0 ")
 # a hash inside a file name: the marker in its place must not expose a domain
 # an IP run on into a hash: why IPs are scanned before hashes
 @example("", "0.0.0.0" + "A" * 32 + " ")
