@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 import numpy as np
 
@@ -225,7 +224,7 @@ def detect_explicit_techniques(text: str) -> list[str]:
 
 def run_attack_pattern_pipeline(
     report: Report,
-    catalog: Union[TechniqueCatalog, Future[TechniqueCatalog]],
+    catalog: TechniqueCatalog,
     provider: Any,
     audit: AuditTrail,
     config: Optional[AttackPatternConfig] = None,
@@ -233,10 +232,6 @@ def run_attack_pattern_pipeline(
     """Gather, embed and score *report*'s technique candidates, recording on
     *audit*, and return the matches in technique-id order: the model stage
     :func:`embed_candidates`, then the scoring stage :func:`score_candidates`.
-
-    *catalog* may be a future of one still loading: the pipeline waits for it
-    only after the candidates are gathered and embedded, just before scoring,
-    and re-raises the load's exception.
     """
     config = config or AttackPatternConfig()
     vectors = embed_candidates(report, provider, audit, config)
@@ -268,17 +263,14 @@ def embed_candidates(report: Report, provider: Any, audit: AuditTrail,
 def score_candidates(
     report: Report,
     vectors: Optional[np.ndarray],
-    catalog: Union[TechniqueCatalog, Future[TechniqueCatalog]],
+    catalog: TechniqueCatalog,
     audit: AuditTrail,
     config: AttackPatternConfig,
 ) -> list[TechniqueMatch]:
     """The scoring stage: score the candidate *vectors* from
-    :func:`embed_candidates` against *catalog*, waiting for it when it is a
-    future, union in the technique ids written in *report*, recording each
-    on *audit*, and return the matches in technique-id order.  It asks the
-    model nothing."""
-    if isinstance(catalog, Future):
-        catalog = catalog.result()
+    :func:`embed_candidates` against *catalog*, union in the technique ids
+    written in *report*, recording each on *audit*, and return the matches
+    in technique-id order.  It asks the model nothing."""
     # each technique's best score over the unique candidate texts
     best: dict[str, Optional[float]] = {}
     if vectors is not None:

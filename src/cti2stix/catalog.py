@@ -63,6 +63,7 @@ from typing import Any, Union
 
 import numpy as np
 
+from .llm import TransportError
 from .stix import external_technique_id, parent_technique
 
 logger = logging.getLogger(__name__)
@@ -89,6 +90,23 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     # einsum allocates only the result; np.linalg.norm(rows, axis=1) would
     # first square the whole matrix into a copy
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def _as_float32(vectors: Any) -> np.ndarray:
+    """*vectors* as a float32 array, not copied when it is one already.
+    Raises :class:`CatalogError` when a finite value lies beyond float32's
+    range, which the cast would store as ``inf``."""
+    given = np.asarray(vectors)
+    if given.dtype == _DTYPE:
+        return given
+    with np.errstate(over="ignore"):  # numpy >= 1.24 warns; checked below
+        matrix = given.astype(_DTYPE)
+    inf = np.isinf(matrix)
+    if inf.any():  # an inf may be an overflow
+        beyond = given[inf & np.isfinite(given)]
+        if beyond.size:
+            raise CatalogError(f"vectors hold {float(beyond[0])!r}, beyond float32's range")
+    return matrix
 
 
 @dataclass(eq=False)
@@ -118,16 +136,10 @@ class TechniqueCatalog:
         finite value lies beyond float32's range, or one technique has two
         names.
         """
-        with np.errstate(over="ignore"):  # numpy >= 1.24 warns; the loop below checks
-            matrix = np.asarray(vectors, dtype=_DTYPE)
+        matrix = _as_float32(vectors)
         if matrix.ndim != 2 or len(matrix) != len(rows):
             raise CatalogError(f"vectors have shape {matrix.shape}, "
                                f"need one row per (id, name) pair ({len(rows)})")
-        for i in np.flatnonzero(np.isinf(matrix).any(axis=1)):  # an inf may be an overflow
-            given = np.asarray(vectors[i])
-            beyond = given[np.isfinite(given) & np.isinf(matrix[i])]
-            if beyond.size:
-                raise CatalogError(f"vectors hold {float(beyond[0])!r}, beyond float32's range")
         order = sorted(range(len(rows)), key=lambda i: rows[i][0])
         if order != list(range(len(rows))):
             matrix = matrix[order]
@@ -251,7 +263,8 @@ def build_catalog(
     """Parse, embed, and return the catalog, reusing a valid cache if given.
 
     Each technique's description, if any, then its procedure examples are
-    embedded, techniques in id order.  The cache is valid only when both the
+    embedded, techniques in id order, one embedding batch at a time (see
+    :func:`_embed_float32`).  The cache is valid only when both the
     embedding model id and the content hash of the parsed export match; an
     unreadable cache is rebuilt too.
     """
@@ -281,11 +294,33 @@ def build_catalog(
             texts.append(text)
             rows.append((tid, entry["name"]))
 
-    vectors = provider.embed(texts) if texts else np.zeros((0, 0), dtype=_DTYPE)
-    catalog = TechniqueCatalog.from_rows(model, content_hash, rows, vectors)
+    catalog = TechniqueCatalog.from_rows(model, content_hash, rows,
+                                         _embed_float32(provider, texts))
     if cache_path is not None:
         save_catalog(catalog, cache_path)
     return catalog
+
+
+def _embed_float32(provider: Any, texts: list[str]) -> np.ndarray:
+    """The ``(len(texts), dim)`` float32 matrix of *texts*' embeddings.  The
+    texts go to ``provider.embed`` in slices of ``embed_batch_size``, and each
+    slice is cast into the matrix as it comes, so that no float64 copy of the
+    whole matrix is held."""
+    if not texts:
+        return np.zeros((0, 0), dtype=_DTYPE)
+    batch = provider.config.embed_batch_size
+    matrix = None
+    for lo in range(0, len(texts), batch):
+        part = texts[lo:lo + batch]
+        rows = _as_float32(provider.embed(part))
+        if matrix is None:  # the first slice gives the dimension
+            matrix = np.empty((len(texts), rows.shape[-1]), dtype=_DTYPE)
+        if rows.shape != (len(part), matrix.shape[1]):
+            raise TransportError(f"malformed embedding response: {len(part)} catalog texts "
+                                 f"embed as shape {rows.shape}, not "
+                                 f"{(len(part), matrix.shape[1])}")
+        matrix[lo:lo + len(part)] = rows
+    return matrix
 
 
 def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:

@@ -193,6 +193,20 @@ def _size_class(source: str) -> float:
         return math.inf
 
 
+def _write_replacing(path: Path, text: str) -> None:
+    """Write *text* to a temporary file beside *path*, then rename it over
+    *path*: a write that fails leaves the file that was there, and no
+    temporary file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with tmp.open("x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _extract_one(source: str, config: AppConfig, provider: Any,
                  catalog: Optional[Future[TechniqueCatalog]], scoring: Executor,
                  plugins: Sequence, out_dir: Path) -> dict[str, Any]:
@@ -202,13 +216,16 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
     scored: Optional[Future[list[TechniqueMatch]]] = None
     if catalog is not None:
         # every model call stays on this thread: the technique prompts and
-        # embedding come first, then *scoring* scores the candidates while
-        # the entity pipeline runs.  The technique events go on a trail of
-        # their own, appended after the entity pipeline's
+        # embedding come first, then *scoring* waits for the catalog and
+        # scores the candidates while the entity pipeline runs.  The
+        # technique events go on a trail of their own, appended after the
+        # entity pipeline's
         techniques = AuditTrail(report.id)
         vectors = embed_candidates(report, provider, techniques, config.attack_patterns)
-        scored = scoring.submit(score_candidates, report, vectors, catalog, techniques,
-                                config.attack_patterns)
+        if catalog.done() and catalog.exception() is not None:
+            raise catalog.exception()  # the run is ending: skip the entity prompts
+        scored = scoring.submit(lambda: score_candidates(
+            report, vectors, catalog.result(), techniques, config.attack_patterns))
     entity_bundle = run_entity_pipeline(report, provider, audit, config.pipeline)
     matches = []
     if scored is not None:
@@ -217,10 +234,10 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
 
     bundle, violations = assemble_and_validate(entity_bundle, matches)
 
+    # the audit file first: a bundle on disk has its audit file beside it
+    _write_replacing(out_dir / f"{report.id}.audit.jsonl", audit.to_jsonl())
     bundle_path = out_dir / f"{report.id}.bundle.json"
-    bundle_path.write_text(save_bundle(bundle), encoding="utf-8")
-    audit_path = out_dir / f"{report.id}.audit.jsonl"
-    audit_path.write_text(audit.to_jsonl(), encoding="utf-8")
+    _write_replacing(bundle_path, save_bundle(bundle))
 
     return {
         "report_id": report.id,
@@ -246,8 +263,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
             plugins = load_plugins(config.paths.plugins)
         except ValueError as exc:
             raise ConfigError(f"plugins {config.paths.plugins}: {exc}") from exc
-    # the catalog loads while the first reports run; each report waits for it
-    # only when it scores its candidates
+    # the catalog loads on this thread while the first reports run; only the
+    # scoring thread waits for it
     catalog: Optional[Future[TechniqueCatalog]] = None
     if config.paths.catalog:
         catalog_path = Path(config.paths.catalog)
@@ -290,10 +307,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
             logger.exception("extraction failed for %s: %s", source, exc)
             failures[source] = f"{type(exc).__name__}: {exc}"
 
-    # a report waits for its scoring unless its entity pipeline failed, so
-    # one scoring thread per report thread seldom queues; the reports end
-    # first, and a failed report's scoring is drained last
-    with ThreadPoolExecutor(max_workers=args.jobs) as scoring, \
+    # one scoring thread: scoring passes over the catalog matrix contend for
+    # memory bandwidth, so two at once take about as long as one after the
+    # other.  The reports end first, and a failed report's scoring is
+    # drained last
+    with ThreadPoolExecutor(max_workers=1) as scoring, \
             ThreadPoolExecutor(max_workers=args.jobs) as pool:
         reports = [pool.submit(run, source) for source in inputs]
         if catalog is not None:
@@ -353,26 +371,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not truth:
         raise ConfigError(f"no ground truth found under {args.gt}")
 
-    bundles = {}
+    # each bundle is scored as it loads and dropped before the next loads,
+    # so memory holds one bundle however many there are
+    kinds = list(config.eval.kinds)
+    bundle_ids = set()
+    scores = {}
     for path in sorted(extracted_dir.glob("*.bundle.json")):
         report_id = path.name[: -len(".bundle.json")]
+        bundle_ids.add(report_id)
         try:
-            bundles[report_id] = load_bundle(path)
+            bundle = load_bundle(path)
         except ValueError as exc:  # JSON syntax errors included
             raise ConfigError(f"bundle {path}: {exc}") from exc
-    overlap = sorted(set(bundles) & set(truth))
-    if not overlap:
+        if report_id in truth:
+            scores[report_id] = {kind: s for kind, (_, s) in
+                                 score_bundle(bundle, truth[report_id], kinds).items()}
+        del bundle  # before the next one loads
+    if not scores:
         raise ConfigError("no report ids shared between extracted bundles and ground truth")
-
-    kinds = list(config.eval.kinds)
-    per_report = {}
-    for report_id in overlap:
-        scored = score_bundle(bundles[report_id], truth[report_id], kinds)
-        per_report[report_id] = {kind: s for kind, (_, s) in scored.items()}
+    # in report-id order: path order differs ("a-b.bundle.json" sorts before
+    # "a.bundle.json")
+    per_report = dict(sorted(scores.items()))
 
     subset_ids = None
     if config.eval.subset_rule and "attack_pattern" in kinds:
-        texts = {rid: truth[rid].text or "" for rid in overlap}
+        texts = {rid: truth[rid].text or "" for rid in per_report}
         subset_ids = {"attack_pattern": filter_without_explicit_ids(texts)}
 
     payload = scores_payload(per_report, subset_ids=subset_ids)
@@ -380,7 +403,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_scores(payload, out_dir / "scores.json", out_dir / "scores.csv")
 
-    skipped = sorted(set(truth) ^ set(bundles))
+    skipped = sorted(set(truth) ^ bundle_ids)
     if skipped:
         logger.warning("%d report ids had no counterpart: %s", len(skipped),
                        ", ".join(skipped[:5]))

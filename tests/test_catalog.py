@@ -26,7 +26,13 @@ from cti2stix.catalog import (
     parse_attack_export,
     save_catalog,
 )
-from cti2stix.llm import HashEmbedder, HttpProvider, ProviderConfig, ScriptedProvider
+from cti2stix.llm import (
+    HashEmbedder,
+    HttpProvider,
+    ProviderConfig,
+    ScriptedProvider,
+    TransportError,
+)
 from cti2stix.stix import parent_technique
 
 from conftest import (
@@ -215,6 +221,63 @@ class TestBuild:
         altered = json.loads(json.dumps(parsed))
         altered["T1573"]["examples"].append("extra")
         assert catalog_content_hash(parsed) != catalog_content_hash(altered)
+
+
+def sliced_provider(batch, embedder=None):
+    """A scripted provider whose ``embed_batch_size`` is *batch*; its
+    ``calls`` list how many texts each ``embed`` call asked for."""
+    provider = ScriptedProvider(script=[], config=ProviderConfig(embed_batch_size=batch),
+                                embedder=embedder)
+    provider.calls = []
+    embed = provider.embed
+
+    def counted(texts):
+        provider.calls.append(len(texts))
+        return embed(texts)
+
+    provider.embed = counted
+    return provider
+
+
+class TestBuildInSlices:
+    """``build_catalog`` embeds ``embed_batch_size`` texts at a time and casts
+    each slice into the float32 matrix as it comes."""
+
+    def test_file_equals_a_build_over_the_whole_float64_list(self, tmp_path):
+        provider = sliced_provider(2)
+        build_catalog(MITRE_SAMPLE, provider, cache_path=tmp_path / "sliced.bin")
+        texts = export_texts(MITRE_SAMPLE)
+        assert provider.calls == [2, 2, 1]
+
+        parsed = parse_attack_export(MITRE_SAMPLE)
+        rows = [(tid, parsed[tid]["name"]) for tid in sorted(parsed)
+                for text in [parsed[tid]["description"]] + parsed[tid]["examples"] if text]
+        whole = [np.asarray(v, dtype=np.float64) for v in HashEmbedder().embed(texts)]
+        save_catalog(TechniqueCatalog.from_rows(ProviderConfig.embedding_model,
+                                                catalog_content_hash(parsed), rows, whole),
+                     tmp_path / "whole.bin")
+        assert (tmp_path / "sliced.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+    def test_beyond_float32_in_the_last_slice_writes_no_file(self, tmp_path):
+        last = export_texts(MITRE_SAMPLE)[-1]
+        embedder = SimpleNamespace(embed=lambda texts: [
+            np.array([1e300 if text == last else 1.0, 0.0]) for text in texts])
+        provider = sliced_provider(2, embedder)
+        with pytest.raises(CatalogError, match=r"1e\+300, beyond float32's range"):
+            build_catalog(MITRE_SAMPLE, provider, cache_path=tmp_path / "catalog.bin")
+        assert provider.calls == [2, 2, 1]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_slices_of_two_lengths_write_no_file(self, tmp_path):
+        second_slice = export_texts(MITRE_SAMPLE)[2:4]
+        embedder = SimpleNamespace(embed=lambda texts: [
+            np.ones(3 if text in second_slice else 2) for text in texts])
+        provider = sliced_provider(2, embedder)
+        with pytest.raises(TransportError, match=re.escape(
+                "2 catalog texts embed as shape (2, 3), not (2, 2)")):
+            build_catalog(MITRE_SAMPLE, provider, cache_path=tmp_path / "catalog.bin")
+        assert provider.calls == [2, 2]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCache:

@@ -171,6 +171,39 @@ class TestExtract:
         summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
         assert str(missing) in summary["failed"]
 
+    @pytest.mark.parametrize("failure", ["write", "rename"])
+    def test_failed_write_keeps_the_previous_bundle(self, tmp_path, script_path, catalog_path,
+                                                    report_path, monkeypatch, failure):
+        import os
+
+        import cti2stix.cli as cli
+
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path, [report_path])
+        assert code == 0
+        bundle = out_dir / "helloxd-2022.bundle.json"
+        previous = bundle.read_bytes()
+        if failure == "write":
+            # a lone surrogate cannot be encoded: the write fails once its
+            # file is open
+            real_save = cli.save_bundle
+            monkeypatch.setattr(cli, "save_bundle", lambda b: real_save(b) + "\ud800")
+        else:
+            real_replace = os.replace
+
+            def replace(src, dst):
+                if str(dst).endswith(".bundle.json"):
+                    raise OSError(28, "No space left on device")
+                return real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace)
+        code, _ = run_extract(tmp_path, script_path, catalog_path, [report_path])
+        assert code == 1
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert list(summary["failed"]) == [str(report_path)] and summary["ok"] == []
+        assert bundle.read_bytes() == previous
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "helloxd-2022.audit.jsonl", "helloxd-2022.bundle.json", "summary.json"]
+
     def test_without_catalog_skips_techniques(self, tmp_path, script_path, report_path):
         out_dir = tmp_path / "out"
         code = main([
@@ -336,7 +369,7 @@ class TestExtract:
 
 class TestCatalogOverlap:
     """``extract`` loads the catalog on the main thread while the first
-    reports run; each report waits for it only when it scores."""
+    reports run; only the scoring thread waits for it."""
 
     @pytest.fixture
     def spy(self, monkeypatch):
@@ -416,7 +449,9 @@ class TestCatalogOverlap:
         assert "Traceback" not in err
         assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
         assert list(out_dir.iterdir()) == []  # no bundle, audit or summary file
-        assert one_report and spy.prompts == one_report  # the first report's prompts only
+        # the first report's prompts only, in order: once the load has failed
+        # it asks no entity prompt, so it may stop short of them
+        assert spy.prompts and spy.prompts == one_report[:len(spy.prompts)]
 
 
 def golden_transport(calls):
@@ -697,28 +732,47 @@ class TestScoringBesideEntities:
         import cti2stix.cli as cli
         import cti2stix.llm as llm
 
-        # ("start", source) per report, ("call", source) per model request and
-        # ("failed", None) at the failure
+        from concurrent.futures import wait
+
+        from cti2stix.attack_patterns import SBSA_PROMPT, VTE_PROMPT
+
+        # ("start", source, None) per report, ("call", source, stage) per
+        # model request and ("failed", None, None) at the failure
         events = []
         first_call = threading.Event()
+        catalogs = []  # the catalog future each report was given
+        technique_prompts = tuple(p[:p.index("{text}")] for p in (VTE_PROMPT, SBSA_PROMPT))
         real_extract_one, real_post = cli._extract_one, llm.ScriptedProvider._post
+        real_embed = cli.embed_candidates
 
-        def extract_one(source, *args):
-            events.append(("start", source))
-            return real_extract_one(source, *args)
+        def extract_one(source, config, provider, catalog, *args):
+            events.append(("start", source, None))
+            catalogs.append(catalog)
+            return real_extract_one(source, config, provider, catalog, *args)
 
         def post(self, path, payload):
-            events.append(("call", spy.current.source))
+            prompt = "" if path == "/embeddings" else payload["messages"][0]["content"]
+            stage = "entity" if prompt and not prompt.startswith(technique_prompts) else "technique"
+            events.append(("call", spy.current.source, stage))
             first_call.set()
             return real_post(self, path, payload)
 
+        def embed_candidates(*args):
+            vectors = real_embed(*args)
+            # a report that has embedded its candidates waits here until the
+            # load has failed, so that any entity prompt it asks follows the
+            # failure
+            assert not wait(catalogs, timeout=10).not_done
+            return vectors
+
         def load_catalog(path):
             assert first_call.wait(timeout=10)
-            events.append(("failed", None))
+            events.append(("failed", None, None))
             raise CatalogError(f"catalog {path}: damaged")
 
         monkeypatch.setattr(cli, "_extract_one", extract_one)
         monkeypatch.setattr(llm.ScriptedProvider, "_post", post)
+        monkeypatch.setattr(cli, "embed_candidates", embed_candidates)
         monkeypatch.setattr(cli, "load_catalog", load_catalog)
         capsys.readouterr()
         code, out_dir = run_extract(tmp_path, script_path, catalog_path, self.reports(tmp_path),
@@ -726,10 +780,13 @@ class TestScoringBesideEntities:
         assert code == 2
         assert capsys.readouterr().err.count("error:") == 1
         assert list(out_dir.iterdir()) == []
-        failed_at = events.index(("failed", None))
-        started = {source for event, source in events[:failed_at] if event == "start"}
-        # no report starts after the failure; those running finish their calls
-        assert {source for _, source in events[failed_at + 1:]} <= started
+        failed_at = events.index(("failed", None, None))
+        started = {source for event, source, _ in events[:failed_at] if event == "start"}
+        # no report starts after the failure; those running finish their
+        # technique calls, and ask no condense, extract, verify or relation
+        # prompt
+        assert {source for _, source, _ in events[failed_at + 1:]} <= started
+        assert "entity" not in {stage for _, _, stage in events[failed_at + 1:]}
         assert 1 <= len(started) <= int(jobs)
 
     def test_entity_failure_while_scoring_fails_only_that_report(
@@ -968,6 +1025,46 @@ class TestEval:
             assert report_scores[kind]["f1"] == 1.0, kind
         assert (eval_dir / "scores.csv").exists()
         assert "malware: mean F1 1.000" in capsys.readouterr().out
+
+    def test_holds_one_loaded_bundle_at_a_time(self, tmp_path, monkeypatch):
+        import weakref
+
+        import cti2stix.cli as cli
+        from cti2stix.stix import new_bundle, save_bundle
+
+        extracted, gt_dir = tmp_path / "extracted", tmp_path / "gt"
+        extracted.mkdir()
+        # "a-b.bundle.json" sorts before "a.bundle.json"
+        for rid in ("a", "a-b", "b", "no-truth"):
+            (extracted / f"{rid}.bundle.json").write_text(save_bundle(new_bundle(rid)),
+                                                          encoding="utf-8")
+            if rid != "no-truth":
+                write_ground_truth(gt_dir, rid, "Plain prose.")
+        loaded, alive, scored = [], [], []
+        real_load, real_score = cli.load_bundle, cli.score_bundle
+
+        def load_bundle(path):
+            alive.append(sum(ref() is not None for ref in loaded))
+            bundle = real_load(path)
+            loaded.append(weakref.ref(bundle))
+            return bundle
+
+        def score_bundle(bundle, gt, kinds):
+            scored.append(gt.report_id)
+            return real_score(bundle, gt, kinds)
+
+        monkeypatch.setattr(cli, "load_bundle", load_bundle)
+        monkeypatch.setattr(cli, "score_bundle", score_bundle)
+        code = main(["eval", "--extracted", str(extracted), "--gt", str(gt_dir),
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 0
+        assert alive == [0, 0, 0, 0]  # no bundle outlives its scoring
+        assert sorted(scored) == ["a", "a-b", "b"]  # once each
+        scores = json.loads((tmp_path / "eval" / "scores.json").read_text(encoding="utf-8"))
+        assert list(scores["per_report"]) == ["a", "a-b", "b"]
+        csv_ids = [line.split(",")[0] for line in
+                   (tmp_path / "eval" / "scores.csv").read_text(encoding="utf-8").splitlines()]
+        assert list(dict.fromkeys(csv_ids[1:])) == ["a", "a-b", "b", "__aggregate__"]
 
     def test_subset_rule_shrinks_attack_pattern_aggregate(self, tmp_path):
         # ten reports; three carry explicit technique ids and leave the

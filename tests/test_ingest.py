@@ -642,6 +642,40 @@ def test_pipelines_do_not_import_each_other():
         assert other not in package_imports(tree), name
 
 
+CONCURRENCY_MODULES = ("threading", "concurrent.futures")
+
+
+def concurrency_imports(tree: ast.AST) -> list[int]:
+    """Lines of *tree* that import one of :data:`CONCURRENCY_MODULES`, or a
+    name from one."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".")
+               for name in names for module in CONCURRENCY_MODULES):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_pipelines_leave_concurrency_to_the_cli():
+    package = Path(ingest.__file__).resolve().parent
+    for name in PIPELINES:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        assert concurrency_imports(tree) == [], name
+
+
+def test_concurrency_guard_finds_imports():
+    source = ("import threading\nimport concurrent.futures\nfrom concurrent import futures\n"
+              "from concurrent.futures import Future\nfrom threading import Lock\n"
+              "import concurrent\nfrom .threading import x\nimport threadingx\n")
+    assert concurrency_imports(ast.parse(source)) == [1, 2, 3, 4, 5]
+
+
 def test_chunking_is_defined_only_in_ingest():
     package = Path(ingest.__file__).resolve().parent
     offenders = {}
