@@ -64,7 +64,7 @@ from typing import Any, Union
 import numpy as np
 
 from .llm import TransportError
-from .stix import external_technique_id, parent_technique
+from .stix import external_technique_id, parent_technique, replacing
 
 logger = logging.getLogger(__name__)
 
@@ -325,13 +325,9 @@ def _embed_float32(provider: Any, texts: list[str]) -> np.ndarray:
 
 def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
     """Write *catalog* to *path* in the layout the module docstring gives.
-
-    The file is written beside *path* and then renamed over it, so *path*
-    never holds a torn catalog, and processes that have the old file mapped
-    keep reading it.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    The file is synced before it replaces *path*, so that a crash leaves a
+    whole catalog there."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     parts = [np.ascontiguousarray(part).reshape(-1).view(np.uint8) for part in (
         catalog.vectors, catalog.norms, catalog.starts)]
     header = json.dumps({
@@ -345,19 +341,13 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
     }, ensure_ascii=False).encode("utf-8")
     # JSON ignores trailing whitespace, so spaces pad the first part into alignment
     header += b" " * (-(_HEADER_START + len(header)) % _ALIGN)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    try:
-        with tmp.open("xb") as fh:
-            fh.write(_MAGIC + _LENGTHS.pack(len(header), zlib.crc32(header)) + header)
-            for part in parts:
-                fh.write(bytes(-fh.tell() % _ALIGN))
-                fh.write(part)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path, binary=True) as fh:
+        fh.write(_MAGIC + _LENGTHS.pack(len(header), zlib.crc32(header)) + header)
+        for part in parts:
+            fh.write(bytes(-fh.tell() % _ALIGN))
+            fh.write(part)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:

@@ -4,14 +4,9 @@ Subcommands:
 
 * ``extract``        — reports (files or URLs) -> STIX bundles + audit logs
 * ``eval``           — extracted bundles vs ground truth -> scores.json/.csv
-* ``catalog build``  — ATT&CK export -> embedded technique catalog: a magic
-  line, a CRC-checked JSON header that names each technique, then three
-  64-byte-aligned parts: the float32 matrix, its row norms and the technique
-  segment starts.  The file does not keep the texts it embedded; the export
-  stays their source.  An older version's file (an ``.npz`` zip, or version
-  1 or 2 of this layout) is refused by ``extract`` and ``calibrate`` (exit
-  2); ``catalog build`` rebuilds it once, re-embedding, which costs nothing
-  when the response cache holds the embeddings
+* ``catalog build``  — ATT&CK export -> embedded technique catalog file, in
+  the layout :mod:`cti2stix.catalog` gives; an older version's file is
+  refused by ``extract`` and ``calibrate`` (exit 2), and rebuilt by this
 * ``calibrate``      — sweep the similarity threshold against ground truth
 * ``config show``    — print the effective configuration
 
@@ -29,9 +24,10 @@ import logging
 import math
 import os
 import sys
+import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .attack_patterns import (
     TechniqueMatch,
@@ -58,7 +54,7 @@ from .evaluation import (
 from .exporter import assemble_and_validate
 from .ingest import FetchError, load_plugins, make_report, report_from_path, report_from_url
 from .llm import ProviderError
-from .stix import load_bundle, save_bundle
+from .stix import load_bundle, replacing, save_bundle
 
 logger = logging.getLogger(__name__)
 
@@ -193,24 +189,23 @@ def _size_class(source: str) -> float:
         return math.inf
 
 
-def _write_replacing(path: Path, text: str) -> None:
-    """Write *text* to a temporary file beside *path*, then rename it over
-    *path*: a write that fails leaves the file that was there, and no
-    temporary file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    try:
-        with tmp.open("x", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def _out_dir(value: str | Path, flag: str = "--out-dir") -> Path:
+    """*value* as a path, checked before any work and creating nothing:
+    :class:`ConfigError` unless it or its nearest existing ancestor is a directory."""
+    path = Path(value)
+    at = next(p for p in (path, *path.parents) if p.exists())
+    if not at.is_dir():
+        raise ConfigError(f"{flag}: {at} is not a directory")
+    return path
 
 
 def _extract_one(source: str, config: AppConfig, provider: Any,
                  catalog: Optional[Future[TechniqueCatalog]], scoring: Executor,
-                 plugins: Sequence, out_dir: Path) -> dict[str, Any]:
+                 plugins: Sequence, out_dir: Path,
+                 claim: Callable[[str, str], bool]) -> Optional[dict[str, Any]]:
     report = _load_report(source, plugins)
+    if not claim(report.id, source):  # before any model call
+        return None  # an earlier input holds the id; claim records the failure
     # one trail holds both pipelines' events, numbered once
     audit = AuditTrail(report.id)
     scored: Optional[Future[list[TechniqueMatch]]] = None
@@ -235,9 +230,11 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
     bundle, violations = assemble_and_validate(entity_bundle, matches)
 
     # the audit file first: a bundle on disk has its audit file beside it
-    _write_replacing(out_dir / f"{report.id}.audit.jsonl", audit.to_jsonl())
+    with replacing(out_dir / f"{report.id}.audit.jsonl") as fh:
+        fh.write(audit.to_jsonl())
     bundle_path = out_dir / f"{report.id}.bundle.json"
-    _write_replacing(bundle_path, save_bundle(bundle))
+    with replacing(bundle_path) as fh:
+        fh.write(save_bundle(bundle))
 
     return {
         "report_id": report.id,
@@ -274,22 +271,26 @@ def cmd_extract(args: argparse.Namespace) -> int:
     else:
         logger.warning("no catalog configured; skipping technique extraction")
 
-    out_dir = Path(args.out_dir)
+    out_dir = _out_dir(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, dict[str, Any]] = {}
     failures: dict[str, str] = {}
 
-    # a local file's stem is its report id, and so names its output files
-    inputs: list[str] = []
-    stem_owners: dict[str, str] = {}
-    for source in dict.fromkeys(args.inputs):
-        if not source.startswith(_URL_PREFIXES):
-            owner = stem_owners.setdefault(Path(source).stem, source)
-            if owner != source:
-                failures[source] = f"report id collision with {owner}"
-                continue
-        inputs.append(source)
+    # a report id names its output files, so the first input to claim it keeps it:
+    # a local file claims its stem before any report starts, a URL its id once loaded
+    claims: dict[str, str] = {}
+    claims_lock = threading.Lock()
+
+    def claim(report_id: str, source: str) -> bool:
+        with claims_lock:
+            owner = claims.setdefault(report_id, source)
+        if owner != source:
+            failures[source] = f"report id collision with {owner}"
+        return owner == source
+
+    inputs = [source for source in dict.fromkeys(args.inputs)
+              if source.startswith(_URL_PREFIXES) or claim(Path(source).stem, source)]
     # largest first, so that no long report starts last and runs alone
     # (Graham's LPT rule).  Sorting by size class, not size, keeps input order
     # among reports of about the same cost: a plain size sort would put
@@ -299,8 +300,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     def run(source: str) -> None:
         try:
-            results[source] = _extract_one(source, config, provider, catalog, scoring,
-                                           plugins, out_dir)
+            result = _extract_one(source, config, provider, catalog, scoring, plugins,
+                                  out_dir, claim)
+            if result is not None:
+                results[source] = result
         except Exception as exc:  # one bad report must not sink the batch
             if catalog is not None and catalog.done() and catalog.exception():
                 return  # the catalog did not load: that error ends the run, once
@@ -326,15 +329,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
     for report in reports:
         report.result()
 
-    summary = {
-        "ok": sorted(results),
-        "failed": {k: failures[k] for k in sorted(failures)},
-        "reports": {src: results[src] for src in sorted(results)},
-    }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    # the text before the file: made inside the block, it raised batch-prose's
+    # peak RSS by about 0.5 MB (perfbench seed 5, 2-vCPU host)
+    summary = {"ok": sorted(results), "failed": failures, "reports": results}
+    text = json.dumps(summary, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    with replacing(out_dir / "summary.json") as fh:
+        fh.write(text)
 
     for source in sorted(results):
         r = results[source]
@@ -367,6 +367,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     extracted_dir = Path(args.extracted)
     if not extracted_dir.is_dir():
         raise ConfigError(f"not a directory: {extracted_dir}")
+    out_dir = _out_dir(args.out_dir)
     truth = _load_truth(args.gt)
     if not truth:
         raise ConfigError(f"no ground truth found under {args.gt}")
@@ -399,7 +400,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         subset_ids = {"attack_pattern": filter_without_explicit_ids(texts)}
 
     payload = scores_payload(per_report, subset_ids=subset_ids)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_scores(payload, out_dir / "scores.json", out_dir / "scores.csv")
 
@@ -426,6 +426,7 @@ def cmd_catalog_build(args: argparse.Namespace) -> int:
     # before any embedding: save_catalog cannot replace a directory
     if Path(args.out).is_dir():
         raise ConfigError(f"--out {args.out} is a directory")
+    _out_dir(Path(args.out).parent, "--out")
     provider = make_provider(config)
     catalog = build_catalog(attack_json, provider, cache_path=args.out)
     techniques = len(catalog.technique_names())
@@ -483,6 +484,7 @@ def _calibration_grid(low: float, high: float, step: float) -> list[float]:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     thresholds = _calibration_grid(args.low, args.high, args.step)
     config = _config_from_args(args)
+    out_dir = _out_dir(args.out_dir)
     catalog = load_catalog(args.catalog)
     provider = make_provider(config)
     truth = _load_truth(args.gt)
@@ -535,7 +537,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     # argmax; ties break toward the stricter threshold
     best = max(thresholds, key=lambda t: (means[t], t))
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "reports": sorted(best_scores),
@@ -546,9 +547,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     }
     if failures:
         payload["failed"] = failures
-    (out_dir / "calibration.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with replacing(out_dir / "calibration.json") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"best threshold {best:.2f} (mean F1 {means[best]:.3f} "
           f"over {len(best_scores)} reports)")
     return PARTIAL if failures else OK

@@ -28,6 +28,7 @@ from .stix import (
     StixBundle,
     normalize_name,
     parent_technique,
+    replacing,
 )
 
 # entity kinds a ground-truth file lists names for
@@ -374,16 +375,11 @@ def scores_payload(
 
 def write_scores(payload: Mapping[str, Any], json_path: Union[str, Path],
                  csv_path: Union[str, Path]) -> None:
-    json_path = Path(json_path)
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    """Replace *json_path*, then *csv_path*; their directories must exist."""
+    with replacing(json_path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+    with replacing(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["report", "kind", "metric", "value"])
         for rid, report_scores in sorted(payload.get("per_report", {}).items()):

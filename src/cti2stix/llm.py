@@ -38,7 +38,7 @@ import requests
 logger = logging.getLogger(__name__)
 
 # (status, parsed JSON body) <- (url, payload, headers, timeout)
-Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
+Transport = Callable[[str, dict, dict, float], tuple[int, Any]]
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
@@ -327,7 +327,7 @@ def _vector_from_list(values: Any) -> np.ndarray:
 _session = requests.Session()
 
 
-def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, dict]:
+def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, Any]:
     resp = _session.post(url, json=payload, headers=headers, timeout=timeout)
     try:
         body = resp.json()
@@ -383,7 +383,10 @@ class HttpProvider:
                     continue
             if status == 200:
                 return body
-            last_error = f"HTTP {status}: {body.get('error', {}).get('message', '')}"
+            error = body.get("error", "") if isinstance(body, dict) else body
+            if isinstance(error, dict):
+                error = error.get("message", "")
+            last_error = f"HTTP {status}: {error}"
             if status not in _RETRYABLE_STATUS:
                 raise TransportError(f"{path} failed, {last_error}")
         raise TransportError(

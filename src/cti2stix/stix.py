@@ -21,13 +21,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
-from typing import Any, Union
+from typing import IO, Any, Iterator, Union
 
 logger = logging.getLogger(__name__)
 
@@ -321,14 +323,10 @@ def load_bundle(source: Union[str, Path, dict]) -> StixBundle:
     object whose ``objects`` is a list, or an entity's id, name or alias, or a
     relationship's id or ref, is not a string.
     """
-    if isinstance(source, Path):
-        raw: dict = json.loads(source.read_text(encoding="utf-8"))
-    elif isinstance(source, str):
-        p = Path(source)
-        if source.lstrip().startswith("{"):
-            raw = json.loads(source)
-        else:
-            raw = json.loads(p.read_text(encoding="utf-8"))
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        raw: dict = json.loads(source)
+    elif isinstance(source, (str, Path)):
+        raw = json.loads(Path(source).read_text(encoding="utf-8"))
     else:
         raw = source
 
@@ -460,7 +458,7 @@ def _relation_members(rel: StixRelation) -> str:
     return ",\n".join(_member_lines(_relation_to_obj(rel), "      "))
 
 
-def save_bundle(bundle: StixBundle, path: Union[str, Path, None] = None) -> str:
+def save_bundle(bundle: StixBundle) -> str:
     """Serialize to deterministic JSON: stable key order, stable object order
     (entities first, then relations, each in list order), 2-space indent.
 
@@ -485,12 +483,24 @@ def save_bundle(bundle: StixBundle, path: Union[str, Path, None] = None) -> str:
         after = "".join(",\n" + m for m in members[at + 1:])
         objects[0] = "{\n" + before + '  "objects": [\n    {\n' + objects[0]
         objects[-1] += "\n    }\n  ]" + after + "\n}\n"
-        text = "\n    },\n    {\n".join(objects)
-    else:
-        text = "{\n" + ",\n".join(members) + "\n}\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+        return "\n    },\n    {\n".join(objects)
+    return "{\n" + ",\n".join(members) + "\n}\n"
+
+
+@contextmanager
+def replacing(path: Union[str, Path], binary: bool = False) -> Iterator[IO]:
+    """Yield a new temporary file beside *path* (UTF-8 text without newline
+    translation, or binary) and rename it over *path* when the block ends; a
+    block or rename that fails leaves *path* as it was, and no temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def validate_bundle(bundle: StixBundle) -> list[Violation]:

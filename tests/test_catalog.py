@@ -352,6 +352,26 @@ class TestCache:
         assert_same_catalog(load_catalog(path), mini_catalog)
         assert [p.name for p in tmp_path.iterdir()] == ["catalog.npz"]
 
+    def test_save_syncs_the_new_file_before_renaming_it(self, mini_catalog, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "catalog.npz"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_size))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_catalog(mini_catalog, path)
+        size = path.stat().st_size
+        assert events == [("fsync", size), ("replace", size)]
+
     def test_loaded_catalog_survives_resave(self, mini_catalog, tmp_path):
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)

@@ -638,6 +638,191 @@ class TestDispatchOrder:
         assert all(output == outputs[0] for output in outputs)
 
 
+class TestUrlCollision:
+    """Two URLs whose pages give one text share a content-hash report id: the
+    first to load claims it, and the other fails before any model call."""
+
+    @pytest.fixture
+    def pages(self, monkeypatch):
+        """Serves ``pages[url]`` as plain text from a stubbed ``ingest.fetch``."""
+        import cti2stix.ingest as ingest
+
+        pages = {}
+        monkeypatch.setattr(ingest, "fetch", lambda url: ingest.FetchResult(
+            final_url=url, content_type="text/plain", text=pages[url]))
+        return pages
+
+    @staticmethod
+    def extract(tmp_path, monkeypatch, name, urls, *extra):
+        """Runs ``extract`` over *urls* against a counting live endpoint;
+        (exit code, output dir, requests made)."""
+        import cti2stix.llm as llm
+
+        calls = {"n": 0}
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(llm, "_requests_transport", golden_transport(calls))
+        out_dir = tmp_path / name
+        return main(["extract", *urls, "--out-dir", str(out_dir), *extra]), out_dir, calls["n"]
+
+    def test_second_url_with_one_text_fails_without_asking_the_model(self, tmp_path,
+                                                                     monkeypatch, pages):
+        first, second = "https://a.example/post", "https://a.example/post/"
+        pages.update({first: HELLOXD_TEXT, second: HELLOXD_TEXT})
+        code, _, alone = self.extract(tmp_path, monkeypatch, "alone", [first])
+        assert code == 0 and alone > 0
+        code, out_dir, calls = self.extract(tmp_path, monkeypatch, "both", [first, second])
+        assert code == 1
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["ok"] == [first]
+        assert summary["failed"] == {second: f"report id collision with {first}"}
+        assert len(list(out_dir.glob("*.bundle.json"))) == 1
+        assert calls == alone
+
+    def test_one_claim_per_id_under_many_workers(self, tmp_path, monkeypatch, pages):
+        import sys
+
+        texts = [HELLOXD_TEXT, HELLOXD_TEXT + " The group was last seen in 2023."]
+        urls = [f"https://mirror-{i}.example/post" for i in range(8)]
+        pages.update({url: texts[i % 2] for i, url in enumerate(urls)})
+        _, _, alone = self.extract(tmp_path, monkeypatch, "alone", urls[:2])
+        result = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.update(zip(
+                ("code", "out_dir", "calls"),
+                self.extract(tmp_path, monkeypatch, "all", urls, "--jobs", "8"))))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert result["code"] == 1
+        summary = json.loads((result["out_dir"] / "summary.json").read_text(encoding="utf-8"))
+        assert len(summary["ok"]) == 2
+        assert sorted(pages[url] for url in summary["ok"]) == sorted(texts)
+        owner = {pages[url]: url for url in summary["ok"]}
+        assert summary["failed"] == {url: f"report id collision with {owner[pages[url]]}"
+                                     for url in urls if url not in summary["ok"]}
+        assert len(list(result["out_dir"].glob("*.bundle.json"))) == 2
+        assert result["calls"] == alone
+
+
+class TestOutputPathCheck:
+    """An output path that is, or lies under, a file is a usage error, found
+    before any fetch, model call or bundle load, and nothing is made."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts the requests a live provider makes."""
+        import cti2stix.llm as llm
+
+        calls = {"n": 0}
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(llm, "_requests_transport", golden_transport(calls))
+        return calls
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "blocker"
+        path.write_text("a file\n", encoding="utf-8")
+        return path
+
+    def assert_refused(self, code, capsys, blocker):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and err.count("\n") == 1
+        assert err.endswith(f": {blocker} is not a directory\n")
+        assert blocker.read_text(encoding="utf-8") == "a file\n"
+
+    def test_extract(self, tmp_path, report_path, calls, blocker, capsys):
+        code = main(["extract", str(report_path), "--out-dir", str(blocker)])
+        self.assert_refused(code, capsys, blocker)
+        assert calls["n"] == 0
+
+    def test_eval(self, tmp_path, monkeypatch, blocker, capsys):
+        import cti2stix.cli as cli
+        from cti2stix.stix import new_bundle, save_bundle
+
+        extracted = tmp_path / "extracted"
+        extracted.mkdir()
+        (extracted / "r1.bundle.json").write_text(save_bundle(new_bundle("r1")),
+                                                  encoding="utf-8")
+        write_ground_truth(tmp_path / "gt", "r1", "Plain prose.")
+        loads, real_load = [], cli.load_bundle
+
+        def load_bundle(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(cli, "load_bundle", load_bundle)
+        code = main(["eval", "--extracted", str(extracted), "--gt", str(tmp_path / "gt"),
+                     "--out-dir", str(blocker / "scores")])
+        self.assert_refused(code, capsys, blocker)
+        assert loads == []
+
+    def test_calibrate(self, tmp_path, catalog_path, calls, blocker, capsys):
+        write_ground_truth(tmp_path / "gt", "helloxd-2022", HELLOXD_TEXT)
+        code = main(["calibrate", "--gt", str(tmp_path / "gt"), "--catalog", str(catalog_path),
+                     "--out-dir", str(blocker)])
+        self.assert_refused(code, capsys, blocker)
+        assert calls["n"] == 0
+
+    def test_catalog_build(self, tmp_path, mitre_sample_path, calls, blocker, capsys):
+        code = main(["catalog", "build", "--attack-json", str(mitre_sample_path),
+                     "--out", str(blocker / "catalog.bin")])
+        self.assert_refused(code, capsys, blocker)
+        assert calls["n"] == 0
+
+
+class TestReplacedOutputs:
+    """Each output file is written beside its path and renamed over it: a
+    rename that fails keeps the file an earlier run left, byte for byte, and
+    leaves no temporary file."""
+
+    @staticmethod
+    def run(command, tmp_path, script_path, catalog_path, report_path, out_dir):
+        gt_dir = tmp_path / "gt"
+        write_ground_truth(gt_dir, "helloxd-2022", HELLOXD_TEXT)
+        if command == "extract":
+            return main(["extract", str(report_path), "--out-dir", str(out_dir),
+                         "--provider", "scripted", "--script", str(script_path)])
+        if command == "eval":
+            assert run_extract(tmp_path, script_path, catalog_path, [report_path])[0] == 0
+            return main(["eval", "--extracted", str(tmp_path / "out"), "--gt", str(gt_dir),
+                         "--out-dir", str(out_dir)])
+        return main(["calibrate", "--gt", str(gt_dir), "--catalog", str(catalog_path),
+                     "--out-dir", str(out_dir), "--provider", "scripted",
+                     "--script", str(script_path), "--set", "attack_patterns.strategies=ot"])
+
+    @pytest.mark.parametrize("command, name", [
+        ("extract", "summary.json"), ("eval", "scores.json"), ("eval", "scores.csv"),
+        ("calibrate", "calibration.json")])
+    def test_failed_rename_keeps_the_previous_file(self, tmp_path, script_path, catalog_path,
+                                                   report_path, monkeypatch, capsys,
+                                                   command, name):
+        import os
+
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        previous = b'{"written": "by an earlier run"}\n'
+        (out_dir / name).write_bytes(previous)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(name):
+                raise OSError(28, "No space left on device")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        code = self.run(command, tmp_path, script_path, catalog_path, report_path, out_dir)
+        assert code == 1
+        assert capsys.readouterr().err.endswith("error: OSError: [Errno 28] "
+                                                "No space left on device\n")
+        assert (out_dir / name).read_bytes() == previous
+        assert [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")] == []
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 class TestScoringBesideEntities:
     """With a catalog, ``extract`` asks the technique prompts and embeds the

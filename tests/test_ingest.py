@@ -676,6 +676,93 @@ def test_concurrency_guard_finds_imports():
     assert concurrency_imports(ast.parse(source)) == [1, 2, 3, 4, 5]
 
 
+# module -> the one def or class in it that may write a file: the helper every
+# output goes through, and the response cache's O_APPEND descriptor
+FILE_WRITERS = {"stix.py": "replacing", "llm.py": "ResponseCache"}
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """Whether *call* is ``os.replace``/``os.rename``, ``write_text`` or
+    ``write_bytes``, ``os.open`` with a write flag, or ``open``/``Path.open`` in
+    a ``w``, ``x`` or ``a`` mode (a mode that is not a literal counts)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    on_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", "") == "os"
+    if name in ("write_text", "write_bytes") or (on_os and name in ("replace", "rename")):
+        return True
+    if on_os and name == "open":
+        flags = [*call.args[1:], *(k.value for k in call.keywords)]
+        return any(isinstance(node, ast.Attribute) and node.attr in _WRITE_FLAGS
+                   for arg in flags for node in ast.walk(arg))
+    if name != "open":
+        return False
+    # open(file, mode) takes the mode second, path.open(mode) first
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wxa"))
+
+
+def file_writes(tree: ast.AST, exempt: str = "") -> list[int]:
+    """Lines of *tree* that write a file (:func:`writes_a_file`), outside any
+    def or class named *exempt*."""
+    lines = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name == exempt:
+            return
+        if isinstance(node, ast.Call) and writes_a_file(node):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return sorted(lines)
+
+
+def test_files_are_written_only_through_the_replacing_helper():
+    package = Path(ingest.__file__).resolve().parent
+    offenders = {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = file_writes(tree, FILE_WRITERS.get(path.name, ""))
+        if lines:
+            offenders[path.name] = lines
+        if path.name in FILE_WRITERS:  # the exempt owner does write
+            assert file_writes(tree) != [], path.name
+    assert offenders == {}
+
+
+def test_file_write_guard_finds_planted_writers():
+    source = (
+        "import os\n"
+        "os.replace(tmp, path)\n"
+        "path.write_text('x')\n"
+        "path.write_bytes(b'x')\n"
+        "open(path, 'w')\n"
+        "path.open('a', encoding='utf-8')\n"
+        "open(path, mode='xb')\n"
+        "os.open(path, flags=os.O_WRONLY | os.O_CREAT)\n"
+        "open(path, mode)\n"
+        "open(path)\n"
+        "open(path, 'rb')\n"
+        "path.open()\n"
+        "path.open('r', encoding='utf-8')\n"
+        "text.replace('a', 'b')\n"
+        "os.open(path, os.O_RDONLY)\n"
+        "def replacing(path):\n"
+        "    os.replace(tmp, path)\n"
+    )
+    tree = ast.parse(source)
+    assert file_writes(tree, "replacing") == [2, 3, 4, 5, 6, 7, 8, 9]
+    assert file_writes(tree) == [2, 3, 4, 5, 6, 7, 8, 9, 17]
+
+
 def test_chunking_is_defined_only_in_ingest():
     package = Path(ingest.__file__).resolve().parent
     offenders = {}

@@ -211,6 +211,28 @@ def test_retries_exhausted_raises(monkeypatch):
         provider.complete(CompletionRequest("q"))
 
 
+def test_error_body_whose_error_is_a_string_is_retried(monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    answers = iter([(503, {"error": "model overloaded"}), _ok_completion("ok")])
+    attempts = []
+
+    def transport(url, payload, headers, timeout):
+        attempts.append(url)
+        return next(answers)
+
+    provider = HttpProvider(ProviderConfig(), transport=transport, sleep=lambda s: None)
+    assert provider._post("/chat/completions", {}) == _ok_completion("ok")[1]
+    assert len(attempts) == 2
+
+
+@pytest.mark.parametrize("body", [["bad", "request"], "bad request", None])
+def test_error_body_of_any_json_names_its_status(monkeypatch, body):
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    provider = HttpProvider(ProviderConfig(), transport=lambda *a: (400, body))
+    with pytest.raises(TransportError, match="HTTP 400"):
+        provider._post("/chat/completions", {})
+
+
 def test_concurrency_never_exceeds_bound(monkeypatch):
     monkeypatch.setenv("OPENAI_API_KEY", "k")
     lock = threading.Lock()

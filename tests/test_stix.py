@@ -27,6 +27,7 @@ from cti2stix.stix import (
     load_bundle,
     normalize_name,
     relation_id,
+    replacing,
     save_bundle,
     validate_bundle,
 )
@@ -185,7 +186,9 @@ def test_round_trip_sample():
 def test_save_is_stable_across_repeated_saves(tmp_path):
     bundle = _sample_bundle()
     path = tmp_path / "b.json"
-    first = save_bundle(bundle, path)
+    first = save_bundle(bundle)
+    with replacing(path) as fh:  # the way every command writes a bundle
+        fh.write(first)
     second = save_bundle(load_bundle(path))
     assert first == second
 
