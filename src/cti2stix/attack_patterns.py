@@ -27,7 +27,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .catalog import TechniqueCatalog, row_norms
+from .catalog import CatalogError, TechniqueCatalog, row_norms
 from .audit import AuditTrail, ask, is_negative_answer
 from .ingest import CHUNK_TOKENS, Report, chunk_text, collapse_whitespace
 from .ingest import segment_sentences  # noqa: F401  perfbench's traced pass wraps this binding
@@ -270,10 +270,15 @@ def score_candidates(
     """The scoring stage: score the candidate *vectors* from
     :func:`embed_candidates` against *catalog*, union in the technique ids
     written in *report*, recording each on *audit*, and return the matches
-    in technique-id order.  It asks the model nothing."""
+    in technique-id order.  It asks the model nothing.  Raises
+    :class:`CatalogError` when the vectors and the catalog differ in
+    dimension."""
     # each technique's best score over the unique candidate texts
     best: dict[str, Optional[float]] = {}
     if vectors is not None:
+        if vectors.shape[1] != catalog.vectors.shape[1]:
+            raise CatalogError(f"the provider embeds in {vectors.shape[1]} dimensions, "
+                               f"the catalog in {catalog.vectors.shape[1]}")
         best.update(classify_vectors(vectors, catalog, config.threshold))
 
     for tid in detect_explicit_techniques(report.text):

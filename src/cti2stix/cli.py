@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 everything worked, 1 the run finished but some reports failed
 (or produced validation violations), 2 the invocation itself was wrong —
-bad flags, bad config, missing files, an unreadable or malformed catalog.
+bad flags, bad config, missing files, an unreadable or malformed catalog, or
+one built by another embedding model than the provider's.
 """
 
 from __future__ import annotations
@@ -248,6 +249,65 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
     }
 
 
+def _catalog_for(path: str | Path, provider: Any) -> TechniqueCatalog:
+    """The catalog at *path*; :class:`CatalogError` when *provider* embeds
+    with another model than the one that built it, whose scores would mean
+    nothing."""
+    catalog = load_catalog(path)
+    model = provider.config.embedding_model
+    if catalog.model != model:
+        raise CatalogError(f"catalog {path} was built with {catalog.model}, but the provider "
+                           f"embeds with {model}; rebuild it with `cti2stix catalog build`")
+    return catalog
+
+
+def _run_batch(keys: Sequence[str], work: Callable[[str], Any], jobs: int,
+               fill: Optional[Future] = None, load: Optional[Callable[[], Any]] = None,
+               ) -> tuple[dict[str, Any], dict[str, str]]:
+    """``work(key)`` for each of *keys*, started in order on *jobs* threads, as
+    ``(results, failures)``: each result but None, and each error as
+    ``"<Type>: <message>"``.  Meanwhile this thread sets *fill*, a future the
+    work may wait on, to ``load()``; if that raises, the keys not started are
+    cancelled, and that error alone ends the run."""
+    results: dict[str, Any] = {}
+    failures: dict[str, str] = {}
+
+    def run(key: str) -> None:
+        try:
+            result = work(key)
+            if result is not None:
+                results[key] = result
+        except Exception as exc:  # one bad report must not sink the batch
+            if fill is not None and fill.done() and fill.exception():
+                return  # the load failed: that error ends the run, once
+            logger.exception("%s failed: %s", key, exc)
+            failures[key] = f"{type(exc).__name__}: {exc}"
+
+    if fill is None and jobs == 1:  # nothing to do meanwhile: no thread of its own
+        for key in keys:
+            run(key)
+        return results, failures
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        runs = [pool.submit(run, key) for key in keys]
+        if fill is not None:
+            try:
+                fill.set_result(load())
+            except BaseException as exc:
+                # cancel the keys not yet started before releasing the
+                # running ones, so that no further key asks the model
+                pool.shutdown(wait=False, cancel_futures=True)
+                fill.set_exception(exc)
+                raise
+    for done in runs:
+        done.result()
+    return results, failures
+
+
+def _print_failures(failures: dict[str, str]) -> None:
+    for key in sorted(failures):
+        print(f"FAILED {key}: {failures[key]}")
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
@@ -274,11 +334,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results: dict[str, dict[str, Any]] = {}
-    failures: dict[str, str] = {}
-
     # a report id names its output files, so the first input to claim it keeps it:
     # a local file claims its stem before any report starts, a URL its id once loaded
+    collisions: dict[str, str] = {}
     claims: dict[str, str] = {}
     claims_lock = threading.Lock()
 
@@ -286,7 +344,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         with claims_lock:
             owner = claims.setdefault(report_id, source)
         if owner != source:
-            failures[source] = f"report id collision with {owner}"
+            collisions[source] = f"report id collision with {owner}"
         return owner == source
 
     inputs = [source for source in dict.fromkeys(args.inputs)
@@ -298,36 +356,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # response cache.  The sort is stable, also under reverse.
     inputs.sort(key=_size_class, reverse=True)
 
-    def run(source: str) -> None:
-        try:
-            result = _extract_one(source, config, provider, catalog, scoring, plugins,
-                                  out_dir, claim)
-            if result is not None:
-                results[source] = result
-        except Exception as exc:  # one bad report must not sink the batch
-            if catalog is not None and catalog.done() and catalog.exception():
-                return  # the catalog did not load: that error ends the run, once
-            logger.exception("extraction failed for %s: %s", source, exc)
-            failures[source] = f"{type(exc).__name__}: {exc}"
-
     # one scoring thread: scoring passes over the catalog matrix contend for
     # memory bandwidth, so two at once take about as long as one after the
     # other.  The reports end first, and a failed report's scoring is
     # drained last
-    with ThreadPoolExecutor(max_workers=1) as scoring, \
-            ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = [pool.submit(run, source) for source in inputs]
-        if catalog is not None:
-            try:
-                catalog.set_result(load_catalog(catalog_path))
-            except BaseException as exc:
-                # cancel the reports not yet started before releasing the
-                # running ones, so that no further report asks the model
-                pool.shutdown(wait=False, cancel_futures=True)
-                catalog.set_exception(exc)
-                raise
-    for report in reports:
-        report.result()
+    with ThreadPoolExecutor(max_workers=1) as scoring:
+        results, failures = _run_batch(inputs, lambda source: _extract_one(
+            source, config, provider, catalog, scoring, plugins, out_dir, claim),
+            args.jobs, catalog, lambda: _catalog_for(catalog_path, provider))
+    failures.update(collisions)
 
     # the text before the file: made inside the block, it raised batch-prose's
     # peak RSS by about 0.5 MB (perfbench seed 5, 2-vCPU host)
@@ -347,8 +384,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             f"{r['report_id']}: {r['entities']} entities, {r['relations']} relations"
             f"{flags} -> {r['bundle']}"
         )
-    for source in sorted(failures):
-        print(f"FAILED {source}: {failures[source]}")
+    _print_failures(failures)
 
     if failures or any(r["violations"] for r in results.values()):
         return PARTIAL
@@ -485,8 +521,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     thresholds = _calibration_grid(args.low, args.high, args.step)
     config = _config_from_args(args)
     out_dir = _out_dir(args.out_dir)
-    catalog = load_catalog(args.catalog)
     provider = make_provider(config)
+    catalog = _catalog_for(args.catalog, provider)
     truth = _load_truth(args.gt)
 
     eligible: dict[str, GroundTruth] = {}
@@ -501,25 +537,15 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     # score candidates once per report at threshold 0; re-threshold in memory.
     # An id only written in the text carries no score, so it is left out.
-    # A report that fails is left out of the sweep and named, as in extract
     zero = dataclasses.replace(config.attack_patterns, threshold=0.0)
-    best_scores: dict[str, dict[str, float]] = {}
-    failures: dict[str, str] = {}
-    for report_id in sorted(eligible):
-        report = make_report(eligible[report_id].text, report_id=report_id)
-        try:
-            matches = run_attack_pattern_pipeline(report, catalog, provider,
-                                                  AuditTrail(report_id), zero)
-        except Exception as exc:  # one bad report must not sink the sweep
-            logger.exception("scoring failed for %s: %s", report_id, exc)
-            failures[report_id] = f"{type(exc).__name__}: {exc}"
-            continue
-        best_scores[report_id] = {m.technique_id: m.score for m in matches
-                                  if m.score is not None}
 
-    for report_id, error in failures.items():
-        print(f"FAILED {report_id}: {error}")
-    if not best_scores:
+    def score(report_id: str) -> list[TechniqueMatch]:
+        report = make_report(eligible[report_id].text, report_id=report_id)
+        return run_attack_pattern_pipeline(report, catalog, provider, AuditTrail(report_id), zero)
+
+    scored, failures = _run_batch(sorted(eligible), score, jobs=1)
+    _print_failures(failures)
+    if not scored:
         logger.error("no report was scored; calibration.json not written")
         return PARTIAL
 
@@ -529,8 +555,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         for report_id, gt in eligible.items():
             if report_id in failures:
                 continue
-            predicted = [tid for tid, score in best_scores[report_id].items()
-                         if score >= threshold]
+            predicted = [m.technique_id for m in scored[report_id]
+                         if m.score is not None and m.score >= threshold]
             match = match_entities(predicted, truth_for_kind(gt, "attack_pattern"))
             f1s.append(score_matches(match).f1)
         means[threshold] = sum(f1s) / len(f1s)
@@ -539,7 +565,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     best = max(thresholds, key=lambda t: (means[t], t))
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "reports": sorted(best_scores),
+        "reports": sorted(scored),
         "thresholds": {_threshold_key(t): means[t] for t in thresholds},
         "best_threshold": best,
         "best_mean_f1": means[best],
@@ -550,7 +576,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     with replacing(out_dir / "calibration.json") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"best threshold {best:.2f} (mean F1 {means[best]:.3f} "
-          f"over {len(best_scores)} reports)")
+          f"over {len(scored)} reports)")
     return PARTIAL if failures else OK
 
 

@@ -126,10 +126,13 @@ def mitre_sample_path(tmp_path):
 
 @pytest.fixture
 def mini_catalog():
+    """The sample export embedded by the hash embedder, under the model name
+    the CLI's scripted provider embeds with."""
     from cti2stix.catalog import build_catalog
-    from cti2stix.llm import ScriptedProvider
+    from cti2stix.llm import ProviderConfig, ScriptedProvider
 
-    return build_catalog(MITRE_SAMPLE, ScriptedProvider(script=[]))
+    provider = ScriptedProvider(script=[], config=ProviderConfig(embedding_model="hash-32"))
+    return build_catalog(MITRE_SAMPLE, provider)
 
 
 def savez_aligned(fh, **arrays):

@@ -628,7 +628,8 @@ class TestDtype:
         path = tmp_path / "catalog.npz"
         write_unchecked_catalog(path, dataclasses.replace(
             mini_catalog, vectors=mini_catalog.vectors.astype(np.float64)))
-        provider = ScriptedProvider(script=[])
+        provider = ScriptedProvider(
+            script=[], config=ProviderConfig(embedding_model=mini_catalog.model))
         with caplog.at_level(logging.WARNING, logger="cti2stix.catalog"):
             rebuilt = build_catalog(MITRE_SAMPLE, provider, cache_path=path)
         assert provider.embedded == export_texts(MITRE_SAMPLE)

@@ -1,9 +1,11 @@
+import ast
 import base64
 import dataclasses
 import json
 import logging
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -454,6 +456,11 @@ class TestCatalogOverlap:
         assert spy.prompts and spy.prompts == one_report[:len(spy.prompts)]
 
 
+# golden_transport embeds with the hash embedder: a live provider that uses
+# it names the model the catalog fixture was built with
+HASH_EMBEDDINGS = ("--set", "provider.embedding_model=hash-32")
+
+
 def golden_transport(calls):
     """An endpoint that answers completions from GOLDEN_SCRIPT and embeds with
     the hash embedder, counting each request in ``calls["n"]``."""
@@ -498,6 +505,7 @@ class TestReplay:
             "--provider", "live",
             "--catalog", str(catalog_path),
             "--set", f"provider.cache_path={cache}",
+            *HASH_EMBEDDINGS,
         ])
         assert code == 0
         assert calls["n"] > 0
@@ -517,6 +525,7 @@ class TestReplay:
             "--provider", "replay",
             "--replay-cache", str(cache),
             "--catalog", str(catalog_path),
+            *HASH_EMBEDDINGS,
         ])
         assert code == 0
         assert calls["n"] == 0
@@ -876,7 +885,7 @@ class TestScoringBesideEntities:
         monkeypatch.setattr(llm, "_requests_transport", transport)
         inputs = self.reports(tmp_path)
         code = main(["extract", *map(str, inputs), "--out-dir", str(tmp_path / "out"),
-                     "--catalog", str(catalog_path), "--jobs", jobs])
+                     "--catalog", str(catalog_path), "--jobs", jobs, *HASH_EMBEDDINGS])
         assert code == 0
         assert calls and None not in calls
         assert set(calls) == {str(p) for p in inputs}
@@ -1049,7 +1058,7 @@ class TestResponseCacheFormat:
         cache = tmp_path / "cache.jsonl"
         live = tmp_path / "live"
         assert main(["extract", str(report_path), "--out-dir", str(live),
-                     "--catalog", str(catalog_path),
+                     "--catalog", str(catalog_path), *HASH_EMBEDDINGS,
                      "--set", f"provider.cache_path={cache}"]) == 0
         records = [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()]
         embeddings = [r for r in records if r["kind"] == "embedding"]
@@ -1069,7 +1078,7 @@ class TestResponseCacheFormat:
         for name, path in (("replay", cache), ("legacy", legacy)):
             out = tmp_path / name
             assert main(["extract", str(report_path), "--out-dir", str(out),
-                         "--catalog", str(catalog_path),
+                         "--catalog", str(catalog_path), *HASH_EMBEDDINGS,
                          "--provider", "replay", "--replay-cache", str(path)]) == 0
             outputs[name] = {f: (out / f).read_bytes()
                              for f in ("helloxd-2022.bundle.json", "helloxd-2022.audit.jsonl")}
@@ -1820,6 +1829,121 @@ class TestMalformedCatalog:
         rebuilt = load_catalog(float64_catalog)
         assert rebuilt.vectors.dtype == np.float32
         np.testing.assert_array_equal(rebuilt.vectors, mini_catalog.vectors)
+
+
+class TestCatalogOfAnotherEmbedder:
+    """A catalog scores only the embeddings of the model that built it: one
+    built by another model is a usage error for ``extract`` and
+    ``calibrate``, and vectors of another dimension fail each report with a
+    message that names both dimensions."""
+
+    @pytest.fixture
+    def other_model(self, tmp_path, mini_catalog):
+        from cti2stix.catalog import save_catalog
+
+        path = tmp_path / "other-model.npz"
+        save_catalog(dataclasses.replace(mini_catalog, model="other-model"), path)
+        return path
+
+    @staticmethod
+    def assert_names_both_models(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: catalog" in err and "built with other-model" in err
+        assert "embeds with hash-32" in err and "Traceback" not in err
+
+    def test_extract(self, tmp_path, script_path, other_model, report_path, capsys):
+        code, out_dir = run_extract(tmp_path, script_path, other_model, [report_path])
+        self.assert_names_both_models(code, capsys)
+        assert list(out_dir.iterdir()) == []
+
+    def test_calibrate_before_any_model_call(self, tmp_path, script_path, other_model,
+                                             no_model_calls, capsys):
+        gt_dir = tmp_path / "gt"
+        write_ground_truth(gt_dir, "helloxd-2022", HELLOXD_TEXT)
+        code = main(["calibrate", "--gt", str(gt_dir), "--catalog", str(other_model),
+                     "--out-dir", str(tmp_path / "cal"),
+                     "--provider", "scripted", "--script", str(script_path)])
+        self.assert_names_both_models(code, capsys)
+        assert not (tmp_path / "cal").exists()
+
+    def test_another_dimension_fails_each_report(self, tmp_path, script_path, report_path):
+        from cti2stix.catalog import build_catalog
+        from cti2stix.llm import HashEmbedder, ProviderConfig, ScriptedProvider
+
+        catalog = tmp_path / "16-dims.npz"
+        build_catalog(MITRE_SAMPLE, ScriptedProvider(
+            script=[], config=ProviderConfig(embedding_model="hash-32"),
+            embedder=HashEmbedder(16)), cache_path=catalog)
+        code, out_dir = run_extract(tmp_path, script_path, catalog, [report_path])
+        assert code == 1
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["failed"] == {str(report_path): (
+            "CatalogError: the provider embeds in 32 dimensions, the catalog in 16")}
+
+
+@pytest.mark.parametrize("command", ["extract", "calibrate"])
+def test_failed_report_is_recorded_printed_and_partial(tmp_path, script_path, catalog_path,
+                                                       monkeypatch, capsys, caplog, command):
+    """Both batch commands record a report that raises as ``"<Type>: <message>"``,
+    log it once, print ``FAILED <key>: <error>``, and exit 1."""
+    import cti2stix.cli as cli
+
+    real_trail = cli.AuditTrail
+
+    def trail(report_id):  # each command makes one per report
+        if report_id == "bad":
+            raise KeyError("boom")
+        return real_trail(report_id)
+
+    monkeypatch.setattr(cli, "AuditTrail", trail)
+    if command == "extract":
+        bad = write_report(tmp_path / "in" / "bad.txt", 700)
+        code, out_dir = run_extract(tmp_path, script_path, catalog_path,
+                                    [write_report(tmp_path / "in" / "good.txt", 700), bad])
+        key, record = str(bad), out_dir / "summary.json"
+    else:
+        gt_dir = tmp_path / "gt"
+        for report_id in ("bad", "good"):
+            write_ground_truth(gt_dir, report_id, HELLOXD_TEXT)
+        code = main(["calibrate", "--gt", str(gt_dir), "--catalog", str(catalog_path),
+                     "--out-dir", str(tmp_path / "cal"),
+                     "--provider", "scripted", "--script", str(script_path)])
+        key, record = "bad", tmp_path / "cal" / "calibration.json"
+    assert code == 1
+    assert json.loads(record.read_text(encoding="utf-8"))["failed"] == {key: "KeyError: 'boom'"}
+    assert f"FAILED {key}: KeyError: 'boom'\n" in capsys.readouterr().out
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+        f"{key} failed: 'boom'"]
+
+
+def broad_handlers(tree):
+    """``(function, caught)`` of each ``except`` clause under a module-level
+    function of *tree* that catches ``Exception``, ``BaseException`` or
+    anything: the clauses that can catch whatever a report raises."""
+    found = []
+    for function in tree.body:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for name in ("bare" if c is None else getattr(c, "id", "") for c in caught):
+                if name in ("bare", "Exception", "BaseException"):
+                    found.append((function.name, name))
+    return found
+
+
+def test_only_the_batch_runner_catches_a_report_failure():
+    import cti2stix.cli as cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert sorted(broad_handlers(tree)) == [("_run_batch", "BaseException"),
+                                           ("_run_batch", "Exception")]
+    planted = ast.parse("def cmd_x():\n    try:\n        pass\n    except:\n        pass\n"
+                        "    try:\n        pass\n    except (OSError, Exception):\n        pass\n")
+    assert broad_handlers(planted) == [("cmd_x", "bare"), ("cmd_x", "Exception")]
 
 
 class TestConfigShow:
