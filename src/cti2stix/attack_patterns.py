@@ -235,14 +235,16 @@ def run_attack_pattern_pipeline(
     """
     config = config or AttackPatternConfig()
     vectors = embed_candidates(report, provider, audit, config)
-    return score_candidates(report, vectors, catalog, audit, config)
+    return score_candidates(report, vectors, catalog, config)
 
 
 def embed_candidates(report: Report, provider: Any, audit: AuditTrail,
                      config: AttackPatternConfig) -> Optional[np.ndarray]:
     """The model stage: gather *report*'s candidates with each configured
-    strategy and embed each unique candidate text once, recording on *audit*.
-    Returns the ``(texts, dim)`` float64 vectors, or None for no candidate."""
+    strategy and embed each unique candidate text once, recording on *audit*
+    everything the technique pipeline records, the technique ids written in
+    *report* included.  Returns the ``(texts, dim)`` float64 vectors, or None
+    for no candidate."""
     candidates: list[str] = []
     counts: dict[str, int] = {}
     for strategy in config.strategies:
@@ -255,6 +257,8 @@ def embed_candidates(report: Report, provider: Any, audit: AuditTrail,
         counts[strategy] = len(found)
         candidates.extend(found)
     audit.record("attack-pattern", "decision", rule="candidates", counts=counts)
+    for tid in detect_explicit_techniques(report.text):
+        audit.record("attack-pattern", "decision", rule="explicit-id", technique=tid)
 
     unique_texts = list(dict.fromkeys(candidates))
     return np.asarray(provider.embed(unique_texts), dtype=np.float64) if unique_texts else None
@@ -264,13 +268,12 @@ def score_candidates(
     report: Report,
     vectors: Optional[np.ndarray],
     catalog: TechniqueCatalog,
-    audit: AuditTrail,
     config: AttackPatternConfig,
 ) -> list[TechniqueMatch]:
     """The scoring stage: score the candidate *vectors* from
     :func:`embed_candidates` against *catalog*, union in the technique ids
-    written in *report*, recording each on *audit*, and return the matches
-    in technique-id order.  It asks the model nothing.  Raises
+    written in *report*, and return the matches in technique-id order.  It
+    asks the model nothing and records nothing.  Raises
     :class:`CatalogError` when the vectors and the catalog differ in
     dimension."""
     # each technique's best score over the unique candidate texts
@@ -283,7 +286,6 @@ def score_candidates(
 
     for tid in detect_explicit_techniques(report.text):
         best.setdefault(tid, None)
-        audit.record("attack-pattern", "decision", rule="explicit-id", technique=tid)
 
     names = catalog.technique_names()
     return [TechniqueMatch(tid, names.get(tid), best[tid]) for tid in sorted(best)]

