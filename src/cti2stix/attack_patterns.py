@@ -12,9 +12,9 @@ Three candidate-generation strategies feed one embedding classifier:
 * ``ot`` — no model at all: every sentence of the report is a candidate.
 
 Each unique candidate text is embedded once, and all of a report's candidate
-vectors are compared (cosine) against every catalog example in one matrix
-product; a technique matches when its best example scores at or above the
-threshold.  Explicit technique ids written in the report (T1059,
+vectors are compared (cosine) against every catalog example, one block of
+the catalog's rows at a time, each block read once; a technique matches when
+its best example scores at or above the threshold.  Explicit technique ids written in the report (T1059,
 T1027.002, ...) are unioned in regardless of scores.
 """
 
@@ -137,14 +137,69 @@ _TINY_NORM = float(np.sqrt(np.finfo(np.float32).tiny))
 _HUGE_NORM = float(np.sqrt(np.finfo(np.float32).max))
 
 
-# queries scored per matrix product: bounds the (queries, catalog rows) score
-# arrays of a report with thousands of candidates to a fraction of the catalog
+# queries scored per matrix product: bounds the (queries, block rows) score
+# arrays of a report with thousands of candidates
 _QUERY_BLOCK = 128
+
+# catalog rows scored per product: whole technique segments, 1.5 MB of a
+# 1536-dimension float32 matrix.  A mapped catalog keeps the block's pages
+# resident while it scores, in whole page-cache folios of up to 2 MB: a block
+# under 2 MB lies in at most two of them
+_ROW_BLOCK = 256
+
+# query blocks up to this size are scored one dot product at a time (see _dots)
+_FEW_QUERIES = 8
 
 
 def _peak_scaled(rows: np.ndarray) -> np.ndarray:
     peak = np.abs(rows).max(axis=1, keepdims=True, initial=0.0)
     return rows / np.where(peak > 0.0, peak, 1.0)
+
+
+def _float32_queries(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """*queries* cast to float32, and their norms.  A query too small or too
+    large for an exact float32 norm is first divided by its largest
+    magnitude, which keeps its direction."""
+    q = np.asarray(queries, dtype=np.float64)
+    q_norms = row_norms(q)
+    inexact_q = (q_norms < _TINY_NORM) | (q_norms > _HUGE_NORM)
+    if inexact_q.any():
+        q = np.where(inexact_q[:, np.newaxis], _peak_scaled(q), q)
+    q = q.astype(np.float32)
+    return q, row_norms(q)
+
+
+def _dots(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``q @ rows.T``.  Up to ``_FEW_QUERIES`` queries are taken one dot
+    product per (query, row) pair, which BLAS runs on the calling thread.
+    BLAS splits a matrix product across its worker threads, and when a
+    worker shares the caller's CPU, as it may just after the host idled,
+    each hand-off waits out a time slice: a product per row block then
+    stalled a report for 0.7 s.  Many queries amortize a hand-off, and there
+    the matrix product is the faster."""
+    if len(q) <= _FEW_QUERIES:
+        # each (1, dim) @ (dim, 1) item of the stack is one dot product; the
+        # stack runs row-major, so each row is read from memory once
+        return np.matmul(rows[:, np.newaxis, np.newaxis], q[:, :, np.newaxis])[..., 0, 0].T
+    return q @ rows.T
+
+
+def _cosines(q: np.ndarray, q_norms: np.ndarray, rows: np.ndarray,
+             norms: np.ndarray) -> np.ndarray:
+    """:func:`cosine_scores` of queries already passed through
+    :func:`_float32_queries`."""
+    # a product with a row of norm above _HUGE_NORM may overflow; that
+    # column is recomputed from the scaled row below
+    with np.errstate(over="ignore"):
+        dots = _dots(q, rows)
+    with np.errstate(invalid="ignore"):  # 0 * inf, in columns replaced below
+        denominators = np.multiply.outer(q_norms, norms)
+    inexact = np.flatnonzero((norms < _TINY_NORM) | (norms > _HUGE_NORM))
+    if inexact.size:
+        scaled = _peak_scaled(rows[inexact])  # copies only those rows
+        dots[:, inexact] = _dots(q, scaled)
+        denominators[:, inexact] = np.multiply.outer(q_norms, row_norms(scaled))
+    return np.divide(dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0)
 
 
 def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -158,25 +213,21 @@ def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> n
     exact float32 norm is first divided by its largest magnitude, which keeps
     its direction.
     """
-    q = np.asarray(queries, dtype=np.float64)
-    q_norms = row_norms(q)
-    inexact_q = (q_norms < _TINY_NORM) | (q_norms > _HUGE_NORM)
-    if inexact_q.any():
-        q = np.where(inexact_q[:, np.newaxis], _peak_scaled(q), q)
-    q = q.astype(np.float32)
-    q_norms = row_norms(q)
-    # a product with a row of norm above _HUGE_NORM may overflow; that
-    # column is recomputed from the scaled row below
-    with np.errstate(over="ignore"):
-        dots = q @ rows.T
-    with np.errstate(invalid="ignore"):  # 0 * inf, in columns replaced below
-        denominators = np.multiply.outer(q_norms, norms)
-    inexact = np.flatnonzero((norms < _TINY_NORM) | (norms > _HUGE_NORM))
-    if inexact.size:
-        scaled = _peak_scaled(rows[inexact])  # copies only those rows
-        dots[:, inexact] = q @ scaled.T
-        denominators[:, inexact] = np.multiply.outer(q_norms, row_norms(scaled))
-    return np.divide(dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0)
+    return _cosines(*_float32_queries(queries), rows, norms)
+
+
+def _row_blocks(starts: np.ndarray, rows: int):
+    """``(first, end, lo, hi)`` for each row block of a catalog whose
+    segments begin at *starts*: techniques ``first:end``, rows ``lo:hi``.  A
+    block holds whole segments, at most ``_ROW_BLOCK`` rows, or one segment
+    alone when it is longer."""
+    ends = np.append(starts[1:], rows)  # each segment's end row
+    first = 0
+    while first < len(starts):
+        lo = int(starts[first])
+        end = max(first + 1, int(np.searchsorted(ends, lo + _ROW_BLOCK, side="right")))
+        yield first, end, lo, int(ends[end - 1])
+        first = end
 
 
 def classify_vectors(
@@ -190,17 +241,28 @@ def classify_vectors(
     row whose scores are NaN (a NaN embedding) scores nothing and hides no
     other row's hits.  A score is compared with the threshold as a float64,
     the value returned.
+
+    The catalog is read once per call, one row block at a time, and each
+    block is released once every query has scored against it, so a mapped
+    catalog keeps at most one block resident.
     """
     queries = np.asarray(vectors, dtype=np.float64)
     if not len(catalog.vectors) or not len(queries):
         return {}
-    best = None
-    for lo in range(0, len(queries), _QUERY_BLOCK):
-        scores = cosine_scores(queries[lo:lo + _QUERY_BLOCK], catalog.vectors, catalog.norms)
-        # each technique's best row, then its best query; fmax skips a NaN
-        # query, where a plain maximum would wipe out every hit
-        block_best = np.fmax.reduce(np.maximum.reduceat(scores, catalog.starts, axis=1), axis=0)
-        best = block_best if best is None else np.fmax(best, block_best)
+    q, q_norms = _float32_queries(queries)
+    best = np.empty(len(catalog.starts), dtype=np.float32)
+    for first, end, lo, hi in _row_blocks(catalog.starts, len(catalog.vectors)):
+        rows, norms = catalog.vectors[lo:hi], catalog.norms[lo:hi]
+        segments = catalog.starts[first:end] - lo
+        block_best = best[first:end]
+        for at in range(0, len(q), _QUERY_BLOCK):
+            scores = _cosines(q[at:at + _QUERY_BLOCK], q_norms[at:at + _QUERY_BLOCK],
+                              rows, norms)
+            # each technique's best row, then its best query; fmax skips a
+            # NaN query, where a plain maximum would wipe out every hit
+            found = np.fmax.reduce(np.maximum.reduceat(scores, segments, axis=1), axis=0)
+            block_best[:] = found if at == 0 else np.fmax(block_best, found)
+        catalog.release_rows(lo, hi)
     # as float64: against float32 scores a Python float is rounded
     return {tid: score for tid, score in zip(catalog.technique_names(),
                                              best.astype(np.float64).tolist())

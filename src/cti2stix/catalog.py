@@ -32,11 +32,19 @@ file is one flat layout, in this order:
    before, zero bytes between them: the matrix (C order, float32), the row
    norms (float32) and the segment starts (int64).
 
-Loading maps the file read-only and uses every part in place, so concurrent
+Loading maps the file read-only and uses the matrix in place, so concurrent
 processes share one copy in the page cache and a load does Python work per
-technique, not per row.  Every CRC-32 is checked, on the calling thread,
-before a catalog is returned, and the parts are checked against the header
-and each other with whole-array numpy operations.  Because the parts are the
+technique, not per row; the norms and segment starts, a few bytes a row, are
+copied.  Every CRC-32 is checked, on the calling thread, before a catalog is
+returned, one slice of at most ``_CRC_SLICE`` bytes at a time, and the parts
+are checked against the header and each other with whole-array numpy
+operations.  The mapping keeps few of the file's pages resident: the load
+releases each slice once its CRC is taken, and scoring reads the matrix one
+row block at a time and releases each block once it is scored (see
+:meth:`TechniqueCatalog.release_rows`), so at most one block is resident per
+scoring pass.  Releasing drops only this process's page-table entries; the
+page cache keeps the file, so reading a released row again is a minor fault,
+never a disk read.  Because the parts are the
 file, a catalog file is replaced (written beside it, then renamed), never
 rewritten in place: truncating a mapped file would crash the processes
 reading it.  Only float32 files in this layout load: an older version's file
@@ -57,9 +65,9 @@ import os
 import struct
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -78,6 +86,7 @@ _PARTS = ("matrix", "norms", "starts")  # in file order
 _REBUILD = "written by an older version; rebuild it with `cti2stix catalog build`"
 _DTYPE = np.dtype(np.float32)  # the one dtype a catalog holds
 _INDEX = np.dtype("<i8")  # segment starts
+_CRC_SLICE = 1 << 20  # bytes of a part read, then released, per CRC-32 step
 
 
 class CatalogError(ValueError):
@@ -109,13 +118,43 @@ def _as_float32(vectors: Any) -> np.ndarray:
     return matrix
 
 
+def _release(mapping: mmap.mmap, at: int, size: int) -> None:
+    """Drop this process's page-table entries for bytes ``at:at + size`` of
+    the read-only *mapping*, and so their share of its resident set.  The
+    page cache keeps them, and a later read maps them again from it.  Does
+    nothing where the platform has no ``madvise`` or ``MADV_DONTNEED``:
+    Python defines the ``MADV_`` constants only where ``mmap`` has
+    ``madvise``."""
+    advice = getattr(mmap, "MADV_DONTNEED", None)
+    if advice is None or size <= 0:
+        return
+    start = at - at % mmap.PAGESIZE  # madvise takes page-aligned starts
+    mapping.madvise(advice, start, at + size - start)
+
+
+def _crc32(view: memoryview, mapping: mmap.mmap, at: int, size: int) -> int:
+    """The CRC-32 of ``view[at:at + size]``, a part of *mapping*, taken one
+    slice at a time and each slice released once it is read, so that the
+    check never holds the whole part resident.  Slices end at multiples of
+    ``_CRC_SLICE`` in the file: a read maps a whole page-cache folio (up to
+    2 MB, aligned in the file), and an aligned slice lies in one folio."""
+    crc, lo = 0, at
+    while lo < at + size:
+        hi = min(lo - lo % _CRC_SLICE + _CRC_SLICE, at + size)
+        crc = zlib.crc32(view[lo:hi], crc)
+        _release(mapping, lo, hi - lo)
+        lo = hi
+    return crc
+
+
 @dataclass(eq=False)
 class TechniqueCatalog:
     """An embedding matrix whose rows are grouped by technique, in id order.
 
     ``techniques`` lists each technique's ``(id, name)`` in id order, and
     ``starts`` the row where its segment begins.  Build one with
-    :meth:`from_rows`; :func:`load_catalog` fills the fields from a file.
+    :meth:`from_rows`; :func:`load_catalog` fills the fields from a file,
+    and the ``mapping`` that ``vectors`` views from ``matrix_at`` on.
     """
 
     model: str
@@ -124,6 +163,8 @@ class TechniqueCatalog:
     starts: np.ndarray  # int64, one per technique
     vectors: np.ndarray  # float32 (rows, dim)
     norms: np.ndarray  # float32, each row's norm
+    mapping: Optional[mmap.mmap] = field(default=None, repr=False)  # None when built in memory
+    matrix_at: int = 0  # the matrix's offset in mapping
 
     @classmethod
     def from_rows(cls, model: str, content_hash: str, rows: Sequence[tuple[str, str]],
@@ -165,6 +206,15 @@ class TechniqueCatalog:
         # kept only for the benchmark's traced pass, which counts rows with
         # len(catalog.entries); it goes once that count reads len(catalog.vectors)
         return range(len(self.vectors))
+
+    def release_rows(self, lo: int, hi: int) -> None:
+        """Let go of the pages of matrix rows ``lo:hi`` that reading them made
+        resident (see :func:`_release`); a later read, on any thread, maps
+        them again from the page cache.  Does nothing for a catalog built in
+        memory."""
+        if self.mapping is not None:
+            row = self.vectors.strides[0]
+            _release(self.mapping, self.matrix_at + lo * row, (hi - lo) * row)
 
     def technique_names(self) -> dict[str, str]:
         """``{technique id: name}`` over every technique, in id order."""
@@ -351,8 +401,10 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
 
 
 def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
-    """Read a catalog written by :func:`save_catalog`, each of its parts a
-    view of a read-only mapping of the file.
+    """Read a catalog written by :func:`save_catalog`: its matrix is a view
+    of a read-only mapping of the file, and its norms and segment starts are
+    copied from it.  The CRC checks release each slice of a part once it is
+    read (see :func:`_crc32`).
 
     Raises :class:`CatalogError` when the file cannot be opened or mapped, is
     not a catalog, is truncated, fails a CRC-32 check, when its matrix is not
@@ -363,7 +415,8 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
     """
     try:
         with open(path, "rb") as fh:
-            view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        view = memoryview(mapping)
         if view[:len(_MAGIC)] != _MAGIC:
             if any(view[:len(magic)] == magic for magic in _OLDER_MAGICS):
                 raise CatalogError(f"catalog {path} was {_REBUILD}")
@@ -407,15 +460,16 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
             if spans[name][1] != size:
                 raise CatalogError(f"catalog {path}: its {name} part holds "
                                    f"{spans[name][1]} bytes, need {size}")
-        for name, (at, size) in spans.items():
-            if zlib.crc32(view[at:at + size]) != meta["parts"][name][1]:
-                raise CatalogError(f"catalog {path}: {name} fails its CRC-32 check")
 
         def part(name: str, dtype: np.dtype) -> np.ndarray:
             at, size = spans[name]
             return np.frombuffer(view, dtype, size // dtype.itemsize, at)
 
-        starts = part("starts", _INDEX)
+        # a few bytes a row, copied so that the CRC pass releases their pages too
+        starts, norms = part("starts", _INDEX).copy(), part("norms", _DTYPE).copy()
+        for name, (at, size) in spans.items():
+            if _crc32(view, mapping, at, size) != meta["parts"][name][1]:
+                raise CatalogError(f"catalog {path}: {name} fails its CRC-32 check")
         ids = [technique_id for technique_id, _ in techniques]
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise ValueError("its technique ids do not strictly increase")
@@ -426,7 +480,7 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
         return TechniqueCatalog(meta["model"], meta["content_hash"],
                                 [(technique_id, name) for technique_id, name in techniques],
                                 starts, part("matrix", _DTYPE).reshape(shape),
-                                part("norms", _DTYPE))
+                                norms, mapping, spans["matrix"][0])
     except CatalogError:
         raise
     except (OSError, ValueError, KeyError, TypeError, struct.error) as exc:

@@ -2,14 +2,17 @@
 matching technique-catalog fixture for hermetic end-to-end runs."""
 
 import json
+import os
 import struct
 import zipfile
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cti2stix
 from cti2stix.ingest import Report, make_report
 
 # One short report with a known entity set: malware HelloXD, threat actor
@@ -193,6 +196,13 @@ def write_flat_v2(fh, meta, vectors):
 def legacy_writer(request):
     """How older versions wrote a catalog."""
     return request.param
+
+
+def child_env():
+    """The environment of a child process that imports this checkout's cti2stix."""
+    src = str(Path(cti2stix.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def row_technique_ids(catalog):

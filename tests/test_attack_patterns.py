@@ -8,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cti2stix.attack_patterns as attack_patterns
 from cti2stix.attack_patterns import (
+    _FEW_QUERIES,
     _QUERY_BLOCK,
     SBSA_PROMPT,
     VTE_PROMPT,
     AttackPatternConfig,
     classify_vector,
+    _row_blocks,
     classify_vectors,
     detect_explicit_techniques,
     run_attack_pattern_pipeline,
@@ -21,7 +24,7 @@ from cti2stix.attack_patterns import (
     strategy_sbsa,
     strategy_vte,
 )
-from cti2stix.catalog import TechniqueCatalog
+from cti2stix.catalog import TechniqueCatalog, load_catalog, save_catalog
 from cti2stix.audit import AuditTrail
 from cti2stix.ingest import make_report
 from cti2stix.llm import HashEmbedder, ScriptedProvider
@@ -432,6 +435,78 @@ class TestClassifyVectors:
                        for q in (queries[:_QUERY_BLOCK], queries[_QUERY_BLOCK:]))
         assert classify_vectors(queries, catalog, -1.0) == {
             tid: max(first[tid], rest[tid]) for tid in first}
+
+
+def edge_catalog():
+    """Five techniques of 2, 1, 5, 3 and 1 rows in 6 dimensions.  In blocks
+    of at most 3 rows they split into rows 0:3, 3:8 (one technique longer
+    than a block, alone), 8:11 and 11:12; row 2, the last of the first
+    block, is too small and row 3, the first of the next, too large for an
+    exact float32 norm."""
+    lengths = {"T1001": 2, "T1002": 1, "T1003": 5, "T1004": 3, "T1005": 1}
+    vectors = np.random.default_rng(17).standard_normal((12, 6))
+    vectors[2] *= 1e-25
+    vectors[3] *= 1e25
+    return catalog_of([tid for tid, n in lengths.items() for _ in range(n)],
+                      vectors.astype(np.float32))
+
+
+class TestRowBlocks:
+    def test_blocks_hold_whole_segments(self, monkeypatch):
+        catalog = edge_catalog()
+        monkeypatch.setattr(attack_patterns, "_ROW_BLOCK", 3)
+        assert list(_row_blocks(catalog.starts, 12)) == [
+            (0, 2, 0, 3), (2, 3, 3, 8), (3, 4, 8, 11), (4, 5, 11, 12)]
+        monkeypatch.setattr(attack_patterns, "_ROW_BLOCK", 1)
+        assert [(lo, hi) for *_, lo, hi in _row_blocks(catalog.starts, 12)] == [
+            (0, 2), (2, 3), (3, 8), (8, 11), (11, 12)]
+
+    # the dot-product kernel takes up to _FEW_QUERIES queries; at 0 every
+    # block goes to the matrix product
+    @pytest.mark.parametrize("few", [_FEW_QUERIES, 0], ids=["dot-products", "matrix-product"])
+    @pytest.mark.parametrize("row_block", [1, 3])
+    def test_blocks_score_as_one_pass(self, monkeypatch, row_block, few):
+        """Scores over blocks of 1 and 3 rows equal the reference and the
+        scores over one block: for a technique longer than a block, with a
+        NaN query, and with rows too small and too large for a float32 norm
+        either side of a block edge."""
+        catalog = edge_catalog()
+        queries = np.random.default_rng(19).standard_normal((5, 6))
+        queries[1] = math.nan
+        queries[3] = catalog.vectors[3] * 1e-25  # T1003's huge row, at a normal scale
+        monkeypatch.setattr(attack_patterns, "_FEW_QUERIES", few)
+        whole = classify_vectors(queries, catalog, -1.0)
+        monkeypatch.setattr(attack_patterns, "_ROW_BLOCK", row_block)
+        hits = classify_vectors(queries, catalog, -1.0)
+        assert list(hits) == ["T1001", "T1002", "T1003", "T1004", "T1005"]
+        assert hits["T1003"] == pytest.approx(1.0, abs=_FLOAT32_TOL)
+        # a dot product is the same whatever the block; BLAS may round a
+        # matrix product differently for another number of rows
+        assert hits == (whole if few else pytest.approx(whole, rel=0, abs=_FLOAT32_TOL))
+        assert_matches_reference(hits, queries, catalog, -1.0)
+        assert_matches_reference(classify_vectors(queries, catalog, 0.5), queries, catalog, 0.5)
+
+    @pytest.mark.parametrize("count", [6, 300])
+    def test_each_block_is_released_once_per_call(self, tmp_path, monkeypatch, count):
+        rng = np.random.default_rng(23)
+        path = tmp_path / "catalog.bin"
+        # 14 techniques of 7 rows, then one of 2
+        save_catalog(catalog_of([f"T1{i // 7:03d}" for i in range(100)],
+                                rng.standard_normal((100, 8)).astype(np.float32)), path)
+        catalog = load_catalog(path)
+        released, release = [], TechniqueCatalog.release_rows
+        monkeypatch.setattr(TechniqueCatalog, "release_rows",
+                            lambda self, lo, hi: released.append((lo, hi)) or release(self, lo, hi))
+        monkeypatch.setattr(attack_patterns, "_ROW_BLOCK", 20)
+        queries = rng.standard_normal((count, 8))
+        first = classify_vectors(queries, catalog, 0.5)
+        # whole segments of at most 20 rows, each block once per call: two
+        # 7-row segments a block, and the last two with the 2-row one
+        blocks = [*((lo, lo + 14) for lo in range(0, 84, 14)), (84, 100)]
+        assert released == blocks
+        assert classify_vectors(queries, catalog, 0.5) == first
+        assert released == blocks * 2
+        assert_matches_reference(first, queries, catalog, 0.5)
 
 
 class TestExplicitIds:

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import logging
+import mmap
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -17,6 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import cti2stix.catalog as catalog_module
+from cti2stix.attack_patterns import classify_vectors
 from cti2stix.catalog import (
     CatalogError,
     TechniqueCatalog,
@@ -39,6 +44,7 @@ from conftest import (
     MITRE_SAMPLE,
     VTE_CANDIDATE,
     catalog_file_contents,
+    child_env,
     row_technique_ids,
     savez_aligned,
     write_legacy_catalog,
@@ -527,6 +533,27 @@ class TestMappedFile:
         assert (mini_catalog.vectors.nbytes, True) in parts
         assert sorted(checked) == sorted([(offset - 31, True)] + parts)
 
+    @pytest.mark.parametrize("where", ["last-slice", "slice-boundary"])
+    def test_flipped_byte_in_a_crc_slice_fails_the_check(self, tmp_path, monkeypatch, where):
+        """With slices ending at multiples of 256 bytes in the file, a
+        1,000-byte matrix is checked in at least four: it loads whole, and a
+        byte flipped in the last slice, or one either side of a slice
+        boundary, fails it."""
+        monkeypatch.setattr(catalog_module, "_CRC_SLICE", 256)
+        vectors = np.arange(250, dtype=np.float32).reshape(10, 25)
+        path = tmp_path / "catalog.bin"
+        save_catalog(make_catalog(vectors), path)
+        assert_same_catalog(load_catalog(path), make_catalog(vectors))
+        _, offset = read_header(path)
+        boundary = offset - offset % 256 + 512  # one inside the matrix
+        flips = {"last-slice": [offset + 999], "slice-boundary": [boundary - 1, boundary]}
+        raw = bytearray(path.read_bytes())
+        for at in flips[where]:
+            raw[at] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CatalogError, match=": matrix fails its CRC-32 check"):
+            load_catalog(path)
+
     def test_truncated_inside_vectors(self, mini_catalog, tmp_path):
         path = tmp_path / "catalog.npz"
         save_catalog(mini_catalog, path)
@@ -795,6 +822,68 @@ class TestDerivedParts:
         path.write_bytes(bytes(raw))
         with pytest.raises(CatalogError, match=f": {part} fails its CRC-32 check"):
             load_catalog(path)
+
+
+# VmHWM is the peak resident set of the child's own address space, in kB;
+# ru_maxrss would also count the address space it was started from
+_RESIDENT_CHILD = """
+import re, sys
+import numpy as np
+from cti2stix.attack_patterns import classify_vectors
+from cti2stix.catalog import TechniqueCatalog, load_catalog
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
+queries = np.random.default_rng(2).standard_normal((6, int(sys.argv[2])))
+# scoring a one-row catalog first maps the library code that scoring runs
+classify_vectors(queries, TechniqueCatalog.from_rows("stub", "x", [("T1", "n")], queries[:1]), 0.5)
+before = peak()
+classify_vectors(queries, load_catalog(sys.argv[1]), 0.5)
+print(peak() - before)
+"""
+
+
+class TestResidentPages:
+    """A loaded catalog's matrix stays mapped, but the load and each scoring
+    pass let go of the pages they read."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_load_and_scoring_keep_a_fraction_of_the_matrix_resident(self, tmp_path):
+        """In a process of its own, loading a 24 MB catalog and scoring 6
+        queries against it raises the peak by less than a quarter of the
+        matrix."""
+        rows, dim = 4000, 1536
+        vectors = np.random.default_rng(1).standard_normal((rows, dim), dtype=np.float32)
+        path = tmp_path / "catalog.bin"
+        save_catalog(TechniqueCatalog.from_rows(
+            "stub", "x", [(f"T{1000 + i // 50}", "n") for i in range(rows)], vectors), path)
+        child = subprocess.run([sys.executable, "-c", _RESIDENT_CHILD, str(path), str(dim)],
+                               env=child_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert int(child.stdout) < vectors.nbytes // 4
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise")
+    def test_a_release_starts_on_a_page(self):
+        calls = []
+        mapping = SimpleNamespace(madvise=lambda *args: calls.append(args))
+        catalog_module._release(mapping, mmap.PAGESIZE + 10, 100)
+        catalog_module._release(mapping, mmap.PAGESIZE, 0)
+        assert calls == [(mmap.MADV_DONTNEED, mmap.PAGESIZE, 110)]
+
+    def test_a_platform_without_madvise_releases_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(mmap, "MADV_DONTNEED", raising=False)
+        calls = []
+        catalog_module._release(SimpleNamespace(madvise=calls.append), 0, 100)
+        assert calls == []
+        catalog = four_entry_catalog()
+        path = tmp_path / "catalog.bin"
+        save_catalog(catalog, path)
+        loaded = load_catalog(path)
+        assert_same_catalog(loaded, catalog)
+        queries = np.random.default_rng(4).standard_normal((3, catalog.dim))
+        assert classify_vectors(queries, loaded, 0.0) == classify_vectors(queries, catalog, 0.0)
 
 
 class TestLazyEntries:

@@ -1,7 +1,6 @@
 """Provider-layer tests: token estimator, budgets, retries, caching, doubles."""
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -9,14 +8,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cti2stix
 from cti2stix.llm import (
     BudgetError,
     CompletionRequest,
@@ -36,6 +33,8 @@ from cti2stix.llm import (
     estimate_tokens,
     load_script,
 )
+
+from conftest import child_env
 
 LOREM = (
     "Lorem ipsum dolor sit amet, consectetur adipiscing elit, sed do eiusmod "
@@ -603,18 +602,11 @@ for path in sys.stdin:
 """
 
 
-def _child_env():
-    """The environment of a child process that imports this checkout's cti2stix."""
-    src = str(Path(cti2stix.__file__).resolve().parents[1])
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 @pytest.fixture(scope="module")
 def embedding_reader():
     """A child process that prints, for each cache path it reads on stdin,
     the hex bytes of the embedding under key ``k``."""
-    with subprocess.Popen([sys.executable, "-c", _EMBEDDING_READER], env=_child_env(),
+    with subprocess.Popen([sys.executable, "-c", _EMBEDDING_READER], env=child_env(),
                           stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as child:
         yield child
         child.stdin.close()
@@ -879,7 +871,7 @@ def test_two_processes_append_to_one_cache(tmp_path):
     path = tmp_path / "cache.jsonl"
     go = tmp_path / "go"
     children = [subprocess.Popen([sys.executable, "-c", _APPENDER, str(path), tag, str(go)],
-                                 env=_child_env(), stderr=subprocess.PIPE, text=True)
+                                 env=child_env(), stderr=subprocess.PIPE, text=True)
                 for tag in ("a", "b")]
     go.touch()
     for child in children:
