@@ -137,18 +137,20 @@ _TINY_NORM = float(np.sqrt(np.finfo(np.float32).tiny))
 _HUGE_NORM = float(np.sqrt(np.finfo(np.float32).max))
 
 
-# queries scored per matrix product: bounds the (queries, block rows) score
-# arrays of a report with thousands of candidates
-_QUERY_BLOCK = 128
-
 # catalog rows scored per product: whole technique segments, 1.5 MB of a
 # 1536-dimension float32 matrix.  A mapped catalog keeps the block's pages
 # resident while it scores, in whole page-cache folios of up to 2 MB: a block
-# under 2 MB lies in at most two of them
+# under 2 MB lies in at most two of them.  Every query scores against a block
+# in one product: at 1536 dimensions its (queries, block rows) score arrays
+# take a twelfth of the float64 queries' bytes
 _ROW_BLOCK = 256
 
-# query blocks up to this size are scored one dot product at a time (see _dots)
-_FEW_QUERIES = 8
+# query counts up to this one are scored one dot product at a time (see
+# _dots).  Whole calls over the 10,000-row bench catalog, warm, on a 2-vCPU
+# host: the two kernels tie up to 6 queries; from 7 on the matrix product is
+# faster, and the dot products take 6-11% longer at 7 and 1.3-1.7 times as
+# long at 8 to 12
+_FEW_QUERIES = 6
 
 
 def _peak_scaled(rows: np.ndarray) -> np.ndarray:
@@ -175,8 +177,9 @@ def _dots(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     BLAS splits a matrix product across its worker threads, and when a
     worker shares the caller's CPU, as it may just after the host idled,
     each hand-off waits out a time slice: a product per row block then
-    stalled a report for 0.7 s.  Many queries amortize a hand-off, and there
-    the matrix product is the faster."""
+    stalled a 6-query report for 0.7 s.  With more queries the matrix
+    product is the faster, though its first call in a fresh process just
+    out of idle still pays that stall."""
     if len(q) <= _FEW_QUERIES:
         # each (1, dim) @ (dim, 1) item of the stack is one dot product; the
         # stack runs row-major, so each row is read from memory once
@@ -186,8 +189,16 @@ def _dots(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _cosines(q: np.ndarray, q_norms: np.ndarray, rows: np.ndarray,
              norms: np.ndarray) -> np.ndarray:
-    """:func:`cosine_scores` of queries already passed through
-    :func:`_float32_queries`."""
+    """Cosine of each query with each row, as a ``(len(q), len(rows))``
+    array; 0.0 where either has zero norm.
+
+    ``q`` and ``q_norms`` come from :func:`_float32_queries`; ``rows`` are
+    a catalog's float32 matrix, and ``norms`` their norms from
+    :func:`row_norms`, computed once per catalog.  Scores are computed in
+    float32: only the queries are cast, since a mixed-dtype product would
+    copy the rows.  A row too small or too large for an exact float32 norm
+    is first divided by its largest magnitude, which keeps its direction.
+    """
     # a product with a row of norm above _HUGE_NORM may overflow; that
     # column is recomputed from the scaled row below
     with np.errstate(over="ignore"):
@@ -200,20 +211,6 @@ def _cosines(q: np.ndarray, q_norms: np.ndarray, rows: np.ndarray,
         dots[:, inexact] = _dots(q, scaled)
         denominators[:, inexact] = np.multiply.outer(q_norms, row_norms(scaled))
     return np.divide(dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0)
-
-
-def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Cosine of each query with each row, as a ``(len(queries), len(rows))``
-    array; 0.0 where either has zero norm.
-
-    ``rows`` are a catalog's float32 matrix, and ``norms`` their norms from
-    :func:`row_norms`, computed once per catalog.  Scores are computed in
-    float32: only the queries are cast, since a mixed-dtype product would
-    copy the whole of ``rows``.  A query or row too small or too large for an
-    exact float32 norm is first divided by its largest magnitude, which keeps
-    its direction.
-    """
-    return _cosines(*_float32_queries(queries), rows, norms)
 
 
 def _row_blocks(starts: np.ndarray, rows: int):
@@ -242,9 +239,9 @@ def classify_vectors(
     other row's hits.  A score is compared with the threshold as a float64,
     the value returned.
 
-    The catalog is read once per call, one row block at a time, and each
-    block is released once every query has scored against it, so a mapped
-    catalog keeps at most one block resident.
+    The catalog is read once per call, one row block at a time, every query
+    scored against a block in one product, and each block is released once
+    scored, so a mapped catalog keeps at most one block resident.
     """
     queries = np.asarray(vectors, dtype=np.float64)
     if not len(catalog.vectors) or not len(queries):
@@ -252,17 +249,12 @@ def classify_vectors(
     q, q_norms = _float32_queries(queries)
     best = np.empty(len(catalog.starts), dtype=np.float32)
     for first, end, lo, hi in _row_blocks(catalog.starts, len(catalog.vectors)):
-        rows, norms = catalog.vectors[lo:hi], catalog.norms[lo:hi]
-        segments = catalog.starts[first:end] - lo
-        block_best = best[first:end]
-        for at in range(0, len(q), _QUERY_BLOCK):
-            scores = _cosines(q[at:at + _QUERY_BLOCK], q_norms[at:at + _QUERY_BLOCK],
-                              rows, norms)
-            # each technique's best row, then its best query; fmax skips a
-            # NaN query, where a plain maximum would wipe out every hit
-            found = np.fmax.reduce(np.maximum.reduceat(scores, segments, axis=1), axis=0)
-            block_best[:] = found if at == 0 else np.fmax(block_best, found)
+        scores = _cosines(q, q_norms, catalog.vectors[lo:hi], catalog.norms[lo:hi])
         catalog.release_rows(lo, hi)
+        # each technique's best row, then its best query; fmax skips a NaN
+        # query, where a plain maximum would wipe out every hit
+        best[first:end] = np.fmax.reduce(
+            np.maximum.reduceat(scores, catalog.starts[first:end] - lo, axis=1), axis=0)
     # as float64: against float32 scores a Python float is rounded
     return {tid: score for tid, score in zip(catalog.technique_names(),
                                              best.astype(np.float64).tolist())

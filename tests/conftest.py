@@ -280,11 +280,11 @@ def write_unchecked_catalog(path, catalog):
 
 
 def cosine(a, b):
-    """Cosine of two vectors: the one-by-one case of ``cosine_scores``, *a*
-    the query and *b* a catalog row, which is float32."""
-    from cti2stix.attack_patterns import cosine_scores
+    """Cosine of two vectors, as scoring takes it: *a* the query and *b* a
+    catalog row, which is float32."""
+    from cti2stix.attack_patterns import _cosines, _float32_queries
     from cti2stix.catalog import row_norms
 
     rows = np.asarray(b, dtype=np.float32)[np.newaxis]
-    return float(cosine_scores(np.asarray(a, dtype=np.float64)[np.newaxis], rows,
-                               row_norms(rows))[0, 0])
+    return float(_cosines(*_float32_queries(np.asarray(a, dtype=np.float64)[np.newaxis]),
+                          rows, row_norms(rows))[0, 0])

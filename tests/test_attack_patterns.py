@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import cti2stix.attack_patterns as attack_patterns
 from cti2stix.attack_patterns import (
     _FEW_QUERIES,
-    _QUERY_BLOCK,
     SBSA_PROMPT,
     VTE_PROMPT,
     AttackPatternConfig,
@@ -410,12 +409,12 @@ class TestClassifyVectors:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])  # as the rows arrive
     def test_nan_row_scores_nothing(self, dtype):
-        # a NaN embedding neither matches nor hides another row's hits, in a
-        # block of queries with other rows or in a block of NaN rows only
+        # a NaN embedding neither matches nor hides another row's hits,
+        # alone, among other rows, or in a run of NaN rows
         catalog = geometry_catalog(dtype)
         assert classify_vectors(np.full((1, 2), math.nan), catalog, -1.0) == {}
         queries = np.random.default_rng(3).standard_normal((300, 2))
-        nan_rows = [0, *range(_QUERY_BLOCK, 2 * _QUERY_BLOCK)]
+        nan_rows = [0, *range(128, 256)]
         queries[nan_rows] = math.nan
         hits = classify_vectors(queries, catalog, 0.9)
         expected = classify_vectors(np.delete(queries, nan_rows, axis=0), catalog, 0.9)
@@ -430,9 +429,8 @@ class TestClassifyVectors:
         queries = rng.standard_normal((300, 6))
         hits = classify_vectors(queries, catalog, 0.3)
         assert_matches_reference(hits, queries, catalog, 0.3)
-        # at threshold -1 every technique is kept, with its best over all blocks
-        first, rest = (classify_vectors(q, catalog, -1.0)
-                       for q in (queries[:_QUERY_BLOCK], queries[_QUERY_BLOCK:]))
+        # at threshold -1 every technique is kept, with its best over all rows
+        first, rest = (classify_vectors(q, catalog, -1.0) for q in (queries[:128], queries[128:]))
         assert classify_vectors(queries, catalog, -1.0) == {
             tid: max(first[tid], rest[tid]) for tid in first}
 
