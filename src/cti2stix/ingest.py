@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Callable, Container, Iterable, Union
 from urllib.parse import urlparse
 
-import requests
 import yaml
 
 from .iocs import IocMatch, fold_observables, mask_observables, scan_iocs
@@ -203,6 +202,7 @@ def fetch(url: str) -> FetchResult:
     """GET a report URL with at most ``FETCH_MAX_REDIRECTS`` redirects, a
     ``FETCH_TIMEOUT_S`` timeout and a cap of ``FETCH_MAX_BYTES`` on the
     (decompressed) body."""
+    import requests  # only URL inputs pay for it
     try:
         with requests.Session() as session:
             session.max_redirects = FETCH_MAX_REDIRECTS
@@ -237,6 +237,7 @@ def _decode_body(body: bytes, encoding: str | None) -> str:
     if not body:
         return ""
     if encoding is None:
+        import requests
         chardet = requests.compat.chardet
         encoding = chardet.detect(body)["encoding"] if chardet is not None else "utf-8"
     try:

@@ -8,6 +8,10 @@ Only a cache miss reaches ``_post``, which answers in one of three ways:
 
 * :class:`HttpProvider` — an OpenAI-compatible endpoint over HTTP, with
   bounded retries and a concurrency cap; answers are appended to the cache.
+  The transport is the standard library's ``http.client``, over a pool of
+  keep-alive connections, with the proxies of the environment and the CA
+  bundle that ``requests`` would use.  A refusal's ``Retry-After`` sets the
+  least wait before the next attempt.
 * :class:`ReplayProvider` — raises :class:`ReplayMissError`: the cache is
   the only source, so replay needs no API key and no network.
 * :class:`ScriptedProvider` — an ordered rule list and a stand-in embedder,
@@ -16,29 +20,38 @@ Only a cache miss reaches ``_post``, which answers in one of three ways:
 
 from __future__ import annotations
 
+import atexit
 import base64
 import binascii
 import dataclasses
 import fcntl
+import functools
+import gzip
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
+import select
+import ssl
 import threading
 import time
+import urllib.request
 import weakref
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
+from urllib.parse import unquote, urlsplit
 
 import numpy as np
-import requests
 
 logger = logging.getLogger(__name__)
 
-# (status, parsed JSON body) <- (url, payload, headers, timeout)
-Transport = Callable[[str, dict, dict, float], tuple[int, Any]]
+# (status, parsed JSON body[, retry delay in seconds]) <- (url, payload,
+# headers, timeout); the delay is the least wait before the next attempt
+Transport = Callable[[str, dict, dict, float], Union[tuple[int, Any], tuple[int, Any, float]]]
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
@@ -321,19 +334,170 @@ def _vector_from_list(values: Any) -> np.ndarray:
     return array
 
 
-# one session for every request to the model endpoint, so calls reuse open
-# connections; a provider's semaphore keeps at most max_concurrent in use,
-# and the session's pool keeps up to 10 per host open between calls
-_session = requests.Session()
+# idle keep-alive connections to model endpoints, by what each was opened
+# with; a provider's semaphore keeps at most max_concurrent in use, and at
+# most _MAX_IDLE per key stay open between calls, as in requests' pool
+_MAX_IDLE = 10
+_idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+_idle_lock = threading.Lock()
+
+_USER_AGENT = "cti2stix/0.1"
 
 
-def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, Any]:
-    resp = _session.post(url, json=payload, headers=headers, timeout=timeout)
+def _requests_transport(url: str, payload: dict, headers: dict,
+                        timeout: float) -> tuple[int, Any, float]:
+    """POST *payload* as JSON to *url* on a pooled connection and read the
+    whole answer; *timeout* bounds the connect and each read.
+
+    The proxy is the environment's (``HTTP_PROXY``, ``HTTPS_PROXY``,
+    ``ALL_PROXY``, less ``NO_PROXY``); an HTTPS endpoint is reached through a
+    ``CONNECT`` tunnel, and the proxy URL's user and password become Basic
+    proxy auth.  A body that is not JSON becomes ``{"error": {"message":
+    text}}``.  Returns the status, the body and the retry delay the response
+    asks for.  A connection that raised is closed, not pooled.
+    """
+    parts = urlsplit(url)
+    scheme, host = parts.scheme, parts.hostname
+    if scheme not in ("http", "https") or not host:
+        raise ValueError(f"endpoint {url!r} is not an http or https URL")
+    port = parts.port or (443 if scheme == "https" else 80)
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if proxy and urllib.request.proxy_bypass(host):
+        proxy = None
+    elif proxy and "://" not in proxy:
+        proxy = "http://" + proxy
+    cafile = None
+    if scheme == "https":
+        cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    key = (scheme, host, port, proxy, cafile)
+
+    send_headers = {"User-Agent": _USER_AGENT, "Accept-Encoding": "gzip", **headers}
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    proxy_auth = _proxy_auth(proxy) if proxy else {}
+    if proxy and scheme == "http":  # the proxy takes the whole URL
+        target = url
+        send_headers.update(proxy_auth)
+
+    conn = _take(key, timeout) or _connect(key, proxy_auth, timeout)
     try:
-        body = resp.json()
+        conn.request("POST", target, json.dumps(payload).encode("ascii"), send_headers)
+        resp = conn.getresponse()
+        data = resp.read()
+    except BaseException:
+        conn.close()
+        raise
+    if resp.will_close:
+        conn.close()
+    else:
+        _give(key, conn)
+
+    if resp.getheader("Content-Encoding", "").strip().lower() == "gzip":
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise http.client.HTTPException(f"undecodable gzip body: {exc}") from None
+    try:
+        body = json.loads(data)
     except ValueError:
-        body = {"error": {"message": resp.text[:500]}}
-    return resp.status_code, body
+        body = {"error": {"message": data.decode("utf-8", "replace")[:500]}}
+    return resp.status, body, _retry_after(resp.headers)
+
+
+def _proxy_auth(proxy: str) -> dict[str, str]:
+    """The ``Proxy-Authorization`` header of a proxy URL with user info."""
+    parts = urlsplit(proxy)
+    if parts.username is None:
+        return {}
+    creds = f"{unquote(parts.username)}:{unquote(parts.password or '')}".encode("latin-1")
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(creds).decode("ascii")}
+
+
+def _connect(key: tuple, proxy_auth: dict[str, str], timeout: float) -> http.client.HTTPConnection:
+    """A new connection for a pool *key*; it connects on its first request."""
+    scheme, host, port, proxy, cafile = key
+    context = _tls_context(cafile) if scheme == "https" else None
+    if proxy:
+        parts = urlsplit(proxy)
+        if parts.scheme != "http":
+            raise ValueError(f"proxy {proxy!r}: only http:// proxies are supported")
+        if context is None:
+            return http.client.HTTPConnection(parts.hostname, parts.port or 80, timeout=timeout)
+        conn = http.client.HTTPSConnection(parts.hostname, parts.port or 80, timeout=timeout,
+                                           context=context)
+        conn.set_tunnel(host, port, headers=proxy_auth)
+        return conn
+    if context is None:
+        return http.client.HTTPConnection(host, port, timeout=timeout)
+    return http.client.HTTPSConnection(host, port, timeout=timeout, context=context)
+
+
+@functools.lru_cache(maxsize=None)
+def _tls_context(cafile: str | None) -> ssl.SSLContext:
+    """The verifying TLS context of a CA bundle file or directory; with none,
+    certifi's bundle when certifi is installed, else the system store.  Built
+    on the first HTTPS connect that needs it."""
+    if cafile is None:
+        try:
+            import certifi
+        except ImportError:
+            return ssl.create_default_context()
+        cafile = certifi.where()
+    if os.path.isdir(cafile):
+        return ssl.create_default_context(capath=cafile)
+    return ssl.create_default_context(cafile=cafile)
+
+
+def _take(key: tuple, timeout: float) -> http.client.HTTPConnection | None:
+    """The most recently pooled live connection for *key*, or ``None``.  One
+    the server has closed while it sat idle reads as ready, and is dropped."""
+    while True:
+        with _idle_lock:
+            conns = _idle.get(key)
+            if not conns:
+                return None
+            conn = conns.pop()
+        poller = select.poll()
+        poller.register(conn.sock, select.POLLIN)
+        if not poller.poll(0):
+            conn.timeout = timeout
+            conn.sock.settimeout(timeout)
+            return conn
+        conn.close()
+
+
+def _give(key: tuple, conn: http.client.HTTPConnection) -> None:
+    with _idle_lock:
+        conns = _idle.setdefault(key, [])
+        if len(conns) < _MAX_IDLE:
+            conns.append(conn)
+            return
+    conn.close()
+
+
+@atexit.register
+def _close_idle() -> None:
+    """Close every pooled connection."""
+    with _idle_lock:
+        conns = [conn for pooled in _idle.values() for conn in pooled]
+        _idle.clear()
+    for conn in conns:
+        conn.close()
+
+
+def _retry_after(headers: http.client.HTTPMessage) -> float:
+    """The wait a response asks for before the next attempt, in seconds:
+    ``retry-after-ms``, else ``Retry-After`` in seconds; 0 when it names none."""
+    for name, scale in (("retry-after-ms", 0.001), ("retry-after", 1.0)):
+        try:
+            delay = float(headers.get(name, "")) * scale
+        except ValueError:
+            continue
+        if delay >= 0:  # not NaN
+            return delay
+    return 0.0
 
 
 class HttpProvider:
@@ -370,16 +534,21 @@ class HttpProvider:
         url = self.config.endpoint.rstrip("/") + path
         headers = self._headers()
         last_error = ""
+        retry_after: list[float] = []  # the delay the last response asked for
         for attempt in range(self.config.retry_attempts):
             if attempt:
-                wait = min(self.config.retry_backoff * (2 ** (attempt - 1)), 60.0)
+                backoff = self.config.retry_backoff * (2 ** (attempt - 1))
+                wait = min(max([backoff, *retry_after]), 60.0)
                 logger.warning("retrying %s after %s (wait %.1fs)", path, last_error, wait)
                 self._sleep(wait)
             with self._semaphore:
                 try:
-                    status, body = self._transport(url, payload, headers, self.config.timeout)
-                except (requests.ConnectionError, requests.Timeout, OSError) as exc:
+                    status, body, *retry_after = self._transport(
+                        url, payload, headers, self.config.timeout)
+                except (OSError, http.client.HTTPException) as exc:
+                    # HTTPException: a bad status line or a truncated body
                     last_error = f"connection error: {exc}"
+                    retry_after = []
                     continue
             if status == 200:
                 return body

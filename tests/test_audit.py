@@ -143,3 +143,47 @@ def test_guard_finds_the_sites_in_audit_ask():
     tree = ast.parse((PACKAGE / "audit.py").read_text(encoding="utf-8"))
     assert sorted(what for _, what in model_call_sites(tree)) == [
         ".complete(", "CompletionRequest(", "record 'prompt'", "record 'response'"]
+
+
+# ---------------------------------------------------------------------------
+# tooling guard: only a URL input imports requests, inside ingest.fetch
+
+
+def module_level_imports(tree, module):
+    """Lines of *tree* that import *module*, a submodule or a name from it
+    outside every function, so when the module that holds it is imported."""
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(n == module or n.startswith(module + ".") for n in names):
+                lines.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return sorted(lines)
+
+
+def test_no_module_imports_requests_when_it_is_imported():
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = module_level_imports(ast.parse(path.read_text(encoding="utf-8")), "requests")
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
+
+
+def test_requests_guard_finds_imports():
+    source = ("import requests\nfrom requests import Session\nimport requests.adapters\n"
+              "def f():\n    import requests\nclass C:\n    import requests\n"
+              "import requestsx\ntry:\n    import requests\nexcept ImportError:\n    pass\n"
+              "from .requests import x\n")
+    assert module_level_imports(ast.parse(source), "requests") == [1, 2, 3, 7, 10]

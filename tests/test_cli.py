@@ -3,8 +3,11 @@ import base64
 import dataclasses
 import json
 import logging
+import subprocess
+import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +25,7 @@ from conftest import (
     MITRE_SAMPLE,
     SBSA_RESPONSE,
     VTE_CANDIDATE,
+    child_env,
     cosine,
     write_legacy_catalog,
     write_unchecked_catalog,
@@ -532,6 +536,80 @@ class TestReplay:
         assert calls["n"] == 0
         replay_bundle = (replay_dir / "helloxd-2022.bundle.json").read_bytes()
         assert replay_bundle == live_bundle
+
+
+class _GoldenEndpoint(BaseHTTPRequestHandler):
+    """A loopback endpoint that answers a POST as ``server.transport`` does
+    and serves HELLOXD_TEXT to a GET."""
+    protocol_version = "HTTP/1.1"
+    timeout = 5
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        status, body = self.server.transport(self.path, payload, self.headers, None)
+        self._send(status, "application/json", json.dumps(body).encode())
+
+    def do_GET(self):
+        self._send(200, "text/plain; charset=utf-8", HELLOXD_TEXT.encode())
+
+    def _send(self, status, content_type, body):
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+# runs the command line in sys.argv, then prints whether requests was imported
+_RUN_AND_REPORT_REQUESTS = """
+import sys
+from cti2stix.cli import main
+code = main(sys.argv[1:])
+print("requests" in sys.modules, code)
+"""
+
+
+def test_only_a_url_input_imports_requests(tmp_path, catalog_path, report_path):
+    calls = {"n": 0}
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _GoldenEndpoint)
+    server.daemon_threads = True
+    server.transport = golden_transport(calls)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    env = {**child_env(), "OPENAI_API_KEY": "k", "NO_PROXY": "127.0.0.1"}
+    cache, gt_dir = tmp_path / "cache.jsonl", tmp_path / "gt"
+    write_ground_truth(gt_dir, "helloxd-2022", HELLOXD_TEXT)
+    live = ["--provider", "live", "--set", f"provider.endpoint={base}/v1",
+            "--catalog", str(catalog_path), *HASH_EMBEDDINGS]
+    runs = {
+        "config show": ["config", "show"],
+        "extract of a file": ["extract", str(report_path), "--out-dir", str(tmp_path / "live"),
+                              "--set", f"provider.cache_path={cache}", *live],
+        "replay extract": ["extract", str(report_path), "--out-dir", str(tmp_path / "replay"),
+                           "--provider", "replay", "--replay-cache", str(cache),
+                           "--catalog", str(catalog_path), *HASH_EMBEDDINGS],
+        "eval": ["eval", "--extracted", str(tmp_path / "live"), "--gt", str(gt_dir),
+                 "--out-dir", str(tmp_path / "eval")],
+        "extract of a URL": ["extract", f"{base}/helloxd-2022.txt",
+                             "--out-dir", str(tmp_path / "url"), *live],
+    }
+    reported = {}
+    try:
+        for name, argv in runs.items():
+            child = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_REQUESTS, *argv],
+                                   env=env, capture_output=True, text=True, timeout=120)
+            reported[name] = child.stdout.splitlines()[-1:]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert reported == {**{name: ["False 0"] for name in runs},
+                        "extract of a URL": ["True 0"]}
+    assert calls["n"] > 0
 
 
 def write_report(path, size, text=HELLOXD_TEXT):

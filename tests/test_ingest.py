@@ -934,7 +934,7 @@ def fake_sessions(monkeypatch, respond):
             assert allow_redirects and stream
             return respond()
 
-    monkeypatch.setattr(ingest.requests, "Session", FakeSession)
+    monkeypatch.setattr(requests, "Session", FakeSession)
     return opened
 
 
@@ -957,7 +957,7 @@ def test_fetch_http_error(monkeypatch):
 
 def test_fetch_redirect_bound(monkeypatch):
     def loop():
-        raise ingest.requests.TooManyRedirects()
+        raise requests.TooManyRedirects()
 
     monkeypatch.setattr(ingest, "FETCH_MAX_REDIRECTS", 3)
     sessions = fake_sessions(monkeypatch, loop)
