@@ -11,11 +11,13 @@ Three candidate-generation strategies feed one embedding classifier:
   candidate.  Steps are model prose, not quotes, so no verbatim guard.
 * ``ot`` — no model at all: every sentence of the report is a candidate.
 
-Each unique candidate text is embedded once, and all of a report's candidate
-vectors are compared (cosine) against every catalog example, one block of
-the catalog's rows at a time, each block read once; a technique matches when
-its best example scores at or above the threshold.  Explicit technique ids written in the report (T1059,
-T1027.002, ...) are unioned in regardless of scores.
+Each unique candidate text is embedded once and scaled to a unit vector, and
+all of a report's candidate vectors are compared (cosine) against every
+catalog example, whose rows the catalog stores as unit vectors: one product
+per block of the catalog's rows, each block read once.  A technique matches
+when its best example scores at or above the threshold.  Explicit technique
+ids written in the report (T1059, T1027.002, ...) are unioned in regardless
+of scores.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .catalog import CatalogError, TechniqueCatalog, row_norms
+from .catalog import CatalogError, TechniqueCatalog, unit_rows
 from .audit import AuditTrail, ask, is_negative_answer
 from .ingest import CHUNK_TOKENS, Report, chunk_text, collapse_whitespace
 from .ingest import segment_sentences  # noqa: F401  perfbench's traced pass wraps this binding
@@ -131,12 +133,6 @@ def strategy_ot(report: Report) -> list[str]:
     return [text for text in (s.strip() for s in report.sentences) if text]
 
 
-# the float32 norms below which squared components are subnormal or zero, so
-# the norm has lost precision, and above which their sum overflows
-_TINY_NORM = float(np.sqrt(np.finfo(np.float32).tiny))
-_HUGE_NORM = float(np.sqrt(np.finfo(np.float32).max))
-
-
 # catalog rows scored per product: whole technique segments, 1.5 MB of a
 # 1536-dimension float32 matrix.  A mapped catalog keeps the block's pages
 # resident while it scores, in whole page-cache folios of up to 2 MB: a block
@@ -153,24 +149,6 @@ _ROW_BLOCK = 256
 _FEW_QUERIES = 6
 
 
-def _peak_scaled(rows: np.ndarray) -> np.ndarray:
-    peak = np.abs(rows).max(axis=1, keepdims=True, initial=0.0)
-    return rows / np.where(peak > 0.0, peak, 1.0)
-
-
-def _float32_queries(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """*queries* cast to float32, and their norms.  A query too small or too
-    large for an exact float32 norm is first divided by its largest
-    magnitude, which keeps its direction."""
-    q = np.asarray(queries, dtype=np.float64)
-    q_norms = row_norms(q)
-    inexact_q = (q_norms < _TINY_NORM) | (q_norms > _HUGE_NORM)
-    if inexact_q.any():
-        q = np.where(inexact_q[:, np.newaxis], _peak_scaled(q), q)
-    q = q.astype(np.float32)
-    return q, row_norms(q)
-
-
 def _dots(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``q @ rows.T``.  Up to ``_FEW_QUERIES`` queries are taken one dot
     product per (query, row) pair, which BLAS runs on the calling thread.
@@ -185,32 +163,6 @@ def _dots(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # stack runs row-major, so each row is read from memory once
         return np.matmul(rows[:, np.newaxis, np.newaxis], q[:, :, np.newaxis])[..., 0, 0].T
     return q @ rows.T
-
-
-def _cosines(q: np.ndarray, q_norms: np.ndarray, rows: np.ndarray,
-             norms: np.ndarray) -> np.ndarray:
-    """Cosine of each query with each row, as a ``(len(q), len(rows))``
-    array; 0.0 where either has zero norm.
-
-    ``q`` and ``q_norms`` come from :func:`_float32_queries`; ``rows`` are
-    a catalog's float32 matrix, and ``norms`` their norms from
-    :func:`row_norms`, computed once per catalog.  Scores are computed in
-    float32: only the queries are cast, since a mixed-dtype product would
-    copy the rows.  A row too small or too large for an exact float32 norm
-    is first divided by its largest magnitude, which keeps its direction.
-    """
-    # a product with a row of norm above _HUGE_NORM may overflow; that
-    # column is recomputed from the scaled row below
-    with np.errstate(over="ignore"):
-        dots = _dots(q, rows)
-    with np.errstate(invalid="ignore"):  # 0 * inf, in columns replaced below
-        denominators = np.multiply.outer(q_norms, norms)
-    inexact = np.flatnonzero((norms < _TINY_NORM) | (norms > _HUGE_NORM))
-    if inexact.size:
-        scaled = _peak_scaled(rows[inexact])  # copies only those rows
-        dots[:, inexact] = _dots(q, scaled)
-        denominators[:, inexact] = np.multiply.outer(q_norms, row_norms(scaled))
-    return np.divide(dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0)
 
 
 def _row_blocks(starts: np.ndarray, rows: int):
@@ -246,10 +198,12 @@ def classify_vectors(
     queries = np.asarray(vectors, dtype=np.float64)
     if not len(catalog.vectors) or not len(queries):
         return {}
-    q, q_norms = _float32_queries(queries)
+    # the catalog's rows are unit vectors, so with unit queries each dot
+    # product is a cosine; a zero query scores 0.0 and a NaN one NaN
+    q = unit_rows(queries)
     best = np.empty(len(catalog.starts), dtype=np.float32)
     for first, end, lo, hi in _row_blocks(catalog.starts, len(catalog.vectors)):
-        scores = _cosines(q, q_norms, catalog.vectors[lo:hi], catalog.norms[lo:hi])
+        scores = _dots(q, catalog.vectors[lo:hi])
         catalog.release_rows(lo, hi)
         # each technique's best row, then its best query; fmax skips a NaN
         # query, where a plain maximum would wipe out every hit

@@ -11,30 +11,32 @@ The embeddings form one float32 matrix, each row embedding one text of one
 technique; it is held, saved and loaded whole.  float32 is the precision
 embedding endpoints return and the one dtype a catalog holds, so the file,
 its CRC pass and every scoring product read half the bytes float64 would.
-Rows are kept stably sorted by technique id, so each technique's rows form
-one segment.  Scoring takes the row norms and the segment starts, which the
-catalog works out when it is built and the file stores.  The catalog keeps
-only what scoring reads, so it cannot list the texts it embedded: ``catalog
-build`` counts them, and the export stays their source.
+Each row is stored as a unit vector (see :func:`unit_rows`), normalized
+once when the catalog is built, so scoring a query is one dot product per
+row.  Rows are kept stably sorted by technique id, so each technique's rows
+form one segment.  Scoring takes the segment starts, which the catalog works
+out when it is built and the file stores.  The catalog keeps only what
+scoring reads, so it cannot list the texts it embedded: ``catalog build``
+counts them, and the export stays their source.
 
 Embedding a full catalog costs real API calls, so the result is cached on
 disk, keyed by the content hash of the parsed catalog plus the embedding model
 id; a stale, foreign-model or unreadable cache is rebuilt, never trusted.  The
 file is one flat layout, in this order:
 
-1. the magic line ``cti2stix-catalog 3``, whose number is the format version;
+1. the magic line ``cti2stix-catalog 4``, whose number is the format version;
 2. the header's length and its CRC-32, as little-endian uint64 and uint32;
 3. the header: UTF-8 JSON with the model, dim, content hash, the matrix's
    dtype string and shape, each technique's id and name in id order, and each
    part's byte length and CRC-32, padded with spaces so that the first part
    starts at a multiple of 64 bytes into the file;
 4. the parts, each starting at the next multiple of 64 bytes after the one
-   before, zero bytes between them: the matrix (C order, float32), the row
-   norms (float32) and the segment starts (int64).
+   before, zero bytes between them: the matrix of unit rows (C order,
+   float32) and the segment starts (int64).
 
 Loading maps the file read-only and uses the matrix in place, so concurrent
 processes share one copy in the page cache and a load does Python work per
-technique, not per row; the norms and segment starts, a few bytes a row, are
+technique, not per row; the segment starts, a few bytes a technique, are
 copied.  Every CRC-32 is checked, on the calling thread, before a catalog is
 returned, one slice of at most ``_CRC_SLICE`` bytes at a time, and the parts
 are checked against the header and each other with whole-array numpy
@@ -49,8 +51,9 @@ file, a catalog file is replaced (written beside it, then renamed), never
 rewritten in place: truncating a mapped file would crash the processes
 reading it.  Only float32 files in this layout load: an older version's file
 (a zip, ``.npz``, version 1 of this layout, which kept the entries in its
-header, or version 2, which also stored every text and example id) or a
-matrix of any other dtype is refused, and ``cti2stix catalog build`` rebuilds
+header, version 2, which also stored every text and example id, or version
+3, which stored the rows as embedded and their norms) or a matrix of any
+other dtype is refused, and ``cti2stix catalog build`` rebuilds
 it once, re-embedding through the provider (free when its response cache
 holds the embeddings).
 """
@@ -76,17 +79,21 @@ from .stix import external_technique_id, parent_technique, replacing
 
 logger = logging.getLogger(__name__)
 
-_MAGIC = b"cti2stix-catalog 3\n"  # the number is the format version
-# older versions wrote a zip (.npz) file, then versions 1 and 2 of this layout
-_OLDER_MAGICS = (b"PK\x03\x04", b"cti2stix-catalog 1\n", b"cti2stix-catalog 2\n")
+_MAGIC = b"cti2stix-catalog 4\n"  # the number is the format version
+# older versions wrote a zip (.npz) file, then versions 1 to 3 of this layout
+_OLDER_MAGICS = (b"PK\x03\x04", b"cti2stix-catalog 1\n", b"cti2stix-catalog 2\n",
+                 b"cti2stix-catalog 3\n")
 _LENGTHS = struct.Struct("<QI")  # the header's length and CRC-32
 _HEADER_START = len(_MAGIC) + _LENGTHS.size
 _ALIGN = 64  # file offset alignment of every part
-_PARTS = ("matrix", "norms", "starts")  # in file order
+_PARTS = ("matrix", "starts")  # in file order
 _REBUILD = "written by an older version; rebuild it with `cti2stix catalog build`"
 _DTYPE = np.dtype(np.float32)  # the one dtype a catalog holds
 _INDEX = np.dtype("<i8")  # segment starts
 _CRC_SLICE = 1 << 20  # bytes of a part read, then released, per CRC-32 step
+# rows that unit_rows normalizes per step: a float64 copy of 64 rows of 1536
+# dimensions takes 0.8 MB
+_UNIT_BLOCK = 64
 
 
 class CatalogError(ValueError):
@@ -94,11 +101,23 @@ class CatalogError(ValueError):
     parts disagree with its metadata."""
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D array."""
-    # einsum allocates only the result; np.linalg.norm(rows, axis=1) would
-    # first square the whole matrix into a copy
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+def unit_rows(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each row of the 2-D array *rows* divided by its norm, as float32, in
+    *out* (a new array when None; it may be *rows* itself).  Each row is
+    first divided by its largest magnitude, so that no square overflows or
+    underflows, then by its norm, both in float64, and only the quotient is
+    rounded to float32.  A zero row stays zero, and a row holding a NaN
+    keeps it.  Rows are taken ``_UNIT_BLOCK`` at a time, so the float64
+    copies stay small."""
+    if out is None:
+        out = np.empty(rows.shape, dtype=_DTYPE)
+    for lo in range(0, len(rows), _UNIT_BLOCK):
+        block = np.array(rows[lo:lo + _UNIT_BLOCK], dtype=np.float64)
+        peak = np.abs(block).max(axis=1, keepdims=True, initial=0.0)
+        block /= np.where(peak > 0.0, peak, 1.0)
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        np.divide(block, np.where(norms > 0.0, norms, 1.0), out=out[lo:lo + _UNIT_BLOCK])
+    return out
 
 
 def _as_float32(vectors: Any) -> np.ndarray:
@@ -161,8 +180,7 @@ class TechniqueCatalog:
     content_hash: str
     techniques: Sequence[tuple[str, str]]
     starts: np.ndarray  # int64, one per technique
-    vectors: np.ndarray  # float32 (rows, dim)
-    norms: np.ndarray  # float32, each row's norm
+    vectors: np.ndarray  # float32 (rows, dim), unit rows
     mapping: Optional[mmap.mmap] = field(default=None, repr=False)  # None when built in memory
     matrix_at: int = 0  # the matrix's offset in mapping
 
@@ -172,7 +190,8 @@ class TechniqueCatalog:
         """A catalog whose row i embeds a text of technique ``rows[i]``, an
         ``(id, name)`` pair.  The rows are stably sorted by technique id.
 
-        The matrix is stored as float32 (a float32 one is not copied).
+        Each row is cast to float32, then stored as a float32 unit vector
+        (see :func:`unit_rows`) in a new array: *vectors* is left as it is.
         Raises :class:`CatalogError` when there is not one row per pair, a
         finite value lies beyond float32's range, or one technique has two
         names.
@@ -181,6 +200,13 @@ class TechniqueCatalog:
         if matrix.ndim != 2 or len(matrix) != len(rows):
             raise CatalogError(f"vectors have shape {matrix.shape}, "
                                f"need one row per (id, name) pair ({len(rows)})")
+        return cls._of_unit_rows(model, content_hash, rows, unit_rows(matrix))
+
+    @classmethod
+    def _of_unit_rows(cls, model: str, content_hash: str, rows: Sequence[tuple[str, str]],
+                      matrix: np.ndarray) -> TechniqueCatalog:
+        """:meth:`from_rows` over a float32 *matrix* of unit rows, one per
+        pair, which the catalog keeps unless it must sort them."""
         order = sorted(range(len(rows)), key=lambda i: rows[i][0])
         if order != list(range(len(rows))):
             matrix = matrix[order]
@@ -194,8 +220,7 @@ class TechniqueCatalog:
             elif techniques[-1][1] != name:
                 raise CatalogError(f"technique {technique_id} has rows named "
                                    f"{techniques[-1][1]!r} and {name!r}")
-        return cls(model, content_hash, techniques, np.array(starts, dtype=_INDEX),
-                   matrix, row_norms(matrix))
+        return cls(model, content_hash, techniques, np.array(starts, dtype=_INDEX), matrix)
 
     @property
     def dim(self) -> int:
@@ -344,8 +369,10 @@ def build_catalog(
             texts.append(text)
             rows.append((tid, entry["name"]))
 
-    catalog = TechniqueCatalog.from_rows(model, content_hash, rows,
-                                         _embed_float32(provider, texts))
+    # normalized in place: from_rows would hold a normalized copy beside it
+    matrix = _embed_float32(provider, texts)
+    catalog = TechniqueCatalog._of_unit_rows(model, content_hash, rows,
+                                             unit_rows(matrix, out=matrix))
     if cache_path is not None:
         save_catalog(catalog, cache_path)
     return catalog
@@ -379,7 +406,7 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
     whole catalog there."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     parts = [np.ascontiguousarray(part).reshape(-1).view(np.uint8) for part in (
-        catalog.vectors, catalog.norms, catalog.starts)]
+        catalog.vectors, catalog.starts)]
     header = json.dumps({
         "model": catalog.model,
         "dim": catalog.dim,
@@ -402,8 +429,8 @@ def save_catalog(catalog: TechniqueCatalog, path: Union[str, Path]) -> None:
 
 def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
     """Read a catalog written by :func:`save_catalog`: its matrix is a view
-    of a read-only mapping of the file, and its norms and segment starts are
-    copied from it.  The CRC checks release each slice of a part once it is
+    of a read-only mapping of the file, and its segment starts are copied
+    from it.  The CRC checks release each slice of a part once it is
     read (see :func:`_crc32`).
 
     Raises :class:`CatalogError` when the file cannot be opened or mapped, is
@@ -454,7 +481,6 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
             raise ValueError("its techniques are not all [id, name] pairs of strings")
         rows = shape[0]
         need = {"matrix": rows * shape[1] * _DTYPE.itemsize,
-                "norms": rows * _DTYPE.itemsize,
                 "starts": len(techniques) * _INDEX.itemsize}
         for name, size in need.items():
             if spans[name][1] != size:
@@ -465,8 +491,8 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
             at, size = spans[name]
             return np.frombuffer(view, dtype, size // dtype.itemsize, at)
 
-        # a few bytes a row, copied so that the CRC pass releases their pages too
-        starts, norms = part("starts", _INDEX).copy(), part("norms", _DTYPE).copy()
+        # a few bytes a technique, copied so that the CRC pass releases their pages too
+        starts = part("starts", _INDEX).copy()
         for name, (at, size) in spans.items():
             if _crc32(view, mapping, at, size) != meta["parts"][name][1]:
                 raise CatalogError(f"catalog {path}: {name} fails its CRC-32 check")
@@ -480,7 +506,7 @@ def load_catalog(path: Union[str, Path]) -> TechniqueCatalog:
         return TechniqueCatalog(meta["model"], meta["content_hash"],
                                 [(technique_id, name) for technique_id, name in techniques],
                                 starts, part("matrix", _DTYPE).reshape(shape),
-                                norms, mapping, spans["matrix"][0])
+                                mapping, spans["matrix"][0])
     except CatalogError:
         raise
     except (OSError, ValueError, KeyError, TypeError, struct.error) as exc:

@@ -102,8 +102,9 @@ def tokens_for_counts(words: int, chars: int) -> int:
 class ProviderConfig:
     """Connection and budgeting settings for one provider endpoint.
 
-    Raises ``ValueError`` on a count below one, a timeout that is not
-    positive or a negative backoff."""
+    Raises ``ValueError`` on an endpoint that is not an http or https URL
+    with a host (and a valid port, if any), a count below one, a timeout
+    that is not positive or a negative backoff."""
 
     endpoint: str = "https://api.openai.com/v1"
     api_key_env: str = "OPENAI_API_KEY"
@@ -118,6 +119,13 @@ class ProviderConfig:
     cache_path: str | None = None
 
     def __post_init__(self) -> None:
+        try:
+            endpoint = urlsplit(str(self.endpoint))
+            endpoint.port  # raises on a port that is not a number in range
+        except ValueError:
+            endpoint = None
+        if endpoint is None or endpoint.scheme not in ("http", "https") or not endpoint.hostname:
+            raise ValueError(f"provider.endpoint: {self.endpoint!r} is not an http or https URL")
         for name in ("context_window", "max_concurrent", "retry_attempts", "embed_batch_size"):
             value = getattr(self, name)
             if not value >= 1:
@@ -356,10 +364,8 @@ def _requests_transport(url: str, payload: dict, headers: dict,
     text}}``.  Returns the status, the body and the retry delay the response
     asks for.  A connection that raised is closed, not pooled.
     """
-    parts = urlsplit(url)
+    parts = urlsplit(url)  # ProviderConfig checked the scheme and host
     scheme, host = parts.scheme, parts.hostname
-    if scheme not in ("http", "https") or not host:
-        raise ValueError(f"endpoint {url!r} is not an http or https URL")
     port = parts.port or (443 if scheme == "https" else 80)
     proxies = urllib.request.getproxies()
     proxy = proxies.get(scheme) or proxies.get("all")

@@ -169,11 +169,10 @@ def write_flat_v1(fh, meta, vectors):
              + header + matrix.tobytes())
 
 
-def write_flat_v2(fh, meta, vectors):
-    """Version 2 of the flat layout: the magic line, the header's length and
-    CRC-32, a JSON header that names each technique, then seven 64-byte-aligned
-    parts: the matrix, the row norms, the segment starts, and the entries'
-    texts and example ids, each as int64 offsets then UTF-8 bytes end to end."""
+def flat_v3_contents(meta, vectors):
+    """The header (less its parts) and the parts of version 3 of the flat
+    layout, for a JSON metadata string that lists one entry per row: the
+    matrix as embedded, its row norms and the segment starts."""
     meta = json.loads(meta)
     entries = meta["entries"]
     starts = [i for i, e in enumerate(entries)
@@ -182,6 +181,19 @@ def write_flat_v2(fh, meta, vectors):
         model=meta["model"], dim=meta["dim"], content_hash=meta["content_hash"],
         vectors=vectors, starts=starts,
         techniques=[(entries[i]["technique_id"], entries[i]["name"]) for i in starts]))
+    matrix = np.asarray(vectors)
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix)).astype(matrix.dtype)
+    return header, {"matrix": parts["matrix"], "norms": norms.tobytes(),
+                    "starts": parts["starts"]}
+
+
+def write_flat_v2(fh, meta, vectors):
+    """Version 2 of the flat layout: the magic line, the header's length and
+    CRC-32, a JSON header that names each technique, then seven 64-byte-aligned
+    parts: the matrix, the row norms, the segment starts, and the entries'
+    texts and example ids, each as int64 offsets then UTF-8 bytes end to end."""
+    header, parts = flat_v3_contents(meta, vectors)
+    entries = json.loads(meta)["entries"]
     text_offsets, texts = packed_strings([e["text"] for e in entries])
     example_offsets, example_ids = packed_strings([e["example_id"] for e in entries])
     parts.update(text_offsets=text_offsets, texts=texts,
@@ -190,9 +202,18 @@ def write_flat_v2(fh, meta, vectors):
                                magic=b"cti2stix-catalog 2\n"))
 
 
+def write_flat_v3(fh, meta, vectors):
+    """Version 3 of the flat layout: this one's, with the rows as embedded,
+    not unit rows, and a third part, the row norms, between the matrix and
+    the segment starts."""
+    fh.write(raw_catalog_bytes(*flat_v3_contents(meta, vectors),
+                               magic=b"cti2stix-catalog 3\n"))
+
+
 @pytest.fixture(params=[savez_aligned, np.savez, np.savez_compressed, write_flat_v1,
-                        write_flat_v2],
-                ids=["aligned_zip", "savez", "savez_compressed", "flat_v1", "flat_v2"])
+                        write_flat_v2, write_flat_v3],
+                ids=["aligned_zip", "savez", "savez_compressed", "flat_v1", "flat_v2",
+                     "flat_v3"])
 def legacy_writer(request):
     """How older versions wrote a catalog."""
     return request.param
@@ -214,11 +235,11 @@ def row_technique_ids(catalog):
 
 def write_legacy_catalog(path, catalog, writer):
     """*catalog* as older versions wrote it: *writer* (:func:`savez_aligned`,
-    ``np.savez``, ``np.savez_compressed``, :func:`write_flat_v1` or
-    :func:`write_flat_v2`) over a JSON metadata string, which lists one entry
-    per row, and the matrix.  The entries' texts and example ids are left
-    empty: a catalog no longer keeps them, and a loader refuses these files
-    by their first bytes."""
+    ``np.savez``, ``np.savez_compressed``, :func:`write_flat_v1`,
+    :func:`write_flat_v2` or :func:`write_flat_v3`) over a JSON metadata
+    string, which lists one entry per row, and the matrix.  The entries'
+    texts and example ids are left empty: a catalog no longer keeps them,
+    and a loader refuses these files by their first bytes."""
     names = catalog.technique_names()
     entries = [{"technique_id": tid, "name": names[tid], "example_id": "", "text": ""}
                for tid in row_technique_ids(catalog)]
@@ -228,7 +249,7 @@ def write_legacy_catalog(path, catalog, writer):
         writer(fh, meta=json.dumps(meta, ensure_ascii=False), vectors=catalog.vectors)
 
 
-def raw_catalog_bytes(header, parts, magic=b"cti2stix-catalog 3\n"):
+def raw_catalog_bytes(header, parts, magic=b"cti2stix-catalog 4\n"):
     """A file in the flat catalog layout around *header* and *parts* (part
     name -> bytes, in file order): the header gains each part's length and
     CRC-32, its own CRC-32 is correct and every part starts 64-byte aligned."""
@@ -266,9 +287,7 @@ def catalog_file_contents(catalog):
     header = {"model": catalog.model, "dim": catalog.dim, "content_hash": catalog.content_hash,
               "dtype": matrix.dtype.str, "shape": list(matrix.shape),
               "techniques": [list(t) for t in catalog.techniques]}
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix)).astype(matrix.dtype)
-    parts = {"matrix": matrix.tobytes(), "norms": norms.tobytes(),
-             "starts": struct.pack(f"<{len(starts)}q", *starts)}
+    parts = {"matrix": matrix.tobytes(), "starts": struct.pack(f"<{len(starts)}q", *starts)}
     return header, parts
 
 
@@ -280,11 +299,13 @@ def write_unchecked_catalog(path, catalog):
 
 
 def cosine(a, b):
-    """Cosine of two vectors, as scoring takes it: *a* the query and *b* a
-    catalog row, which is float32."""
-    from cti2stix.attack_patterns import _cosines, _float32_queries
-    from cti2stix.catalog import row_norms
+    """Cosine of two vectors, as scoring takes it: *a* the query and *b* the
+    one row of a catalog, which stores it as a float32 unit vector."""
+    from cti2stix.attack_patterns import classify_vectors
+    from cti2stix.catalog import TechniqueCatalog
 
-    rows = np.asarray(b, dtype=np.float32)[np.newaxis]
-    return float(_cosines(*_float32_queries(np.asarray(a, dtype=np.float64)[np.newaxis]),
-                          rows, row_norms(rows))[0, 0])
+    catalog = TechniqueCatalog.from_rows("stub", "x", [("T1", "n")],
+                                         np.asarray(b, dtype=np.float32)[np.newaxis])
+    # at -inf every score but a NaN is kept
+    return classify_vectors(np.asarray(a, dtype=np.float64)[np.newaxis], catalog,
+                            -np.inf)["T1"]

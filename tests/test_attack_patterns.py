@@ -331,6 +331,29 @@ _rows = st.tuples(
     st.lists(st.floats(-1, 1), min_size=4, max_size=4),
 ).map(lambda kv: _row(*kv))
 
+
+class TestUnitRows:
+    @given(st.lists(st.tuples(st.sampled_from(["T1001", "T1002", "T1003"]), _rows),
+                    min_size=0, max_size=12),
+           st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_catalog_stores_unit_rows_and_leaves_its_input(self, catalog_rows, nan_at):
+        """Every row a catalog stores has a norm within _FLOAT32_TOL of 1, or
+        is all zero, or is all NaN (here, a NaN row put among the others);
+        and the float32 matrix it was built from is left as it was."""
+        ids = [tid for tid, _ in catalog_rows]
+        given_rows = np.array([row for _, row in catalog_rows], dtype=np.float32).reshape(-1, 4)
+        at = min(nan_at, len(ids))
+        ids.insert(at, "T1002")
+        given_rows = np.insert(given_rows, at, math.nan, axis=0)
+        before = given_rows.tobytes()
+        catalog = catalog_of(ids, given_rows)
+        assert given_rows.tobytes() == before
+        assert len(catalog.vectors) == len(ids)
+        for row in catalog.vectors.astype(np.float64):
+            assert (not row.any() or np.isnan(row).all()
+                    or abs(math.sqrt(row @ row) - 1.0) <= _FLOAT32_TOL), row
+
 class TestClassifyVectors:
     @given(
         st.lists(st.tuples(st.sampled_from(["T1001", "T1002", "T1003"]), _rows),
@@ -372,9 +395,10 @@ class TestClassifyVectors:
         assert list(classify_vectors(np.array([[0.0, 1.0]]), catalog, 0.5)) == ["T1002"]
 
     def test_product_overflow_scores_without_a_warning(self):
-        # the row's norm is above float32's _HUGE_NORM, and its float32 product
-        # with the query overflows: that column is recomputed from the scaled
-        # row, and the overflow must not reach the caller
+        # the row's squared components, and its float32 product with the
+        # query, would overflow; the catalog stores the row and scoring
+        # takes the query as unit vectors, whose product cannot overflow, and
+        # no warning reaches the caller
         catalog = catalog_of(["T1001", "T1002"],
                              np.array([[1e25, 0.0], [0.0, 1.0]], dtype=np.float32))
         with warnings.catch_warnings():
@@ -439,8 +463,8 @@ def edge_catalog():
     """Five techniques of 2, 1, 5, 3 and 1 rows in 6 dimensions.  In blocks
     of at most 3 rows they split into rows 0:3, 3:8 (one technique longer
     than a block, alone), 8:11 and 11:12; row 2, the last of the first
-    block, is too small and row 3, the first of the next, too large for an
-    exact float32 norm."""
+    block, is built from a row too small and row 3, the first of the next,
+    from one too large for an exact float32 norm."""
     lengths = {"T1001": 2, "T1002": 1, "T1003": 5, "T1004": 3, "T1005": 1}
     vectors = np.random.default_rng(17).standard_normal((12, 6))
     vectors[2] *= 1e-25
@@ -466,12 +490,12 @@ class TestRowBlocks:
     def test_blocks_score_as_one_pass(self, monkeypatch, row_block, few):
         """Scores over blocks of 1 and 3 rows equal the reference and the
         scores over one block: for a technique longer than a block, with a
-        NaN query, and with rows too small and too large for a float32 norm
-        either side of a block edge."""
+        NaN query, and with rows built from rows too small and too large for
+        a float32 norm either side of a block edge."""
         catalog = edge_catalog()
         queries = np.random.default_rng(19).standard_normal((5, 6))
         queries[1] = math.nan
-        queries[3] = catalog.vectors[3] * 1e-25  # T1003's huge row, at a normal scale
+        queries[3] = catalog.vectors[3] * 1e-25  # T1003's row built from a huge one, made tiny
         monkeypatch.setattr(attack_patterns, "_FEW_QUERIES", few)
         whole = classify_vectors(queries, catalog, -1.0)
         monkeypatch.setattr(attack_patterns, "_ROW_BLOCK", row_block)

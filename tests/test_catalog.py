@@ -30,6 +30,7 @@ from cti2stix.catalog import (
     load_catalog,
     parse_attack_export,
     save_catalog,
+    unit_rows,
 )
 from cti2stix.llm import (
     HashEmbedder,
@@ -46,7 +47,7 @@ from conftest import (
     catalog_file_contents,
     child_env,
     row_technique_ids,
-    savez_aligned,
+    write_flat_v3,
     write_legacy_catalog,
     write_raw_catalog,
     write_unchecked_catalog,
@@ -67,7 +68,14 @@ def assert_same_catalog(a, b):
         b.model, b.content_hash, list(b.techniques))
     np.testing.assert_array_equal(a.starts, b.starts)
     np.testing.assert_array_equal(a.vectors, b.vectors)
-    np.testing.assert_array_equal(a.norms, b.norms)
+
+
+def test_every_older_version_is_refused():
+    """The older magics name every version of the flat layout before this
+    one's, so a format bump refuses the version it replaces."""
+    version = int(catalog_module._MAGIC.split()[-1])
+    older = {b"cti2stix-catalog %d\n" % v for v in range(1, version)}
+    assert older <= set(catalog_module._OLDER_MAGICS)
 
 
 def test_parent_technique():
@@ -302,7 +310,7 @@ class TestCache:
         save_catalog(mini_catalog, path)
         raw = path.read_bytes()
         header, offset = read_header(path)
-        assert raw.startswith(b"cti2stix-catalog 3\n")
+        assert raw.startswith(b"cti2stix-catalog 4\n")
         assert raw[offset:offset + mini_catalog.vectors.nbytes] == mini_catalog.vectors.tobytes()
         assert header["dtype"] == "<f4" and header["shape"] == list(mini_catalog.vectors.shape)
         assert header["dim"] == mini_catalog.dim and header["model"] == mini_catalog.model
@@ -384,8 +392,7 @@ class TestCache:
         loaded = load_catalog(path)
         old_rows = mini_catalog.vectors.copy()
         replacement = dataclasses.replace(mini_catalog, model="other", content_hash="y",
-                                          vectors=-2 * mini_catalog.vectors,
-                                          norms=2 * mini_catalog.norms)
+                                          vectors=-2 * mini_catalog.vectors)
         save_catalog(replacement, path)
         np.testing.assert_array_equal(loaded.vectors, old_rows)
         np.testing.assert_array_equal(load_catalog(path).vectors, replacement.vectors)
@@ -474,11 +481,12 @@ class TestMappedFile:
             loaded = load_catalog(path)
             header, offset = read_header(path)
             assert offset % 64 == 0
-            assert path.read_bytes()[offset:offset + vectors.nbytes] == vectors.tobytes()
+            stored = unit_rows(vectors)  # the catalog's rows
+            assert path.read_bytes()[offset:offset + vectors.nbytes] == stored.tobytes()
         assert header["dtype"] == vectors.dtype.str
         assert loaded.vectors.shape == vectors.shape
         assert loaded.vectors.dtype == vectors.dtype
-        assert loaded.vectors.tobytes() == vectors.tobytes()
+        assert loaded.vectors.tobytes() == stored.tobytes()
         assert loaded.vectors.ctypes.data % 64 == 0
         flags = loaded.vectors.flags
         assert flags.aligned and flags.c_contiguous
@@ -621,8 +629,9 @@ class TestMappedFile:
         assert not load_catalog(path).vectors.flags.owndata
 
     def test_rebuild_of_older_file_reads_the_response_cache(self, tmp_path, monkeypatch):
-        """``catalog build`` over a zip-layout file re-embeds through the
-        response cache: with the embeddings cached, no request is sent."""
+        """``catalog build`` over a version-3 file, the layout before unit
+        rows, re-embeds through the response cache: with the embeddings
+        cached, no request is sent."""
         monkeypatch.setenv("OPENAI_API_KEY", "test-key")
         requests = []
 
@@ -636,13 +645,13 @@ class TestMappedFile:
         first = build_catalog(MITRE_SAMPLE, HttpProvider(config, transport=transport))
         assert requests
         path = tmp_path / "catalog.npz"
-        write_legacy_catalog(path, first, savez_aligned)
+        write_legacy_catalog(path, first, write_flat_v3)
 
         requests.clear()
         rebuilt = build_catalog(MITRE_SAMPLE, HttpProvider(config, transport=transport),
                                 cache_path=path)
         assert requests == []
-        assert path.read_bytes().startswith(b"cti2stix-catalog 3\n")
+        assert path.read_bytes().startswith(b"cti2stix-catalog 4\n")
         loaded = load_catalog(path)
         assert_same_catalog(loaded, rebuilt)
         assert_same_catalog(loaded, first)
@@ -668,13 +677,13 @@ class TestDtype:
         assert_same_catalog(reloaded, mini_catalog)
 
     def test_catalog_stores_float32(self):
-        given = np.ones((1, 2), dtype=np.float32)
-        assert make_catalog(given).vectors is given  # not copied
         for rows in (np.ones((1, 2), dtype=np.int64), [[1.0, 2.0]], np.ones((1, 2), np.float16),
                      np.array([[3.4e38, -np.inf, np.nan]])):
             catalog = make_catalog(rows)
-            assert catalog.vectors.dtype == catalog.norms.dtype == np.float32
-            np.testing.assert_array_equal(catalog.vectors, np.asarray(rows, np.float32))
+            assert catalog.vectors.dtype == np.float32
+            # the unit rows of the float32 cast
+            np.testing.assert_array_equal(
+                catalog.vectors, unit_rows(np.asarray(rows, np.float32)))
 
     @pytest.mark.parametrize("value", [3.5e38, -1e300])
     def test_value_beyond_float32_refused(self, value):
@@ -685,7 +694,7 @@ class TestDtype:
                 make_catalog(np.array([[0.0, np.inf], [value, 1.0]]))
 
     def test_build_refuses_an_embedding_beyond_float32(self, tmp_path):
-        # a cast would write 1e300 as inf, in the rows and in their norms
+        # a cast would write 1e300 as inf, which no unit row can hold
         provider = ScriptedProvider(script=[], embedder=SimpleNamespace(
             embed=lambda texts: [np.array([1e300, 0.0]) for _ in texts]))
         with pytest.raises(CatalogError, match=r"1e\+300, beyond float32's range"):
@@ -708,7 +717,6 @@ class TestSegments:
                                              np.eye(5))
         # the rows are sorted stably by technique id
         np.testing.assert_array_equal(catalog.vectors, np.eye(5)[[1, 4, 0, 2, 3]])
-        np.testing.assert_array_equal(catalog.norms, np.ones(5))
         assert catalog.techniques == [("T1001", "n"), ("T1002", "n"), ("T1003", "n")]
         assert catalog.starts.tolist() == [0, 2, 4]
 
@@ -742,11 +750,11 @@ class TestDerivedParts:
         self.write(path)
         assert_same_catalog(load_catalog(path), four_entry_catalog())
 
-    def test_saved_file_holds_matrix_norms_and_starts(self, tmp_path):
+    def test_saved_file_holds_matrix_and_starts(self, tmp_path):
         path = tmp_path / "catalog.bin"
         save_catalog(four_entry_catalog(), path)
         header, offset = read_header(path)
-        assert list(header["parts"]) == ["matrix", "norms", "starts"]
+        assert list(header["parts"]) == ["matrix", "starts"]
         assert header["techniques"] == [["T1001", "Alpha"], ["T1002", "Bravo"],
                                         ["T1003", "Charlie"]]
         # the parts are each 64-byte aligned and end the file
@@ -790,7 +798,7 @@ class TestDerivedParts:
             load_catalog(path)
 
     @pytest.mark.parametrize("part, data", [
-        ("matrix", bytes(4 * 13)), ("norms", bytes(4 * 5)), ("starts", int64s(0, 2, 3, 4)),
+        ("matrix", bytes(4 * 13)), ("starts", int64s(0, 2, 3, 4)),
     ])
     def test_part_of_the_wrong_size(self, tmp_path, part, data):
         path = tmp_path / "catalog.bin"
@@ -805,7 +813,7 @@ class TestDerivedParts:
         with pytest.raises(CatalogError, match="1 bytes past its last part"):
             load_catalog(path)
 
-    @pytest.mark.parametrize("part", ["header", "matrix", "norms", "starts"])
+    @pytest.mark.parametrize("part", ["header", "matrix", "starts"])
     def test_flipped_byte_fails_its_part_crc(self, tmp_path, part):
         path = tmp_path / "catalog.bin"
         save_catalog(four_entry_catalog(), path)
@@ -892,7 +900,7 @@ class TestResidentPages:
 
 
 class TestLazyEntries:
-    """A catalog keeps nothing per row but its matrix and norms: names are
+    """A catalog keeps nothing per row but its matrix of unit rows: names are
     kept once per technique, and ``entries`` is a range of row numbers, kept
     only so that the benchmark's traced pass can count rows."""
 

@@ -2239,6 +2239,24 @@ class TestUsage:
         assert err == f"error: plugins {plugin_file}: {message}\n"
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("endpoint", ["ftp://example.com/v1", "example.com/v1",
+                                          "http://example.com:port/v1"])
+    def test_endpoint_that_is_not_http_is_a_usage_error(self, tmp_path, report_path,
+                                                         monkeypatch, capsys, endpoint):
+        import cti2stix.llm as llm
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("the endpoint must not be contacted")
+
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(llm, "_requests_transport", no_network)
+        code = main(["extract", str(report_path), "--out-dir", str(tmp_path / "out"),
+                     "--provider", "live", "--set", f"provider.endpoint={endpoint}"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: provider.endpoint: {endpoint!r} is not an http or https URL\n")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_concurrency_is_usage_error_not_a_hang(self, tmp_path, report_path,
                                                       monkeypatch, capsys):
         import cti2stix.llm as llm
